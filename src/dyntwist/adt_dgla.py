@@ -48,7 +48,8 @@ def _add(acc: dict, key, val: HSeries, order: int):
 class AdtElement:
     """Sparse element of (U g)^{(x) k} (x) U h over HSeries."""
 
-    __slots__ = ("uea", "arity", "terms", "order")
+    # _vkey: value key filled by linfinity's tower memo on first use
+    __slots__ = ("uea", "arity", "terms", "order", "_vkey")
 
     def __init__(self, uea: UEnvelope, arity: int, terms: dict, order: int):
         self.uea = uea

@@ -221,10 +221,18 @@ def build_parser():
     return parser
 
 
+def _check_bounds(args):
+    for flag in ("order", "shdeg"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise SchemaError(f"--{flag} must be >= 0, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     fn = _COMMANDS[args.command][0]
     try:
+        _check_bounds(args)
         return fn(args)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -9,7 +9,9 @@ Both sides are wrapped as honest dgla's with the standard axioms:
   standard Leibniz rule holds.
 
 Morphism towers are stored as explicit multilinear structure maps
-F^n : Lambda^n(source) -> target, evaluated on demand.  Koszul signs are
+F^n : Lambda^n(source) -> target, evaluated on demand and memoized per
+tower by argument value, so a transport computes each F^n(x1, ..., xn)
+once however many subsets and partitions ask for it.  Koszul signs are
 computed in the double-shifted grading where Maurer-Cartan elements sit
 in degree 0 (so transport of such elements needs no signs at all).
 """
@@ -474,25 +476,52 @@ def quantum_contraction(uea: UEnvelope, order: int) -> Contraction:
 
 
 class MorphismTower:
-    """Structure maps F^1..F^A of a coalgebra morphism between dgla's."""
+    """Structure maps F^1..F^A of a coalgebra morphism between dgla's.
 
-    def __init__(self, source, target, maps, arity_bound):
+    Memo contract: every structure map is a pure function of the values
+    of its arguments, and elements are never mutated after construction.
+    So `apply` evaluates each map at most once per distinct argument
+    tuple, keyed by value rather than identity, and answers zero without
+    evaluating when an argument is zero (the maps are multilinear).  A
+    strict tower has no nonzero maps above arity one.
+    """
+
+    def __init__(self, source, target, maps, arity_bound, strict=False):
         self.source = source
         self.target = target
         self.maps = list(maps)
         self.arity_bound = arity_bound
+        self.strict = strict
+        self._memo: dict = {}
 
     def apply(self, n, args):
-        if n < 1 or n > self.arity_bound:
+        if n < 1 or n > self.arity_bound or (self.strict and n > 1):
             return self.target.zero()
-        return self.maps[n - 1](*args)
+        if any(a.is_zero() for a in args):
+            return self.target.zero()
+        key = (n, tuple(_value_key(a) for a in args))
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = self.maps[n - 1](*args)
+        return out
+
+
+def _value_key(x):
+    """Hashable exact value of an element, built once and kept on it."""
+    try:
+        return x._vkey
+    except AttributeError:
+        pass
+    x._vkey = (
+        x.order,
+        getattr(x, "arity", None),
+        frozenset((k, c.coeffs) for k, c in x.terms.items()),
+    )
+    return x._vkey
 
 
 def strict_tower(f1, source, target, arity_bound) -> MorphismTower:
-    maps = [f1] + [
-        (lambda *args: target.zero()) for _ in range(arity_bound - 1)
-    ]
-    return MorphismTower(source, target, maps, arity_bound)
+    return MorphismTower(source, target, [f1], arity_bound, strict=True)
 
 
 def identity_tower(g, arity_bound) -> MorphismTower:
@@ -576,11 +605,20 @@ def compose_towers(G: MorphismTower, F: MorphismTower) -> MorphismTower:
     bound = min(G.arity_bound, F.arity_bound)
     src, tgt = F.source, G.target
 
+    def partitions(n):
+        # a strict G vanishes on two or more blocks, a strict F on any
+        # block of size two or more
+        if G.strict:
+            return [[list(range(n))]]
+        if F.strict:
+            return [[[i] for i in range(n)]]
+        return _set_partitions(list(range(n)))
+
     def make(n):
         def mapped(*args):
             degs = [src.s_degree(a) for a in args]
             out = tgt.zero()
-            for part in _set_partitions(list(range(n))):
+            for part in partitions(n):
                 blocks = sorted(part, key=min)
                 perm = [i for blk in blocks for i in sorted(blk)]
                 sign = koszul_sign(degs, perm)
@@ -596,7 +634,10 @@ def compose_towers(G: MorphismTower, F: MorphismTower) -> MorphismTower:
 
         return mapped
 
-    return MorphismTower(src, tgt, [make(n) for n in range(1, bound + 1)], bound)
+    return MorphismTower(
+        src, tgt, [make(n) for n in range(1, bound + 1)], bound,
+        strict=G.strict and F.strict,
+    )
 
 
 def invert_tower(F: MorphismTower, f1_inverse=None) -> MorphismTower:

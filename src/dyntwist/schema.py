@@ -217,6 +217,19 @@ def dump_rmatrix(body: CdybElement, lie: LieData) -> str:
 # -- twists -----------------------------------------------------------------
 
 
+def _header_count(parts, lineno) -> int:
+    """The value of an `arity`, `order` or `hbar` header: an integer >= 0."""
+    try:
+        (value,) = (int(p) for p in parts[1:])
+    except ValueError:
+        raise SchemaError(
+            f"line {lineno}: expected '{parts[0]} <integer>'"
+        ) from None
+    if value < 0:
+        raise SchemaError(f"line {lineno}: {parts[0]} must be >= 0")
+    return value
+
+
 def parse_twist(text, uea: UEnvelope) -> AdtElement:
     payload = _find_block(parse_blocks(text), "twist")
     lie = uea.lie
@@ -228,11 +241,11 @@ def parse_twist(text, uea: UEnvelope) -> AdtElement:
         parts = line.split()
         key = parts[0]
         if key == "arity":
-            arity = int(parts[1])
+            arity = _header_count(parts, lineno)
         elif key == "order":
-            order = int(parts[1])
+            order = _header_count(parts, lineno)
         elif key == "hbar":
-            level = int(parts[1])
+            level = _header_count(parts, lineno)
         elif key == "term":
             if arity is None or order is None or level is None:
                 raise SchemaError(

@@ -15,7 +15,6 @@ from .hseries import HSeries
 from .lie_core import LieData
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def wedge_sort(indices):
@@ -39,21 +38,11 @@ def sym_sort(indices):
     return tuple(sorted(indices))
 
 
-def perm_sign(perm) -> int:
-    """Sign of a permutation given as a tuple of distinct sortables."""
-    sign = 1
-    idx = list(perm)
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            if idx[i] > idx[j]:
-                sign = -sign
-    return sign
-
-
 class CdybElement:
     """Sparse element of wedge^* g (x) S h with HSeries coefficients."""
 
-    __slots__ = ("terms", "order")
+    # _vkey: value key filled by linfinity's tower memo on first use
+    __slots__ = ("terms", "order", "_vkey")
 
     def __init__(self, terms, order: int):
         self.order = order
@@ -243,27 +232,3 @@ def cdyb_monomials(lie: LieData, exterior: int, sh: int):
         itertools.combinations_with_replacement(lie.h_indices, sh)
     )
     return [(w, s) for w in wedges for s in syms]
-
-
-def from_coeff_dict(coeffs: dict, order: int) -> CdybElement:
-    return CdybElement(dict(coeffs), order)
-
-
-def grade_extract(x, grading: str, n: int):
-    """Homogeneous component of x with respect to a named grading."""
-    if isinstance(x, CdybElement):
-        if grading == "exterior_degree":
-            return x.component(exterior=n)
-        if grading == "sh_degree":
-            return x.component(sh=n)
-        if grading == "hbar_order":
-            return x.hbar_component(n)
-        raise GradingMismatch(f"grading {grading!r} undefined on CdybElement")
-    # AdtElement and friends implement their own component methods
-    if grading == "arity":
-        return x if x.arity == n else type(x).zero(x.uea, n, x.order)
-    if grading == "hbar_order":
-        return x.hbar_component(n)
-    if grading == "uh_filtration":
-        return x.filtration_component(n)
-    raise GradingMismatch(f"grading {grading!r} undefined on {type(x).__name__}")

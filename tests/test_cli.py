@@ -34,6 +34,21 @@ def test_input_error_exit_code(tmp_path):
                  "--rmatrix", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["quantize", "--order", "-1"],
+    ["reduce-classical", "--order", "-1"],
+    ["check-rmatrix", "--order", "-2"],
+    ["check-rmatrix", "--shdeg", "-1"],
+])
+def test_negative_order_is_input_error(tmp_path, capsys, argv):
+    out = tmp_path / "K.twist"
+    code = main(argv + ["--algebra", SL2, "--rmatrix", SL2_R,
+                        "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "must be >= 0" in capsys.readouterr().err
+
+
 def test_quantize_verify_round_trip(tmp_path, capsys):
     twist = tmp_path / "K.twist"
     code = main(["quantize", "--algebra", SL2, "--rmatrix", SL2_R,

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from dyntwist import (
+    CdybElement,
     HSeries,
+    RMatrix,
     check_morphism,
     classical_contraction,
     invert_contraction,
@@ -12,7 +16,13 @@ from dyntwist import (
     twist_by_homotopy,
 )
 from dyntwist.cdyb_dgla import delta_homotopy
-from dyntwist.linfinity import identity_tower, morphism_residual
+from dyntwist.gauge import reduce_classical
+from dyntwist.linfinity import (
+    MorphismTower,
+    compose_towers,
+    identity_tower,
+    morphism_residual,
+)
 
 from conftest import ORDER
 
@@ -123,3 +133,112 @@ def test_morphism_residual_detects_fake_tower(sl2):
         if not morphism_residual(broken, args).is_zero():
             bad += 1
     assert bad > 0
+
+
+# -- closed-form reductions -------------------------------------------------
+
+
+def _reduce(lie, body, order):
+    red = reduce_classical(lie, taylor_rescale(RMatrix(lie, body), order))
+    assert red.gauge.equivalent  # the round-trip equivalence certificate
+    return red.pi
+
+
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(1, 2), Fraction(-3, 2)])
+def test_sl2_family_reduces_to_constant_bivector(sl2, a):
+    # e^f / (a - lambda) = sum_d a^-(d+1) e^f | h^d reduces to
+    # (1/a) hbar e^f | 1, whatever the higher leg terms are
+    order = 5
+    body = CdybElement.zero(order)
+    for d in range(5):
+        body = body + CdybElement.monomial(
+            (0, 2), (1,) * d, a ** -(d + 1), order
+        )
+    pi = _reduce(sl2, body, order)
+    assert pi == CdybElement.monomial(
+        (0, 2), (), HSeries.hbar(order, 1, 1 / a), order
+    )
+
+
+@pytest.mark.parametrize("order", [3, 7])
+def test_affxc2_family_reduces_to_constant_bivector(aff, order):
+    # c x^y + p(h1, h2) h1^h2 reduces to c hbar x^y | 1: the base part
+    # is a coboundary of the reduction
+    c = Fraction(-3, 2)
+    body = CdybElement.monomial((0, 1), (), c, order)
+    for coeff, leg in ((1, ()), (Fraction(1, 2), (2,)), (-2, (2, 3)),
+                       (Fraction(3, 2), (2, 2, 3))):
+        body = body + CdybElement.monomial((2, 3), leg, coeff, order)
+    pi = _reduce(aff, body, order)
+    assert pi == CdybElement.monomial(
+        (0, 1), (), HSeries.hbar(order, 1, c), order
+    )
+
+
+# -- the tower memo ---------------------------------------------------------
+
+
+def _counting_tower(g, arity):
+    calls = []
+
+    def f(*args):
+        calls.append(args)
+        out = g.zero()
+        for x in args:
+            out = out + x
+        return out
+
+    T = MorphismTower(g, g, [f] * arity, arity)
+    return T, calls
+
+
+def test_apply_evaluates_once_per_argument_value(sl2):
+    g = classical_contraction(sl2, ORDER).dgla
+    x, y = g.sample_elements(random.Random(9), 2)
+    T, calls = _counting_tower(g, 2)
+    first = T.apply(2, (x, y))
+    # equal values in distinct objects, terms inserted in reverse order
+    x2 = CdybElement(dict(reversed(list(x.terms.items()))), x.order)
+    y2 = CdybElement(dict(y.terms), y.order)
+    assert x2 is not x and x2 == x
+    assert T.apply(2, (x2, y2)) == first
+    assert len(calls) == 1
+    # a different value or arity is a new evaluation
+    T.apply(2, (y, x))
+    T.apply(1, (x,))
+    assert len(calls) == 3
+
+
+def test_apply_on_zero_argument_skips_the_map(sl2):
+    g = classical_contraction(sl2, ORDER).dgla
+    (x,) = g.sample_elements(random.Random(10), 1)
+    T, calls = _counting_tower(g, 2)
+    assert T.apply(2, (x, g.zero())).is_zero()
+    assert T.apply(1, (g.zero(),)).is_zero()
+    assert calls == []
+
+
+def test_strict_skips_match_the_full_partition_sum(sl2):
+    # composing with a strict tower enumerates one partition; the same
+    # maps not flagged strict go through every partition and must agree
+    g = classical_contraction(sl2, ORDER).dgla
+    F = MorphismTower(g, g, [
+        lambda x: x,
+        g.bracket,
+        lambda x, y, z: g.bracket(g.bracket(x, y), z),
+    ], 3)
+    strict = identity_tower(g, 3)
+    full = MorphismTower(g, g, [lambda x: x] + [lambda *a: g.zero()] * 2, 3)
+    # single letters of sl2 with legs, so that brackets rarely vanish
+    pool = [CdybElement.monomial((i,), leg, 1, ORDER)
+            for i in range(3) for leg in ((), (1,))]
+    rng = random.Random(12)
+    nonzero = 0
+    for n in range(1, 4):
+        for _ in range(SAMPLES):
+            args = tuple(rng.choice(pool) for _ in range(n))
+            want = F.apply(n, args)
+            nonzero += not want.is_zero()
+            for G, H in ((strict, F), (full, F), (F, strict), (F, full)):
+                assert compose_towers(G, H).apply(n, args) == want
+    assert nonzero > 2 * SAMPLES

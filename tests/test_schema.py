@@ -76,6 +76,10 @@ def test_comments_and_blank_lines(sl2):
         "rmatrix\nterm 1/0 * e^f * 1\nend\n",  # bad rational
         "rmatrix\nterm 1 * e^f * e\nend\n",  # leg outside the base
         "twist\nterm 1 * (1 | 1)\nend\n",  # term before headers
+        "twist\narity 2\norder -1\nend\n",  # negative order
+        "twist\narity 2\norder 2\nhbar -1\nend\n",  # negative level
+        "twist\narity 2\norder two\nend\n",  # non-integer header
+        "twist\narity\norder 2\nend\n",  # header without a value
     ],
 )
 def test_malformed_documents_raise(sl2, sl2_uea, doc):
