@@ -10,7 +10,6 @@ from .errors import (
     AlgebraError,
     ContractFailure,
     DecompositionError,
-    DegreeOverflow,
     DyntwistError,
     GradingMismatch,
     MorphismUnsound,

@@ -11,11 +11,12 @@ total PBW length, so every computation decomposes into finite slices.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import linalg
 from .errors import GradingMismatch, NoSolution, NotInvariant, TruncationTooSmall
-from .hseries import HSeries
+from .hseries import HSeries, SparseSeries, add_into
 from .lie_core import invariant_basis
 from .tensor_spaces import CdybElement, wedge_sort
 from .uea import (
@@ -27,43 +28,26 @@ from .uea import (
     coproduct_mono,
 )
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def _series(c, order) -> HSeries:
-    if isinstance(c, HSeries):
-        return c
-    return HSeries.constant(c, order)
-
-
-def _add(acc: dict, key, val: HSeries, order: int):
-    nv = acc.get(key, HSeries.zero(order)) + val
-    if nv.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = nv
-
-
-class AdtElement:
+class AdtElement(SparseSeries):
     """Sparse element of (U g)^{(x) k} (x) U h over HSeries."""
 
-    # _vkey: value key filled by linfinity's tower memo on first use
-    __slots__ = ("uea", "arity", "terms", "order", "_vkey")
+    __slots__ = ("uea", "arity")
+    _space = ("uea", "arity")
 
     def __init__(self, uea: UEnvelope, arity: int, terms: dict, order: int):
         self.uea = uea
         self.arity = arity
-        self.order = order
-        self.terms = {}
-        for key, c in terms.items():
-            if len(key) != arity + 1:
-                raise GradingMismatch(
-                    f"key {key} has {len(key) - 1} factors, expected {arity}"
-                )
-            c = _series(c, order)
-            if not c.is_zero():
-                self.terms[tuple(tuple(m) for m in key)] = c
+        super().__init__(terms, order)
+
+    def _key(self, key):
+        if len(key) != self.arity + 1:
+            raise GradingMismatch(
+                f"key {key} has {len(key) - 1} factors, expected {self.arity}"
+            )
+        return tuple(tuple(m) for m in key)
 
     @classmethod
     def zero(cls, uea, arity, order):
@@ -73,47 +57,6 @@ class AdtElement:
     def unit(cls, uea, arity, order):
         """1 (x) ... (x) 1."""
         return cls(uea, arity, {((),) * (arity + 1): _F1}, order)
-
-    def __add__(self, other: "AdtElement") -> "AdtElement":
-        if other.arity != self.arity:
-            # zero is compatible with every arity (degenerate compositions)
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise GradingMismatch("arity mismatch in sum")
-        order = min(self.order, other.order)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            _add(terms, k, c, order)
-        return AdtElement(self.uea, self.arity, terms, order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AdtElement(
-            self.uea, self.arity, {k: -c for k, c in self.terms.items()}, self.order
-        )
-
-    def scale(self, c) -> "AdtElement":
-        c = _series(c, self.order)
-        return AdtElement(
-            self.uea, self.arity, {k: v * c for k, v in self.terms.items()}, self.order
-        )
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, AdtElement):
-            return NotImplemented
-        if other.arity != self.arity:
-            return self.is_zero() and other.is_zero()
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("AdtElement is not hashable")
 
     # -- gradings and filtrations ------------------------------------------
 
@@ -136,31 +79,13 @@ class AdtElement:
         terms = {k: c for k, c in self.terms.items() if len(k[-1]) == n}
         return AdtElement(self.uea, self.arity, terms, self.order)
 
-    def hbar_component(self, n: int) -> "AdtElement":
-        terms = {}
-        for k, c in self.terms.items():
-            a = c.coeff(n)
-            if a != 0:
-                terms[k] = HSeries.constant(a, self.order)
-        return AdtElement(self.uea, self.arity, terms, self.order)
-
-    def hbar_valuation(self):
-        vals = [c.valuation() for c in self.terms.values()]
-        vals = [v for v in vals if v is not None]
-        return min(vals) if vals else None
-
-    def map_coeffs(self, f) -> "AdtElement":
-        return AdtElement(
-            self.uea, self.arity, {k: f(c) for k, c in self.terms.items()}, self.order
-        )
-
     # -- h action ----------------------------------------------------------
 
     def ad(self, x: int) -> "AdtElement":
         terms = {}
         for key, c in self.terms.items():
             for out_key, coeff in ad_adt_key(self.uea, x, key).items():
-                _add(terms, out_key, c * coeff, self.order)
+                add_into(terms, out_key, c * coeff)
         return AdtElement(self.uea, self.arity, terms, self.order)
 
     def is_invariant(self) -> bool:
@@ -184,13 +109,54 @@ def ad_adt_key(uea: UEnvelope, x: int, key) -> dict:
     out = {}
     for slot in range(len(key)):
         for m, c in uea.ad_mono(x, key[slot]).items():
-            k2 = key[:slot] + (m,) + key[slot + 1 :]
-            nv = out.get(k2, _F0) + c
-            if nv == 0:
-                out.pop(k2, None)
-            else:
-                out[k2] = nv
+            add_into(out, key[:slot] + (m,) + key[slot + 1 :], c)
     return out
+
+
+# -- slot embeddings and the slotwise product --------------------------------
+#
+# These serve every element with `arity` group slots followed by one leg:
+# AdtElement (leg in U h) and quantizer.FormalTwist (leg in S h).
+
+
+def coproduct_at(E, i: int):
+    """Coproduct on slot i, which becomes two adjacent slots.
+
+    Slot i = arity is the leg: its coaction puts the first half into a
+    new last group factor and keeps the second half as the leg.
+    """
+    out: dict = {}
+    for key, c in E.terms.items():
+        for parts, mult in coproduct_mono(key[i], 2).items():
+            add_into(out, key[:i] + parts + key[i + 1 :], c * mult)
+    return type(E)(E.uea, E.arity + 1, out, E.order)
+
+
+def unit_at(E, i: int):
+    """Insert a unit as the new slot i."""
+    terms = {key[:i] + ((),) + key[i:]: c for key, c in E.terms.items()}
+    return type(E)(E.uea, E.arity + 1, terms, E.order)
+
+
+def slotwise_product(A, B, leg_mul):
+    """PBW products slot by slot, leg_mul(s, t) -> {leg: coeff} on the legs."""
+    if A.arity != B.arity:
+        raise GradingMismatch("arity mismatch in product")
+    uea = A.uea
+    out: dict = {}
+    for k1, c1 in A.terms.items():
+        for k2, c2 in B.terms.items():
+            c = c1 * c2
+            exps = [
+                uea.mul_mono(k1[i], k2[i]).items() for i in range(A.arity)
+            ]
+            exps.append(leg_mul(k1[-1], k2[-1]).items())
+            for combo in itertools.product(*exps):
+                coeff = c
+                for _, d in combo:
+                    coeff = coeff * d
+                add_into(out, tuple(m for m, _ in combo), coeff)
+    return type(A)(uea, A.arity, out, min(A.order, B.order))
 
 
 # -- differential ----------------------------------------------------------
@@ -204,25 +170,23 @@ def differential_b(P: AdtElement) -> AdtElement:
     its U g part becoming the new last tensor factor.
     """
     k = P.arity
-    order = P.order
     terms: dict = {}
     for key, c in P.terms.items():
         gfac = key[:-1]
         leg = key[-1]
         # unit insertion on the left
-        _add(terms, ((),) + gfac + (leg,), c, order)
+        add_into(terms, ((),) + gfac + (leg,), c)
         # coproduct on factor i (1-based), sign (-1)^i
         for i in range(1, k + 1):
             sgn = -1 if i % 2 else 1
             for parts, mult in coproduct_mono(gfac[i - 1], 2).items():
                 new = gfac[: i - 1] + parts + gfac[i:] + (leg,)
-                _add(terms, new, c * (sgn * mult), order)
+                add_into(terms, new, c * (sgn * mult))
         # coaction on the leg, sign (-1)^{k+1}
         sgn = -1 if (k + 1) % 2 else 1
         for parts, mult in coproduct_mono(leg, 2).items():
-            new = gfac + parts
-            _add(terms, new, c * (sgn * mult), order)
-    return AdtElement(P.uea, k + 1, terms, order)
+            add_into(terms, gfac + parts, c * (sgn * mult))
+    return AdtElement(P.uea, k + 1, terms, P.order)
 
 
 # -- cup product -----------------------------------------------------------
@@ -250,11 +214,11 @@ def cup(P: AdtElement, Q: AdtElement) -> AdtElement:
                 for j in range(l):
                     slots.append(parts[j] + gQ[j])
                 slots.append(parts[l] + legQ)
-                _straight_key(P.uea, tuple(slots), terms, cP * cQ * mult, order)
+                _straight_key(P.uea, tuple(slots), terms, cP * cQ * mult)
     return AdtElement(P.uea, k + l, terms, order)
 
 
-def _straight_key(uea, slots, acc, coeff, order):
+def _straight_key(uea, slots, acc, coeff):
     """Straighten every slot word and accumulate into `acc`."""
     expansions = [uea.straighten(w) for w in slots]
     partial = [((), _F1)]
@@ -265,8 +229,7 @@ def _straight_key(uea, slots, acc, coeff, order):
                 nxt.append((pref + (m,), c0 * c))
         partial = nxt
     for key, c in partial:
-        _add(acc, key, coeff * c, order)
-    return ()
+        add_into(acc, key, coeff * c)
 
 
 # -- brace insertions ------------------------------------------------------
@@ -308,11 +271,11 @@ def brace(P: AdtElement, Qs) -> AdtElement:
                 cursor += ks[s]
             else:
                 cursor += 1
-        _brace_placement(uea, P, Qs, positions, n, sgn, out, order)
+        _brace_placement(uea, P, Qs, positions, n, sgn, out)
     return AdtElement(uea, n, out, order)
 
 
-def _brace_placement(uea, P, Qs, positions, n, sgn, out, order):
+def _brace_placement(uea, P, Qs, positions, n, sgn, out):
     m = len(Qs)
     ks = [Q.arity for Q in Qs]
     consumed = {j: s for s, j in enumerate(positions)}  # input -> insertion idx
@@ -389,7 +352,7 @@ def _brace_placement(uea, P, Qs, positions, n, sgn, out, order):
             words = tuple(
                 tuple(itertools.chain.from_iterable(slot)) for slot in slots
             )
-            _straight_key(uea, words, out, c0 * sgn, order)
+            _straight_key(uea, words, out, c0 * sgn)
 
 
 def gerstenhaber_bracket(
@@ -437,7 +400,7 @@ def p2_project(splitter: UmSplitter, P: AdtElement) -> AdtElement:
                     nxt.append((pref + (mono,), c0 * cc))
             partial = nxt
         for pref, c0 in partial:
-            _add(terms, pref + ((),), c * c0, order)
+            add_into(terms, pref + ((),), c * c0)
     return AdtElement(uea, P.arity, terms, order)
 
 
@@ -479,14 +442,14 @@ def alt_embed(uea: UEnvelope, elt: CdybElement) -> AdtElement:
     k = elt.exterior_degree()
     order = elt.order
     terms: dict = {}
-    norm = Fraction(1, _factorial(k))
+    norm = Fraction(1, math.factorial(k))
     for (w, s), c in elt.terms.items():
         leg = uea.sym_mono(s)
         for perm in itertools.permutations(range(k)):
-            sign = _perm_sign(perm)
+            sign = wedge_sort(perm)[0]
             gkey = tuple((w[p],) for p in perm)
             for mono, lc in leg.items():
-                _add(terms, gkey + (mono,), c * (sign * norm * lc), order)
+                add_into(terms, gkey + (mono,), c * (sign * norm * lc))
     return AdtElement(uea, k, terms, order)
 
 
@@ -498,25 +461,9 @@ def tensor_embed(uea: UEnvelope, elt: CdybElement) -> AdtElement:
     terms: dict = {}
     for (w, s), c in elt.terms.items():
         for mono, lc in uea.sym_mono(s).items():
-            _add(terms, ((w[0],), (w[1],), mono), c * lc, order)
-            _add(terms, ((w[1],), (w[0],), mono), -(c * lc), order)
+            add_into(terms, ((w[0],), (w[1],), mono), c * lc)
+            add_into(terms, ((w[1],), (w[0],), mono), -(c * lc))
     return AdtElement(uea, 2, terms, order)
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 # -- basis enumeration and exact solving -----------------------------------
@@ -611,16 +558,12 @@ def kappa_solve(
         col = {k: i for i, k in enumerate(tkeys)}
         rows: dict = {}
         for j, im in enumerate(imgs):
-            for key, c in im.terms.items():
-                rows.setdefault(col[key], {})[j] = c.coeff(0)
+            for key, a in im.layer(0).items():
+                rows.setdefault(col[key], {})[j] = a
         row_list = [rows.get(i, {}) for i in range(len(tkeys))]
         sol_terms: dict = {}
         for nlevel in range(order + 1):
-            rhs = {}
-            for key, c in slice_t.terms.items():
-                a = c.coeff(nlevel)
-                if a != 0:
-                    rhs[col[key]] = a
+            rhs = {col[key]: a for key, a in slice_t.layer(nlevel).items()}
             if not rhs:
                 continue
             sol = linalg.solve(row_list, rhs, len(imgs))
@@ -631,7 +574,9 @@ def kappa_solve(
                 )
             for j, a in sol.items():
                 for key, c in basis[j].items():
-                    _add(sol_terms, key, HSeries.hbar(order, nlevel, a * c), order)
+                    add_into(
+                        sol_terms, key, HSeries.hbar(order, nlevel, a * c)
+                    )
         result = result + AdtElement(uea, target.arity - 1, sol_terms, order)
     return result
 
@@ -681,9 +626,8 @@ def _b_rank(uea: UEnvelope, k: int, basis) -> int:
         u = AdtElement(uea, k, dict(vec), 0)
         img = differential_b(u)
         col = {}
-        for key, c in img.terms.items():
-            idx = key_index.setdefault(key, len(key_index))
-            col[idx] = c.coeff(0)
+        for key, a in img.layer(0).items():
+            col[key_index.setdefault(key, len(key_index))] = a
         cols.append(col)
     rows: dict = {}
     for j, col in enumerate(cols):
@@ -726,7 +670,7 @@ def adte_residual(K: AdtElement, mode: str = "direct") -> AdtElement:
                         f2 + p2[0],
                         leg + p2[1],
                     )
-                    _straight_key(uea, slots, out, c * (m1 * m2), order)
+                    _straight_key(uea, slots, out, c * (m1 * m2))
             # - K^{1,23,4} K^{2,3,4}
             for p1, m1 in coproduct_mono(f2, 2).items():
                 slots = (
@@ -735,5 +679,5 @@ def adte_residual(K: AdtElement, mode: str = "direct") -> AdtElement:
                     p1[1] + g2,
                     leg + legg,
                 )
-                _straight_key(uea, slots, out, -(c * m1), order)
+                _straight_key(uea, slots, out, -(c * m1))
     return AdtElement(uea, 3, out, order)

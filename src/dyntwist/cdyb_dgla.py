@@ -14,18 +14,15 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import GradingMismatch, TruncationTooSmall
-from .hseries import HSeries
-from .lie_core import LieData, invariant_basis
+from .hseries import add_into
+from .lie_core import LieData
 from .tensor_spaces import (
     CdybElement,
-    ad_cdyb_key,
     cdyb_monomials,
+    invariant_cdyb_basis,
     sym_sort,
     wedge_sort,
 )
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 _bracket_caches: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
@@ -33,17 +30,14 @@ _bracket_caches: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 def differential(elt: CdybElement) -> CdybElement:
     """d(w (x) h_1...h_l) = - sum_i h_i ^ w (x) h_1...(h_i dropped)...h_l."""
     terms = {}
-    order = elt.order
     for (w, s), c in elt.terms.items():
         for pos in range(len(s)):
             ws = wedge_sort((s[pos],) + w)
             if ws is None:
                 continue
             sign, new_w = ws
-            key = (new_w, s[:pos] + s[pos + 1 :])
-            add = c * (-sign)
-            terms[key] = terms.get(key, HSeries.zero(order)) + add
-    return CdybElement(terms, order)
+            add_into(terms, (new_w, s[:pos] + s[pos + 1 :]), c * (-sign))
+    return CdybElement(terms, elt.order)
 
 
 def _wedge_cache(lie: LieData) -> dict:
@@ -84,7 +78,7 @@ def _bracket_wedge_uncached(lie: LieData, w1, w2) -> dict:
                 if ws is None:
                     continue
                 sign, w = ws
-                _acc(out, w, sign * c)
+                add_into(out, w, sign * c)
         return out
     # [P, Q] = -(-1)^{(p-1)(q-1)} [Q, P], then peel P = x ^ P'
     flip = -(_sign((p - 1) * (q - 1)))
@@ -96,7 +90,7 @@ def _bracket_wedge_uncached(lie: LieData, w1, w2) -> dict:
         if ws is None:
             continue
         sign, ww = ws
-        _acc(out, ww, flip * (-c) * sign)
+        add_into(out, ww, flip * (-c) * sign)
     # (-1)^{q-1} x ^ [Q, P']
     inner = bracket_wedge(lie, w2, rest)
     for w, c in inner.items():
@@ -104,16 +98,8 @@ def _bracket_wedge_uncached(lie: LieData, w1, w2) -> dict:
         if ws is None:
             continue
         sign, ww = ws
-        _acc(out, ww, flip * _sign(q - 1) * c * sign)
+        add_into(out, ww, flip * _sign(q - 1) * c * sign)
     return out
-
-
-def _acc(acc: dict, key, val):
-    nv = acc.get(key, _F0) + val
-    if nv == 0:
-        acc.pop(key, None)
-    else:
-        acc[key] = nv
 
 
 def _sign(n: int) -> int:
@@ -129,8 +115,7 @@ def bracket(lie: LieData, a: CdybElement, b: CdybElement) -> CdybElement:
             c = c1 * c2
             leg = sym_sort(s1 + s2)
             for w, coeff in bracket_wedge(lie, w1, w2).items():
-                key = (w, leg)
-                terms[key] = terms.get(key, HSeries.zero(order)) + c * coeff
+                add_into(terms, (w, leg), c * coeff)
     return CdybElement(terms, order)
 
 
@@ -145,12 +130,11 @@ def cdybe_residual(lie: LieData, rho: CdybElement, mode: str = "dgla"):
         return differential(rho) + bracket(lie, rho, rho).scale(Fraction(1, 2))
     if mode != "literal":
         raise ValueError(f"unknown mode {mode!r}")
-    order = rho.order
     t = _tensor2(rho)
     out: dict = {}
-    _cyb_into(lie, t, out, order)
-    _alt_d_into(lie, rho, out, order, negate=True)
-    return {k: c for k, c in out.items() if not c.is_zero()}
+    _cyb_into(lie, t, out)
+    _alt_d_into(rho, out, negate=True)
+    return out
 
 
 def embed3(elt: CdybElement) -> dict:
@@ -160,27 +144,10 @@ def embed3(elt: CdybElement) -> dict:
         if len(w) != 3:
             raise GradingMismatch("embed3 expects exterior degree 3")
         for perm in itertools.permutations(range(3)):
-            sign = _perm_sign3(perm)
+            sign = wedge_sort(perm)[0]
             key = ((w[perm[0]], w[perm[1]], w[perm[2]]), s)
-            _acc_series(out, key, c * sign, elt.order)
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _perm_sign3(perm) -> int:
-    sign = 1
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def _acc_series(acc: dict, key, val, order):
-    nv = acc.get(key, HSeries.zero(order)) + val
-    if nv.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = nv
+            add_into(out, key, c * sign)
+    return out
 
 
 def _tensor2(rho: CdybElement) -> dict:
@@ -189,12 +156,12 @@ def _tensor2(rho: CdybElement) -> dict:
     for (w, s), c in rho.terms.items():
         if len(w) != 2:
             raise GradingMismatch("expected exterior degree 2")
-        _acc_series(out, ((w[0], w[1]), s), c, rho.order)
-        _acc_series(out, ((w[1], w[0]), s), -c, rho.order)
+        add_into(out, ((w[0], w[1]), s), c)
+        add_into(out, ((w[1], w[0]), s), -c)
     return out
 
 
-def _cyb_into(lie: LieData, t: dict, out: dict, order: int):
+def _cyb_into(lie: LieData, t: dict, out: dict):
     """[r12, r13] + [r12, r23] + [r13, r23] accumulated into `out`."""
     # slot pairs: (shared slot of first factor, placements)
     items = list(t.items())
@@ -204,25 +171,25 @@ def _cyb_into(lie: LieData, t: dict, out: dict, order: int):
             leg = sym_sort(s1 + s2)
             # [r12, r13]: bracket in slot 1
             for k, f in lie.bracket_basis(a1, b1).items():
-                _acc_series(out, ((k, a2, b2), leg), c * f, order)
+                add_into(out, ((k, a2, b2), leg), c * f)
             # [r12, r23]: bracket in slot 2
             for k, f in lie.bracket_basis(a2, b1).items():
-                _acc_series(out, ((a1, k, b2), leg), c * f, order)
+                add_into(out, ((a1, k, b2), leg), c * f)
             # [r13, r23]: bracket in slot 3
             for k, f in lie.bracket_basis(a2, b2).items():
-                _acc_series(out, ((a1, b1, k), leg), c * f, order)
+                add_into(out, ((a1, b1, k), leg), c * f)
 
 
-def _alt_d_into(lie: LieData, rho: CdybElement, out: dict, order: int, negate):
+def _alt_d_into(rho: CdybElement, out: dict, negate):
     """sum_i (h_i^1 d_i rho^23 - h_i^2 d_i rho^13 + h_i^3 d_i rho^12)."""
     sgn = -1 if negate else 1
     for ((a1, a2), s), c in _tensor2(rho).items():
         for pos in range(len(s)):
             h = s[pos]
             rest = s[:pos] + s[pos + 1 :]
-            _acc_series(out, ((h, a1, a2), rest), c * sgn, order)
-            _acc_series(out, ((a1, h, a2), rest), c * (-sgn), order)
-            _acc_series(out, ((a1, a2, h), rest), c * sgn, order)
+            add_into(out, ((h, a1, a2), rest), c * sgn)
+            add_into(out, ((a1, h, a2), rest), c * (-sgn))
+            add_into(out, ((a1, a2, h), rest), c * sgn)
 
 
 def p1_project(lie: LieData, elt: CdybElement) -> CdybElement:
@@ -247,7 +214,6 @@ def delta_homotopy(lie: LieData, elt: CdybElement) -> CdybElement:
     signs, and a global factor -(-1)^p.
     """
     terms = {}
-    order = elt.order
     for (w, s), c in elt.terms.items():
         m_part = tuple(i for i in w if not lie.is_h(i))
         h_part = tuple(i for i in w if lie.is_h(i))
@@ -263,9 +229,8 @@ def delta_homotopy(lie: LieData, elt: CdybElement) -> CdybElement:
                 continue
             s2, new_w = ws
             key = (new_w, sym_sort(s + (h_part[i],)))
-            val = c * (sign * s2 * _sign(i) * outer)
-            terms[key] = terms.get(key, HSeries.zero(order)) + val
-    return CdybElement(terms, order)
+            add_into(terms, key, c * (sign * s2 * _sign(i) * outer))
+    return CdybElement(terms, elt.order)
 
 
 def _shuffle_sign(lie: LieData, wedge) -> int:
@@ -289,10 +254,7 @@ def _d_matrix(lie: LieData, basis_src, keys_dst):
     for vec in basis_src:
         elt = CdybElement({k: c for k, c in vec.items()}, 0)
         img = differential(elt)
-        col = {}
-        for key, c in img.terms.items():
-            col[col_dst[key]] = c.coeff(0)
-        cols.append(col)
+        cols.append({col_dst[key]: a for key, a in img.layer(0).items()})
     rows: dict = {}
     for j, col in enumerate(cols):
         for i, v in col.items():
@@ -300,19 +262,12 @@ def _d_matrix(lie: LieData, basis_src, keys_dst):
     return list(rows.values()), len(cols)
 
 
-def _invariant_slice(lie: LieData, exterior: int, sh: int):
-    keys = cdyb_monomials(lie, exterior, sh)
-    return invariant_basis(
-        lie, keys, lambda x, key: ad_cdyb_key(lie, x, key)
-    )
-
-
 def cohomology_dim_weight(lie: LieData, k: int, weight: int) -> int:
     """dim H^k of the invariant complex in the given total weight."""
     sh = weight - k
     if sh < 0:
         return 0
-    basis_k = _invariant_slice(lie, k, sh)
+    basis_k = invariant_cdyb_basis(lie, k, sh)
     n_k = len(basis_k)
     if n_k == 0:
         return 0
@@ -322,7 +277,7 @@ def cohomology_dim_weight(lie: LieData, k: int, weight: int) -> int:
     dim_ker = n_k - rank_out
     rank_in = 0
     if k >= 1:
-        basis_prev = _invariant_slice(lie, k - 1, sh + 1)
+        basis_prev = invariant_cdyb_basis(lie, k - 1, sh + 1)
         if basis_prev:
             keys_k = cdyb_monomials(lie, k, sh)
             rows_in, ncols_in = _d_matrix(lie, basis_prev, keys_k)

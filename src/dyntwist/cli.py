@@ -1,7 +1,7 @@
 """Command-line front end: quantize, verify, classify, report.
 
 Exit codes: 0 all residuals exactly zero, 1 a residual check failed,
-2 malformed input, 3 the solver hit an unrepaired obstruction.
+2 malformed input, 3 the solver hit an obstruction.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import props, schema
-from .adt_dgla import adte_residual
+from .adt_dgla import AdtElement, adte_residual
 from .errors import (
     DyntwistError,
     NoSolution,
@@ -93,8 +93,7 @@ def cmd_quantize(args):
     lie = _load_algebra(args)
     rho = _load_rmatrix(args, lie, args.order)
     uea = UEnvelope(lie)
-    pair = solve_adte(rho, args.order, repair_depth=args.repair_depth,
-                      uea=uea, perturb_seed=args.seed)
+    pair = solve_adte(rho, args.order, uea=uea, perturb_seed=args.seed)
     rep.add(f"quantized to order {args.order}")
     rep.check("equation residual", adte_residual(pair.K).is_zero())
     rep.add("valuation certificate: "
@@ -116,7 +115,9 @@ def cmd_verify_twist(args):
     K = schema.parse_twist(schema.load_file(args.twist), uea)
     rep.add(f"twist: {args.twist} (order {K.order})")
     rep.check("equation residual", adte_residual(K).is_zero())
-    cert_ok = all(
+    # K = 1 mod hbar, and the order-n coefficient has leg length below n
+    unit = AdtElement.unit(uea, 2, K.order)
+    cert_ok = K.hbar_component(0) == unit and all(
         K.hbar_component(n).filtration_degree() <= n - 1
         for n in range(1, K.order + 1)
     )
@@ -206,9 +207,6 @@ def build_parser():
                        help="hbar truncation order (default 3)")
         p.add_argument("--shdeg", type=int, default=None,
                        help="leg-degree bound for classical checks")
-        p.add_argument("--repair-depth", type=int, default=2,
-                       dest="repair_depth",
-                       help="how many orders the solver may re-open")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for sampled checks and perturbations")
         p.add_argument("--out", default=None,
@@ -226,6 +224,10 @@ def _check_bounds(args):
         value = getattr(args, flag)
         if value is not None and value < 0:
             raise SchemaError(f"--{flag} must be >= 0, got {value}")
+    if args.order > schema.MAX_ORDER:
+        raise SchemaError(
+            f"--order must be <= {schema.MAX_ORDER}, got {args.order}"
+        )
 
 
 def main(argv=None) -> int:

@@ -25,10 +25,6 @@ class GradingMismatch(DyntwistError):
     """Requested grading does not apply to the element's space."""
 
 
-class DegreeOverflow(DyntwistError):
-    """A product would exceed the configured PBW degree bound."""
-
-
 class NotInvariant(DyntwistError):
     """Operation requires an h-invariant element."""
 
@@ -64,11 +60,10 @@ class MorphismUnsound(DyntwistError):
 class ObstructionNotRepaired(DyntwistError):
     """Order-by-order solver got stuck on a cohomology obstruction."""
 
-    def __init__(self, message, order=None, obstruction=None, depth_tried=0):
+    def __init__(self, message, order=None, obstruction=None):
         super().__init__(message)
         self.order = order
         self.obstruction = obstruction
-        self.depth_tried = depth_tried
 
 
 class ValuationViolated(DyntwistError):

@@ -9,11 +9,16 @@ function flowing Maurer-Cartan elements by affine transformations).
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from . import cdyb_dgla, linalg
-from .adt_dgla import AdtElement, adte_residual, invariant_adt_basis, kappa_solve
+from .adt_dgla import (
+    AdtElement,
+    coproduct_at,
+    kappa_solve,
+    slotwise_product,
+    unit_at,
+)
 from .errors import (
     GradingMismatch,
     NoSolution,
@@ -23,15 +28,12 @@ from .errors import (
     StraighteningStalled,
     ValuationViolated,
 )
-from .hseries import HSeries
-from .lie_core import LieData, invariant_basis
+from .hseries import HSeries, add_into
+from .lie_core import LieData
 from .linfinity import classical_contraction, invert_contraction, mc_transport
 from .quantizer import FormalTwist, j_to_k, k_to_j, shift_argument
-from .tensor_spaces import CdybElement, ad_cdyb_key, cdyb_monomials
-from .uea import UEnvelope, coproduct_mono
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from .tensor_spaces import CdybElement, invariant_cdyb_basis
+from .uea import UEnvelope
 
 
 class GaugeElement:
@@ -79,29 +81,7 @@ def _as_classical(g) -> CdybElement:
 
 def adt_mul(A: AdtElement, B: AdtElement) -> AdtElement:
     """Slotwise product on tensor factors and the leg alike."""
-    if A.arity != B.arity:
-        raise GradingMismatch("arity mismatch in product")
-    uea = A.uea
-    order = min(A.order, B.order)
-    out: dict = {}
-    for k1, c1 in A.terms.items():
-        for k2, c2 in B.terms.items():
-            c = c1 * c2
-            exps = [
-                uea.mul_mono(k1[i], k2[i]).items()
-                for i in range(A.arity + 1)
-            ]
-            for combo in itertools.product(*exps):
-                coeff = c
-                for _, d in combo:
-                    coeff = coeff * d
-                key = tuple(m for m, _ in combo)
-                nv = out.get(key, HSeries.zero(order)) + coeff
-                if nv.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = nv
-    return AdtElement(uea, A.arity, out, order)
+    return slotwise_product(A, B, A.uea.mul_mono)
 
 
 def adt_inverse(A: AdtElement) -> AdtElement:
@@ -142,7 +122,7 @@ def formal_inverse(T: FormalTwist, bound=None) -> FormalTwist:
     """
     if bound is None:
         bound = T.order
-    unit = FormalTwist.unit(T.uea, T.slots, T.order)
+    unit = FormalTwist.unit(T.uea, T.arity, T.order)
     R = (unit - T).total_truncate(bound)
     tv = total_valuation(R)
     if tv is not None and tv < 1:
@@ -160,42 +140,6 @@ def formal_inverse(T: FormalTwist, bound=None) -> FormalTwist:
 # -- the algebraic gauge action ----------------------------------------------
 
 
-def _embed_split_factor(Q: AdtElement) -> AdtElement:
-    """Coproduct on the group factor: superscript (12,3)."""
-    out: dict = {}
-    order = Q.order
-    for (m, leg), c in Q.terms.items():
-        for parts, mult in coproduct_mono(m, 2).items():
-            key = (parts[0], parts[1], leg)
-            nv = out.get(key, HSeries.zero(order)) + c * mult
-            if not nv.is_zero():
-                out[key] = nv
-            else:
-                out.pop(key, None)
-    return AdtElement(Q.uea, 2, out, order)
-
-
-def _embed_pad_left(Q: AdtElement) -> AdtElement:
-    """Unit in the first slot: superscript (2,3)."""
-    out = {((),) + k: c for k, c in Q.terms.items()}
-    return AdtElement(Q.uea, 2, out, Q.order)
-
-
-def _embed_coact_leg(Q: AdtElement) -> AdtElement:
-    """Coaction splitting of the leg: superscript (1,23)."""
-    out: dict = {}
-    order = Q.order
-    for (m, leg), c in Q.terms.items():
-        for parts, mult in coproduct_mono(leg, 2).items():
-            key = (m, parts[0], parts[1])
-            nv = out.get(key, HSeries.zero(order)) + c * mult
-            if not nv.is_zero():
-                out[key] = nv
-            else:
-                out.pop(key, None)
-    return AdtElement(Q.uea, 2, out, order)
-
-
 def gauge_act_algebraic(Q, K: AdtElement) -> AdtElement:
     """K' = Q^{12,3} K (Q^{2,3})^{-1} (Q^{1,23})^{-1}."""
     Q = _as_algebraic(Q)
@@ -204,9 +148,9 @@ def gauge_act_algebraic(Q, K: AdtElement) -> AdtElement:
     unit1 = AdtElement.unit(Q.uea, 1, Q.order)
     if Q.hbar_component(0) != unit1:
         raise NotInvertible("algebraic gauge element must be 1 + O(hbar)")
-    out = adt_mul(_embed_split_factor(Q), K)
-    out = adt_mul(out, adt_inverse(_embed_pad_left(Q)))
-    out = adt_mul(out, adt_inverse(_embed_coact_leg(Q)))
+    out = adt_mul(coproduct_at(Q, 0), K)
+    out = adt_mul(out, adt_inverse(unit_at(Q, 0)))
+    out = adt_mul(out, adt_inverse(coproduct_at(Q, 1)))
     return out
 
 
@@ -224,27 +168,6 @@ def gauge_compose(Q2, Q1) -> AdtElement:
 # -- the formal gauge action -------------------------------------------------
 
 
-def _t_split(T: FormalTwist) -> FormalTwist:
-    """Coproduct on the single group factor: T^{12}."""
-    out: dict = {}
-    order = T.order
-    for (m, leg), c in T.terms.items():
-        for parts, mult in coproduct_mono(m, 2).items():
-            key = (parts[0], parts[1], leg)
-            nv = out.get(key, HSeries.zero(order)) + c * mult
-            if not nv.is_zero():
-                out[key] = nv
-            else:
-                out.pop(key, None)
-    return FormalTwist(T.uea, 2, out, order)
-
-
-def _t_pad_left(T: FormalTwist) -> FormalTwist:
-    """Unit in the first slot: T^2."""
-    out = {((),) + k: c for k, c in T.terms.items()}
-    return FormalTwist(T.uea, 2, out, T.order)
-
-
 def gauge_act_formal(T, J: FormalTwist) -> FormalTwist:
     """J' = T^{12} * J * (T^2)^{-1} * (T^1 at the shifted argument)^{-1}.
 
@@ -252,13 +175,13 @@ def gauge_act_formal(T, J: FormalTwist) -> FormalTwist:
     truncation), where all four factors and their inverses are finite.
     """
     T = _as_formal(T)
-    if T.slots != 1 or J.slots != 2:
+    if T.arity != 1 or J.arity != 2:
         raise GradingMismatch("gauge has one factor, twist has two")
     bound = min(T.order, J.order)
     T = T.total_truncate(bound)
     J = J.total_truncate(bound)
-    t12 = _t_split(T)
-    t2_inv = formal_inverse(_t_pad_left(T), bound)
+    t12 = coproduct_at(T, 0)
+    t2_inv = formal_inverse(unit_at(T, 0), bound)
     t1s_inv = formal_inverse(shift_argument(T, form="coproduct"), bound)
     out = (t12 * J).total_truncate(bound)
     out = (out * t2_inv).total_truncate(bound)
@@ -443,11 +366,6 @@ def find_gauge(K: AdtElement, K2: AdtElement) -> GaugeResult:
     return GaugeResult(True, gauge=Q)
 
 
-def _invariant_cdyb_basis(lie: LieData, exterior: int, sh: int):
-    keys = cdyb_monomials(lie, exterior, sh)
-    return invariant_basis(lie, keys, lambda x, k: ad_cdyb_key(lie, x, k))
-
-
 def classical_find_gauge(lie: LieData, alpha: CdybElement,
                          beta: CdybElement) -> GaugeResult:
     """Order-by-order classical equivalence via the affine flow.
@@ -467,7 +385,7 @@ def classical_find_gauge(lie: LieData, alpha: CdybElement,
         sh_max = max(diff.sh_degrees(), default=0) + 1
         basis = []
         for sh in range(sh_max + 1):
-            basis.extend(_invariant_cdyb_basis(lie, 1, sh))
+            basis.extend(invariant_cdyb_basis(lie, 1, sh))
         imgs = [
             cdyb_dgla.differential(CdybElement(dict(v), order))
             for v in basis
@@ -475,16 +393,16 @@ def classical_find_gauge(lie: LieData, alpha: CdybElement,
         key_index: dict = {}
         rows: dict = {}
         for j, im in enumerate(imgs):
-            for key, c in im.terms.items():
+            for key, a in im.layer(0).items():
                 idx = key_index.setdefault(key, len(key_index))
-                rows.setdefault(idx, {})[j] = c.coeff(0)
+                rows.setdefault(idx, {})[j] = a
         rhs = {}
         unreachable = False
-        for key, c in diff.terms.items():
+        for key, a in diff.layer(0).items():
             if key not in key_index:
                 unreachable = True
                 break
-            rhs[key_index[key]] = c.coeff(0)
+            rhs[key_index[key]] = a
         sol = None
         if not unreachable:
             row_list = [rows.get(i, {}) for i in range(len(key_index))]
@@ -494,13 +412,7 @@ def classical_find_gauge(lie: LieData, alpha: CdybElement,
         q_terms: dict = {}
         for j, a in sol.items():
             for key, c in basis[j].items():
-                nv = q_terms.get(key, HSeries.zero(order)) + HSeries.hbar(
-                    order, n, a * c
-                )
-                if nv.is_zero():
-                    q_terms.pop(key, None)
-                else:
-                    q_terms[key] = nv
+                add_into(q_terms, key, HSeries.hbar(order, n, a * c))
         qn = CdybElement(q_terms, order)
         if qn.is_zero():
             return GaugeResult(False, obstruction=diff, order=n)

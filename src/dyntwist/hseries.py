@@ -3,13 +3,17 @@
 All arithmetic is exact modulo hbar^(N+1).  Mixing two series of different
 truncation orders is allowed and truncates to the smaller order, which is
 the canonical quotient map between the two rings.
+
+`HSeries` is the scalar ring; `SparseSeries` is the common base of every
+sparse element over it (PBW elements, algebraic and formal twists,
+classical cochains): a map from monomial keys to HSeries coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NotInvertible
+from .errors import GradingMismatch, NotInvertible
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -19,6 +23,21 @@ def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def add_into(acc: dict, key, val):
+    """acc[key] += val, dropping the key when the sum is zero.
+
+    Serves Fraction (or int) and HSeries values alike; an HSeries sum
+    keeps the smaller truncation order of its summands.
+    """
+    old = acc.get(key)
+    if old is not None:
+        val = old + val
+    if val:
+        acc[key] = val
+    elif old is not None:
+        del acc[key]
 
 
 class HSeries:
@@ -170,3 +189,128 @@ class HSeries:
                 terms.append(f"{c}*h^{n}" if c != 1 else f"h^{n}")
         body = " + ".join(terms) if terms else "0"
         return f"HSeries({body}; N={self.order})"
+
+
+def as_series(c, order: int) -> HSeries:
+    """c itself if it is an HSeries, else the constant series c."""
+    if isinstance(c, HSeries):
+        return c
+    return HSeries.constant(c, order)
+
+
+class SparseSeries:
+    """Sparse element {monomial key: HSeries} truncated mod hbar^(order+1).
+
+    Subclasses fix the space.  `_space` names the attributes that come
+    before `terms` in the constructor, so that
+    `type(self)(*space values, terms, order)` builds an element of the
+    same space; an `arity` attribute, where there is one, must agree
+    between summands.  The constructor takes HSeries or rational
+    coefficients, truncates longer series to `order` and drops zeros, so
+    every stored coefficient is a nonzero HSeries.  Elements are never
+    mutated after construction.
+    """
+
+    __slots__ = ("terms", "order", "_vkey")
+    _space: tuple = ()
+
+    def __init__(self, terms: dict, order: int):
+        self.order = order
+        self.terms = out = {}
+        key = self._key
+        for k, c in terms.items():
+            if not isinstance(c, HSeries):
+                c = HSeries.constant(c, order)
+            elif c.order > order:
+                c = c.truncate(order)
+            if not c.is_zero():
+                out[key(k)] = c
+
+    def _key(self, key):
+        """Normalize and validate a monomial key given to the constructor."""
+        return key
+
+    def _like(self, terms: dict, order: int):
+        return type(self)(
+            *(getattr(self, a) for a in self._space), terms, order
+        )
+
+    # -- ring structure ----------------------------------------------------
+
+    def __add__(self, other):
+        if getattr(self, "arity", None) != getattr(other, "arity", None):
+            # zero is compatible with every arity (degenerate compositions)
+            if self.is_zero():
+                return other
+            if other.is_zero():
+                return self
+            raise GradingMismatch("arity mismatch in sum")
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            add_into(terms, k, c)
+        return self._like(terms, min(self.order, other.order))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()}, self.order)
+
+    def scale(self, c):
+        """Multiply every coefficient by a rational or an HSeries."""
+        return self._like(
+            {k: v * c for k, v in self.terms.items()}, self.order
+        )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if getattr(self, "arity", None) != getattr(other, "arity", None):
+            return self.is_zero() and other.is_zero()
+        return (self - other).is_zero()
+
+    def __hash__(self):
+        raise TypeError(f"{type(self).__name__} is not hashable")
+
+    # -- hbar layers -------------------------------------------------------
+
+    def layer(self, n: int) -> dict:
+        """The hbar^n coefficients as {key: Fraction}, zeros left out."""
+        if n > self.order:
+            return {}
+        out = {}
+        for k, c in self.terms.items():
+            a = c.coeff(n)
+            if a:
+                out[k] = a
+        return out
+
+    def hbar_component(self, n: int):
+        """The hbar^n layer as an element with constant coefficients."""
+        return self._like(self.layer(n), self.order)
+
+    def hbar_valuation(self):
+        """Smallest hbar power with a nonzero coefficient (None for zero)."""
+        return min((c.valuation() for c in self.terms.values()), default=None)
+
+    def map_coeffs(self, f):
+        return self._like({k: f(c) for k, c in self.terms.items()}, self.order)
+
+    def value_key(self):
+        """Hashable exact value, built once per element.
+
+        linfinity's tower memo keys structure-map arguments by it.
+        """
+        try:
+            return self._vkey
+        except AttributeError:
+            pass
+        self._vkey = (
+            self.order,
+            getattr(self, "arity", None),
+            frozenset((k, c.coeffs) for k, c in self.terms.items()),
+        )
+        return self._vkey

@@ -11,19 +11,10 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import AlgebraError, DecompositionError
-
-_F0 = Fraction(0)
+from .hseries import add_into
 
 MODE_REDUCTIVE = "reductive"
 MODE_ABELIAN_BASE = "abelian_base"
-
-
-def _add_into(acc: dict, key, val):
-    nv = acc.get(key, _F0) + val
-    if nv == 0:
-        acc.pop(key, None)
-    else:
-        acc[key] = nv
 
 
 class LieData:
@@ -75,7 +66,7 @@ class LieData:
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                         for l, coeff in self.bracket_basis(a, b).items():
                             for m, d in self.bracket_basis(l, c).items():
-                                _add_into(acc, m, coeff * d)
+                                add_into(acc, m, coeff * d)
                     if acc:
                         raise AlgebraError(
                             f"Jacobi identity fails on triple "
@@ -132,7 +123,7 @@ class LieData:
         for i, a in v.items():
             for j, b in w.items():
                 for k, c in self.bracket_basis(i, j).items():
-                    _add_into(acc, k, a * b * c)
+                    add_into(acc, k, a * b * c)
         return acc
 
     def project_m_vec(self, v: dict) -> dict:
@@ -166,13 +157,8 @@ def invariant_basis(lie: LieData, keys, ad_apply):
         block = {}
         for k in keys:
             for out_key, coeff in ad_apply(x, k).items():
-                if out_key not in block:
-                    block[out_key] = {}
-                block[out_key][col[k]] = block[out_key].get(col[k], _F0) + coeff
-        for row in block.values():
-            row = {c: v for c, v in row.items() if v != 0}
-            if row:
-                rows.append(row)
+                add_into(block.setdefault(out_key, {}), col[k], coeff)
+        rows.extend(row for row in block.values() if row)
     kern = linalg.kernel_basis(rows, len(keys))
     out = []
     for vec in kern:

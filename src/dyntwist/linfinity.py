@@ -26,9 +26,9 @@ from . import adt_dgla, cdyb_dgla
 from .adt_dgla import AdtElement, gerstenhaber_bracket, invariant_adt_basis
 from .errors import ContractFailure, GradingMismatch, MorphismUnsound
 from .hseries import HSeries
-from .lie_core import LieData, invariant_basis
+from .lie_core import LieData
 from .linalg import kernel_basis, rref, solve
-from .tensor_spaces import CdybElement, ad_cdyb_key, cdyb_monomials
+from .tensor_spaces import CdybElement, invariant_cdyb_basis
 from .uea import UEnvelope, UmSplitter
 
 _F1 = Fraction(1)
@@ -144,13 +144,6 @@ class CdybDgla(LinfAlgebra):
     def zero(self):
         return CdybElement.zero(self.order)
 
-    def invariant_slice(self, exterior, sh):
-        keys = cdyb_monomials(self.lie, exterior, sh)
-        rows = invariant_basis(
-            self.lie, keys, lambda h, key: ad_cdyb_key(self.lie, h, key)
-        )
-        return [CdybElement(dict(r), self.order) for r in rows]
-
     def sample_elements(self, rng, count):
         out = []
         guard = 0
@@ -158,9 +151,9 @@ class CdybDgla(LinfAlgebra):
             guard += 1
             k = rng.randint(1, 3)
             l = rng.randint(0, 2)
-            slice_elts = self.invariant_slice(k, l)
-            if slice_elts:
-                out.append(rng.choice(slice_elts))
+            rows = invariant_cdyb_basis(self.lie, k, l)
+            if rows:
+                out.append(CdybElement(dict(rng.choice(rows)), self.order))
         return out
 
 
@@ -337,11 +330,7 @@ class _QuantumHomotopy:
         return cols[key]
 
     def _coords(self, k: int, elt: AdtElement, order_n: int = 0):
-        return {
-            self._col(k, kk): c.coeff(order_n)
-            for kk, c in elt.terms.items()
-            if c.coeff(order_n) != 0
-        }
+        return {self._col(k, kk): a for kk, a in elt.layer(order_n).items()}
 
     def _nbasis(self, k: int, L: int):
         """Kernel-of-projection basis on the invariant length <= L space."""
@@ -363,9 +352,7 @@ class _QuantumHomotopy:
         rev = {i: kk for kk, i in cols.items()}
         nbasis = []
         for r in nred:
-            terms = {
-                rev[c]: HSeries.constant(v, self.order) for c, v in r.items()
-            }
+            terms = {rev[c]: v for c, v in r.items()}
             nbasis.append(AdtElement(self.uea, k, terms, self.order))
         self._cache[key] = nbasis
         return nbasis
@@ -499,25 +486,11 @@ class MorphismTower:
             return self.target.zero()
         if any(a.is_zero() for a in args):
             return self.target.zero()
-        key = (n, tuple(_value_key(a) for a in args))
+        key = (n, tuple(a.value_key() for a in args))
         out = self._memo.get(key)
         if out is None:
             out = self._memo[key] = self.maps[n - 1](*args)
         return out
-
-
-def _value_key(x):
-    """Hashable exact value of an element, built once and kept on it."""
-    try:
-        return x._vkey
-    except AttributeError:
-        pass
-    x._vkey = (
-        x.order,
-        getattr(x, "arity", None),
-        frozenset((k, c.coeffs) for k, c in x.terms.items()),
-    )
-    return x._vkey
 
 
 def strict_tower(f1, source, target, arity_bound) -> MorphismTower:

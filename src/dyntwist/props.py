@@ -21,10 +21,15 @@ from .adt_dgla import (
     kappa_solve,
 )
 from .errors import NoSolution
-from .hseries import HSeries
+from .hseries import HSeries, add_into
 from .lie_core import LieData, invariant_basis
 from .linfinity import quantum_contraction
-from .tensor_spaces import CdybElement, ad_cdyb_key, cdyb_monomials
+from .tensor_spaces import (
+    CdybElement,
+    cdyb_monomials,
+    invariant_cdyb_basis,
+    wedge_sort,
+)
 from .uea import UEnvelope
 
 _F1 = Fraction(1)
@@ -32,11 +37,6 @@ _F1 = Fraction(1)
 
 def _sign(n):
     return -1 if n % 2 else 1
-
-
-def _invariant_cdyb(lie, exterior, sh):
-    keys = cdyb_monomials(lie, exterior, sh)
-    return invariant_basis(lie, keys, lambda x, k: ad_cdyb_key(lie, x, k))
 
 
 def _cdyb_from(vec, order=0):
@@ -47,7 +47,7 @@ def check_d_squared(lie: LieData, max_k=3, max_sh=2):
     """d squared vanishes on every invariant basis element."""
     for k in range(max_k + 1):
         for sh in range(max_sh + 1):
-            for vec in _invariant_cdyb(lie, k, sh):
+            for vec in invariant_cdyb_basis(lie, k, sh):
                 elt = _cdyb_from(vec)
                 if not cdyb_dgla.differential(
                     cdyb_dgla.differential(elt)
@@ -63,9 +63,9 @@ def check_d_leibniz(lie: LieData, max_k=3, max_l=2, max_sh=2):
         for l in range(1, max_l + 1):
             for sh_a in range(max_sh + 1):
                 for sh_b in range(max_sh + 1):
-                    for va in _invariant_cdyb(lie, k, sh_a):
+                    for va in invariant_cdyb_basis(lie, k, sh_a):
                         a = _cdyb_from(va)
-                        for vb in _invariant_cdyb(lie, l, sh_b):
+                        for vb in invariant_cdyb_basis(lie, l, sh_b):
                             b = _cdyb_from(vb)
                             lhs = cdyb_dgla.differential(
                                 cdyb_dgla.bracket(lie, a, b)
@@ -260,8 +260,6 @@ def check_cohomology(lie: LieData, uea: UEnvelope, max_k=3, shdeg=4,
 
 
 def _ad_wedge(lie, x, key):
-    from .tensor_spaces import wedge_sort
-
     out = {}
     for pos, y in enumerate(key):
         for z, c in lie.bracket_basis(x, y).items():
@@ -269,9 +267,7 @@ def _ad_wedge(lie, x, key):
             if ws is None:
                 continue
             sign, w = ws
-            out[w] = out.get(w, Fraction(0)) + sign * c
-            if out[w] == 0:
-                del out[w]
+            add_into(out, w, sign * c)
     return out
 
 

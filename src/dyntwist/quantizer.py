@@ -1,9 +1,10 @@
 """Order-by-order twist quantization of formal dynamical r-matrices.
 
 The pipeline: validate an r-matrix, rescale it to a Maurer-Cartan element,
-solve the algebraic twist equation order by order in hbar (with affine
-obstruction repair), convert the algebraic twist K to the formal twist J,
-and verify the dynamical twist equation with the PBW star product.
+solve the algebraic twist equation order by order in hbar (an obstruction
+at some order is reported, not repaired), convert the algebraic twist K to
+the formal twist J, and verify the dynamical twist equation with the PBW
+star product.
 """
 
 from __future__ import annotations
@@ -12,16 +13,17 @@ import itertools
 import random
 from fractions import Fraction
 
-from . import cdyb_dgla, linalg
+from . import cdyb_dgla
 from .adt_dgla import (
     AdtElement,
     adte_residual,
     alt_embed,
-    brace,
+    coproduct_at,
     differential_b,
     invariant_adt_basis,
     kappa_solve,
-    tensor_embed,
+    slotwise_product,
+    unit_at,
 )
 from .errors import (
     GradingMismatch,
@@ -32,21 +34,12 @@ from .errors import (
     ObstructionNotRepaired,
     ValuationViolated,
 )
-from .hseries import HSeries
+from .hseries import HSeries, SparseSeries, add_into, as_series
 from .lie_core import LieData
 from .tensor_spaces import CdybElement
-from .uea import PbwElement, UEnvelope, coproduct_mono
+from .uea import PbwElement, UEnvelope
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def _add_series(acc: dict, key, val: HSeries, order: int):
-    nv = acc.get(key, HSeries.zero(order)) + val
-    if nv.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = nv
 
 
 # -- validated r-matrix input ----------------------------------------------
@@ -138,97 +131,38 @@ def taylor_rescale(rho: RMatrix, order: int) -> CdybElement:
 # -- formal twists (group factors with a polynomial leg) --------------------
 
 
-class FormalTwist:
-    """Sparse element of (U g)^{(x) slots} (x) S h over HSeries.
+class FormalTwist(SparseSeries):
+    """Sparse element of (U g)^{(x) arity} (x) S h over HSeries.
 
-    Keys are tuples of `slots` PBW monomials followed by one sorted leg
-    monomial (a commutative word in the base indices).
+    Keys are tuples of `arity` PBW monomials (the group factors) followed
+    by one sorted leg monomial (a commutative word in the base indices).
     """
 
-    __slots__ = ("uea", "slots", "terms", "order")
+    __slots__ = ("uea", "arity")
+    _space = ("uea", "arity")
+    _key = AdtElement._key
 
-    def __init__(self, uea: UEnvelope, slots: int, terms: dict, order: int):
+    def __init__(self, uea: UEnvelope, arity: int, terms: dict, order: int):
         self.uea = uea
-        self.slots = slots
-        self.order = order
-        self.terms = {}
-        for key, c in terms.items():
-            if len(key) != slots + 1:
-                raise GradingMismatch(
-                    f"key {key} has {len(key) - 1} factors, expected {slots}"
-                )
-            if not isinstance(c, HSeries):
-                c = HSeries.constant(c, order)
-            if not c.is_zero():
-                self.terms[tuple(tuple(m) for m in key)] = c
+        self.arity = arity
+        super().__init__(terms, order)
 
     @classmethod
-    def zero(cls, uea, slots, order):
-        return cls(uea, slots, {}, order)
+    def zero(cls, uea, arity, order):
+        return cls(uea, arity, {}, order)
 
     @classmethod
-    def unit(cls, uea, slots, order):
-        return cls(uea, slots, {((),) * (slots + 1): _F1}, order)
-
-    def __add__(self, other: "FormalTwist") -> "FormalTwist":
-        if other.slots != self.slots:
-            raise GradingMismatch("slot count mismatch in sum")
-        order = min(self.order, other.order)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_series(terms, k, c, order)
-        return FormalTwist(self.uea, self.slots, terms, order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return FormalTwist(
-            self.uea, self.slots,
-            {k: -c for k, c in self.terms.items()}, self.order,
-        )
-
-    def scale(self, c) -> "FormalTwist":
-        if not isinstance(c, HSeries):
-            c = HSeries.constant(c, self.order)
-        return FormalTwist(
-            self.uea, self.slots,
-            {k: v * c for k, v in self.terms.items()}, self.order,
-        )
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalTwist):
-            return NotImplemented
-        return self.slots == other.slots and (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("FormalTwist is not hashable")
+    def unit(cls, uea, arity, order):
+        return cls(uea, arity, {((),) * (arity + 1): _F1}, order)
 
     def op(self) -> "FormalTwist":
-        """Swap the two group factors (slots == 2 only)."""
-        if self.slots != 2:
+        """Swap the two group factors (arity 2 only)."""
+        if self.arity != 2:
             raise GradingMismatch("op is defined for two factors")
         return FormalTwist(
             self.uea, 2,
             {(k[1], k[0], k[2]): c for k, c in self.terms.items()},
             self.order,
-        )
-
-    def hbar_component(self, n: int) -> "FormalTwist":
-        terms = {}
-        for k, c in self.terms.items():
-            a = c.coeff(n)
-            if a != 0:
-                terms[k] = HSeries.constant(a, self.order)
-        return FormalTwist(self.uea, self.slots, terms, self.order)
-
-    def map_coeffs(self, f) -> "FormalTwist":
-        return FormalTwist(
-            self.uea, self.slots,
-            {k: f(c) for k, c in self.terms.items()}, self.order,
         )
 
     def total_truncate(self, bound: int) -> "FormalTwist":
@@ -250,38 +184,24 @@ class FormalTwist:
             )
             if not kept.is_zero():
                 terms[key] = kept
-        return FormalTwist(self.uea, self.slots, terms, self.order)
+        return FormalTwist(self.uea, self.arity, terms, self.order)
 
     def __mul__(self, other: "FormalTwist") -> "FormalTwist":
         """Slotwise group products, star product on the legs."""
-        if other.slots != self.slots:
-            raise GradingMismatch("slot count mismatch in product")
         uea = self.uea
         order = min(self.order, other.order)
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                c = c1 * c2
-                slot_exps = [
-                    uea.mul_mono(k1[i], k2[i]).items()
-                    for i in range(self.slots)
-                ]
-                leg_exp = [
-                    (m, _poly_to_series(p, order))
-                    for m, p in _star_mono(uea, k1[-1], k2[-1]).items()
-                ]
-                for combo in itertools.product(*slot_exps, leg_exp):
-                    coeff = c
-                    for _, d in combo[:-1]:
-                        coeff = coeff * d
-                    leg_m, leg_c = combo[-1]
-                    key = tuple(m for m, _ in combo[:-1]) + (leg_m,)
-                    _add_series(out, key, coeff * leg_c, order)
-        return FormalTwist(uea, self.slots, out, order)
+
+        def leg_mul(s, t):
+            return {
+                m: _poly_to_series(p, order)
+                for m, p in _star_mono(uea, s, t).items()
+            }
+
+        return slotwise_product(self, other, leg_mul)
 
     def __repr__(self):
         if not self.terms:
-            return f"FormalTwist(0; slots={self.slots})"
+            return f"FormalTwist(0; arity={self.arity})"
         names = self.uea.lie.basis_names
         bits = []
         for key, c in sorted(self.terms.items()):
@@ -302,23 +222,14 @@ def _poly_mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for a, c in p.items():
         for b, d in q.items():
-            k = a + b
-            nv = out.get(k, _F0) + c * d
-            if nv == 0:
-                out.pop(k, None)
-            else:
-                out[k] = nv
+            add_into(out, a + b, c * d)
     return out
 
 
 def _poly_add(acc: dict, key, p: dict):
     tgt = acc.setdefault(key, {})
     for a, c in p.items():
-        nv = tgt.get(a, _F0) + c
-        if nv == 0:
-            tgt.pop(a, None)
-        else:
-            tgt[a] = nv
+        add_into(tgt, a, c)
     if not tgt:
         acc.pop(key, None)
 
@@ -382,14 +293,11 @@ def pbw_star(uea: UEnvelope, f: dict, g: dict, order: int) -> dict:
     """Star product of leg polynomials {leg monomial: HSeries}."""
     out: dict = {}
     for s, cf in f.items():
-        if not isinstance(cf, HSeries):
-            cf = HSeries.constant(cf, order)
+        cf = as_series(cf, order)
         for t, cg in g.items():
-            if not isinstance(cg, HSeries):
-                cg = HSeries.constant(cg, order)
-            c = cf * cg
+            c = cf * as_series(cg, order)
             for m, p in _star_mono(uea, s, t).items():
-                _add_series(out, m, c * _poly_to_series(p, order), order)
+                add_into(out, m, c * _poly_to_series(p, order))
     return out
 
 
@@ -412,8 +320,8 @@ def _shift_coproduct(J: FormalTwist) -> FormalTwist:
             rest = tuple(s[i] for i in range(len(s)) if positions[i] == 1)
             coeff = c * HSeries.hbar(order, len(chosen))
             for m, d in uea.sym_mono(chosen).items():
-                _add_series(out, gfac + (m, rest), coeff * d, order)
-    return FormalTwist(uea, J.slots + 1, out, order)
+                add_into(out, gfac + (m, rest), coeff * d)
+    return FormalTwist(uea, J.arity + 1, out, order)
 
 
 def _leg_derivative(s, i) -> tuple:
@@ -452,10 +360,8 @@ def _shift_taylor(J: FormalTwist) -> FormalTwist:
                 if mult == 0:
                     continue
                 for m, d in uea.straighten(word).items():
-                    _add_series(
-                        out, gfac + (m, rest), coeff * (mult * d), order
-                    )
-    return FormalTwist(uea, J.slots + 1, out, order)
+                    add_into(out, gfac + (m, rest), coeff * (mult * d))
+    return FormalTwist(uea, J.arity + 1, out, order)
 
 
 def shift_argument(J: FormalTwist, form: str = "both") -> FormalTwist:
@@ -482,39 +388,15 @@ def shift_argument(J: FormalTwist, form: str = "both") -> FormalTwist:
 # -- the twist equation on the formal side ----------------------------------
 
 
-def _embed_split_first(J: FormalTwist) -> FormalTwist:
-    """Coproduct on the first group factor, old second factor moves right."""
-    out: dict = {}
-    for (m1, m2, s), c in J.terms.items():
-        for parts, mult in coproduct_mono(m1, 2).items():
-            _add_series(out, (parts[0], parts[1], m2, s), c * mult, J.order)
-    return FormalTwist(J.uea, 3, out, J.order)
-
-
-def _embed_split_second(J: FormalTwist) -> FormalTwist:
-    """Coproduct on the second group factor."""
-    out: dict = {}
-    for (m1, m2, s), c in J.terms.items():
-        for parts, mult in coproduct_mono(m2, 2).items():
-            _add_series(out, (m1, parts[0], parts[1], s), c * mult, J.order)
-    return FormalTwist(J.uea, 3, out, J.order)
-
-
-def _embed_last_two(J: FormalTwist) -> FormalTwist:
-    """Pad with a unit in the first group factor."""
-    out = {((),) + k: c for k, c in J.terms.items()}
-    return FormalTwist(J.uea, 3, out, J.order)
-
-
 def dte_residual(J: FormalTwist) -> FormalTwist:
     """Residual of the dynamical twist equation (trivial associator).
 
     Zero iff J is a formal dynamical twist within the truncation.
     """
-    if J.slots != 2:
+    if J.arity != 2:
         raise GradingMismatch("twist equation requires two group factors")
-    lhs = _embed_split_first(J) * shift_argument(J, form="coproduct")
-    rhs = _embed_split_second(J) * _embed_last_two(J)
+    lhs = coproduct_at(J, 0) * shift_argument(J, form="coproduct")
+    rhs = coproduct_at(J, 1) * unit_at(J, 0)
     return lhs - rhs
 
 
@@ -526,16 +408,13 @@ def semiclassical_check(J: FormalTwist, rho: RMatrix):
     """
     diff = (J - J.op()).hbar_component(1)
     expected: dict = {}
-    for (w, s), c in rho.body.terms.items():
-        a = c.coeff(0)
-        if a == 0 or len(s) > J.order - 1:
+    for (w, s), a in rho.body.layer(0).items():
+        if len(s) > J.order - 1:
             # leg degrees at the truncation order and beyond sit outside
             # the triangle the computed twist determines
             continue
-        _add_series(expected, ((w[0],), (w[1],), s),
-                    HSeries.constant(a, J.order), J.order)
-        _add_series(expected, ((w[1],), (w[0],), s),
-                    HSeries.constant(-a, J.order), J.order)
+        add_into(expected, ((w[0],), (w[1],), s), a)
+        add_into(expected, ((w[1],), (w[0],), s), -a)
     residual = diff - FormalTwist(J.uea, 2, expected, J.order)
     return residual.is_zero(), residual
 
@@ -560,10 +439,9 @@ def k_to_j(uea: UEnvelope, K: AdtElement, strict: bool = True) -> FormalTwist:
     unit_key = ((),) * (arity + 1)
     out: dict = {}
     for n in range(order + 1):
-        Kn = K.hbar_component(n)
         by_front: dict = {}
-        for key, c in Kn.terms.items():
-            by_front.setdefault(key[:-1], {})[key[-1]] = c
+        for key, a in K.layer(n).items():
+            by_front.setdefault(key[:-1], {})[key[-1]] = a
         for front, legs in by_front.items():
             leg_elt = PbwElement(uea, legs, order)
             for smono, c in uea.sym_inverse(leg_elt, allowed=h_allowed).items():
@@ -575,7 +453,7 @@ def k_to_j(uea: UEnvelope, K: AdtElement, strict: bool = True) -> FormalTwist:
                         f"order-{n} coefficient has leg degree {d}; the "
                         "filtration certificate fails"
                     )
-                _add_series(out, front + (smono,), c.shift(m), order)
+                add_into(out, front + (smono,), c.shift(m))
     return FormalTwist(uea, arity, out, order)
 
 
@@ -590,8 +468,8 @@ def j_to_k(J: FormalTwist) -> AdtElement:
         if coeff.is_zero():
             continue
         for m, d in uea.sym_mono(s).items():
-            _add_series(out, key[:-1] + (m,), coeff * d, order)
-    return AdtElement(uea, J.slots, out, order)
+            add_into(out, key[:-1] + (m,), coeff * d)
+    return AdtElement(uea, J.arity, out, order)
 
 
 # -- the order-by-order solver ----------------------------------------------
@@ -624,16 +502,11 @@ def _random_coboundary(uea: UEnvelope, rng, n: int, order: int) -> AdtElement:
             a = rng.randint(-1, 1)
             if a:
                 for key, c in vec.items():
-                    nv = terms.get(key, _F0) + a * c
-                    if nv == 0:
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = nv
+                    add_into(terms, key, a * c)
     return differential_b(AdtElement(uea, 1, terms, order))
 
 
-def solve_adte(rho: RMatrix, N: int, repair_depth: int = 2,
-               uea: UEnvelope | None = None,
+def solve_adte(rho: RMatrix, N: int, uea: UEnvelope | None = None,
                perturb_seed=None) -> TwistPair:
     """Quantize an r-matrix to an algebraic dynamical twist mod hbar^{N+1}.
 
@@ -641,8 +514,8 @@ def solve_adte(rho: RMatrix, N: int, repair_depth: int = 2,
     embedding of the order-n layer of the rescaled r-matrix plus an
     invariant correction of leg length at most n - 2, found by solving a
     coboundary equation against the order-n equation residual.  When that
-    linear problem has no solution, lower orders are re-opened by an
-    affine repair bounded by repair_depth.
+    linear problem has no solution the order-n obstruction is reported as
+    ObstructionNotRepaired; no lower order is re-opened.
 
     With perturb_seed set, a seeded random coboundary is mixed into each
     coefficient from order 2 on; different seeds give different but
@@ -664,20 +537,21 @@ def solve_adte(rho: RMatrix, N: int, repair_depth: int = 2,
             continue
         try:
             corr = kappa_solve(uea, target, max_filtration=n - 2)
-        except NoSolution:
-            K = _affine_repair(uea, K, n, target, repair_depth)
-            continue
+        except NoSolution as exc:
+            raise ObstructionNotRepaired(
+                f"order-{n} obstruction: {exc}", order=n, obstruction=target,
+            ) from exc
         K = K + corr.scale(HSeries.hbar(order, n))
         if not adte_residual(K).hbar_component(n).is_zero():
             raise ObstructionNotRepaired(
                 f"order-{n} correction did not close the equation",
-                order=n, obstruction=target, depth_tried=0,
+                order=n, obstruction=target,
             )
     res = adte_residual(K)
     if not res.is_zero():
         raise ObstructionNotRepaired(
             "final residual nonzero after order-by-order solve",
-            order=res.hbar_valuation(), obstruction=res, depth_tried=0,
+            order=res.hbar_valuation(), obstruction=res,
         )
     certificate = [K.hbar_component(n).filtration_degree()
                    for n in range(N + 1)]
@@ -688,97 +562,3 @@ def solve_adte(rho: RMatrix, N: int, repair_depth: int = 2,
             )
     J = k_to_j(uea, K)
     return TwistPair(K, J, certificate)
-
-
-def _bracket_columns(K: AdtElement, vec_elt: AdtElement, m: int, n: int):
-    """Order-p contributions of adding vec_elt at order m, for p <= n.
-
-    The equation residual is linear minus coboundary plus a square; the
-    derivative at the current K is -b at order m and braces against the
-    known coefficients at higher orders.
-    """
-    out = {}
-    bm = -differential_b(vec_elt)
-    if not bm.is_zero():
-        out[m] = bm
-    for p in range(m + 1, n + 1):
-        Ka = K.hbar_component(p - m)
-        contrib = brace(vec_elt, [Ka]) + brace(Ka, [vec_elt])
-        if not contrib.is_zero():
-            out[p] = contrib
-    return out
-
-
-def _affine_repair(uea: UEnvelope, K: AdtElement, n: int,
-                   target: AdtElement, repair_depth: int) -> AdtElement:
-    """Re-open lower orders to make the order-n equation solvable.
-
-    Unknowns are invariant corrections at orders n - depth .. n with the
-    pinned filtration contract (leg length at most m - 2 at order m);
-    the linearized equations at every touched order are solved jointly
-    and the exact residual is recomputed afterwards.  Products of two
-    corrections can fall inside the touched range at small n, in which
-    case the linear solution may fail the exact check and the failure is
-    reported, never hidden.
-    """
-    order = K.order
-    lengths = target.total_lengths()
-    lmax = max(lengths) if lengths else n + 1
-    last_error = None
-    for depth in range(1, repair_depth + 1):
-        m_min = max(n - depth, 1)
-        variables = []  # (order m, constant AdtElement)
-        for m in range(m_min, n + 1):
-            max_filt = m - 2
-            if max_filt < 0:
-                continue
-            for L in range(lmax + 1):
-                for vec in invariant_adt_basis(uea, 2, L):
-                    if any(len(key[-1]) > max_filt for key in vec):
-                        continue
-                    elt = AdtElement(uea, 2, dict(vec), order)
-                    variables.append((m, elt))
-        if not variables:
-            last_error = "no admissible correction variables"
-            continue
-        # rows indexed by (touched order, arity-3 key)
-        col_entries = []
-        row_index: dict = {}
-        for m, elt in variables:
-            entries = {}
-            for p, contrib in _bracket_columns(K, elt, m, n).items():
-                for key, c in contrib.terms.items():
-                    idx = row_index.setdefault((p, key), len(row_index))
-                    entries[idx] = entries.get(idx, _F0) + c.coeff(0)
-            col_entries.append(entries)
-        rhs = {}
-        for key, c in target.terms.items():
-            idx = row_index.setdefault((n, key), len(row_index))
-            rhs[idx] = -c.coeff(0)
-        rows: dict = {}
-        for j, entries in enumerate(col_entries):
-            for i, v in entries.items():
-                rows.setdefault(i, {})[j] = v
-        row_list = [rows.get(i, {}) for i in range(len(row_index))]
-        sol = linalg.solve(row_list, rhs, len(variables))
-        if sol is None:
-            last_error = f"joint system inconsistent at depth {depth}"
-            continue
-        K2 = K
-        for j, a in sol.items():
-            m, elt = variables[j]
-            K2 = K2 + elt.scale(HSeries.hbar(order, m, a))
-        res = adte_residual(K2)
-        ok = all(res.hbar_component(p).is_zero() for p in range(n + 1))
-        if ok:
-            return K2
-        last_error = f"quadratic cross terms broke the depth-{depth} solution"
-    raise ObstructionNotRepaired(
-        f"order-{n} obstruction not repaired: {last_error}",
-        order=n, obstruction=target, depth_tried=repair_depth,
-    )
-
-
-def semiclassical_embed(uea: UEnvelope, rho: RMatrix) -> AdtElement:
-    """Tensor embedding of the constant layer, for direct comparisons."""
-    return tensor_embed(uea, rho.body.hbar_component(0))

@@ -37,10 +37,16 @@ from itertools import product
 
 from .adt_dgla import AdtElement
 from .errors import SchemaError
-from .hseries import HSeries
+from .hseries import HSeries, add_into
 from .lie_core import LieData
 from .tensor_spaces import CdybElement
 from .uea import UEnvelope
+
+# The highest hbar order a twist header or `--order` may declare.  Every
+# coefficient is stored as order + 1 rationals, so an unbounded header
+# would allocate without end; the highest order any command reaches in
+# practice (reduce-classical on affxc2) is 10.
+MAX_ORDER = 64
 
 
 def _lines(text):
@@ -244,12 +250,20 @@ def parse_twist(text, uea: UEnvelope) -> AdtElement:
             arity = _header_count(parts, lineno)
         elif key == "order":
             order = _header_count(parts, lineno)
+            if order > MAX_ORDER:
+                raise SchemaError(
+                    f"line {lineno}: order must be <= {MAX_ORDER}"
+                )
         elif key == "hbar":
             level = _header_count(parts, lineno)
         elif key == "term":
             if arity is None or order is None or level is None:
                 raise SchemaError(
                     f"line {lineno}: term before arity/order/hbar headers"
+                )
+            if level > order:
+                raise SchemaError(
+                    f"line {lineno}: hbar {level} exceeds the order {order}"
                 )
             if len(parts) < 4 or parts[2] != "*":
                 raise SchemaError(
@@ -281,8 +295,7 @@ def parse_twist(text, uea: UEnvelope) -> AdtElement:
                 c = coeff
                 for _, d in combo:
                     c = c * d
-                prev = terms.get(mkey, HSeries.zero(order))
-                terms[mkey] = prev + HSeries.hbar(order, level, c)
+                add_into(terms, mkey, HSeries.hbar(order, level, c))
         else:
             raise SchemaError(f"line {lineno}: unknown twist key {key!r}")
     if arity is None or order is None:
@@ -294,13 +307,13 @@ def dump_twist(K: AdtElement) -> str:
     lie = K.uea.lie
     out = ["twist", f"arity {K.arity}", f"order {K.order}"]
     for n in range(K.order + 1):
-        layer = K.hbar_component(n)
-        if layer.is_zero():
+        layer = K.layer(n)
+        if not layer:
             continue
         out.append(f"hbar {n}")
-        for key, c in sorted(layer.terms.items()):
+        for key, a in sorted(layer.items()):
             slots = " | ".join(_dump_mono(m, lie) for m in key)
-            out.append(f"term {c.coeff(0)} * ({slots})")
+            out.append(f"term {a} * ({slots})")
     out.append("end")
     return "\n".join(out) + "\n"
 

@@ -8,13 +8,9 @@ Zero coefficients are pruned eagerly.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-
 from .errors import GradingMismatch, SpaceMismatch
-from .hseries import HSeries
-from .lie_core import LieData
-
-_F0 = Fraction(0)
+from .hseries import SparseSeries, add_into, as_series
+from .lie_core import LieData, invariant_basis
 
 
 def wedge_sort(indices):
@@ -38,20 +34,15 @@ def sym_sort(indices):
     return tuple(sorted(indices))
 
 
-class CdybElement:
+class CdybElement(SparseSeries):
     """Sparse element of wedge^* g (x) S h with HSeries coefficients."""
 
-    # _vkey: value key filled by linfinity's tower memo on first use
-    __slots__ = ("terms", "order", "_vkey")
+    __slots__ = ()
 
     def __init__(self, terms, order: int):
-        self.order = order
-        self.terms = {}
-        for key, c in terms.items():
-            if not isinstance(c, HSeries):
-                c = HSeries.constant(c, order)
-            if not c.is_zero():
-                self.terms[key] = c
+        # defined on the class itself so that profilers can count
+        # CdybElement constructions apart from the other element types
+        super().__init__(terms, order)
 
     # -- constructors ------------------------------------------------------
 
@@ -65,26 +56,8 @@ class CdybElement:
         if ws is None:
             return cls.zero(order)
         sign, wedge = ws
-        return cls({(wedge, sym_sort(sym)): sign * _as_series(coeff, order)}, order)
-
-    # -- ring structure ----------------------------------------------------
-
-    def __add__(self, other: "CdybElement") -> "CdybElement":
-        order = min(self.order, other.order)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, HSeries.zero(order)) + c
-        return CdybElement(terms, order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CdybElement({k: -c for k, c in self.terms.items()}, self.order)
-
-    def scale(self, c) -> "CdybElement":
-        c = _as_series(c, self.order)
-        return CdybElement({k: v * c for k, v in self.terms.items()}, self.order)
+        key = (wedge, sym_sort(sym))
+        return cls({key: sign * as_series(coeff, order)}, order)
 
     def wedge(self, other: "CdybElement") -> "CdybElement":
         """Exterior product; S h legs multiply symmetrically."""
@@ -96,19 +69,8 @@ class CdybElement:
                 if ws is None:
                     continue
                 sign, w = ws
-                key = (w, sym_sort(s1 + s2))
-                c = c1 * c2 * sign
-                terms[key] = terms.get(key, HSeries.zero(order)) + c
+                add_into(terms, (w, sym_sort(s1 + s2)), c1 * c2 * sign)
         return CdybElement(terms, order)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, CdybElement) and (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("CdybElement is not hashable")
 
     # -- gradings ----------------------------------------------------------
 
@@ -137,26 +99,13 @@ class CdybElement:
             terms[(w, s)] = c
         return CdybElement(terms, self.order)
 
-    def hbar_component(self, n: int) -> "CdybElement":
-        """hbar^n layer, returned with constant coefficients."""
-        terms = {}
-        for key, c in self.terms.items():
-            a = c.coeff(n)
-            if a != 0:
-                terms[key] = HSeries.constant(a, self.order)
-        return CdybElement(terms, self.order)
-
-    def map_coeffs(self, f) -> "CdybElement":
-        return CdybElement({k: f(c) for k, c in self.terms.items()}, self.order)
-
     # -- h-action ----------------------------------------------------------
 
     def ad(self, lie: LieData, x: int) -> "CdybElement":
         terms = {}
         for key, c in self.terms.items():
             for out_key, coeff in ad_cdyb_key(lie, x, key).items():
-                cc = c * coeff
-                terms[out_key] = terms.get(out_key, HSeries.zero(self.order)) + cc
+                add_into(terms, out_key, c * coeff)
         return CdybElement(terms, self.order)
 
     def is_invariant(self, lie: LieData) -> bool:
@@ -183,12 +132,6 @@ class CdybElement:
         return " + ".join(bits) if bits else "0"
 
 
-def _as_series(c, order) -> HSeries:
-    if isinstance(c, HSeries):
-        return c
-    return HSeries.constant(c, order)
-
-
 def ad_cdyb_key(lie: LieData, x: int, key) -> dict:
     """Action of basis element x on a (wedge, sym) monomial, by derivations.
 
@@ -204,10 +147,7 @@ def ad_cdyb_key(lie: LieData, x: int, key) -> dict:
             if ws is None:
                 continue
             sign, w = ws
-            k2 = (w, sym)
-            out[k2] = out.get(k2, _F0) + sign * c
-            if out[k2] == 0:
-                del out[k2]
+            add_into(out, (w, sym), sign * c)
     if sym:
         if not lie.is_h(x) and any(
             lie.bracket_basis(x, y) for y in set(sym)
@@ -218,10 +158,7 @@ def ad_cdyb_key(lie: LieData, x: int, key) -> dict:
         for pos, y in enumerate(sym):
             for z, c in lie.bracket_basis(x, y).items():
                 new = sym_sort(sym[:pos] + (z,) + sym[pos + 1 :])
-                k2 = (wedge, new)
-                out[k2] = out.get(k2, _F0) + c
-                if out[k2] == 0:
-                    del out[k2]
+                add_into(out, (wedge, new), c)
     return out
 
 
@@ -232,3 +169,9 @@ def cdyb_monomials(lie: LieData, exterior: int, sh: int):
         itertools.combinations_with_replacement(lie.h_indices, sh)
     )
     return [(w, s) for w in wedges for s in syms]
+
+
+def invariant_cdyb_basis(lie: LieData, exterior: int, sh: int):
+    """Basis of the invariant (wedge, sym) keys of the given bidegree."""
+    keys = cdyb_monomials(lie, exterior, sh)
+    return invariant_basis(lie, keys, lambda x, k: ad_cdyb_key(lie, x, k))

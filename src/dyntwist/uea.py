@@ -8,32 +8,24 @@ recursively; every result is cached per algebra.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .errors import DegreeOverflow, NoSolution, NotInImage
-from .hseries import HSeries
+from .errors import NoSolution, NotInImage
+from .hseries import HSeries, SparseSeries, add_into, as_series
 from .lie_core import LieData
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def _merge(acc: dict, key, val):
-    nv = acc.get(key, _F0) + val
-    if nv == 0:
-        acc.pop(key, None)
-    else:
-        acc[key] = nv
 
 
 class UEnvelope:
     """Straightening context for U(g) of a fixed Lie algebra."""
 
-    def __init__(self, lie: LieData, degree_bound: int | None = None):
+    def __init__(self, lie: LieData):
         self.lie = lie
-        self.degree_bound = degree_bound
         self._straight_cache: dict = {(): {(): _F1}}
         self._sym_cache: dict = {}
 
@@ -58,16 +50,11 @@ class UEnvelope:
                 for k, c in self.lie.bracket_basis(a, b).items():
                     lower = word[:pos] + (k,) + word[pos + 2 :]
                     for mono, d in self.straighten(lower).items():
-                        _merge(out, mono, c * d)
+                        add_into(out, mono, c * d)
                 return out
         return {word: _F1}
 
     def mul_mono(self, m1, m2) -> dict:
-        if self.degree_bound is not None and len(m1) + len(m2) > self.degree_bound:
-            raise DegreeOverflow(
-                f"product degree {len(m1) + len(m2)} exceeds bound "
-                f"{self.degree_bound}"
-            )
         return self.straighten(m1 + m2)
 
     def ad_mono(self, x: int, mono) -> dict:
@@ -78,7 +65,7 @@ class UEnvelope:
                 for m, d in self.straighten(
                     mono[:pos] + (k,) + mono[pos + 1 :]
                 ).items():
-                    _merge(out, m, c * d)
+                    add_into(out, m, c * d)
         return out
 
     # -- symmetrization ----------------------------------------------------
@@ -92,15 +79,13 @@ class UEnvelope:
         out = {}
         # each distinct word of the multiset arises from |stab| position
         # permutations, where |stab| is the product of letter multiplicities
-        from collections import Counter
-
         stab = 1
         for v in Counter(mono).values():
-            stab *= _factorial(v)
-        norm = Fraction(stab, _factorial(len(mono)))
+            stab *= math.factorial(v)
+        norm = Fraction(stab, math.factorial(len(mono)))
         for p in set(itertools.permutations(mono)):
             for m, c in self.straighten(p).items():
-                _merge(out, m, c * norm)
+                add_into(out, m, c * norm)
         self._sym_cache[mono] = out
         return out
 
@@ -108,9 +93,9 @@ class UEnvelope:
         """Symmetrization of an S g element {sym-monomial: coeff}."""
         terms = {}
         for mono, c in coeffs.items():
-            c = _series(c, order)
+            c = as_series(c, order)
             for m, d in self.sym_mono(tuple(sorted(mono))).items():
-                _add_series(terms, m, c * d, order)
+                add_into(terms, m, c * d)
         return PbwElement(self, terms, order)
 
     def sym_inverse(self, elt: "PbwElement", allowed=None) -> dict:
@@ -122,7 +107,6 @@ class UEnvelope:
         """
         work = dict(elt.terms)
         out = {}
-        order = elt.order
         while work:
             top = max(len(m) for m in work)
             layer = {m: c for m, c in work.items() if len(m) == top}
@@ -131,66 +115,22 @@ class UEnvelope:
                     raise NotInImage(
                         f"monomial {m} uses indices outside the allowed set"
                     )
-                out[m] = out.get(m, HSeries.zero(order)) + c
+                add_into(out, m, c)
                 for mm, d in self.sym_mono(m).items():
-                    _add_series(work, mm, -(c * d), order)
-        return {m: c for m, c in out.items() if not c.is_zero()}
-
-    # -- hbar-scaled variants (for the PBW star product) -------------------
-
-    def straighten_hbar(self, word, order: int) -> dict:
-        """Straightening in U(g_hbar), bracket scaled by hbar.
-
-        Each unit drop in length costs one commutator, hence one hbar.
-        """
-        n = len(word)
-        out = {}
-        for m, c in self.straighten(word).items():
-            out[m] = HSeries.hbar(order, n - len(m), c)
+                    add_into(work, mm, -(c * d))
         return out
 
-    def sym_mono_hbar(self, mono, order: int) -> dict:
-        n = len(mono)
-        return {
-            m: HSeries.hbar(order, n - len(m), c)
-            for m, c in self.sym_mono(mono).items()
-        }
 
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def _series(c, order) -> HSeries:
-    if isinstance(c, HSeries):
-        return c
-    return HSeries.constant(c, order)
-
-
-def _add_series(acc: dict, key, val: HSeries, order: int):
-    nv = acc.get(key, HSeries.zero(order)) + val
-    if nv.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = nv
-
-
-class PbwElement:
+class PbwElement(SparseSeries):
     """Sparse element of U(g) (or U(h), U(m)) over HSeries."""
 
-    __slots__ = ("uea", "terms", "order")
+    __slots__ = ("uea",)
+    _space = ("uea",)
+    _key = staticmethod(tuple)
 
     def __init__(self, uea: UEnvelope, terms: dict, order: int):
         self.uea = uea
-        self.order = order
-        self.terms = {}
-        for m, c in terms.items():
-            c = _series(c, order)
-            if not c.is_zero():
-                self.terms[tuple(m)] = c
+        super().__init__(terms, order)
 
     @classmethod
     def zero(cls, uea, order):
@@ -204,25 +144,6 @@ class PbwElement:
     def generator(cls, uea, i, order):
         return cls(uea, {(i,): _F1}, order)
 
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            _add_series(terms, m, c, order)
-        return PbwElement(self.uea, terms, order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return PbwElement(self.uea, {m: -c for m, c in self.terms.items()}, self.order)
-
-    def scale(self, c):
-        c = _series(c, self.order)
-        return PbwElement(
-            self.uea, {m: v * c for m, v in self.terms.items()}, self.order
-        )
-
     def __mul__(self, other: "PbwElement") -> "PbwElement":
         order = min(self.order, other.order)
         terms = {}
@@ -230,17 +151,8 @@ class PbwElement:
             for m2, c2 in other.terms.items():
                 c = c1 * c2
                 for m, d in self.uea.mul_mono(m1, m2).items():
-                    _add_series(terms, m, c * d, order)
+                    add_into(terms, m, c * d)
         return PbwElement(self.uea, terms, order)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, PbwElement) and (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("PbwElement is not hashable")
 
     def degree(self) -> int:
         """Maximum PBW monomial length (0 for the zero element)."""
@@ -253,7 +165,7 @@ class PbwElement:
         terms = {}
         for m, c in self.terms.items():
             for mm, d in self.uea.ad_mono(x, m).items():
-                _add_series(terms, mm, c * d, self.order)
+                add_into(terms, mm, c * d)
         return PbwElement(self.uea, terms, self.order)
 
     def __repr__(self):
@@ -292,24 +204,6 @@ def coproduct_mono(mono, slots: int = 2) -> dict:
     return out
 
 
-def coproduct(elt: PbwElement, slots: int = 2) -> dict:
-    """{tuple of monomials: HSeries} form of the iterated coproduct."""
-    out = {}
-    for m, c in elt.terms.items():
-        for key, mult in coproduct_mono(m, slots).items():
-            _add_series(out, key, c * mult, elt.order)
-    return out
-
-
-def uh_filtration_degree(elt: PbwElement) -> int:
-    """Minimal n with elt in the n-th piece of the coalgebra filtration.
-
-    For PBW monomials of primitives this is the monomial length; the
-    agreement with the kernel definition is property-tested.
-    """
-    return elt.degree()
-
-
 def in_filtration_kernel(elt: PbwElement, n: int) -> bool:
     """Check elt in ker (id - unit counit)^{(n+1)} circ Delta^{(n)} directly."""
     acc = {}
@@ -317,7 +211,7 @@ def in_filtration_kernel(elt: PbwElement, n: int) -> bool:
         for key, mult in coproduct_mono(m, n + 1).items():
             if any(len(part) == 0 for part in key):
                 continue
-            _add_series(acc, key, c * mult, elt.order)
+            add_into(acc, key, c * mult)
     return not acc
 
 
@@ -369,11 +263,7 @@ class UmSplitter:
         um_terms: dict = {}
         # solve per hbar-order; the system is rational
         for n in range(order + 1):
-            rhs = {}
-            for m, c in elt.terms.items():
-                a = c.coeff(n)
-                if a != 0:
-                    rhs[col[m]] = a
+            rhs = {col[m]: a for m, a in elt.layer(n).items()}
             if not rhs:
                 continue
             sol = linalg.solve(matrix_rows, rhs, len(generators))
@@ -383,9 +273,7 @@ class UmSplitter:
                 kind, _, exp = generators[j]
                 target = ideal_terms if kind == "ideal" else um_terms
                 for m, c in exp.items():
-                    _add_series(
-                        target, m, HSeries.hbar(order, n, coeff * c), order
-                    )
+                    add_into(target, m, HSeries.hbar(order, n, coeff * c))
         return (
             PbwElement(self.uea, ideal_terms, order),
             PbwElement(self.uea, um_terms, order),

@@ -18,7 +18,12 @@ from dyntwist import (
     kappa_solve,
     tensor_embed,
 )
-from dyntwist.adt_dgla import cohomology_dims, invariant_adt_basis
+from dyntwist.adt_dgla import (
+    cohomology_dims,
+    coproduct_at,
+    invariant_adt_basis,
+    unit_at,
+)
 from dyntwist.props import (
     _rand_adt,
     check_b_squared,
@@ -54,6 +59,23 @@ def test_b_on_unit_and_leg(sl2_uea):
         N,
     )
     assert b == expected
+
+
+@pytest.mark.parametrize("uea_name", ["sl2_uea", "nonab_uea"])
+def test_b_is_the_alternating_sum_of_slot_embeddings(request, uea_name):
+    # b(P) = 1 (x) P + sum_{i=1}^{k} (-1)^i Delta_i P + (-1)^{k+1} Delta_leg P
+    # rebuilt from the slot embeddings, against the single-pass coboundary
+    uea = request.getfixturevalue(uea_name)
+    rng = random.Random(17)
+    for _ in range(100):
+        k = rng.randrange(3)
+        P = _rand_adt(uea, rng, k, 3, order=N, terms=3).scale(
+            HSeries([1, rng.choice([-1, 2])], N)
+        )
+        expected = unit_at(P, 0)
+        for i in range(1, k + 2):
+            expected = expected + coproduct_at(P, i - 1).scale((-1) ** i)
+        assert differential_b(P) == expected
 
 
 def test_cup_and_brace_identities(sl2_uea, nonab_uea):

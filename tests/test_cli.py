@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from dyntwist.cli import main
+from dyntwist.schema import MAX_ORDER
 
 from conftest import CORPUS
 
@@ -47,6 +52,52 @@ def test_negative_order_is_input_error(tmp_path, capsys, argv):
     assert code == 2
     assert not out.exists()
     assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_order_above_max_is_input_error(tmp_path, capsys):
+    out = tmp_path / "K.twist"
+    code = main(["quantize", "--algebra", SL2, "--rmatrix", SL2_R,
+                 "--order", str(10**6), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert f"must be <= {MAX_ORDER}" in capsys.readouterr().err
+
+
+def test_oversized_twist_order_exits_quickly(tmp_path):
+    # each coefficient is padded to order + 1 entries, so this document
+    # must be refused before its term is read
+    doc = ("twist\narity 2\norder 99999999\nhbar 0\n"
+           "term 1 * (1 | 1 | 1)\nend\n")
+    assert len(doc) == 61
+    twist = tmp_path / "K.twist"
+    twist.write_text(doc)
+    src = str(CORPUS.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyntwist.cli", "verify-twist",
+         "--algebra", SL2, str(twist)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "order must be <=" in proc.stderr
+
+
+@pytest.mark.parametrize("doc", [
+    # no terms at all: every residual of zero vanishes
+    "twist\narity 2\norder 2\nend\n",
+    # 2 (x) 1 (x) 1 solves the equation but is not 1 mod hbar
+    "twist\narity 2\norder 2\nhbar 0\nterm 2 * (1 | 1 | 1)\nend\n",
+])
+def test_verify_rejects_non_twists(tmp_path, capsys, doc):
+    twist = tmp_path / "K.twist"
+    twist.write_text(doc)
+    code = main(["verify-twist", "--algebra", SL2, str(twist)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "valuation certificate: FAIL" in out
 
 
 def test_quantize_verify_round_trip(tmp_path, capsys):

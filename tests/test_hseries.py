@@ -3,7 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dyntwist import HSeries, NotInvertible
+from dyntwist import (
+    AdtElement,
+    CdybElement,
+    FormalTwist,
+    HSeries,
+    NotInvertible,
+    PbwElement,
+)
 
 N = 4
 
@@ -72,3 +79,54 @@ def test_shift_and_truncate():
     assert a.shift(2).coeff(2) == 1 and a.shift(2).coeff(3) == 2
     t = a.truncate(1)
     assert t.order == 1 and t.coeff(1) == 2
+
+
+# -- the sparse element base, on each of its four element types -------------
+
+
+def _pbw(uea, a, b, order):
+    return PbwElement(uea, {(0, 2): a, (1,): b}, order)
+
+
+def _adt(uea, a, b, order):
+    return AdtElement(uea, 1, {((0,), ()): a, ((), (1,)): b}, order)
+
+
+def _formal(uea, a, b, order):
+    return FormalTwist(uea, 2, {((0,), (2,), (1,)): a, ((), (), ()): b},
+                       order)
+
+
+def _cdyb(uea, a, b, order):
+    return CdybElement({((0, 2), (1,)): a, ((1,), ()): b}, order)
+
+
+@pytest.mark.parametrize("build", [_pbw, _adt, _formal, _cdyb])
+def test_sparse_element_arithmetic(sl2_uea, build):
+    F = Fraction
+    a = build(sl2_uea, HSeries([1, 2, 0, -1], N), F(3), N)
+    zero = build(sl2_uea, 0, 0, N)
+    assert zero.is_zero()
+    assert (a + (-a)).is_zero()
+    assert a - a == zero
+    assert a.scale(F(1, 2)) == build(
+        sl2_uea, HSeries([F(1, 2), 1, 0, F(-1, 2)], N), F(3, 2), N
+    )
+    assert a.scale(HSeries.hbar(N, 2)) == build(
+        sl2_uea, HSeries([0, 0, 1, 2], N), HSeries.hbar(N, 2, 3), N
+    )
+    # the hbar layers sum back to the element
+    assert a.hbar_valuation() == 0
+    assert sorted(a.layer(1).values()) == [2]
+    total = zero
+    for n in range(N + 1):
+        total = total + a.hbar_component(n).scale(HSeries.hbar(N, n))
+    assert total == a
+    # a sum of mixed orders truncates every coefficient to the smaller
+    low = build(sl2_uea, HSeries([0, 1], 1), 0, 1)
+    for s in (a + low, low + a):
+        assert s.order == 1
+        assert all(c.order == 1 for c in s.terms.values())
+        assert s == build(sl2_uea, HSeries([1, 3], 1), F(3), 1)
+    with pytest.raises(TypeError):
+        hash(a)

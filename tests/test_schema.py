@@ -80,6 +80,9 @@ def test_comments_and_blank_lines(sl2):
         "twist\narity 2\norder 2\nhbar -1\nend\n",  # negative level
         "twist\narity 2\norder two\nend\n",  # non-integer header
         "twist\narity\norder 2\nend\n",  # header without a value
+        "twist\narity 2\norder 99999999\nend\n",  # order above MAX_ORDER
+        # a level above the declared order
+        "twist\narity 2\norder 2\nhbar 5\nterm 1 * (1 | 1 | 1)\nend\n",
     ],
 )
 def test_malformed_documents_raise(sl2, sl2_uea, doc):

@@ -3,12 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from dyntwist import HSeries, PbwElement, UmSplitter
-from dyntwist.uea import (
-    all_monomials,
-    coproduct_mono,
-    in_filtration_kernel,
-    uh_filtration_degree,
-)
+from dyntwist.uea import all_monomials, coproduct_mono, in_filtration_kernel
 
 N = 3
 F = Fraction
@@ -60,7 +55,7 @@ def test_filtration_degree_matches_kernel_definition(sl2_uea, data):
     monos = [m for m in all_monomials(3, 3) if m]
     mono = data.draw(st.sampled_from(monos))
     elt = PbwElement(sl2_uea, {mono: HSeries.one(N)}, N)
-    d = uh_filtration_degree(elt)
+    d = elt.degree()
     assert d == len(mono)
     assert in_filtration_kernel(elt, d)
     assert not in_filtration_kernel(elt, d - 1)
@@ -97,13 +92,6 @@ def test_split_idempotent(nonab_uea):
     # the um part projects to itself
     assert splitter.um_project(um) == um
     assert splitter.um_project(ideal).is_zero()
-
-
-def test_hbar_straightening(sl2_uea):
-    # in the hbar-scaled algebra each commutator costs one hbar
-    out = sl2_uea.straighten_hbar((2, 0), N)
-    assert out[(0, 2)] == HSeries.one(N)
-    assert out[(1,)] == HSeries.hbar(N, 1, -1)
 
 
 def test_ad_derivation(sl2_uea):
