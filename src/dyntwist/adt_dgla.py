@@ -75,10 +75,6 @@ class AdtElement(SparseSeries):
         """Largest leg length appearing (0 for the zero element)."""
         return max((len(k[-1]) for k in self.terms), default=0)
 
-    def filtration_component(self, n: int) -> "AdtElement":
-        terms = {k: c for k, c in self.terms.items() if len(k[-1]) == n}
-        return AdtElement(self.uea, self.arity, terms, self.order)
-
     # -- h action ----------------------------------------------------------
 
     def ad(self, x: int) -> "AdtElement":
@@ -530,10 +526,11 @@ def kappa_solve(
 ):
     """Solve b(u) = target with u invariant, slice by slice.
 
-    Every total-length slice is solved independently by exact elimination
-    over the invariant basis of the lower arity; an optional leg-length
-    bound restricts the solution space.  Raises NoSolution with the
-    unreachable residual when the target is not in the image.
+    Every total-length slice is solved independently by one exact
+    elimination over the invariant basis of the lower arity, which serves
+    all hbar levels; an optional leg-length bound restricts the solution
+    space.  Raises NoSolution with the unreachable residual when the
+    target is not in the image.
     """
     if target.arity == 0:
         raise GradingMismatch("cannot lower arity below zero")
@@ -548,30 +545,21 @@ def kappa_solve(
                 for v in basis
                 if all(len(key[-1]) <= max_filtration for key in v)
             ]
-        imgs = []
-        for vec in basis:
-            u = AdtElement(uea, target.arity - 1, dict(vec), order)
-            imgs.append(differential_b(u))
-        tkeys = sorted(
-            set(slice_t.terms) | {k for im in imgs for k in im.terms}
+        columns = [
+            differential_b(AdtElement(uea, target.arity - 1, dict(v), order))
+            .layer(0)
+            for v in basis
+        ]
+        sols = linalg.solve(
+            columns, [slice_t.layer(n) for n in range(order + 1)]
         )
-        col = {k: i for i, k in enumerate(tkeys)}
-        rows: dict = {}
-        for j, im in enumerate(imgs):
-            for key, a in im.layer(0).items():
-                rows.setdefault(col[key], {})[j] = a
-        row_list = [rows.get(i, {}) for i in range(len(tkeys))]
+        if None in sols:
+            raise NoSolution(
+                f"target length-{L} slice not in the image of b",
+                residual=slice_t,
+            )
         sol_terms: dict = {}
-        for nlevel in range(order + 1):
-            rhs = {col[key]: a for key, a in slice_t.layer(nlevel).items()}
-            if not rhs:
-                continue
-            sol = linalg.solve(row_list, rhs, len(imgs))
-            if sol is None:
-                raise NoSolution(
-                    f"target length-{L} slice not in the image of b",
-                    residual=slice_t,
-                )
+        for nlevel, sol in enumerate(sols):
             for j, a in sol.items():
                 for key, c in basis[j].items():
                     add_into(
@@ -606,34 +594,19 @@ def cohomology_dims(uea: UEnvelope, max_k: int, max_length: int):
 
 def _cohomology_dim_slice(uea: UEnvelope, k: int, L: int) -> int:
     basis_k = invariant_adt_basis(uea, k, L)
-    n_k = len(basis_k)
-    if n_k == 0:
+    if not basis_k:
         return 0
-    rank_out = _b_rank(uea, k, basis_k)
-    dim_ker = n_k - rank_out
-    rank_in = 0
-    if k >= 1:
-        basis_prev = invariant_adt_basis(uea, k - 1, L)
-        if basis_prev:
-            rank_in = _b_rank(uea, k - 1, basis_prev)
-    return dim_ker - rank_in
+    dim_ker = len(basis_k) - _b_rank(uea, k, basis_k)
+    if not k:
+        return dim_ker
+    return dim_ker - _b_rank(uea, k - 1, invariant_adt_basis(uea, k - 1, L))
 
 
 def _b_rank(uea: UEnvelope, k: int, basis) -> int:
-    cols = []
-    key_index: dict = {}
-    for vec in basis:
-        u = AdtElement(uea, k, dict(vec), 0)
-        img = differential_b(u)
-        col = {}
-        for key, a in img.layer(0).items():
-            col[key_index.setdefault(key, len(key_index))] = a
-        cols.append(col)
-    rows: dict = {}
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            rows.setdefault(i, {})[j] = v
-    return linalg.rank(list(rows.values()), len(cols))
+    return linalg.rank([
+        differential_b(AdtElement(uea, k, dict(vec), 0)).layer(0)
+        for vec in basis
+    ])
 
 
 # -- the twist equation residual -------------------------------------------

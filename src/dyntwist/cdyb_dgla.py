@@ -18,7 +18,6 @@ from .hseries import add_into
 from .lie_core import LieData
 from .tensor_spaces import (
     CdybElement,
-    cdyb_monomials,
     invariant_cdyb_basis,
     sym_sort,
     wedge_sort,
@@ -247,19 +246,11 @@ def _shuffle_sign(lie: LieData, wedge) -> int:
 # -- cohomology ------------------------------------------------------------
 
 
-def _d_matrix(lie: LieData, basis_src, keys_dst):
-    """Matrix rows of the differential on a list of invariant vectors."""
-    col_dst = {k: i for i, k in enumerate(keys_dst)}
-    cols = []
-    for vec in basis_src:
-        elt = CdybElement({k: c for k, c in vec.items()}, 0)
-        img = differential(elt)
-        cols.append({col_dst[key]: a for key, a in img.layer(0).items()})
-    rows: dict = {}
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            rows.setdefault(i, {})[j] = v
-    return list(rows.values()), len(cols)
+def _d_rank(basis):
+    """Rank of the differential on a list of invariant vectors."""
+    return linalg.rank(
+        [differential(CdybElement(dict(vec), 0)).layer(0) for vec in basis]
+    )
 
 
 def cohomology_dim_weight(lie: LieData, k: int, weight: int) -> int:
@@ -268,21 +259,12 @@ def cohomology_dim_weight(lie: LieData, k: int, weight: int) -> int:
     if sh < 0:
         return 0
     basis_k = invariant_cdyb_basis(lie, k, sh)
-    n_k = len(basis_k)
-    if n_k == 0:
+    if not basis_k:
         return 0
-    keys_up = cdyb_monomials(lie, k + 1, sh - 1) if sh >= 1 else []
-    rows, ncols = _d_matrix(lie, basis_k, keys_up)
-    rank_out = linalg.rank(rows, ncols) if keys_up else 0
-    dim_ker = n_k - rank_out
-    rank_in = 0
-    if k >= 1:
-        basis_prev = invariant_cdyb_basis(lie, k - 1, sh + 1)
-        if basis_prev:
-            keys_k = cdyb_monomials(lie, k, sh)
-            rows_in, ncols_in = _d_matrix(lie, basis_prev, keys_k)
-            rank_in = linalg.rank(rows_in, ncols_in)
-    return dim_ker - rank_in
+    dim_ker = len(basis_k) - _d_rank(basis_k)
+    if not k:
+        return dim_ker
+    return dim_ker - _d_rank(invariant_cdyb_basis(lie, k - 1, sh + 1))
 
 
 def cohomology_dims(lie: LieData, max_k: int, shdeg: int):

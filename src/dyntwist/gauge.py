@@ -386,27 +386,11 @@ def classical_find_gauge(lie: LieData, alpha: CdybElement,
         basis = []
         for sh in range(sh_max + 1):
             basis.extend(invariant_cdyb_basis(lie, 1, sh))
-        imgs = [
-            cdyb_dgla.differential(CdybElement(dict(v), order))
+        columns = [
+            cdyb_dgla.differential(CdybElement(dict(v), order)).layer(0)
             for v in basis
         ]
-        key_index: dict = {}
-        rows: dict = {}
-        for j, im in enumerate(imgs):
-            for key, a in im.layer(0).items():
-                idx = key_index.setdefault(key, len(key_index))
-                rows.setdefault(idx, {})[j] = a
-        rhs = {}
-        unreachable = False
-        for key, a in diff.layer(0).items():
-            if key not in key_index:
-                unreachable = True
-                break
-            rhs[key_index[key]] = a
-        sol = None
-        if not unreachable:
-            row_list = [rows.get(i, {}) for i in range(len(key_index))]
-            sol = linalg.solve(row_list, rhs, len(basis))
+        [sol] = linalg.solve(columns, [diff.layer(0)])
         if sol is None:
             return GaugeResult(False, obstruction=diff, order=n)
         q_terms: dict = {}

@@ -24,12 +24,19 @@ class LieData:
         """brackets: {(i, j): {k: coeff}} for i < j; [x_i, x_j] = sum c x_k."""
         self.dim = len(basis_names)
         self.basis_names = tuple(basis_names)
+        if len(set(self.basis_names)) != self.dim:
+            raise AlgebraError(f"duplicate basis name in {self.basis_names}")
         self.mode = mode
         sc = {}
         for (i, j), comps in brackets.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise AlgebraError(f"bracket index out of range: ({i},{j})")
             comps = {k: Fraction(c) for k, c in comps.items() if c != 0}
+            if any(not 0 <= k < self.dim for k in comps):
+                raise AlgebraError(
+                    f"bracket output index out of range in ({i},{j}): "
+                    f"{sorted(comps)}"
+                )
             if i == j:
                 if comps:
                     raise AlgebraError(f"[x_{i}, x_{i}] must vanish")
@@ -151,15 +158,14 @@ def invariant_basis(lie: LieData, keys, ad_apply):
     keys = list(keys)
     if not lie.h_indices:
         return [{k: Fraction(1)} for k in keys]
-    col = {k: c for c, k in enumerate(keys)}
-    rows = []
-    for x in lie.h_indices:
-        block = {}
-        for k in keys:
+    columns = []
+    for k in keys:
+        col: dict = {}
+        for x in lie.h_indices:
             for out_key, coeff in ad_apply(x, k).items():
-                add_into(block.setdefault(out_key, {}), col[k], coeff)
-        rows.extend(row for row in block.values() if row)
-    kern = linalg.kernel_basis(rows, len(keys))
+                add_into(col, (x, out_key), coeff)
+        columns.append(col)
+    kern = linalg.kernel_basis(columns)
     out = []
     for vec in kern:
         out.append({keys[c]: v for c, v in sorted(vec.items())})

@@ -25,9 +25,9 @@ from fractions import Fraction
 from . import adt_dgla, cdyb_dgla
 from .adt_dgla import AdtElement, gerstenhaber_bracket, invariant_adt_basis
 from .errors import ContractFailure, GradingMismatch, MorphismUnsound
-from .hseries import HSeries
+from .hseries import HSeries, add_into
 from .lie_core import LieData
-from .linalg import kernel_basis, rref, solve
+from .linalg import kernel_basis, pivots, rref, solve
 from .tensor_spaces import CdybElement, invariant_cdyb_basis
 from .uea import UEnvelope, UmSplitter
 
@@ -329,8 +329,8 @@ class _QuantumHomotopy:
             cols[key] = len(cols)
         return cols[key]
 
-    def _coords(self, k: int, elt: AdtElement, order_n: int = 0):
-        return {self._col(k, kk): a for kk, a in elt.layer(order_n).items()}
+    def _coords(self, k: int, elt: AdtElement):
+        return {self._col(k, kk): a for kk, a in elt.layer(0).items()}
 
     def _nbasis(self, k: int, L: int):
         """Kernel-of-projection basis on the invariant length <= L space."""
@@ -347,8 +347,7 @@ class _QuantumHomotopy:
                     nelems.append(ne)
                     nrows.append(self._coords(k, ne))
         cols = self._cols.setdefault(k, {})
-        ncols = len(cols)
-        nred, _ = rref(nrows, ncols)
+        nred, _ = rref(nrows, len(cols))
         rev = {i: kk for kk, i in cols.items()}
         nbasis = []
         for r in nred:
@@ -371,34 +370,25 @@ class _QuantumHomotopy:
         if not nbasis:
             self._cache[key] = list(prev)
             return self._cache[key]
-        # cocycles inside the kernel slice
-        img_rows = [
-            self._coords(k + 1, self.dgla.q1(ne)) for ne in nbasis
-        ]
-        trows: dict = {}
-        for i, r in enumerate(img_rows):
-            for j, v in r.items():
-                trows.setdefault(j, {})[i] = v
-        kern = kernel_basis(list(trows.values()), len(nbasis))
-        ncols = len(self._cols.get(k, {}))
-        span_rows = []
+        # cocycles inside the kernel slice; registering the image keys
+        # fixes the column order of the next arity's kernel basis
+        kern = kernel_basis(
+            [self._coords(k + 1, self.dgla.q1(ne)) for ne in nbasis]
+        )
+        span = []
         for v in kern:
-            row = {}
+            vec: dict = {}
             for i, c in v.items():
-                for j, w in self._coords(k, nbasis[i]).items():
-                    row[j] = row.get(j, Fraction(0)) + c * w
-            row = {j: w for j, w in row.items() if w != 0}
-            if row:
-                span_rows.append(row)
-        for a in prev:
-            span_rows.append(self._coords(k, a))
+                for kk, w in nbasis[i].layer(0).items():
+                    add_into(vec, kk, c * w)
+            span.append(vec)
+        span += [a.layer(0) for a in prev]
+        # a candidate joins A exactly when it is independent of the
+        # cocycles, of prev and of every candidate before it
         A = list(prev)
-        for cand in nbasis:
-            crow = self._coords(k, cand)
-            red, pivots = rref(span_rows + [crow], ncols)
-            if len(red) > len(rref(span_rows, ncols)[0]):
-                A.append(cand)
-                span_rows.append(crow)
+        for j in pivots(span + [ne.layer(0) for ne in nbasis]):
+            if j >= len(span):
+                A.append(nbasis[j - len(span)])
         self._cache[key] = A
         return A
 
@@ -406,34 +396,18 @@ class _QuantumHomotopy:
         """Write the kernel element x as q1(a) + a' with a, a' in A."""
         A_lower = self._complement(k - 1, L) if k >= 1 else []
         A_here = self._complement(k, L)
-        cols = [self.dgla.q1(a) for a in A_lower] + list(A_here)
-        # the same rational system is solved once per hbar order
-        mat: dict = {}
-        for j, e in enumerate(cols):
-            for r, v in self._coords(k, e).items():
-                row = mat.setdefault(r, {})
-                row[j] = row.get(j, Fraction(0)) + v
-        ridx = sorted(mat.keys())
-        rmap = {r: i for i, r in enumerate(ridx)}
-        sys_rows = [dict(mat[r]) for r in ridx]
+        columns = [self.dgla.q1(a).layer(0) for a in A_lower]
+        columns += [a.layer(0) for a in A_here]
+        # the same rational system serves every hbar order
+        sols = solve(columns, [x.layer(n) for n in range(self.order + 1)])
+        if None in sols:
+            raise ContractFailure(
+                "homotopy decomposition failed on a kernel slice"
+            )
         lower = AdtElement.zero(self.uea, max(k - 1, 0), self.order)
-        for n in range(self.order + 1):
-            rhs_m = {}
-            for r, v in self._coords(k, x, n).items():
-                if r not in rmap:
-                    raise ContractFailure(
-                        "element leaves the recorded kernel slice"
-                    )
-                rhs_m[rmap[r]] = v
-            if not rhs_m:
-                continue
-            sol = solve(sys_rows, rhs_m, len(cols))
-            if sol is None:
-                raise ContractFailure(
-                    "homotopy decomposition failed on a kernel slice"
-                )
+        for n, sol in enumerate(sols):
             for j, v in sol.items():
-                if j < len(A_lower) and v != 0:
+                if j < len(A_lower):
                     lower = lower + A_lower[j].scale(
                         HSeries.hbar(self.order, n, v)
                     )

@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import product
 
 from .adt_dgla import AdtElement
-from .errors import SchemaError
+from .errors import AlgebraError, DecompositionError, SchemaError
 from .hseries import HSeries, add_into
 from .lie_core import LieData
 from .tensor_spaces import CdybElement
@@ -47,6 +47,10 @@ from .uea import UEnvelope
 # would allocate without end; the highest order any command reaches in
 # practice (reduce-classical on affxc2) is 10.
 MAX_ORDER = 64
+
+# Characters the monomial and term syntax gives a meaning; a basis name
+# containing one (or the name '1', the empty word) could not be read back.
+_SYNTAX = ".^|*(),"
 
 
 def _lines(text):
@@ -88,10 +92,33 @@ def _find_block(blocks, name):
 
 
 def _frac(tok, lineno):
+    # an exponent would make Fraction build 10**exponent before any bound
+    # could be checked, so only the p/q and decimal forms are read
     try:
+        if "e" in tok.lower():
+            raise ValueError(tok)
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise SchemaError(f"line {lineno}: bad rational {tok!r}") from None
+
+
+def _int(tok, lineno) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise SchemaError(
+            f"line {lineno}: expected an integer, got {tok!r}"
+        ) from None
+
+
+def _header_count(parts, lineno) -> int:
+    """The value of a `dim`, `arity`, `order` or `hbar` line: an int >= 0."""
+    if len(parts) != 2:
+        raise SchemaError(f"line {lineno}: expected '{parts[0]} <integer>'")
+    value = _int(parts[1], lineno)
+    if value < 0:
+        raise SchemaError(f"line {lineno}: {parts[0]} must be >= 0")
+    return value
 
 
 # -- algebra ----------------------------------------------------------------
@@ -108,19 +135,27 @@ def parse_algebra(text) -> LieData:
         parts = line.split()
         key = parts[0]
         if key == "dim":
-            dim = int(parts[1])
+            dim = _header_count(parts, lineno)
         elif key == "basis":
             basis = parts[1:]
+            bad = [n for n in basis if n == "1" or set(n) & set(_SYNTAX)]
+            if bad:
+                raise SchemaError(
+                    f"line {lineno}: basis name {bad[0]!r} is '1' or "
+                    f"contains one of {_SYNTAX!r}"
+                )
         elif key == "h_indices":
-            h_indices = [int(p) for p in parts[1:]]
+            h_indices = [_int(p, lineno) for p in parts[1:]]
         elif key == "mode":
+            if len(parts) != 2:
+                raise SchemaError(f"line {lineno}: expected 'mode <name>'")
             mode = parts[1]
         elif key == "bracket":
             if len(parts) < 4 or parts[3] != "->":
                 raise SchemaError(
                     f"line {lineno}: expected 'bracket i j -> (coeff, k)...'"
                 )
-            i, j = int(parts[1]), int(parts[2])
+            i, j = _int(parts[1], lineno), _int(parts[2], lineno)
             rest = " ".join(parts[4:])
             comps = {}
             for chunk in rest.replace(")", ")\x00").split("\x00"):
@@ -135,7 +170,8 @@ def parse_algebra(text) -> LieData:
                 inner = chunk[1:-1].split(",")
                 if len(inner) != 2:
                     raise SchemaError(f"line {lineno}: bad pair {chunk!r}")
-                comps[int(inner[1])] = _frac(inner[0].strip(), lineno)
+                k = _int(inner[1], lineno)
+                comps[k] = _frac(inner[0].strip(), lineno)
             brackets[(i, j)] = comps
         else:
             raise SchemaError(f"line {lineno}: unknown algebra key {key!r}")
@@ -143,7 +179,10 @@ def parse_algebra(text) -> LieData:
         raise SchemaError("algebra block needs 'dim' and 'basis'")
     if len(basis) != dim:
         raise SchemaError(f"dim {dim} does not match {len(basis)} basis names")
-    return LieData(basis, brackets, h_indices, mode=mode)
+    try:
+        return LieData(basis, brackets, h_indices, mode=mode)
+    except (AlgebraError, DecompositionError) as exc:
+        raise SchemaError(f"invalid algebra: {exc}") from exc
 
 
 def dump_algebra(lie: LieData) -> str:
@@ -221,19 +260,6 @@ def dump_rmatrix(body: CdybElement, lie: LieData) -> str:
 
 
 # -- twists -----------------------------------------------------------------
-
-
-def _header_count(parts, lineno) -> int:
-    """The value of an `arity`, `order` or `hbar` header: an integer >= 0."""
-    try:
-        (value,) = (int(p) for p in parts[1:])
-    except ValueError:
-        raise SchemaError(
-            f"line {lineno}: expected '{parts[0]} <integer>'"
-        ) from None
-    if value < 0:
-        raise SchemaError(f"line {lineno}: {parts[0]} must be >= 0")
-    return value
 
 
 def parse_twist(text, uea: UEnvelope) -> AdtElement:

@@ -80,9 +80,6 @@ class CdybElement(SparseSeries):
     def sh_degrees(self):
         return sorted({len(s) for (_, s) in self.terms})
 
-    def is_homogeneous(self) -> bool:
-        return len(self.exterior_degrees()) <= 1
-
     def exterior_degree(self) -> int:
         degs = self.exterior_degrees()
         if len(degs) > 1:

@@ -140,10 +140,6 @@ class PbwElement(SparseSeries):
     def unit(cls, uea, order):
         return cls(uea, {(): _F1}, order)
 
-    @classmethod
-    def generator(cls, uea, i, order):
-        return cls(uea, {(i,): _F1}, order)
-
     def __mul__(self, other: "PbwElement") -> "PbwElement":
         order = min(self.order, other.order)
         terms = {}
@@ -225,29 +221,22 @@ class UmSplitter:
         self.uea = uea
         self._cache: dict = {}
 
-    def _slice(self, max_len: int):
+    def _generators(self, max_len: int):
+        """(kind, expansion) of every spanning element up to max_len."""
         cached = self._cache.get(max_len)
         if cached is not None:
             return cached
         lie = self.uea.lie
-        monos = all_monomials(lie.dim, max_len)
-        col = {m: i for i, m in enumerate(monos)}
-        generators = []  # (kind, payload, expansion dict)
+        generators = []
         for w in all_monomials(lie.dim, max_len - 1):
             for h in lie.h_indices:
                 exp = self.uea.straighten(w + (h,))
                 if exp:
-                    generators.append(("ideal", (w, h), exp))
+                    generators.append(("ideal", exp))
         for s in all_monomials_from(lie.m_indices, max_len):
-            generators.append(("um", s, self.uea.sym_mono(s)))
-        rows = {}
-        for j, (_, _, exp) in enumerate(generators):
-            for m, c in exp.items():
-                rows.setdefault(m, {})[j] = c
-        matrix_rows = [rows.get(m, {}) for m in monos]
-        cached = (monos, col, generators, matrix_rows)
-        self._cache[max_len] = cached
-        return cached
+            generators.append(("um", self.uea.sym_mono(s)))
+        self._cache[max_len] = generators
+        return generators
 
     def split(self, elt: PbwElement):
         """Return (ideal_part, um_part) with elt = ideal_part + um_part."""
@@ -256,21 +245,20 @@ class UmSplitter:
             return z, z
         if not self.uea.lie.h_indices:
             return PbwElement.zero(self.uea, elt.order), elt
-        max_len = elt.degree()
-        monos, col, generators, matrix_rows = self._slice(max_len)
+        generators = self._generators(elt.degree())
         order = elt.order
+        # the system is rational: one elimination serves every hbar level
+        sols = linalg.solve(
+            [exp for _, exp in generators],
+            [elt.layer(n) for n in range(order + 1)],
+        )
+        if None in sols:
+            raise NoSolution("splitting system inconsistent", residual=elt)
         ideal_terms: dict = {}
         um_terms: dict = {}
-        # solve per hbar-order; the system is rational
-        for n in range(order + 1):
-            rhs = {col[m]: a for m, a in elt.layer(n).items()}
-            if not rhs:
-                continue
-            sol = linalg.solve(matrix_rows, rhs, len(generators))
-            if sol is None:
-                raise NoSolution("splitting system inconsistent", residual=elt)
+        for n, sol in enumerate(sols):
             for j, coeff in sol.items():
-                kind, _, exp = generators[j]
+                kind, exp = generators[j]
                 target = ideal_terms if kind == "ideal" else um_terms
                 for m, c in exp.items():
                     add_into(target, m, HSeries.hbar(order, n, coeff * c))

@@ -7,10 +7,11 @@ inputs use) would fail only in a traced benchmark run.
 
 import pathlib
 import sys
+from fractions import Fraction
 
 import pytest
 
-from dyntwist import AdtElement, UEnvelope, adt_dgla, schema
+from dyntwist import AdtElement, UEnvelope, adt_dgla, linfinity, schema
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -57,3 +58,19 @@ def test_tracer_binds_every_target(perfbench):
     assert metrics["hseries.HSeries.constructed"] > 0
     assert metrics["adt_dgla.adte_residual.calls"] == 1
     assert metrics["adt_dgla.adte_residual.pairs"] == 1
+
+
+def test_traced_homotopy_reaches_rref(perfbench, sl2_uea):
+    """The identities workload reads linalg.rref through the homotopy."""
+    _, layers, tracer = perfbench
+    t = tracer.Tracer()
+    t.install(layers.TARGETS)
+    try:
+        h = linfinity.quantum_contraction(sl2_uea, 0).h
+        y = h(AdtElement(sl2_uea, 1, {((0, 2), ()): Fraction(1)}, 0))
+    finally:
+        t.uninstall()
+    assert y == AdtElement(sl2_uea, 0, {((1,),): Fraction(1, 2)}, 0)
+    metrics = layers.rename(t.metrics())
+    assert metrics["linfinity.quantum_contraction.h.calls"] == 1
+    assert metrics["linalg.rref.calls"] > 0

@@ -86,6 +86,17 @@ def test_oversized_twist_order_exits_quickly(tmp_path):
 
 
 @pytest.mark.parametrize("doc", [
+    "algebra\ndim\nbasis a\nend\n",
+    "algebra\ndim 2\nbasis a b\nbracket 0 1 -> (1, 9)\nend\n",
+])
+def test_malformed_algebra_is_input_error(tmp_path, capsys, doc):
+    alg = tmp_path / "bad.alg"
+    alg.write_text(doc)
+    assert main(["prop-suite", "--algebra", str(alg)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("doc", [
     # no terms at all: every residual of zero vanishes
     "twist\narity 2\norder 2\nend\n",
     # 2 (x) 1 (x) 1 solves the equation but is not 1 mod hbar

@@ -7,8 +7,10 @@ from dyntwist import (
     AdtElement,
     CdybElement,
     HSeries,
+    NoSolution,
     NotInvariant,
     NotMaurerCartan,
+    ObstructionNotRepaired,
     RMatrix,
     ValuationViolated,
     adte_residual,
@@ -113,6 +115,18 @@ def test_exponential_twist_solves_adte(ab2_uea):
         )
     K = AdtElement(ab2_uea, 2, terms, ORDER)
     assert adte_residual(K).is_zero()
+
+
+def test_unsolvable_order_is_reported_as_obstruction(sl2):
+    # e^f + 3 e^f (x) h is no solution, and the order-2 correction
+    # equation has no invariant solution of leg length 0
+    body = CdybElement.monomial((0, 2), (), F(1), 2) + CdybElement.monomial(
+        (0, 2), (1,), F(3), 2
+    )
+    with pytest.raises(ObstructionNotRepaired) as info:
+        solve_adte(RMatrix(sl2, body, check=False), 2)
+    assert info.value.order == 2
+    assert isinstance(info.value.__cause__, NoSolution)
 
 
 # -- conversion and valuation ----------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dyntwist import SchemaError, UEnvelope, schema
+from dyntwist import DyntwistError, LieData, SchemaError, UEnvelope, schema
 
 from conftest import CORPUS, ORDER
 
@@ -72,6 +73,18 @@ def test_comments_and_blank_lines(sl2):
     [
         "rmatrix\nterm 1 * e^f * 1\n",  # unclosed block
         "algebra\ndim 2\nend\n",  # missing basis
+        "algebra\ndim\nbasis a\nend\n",  # dim without a value
+        "algebra\ndim x\nbasis a\nend\n",  # non-integer dim
+        "algebra\ndim 1\nbasis a\nmode\nend\n",  # mode without a value
+        "algebra\ndim 1\nbasis a\nh_indices x\nend\n",  # non-integer index
+        "algebra\ndim 2\nbasis a b\nbracket 0 x -> (1, 0)\nend\n",
+        "algebra\ndim 2\nbasis a b\nbracket 0 1 -> (1, 9)\nend\n",
+        "algebra\ndim 2\nbasis a b\nbracket 0 1 -> (1, -1)\nend\n",
+        "algebra\ndim 2\nbasis a a\nend\n",  # duplicate basis name
+        "algebra\ndim 2\nbasis a 1\nend\n",  # '1' is the empty word
+        "algebra\ndim 2\nbasis a b.c\nend\n",  # '.' joins words
+        # an exponent would build 10**999999999 before any check
+        "algebra\ndim 2\nbasis a b\nbracket 0 1 -> (1e999999999, 1)\nend\n",
         "rmatrix\nterm 1 e^f 1\nend\n",  # malformed term
         "rmatrix\nterm 1/0 * e^f * 1\nend\n",  # bad rational
         "rmatrix\nterm 1 * e^f * e\nend\n",  # leg outside the base
@@ -98,3 +111,45 @@ def test_malformed_documents_raise(sl2, sl2_uea, doc):
 def test_load_file_missing():
     with pytest.raises(SchemaError):
         schema.load_file("/nonexistent/file")
+
+
+# line soups over the algebra keywords: values may be missing, non-integer,
+# out of range, unbalanced or plain noise
+_names = st.sampled_from(["a", "b", "c", "e", "1", "a.b", "x^y"])
+_values = st.one_of(
+    st.integers(-2, 5).map(str),
+    st.sampled_from(["", "x", "1/2", "-", "->", "reductive", "abelian_base"]),
+    st.text(alphabet="ab01-/(),> ", max_size=6),
+)
+_pairs = st.lists(
+    st.tuples(st.one_of(st.integers(-3, 3).map(str), _values),
+              st.one_of(st.integers(-1, 5).map(str), _values)),
+    max_size=3,
+).map(lambda ps: " ".join(f"({c}, {k})" for c, k in ps))
+_lines = st.one_of(
+    st.tuples(st.sampled_from(["dim", "h_indices", "mode", "bracket"]),
+              st.lists(_values, max_size=4)).map(
+        lambda t: " ".join([t[0], *t[1]])),
+    st.lists(_names, max_size=5).map(lambda ns: " ".join(["basis", *ns])),
+    st.tuples(_values, _values, _pairs).map(
+        lambda t: f"bracket {t[0]} {t[1]} -> {t[2]}"),
+)
+
+
+# a matching dim/basis header, so that soups also reach LieData
+_header = st.lists(_names, max_size=4).map(
+    lambda ns: [f"dim {len(ns)}", " ".join(["basis", *ns])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.just([]), _header), st.lists(_lines, max_size=5))
+def test_parse_algebra_fuzz(header, lines):
+    doc = "\n".join(["algebra", *header, *lines, "end"]) + "\n"
+    try:
+        lie = schema.parse_algebra(doc)
+    except DyntwistError:
+        return
+    assert isinstance(lie, LieData)
+    assert len(set(lie.basis_names)) == lie.dim
+    for comps in lie._sc.values():
+        assert all(0 <= k < lie.dim for k in comps)
