@@ -135,13 +135,21 @@ def unit_at(E, i: int):
 
 
 def slotwise_product(A, B, leg_mul):
-    """PBW products slot by slot, leg_mul(s, t) -> {leg: coeff} on the legs."""
+    """PBW products slot by slot, leg_mul(s, t) -> {leg: coeff} on the legs.
+
+    The product is truncated to the smaller order N; term pairs whose
+    valuations add up to more than N are never expanded.
+    """
     if A.arity != B.arity:
         raise GradingMismatch("arity mismatch in product")
     uea = A.uea
+    order = min(A.order, B.order)
     out: dict = {}
-    for k1, c1 in A.terms.items():
-        for k2, c2 in B.terms.items():
+    terms_b = B.graded_terms()
+    for k1, c1, v1 in A.graded_terms():
+        for k2, c2, v2 in terms_b:
+            if v1 + v2 > order:
+                break
             c = c1 * c2
             exps = [
                 uea.mul_mono(k1[i], k2[i]).items() for i in range(A.arity)
@@ -152,7 +160,7 @@ def slotwise_product(A, B, leg_mul):
                 for _, d in combo:
                     coeff = coeff * d
                 add_into(out, tuple(m for m, _ in combo), coeff)
-    return type(A)(uea, A.arity, out, min(A.order, B.order))
+    return type(A)(uea, A.arity, out, order)
 
 
 # -- differential ----------------------------------------------------------
@@ -193,20 +201,23 @@ def cup(P: AdtElement, Q: AdtElement) -> AdtElement:
 
     P's factors occupy the first k slots; its leg is spread by the
     iterated coaction over the last l slots and the leg, multiplying in
-    front of Q's content.
+    front of Q's content.  The result is truncated to the smaller order
+    N; term pairs whose valuations add up to more than N are skipped.
     """
     if P.uea is not Q.uea:
         raise GradingMismatch("cup of elements over different algebras")
     k, l = P.arity, Q.arity
     order = min(P.order, Q.order)
     terms: dict = {}
-    for keyP, cP in P.terms.items():
+    terms_q = Q.graded_terms()
+    for keyP, cP, vP in P.graded_terms():
         gP, legP = keyP[:-1], keyP[-1]
         for parts, mult in coproduct_mono(legP, l + 1).items():
-            for keyQ, cQ in Q.terms.items():
+            for keyQ, cQ, vQ in terms_q:
+                if vP + vQ > order:
+                    break
                 gQ, legQ = keyQ[:-1], keyQ[-1]
                 slots = list(gP)
-                ok = True
                 for j in range(l):
                     slots.append(parts[j] + gQ[j])
                 slots.append(parts[l] + legQ)
@@ -242,6 +253,9 @@ def brace(P: AdtElement, Qs) -> AdtElement:
     is the 0-based output slot at which the s-th block starts; this is
     the convention under which the brace relations hold exactly.  Note
     that it entails {1x1x1|P,Q} = (-1)^{(|Q|-1)|P|} P cup Q.
+
+    The result is truncated to the smallest order N among P and the Q_s;
+    a choice of terms whose valuations add up to more than N is skipped.
     """
     Qs = list(Qs)
     m = len(Qs)
@@ -267,11 +281,11 @@ def brace(P: AdtElement, Qs) -> AdtElement:
                 cursor += ks[s]
             else:
                 cursor += 1
-        _brace_placement(uea, P, Qs, positions, n, sgn, out)
+        _brace_placement(uea, P, Qs, positions, n, sgn, order, out)
     return AdtElement(uea, n, out, order)
 
 
-def _brace_placement(uea, P, Qs, positions, n, sgn, out):
+def _brace_placement(uea, P, Qs, positions, n, sgn, order, out):
     m = len(Qs)
     ks = [Q.arity for Q in Qs]
     consumed = {j: s for s, j in enumerate(positions)}  # input -> insertion idx
@@ -289,7 +303,9 @@ def _brace_placement(uea, P, Qs, positions, n, sgn, out):
         else:
             cursor += 1
     assert cursor == n
-    for keyP, cP in P.terms.items():
+    for keyP, cP, vP in P.graded_terms():
+        if vP > order:
+            break
         gP, legP = keyP[:-1], keyP[-1]
         # distribute P's factors
         base: list = [[] for _ in range(n + 1)]
@@ -315,16 +331,17 @@ def _brace_placement(uea, P, Qs, positions, n, sgn, out):
         if dead:
             continue
         base[n].append(legP)
-        # expand coproducts of consumed factors and Q contents recursively
-        stack = [(base, coeffP, 0)]
+        # expand coproducts of consumed factors and Q contents recursively;
+        # each entry carries the valuation of the terms chosen so far
+        stack = [(base, coeffP, vP)]
         for start, f, w in delta_choices:
             nxt = []
-            for slots, c0, _ in stack:
+            for slots, c0, v0 in stack:
                 for parts, mult in coproduct_mono(f, w).items():
                     s2 = [list(x) for x in slots]
                     for u in range(w):
                         s2[start + u].append(parts[u])
-                    nxt.append((s2, c0 * mult, 0))
+                    nxt.append((s2, c0 * mult, v0))
             stack = nxt
         # insert the Q_s contents, in order of s (legs spread to the right)
         for s, Q in enumerate(Qs):
@@ -332,8 +349,11 @@ def _brace_placement(uea, P, Qs, positions, n, sgn, out):
             w = ks[s]
             spread = n - (start + w)  # slots to the right of the block
             nxt = []
-            for slots, c0, _ in stack:
-                for keyQ, cQ in Q.terms.items():
+            terms_q = Q.graded_terms()
+            for slots, c0, v0 in stack:
+                for keyQ, cQ, vQ in terms_q:
+                    if v0 + vQ > order:
+                        break
                     gQ, legQ = keyQ[:-1], keyQ[-1]
                     for parts, mult in coproduct_mono(legQ, spread + 1).items():
                         s2 = [list(x) for x in slots]
@@ -342,7 +362,7 @@ def _brace_placement(uea, P, Qs, positions, n, sgn, out):
                         for u in range(spread):
                             s2[start + w + u].append(parts[u])
                         s2[n].append(parts[spread])
-                        nxt.append((s2, c0 * cQ * mult, 0))
+                        nxt.append((s2, c0 * cQ * mult, v0 + vQ))
             stack = nxt
         for slots, c0, _ in stack:
             words = tuple(
@@ -619,6 +639,11 @@ def adte_residual(K: AdtElement, mode: str = "direct") -> AdtElement:
     with slotwise products; mode "mc" computes the Maurer-Cartan residual
     -b(K-1) + {K-1 | K-1} of K-1 for the dgla whose differential is the
     negative coboundary.  The two modes agree identically.
+
+    The residual is exact mod hbar^(N+1), N = K.order: a pair of terms
+    whose valuations add up to more than N is skipped, as it contributes
+    nothing there.  Truncation is a ring map, so the hbar^n layer of the
+    residual is also the hbar^n layer of adte_residual(K.truncate(n)).
     """
     if K.arity != 2:
         raise GradingMismatch("twist residual requires arity 2")
@@ -630,9 +655,11 @@ def adte_residual(K: AdtElement, mode: str = "direct") -> AdtElement:
     uea = K.uea
     order = K.order
     out: dict = {}
-    items = list(K.terms.items())
-    for (f1, f2, leg), c1 in items:
-        for (g1, g2, legg), c2 in items:
+    items = K.graded_terms()
+    for (f1, f2, leg), c1, v1 in items:
+        for (g1, g2, legg), c2, v2 in items:
+            if v1 + v2 > order:
+                break
             c = c1 * c2
             # K^{12,3,4} K^{1,2,34}
             for p1, m1 in coproduct_mono(f1, 2).items():

@@ -109,8 +109,11 @@ def bracket(lie: LieData, a: CdybElement, b: CdybElement) -> CdybElement:
     """Graded bracket; symmetric legs multiply as scalars."""
     order = min(a.order, b.order)
     terms = {}
-    for (w1, s1), c1 in a.terms.items():
-        for (w2, s2), c2 in b.terms.items():
+    terms_b = b.graded_terms()
+    for (w1, s1), c1, v1 in a.graded_terms():
+        for (w2, s2), c2, v2 in terms_b:
+            if v1 + v2 > order:
+                break
             c = c1 * c2
             leg = sym_sort(s1 + s2)
             for w, coeff in bracket_wedge(lie, w1, w2).items():

@@ -7,6 +7,12 @@ the canonical quotient map between the two rings.
 `HSeries` is the scalar ring; `SparseSeries` is the common base of every
 sparse element over it (PBW elements, algebraic and formal twists,
 classical cochains): a map from monomial keys to HSeries coefficients.
+
+Every bilinear product of two elements is truncated to the smaller
+order N, so a pair of terms whose coefficient valuations add up to more
+than N contributes nothing.  The product loops read both factors through
+`SparseSeries.graded_terms`, sorted by valuation, and leave the inner
+loop at the first such pair.
 """
 
 from __future__ import annotations
@@ -211,7 +217,7 @@ class SparseSeries:
     mutated after construction.
     """
 
-    __slots__ = ("terms", "order", "_vkey")
+    __slots__ = ("terms", "order", "_vkey", "_graded")
     _space: tuple = ()
 
     def __init__(self, terms: dict, order: int):
@@ -291,6 +297,33 @@ class SparseSeries:
     def hbar_component(self, n: int):
         """The hbar^n layer as an element with constant coefficients."""
         return self._like(self.layer(n), self.order)
+
+    def graded_terms(self):
+        """(key, coeff, valuation) triples sorted by hbar valuation.
+
+        Built once per element.  A product loop over two elements stops
+        its inner loop at the first term whose valuation, added to the
+        outer term's, exceeds the product's order.
+        """
+        try:
+            return self._graded
+        except AttributeError:
+            pass
+        self._graded = sorted(
+            ((k, c, c.valuation()) for k, c in self.terms.items()),
+            key=lambda t: t[2],
+        )
+        return self._graded
+
+    def truncate(self, n: int):
+        """The image mod hbar^(n+1) (self when n is not below the order).
+
+        Truncation is a ring map, so the order-n layer of any product or
+        residual can be computed from truncated factors.
+        """
+        if n >= self.order:
+            return self
+        return self._like(self.terms, n)
 
     def hbar_valuation(self):
         """Smallest hbar power with a nonzero coefficient (None for zero)."""

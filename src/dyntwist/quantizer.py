@@ -476,14 +476,20 @@ def j_to_k(J: FormalTwist) -> AdtElement:
 
 
 class TwistPair:
-    """An algebraic twist together with its formal counterpart."""
+    """An algebraic twist, its formal counterpart, and its full residual.
 
-    __slots__ = ("K", "J", "valuation_certificate")
+    `residual` is adte_residual(K), recomputed from its definition once
+    the solve is done (zero, or the solver would have raised).
+    """
 
-    def __init__(self, K: AdtElement, J: FormalTwist, valuation_certificate):
+    __slots__ = ("K", "J", "valuation_certificate", "residual")
+
+    def __init__(self, K: AdtElement, J: FormalTwist, valuation_certificate,
+                 residual: AdtElement):
         self.K = K
         self.J = J
         self.valuation_certificate = valuation_certificate
+        self.residual = residual
 
 
 def _random_coboundary(uea: UEnvelope, rng, n: int, order: int) -> AdtElement:
@@ -515,7 +521,9 @@ def solve_adte(rho: RMatrix, N: int, uea: UEnvelope | None = None,
     invariant correction of leg length at most n - 2, found by solving a
     coboundary equation against the order-n equation residual.  When that
     linear problem has no solution the order-n obstruction is reported as
-    ObstructionNotRepaired; no lower order is re-opened.
+    ObstructionNotRepaired; no lower order is re-opened.  The order-n
+    residual and the check of the correction are computed from K mod
+    hbar^(n+1); the full residual of the result is recomputed at the end.
 
     With perturb_seed set, a seeded random coboundary is mixed into each
     coefficient from order 2 on; different seeds give different but
@@ -532,7 +540,8 @@ def solve_adte(rho: RMatrix, N: int, uea: UEnvelope | None = None,
         if rng is not None and n >= 2:
             pert = _random_coboundary(uea, rng, n, order)
             K = K + pert.scale(HSeries.hbar(order, n))
-        target = adte_residual(K).hbar_component(n)
+        target = AdtElement(uea, 3, adte_residual(K.truncate(n)).layer(n),
+                            order)
         if target.is_zero():
             continue
         try:
@@ -542,7 +551,7 @@ def solve_adte(rho: RMatrix, N: int, uea: UEnvelope | None = None,
                 f"order-{n} obstruction: {exc}", order=n, obstruction=target,
             ) from exc
         K = K + corr.scale(HSeries.hbar(order, n))
-        if not adte_residual(K).hbar_component(n).is_zero():
+        if adte_residual(K.truncate(n)).layer(n):
             raise ObstructionNotRepaired(
                 f"order-{n} correction did not close the equation",
                 order=n, obstruction=target,
@@ -561,4 +570,4 @@ def solve_adte(rho: RMatrix, N: int, uea: UEnvelope | None = None,
                 f"order-{n} coefficient has leg length {f} > {n - 1}"
             )
     J = k_to_j(uea, K)
-    return TwistPair(K, J, certificate)
+    return TwistPair(K, J, certificate, res)

@@ -131,9 +131,14 @@ def parse_algebra(text) -> LieData:
     h_indices = []
     mode = "reductive"
     brackets = {}
+    seen = set()  # header keys and unordered bracket pairs already read
     for lineno, line in payload:
         parts = line.split()
         key = parts[0]
+        if key in ("dim", "basis", "h_indices", "mode"):
+            if key in seen:
+                raise SchemaError(f"line {lineno}: repeated {key!r} line")
+            seen.add(key)
         if key == "dim":
             dim = _header_count(parts, lineno)
         elif key == "basis":
@@ -156,6 +161,12 @@ def parse_algebra(text) -> LieData:
                     f"line {lineno}: expected 'bracket i j -> (coeff, k)...'"
                 )
             i, j = _int(parts[1], lineno), _int(parts[2], lineno)
+            pair = frozenset((i, j))
+            if pair in seen:
+                raise SchemaError(
+                    f"line {lineno}: a second bracket line for {i}, {j}"
+                )
+            seen.add(pair)
             rest = " ".join(parts[4:])
             comps = {}
             for chunk in rest.replace(")", ")\x00").split("\x00"):
@@ -171,6 +182,10 @@ def parse_algebra(text) -> LieData:
                 if len(inner) != 2:
                     raise SchemaError(f"line {lineno}: bad pair {chunk!r}")
                 k = _int(inner[1], lineno)
+                if k in comps:
+                    raise SchemaError(
+                        f"line {lineno}: output index {k} repeated"
+                    )
                 comps[k] = _frac(inner[0].strip(), lineno)
             brackets[(i, j)] = comps
         else:
@@ -272,6 +287,9 @@ def parse_twist(text, uea: UEnvelope) -> AdtElement:
     for lineno, line in payload:
         parts = line.split()
         key = parts[0]
+        if (key == "arity" and arity is not None
+                or key == "order" and order is not None):
+            raise SchemaError(f"line {lineno}: repeated {key!r} line")
         if key == "arity":
             arity = _header_count(parts, lineno)
         elif key == "order":

@@ -63,8 +63,11 @@ class CdybElement(SparseSeries):
         """Exterior product; S h legs multiply symmetrically."""
         order = min(self.order, other.order)
         terms = {}
-        for (w1, s1), c1 in self.terms.items():
-            for (w2, s2), c2 in other.terms.items():
+        terms_b = other.graded_terms()
+        for (w1, s1), c1, v1 in self.graded_terms():
+            for (w2, s2), c2, v2 in terms_b:
+                if v1 + v2 > order:
+                    break
                 ws = wedge_sort(w1 + w2)
                 if ws is None:
                     continue

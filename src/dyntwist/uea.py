@@ -143,8 +143,11 @@ class PbwElement(SparseSeries):
     def __mul__(self, other: "PbwElement") -> "PbwElement":
         order = min(self.order, other.order)
         terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        terms_b = other.graded_terms()
+        for m1, c1, v1 in self.graded_terms():
+            for m2, c2, v2 in terms_b:
+                if v1 + v2 > order:
+                    break
                 c = c1 * c2
                 for m, d in self.uea.mul_mono(m1, m2).items():
                     add_into(terms, m, c * d)

@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from dyntwist import CdybElement, LieData, RMatrix, UEnvelope
+from dyntwist import (
+    AdtElement, CdybElement, HSeries, LieData, RMatrix, UEnvelope,
+)
+from dyntwist.adt_dgla import adt_monomials
+from dyntwist.hseries import add_into
 
 ORDER = 3
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -45,6 +49,24 @@ def geometric_body(wedge, leg_index, order, max_deg=None) -> CdybElement:
             wedge, (leg_index,) * d, Fraction(1), order
         )
     return body
+
+
+def mixed_element(uea, rng, arity, order, terms=7, max_len=2,
+                  cls=AdtElement):
+    """Seeded element whose terms start at every hbar valuation 0..order.
+
+    Each coefficient is c hbar^v + c' hbar^(v+1), so products of two such
+    elements have term pairs on both sides of any truncation below order.
+    """
+    pool = [key for L in range(max_len + 1)
+            for key in adt_monomials(uea, arity, L)]
+    out: dict = {}
+    for i in range(terms):
+        v = i % (order + 1)
+        c = HSeries.hbar(order, v, rng.choice([-2, -1, 1, 2]))
+        add_into(out, pool[rng.randrange(len(pool))],
+                 c + HSeries.hbar(order, v + 1, rng.choice([-1, 1])))
+    return cls(uea, arity, out, order)
 
 
 @pytest.fixture(scope="session")

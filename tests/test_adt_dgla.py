@@ -24,12 +24,15 @@ from dyntwist.adt_dgla import (
     invariant_adt_basis,
     unit_at,
 )
+from dyntwist.gauge import adt_mul
 from dyntwist.props import (
     _rand_adt,
     check_b_squared,
     check_brace_relations,
     check_cup_leibniz,
 )
+
+from conftest import mixed_element
 
 N = 3
 F = Fraction
@@ -173,3 +176,56 @@ def test_adte_residual_of_unit(sl2_uea):
     K = AdtElement.unit(sl2_uea, 2, N)
     assert adte_residual(K, mode="direct").is_zero()
     assert adte_residual(K, mode="mc").is_zero()
+
+
+# -- truncation oracles ------------------------------------------------------
+#
+# Every product skips the term pairs whose valuations add up to more than
+# its order N.  Built at order N + 2 and truncated, the same product has
+# those pairs inside its range, so the two agree only if nothing below
+# the truncation was skipped.
+
+
+def _truncation_agrees(product, *factors):
+    low = product(*(E.truncate(N) for E in factors))
+    high = product(*factors)
+    assert low.order == N
+    assert low == high.truncate(N)
+    return low
+
+
+@pytest.mark.parametrize("mode", ["direct", "mc"])
+def test_adte_residual_truncation_oracle(sl2_uea, mode):
+    rng = random.Random(11)
+    for _ in range(3):
+        K = AdtElement.unit(sl2_uea, 2, N + 2) + mixed_element(
+            sl2_uea, rng, 2, N + 2, terms=6)
+        res = _truncation_agrees(lambda E: adte_residual(E, mode), K)
+        assert res.layer(N)  # nonzero at the truncation: not vacuous
+
+
+@pytest.mark.parametrize("uea_name", ["sl2_uea", "nonab_uea"])
+def test_adt_mul_truncation_oracle(request, uea_name):
+    uea = request.getfixturevalue(uea_name)
+    rng = random.Random(12)
+    for arity in (1, 2):
+        A = mixed_element(uea, rng, arity, N + 2)
+        B = mixed_element(uea, rng, arity, N + 2)
+        assert _truncation_agrees(adt_mul, A, B).layer(N)
+
+
+def test_cup_truncation_oracle(sl2_uea):
+    rng = random.Random(13)
+    for k, l in ((1, 1), (1, 2), (2, 1)):
+        P = mixed_element(sl2_uea, rng, k, N + 2)
+        Q = mixed_element(sl2_uea, rng, l, N + 2)
+        assert _truncation_agrees(cup, P, Q).layer(N)
+
+
+def test_brace_truncation_oracle(sl2_uea):
+    rng = random.Random(14)
+    P = mixed_element(sl2_uea, rng, 2, N + 2)
+    for ks in ((1,), (2,), (1, 2)):
+        Qs = [mixed_element(sl2_uea, rng, k, N + 2, terms=5) for k in ks]
+        braced = _truncation_agrees(lambda P, *Qs: brace(P, Qs), P, *Qs)
+        assert braced.layer(N)

@@ -13,6 +13,8 @@ SL2 = str(CORPUS / "sl2.alg")
 SL2_R = str(CORPUS / "sl2.rmat")
 AB2 = str(CORPUS / "abelian2.alg")
 AB2_R = str(CORPUS / "abelian2.rmat")
+NONAB = str(CORPUS / "nonab.alg")
+NONAB_R = str(CORPUS / "nonab.rmat")
 
 
 def test_check_rmatrix(capsys):
@@ -123,6 +125,23 @@ def test_quantize_verify_round_trip(tmp_path, capsys):
     assert code == 0
     assert "equation residual: ok" in out
     assert "semiclassical comparison: ok" in out
+
+
+def test_quantize_verify_nonabelian_base(tmp_path, capsys):
+    twist = tmp_path / "K.twist"
+    code = main(["quantize", "--algebra", NONAB, "--rmatrix", NONAB_R,
+                 "--order", "3", "--out", str(twist)])
+    assert code == 0
+    assert "equation residual: ok" in capsys.readouterr().out
+    code = main(["verify-twist", "--algebra", NONAB, "--rmatrix", NONAB_R,
+                 str(twist)])
+    lines = capsys.readouterr().out.splitlines()[1:]  # after the header
+    assert code == 0
+    assert [line.split(": ")[0] for line in lines] == [
+        "equation residual", "valuation certificate",
+        "formal equation residual (triangle)", "semiclassical comparison",
+    ]
+    assert all(line.endswith(": ok") for line in lines)
 
 
 def test_verify_rejects_tampered_twist(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from dyntwist import (
 )
 from dyntwist.quantizer import FormalTwist
 
-from conftest import ORDER, geometric_body
+from conftest import ORDER, geometric_body, mixed_element
 
 F = Fraction
 
@@ -221,3 +222,39 @@ def test_shift_of_legless_twist_pads_a_unit_slot(ab2_uea, ab2_pair):
         ORDER,
     )
     assert shifted == expected
+
+
+# -- truncation oracles ------------------------------------------------------
+
+
+def test_formal_product_truncation_oracle(nonab_uea):
+    # the star product on the nonabelian base raises valuations as well
+    rng = random.Random(21)
+    for arity in (1, 2):
+        A = mixed_element(nonab_uea, rng, arity, ORDER + 2, cls=FormalTwist)
+        B = mixed_element(nonab_uea, rng, arity, ORDER + 2, cls=FormalTwist)
+        low = A.truncate(ORDER) * B.truncate(ORDER)
+        assert low.order == ORDER
+        assert low == (A * B).truncate(ORDER)
+        assert low.layer(ORDER)
+
+
+@pytest.mark.parametrize("base", ["unit", "sl2_twist"])
+def test_layer_residual_from_truncated_twist(request, sl2_uea, base):
+    # the order-n layer of the residual needs K only mod hbar^(n+1)
+    rng = random.Random(22)
+    if base == "unit":
+        K = AdtElement.unit(sl2_uea, 2, ORDER) + mixed_element(
+            sl2_uea, rng, 2, ORDER, terms=6)
+    else:
+        K = request.getfixturevalue("sl2_pair").K + mixed_element(
+            sl2_uea, rng, 2, ORDER, terms=5).scale(HSeries.hbar(ORDER, 1))
+    full = adte_residual(K)
+    assert full.layer(ORDER)
+    for n in range(ORDER + 1):
+        assert adte_residual(K.truncate(n)).layer(n) == full.layer(n)
+
+
+def test_twist_pair_carries_its_residual(sl2_pair):
+    assert sl2_pair.residual.is_zero()
+    assert sl2_pair.residual == adte_residual(sl2_pair.K)

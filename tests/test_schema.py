@@ -81,6 +81,16 @@ def test_comments_and_blank_lines(sl2):
         "algebra\ndim 2\nbasis a b\nbracket 0 1 -> (1, 9)\nend\n",
         "algebra\ndim 2\nbasis a b\nbracket 0 1 -> (1, -1)\nend\n",
         "algebra\ndim 2\nbasis a a\nend\n",  # duplicate basis name
+        # repeated lines are refused, not read last-wins
+        "algebra\ndim 2\nbasis a b\nbracket 0 1 -> (1, 0)\n"
+        "bracket 0 1 -> (2, 1)\nend\n",
+        "algebra\ndim 2\nbasis a b\nbracket 0 1 -> (1, 1)\n"
+        "bracket 1 0 -> (-1, 1)\nend\n",  # the same unordered pair
+        "algebra\ndim 2\nbasis a b\nbracket 0 1 -> (1, 1) (5, 1)\nend\n",
+        "algebra\ndim 2\ndim 2\nbasis a b\nend\n",
+        "algebra\ndim 2\nbasis a b\nbasis a b\nend\n",
+        "algebra\ndim 2\nbasis a b\nh_indices 1\nh_indices 1\nend\n",
+        "algebra\ndim 2\nbasis a b\nmode reductive\nmode reductive\nend\n",
         "algebra\ndim 2\nbasis a 1\nend\n",  # '1' is the empty word
         "algebra\ndim 2\nbasis a b.c\nend\n",  # '.' joins words
         # an exponent would build 10**999999999 before any check
@@ -94,6 +104,10 @@ def test_comments_and_blank_lines(sl2):
         "twist\narity 2\norder two\nend\n",  # non-integer header
         "twist\narity\norder 2\nend\n",  # header without a value
         "twist\narity 2\norder 99999999\nend\n",  # order above MAX_ORDER
+        # a second header would re-read (or truncate away) earlier terms
+        "twist\narity 2\norder 3\nhbar 3\nterm 1 * (e | f | 1)\n"
+        "order 1\nend\n",
+        "twist\narity 2\norder 1\narity 1\nend\n",
         # a level above the declared order
         "twist\narity 2\norder 2\nhbar 5\nterm 1 * (1 | 1 | 1)\nend\n",
     ],
@@ -153,3 +167,94 @@ def test_parse_algebra_fuzz(header, lines):
     assert len(set(lie.basis_names)) == lie.dim
     for comps in lie._sc.values():
         assert all(0 <= k < lie.dim for k in comps)
+
+
+# rational-ish tokens and monomial-ish tokens over the sl2 names (e, h, f)
+_good_coeffs = st.one_of(
+    st.integers(-3, 3).map(str), st.sampled_from(["1/2", "-2/3", "0.5"]))
+_coeffs = st.one_of(
+    _good_coeffs, st.sampled_from(["1/0", "1e9", "x", "", "*", "1/2/3"]))
+_words = st.lists(st.sampled_from(["e", "h", "f"]), max_size=3).map(
+    lambda ws: ".".join(ws) or "1")
+_monos = st.one_of(
+    _words, st.sampled_from(["", "x", "e.", ".h", "e..f", "h^h", "(", "|"]))
+_legs = st.integers(0, 3).map(lambda d: ".".join(["h"] * d) or "1")
+
+
+def _soup(keywords, values):
+    """Lines of a keyword followed by a few random tokens."""
+    return st.tuples(st.sampled_from(keywords),
+                     st.lists(values, max_size=5)).map(
+        lambda t: " ".join([t[0], *t[1]]))
+
+
+# well-formed terms, then at most one line of noise
+_rmatrix_terms = st.tuples(
+    _good_coeffs, st.sampled_from(["e", "h", "f"]),
+    st.sampled_from(["e", "h", "f"]), _legs,
+).map(lambda t: f"term {t[0]} * {t[1]}^{t[2]} * {t[3]}")
+_rmatrix_noise = st.one_of(
+    st.tuples(_coeffs, _monos, _monos, _monos).map(
+        lambda t: f"term {t[0]} * {t[1]}^{t[2]} * {t[3]}"),
+    st.tuples(_coeffs, _monos, _monos).map(
+        lambda t: f"term {t[0]} * {t[1]} * {t[2]}"),
+    _soup(["term", "rmatrix", "hbar", "end"], st.one_of(_coeffs, _monos)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_rmatrix_terms, max_size=4),
+       st.lists(_rmatrix_noise, max_size=1), st.randoms())
+def test_parse_rmatrix_fuzz(sl2, terms, noise, rnd):
+    lines = terms + noise
+    rnd.shuffle(lines)
+    doc = "\n".join(["rmatrix", *lines, "end"]) + "\n"
+    try:
+        body = schema.parse_rmatrix(doc, sl2, ORDER)
+    except DyntwistError:
+        return
+    assert body.order == ORDER
+    for (w, s), _ in body.terms.items():
+        assert all(sl2.is_h(i) for i in s)
+
+
+def _twist_lines(arity):
+    """Headers for `arity`, well-formed terms, and noise lines."""
+    term = st.tuples(
+        _good_coeffs, st.lists(_words, min_size=arity, max_size=arity),
+        _legs,
+    ).map(lambda t: f"term {t[0]} * (" + " | ".join([*t[1], t[2]]) + ")")
+    level = st.integers(0, 3).map(lambda n: f"hbar {n}")
+    noise = st.one_of(
+        st.tuples(st.sampled_from(["arity", "order", "hbar"]),
+                  st.one_of(st.integers(-1, 4).map(str),
+                            st.sampled_from(["", "x", "1 2", "99"]))).map(
+            lambda t: f"{t[0]} {t[1]}"),
+        st.tuples(_coeffs, st.lists(_monos, max_size=4)).map(
+            lambda t: f"term {t[0]} * (" + " | ".join(t[1]) + ")"),
+        _soup(["term", "twist", "arity"], st.one_of(_coeffs, _monos)),
+    )
+    return st.tuples(
+        st.integers(0, 3).map(
+            lambda n: [f"arity {arity}", f"order {n}", "hbar 0"]),
+        st.lists(st.one_of(term, level), max_size=5),
+        st.lists(noise, max_size=1),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2).flatmap(_twist_lines), st.booleans(), st.randoms())
+def test_parse_twist_fuzz(sl2_uea, parts, with_header, rnd):
+    header, body, noise = parts
+    lines = body + noise
+    rnd.shuffle(lines)
+    doc = "\n".join(
+        ["twist", *(header if with_header else []), *lines, "end"]) + "\n"
+    try:
+        K = schema.parse_twist(doc, sl2_uea)
+    except DyntwistError:
+        return
+    assert 0 <= K.order <= schema.MAX_ORDER
+    for key in K.terms:
+        assert len(key) == K.arity + 1
+        assert all(sl2_uea.lie.is_h(i) for i in key[-1])
