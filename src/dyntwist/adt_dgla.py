@@ -549,8 +549,8 @@ def kappa_solve(
     Every total-length slice is solved independently by one exact
     elimination over the invariant basis of the lower arity, which serves
     all hbar levels; an optional leg-length bound restricts the solution
-    space.  Raises NoSolution with the unreachable residual when the
-    target is not in the image.
+    space.  Raises NoSolution with the unreachable residual, the arity and
+    the length of the slice when the target is not in the image.
     """
     if target.arity == 0:
         raise GradingMismatch("cannot lower arity below zero")
@@ -565,9 +565,9 @@ def kappa_solve(
                 for v in basis
                 if all(len(key[-1]) <= max_filtration for key in v)
             ]
+        # b carries no hbar: an order-0 element gives the same layer 0
         columns = [
-            differential_b(AdtElement(uea, target.arity - 1, dict(v), order))
-            .layer(0)
+            differential_b(AdtElement(uea, target.arity - 1, v, 0)).layer(0)
             for v in basis
         ]
         sols = linalg.solve(
@@ -576,7 +576,7 @@ def kappa_solve(
         if None in sols:
             raise NoSolution(
                 f"target length-{L} slice not in the image of b",
-                residual=slice_t,
+                residual=slice_t, arity=target.arity, length=L,
             )
         sol_terms: dict = {}
         for nlevel, sol in enumerate(sols):

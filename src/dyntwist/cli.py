@@ -92,6 +92,14 @@ def cmd_quantize(args):
     rep = Report()
     lie = _load_algebra(args)
     rho = _load_rmatrix(args, lie, args.order)
+    try:
+        taylor_rescale(rho, args.order)
+    except NotMaurerCartan as exc:
+        reach = exc.residual.hbar_valuation() - 1
+        raise NotMaurerCartan(
+            f"the r-matrix is verified only through order {reach}; "
+            f"refusing to quantize to order {args.order}"
+        ) from exc
     uea = UEnvelope(lie)
     pair = solve_adte(rho, args.order, uea=uea, perturb_seed=args.seed)
     rep.add(f"quantized to order {args.order}")
@@ -230,6 +238,16 @@ def _check_bounds(args):
         )
 
 
+def _slice(exc):
+    """' at order n, arity k, length L' for the slice fields exc carries."""
+    parts = [
+        f"{name} {getattr(exc, name)}"
+        for name in ("order", "arity", "length")
+        if getattr(exc, name, None) is not None
+    ]
+    return " at " + ", ".join(parts) if parts else ""
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     fn = _COMMANDS[args.command][0]
@@ -240,7 +258,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ObstructionNotRepaired, StraighteningStalled, NoSolution) as exc:
-        print(f"solver failure ({type(exc).__name__}): {exc}",
+        print(f"solver failure ({type(exc).__name__}){_slice(exc)}: {exc}",
               file=sys.stderr)
         return EXIT_OBSTRUCTION
     except NotMaurerCartan as exc:

@@ -32,13 +32,23 @@ class NotInvariant(DyntwistError):
 class NotMaurerCartan(DyntwistError):
     """Element fails the Maurer-Cartan equation within truncation."""
 
-
-class NoSolution(DyntwistError):
-    """Linear solve has no solution; carries the residual for diagnosis."""
-
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+class NoSolution(DyntwistError):
+    """Linear solve has no solution; carries the residual for diagnosis.
+
+    A failing coboundary solve also names its slice: the arity of the
+    target and its total PBW length.
+    """
+
+    def __init__(self, message, residual=None, arity=None, length=None):
+        super().__init__(message)
+        self.residual = residual
+        self.arity = arity
+        self.length = length
 
 
 class NotInImage(DyntwistError):
@@ -58,12 +68,17 @@ class MorphismUnsound(DyntwistError):
 
 
 class ObstructionNotRepaired(DyntwistError):
-    """Order-by-order solver got stuck on a cohomology obstruction."""
+    """Order-by-order solver got stuck on a cohomology obstruction.
 
-    def __init__(self, message, order=None, obstruction=None):
+    `order` is the hbar order and `length` the total length of the slice
+    that has no solution (None when no single slice is to blame).
+    """
+
+    def __init__(self, message, order=None, obstruction=None, length=None):
         super().__init__(message)
         self.order = order
         self.obstruction = obstruction
+        self.length = length
 
 
 class ValuationViolated(DyntwistError):

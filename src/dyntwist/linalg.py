@@ -14,13 +14,19 @@ unknown zero, or None when the target is not in the column span (a
 target key that no column carries makes it inconsistent).
 
 Internally `rref` reduces rows {column index: Fraction} with pivots
-chosen left to right, which keeps every derived basis deterministic.
+chosen left to right; the pivot of a column is the first remaining row,
+in input order, with a nonzero entry there, which keeps every derived
+basis deterministic.  It keeps an index from each column still to come
+to the rows with a nonzero entry in it, updated as fill-in appears and
+cancels, so the work follows the nonzeros instead of rows x columns.
+The index changes only where the work is done, not what is computed:
+the reduced rows (down to their key order), pivots, solutions and
+kernel vectors are those of the plain left-to-right elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 
 from .hseries import add_into
 
@@ -33,37 +39,52 @@ def rref(rows, ncols):
 
     Returns (reduced_rows, pivot_cols).  Pivots are chosen left to right
     among the first `ncols` columns; entries at later column indices are
-    carried along by every row operation.  Rows of the input are consumed
-    in order, so the result is a function of the input alone.
+    carried along by every row operation.  The pivot of a column is the
+    first remaining row, in input order, with a nonzero entry there, so
+    the result is a function of the input alone.
+
+    `where` maps each column still to come to the rows (remaining or
+    reduced) with a nonzero entry in it, so neither the pivot search nor
+    the elimination visits a row that does not meet the column.  Explicit
+    zero entries of the input stay in their rows, where they fix the key
+    order, but are never indexed: they are neither pivots nor divisors.
     """
     rows = [dict(r) for r in rows if r]
+    where: dict = {}
+    for i, r in enumerate(rows):
+        for c, v in r.items():
+            if v != 0 and c < ncols:
+                where.setdefault(c, set()).add(i)
+    done = [False] * len(rows)
     reduced = []
     pivots = []
     for col in range(ncols):
-        pivot_row = None
-        for i, r in enumerate(rows):
-            if r.get(col, _F0) != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        hits = where.pop(col, ())
+        p = min((i for i in hits if not done[i]), default=None)
+        if p is None:
             continue
-        r = rows.pop(pivot_row)
+        r = rows[p]
         inv = _F1 / r[col]
         r = {c: v * inv for c, v in r.items() if v != 0}
-        for other in chain(rows, reduced):
-            f = other.get(col)
-            if f:
-                for c, v in r.items():
-                    nv = other.get(c, _F0) - f * v
-                    if nv == 0:
-                        other.pop(c, None)
-                    else:
-                        other[c] = nv
+        for i in hits:
+            if i == p:
+                continue
+            other = rows[i]
+            f = other[col]
+            for c, v in r.items():
+                nv = other.get(c, _F0) - f * v
+                if nv == 0:
+                    other.pop(c, None)
+                    if col < c < ncols:
+                        where[c].discard(i)
+                else:
+                    other[c] = nv
+                    if col < c < ncols:
+                        where.setdefault(c, set()).add(i)
+        rows[p] = r
+        done[p] = True
         reduced.append(r)
         pivots.append(col)
-        rows = [x for x in rows if x]
-        if not rows:
-            break
     return reduced, pivots
 
 
@@ -89,22 +110,19 @@ def kernel_basis(columns):
     """Basis of the kernel, as dicts {unknown index: Fraction}.
 
     One basis vector per free unknown, in increasing order, with the free
-    coordinate normalized to 1.
+    coordinate normalized to 1; built in one pass over the nonzeros of
+    the reduced rows.
     """
     ncols = len(columns)
     reduced, pivot_cols = rref(_rows(columns), ncols)
     pivot_set = set(pivot_cols)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: _F1}
-        for r, p in zip(reduced, pivot_cols):
-            c = r.get(free, _F0)
-            if c != 0:
-                vec[p] = -c
-        basis.append(vec)
-    return basis
+    basis = {j: {j: _F1} for j in range(ncols) if j not in pivot_set}
+    for r, p in zip(reduced, pivot_cols):
+        for c, v in r.items():
+            vec = basis.get(c)
+            if vec is not None:
+                vec[p] = -v
+    return list(basis.values())
 
 
 def solve(columns, targets):
@@ -116,17 +134,17 @@ def solve(columns, targets):
     """
     ncols = len(columns)
     reduced, pivot_cols = rref(_rows(list(columns) + list(targets)), ncols)
-    sols = []
-    for t, target in enumerate(targets):
-        sol = {}
-        for r, p in zip(reduced, pivot_cols):
-            b = r.get(ncols + t, _F0)
-            if b != 0:
-                sol[p] = b
+    sols = [{} for _ in targets]
+    for r, p in zip(reduced, pivot_cols):
+        for c, b in r.items():
+            if c >= ncols:
+                sols[c - ncols][p] = b
+    out = []
+    for sol, target in zip(sols, targets):
         image: dict = {}
         for p, a in sol.items():
             for key, v in columns[p].items():
                 add_into(image, key, a * v)
         consistent = image == {k: v for k, v in target.items() if v != 0}
-        sols.append(sol if consistent else None)
-    return sols
+        out.append(sol if consistent else None)
+    return out

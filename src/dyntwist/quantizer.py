@@ -123,7 +123,8 @@ def taylor_rescale(rho: RMatrix, order: int) -> CdybElement:
     res = cdyb_dgla.cdybe_residual(rho.lie, alpha, mode="dgla")
     if not res.is_zero():
         raise NotMaurerCartan(
-            f"rescaled element fails Maurer-Cartan: residual {res!r}"
+            f"rescaled element fails Maurer-Cartan: residual {res!r}",
+            residual=res,
         )
     return alpha
 
@@ -549,6 +550,7 @@ def solve_adte(rho: RMatrix, N: int, uea: UEnvelope | None = None,
         except NoSolution as exc:
             raise ObstructionNotRepaired(
                 f"order-{n} obstruction: {exc}", order=n, obstruction=target,
+                length=exc.length,
             ) from exc
         K = K + corr.scale(HSeries.hbar(order, n))
         if adte_residual(K.truncate(n)).layer(n):

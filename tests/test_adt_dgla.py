@@ -229,3 +229,24 @@ def test_brace_truncation_oracle(sl2_uea):
         Qs = [mixed_element(sl2_uea, rng, k, N + 2, terms=5) for k in ks]
         braced = _truncation_agrees(lambda P, *Qs: brace(P, Qs), P, *Qs)
         assert braced.layer(N)
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_order_zero_b_column_is_layer_zero(sl2_uea, aff_uea, arity):
+    # kappa_solve builds its columns from order-0 elements: b carries no
+    # hbar, so they must equal layer 0 of the order-N columns, key order
+    # included
+    rng = random.Random(arity)
+    for uea in (sl2_uea, aff_uea):
+        for length in range(4):
+            basis = invariant_adt_basis(uea, arity, length)
+            picks = rng.sample(basis, min(3, len(basis)))
+            combo: dict = {}
+            for v in picks:
+                c = F(rng.randint(-5, 5), rng.randint(1, 4))
+                for key, a in v.items():
+                    combo[key] = combo.get(key, F(0)) + c * a
+            for v in picks + [combo]:
+                low = differential_b(AdtElement(uea, arity, v, 0)).layer(0)
+                full = differential_b(AdtElement(uea, arity, v, N)).layer(0)
+                assert list(low.items()) == list(full.items())

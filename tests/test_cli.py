@@ -73,18 +73,66 @@ def test_oversized_twist_order_exits_quickly(tmp_path):
     assert len(doc) == 61
     twist = tmp_path / "K.twist"
     twist.write_text(doc)
+    proc = _run_cli(["verify-twist", "--algebra", SL2, str(twist)])
+    assert proc.returncode == 2
+    assert "order must be <=" in proc.stderr
+
+
+def _run_cli(argv):
+    """The CLI in a fresh process, killed after 60 s."""
     src = str(CORPUS.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "dyntwist.cli", "verify-twist",
-         "--algebra", SL2, str(twist)],
+    return subprocess.run(
+        [sys.executable, "-m", "dyntwist.cli"] + argv,
         env=env, capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode == 2
-    assert "order must be <=" in proc.stderr
+
+
+def test_quantize_refuses_order_beyond_verified_range(tmp_path):
+    # corpus/sl2.rmat stops at leg degree 4: its rescaled residual is
+    # nonzero from hbar^6 on, which must be found before any solving
+    out = tmp_path / "K.twist"
+    proc = _run_cli(["quantize", "--algebra", SL2, "--rmatrix", SL2_R,
+                     "--order", "6", "--out", str(out)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("residual failure: ")
+    assert "verified only through order 5" in proc.stderr
+    assert not out.exists()
+
+
+BAD_R = "rmatrix\nterm 1 * e^f * 1\nterm 3 * e^f * h\nend\n"
+
+
+def test_quantize_refuses_input_that_fails_below_the_order(tmp_path, capsys):
+    # e^f + 3 e^f (x) h passes the leg-degree-0 check of --shdeg 0, but
+    # its rescaled residual has an hbar^2 term
+    rmat = tmp_path / "bad.rmat"
+    rmat.write_text(BAD_R)
+    code = main(["quantize", "--algebra", SL2, "--rmatrix", str(rmat),
+                 "--shdeg", "0", "--order", "2"])
+    assert code == 1
+    assert "verified only through order 1" in capsys.readouterr().err
+
+
+def test_solver_failure_names_order_and_slice(tmp_path, capsys,
+                                              monkeypatch):
+    # with the range check out of the way the solver meets the order-2
+    # obstruction of the same input, and the report names its slice
+    monkeypatch.setattr("dyntwist.cli.taylor_rescale", lambda rho, n: None)
+    rmat = tmp_path / "bad.rmat"
+    rmat.write_text(BAD_R)
+    code = main(["quantize", "--algebra", SL2, "--rmatrix", str(rmat),
+                 "--shdeg", "0", "--order", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "solver failure (ObstructionNotRepaired) at order 2, length "
+    )
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("doc", [

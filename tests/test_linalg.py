@@ -1,10 +1,95 @@
 from fractions import Fraction
+from itertools import chain
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dyntwist import linalg
+from dyntwist.hseries import add_into
 
 F = Fraction
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+
+
+# -- reference: the plain left-to-right elimination ------------------------
+# A verbatim copy of the scan-every-row rref that the indexed one replaced,
+# with kernel_basis and solve written over it as they were.  The indexed
+# rref must agree with it exactly, key order of every dict included.
+
+
+def reference_rref(rows, ncols):
+    rows = [dict(r) for r in rows if r]
+    reduced = []
+    pivots = []
+    for col in range(ncols):
+        pivot_row = None
+        for i, r in enumerate(rows):
+            if r.get(col, _F0) != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        r = rows.pop(pivot_row)
+        inv = _F1 / r[col]
+        r = {c: v * inv for c, v in r.items() if v != 0}
+        for other in chain(rows, reduced):
+            f = other.get(col)
+            if f:
+                for c, v in r.items():
+                    nv = other.get(c, _F0) - f * v
+                    if nv == 0:
+                        other.pop(c, None)
+                    else:
+                        other[c] = nv
+        reduced.append(r)
+        pivots.append(col)
+        rows = [x for x in rows if x]
+        if not rows:
+            break
+    return reduced, pivots
+
+
+def reference_kernel_basis(columns):
+    ncols = len(columns)
+    reduced, pivot_cols = reference_rref(linalg._rows(columns), ncols)
+    pivot_set = set(pivot_cols)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = {free: _F1}
+        for r, p in zip(reduced, pivot_cols):
+            c = r.get(free, _F0)
+            if c != 0:
+                vec[p] = -c
+        basis.append(vec)
+    return basis
+
+
+def reference_solve(columns, targets):
+    ncols = len(columns)
+    reduced, pivot_cols = reference_rref(
+        linalg._rows(list(columns) + list(targets)), ncols
+    )
+    sols = []
+    for t, target in enumerate(targets):
+        sol = {}
+        for r, p in zip(reduced, pivot_cols):
+            b = r.get(ncols + t, _F0)
+            if b != 0:
+                sol[p] = b
+        image: dict = {}
+        for p, a in sol.items():
+            for key, v in columns[p].items():
+                add_into(image, key, a * v)
+        consistent = image == {k: v for k, v in target.items() if v != 0}
+        sols.append(sol if consistent else None)
+    return sols
+
+
+def _ordered(dicts):
+    """A list of dicts as item lists, so that key order is compared too."""
+    return [None if d is None else list(d.items()) for d in dicts]
 
 
 def _mat(rows):
@@ -123,3 +208,56 @@ def test_pivots_are_where_the_prefix_rank_rises(columns):
     ]
     assert linalg.pivots(columns) == rises
     assert linalg.rank(columns) == len(rises)
+
+
+# -- the indexed rref against the reference --------------------------------
+
+# sparse systems: few distinct values, explicit zeros and empty columns
+sparse_entries = st.sampled_from([0, 0, 1, -1, 2, -3, 5]).map(F)
+row_pool = st.sampled_from(["a", "b", ("c", 1), 7, None, (), 2.5, "z"])
+sparse_vectors = st.dictionaries(row_pool, sparse_entries, max_size=5)
+sparse_rows = st.dictionaries(
+    st.integers(min_value=0, max_value=9), sparse_entries, max_size=6
+)
+
+
+@given(st.lists(sparse_rows, max_size=8), st.integers(0, 10))
+# an explicit zero is neither a pivot nor a divisor, and a zero that
+# fill-in overwrites keeps its place in the row
+@example([{0: F(0), 1: F(2)}, {0: F(3), 1: F(0)}, {1: F(0)}], 2)
+@example([{0: F(1), 2: F(1)}, {2: F(0), 0: F(2), 1: F(5)}], 3)
+def test_rref_equals_reference(rows, ncols):
+    """Same reduced rows, key order included, and the same pivots.
+
+    Entries at column indices >= ncols are carried along, as the solve
+    targets are.
+    """
+    got_rows, got_pivots = linalg.rref(rows, ncols)
+    ref_rows, ref_pivots = reference_rref(rows, ncols)
+    assert got_pivots == ref_pivots
+    assert _ordered(got_rows) == _ordered(ref_rows)
+
+
+@given(st.lists(sparse_rows, max_size=8), st.integers(0, 10))
+def test_rref_leaves_its_input_alone(rows, ncols):
+    before = _ordered(rows)
+    linalg.rref(rows, ncols)
+    assert _ordered(rows) == before
+
+
+@given(st.lists(sparse_vectors, max_size=8))
+def test_kernel_basis_and_pivots_equal_reference(columns):
+    assert _ordered(linalg.kernel_basis(columns)) == _ordered(
+        reference_kernel_basis(columns)
+    )
+    assert linalg.pivots(columns) == reference_rref(
+        linalg._rows(columns), len(columns)
+    )[1]
+
+
+@given(st.lists(sparse_vectors, max_size=8),
+       st.lists(sparse_vectors, max_size=4))
+def test_solve_equals_reference(columns, targets):
+    assert _ordered(linalg.solve(columns, targets)) == _ordered(
+        reference_solve(columns, targets)
+    )

@@ -130,6 +130,22 @@ def test_unsolvable_order_is_reported_as_obstruction(sl2):
     assert isinstance(info.value.__cause__, NoSolution)
 
 
+def test_obstruction_carries_its_slice(sl2):
+    # the same unsolvable order 2: the failing coboundary solve is an
+    # arity-3 target slice, and its length reaches ObstructionNotRepaired
+    body = CdybElement.monomial((0, 2), (), F(1), 2) + CdybElement.monomial(
+        (0, 2), (1,), F(3), 2
+    )
+    with pytest.raises(ObstructionNotRepaired) as info:
+        solve_adte(RMatrix(sl2, body, check=False), 2)
+    exc, cause = info.value, info.value.__cause__
+    assert cause.arity == 3
+    assert isinstance(cause.length, int)
+    assert exc.length == cause.length
+    assert (cause.residual.total_lengths()) == [cause.length]
+    assert f"length-{exc.length} slice" in str(exc)
+
+
 # -- conversion and valuation ----------------------------------------------
 
 
