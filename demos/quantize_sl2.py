@@ -45,5 +45,5 @@ print("equation residual zero:", adte_residual(pair.K).is_zero())
 ok, _ = semiclassical_check(pair.J, rho)
 print("semiclassical limit reproduces rho:", ok)
 print("formal residual zero on the determined triangle:",
-      dte_residual(pair.J).total_truncate(N).is_zero())
+      dte_residual(pair.J).is_zero())
 print("round trip J -> K:", j_to_k(pair.J) == pair.K)

@@ -138,7 +138,8 @@ def slotwise_product(A, B, leg_mul):
     """PBW products slot by slot, leg_mul(s, t) -> {leg: coeff} on the legs.
 
     The product is truncated to the smaller order N; term pairs whose
-    valuations add up to more than N are never expanded.
+    `graded_terms` weights (the valuations, or for formal twists the
+    total valuations) add up to more than N are never expanded.
     """
     if A.arity != B.arity:
         raise GradingMismatch("arity mismatch in product")
@@ -643,7 +644,8 @@ def adte_residual(K: AdtElement, mode: str = "direct") -> AdtElement:
     The residual is exact mod hbar^(N+1), N = K.order: a pair of terms
     whose valuations add up to more than N is skipped, as it contributes
     nothing there.  Truncation is a ring map, so the hbar^n layer of the
-    residual is also the hbar^n layer of adte_residual(K.truncate(n)).
+    residual is also the hbar^n layer of adte_residual(K.truncate(n));
+    `adte_residual_layer` computes that layer alone.
     """
     if K.arity != 2:
         raise GradingMismatch("twist residual requires arity 2")
@@ -656,28 +658,38 @@ def adte_residual(K: AdtElement, mode: str = "direct") -> AdtElement:
     order = K.order
     out: dict = {}
     items = K.graded_terms()
-    for (f1, f2, leg), c1, v1 in items:
-        for (g1, g2, legg), c2, v2 in items:
+    for k1, c1, v1 in items:
+        for k2, c2, v2 in items:
             if v1 + v2 > order:
                 break
-            c = c1 * c2
-            # K^{12,3,4} K^{1,2,34}
-            for p1, m1 in coproduct_mono(f1, 2).items():
-                for p2, m2 in coproduct_mono(legg, 2).items():
-                    slots = (
-                        p1[0] + g1,
-                        p1[1] + g2,
-                        f2 + p2[0],
-                        leg + p2[1],
-                    )
-                    _straight_key(uea, slots, out, c * (m1 * m2))
-            # - K^{1,23,4} K^{2,3,4}
-            for p1, m1 in coproduct_mono(f2, 2).items():
-                slots = (
-                    f1,
-                    p1[0] + g1,
-                    p1[1] + g2,
-                    leg + legg,
-                )
-                _straight_key(uea, slots, out, -(c * m1))
+            _adte_pair(uea, k1, k2, c1 * c2, out)
     return AdtElement(uea, 3, out, order)
+
+
+def adte_residual_layer(K: AdtElement, n: int) -> dict:
+    """adte_residual(K).layer(n), from the layer pairs K_a, K_b, a + b = n."""
+    layers = [K.layer(a) for a in range(n + 1)]
+    out: dict = {}
+    for a in range(n + 1):
+        for k1, c1 in layers[a].items():
+            for k2, c2 in layers[n - a].items():
+                _adte_pair(K.uea, k1, k2, c1 * c2, out)
+    return out
+
+
+def _adte_pair(uea, k1, k2, c, out):
+    """Add the residual terms of the pair (k1, k2) of K, times c, to out.
+
+    c is a Fraction or an HSeries.
+    """
+    f1, f2, leg = k1
+    g1, g2, legg = k2
+    # K^{12,3,4} K^{1,2,34}
+    for p1, m1 in coproduct_mono(f1, 2).items():
+        for p2, m2 in coproduct_mono(legg, 2).items():
+            slots = (p1[0] + g1, p1[1] + g2, f2 + p2[0], leg + p2[1])
+            _straight_key(uea, slots, out, c * (m1 * m2))
+    # - K^{1,23,4} K^{2,3,4}
+    for p1, m1 in coproduct_mono(f2, 2).items():
+        slots = (f1, p1[0] + g1, p1[1] + g2, leg + legg)
+        _straight_key(uea, slots, out, -(c * m1))

@@ -100,37 +100,21 @@ def adt_inverse(A: AdtElement) -> AdtElement:
     return acc
 
 
-def total_valuation(F: FormalTwist):
-    """Minimal hbar order plus leg degree over all terms (None for zero)."""
-    best = None
-    for key, c in F.terms.items():
-        v = c.valuation()
-        if v is None:
-            continue
-        t = v + len(key[-1])
-        if best is None or t < best:
-            best = t
-    return best
-
-
-def formal_inverse(T: FormalTwist, bound=None) -> FormalTwist:
+def formal_inverse(T: FormalTwist) -> FormalTwist:
     """Inverse by the geometric series in the total-degree filtration.
 
     A legitimate gauge element differs from the unit by terms of total
     degree (hbar order plus leg degree) at least one, so the series
-    terminates once truncated to the triangle.
+    terminates on the triangle.
     """
-    if bound is None:
-        bound = T.order
     unit = FormalTwist.unit(T.uea, T.arity, T.order)
-    R = (unit - T).total_truncate(bound)
-    tv = total_valuation(R)
-    if tv is not None and tv < 1:
+    R = unit - T
+    if R.terms and R.graded_terms()[0][2] < 1:
         raise NotInvertible("element is not unit plus total-degree >= 1")
     acc = unit
     pw = unit
-    for _ in range(bound):
-        pw = (pw * R).total_truncate(bound)
+    for _ in range(T.order):
+        pw = pw * R
         if pw.is_zero():
             break
         acc = acc + pw
@@ -177,16 +161,10 @@ def gauge_act_formal(T, J: FormalTwist) -> FormalTwist:
     T = _as_formal(T)
     if T.arity != 1 or J.arity != 2:
         raise GradingMismatch("gauge has one factor, twist has two")
-    bound = min(T.order, J.order)
-    T = T.total_truncate(bound)
-    J = J.total_truncate(bound)
-    t12 = coproduct_at(T, 0)
-    t2_inv = formal_inverse(unit_at(T, 0), bound)
-    t1s_inv = formal_inverse(shift_argument(T, form="coproduct"), bound)
-    out = (t12 * J).total_truncate(bound)
-    out = (out * t2_inv).total_truncate(bound)
-    out = (out * t1s_inv).total_truncate(bound)
-    return out
+    T = T.truncate(J.order)
+    t2_inv = formal_inverse(unit_at(T, 0))
+    t1s_inv = formal_inverse(shift_argument(T, form="coproduct"))
+    return coproduct_at(T, 0) * J * t2_inv * t1s_inv
 
 
 def gauge_to_formal(uea: UEnvelope, Q) -> FormalTwist:

@@ -12,7 +12,8 @@ Every bilinear product of two elements is truncated to the smaller
 order N, so a pair of terms whose coefficient valuations add up to more
 than N contributes nothing.  The product loops read both factors through
 `SparseSeries.graded_terms`, sorted by valuation, and leave the inner
-loop at the first such pair.
+loop at the first such pair.  A formal twist sorts by hbar valuation
+plus leg degree instead, the grading of its truncation triangle.
 """
 
 from __future__ import annotations
@@ -299,21 +300,26 @@ class SparseSeries:
         return self._like(self.layer(n), self.order)
 
     def graded_terms(self):
-        """(key, coeff, valuation) triples sorted by hbar valuation.
+        """(key, coeff, weight) triples sorted by `_weight`.
 
         Built once per element.  A product loop over two elements stops
-        its inner loop at the first term whose valuation, added to the
+        its inner loop at the first term whose weight, added to the
         outer term's, exceeds the product's order.
         """
         try:
             return self._graded
         except AttributeError:
             pass
+        weight = self._weight
         self._graded = sorted(
-            ((k, c, c.valuation()) for k, c in self.terms.items()),
+            ((k, c, weight(k, c)) for k, c in self.terms.items()),
             key=lambda t: t[2],
         )
         return self._graded
+
+    @staticmethod
+    def _weight(key, c):  # adds up under products, as graded_terms needs
+        return c.valuation()
 
     def truncate(self, n: int):
         """The image mod hbar^(n+1) (self when n is not below the order).

@@ -4,7 +4,7 @@ The pipeline: validate an r-matrix, rescale it to a Maurer-Cartan element,
 solve the algebraic twist equation order by order in hbar (an obstruction
 at some order is reported, not repaired), convert the algebraic twist K to
 the formal twist J, and verify the dynamical twist equation with the PBW
-star product.
+star product on the triangle (hbar order + leg degree <= N) K determines.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from . import cdyb_dgla
 from .adt_dgla import (
     AdtElement,
     adte_residual,
+    adte_residual_layer,
     alt_embed,
     coproduct_at,
     differential_b,
@@ -87,7 +88,8 @@ class RMatrix:
             if not head.is_zero():
                 raise NotMaurerCartan(
                     "classical dynamical equation residual nonzero below "
-                    f"the truncation degree {truncation}: {head!r}"
+                    f"the truncation degree {truncation}: {head.pretty(lie)}",
+                    residual=head,
                 )
 
     def layer(self, n: int, order: int) -> CdybElement:
@@ -123,7 +125,8 @@ def taylor_rescale(rho: RMatrix, order: int) -> CdybElement:
     res = cdyb_dgla.cdybe_residual(rho.lie, alpha, mode="dgla")
     if not res.is_zero():
         raise NotMaurerCartan(
-            f"rescaled element fails Maurer-Cartan: residual {res!r}",
+            "rescaled element fails Maurer-Cartan: residual "
+            + res.pretty(rho.lie),
             residual=res,
         )
     return alpha
@@ -137,6 +140,16 @@ class FormalTwist(SparseSeries):
 
     Keys are tuples of `arity` PBW monomials (the group factors) followed
     by one sorted leg monomial (a commutative word in the base indices).
+
+    An element of order N lives on the triangle hbar order + leg degree
+    <= N, where a twist through hbar order N determines J exactly.  This
+    total degree adds up under the group products, the star product (its
+    hbar-scaled symmetrization is homogeneous) and the argument shift
+    x -> hbar x (x) 1 + 1 (x) x, so the terms above N form a two-sided
+    ideal: the constructor drops them, `truncate(n)` cuts to a smaller
+    triangle, and `graded_terms` sorts by total valuation.  No formal
+    path applies the leg coaction `coproduct_at(J, arity)`, which lowers
+    the total degree.
     """
 
     __slots__ = ("uea", "arity")
@@ -147,6 +160,18 @@ class FormalTwist(SparseSeries):
         self.uea = uea
         self.arity = arity
         super().__init__(terms, order)
+        terms = self.terms
+        for key in [k for k in terms if k[-1]]:
+            coeffs = terms[key].coeffs
+            cap = max(order + 1 - len(key[-1]), 0)
+            if not any(coeffs[:cap]):
+                del terms[key]
+            elif any(coeffs[cap:]):
+                terms[key] = HSeries(coeffs[:cap], order)
+
+    @staticmethod
+    def _weight(key, c):
+        return c.valuation() + len(key[-1])
 
     @classmethod
     def zero(cls, uea, arity, order):
@@ -165,27 +190,6 @@ class FormalTwist(SparseSeries):
             {(k[1], k[0], k[2]): c for k, c in self.terms.items()},
             self.order,
         )
-
-    def total_truncate(self, bound: int) -> "FormalTwist":
-        """Drop layers with hbar order plus leg degree above the bound.
-
-        A twist computed through hbar order N determines its formal
-        counterpart exactly on this triangle (the order-m, leg-degree-d
-        layer comes from the order-(m + d) coefficient), so residual
-        checks on converted twists are meaningful only inside it.
-        """
-        terms = {}
-        for key, c in self.terms.items():
-            cap = bound - len(key[-1])
-            if cap < 0:
-                continue
-            kept = HSeries(
-                [c.coeff(m) for m in range(min(cap, self.order) + 1)],
-                self.order,
-            )
-            if not kept.is_zero():
-                terms[key] = kept
-        return FormalTwist(self.uea, self.arity, terms, self.order)
 
     def __mul__(self, other: "FormalTwist") -> "FormalTwist":
         """Slotwise group products, star product on the legs."""
@@ -392,7 +396,7 @@ def shift_argument(J: FormalTwist, form: str = "both") -> FormalTwist:
 def dte_residual(J: FormalTwist) -> FormalTwist:
     """Residual of the dynamical twist equation (trivial associator).
 
-    Zero iff J is a formal dynamical twist within the truncation.
+    Zero iff J is a formal dynamical twist on its triangle.
     """
     if J.arity != 2:
         raise GradingMismatch("twist equation requires two group factors")
@@ -523,8 +527,8 @@ def solve_adte(rho: RMatrix, N: int, uea: UEnvelope | None = None,
     coboundary equation against the order-n equation residual.  When that
     linear problem has no solution the order-n obstruction is reported as
     ObstructionNotRepaired; no lower order is re-opened.  The order-n
-    residual and the check of the correction are computed from K mod
-    hbar^(n+1); the full residual of the result is recomputed at the end.
+    residual and its check after the correction sum only the layer pairs
+    K_a, K_b with a + b = n; the full residual is recomputed at the end.
 
     With perturb_seed set, a seeded random coboundary is mixed into each
     coefficient from order 2 on; different seeds give different but
@@ -541,8 +545,7 @@ def solve_adte(rho: RMatrix, N: int, uea: UEnvelope | None = None,
         if rng is not None and n >= 2:
             pert = _random_coboundary(uea, rng, n, order)
             K = K + pert.scale(HSeries.hbar(order, n))
-        target = AdtElement(uea, 3, adte_residual(K.truncate(n)).layer(n),
-                            order)
+        target = AdtElement(uea, 3, adte_residual_layer(K, n), order)
         if target.is_zero():
             continue
         try:
@@ -553,7 +556,7 @@ def solve_adte(rho: RMatrix, N: int, uea: UEnvelope | None = None,
                 length=exc.length,
             ) from exc
         K = K + corr.scale(HSeries.hbar(order, n))
-        if adte_residual(K.truncate(n)).layer(n):
+        if adte_residual_layer(K, n):
             raise ObstructionNotRepaired(
                 f"order-{n} correction did not close the equation",
                 order=n, obstruction=target,

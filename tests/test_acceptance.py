@@ -161,7 +161,7 @@ def _witness(lie, rho, pair):
     # a twist determined mod hbar^4 fixes its formal form exactly on the
     # triangle (hbar order) + (leg degree) <= 3; the residual there is
     # the full content of the formal equation at this truncation
-    assert dte_residual(J).total_truncate(ORDER).is_zero()
+    assert dte_residual(J).truncate(ORDER).is_zero()
     assert j_to_k(J) == K
 
 

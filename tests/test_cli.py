@@ -161,6 +161,38 @@ def test_verify_rejects_non_twists(tmp_path, capsys, doc):
     assert "valuation certificate: FAIL" in out
 
 
+@pytest.mark.parametrize("rmat, shdeg, code, err", [
+    # not invariant under the Cartan line
+    ("rmatrix\nterm 1 * e^h * 1\nend\n", "4", 2, "input error"),
+    # not a term line
+    ("rmatrix\nterm e^f\nend\n", "4", 2, "input error"),
+    # invariant, but not Maurer-Cartan below leg degree 1
+    ("rmatrix\nterm 1 * e^f * 1\nend\n", "1", 1, "residual failure"),
+])
+@pytest.mark.parametrize("twist_doc", [
+    None,
+    # fails the valuation certificate, which used to end the run before
+    # the r-matrix was read
+    "twist\narity 2\norder 2\nhbar 0\nterm 2 * (1 | 1 | 1)\nend\n",
+])
+def test_verify_reads_the_rmatrix_before_the_residuals(
+        tmp_path, capsys, rmat, shdeg, code, err, twist_doc):
+    twist = tmp_path / "K.twist"
+    if twist_doc is None:
+        assert main(["quantize", "--algebra", SL2, "--rmatrix", SL2_R,
+                     "--order", "2", "--out", str(twist)]) == 0
+    else:
+        twist.write_text(twist_doc)
+    bad = tmp_path / "bad.rmat"
+    bad.write_text(rmat)
+    proc = _run_cli(["verify-twist", "--algebra", SL2, "--rmatrix",
+                     str(bad), "--shdeg", shdeg, str(twist)])
+    assert proc.returncode == code
+    assert proc.stderr.startswith(err)
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_quantize_verify_round_trip(tmp_path, capsys):
     twist = tmp_path / "K.twist"
     code = main(["quantize", "--algebra", SL2, "--rmatrix", SL2_R,

@@ -132,7 +132,7 @@ def _exp_leg_gauge(uea, order):
 
 def test_formal_identity(sl2_uea, sl2_pair):
     T = FormalTwist.unit(sl2_uea, 1, ORDER)
-    assert gauge_act_formal(T, sl2_pair.J) == sl2_pair.J.total_truncate(
+    assert gauge_act_formal(T, sl2_pair.J) == sl2_pair.J.truncate(
         ORDER
     )
 
@@ -140,8 +140,8 @@ def test_formal_identity(sl2_uea, sl2_pair):
 def test_formal_inverse(sl2_uea):
     T = _exp_leg_gauge(sl2_uea, ORDER)
     unit = FormalTwist.unit(sl2_uea, 1, ORDER)
-    prod = (T * formal_inverse(T)).total_truncate(ORDER)
-    assert prod == unit.total_truncate(ORDER)
+    prod = (T * formal_inverse(T)).truncate(ORDER)
+    assert prod == unit.truncate(ORDER)
 
 
 def test_formal_inverse_requires_valuation(sl2_uea):
@@ -155,7 +155,7 @@ def test_formal_inverse_requires_valuation(sl2_uea):
 def test_formal_action_preserves_equation(sl2_uea, sl2_pair):
     T = _exp_leg_gauge(sl2_uea, ORDER)
     J2 = gauge_act_formal(T, sl2_pair.J)
-    assert dte_residual(J2).total_truncate(ORDER).is_zero()
+    assert dte_residual(J2).truncate(ORDER).is_zero()
 
 
 def test_formal_algebraic_consistency(sl2_uea, sl2_pair):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -25,7 +26,9 @@ from dyntwist import (
     solve_adte,
     taylor_rescale,
 )
-from dyntwist.quantizer import FormalTwist
+from dyntwist.adt_dgla import adte_residual_layer
+from dyntwist.hseries import add_into
+from dyntwist.quantizer import FormalTwist, _poly_to_series, _star_mono
 
 from conftest import ORDER, geometric_body, mixed_element
 
@@ -44,6 +47,23 @@ def test_rmatrix_rejects_nonsolution(sl2):
     body = CdybElement.monomial((0, 2), (), F(1), ORDER)
     with pytest.raises(NotMaurerCartan):
         RMatrix(sl2, body, truncation=1)
+
+
+def test_rmatrix_residual_is_attached_and_named(sl2):
+    # e^f (1 + h^2) fails the classical equation at leg degrees 0, 1, 2
+    # and 4; the empty leg and the leg h must not print alike
+    body = (CdybElement.monomial((0, 2), (), F(1), ORDER)
+            + CdybElement.monomial((0, 2), (1, 1), F(1), ORDER))
+    with pytest.raises(NotMaurerCartan) as exc:
+        RMatrix(sl2, body, truncation=3)
+    head = exc.value.residual
+    assert sorted(head.sh_degrees()) == [0, 1, 2]
+    full = cdyb_dgla.cdybe_residual(sl2, body, mode="dgla")
+    assert head == full - full.component(sh=4)
+    message = str(exc.value)
+    assert message.endswith(
+        "e^h^f | 1 + (HSeries(2; N=3)) e^h^f | h"
+        " + (HSeries(-2; N=3)) e^h^f | h*h")
 
 
 def test_rmatrix_residual_split(sl2_rho):
@@ -72,7 +92,7 @@ def _check_pipeline(lie, rho, pair):
             assert f <= n - 1
     ok, residual = semiclassical_check(J, rho)
     assert ok, residual
-    assert dte_residual(J).total_truncate(K.order).is_zero()
+    assert dte_residual(J).truncate(K.order).is_zero()
     assert j_to_k(J) == K
     assert j_to_k(k_to_j(K.uea, K)) == K
 
@@ -203,6 +223,23 @@ def test_star_associativity(nonab_uea):
         assert all(c.is_zero() for c in diff.values())
 
 
+def test_star_product_is_homogeneous(nonab_uea):
+    # hbar power plus leg degree is |s| + |t| in every term, so the total
+    # degree adds up under the star product and the triangle is closed
+    h = nonab_uea.lie.h_indices
+    legs = [leg for d in range(4)
+            for leg in itertools.combinations_with_replacement(h, d)]
+    lowered = 0
+    for s in legs:
+        for t in legs:
+            for m, p in _star_mono(nonab_uea, s, t).items():
+                assert p
+                for power in p:
+                    assert power + len(m) == len(s) + len(t)
+                    lowered += len(m) < len(s) + len(t)
+    assert lowered
+
+
 def test_star_abelian_base_is_commutative(sl2_uea):
     one = HSeries.one(ORDER)
     f = {(1,): one}
@@ -243,6 +280,85 @@ def test_shift_of_legless_twist_pads_a_unit_slot(ab2_uea, ab2_pair):
 # -- truncation oracles ------------------------------------------------------
 
 
+def _reference_formal_product(uea, arity, order, terms_a, terms_b):
+    """The formal product expanded in full, then cut to the triangle.
+
+    The slotwise product loop over every term pair (the break reads the
+    hbar valuation alone) followed by the triangle truncation, both
+    applied to raw term dicts that may reach off the triangle.
+    """
+    def graded(terms):
+        return sorted(((k, c, c.valuation()) for k, c in terms.items()),
+                      key=lambda t: t[2])
+
+    def leg_mul(s, t):
+        return {
+            m: _poly_to_series(p, order)
+            for m, p in _star_mono(uea, s, t).items()
+        }
+
+    out: dict = {}
+    terms_b = graded(terms_b)
+    for k1, c1, v1 in graded(terms_a):
+        for k2, c2, v2 in terms_b:
+            if v1 + v2 > order:
+                break
+            c = c1 * c2
+            exps = [
+                uea.mul_mono(k1[i], k2[i]).items() for i in range(arity)
+            ]
+            exps.append(leg_mul(k1[-1], k2[-1]).items())
+            for combo in itertools.product(*exps):
+                coeff = c
+                for _, d in combo:
+                    coeff = coeff * d
+                add_into(out, tuple(m for m, _ in combo), coeff)
+    # the triangle truncation: keep hbar order + leg degree <= order
+    terms = {}
+    for key, c in out.items():
+        cap = order - len(key[-1])
+        if cap < 0:
+            continue
+        kept = HSeries(
+            [c.coeff(m) for m in range(min(cap, order) + 1)], order
+        )
+        if not kept.is_zero():
+            terms[key] = kept
+    return terms
+
+
+def _off_triangle_terms(uea, rng, arity, order):
+    """mixed_element's raw terms plus legs whose series leave the triangle."""
+    terms = dict(mixed_element(uea, rng, arity, order, terms=8).terms)
+    h = uea.lie.h_indices
+    for d in (1, 2):
+        leg = tuple(sorted(rng.choice(h) for _ in range(d)))
+        key = tuple((rng.randrange(uea.lie.dim),) for _ in range(arity))
+        add_into(terms, key + (leg,), HSeries.hbar(order, order - d)
+                 + HSeries.hbar(order, order - d + 1, rng.choice([-1, 1])))
+    return terms
+
+
+@pytest.mark.parametrize("uea_name", ["sl2_uea", "nonab_uea"])
+def test_formal_product_on_the_triangle(request, uea_name):
+    # raw terms reach off the triangle (valuation up to the order, legs up
+    # to length 2); the constructor drops them, the reference keeps them
+    uea = request.getfixturevalue(uea_name)
+    rng = random.Random(23)
+    for arity in (1, 2, 3):
+        for order in (ORDER, ORDER + 1):
+            raws = [_off_triangle_terms(uea, rng, arity, order)
+                    for _ in range(2)]
+            A, B = (FormalTwist(uea, arity, t, order) for t in raws)
+            assert any(
+                c.coeff(m) and m + len(k[-1]) > order
+                for t in raws for k, c in t.items()
+                for m in range(order + 1)
+            )
+            expected = _reference_formal_product(uea, arity, order, *raws)
+            assert (A * B).terms == expected
+
+
 def test_formal_product_truncation_oracle(nonab_uea):
     # the star product on the nonabelian base raises valuations as well
     rng = random.Random(21)
@@ -255,20 +371,27 @@ def test_formal_product_truncation_oracle(nonab_uea):
         assert low.layer(ORDER)
 
 
-@pytest.mark.parametrize("base", ["unit", "sl2_twist"])
-def test_layer_residual_from_truncated_twist(request, sl2_uea, base):
-    # the order-n layer of the residual needs K only mod hbar^(n+1)
+@pytest.mark.parametrize("base", ["unit", "aff_unit", "nonab_unit",
+                                  "sl2_twist"])
+def test_layer_residual_from_truncated_twist(request, base):
+    # the order-n layer of the residual needs K only mod hbar^(n+1), and
+    # only the pairs of layers K_a, K_b with a + b = n
     rng = random.Random(22)
-    if base == "unit":
-        K = AdtElement.unit(sl2_uea, 2, ORDER) + mixed_element(
-            sl2_uea, rng, 2, ORDER, terms=6)
-    else:
+    if base == "sl2_twist":
+        uea = request.getfixturevalue("sl2_uea")
         K = request.getfixturevalue("sl2_pair").K + mixed_element(
-            sl2_uea, rng, 2, ORDER, terms=5).scale(HSeries.hbar(ORDER, 1))
+            uea, rng, 2, ORDER, terms=5).scale(HSeries.hbar(ORDER, 1))
+    else:
+        uea = request.getfixturevalue(
+            {"unit": "sl2_uea", "aff_unit": "aff_uea",
+             "nonab_unit": "nonab_uea"}[base])
+        K = AdtElement.unit(uea, 2, ORDER) + mixed_element(
+            uea, rng, 2, ORDER, terms=6)
     full = adte_residual(K)
     assert full.layer(ORDER)
     for n in range(ORDER + 1):
         assert adte_residual(K.truncate(n)).layer(n) == full.layer(n)
+        assert adte_residual_layer(K, n) == full.layer(n)
 
 
 def test_twist_pair_carries_its_residual(sl2_pair):
