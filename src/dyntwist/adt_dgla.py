@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
+from bisect import bisect_left
 from fractions import Fraction
 
 from . import linalg
@@ -135,33 +137,37 @@ def unit_at(E, i: int):
 
 
 def slotwise_product(A, B, leg_mul):
-    """PBW products slot by slot, leg_mul(s, t) -> {leg: coeff} on the legs.
+    """PBW products slot by slot; leg_mul(s, t) yields (leg, power, Fraction).
 
-    The product is truncated to the smaller order N; term pairs whose
-    `graded_terms` weights (the valuations, or for formal twists the
-    total valuations) add up to more than N are never expanded.
+    The legs multiply into hbar^power times leg.  The product is
+    truncated to the smaller order N: a pair of layer terms whose weights
+    (hbar powers, or for formal twists hbar power plus leg degree) add up
+    to more than N is never expanded.
     """
     if A.arity != B.arity:
         raise GradingMismatch("arity mismatch in product")
     uea = A.uea
     order = min(A.order, B.order)
-    out: dict = {}
-    terms_b = B.graded_terms()
-    for k1, c1, v1 in A.graded_terms():
-        for k2, c2, v2 in terms_b:
-            if v1 + v2 > order:
+    prec = min(A.precision(), B.precision())
+    outs = [{} for _ in range(prec + 1)]
+    terms_b = B.layer_terms()
+    for k1, a1, n1, w1 in A.layer_terms():
+        for k2, a2, n2, w2 in terms_b:
+            if w1 + w2 > order:
                 break
-            c = c1 * c2
-            exps = [
-                uea.mul_mono(k1[i], k2[i]).items() for i in range(A.arity)
-            ]
-            exps.append(leg_mul(k1[-1], k2[-1]).items())
-            for combo in itertools.product(*exps):
-                coeff = c
-                for _, d in combo:
-                    coeff = coeff * d
-                add_into(out, tuple(m for m, _ in combo), coeff)
-    return type(A)(uea, A.arity, out, order)
+            slots = [((), a1 * a2)]
+            for i in range(A.arity):
+                exp = uea.mul_mono(k1[i], k2[i]).items()
+                slots = [(pre + (m,), c * d) for pre, c in slots
+                         for m, d in exp]
+            for leg, q, d in leg_mul(k1[-1], k2[-1]):
+                n = n1 + n2 + q
+                if n > prec:
+                    continue
+                acc = outs[n]
+                for pre, c in slots:
+                    add_into(acc, pre + (leg,), c * d)
+    return type(A).from_layers(uea, A.arity, outs, order)
 
 
 # -- differential ----------------------------------------------------------
@@ -172,26 +178,28 @@ def differential_b(P: AdtElement) -> AdtElement:
 
     Terms: unit inserted in slot 1 (positive), then alternating coproducts
     on each U g factor, and finally the coaction splitting of the leg with
-    its U g part becoming the new last tensor factor.
+    its U g part becoming the new last tensor factor.  b carries no hbar,
+    so it maps each layer to the same layer.
     """
     k = P.arity
-    terms: dict = {}
-    for key, c in P.terms.items():
+    outs = [{} for _ in range(P.precision() + 1)]
+    for key, a, n, _ in P.layer_terms():
+        terms = outs[n]
         gfac = key[:-1]
         leg = key[-1]
         # unit insertion on the left
-        add_into(terms, ((),) + gfac + (leg,), c)
+        add_into(terms, ((),) + gfac + (leg,), a)
         # coproduct on factor i (1-based), sign (-1)^i
         for i in range(1, k + 1):
             sgn = -1 if i % 2 else 1
             for parts, mult in coproduct_mono(gfac[i - 1], 2).items():
                 new = gfac[: i - 1] + parts + gfac[i:] + (leg,)
-                add_into(terms, new, c * (sgn * mult))
+                add_into(terms, new, a * (sgn * mult))
         # coaction on the leg, sign (-1)^{k+1}
         sgn = -1 if (k + 1) % 2 else 1
         for parts, mult in coproduct_mono(leg, 2).items():
-            add_into(terms, gfac + parts, c * (sgn * mult))
-    return AdtElement(P.uea, k + 1, terms, P.order)
+            add_into(terms, gfac + parts, a * (sgn * mult))
+    return AdtElement.from_layers(P.uea, k + 1, outs, P.order)
 
 
 # -- cup product -----------------------------------------------------------
@@ -203,41 +211,43 @@ def cup(P: AdtElement, Q: AdtElement) -> AdtElement:
     P's factors occupy the first k slots; its leg is spread by the
     iterated coaction over the last l slots and the leg, multiplying in
     front of Q's content.  The result is truncated to the smaller order
-    N; term pairs whose valuations add up to more than N are skipped.
+    N; layer-term pairs whose hbar powers add up to more than N are
+    skipped.
     """
     if P.uea is not Q.uea:
         raise GradingMismatch("cup of elements over different algebras")
     k, l = P.arity, Q.arity
-    order = min(P.order, Q.order)
-    terms: dict = {}
-    terms_q = Q.graded_terms()
-    for keyP, cP, vP in P.graded_terms():
+    prec = min(P.precision(), Q.precision())
+    outs = [{} for _ in range(prec + 1)]
+    terms_q = Q.layer_terms()
+    for keyP, aP, nP, _ in P.layer_terms():
         gP, legP = keyP[:-1], keyP[-1]
         for parts, mult in coproduct_mono(legP, l + 1).items():
-            for keyQ, cQ, vQ in terms_q:
-                if vP + vQ > order:
+            aPm = aP * mult
+            for keyQ, aQ, nQ, _ in terms_q:
+                if nP + nQ > prec:
                     break
                 gQ, legQ = keyQ[:-1], keyQ[-1]
                 slots = list(gP)
                 for j in range(l):
                     slots.append(parts[j] + gQ[j])
                 slots.append(parts[l] + legQ)
-                _straight_key(P.uea, tuple(slots), terms, cP * cQ * mult)
-    return AdtElement(P.uea, k + l, terms, order)
+                _straight_key(P.uea, tuple(slots), outs[nP + nQ], aPm * aQ)
+    return AdtElement.from_layers(P.uea, k + l, outs, min(P.order, Q.order))
 
 
 def _straight_key(uea, slots, acc, coeff):
-    """Straighten every slot word and accumulate into `acc`."""
-    expansions = [uea.straighten(w) for w in slots]
-    partial = [((), _F1)]
-    for exp in expansions:
-        nxt = []
-        for pref, c0 in partial:
-            for m, c in exp.items():
-                nxt.append((pref + (m,), c0 * c))
-        partial = nxt
+    """Straighten every slot word and accumulate coeff times it into acc."""
+    partial = [((), coeff)]
+    for w in slots:
+        exp = uea.straighten(w)
+        if w in exp:  # a PBW monomial already, with coefficient 1
+            partial = [(pref + (w,), c0) for pref, c0 in partial]
+        else:
+            partial = [(pref + (m,), c0 * c) for pref, c0 in partial
+                       for m, c in exp.items()]
     for key, c in partial:
-        add_into(acc, key, coeff * c)
+        add_into(acc, key, c)
 
 
 # -- brace insertions ------------------------------------------------------
@@ -256,7 +266,8 @@ def brace(P: AdtElement, Qs) -> AdtElement:
     that it entails {1x1x1|P,Q} = (-1)^{(|Q|-1)|P|} P cup Q.
 
     The result is truncated to the smallest order N among P and the Q_s;
-    a choice of terms whose valuations add up to more than N is skipped.
+    a choice of layer terms whose hbar powers add up to more than N is
+    skipped.
     """
     Qs = list(Qs)
     m = len(Qs)
@@ -266,7 +277,8 @@ def brace(P: AdtElement, Qs) -> AdtElement:
     if m > k or n < 0:
         return AdtElement.zero(P.uea, max(n, 0), P.order)
     order = min([P.order] + [Q.order for Q in Qs])
-    out: dict = {}
+    prec = min([P.precision()] + [Q.precision() for Q in Qs])
+    outs = [{} for _ in range(prec + 1)]
     uea = P.uea
     for positions in itertools.combinations(range(1, k + 1), m):
         # sign exponent: sum_s (arity(Q_s)-1) * (0-based output start of block s)
@@ -282,11 +294,11 @@ def brace(P: AdtElement, Qs) -> AdtElement:
                 cursor += ks[s]
             else:
                 cursor += 1
-        _brace_placement(uea, P, Qs, positions, n, sgn, order, out)
-    return AdtElement(uea, n, out, order)
+        _brace_placement(uea, P, Qs, positions, n, sgn, outs)
+    return AdtElement.from_layers(uea, n, outs, order)
 
 
-def _brace_placement(uea, P, Qs, positions, n, sgn, order, out):
+def _brace_placement(uea, P, Qs, positions, n, sgn, outs):
     m = len(Qs)
     ks = [Q.arity for Q in Qs]
     consumed = {j: s for s, j in enumerate(positions)}  # input -> insertion idx
@@ -304,13 +316,13 @@ def _brace_placement(uea, P, Qs, positions, n, sgn, order, out):
         else:
             cursor += 1
     assert cursor == n
-    for keyP, cP, vP in P.graded_terms():
-        if vP > order:
+    top = len(outs) - 1
+    for keyP, aP, nP, _ in P.layer_terms():
+        if nP > top:
             break
         gP, legP = keyP[:-1], keyP[-1]
         # distribute P's factors
         base: list = [[] for _ in range(n + 1)]
-        coeffP = cP
         cursor = 0
         dead = False
         delta_choices = []  # (slot range, factor, width) needing coproduct
@@ -333,8 +345,8 @@ def _brace_placement(uea, P, Qs, positions, n, sgn, order, out):
             continue
         base[n].append(legP)
         # expand coproducts of consumed factors and Q contents recursively;
-        # each entry carries the valuation of the terms chosen so far
-        stack = [(base, coeffP, vP)]
+        # each entry carries the hbar power of the terms chosen so far
+        stack = [(base, aP, nP)]
         for start, f, w in delta_choices:
             nxt = []
             for slots, c0, v0 in stack:
@@ -350,10 +362,10 @@ def _brace_placement(uea, P, Qs, positions, n, sgn, order, out):
             w = ks[s]
             spread = n - (start + w)  # slots to the right of the block
             nxt = []
-            terms_q = Q.graded_terms()
+            terms_q = Q.layer_terms()
             for slots, c0, v0 in stack:
-                for keyQ, cQ, vQ in terms_q:
-                    if v0 + vQ > order:
+                for keyQ, cQ, vQ, _ in terms_q:
+                    if v0 + vQ > top:
                         break
                     gQ, legQ = keyQ[:-1], keyQ[-1]
                     for parts, mult in coproduct_mono(legQ, spread + 1).items():
@@ -365,11 +377,11 @@ def _brace_placement(uea, P, Qs, positions, n, sgn, order, out):
                         s2[n].append(parts[spread])
                         nxt.append((s2, c0 * cQ * mult, v0 + vQ))
             stack = nxt
-        for slots, c0, _ in stack:
+        for slots, c0, v0 in stack:
             words = tuple(
                 tuple(itertools.chain.from_iterable(slot)) for slot in slots
             )
-            _straight_key(uea, words, out, c0 * sgn)
+            _straight_key(uea, words, outs[v0], c0 * sgn)
 
 
 def gerstenhaber_bracket(
@@ -521,16 +533,13 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-_invariant_caches: "weakref.WeakKeyDictionary" = None
+# per algebra: {(arity, length): invariant basis} and {("b", arity,
+# length): {basis index: b-column}}
+_slice_caches: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def invariant_adt_basis(uea: UEnvelope, arity: int, total_length: int):
-    global _invariant_caches
-    if _invariant_caches is None:
-        import weakref
-
-        _invariant_caches = weakref.WeakKeyDictionary()
-    cache = _invariant_caches.setdefault(uea, {})
+    cache = _slice_caches.setdefault(uea, {})
     key = (arity, total_length)
     if key not in cache:
         keys = adt_monomials(uea, arity, total_length)
@@ -538,6 +547,22 @@ def invariant_adt_basis(uea: UEnvelope, arity: int, total_length: int):
             uea.lie, keys, lambda x, k: ad_adt_key(uea, x, k)
         )
     return cache[key]
+
+
+def b_column(uea: UEnvelope, arity: int, total_length: int, j: int):
+    """b of the j-th `invariant_adt_basis` vector, as {key: Fraction}.
+
+    b carries no hbar, so an order-0 element gives the column.  It
+    depends on no target: each is built once, when first asked for.
+    """
+    cache = _slice_caches.setdefault(uea, {})
+    columns = cache.setdefault(("b", arity, total_length), {})
+    col = columns.get(j)
+    if col is None:
+        v = AdtElement(uea, arity,
+                       invariant_adt_basis(uea, arity, total_length)[j], 0)
+        columns[j] = col = differential_b(v).layer(0)
+    return col
 
 
 def kappa_solve(
@@ -556,38 +581,30 @@ def kappa_solve(
     if target.arity == 0:
         raise GradingMismatch("cannot lower arity below zero")
     order = target.order
-    result = AdtElement.zero(uea, target.arity - 1, order)
+    arity = target.arity - 1
+    outs = [{} for _ in range(order + 1)]
     for L in target.total_lengths():
         slice_t = target.length_component(L)
-        basis = invariant_adt_basis(uea, target.arity - 1, L)
-        if max_filtration is not None:
-            basis = [
-                v
-                for v in basis
-                if all(len(key[-1]) <= max_filtration for key in v)
-            ]
-        # b carries no hbar: an order-0 element gives the same layer 0
-        columns = [
-            differential_b(AdtElement(uea, target.arity - 1, v, 0)).layer(0)
-            for v in basis
+        basis = invariant_adt_basis(uea, arity, L)
+        kept = [
+            j for j, v in enumerate(basis)
+            if max_filtration is None
+            or all(len(key[-1]) <= max_filtration for key in v)
         ]
         sols = linalg.solve(
-            columns, [slice_t.layer(n) for n in range(order + 1)]
+            [b_column(uea, arity, L, j) for j in kept],
+            [slice_t.layer(n) for n in range(order + 1)],
         )
         if None in sols:
             raise NoSolution(
                 f"target length-{L} slice not in the image of b",
                 residual=slice_t, arity=target.arity, length=L,
             )
-        sol_terms: dict = {}
-        for nlevel, sol in enumerate(sols):
+        for sol, out in zip(sols, outs):
             for j, a in sol.items():
-                for key, c in basis[j].items():
-                    add_into(
-                        sol_terms, key, HSeries.hbar(order, nlevel, a * c)
-                    )
-        result = result + AdtElement(uea, target.arity - 1, sol_terms, order)
-    return result
+                for key, c in basis[kept[j]].items():
+                    add_into(out, key, a * c)
+    return AdtElement.from_layers(uea, arity, outs, order)
 
 
 def cohomology_dims(uea: UEnvelope, max_k: int, max_length: int):
@@ -614,20 +631,18 @@ def cohomology_dims(uea: UEnvelope, max_k: int, max_length: int):
 
 
 def _cohomology_dim_slice(uea: UEnvelope, k: int, L: int) -> int:
-    basis_k = invariant_adt_basis(uea, k, L)
-    if not basis_k:
+    dim = len(invariant_adt_basis(uea, k, L))
+    if not dim:
         return 0
-    dim_ker = len(basis_k) - _b_rank(uea, k, basis_k)
+    dim_ker = dim - _b_rank(uea, k, L)
     if not k:
         return dim_ker
-    return dim_ker - _b_rank(uea, k - 1, invariant_adt_basis(uea, k - 1, L))
+    return dim_ker - _b_rank(uea, k - 1, L)
 
 
-def _b_rank(uea: UEnvelope, k: int, basis) -> int:
-    return linalg.rank([
-        differential_b(AdtElement(uea, k, dict(vec), 0)).layer(0)
-        for vec in basis
-    ])
+def _b_rank(uea: UEnvelope, k: int, L: int) -> int:
+    n = len(invariant_adt_basis(uea, k, L))
+    return linalg.rank([b_column(uea, k, L, j) for j in range(n)])
 
 
 # -- the twist equation residual -------------------------------------------
@@ -641,11 +656,12 @@ def adte_residual(K: AdtElement, mode: str = "direct") -> AdtElement:
     -b(K-1) + {K-1 | K-1} of K-1 for the dgla whose differential is the
     negative coboundary.  The two modes agree identically.
 
-    The residual is exact mod hbar^(N+1), N = K.order: a pair of terms
-    whose valuations add up to more than N is skipped, as it contributes
-    nothing there.  Truncation is a ring map, so the hbar^n layer of the
-    residual is also the hbar^n layer of adte_residual(K.truncate(n));
-    `adte_residual_layer` computes that layer alone.
+    The residual is exact mod hbar^(N+1), N = K.order: a pair of layer
+    terms whose hbar powers add up to more than N is skipped, as it
+    contributes nothing there.  Truncation is a ring map, so the hbar^n
+    layer of the residual is also the hbar^n layer of
+    adte_residual(K.truncate(n)); `adte_residual_layer` computes that
+    layer alone.
     """
     if K.arity != 2:
         raise GradingMismatch("twist residual requires arity 2")
@@ -654,42 +670,50 @@ def adte_residual(K: AdtElement, mode: str = "direct") -> AdtElement:
         return -differential_b(Kt) + brace(Kt, [Kt])
     if mode != "direct":
         raise ValueError(f"unknown mode {mode!r}")
-    uea = K.uea
-    order = K.order
-    out: dict = {}
-    items = K.graded_terms()
-    for k1, c1, v1 in items:
-        for k2, c2, v2 in items:
-            if v1 + v2 > order:
-                break
-            _adte_pair(uea, k1, k2, c1 * c2, out)
-    return AdtElement(uea, 3, out, order)
+    outs = [{} for _ in range(K.precision() + 1)]
+    _adte_pairs(K, 0, outs)
+    return AdtElement.from_layers(K.uea, 3, outs, K.order)
 
 
 def adte_residual_layer(K: AdtElement, n: int) -> dict:
-    """adte_residual(K).layer(n), from the layer pairs K_a, K_b, a + b = n."""
-    layers = [K.layer(a) for a in range(n + 1)]
-    out: dict = {}
-    for a in range(n + 1):
-        for k1, c1 in layers[a].items():
-            for k2, c2 in layers[n - a].items():
-                _adte_pair(K.uea, k1, k2, c1 * c2, out)
-    return out
+    """adte_residual(K).layer(n), from the layer pairs K_a, K_b, a + b = n.
 
-
-def _adte_pair(uea, k1, k2, c, out):
-    """Add the residual terms of the pair (k1, k2) of K, times c, to out.
-
-    c is a Fraction or an HSeries.
+    n is at most K.precision(), the highest layer K determines.
     """
+    outs = [{} for _ in range(n + 1)]
+    _adte_pairs(K, n, outs)
+    return outs[n]
+
+
+def _adte_pairs(K, lo, outs):
+    """Residual terms of K's layer-term pairs, by the sum of their powers.
+
+    Every pair whose hbar powers a, b have lo <= a + b < len(outs) adds
+    its `_adte_pair` terms to outs[a + b].
+    """
+    uea = K.uea
+    top = len(outs) - 1
+    items = K.layer_terms()
+    for k1, a1, n1, _ in items:
+        if n1 > top:
+            break
+        start = bisect_left(items, lo - n1, key=lambda t: t[2])
+        for k2, a2, n2, _ in itertools.islice(items, start, None):
+            if n1 + n2 > top:
+                break
+            _adte_pair(uea, k1, k2, a1 * a2, outs[n1 + n2])
+
+
+def _adte_pair(uea, k1, k2, a, out):
+    """Add the residual terms of the pair (k1, k2) of K, times a, to out."""
     f1, f2, leg = k1
     g1, g2, legg = k2
     # K^{12,3,4} K^{1,2,34}
     for p1, m1 in coproduct_mono(f1, 2).items():
         for p2, m2 in coproduct_mono(legg, 2).items():
             slots = (p1[0] + g1, p1[1] + g2, f2 + p2[0], leg + p2[1])
-            _straight_key(uea, slots, out, c * (m1 * m2))
+            _straight_key(uea, slots, out, a * (m1 * m2))
     # - K^{1,23,4} K^{2,3,4}
     for p1, m1 in coproduct_mono(f2, 2).items():
         slots = (f1, p1[0] + g1, p1[1] + g2, leg + legg)
-        _straight_key(uea, slots, out, -(c * m1))
+        _straight_key(uea, slots, out, -(a * m1))

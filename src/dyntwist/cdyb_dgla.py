@@ -107,18 +107,18 @@ def _sign(n: int) -> int:
 
 def bracket(lie: LieData, a: CdybElement, b: CdybElement) -> CdybElement:
     """Graded bracket; symmetric legs multiply as scalars."""
-    order = min(a.order, b.order)
-    terms = {}
-    terms_b = b.graded_terms()
-    for (w1, s1), c1, v1 in a.graded_terms():
-        for (w2, s2), c2, v2 in terms_b:
-            if v1 + v2 > order:
+    prec = min(a.precision(), b.precision())
+    outs = [{} for _ in range(prec + 1)]
+    terms_b = b.layer_terms()
+    for (w1, s1), a1, n1, _ in a.layer_terms():
+        for (w2, s2), a2, n2, _ in terms_b:
+            if n1 + n2 > prec:
                 break
-            c = c1 * c2
+            c = a1 * a2
             leg = sym_sort(s1 + s2)
             for w, coeff in bracket_wedge(lie, w1, w2).items():
-                add_into(terms, (w, leg), c * coeff)
-    return CdybElement(terms, order)
+                add_into(outs[n1 + n2], (w, leg), c * coeff)
+    return CdybElement.from_layers(outs, min(a.order, b.order))
 
 
 def cdybe_residual(lie: LieData, rho: CdybElement, mode: str = "dgla"):

@@ -181,7 +181,8 @@ def cmd_prop_suite(args):
     lie = _load_algebra(args)
     rep.add(f"property suite on {args.algebra} (seed {args.seed})")
     for name, ok, detail in props.standard_suite(
-        lie, seed=args.seed or 0, shdeg=args.shdeg or 4
+        lie, seed=args.seed or 0,
+        shdeg=4 if args.shdeg is None else args.shdeg,
     ):
         rep.check(name, ok, detail)
     return rep.emit(args.out)

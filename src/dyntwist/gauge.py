@@ -81,7 +81,13 @@ def _as_classical(g) -> CdybElement:
 
 def adt_mul(A: AdtElement, B: AdtElement) -> AdtElement:
     """Slotwise product on tensor factors and the leg alike."""
-    return slotwise_product(A, B, A.uea.mul_mono)
+    mul_mono = A.uea.mul_mono
+
+    def leg_mul(s, t):
+        for m, c in mul_mono(s, t).items():
+            yield m, 0, c
+
+    return slotwise_product(A, B, leg_mul)
 
 
 def adt_inverse(A: AdtElement) -> AdtElement:
@@ -109,7 +115,7 @@ def formal_inverse(T: FormalTwist) -> FormalTwist:
     """
     unit = FormalTwist.unit(T.uea, T.arity, T.order)
     R = unit - T
-    if R.terms and R.graded_terms()[0][2] < 1:
+    if R.terms and R.layer_terms()[0][3] < 1:
         raise NotInvertible("element is not unit plus total-degree >= 1")
     acc = unit
     pw = unit

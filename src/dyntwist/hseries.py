@@ -8,12 +8,17 @@ the canonical quotient map between the two rings.
 sparse element over it (PBW elements, algebraic and formal twists,
 classical cochains): a map from monomial keys to HSeries coefficients.
 
-Every bilinear product of two elements is truncated to the smaller
-order N, so a pair of terms whose coefficient valuations add up to more
-than N contributes nothing.  The product loops read both factors through
-`SparseSeries.graded_terms`, sorted by valuation, and leave the inner
-loop at the first such pair.  A formal twist sorts by hbar valuation
-plus leg degree instead, the grading of its truncation triangle.
+Every product kernel works one hbar layer at a time.  It reads its
+factors through `SparseSeries.layer_terms`, one (key, Fraction, power,
+weight) entry per nonzero hbar coefficient sorted by weight, multiplies
+Fractions, accumulates one {key: Fraction} dict per output hbar power,
+and builds each output key's HSeries once, through `from_layers`.  A
+pair of entries whose weights add up to more than the product's order N
+contributes nothing mod hbar^(N+1), so the inner loop stops at the first
+such pair.  The weight is the hbar power; a formal twist adds the leg
+degree, the grading of its truncation triangle.  A kernel keeps the
+layers up to `precision()`, below N when a coefficient is known to a
+lower order than its element.
 """
 
 from __future__ import annotations
@@ -218,8 +223,10 @@ class SparseSeries:
     mutated after construction.
     """
 
-    __slots__ = ("terms", "order", "_vkey", "_graded")
+    __slots__ = ("terms", "order", "_vkey", "_layered")
     _space: tuple = ()
+    # a formal twist weighs its terms by hbar power plus leg degree
+    _leg_weighted = False
 
     def __init__(self, terms: dict, order: int):
         self.order = order
@@ -241,6 +248,26 @@ class SparseSeries:
         return type(self)(
             *(getattr(self, a) for a in self._space), terms, order
         )
+
+    @classmethod
+    def from_layers(cls, *args):
+        """cls(*space, layers, order) from per-power coefficient dicts.
+
+        layers[n] = {key: Fraction} holds the nonzero hbar^n
+        coefficients; every key's HSeries, of order len(layers) - 1, is
+        built once.
+        """
+        *space, layers, order = args
+        prec = len(layers) - 1
+        coeffs: dict = {}
+        for n, layer in enumerate(layers):
+            for k, a in layer.items():
+                row = coeffs.get(k)
+                if row is None:
+                    coeffs[k] = row = [_F0] * (prec + 1)
+                row[n] = a
+        terms = {k: HSeries(row, prec) for k, row in coeffs.items()}
+        return cls(*space, terms, order)
 
     # -- ring structure ----------------------------------------------------
 
@@ -299,27 +326,37 @@ class SparseSeries:
         """The hbar^n layer as an element with constant coefficients."""
         return self._like(self.layer(n), self.order)
 
-    def graded_terms(self):
-        """(key, coeff, weight) triples sorted by `_weight`.
+    def layer_terms(self):
+        """(key, Fraction, power, weight) per nonzero hbar coefficient.
 
-        Built once per element.  A product loop over two elements stops
-        its inner loop at the first term whose weight, added to the
-        outer term's, exceeds the product's order.
+        Sorted by weight (the hbar power, plus the leg degree for a
+        formal twist) and built once per element.  A product loop over
+        two elements stops its inner loop at the first entry whose
+        weight, added to the outer entry's, exceeds the product's order.
         """
         try:
-            return self._graded
+            return self._layered
         except AttributeError:
             pass
-        weight = self._weight
-        self._graded = sorted(
-            ((k, c, weight(k, c)) for k, c in self.terms.items()),
-            key=lambda t: t[2],
+        leg = self._leg_weighted
+        self._layered = sorted(
+            (
+                (k, a, n, n + len(k[-1]) if leg else n)
+                for k, c in self.terms.items()
+                for n, a in enumerate(c.coeffs)
+                if a
+            ),
+            key=lambda t: t[3],
         )
-        return self._graded
+        return self._layered
 
-    @staticmethod
-    def _weight(key, c):  # adds up under products, as graded_terms needs
-        return c.valuation()
+    def precision(self) -> int:
+        """The order to which every coefficient is known.
+
+        The element's order, or less where a coefficient series has a
+        lower order of its own (as `map_coeffs(c.truncate(n))` builds).
+        """
+        return min((c.order for c in self.terms.values()), default=self.order)
 
     def truncate(self, n: int):
         """The image mod hbar^(n+1) (self when n is not below the order).

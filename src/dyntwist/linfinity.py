@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import adt_dgla, cdyb_dgla
 from .adt_dgla import AdtElement, gerstenhaber_bracket, invariant_adt_basis
 from .errors import ContractFailure, GradingMismatch, MorphismUnsound
-from .hseries import HSeries, add_into
+from .hseries import add_into
 from .lie_core import LieData
 from .linalg import kernel_basis, pivots, rref, solve
 from .tensor_spaces import CdybElement, invariant_cdyb_basis
@@ -404,14 +404,15 @@ class _QuantumHomotopy:
             raise ContractFailure(
                 "homotopy decomposition failed on a kernel slice"
             )
-        lower = AdtElement.zero(self.uea, max(k - 1, 0), self.order)
-        for n, sol in enumerate(sols):
+        A_terms = [a.layer(0) for a in A_lower]
+        outs = [{} for _ in sols]
+        for sol, out in zip(sols, outs):
             for j, v in sol.items():
-                if j < len(A_lower):
-                    lower = lower + A_lower[j].scale(
-                        HSeries.hbar(self.order, n, v)
-                    )
-        return lower
+                if j < len(A_terms):
+                    for key, c in A_terms[j].items():
+                        add_into(out, key, v * c)
+        return AdtElement.from_layers(self.uea, max(k - 1, 0), outs,
+                                      self.order)
 
     def __call__(self, x: AdtElement) -> AdtElement:
         xn = x - adt_dgla.p2_project(self.splitter, x)

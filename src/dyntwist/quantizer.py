@@ -147,14 +147,16 @@ class FormalTwist(SparseSeries):
     hbar-scaled symmetrization is homogeneous) and the argument shift
     x -> hbar x (x) 1 + 1 (x) x, so the terms above N form a two-sided
     ideal: the constructor drops them, `truncate(n)` cuts to a smaller
-    triangle, and `graded_terms` sorts by total valuation.  No formal
-    path applies the leg coaction `coproduct_at(J, arity)`, which lowers
-    the total degree.
+    triangle, and `layer_terms` weighs each hbar coefficient by its
+    total degree, so a product expands exactly the pairs whose total
+    degrees add up to at most N.  No formal path applies the leg
+    coaction `coproduct_at(J, arity)`, which lowers the total degree.
     """
 
     __slots__ = ("uea", "arity")
     _space = ("uea", "arity")
     _key = AdtElement._key
+    _leg_weighted = True
 
     def __init__(self, uea: UEnvelope, arity: int, terms: dict, order: int):
         self.uea = uea
@@ -167,11 +169,7 @@ class FormalTwist(SparseSeries):
             if not any(coeffs[:cap]):
                 del terms[key]
             elif any(coeffs[cap:]):
-                terms[key] = HSeries(coeffs[:cap], order)
-
-    @staticmethod
-    def _weight(key, c):
-        return c.valuation() + len(key[-1])
+                terms[key] = HSeries(coeffs[:cap], terms[key].order)
 
     @classmethod
     def zero(cls, uea, arity, order):
@@ -194,13 +192,11 @@ class FormalTwist(SparseSeries):
     def __mul__(self, other: "FormalTwist") -> "FormalTwist":
         """Slotwise group products, star product on the legs."""
         uea = self.uea
-        order = min(self.order, other.order)
 
         def leg_mul(s, t):
-            return {
-                m: _poly_to_series(p, order)
-                for m, p in _star_mono(uea, s, t).items()
-            }
+            for m, p in _star_mono(uea, s, t).items():
+                for power, c in p.items():
+                    yield m, power, c
 
         return slotwise_product(self, other, leg_mul)
 

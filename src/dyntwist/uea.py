@@ -141,17 +141,19 @@ class PbwElement(SparseSeries):
         return cls(uea, {(): _F1}, order)
 
     def __mul__(self, other: "PbwElement") -> "PbwElement":
-        order = min(self.order, other.order)
-        terms = {}
-        terms_b = other.graded_terms()
-        for m1, c1, v1 in self.graded_terms():
-            for m2, c2, v2 in terms_b:
-                if v1 + v2 > order:
+        prec = min(self.precision(), other.precision())
+        outs = [{} for _ in range(prec + 1)]
+        terms_b = other.layer_terms()
+        for m1, a1, n1, _ in self.layer_terms():
+            for m2, a2, n2, _ in terms_b:
+                if n1 + n2 > prec:
                     break
-                c = c1 * c2
+                a = a1 * a2
                 for m, d in self.uea.mul_mono(m1, m2).items():
-                    add_into(terms, m, c * d)
-        return PbwElement(self.uea, terms, order)
+                    add_into(outs[n1 + n2], m, a * d)
+        return PbwElement.from_layers(
+            self.uea, outs, min(self.order, other.order)
+        )
 
     def degree(self) -> int:
         """Maximum PBW monomial length (0 for the zero element)."""
@@ -181,25 +183,32 @@ class PbwElement(SparseSeries):
 # -- coproduct and coaction ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def split_positions(n: int, slots: int):
-    """All assignments of n positions to `slots` slots, as index tuples."""
-    return tuple(itertools.product(range(slots), repeat=n))
+_coproduct_memo: dict = {}
 
 
 def coproduct_mono(mono, slots: int = 2) -> dict:
     """Iterated coproduct of a PBW monomial of primitives.
 
     Splitting a weakly increasing word keeps every part weakly increasing,
-    so no straightening occurs.  Returns {tuple of monomials: multiplicity}.
+    so no straightening occurs.  Returns {tuple of monomials: multiplicity},
+    shared between calls: callers must not mutate it.
+
+    The memo is a plain module dict, not `functools.lru_cache`: a cache
+    wrapper carries `__wrapped__`, the attribute by which the benchmark's
+    tracer (`perfbench/tracer.py`) marks a function it has wrapped, so
+    the untraced function would pass for a traced one.
     """
-    out = {}
-    for assignment in split_positions(len(mono), slots):
-        parts = [[] for _ in range(slots)]
-        for pos, s in enumerate(assignment):
-            parts[s].append(mono[pos])
-        key = tuple(tuple(p) for p in parts)
-        out[key] = out.get(key, 0) + 1
+    memo_key = (tuple(mono), slots)
+    out = _coproduct_memo.get(memo_key)
+    if out is None:
+        out = {}
+        for assignment in itertools.product(range(slots), repeat=len(mono)):
+            parts = [[] for _ in range(slots)]
+            for pos, s in enumerate(assignment):
+                parts[s].append(mono[pos])
+            key = tuple(tuple(p) for p in parts)
+            out[key] = out.get(key, 0) + 1
+        _coproduct_memo[memo_key] = out
     return out
 
 
@@ -257,17 +266,17 @@ class UmSplitter:
         )
         if None in sols:
             raise NoSolution("splitting system inconsistent", residual=elt)
-        ideal_terms: dict = {}
-        um_terms: dict = {}
+        ideal = [{} for _ in sols]
+        um = [{} for _ in sols]
         for n, sol in enumerate(sols):
             for j, coeff in sol.items():
                 kind, exp = generators[j]
-                target = ideal_terms if kind == "ideal" else um_terms
+                target = (ideal if kind == "ideal" else um)[n]
                 for m, c in exp.items():
-                    add_into(target, m, HSeries.hbar(order, n, coeff * c))
+                    add_into(target, m, coeff * c)
         return (
-            PbwElement(self.uea, ideal_terms, order),
-            PbwElement(self.uea, um_terms, order),
+            PbwElement.from_layers(self.uea, ideal, order),
+            PbwElement.from_layers(self.uea, um, order),
         )
 
     def um_project(self, elt: PbwElement) -> PbwElement:

@@ -1,0 +1,250 @@
+"""HSeries reference kernels for the layered product kernels.
+
+Copies of b, cup, brace, the direct twist-equation residual and the
+slotwise product as they were written before the kernels moved to hbar
+layers: every term pair multiplies and sums whole HSeries coefficients,
+and a coefficient series of an order below its element's truncates
+every product it enters.  `_graded` is the `graded_terms()` those loops
+read (hbar valuation, plus the leg degree for a formal twist).  The
+layered kernels must agree with these exactly, coefficient orders
+included.
+"""
+
+import itertools
+from fractions import Fraction
+
+from dyntwist.adt_dgla import AdtElement
+from dyntwist.hseries import add_into
+from dyntwist.quantizer import FormalTwist, _poly_to_series, _star_mono
+from dyntwist.uea import coproduct_mono
+
+_F1 = Fraction(1)
+
+
+def _graded(E):
+    leg = isinstance(E, FormalTwist)
+    return sorted(
+        ((k, c, c.valuation() + (len(k[-1]) if leg else 0))
+         for k, c in E.terms.items()),
+        key=lambda t: t[2],
+    )
+
+
+def slotwise_product(A, B, leg_mul):
+    uea = A.uea
+    order = min(A.order, B.order)
+    out: dict = {}
+    terms_b = _graded(B)
+    for k1, c1, v1 in _graded(A):
+        for k2, c2, v2 in terms_b:
+            if v1 + v2 > order:
+                break
+            c = c1 * c2
+            exps = [
+                uea.mul_mono(k1[i], k2[i]).items() for i in range(A.arity)
+            ]
+            exps.append(leg_mul(k1[-1], k2[-1]).items())
+            for combo in itertools.product(*exps):
+                coeff = c
+                for _, d in combo:
+                    coeff = coeff * d
+                add_into(out, tuple(m for m, _ in combo), coeff)
+    return type(A)(uea, A.arity, out, order)
+
+
+def adt_mul(A, B):
+    return slotwise_product(A, B, A.uea.mul_mono)
+
+
+def formal_mul(A, B):
+    uea = A.uea
+    order = min(A.order, B.order)
+
+    def leg_mul(s, t):
+        return {
+            m: _poly_to_series(p, order)
+            for m, p in _star_mono(uea, s, t).items()
+        }
+
+    return slotwise_product(A, B, leg_mul)
+
+
+def differential_b(P):
+    k = P.arity
+    terms: dict = {}
+    for key, c in P.terms.items():
+        gfac = key[:-1]
+        leg = key[-1]
+        add_into(terms, ((),) + gfac + (leg,), c)
+        for i in range(1, k + 1):
+            sgn = -1 if i % 2 else 1
+            for parts, mult in coproduct_mono(gfac[i - 1], 2).items():
+                new = gfac[: i - 1] + parts + gfac[i:] + (leg,)
+                add_into(terms, new, c * (sgn * mult))
+        sgn = -1 if (k + 1) % 2 else 1
+        for parts, mult in coproduct_mono(leg, 2).items():
+            add_into(terms, gfac + parts, c * (sgn * mult))
+    return AdtElement(P.uea, k + 1, terms, P.order)
+
+
+def cup(P, Q):
+    k, l = P.arity, Q.arity
+    order = min(P.order, Q.order)
+    terms: dict = {}
+    terms_q = _graded(Q)
+    for keyP, cP, vP in _graded(P):
+        gP, legP = keyP[:-1], keyP[-1]
+        for parts, mult in coproduct_mono(legP, l + 1).items():
+            for keyQ, cQ, vQ in terms_q:
+                if vP + vQ > order:
+                    break
+                gQ, legQ = keyQ[:-1], keyQ[-1]
+                slots = list(gP)
+                for j in range(l):
+                    slots.append(parts[j] + gQ[j])
+                slots.append(parts[l] + legQ)
+                _straight_key(P.uea, tuple(slots), terms, cP * cQ * mult)
+    return AdtElement(P.uea, k + l, terms, order)
+
+
+def _straight_key(uea, slots, acc, coeff):
+    expansions = [uea.straighten(w) for w in slots]
+    partial = [((), _F1)]
+    for exp in expansions:
+        nxt = []
+        for pref, c0 in partial:
+            for m, c in exp.items():
+                nxt.append((pref + (m,), c0 * c))
+        partial = nxt
+    for key, c in partial:
+        add_into(acc, key, coeff * c)
+
+
+def brace(P, Qs):
+    Qs = list(Qs)
+    m = len(Qs)
+    k = P.arity
+    ks = [Q.arity for Q in Qs]
+    n = k + sum(ks) - m
+    if m > k or n < 0:
+        return AdtElement.zero(P.uea, max(n, 0), P.order)
+    order = min([P.order] + [Q.order for Q in Qs])
+    out: dict = {}
+    uea = P.uea
+    for positions in itertools.combinations(range(1, k + 1), m):
+        sgn = 1
+        cursor = 0
+        consumed = {j: s for s, j in enumerate(positions)}
+        for t in range(1, k + 1):
+            if t in consumed:
+                s = consumed[t]
+                e = (ks[s] - 1) * cursor
+                if e % 2:
+                    sgn = -sgn
+                cursor += ks[s]
+            else:
+                cursor += 1
+        _brace_placement(uea, P, Qs, positions, n, sgn, order, out)
+    return AdtElement(uea, n, out, order)
+
+
+def _brace_placement(uea, P, Qs, positions, n, sgn, order, out):
+    ks = [Q.arity for Q in Qs]
+    consumed = {j: s for s, j in enumerate(positions)}
+    starts = {}
+    cursor = 0
+    for t in range(1, P.arity + 1):
+        if t in consumed:
+            s = consumed[t]
+            starts[s] = cursor
+            cursor += ks[s]
+        else:
+            cursor += 1
+    for keyP, cP, vP in _graded(P):
+        if vP > order:
+            break
+        gP, legP = keyP[:-1], keyP[-1]
+        base: list = [[] for _ in range(n + 1)]
+        coeffP = cP
+        cursor = 0
+        dead = False
+        delta_choices = []
+        for t in range(1, P.arity + 1):
+            f = gP[t - 1]
+            if t in consumed:
+                s = consumed[t]
+                w = ks[s]
+                if w == 0:
+                    if f != ():
+                        dead = True
+                        break
+                else:
+                    delta_choices.append((cursor, f, w))
+                cursor += w
+            else:
+                base[cursor].append(f)
+                cursor += 1
+        if dead:
+            continue
+        base[n].append(legP)
+        stack = [(base, coeffP, vP)]
+        for start, f, w in delta_choices:
+            nxt = []
+            for slots, c0, v0 in stack:
+                for parts, mult in coproduct_mono(f, w).items():
+                    s2 = [list(x) for x in slots]
+                    for u in range(w):
+                        s2[start + u].append(parts[u])
+                    nxt.append((s2, c0 * mult, v0))
+            stack = nxt
+        for s, Q in enumerate(Qs):
+            start = starts[s]
+            w = ks[s]
+            spread = n - (start + w)
+            nxt = []
+            terms_q = _graded(Q)
+            for slots, c0, v0 in stack:
+                for keyQ, cQ, vQ in terms_q:
+                    if v0 + vQ > order:
+                        break
+                    gQ, legQ = keyQ[:-1], keyQ[-1]
+                    for parts, mult in coproduct_mono(legQ, spread + 1).items():
+                        s2 = [list(x) for x in slots]
+                        for u in range(w):
+                            s2[start + u].append(gQ[u])
+                        for u in range(spread):
+                            s2[start + w + u].append(parts[u])
+                        s2[n].append(parts[spread])
+                        nxt.append((s2, c0 * cQ * mult, v0 + vQ))
+            stack = nxt
+        for slots, c0, _ in stack:
+            words = tuple(
+                tuple(itertools.chain.from_iterable(slot)) for slot in slots
+            )
+            _straight_key(uea, words, out, c0 * sgn)
+
+
+def adte_residual(K):
+    """The direct residual K^{12,3,4} K^{1,2,34} - K^{1,23,4} K^{2,3,4}."""
+    uea = K.uea
+    order = K.order
+    out: dict = {}
+    items = _graded(K)
+    for k1, c1, v1 in items:
+        for k2, c2, v2 in items:
+            if v1 + v2 > order:
+                break
+            _adte_pair(uea, k1, k2, c1 * c2, out)
+    return AdtElement(uea, 3, out, order)
+
+
+def _adte_pair(uea, k1, k2, c, out):
+    f1, f2, leg = k1
+    g1, g2, legg = k2
+    for p1, m1 in coproduct_mono(f1, 2).items():
+        for p2, m2 in coproduct_mono(legg, 2).items():
+            slots = (p1[0] + g1, p1[1] + g2, f2 + p2[0], leg + p2[1])
+            _straight_key(uea, slots, out, c * (m1 * m2))
+    for p1, m1 in coproduct_mono(f2, 2).items():
+        slots = (f1, p1[0] + g1, p1[1] + g2, leg + legg)
+        _straight_key(uea, slots, out, -(c * m1))

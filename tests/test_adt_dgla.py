@@ -19,6 +19,8 @@ from dyntwist import (
     tensor_embed,
 )
 from dyntwist.adt_dgla import (
+    adte_residual_layer,
+    b_column,
     cohomology_dims,
     coproduct_at,
     invariant_adt_basis,
@@ -32,6 +34,7 @@ from dyntwist.props import (
     check_cup_leibniz,
 )
 
+import reference_kernels
 from conftest import mixed_element
 
 N = 3
@@ -250,3 +253,106 @@ def test_order_zero_b_column_is_layer_zero(sl2_uea, aff_uea, arity):
                 low = differential_b(AdtElement(uea, arity, v, 0)).layer(0)
                 full = differential_b(AdtElement(uea, arity, v, N)).layer(0)
                 assert list(low.items()) == list(full.items())
+
+
+def test_b_columns_are_cached_images_of_the_basis(sl2_uea):
+    for arity, length in ((1, 2), (2, 3)):
+        basis = invariant_adt_basis(sl2_uea, arity, length)
+        for j, v in enumerate(basis):
+            col = b_column(sl2_uea, arity, length, j)
+            assert b_column(sl2_uea, arity, length, j) is col
+            assert col == differential_b(
+                AdtElement(sl2_uea, arity, v, N)).layer(0)
+
+
+# -- layered kernels against their HSeries references ------------------------
+#
+# Every kernel computes on (key, Fraction, hbar power) terms.  The
+# references in reference_kernels.py multiply whole HSeries; the two must
+# agree exactly, coefficient orders included, on order-0 elements, on
+# elements with several hbar layers per key, and on elements whose
+# coefficients are known to a lower order than the element's.
+
+ORACLE_ALGEBRAS = ["sl2_uea", "nonab_uea", "aff_uea"]
+
+
+def _oracle_inputs(uea, rng, arity, unit=False, terms=7):
+    """[order 0, layered at order N, layered with coefficients cut at N-1]."""
+    def draw(order):
+        E = (mixed_element(uea, rng, arity, order, terms)
+             + mixed_element(uea, rng, arity, order, terms))
+        return E + AdtElement.unit(uea, arity, order) if unit else E
+
+    layered = draw(N)
+    assert any(len(c.coeffs) - c.coeffs.count(0) > 1
+               for c in layered.terms.values())
+    return [draw(0), layered, layered.map_coeffs(lambda c: c.truncate(N - 1))]
+
+
+def _agree(new, ref, top_layer=None):
+    assert new.value_key() == ref.value_key()
+    if top_layer is not None:  # not vacuous: the top layer is reached
+        assert new.layer(top_layer)
+
+
+@pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
+def test_layered_b_matches_hseries_reference(request, uea_name):
+    uea = request.getfixturevalue(uea_name)
+    rng = random.Random(31)
+    for arity in (0, 1, 2):
+        for i, P in enumerate(_oracle_inputs(uea, rng, arity)):
+            _agree(differential_b(P), reference_kernels.differential_b(P),
+                   N if i == 1 else None)
+
+
+@pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
+def test_layered_cup_matches_hseries_reference(request, uea_name):
+    uea = request.getfixturevalue(uea_name)
+    rng = random.Random(32)
+    for k, l in ((0, 1), (1, 1), (1, 2), (2, 1)):
+        Ps = _oracle_inputs(uea, rng, k)
+        Qs = _oracle_inputs(uea, rng, l)
+        pairs = list(zip(Ps, Qs)) + [(Ps[2], Qs[1]), (Ps[1], Qs[2])]
+        for i, (P, Q) in enumerate(pairs):
+            _agree(cup(P, Q), reference_kernels.cup(P, Q),
+                   N if i == 1 else None)
+
+
+@pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
+def test_layered_brace_matches_hseries_reference(request, uea_name):
+    uea = request.getfixturevalue(uea_name)
+    rng = random.Random(33)
+    Ps = _oracle_inputs(uea, rng, 2, terms=5)
+    for ks in ((1,), (2,), (1, 2)):
+        Qss = [_oracle_inputs(uea, rng, k, terms=4) for k in ks]
+        for i, P in enumerate(Ps):
+            Qs = [inputs[i] for inputs in Qss]
+            _agree(brace(P, Qs), reference_kernels.brace(P, Qs))
+        # a full-precision P with a cut Q_s and the other way round
+        for P, Qs in ((Ps[1], [inputs[2] for inputs in Qss]),
+                      (Ps[2], [inputs[1] for inputs in Qss])):
+            _agree(brace(P, Qs), reference_kernels.brace(P, Qs))
+
+
+@pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
+def test_layered_residual_matches_hseries_reference(request, uea_name):
+    uea = request.getfixturevalue(uea_name)
+    rng = random.Random(34)
+    for i, K in enumerate(_oracle_inputs(uea, rng, 2, unit=True)):
+        ref = reference_kernels.adte_residual(K)
+        _agree(adte_residual(K), ref, N if i == 1 else None)
+        for n in range(K.precision() + 1):
+            assert adte_residual_layer(K, n) == ref.layer(n)
+
+
+@pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
+def test_layered_adt_mul_matches_hseries_reference(request, uea_name):
+    uea = request.getfixturevalue(uea_name)
+    rng = random.Random(35)
+    for arity in (1, 2):
+        As = _oracle_inputs(uea, rng, arity)
+        Bs = _oracle_inputs(uea, rng, arity)
+        pairs = list(zip(As, Bs)) + [(As[2], Bs[1])]
+        for i, (A, B) in enumerate(pairs):
+            _agree(adt_mul(A, B), reference_kernels.adt_mul(A, B),
+                   N if i == 1 else None)

@@ -263,6 +263,16 @@ def test_prop_suite(capsys):
     assert "cohomology: ok" in out
 
 
+def test_prop_suite_shdeg_zero_is_not_the_default():
+    # --shdeg 0 is a value, not an absent flag: it is too small to check
+    # stabilization, as 1 and 2 are, instead of running at the default 4
+    proc = _run_cli(["prop-suite", "--algebra", AB2, "--shdeg", "0"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error (TruncationTooSmall)")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_report_to_file(tmp_path):
     report = tmp_path / "report.txt"
     code = main(["check-rmatrix", "--algebra", SL2, "--rmatrix", SL2_R,

@@ -30,6 +30,7 @@ from dyntwist.adt_dgla import adte_residual_layer
 from dyntwist.hseries import add_into
 from dyntwist.quantizer import FormalTwist, _poly_to_series, _star_mono
 
+import reference_kernels
 from conftest import ORDER, geometric_body, mixed_element
 
 F = Fraction
@@ -369,6 +370,31 @@ def test_formal_product_truncation_oracle(nonab_uea):
         assert low.order == ORDER
         assert low == (A * B).truncate(ORDER)
         assert low.layer(ORDER)
+
+
+@pytest.mark.parametrize("uea_name", ["sl2_uea", "nonab_uea", "aff_uea"])
+def test_layered_formal_product_matches_hseries_reference(request, uea_name):
+    # the product reads the star polynomials by hbar power; the reference
+    # multiplies whole HSeries and lets the constructor cut the triangle.
+    # Inputs: order 0, several hbar layers per key, and coefficients cut
+    # below the element order; coefficient orders must agree as well
+    uea = request.getfixturevalue(uea_name)
+    rng = random.Random(36)
+    for arity in (1, 2):
+        def draw(order):
+            return (FormalTwist.unit(uea, arity, order)
+                    + mixed_element(uea, rng, arity, order, cls=FormalTwist)
+                    + mixed_element(uea, rng, arity, order, cls=FormalTwist))
+
+        layered = [draw(ORDER + 1) for _ in range(2)]
+        cut = [E.map_coeffs(lambda c: c.truncate(ORDER)) for E in layered]
+        pairs = [(draw(0), draw(0)), tuple(layered), tuple(cut),
+                 (layered[0], cut[1])]
+        for A, B in pairs:
+            got = A * B
+            assert got.value_key() == \
+                reference_kernels.formal_mul(A, B).value_key()
+        assert (layered[0] * layered[1]).layer(ORDER + 1)
 
 
 @pytest.mark.parametrize("base", ["unit", "aff_unit", "nonab_unit",
