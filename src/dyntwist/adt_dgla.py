@@ -179,27 +179,47 @@ def differential_b(P: AdtElement) -> AdtElement:
     Terms: unit inserted in slot 1 (positive), then alternating coproducts
     on each U g factor, and finally the coaction splitting of the leg with
     its U g part becoming the new last tensor factor.  b carries no hbar,
-    so it maps each layer to the same layer.
+    so it maps each layer to the same layer, key by key (`b_key`).
     """
-    k = P.arity
     outs = [{} for _ in range(P.precision() + 1)]
     for key, a, n, _ in P.layer_terms():
         terms = outs[n]
+        for new, mult in b_key(key):
+            add_into(terms, new, a * mult)
+    return AdtElement.from_layers(P.uea, P.arity + 1, outs, P.order)
+
+
+_b_memo: dict = {}
+
+
+def b_key(key) -> tuple:
+    """b of one key, as ((key, int multiplicity), ...) with no zero.
+
+    The coproduct and the coaction split monomials without straightening,
+    so b of a key depends on the key alone.  The result is memoized, like
+    `coproduct_mono`, and shared between calls: callers must not mutate
+    it.
+    """
+    out = _b_memo.get(key)
+    if out is None:
+        k = len(key) - 1
         gfac = key[:-1]
         leg = key[-1]
+        terms: dict = {}
         # unit insertion on the left
-        add_into(terms, ((),) + gfac + (leg,), a)
+        add_into(terms, ((),) + key, 1)
         # coproduct on factor i (1-based), sign (-1)^i
         for i in range(1, k + 1):
             sgn = -1 if i % 2 else 1
             for parts, mult in coproduct_mono(gfac[i - 1], 2).items():
                 new = gfac[: i - 1] + parts + gfac[i:] + (leg,)
-                add_into(terms, new, a * (sgn * mult))
+                add_into(terms, new, sgn * mult)
         # coaction on the leg, sign (-1)^{k+1}
         sgn = -1 if (k + 1) % 2 else 1
         for parts, mult in coproduct_mono(leg, 2).items():
-            add_into(terms, gfac + parts, a * (sgn * mult))
-    return AdtElement.from_layers(P.uea, k + 1, outs, P.order)
+            add_into(terms, gfac + parts, sgn * mult)
+        _b_memo[key] = out = tuple(terms.items())
+    return out
 
 
 # -- cup product -----------------------------------------------------------
@@ -552,16 +572,19 @@ def invariant_adt_basis(uea: UEnvelope, arity: int, total_length: int):
 def b_column(uea: UEnvelope, arity: int, total_length: int, j: int):
     """b of the j-th `invariant_adt_basis` vector, as {key: Fraction}.
 
-    b carries no hbar, so an order-0 element gives the column.  It
-    depends on no target: each is built once, when first asked for.
+    b carries no hbar: the column is the sum of c * b(key) over the
+    vector's keys.  It depends on no target: each is built once, when
+    first asked for.
     """
     cache = _slice_caches.setdefault(uea, {})
     columns = cache.setdefault(("b", arity, total_length), {})
     col = columns.get(j)
     if col is None:
-        v = AdtElement(uea, arity,
-                       invariant_adt_basis(uea, arity, total_length)[j], 0)
-        columns[j] = col = differential_b(v).layer(0)
+        col = {}
+        for key, c in invariant_adt_basis(uea, arity, total_length)[j].items():
+            for new, mult in b_key(key):
+                add_into(col, new, c * mult)
+        columns[j] = col
     return col
 
 

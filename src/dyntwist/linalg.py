@@ -13,24 +13,31 @@ is the particular solution {unknown index: Fraction} with every free
 unknown zero, or None when the target is not in the column span (a
 target key that no column carries makes it inconsistent).
 
-Internally `rref` reduces rows {column index: Fraction} with pivots
-chosen left to right; the pivot of a column is the first remaining row,
-in input order, with a nonzero entry there, which keeps every derived
-basis deterministic.  It keeps an index from each column still to come
-to the rows with a nonzero entry in it, updated as fill-in appears and
+Internally `rref` reduces rows {column index: value} with pivots chosen
+left to right; the pivot of a column is the first remaining row, in
+input order, with a nonzero entry there, which keeps every derived
+basis deterministic.  It computes on integers: each input row is scaled
+by the lcm of its denominators, a row update clears an entry by an
+integer combination with the pivot row and divides the row by the gcd
+of its entries, and only the reduced rows it returns are turned back
+into Fractions.  It keeps an index from each column still to come to
+the rows with a nonzero entry in it, updated as fill-in appears and
 cancels, so the work follows the nonzeros instead of rows x columns.
-The index changes only where the work is done, not what is computed:
-the reduced rows (down to their key order), pivots, solutions and
-kernel vectors are those of the plain left-to-right elimination.
+Neither the integer rows nor the index change what is computed: the
+reduced rows (down to their key order, all values Fractions), pivots,
+solutions and kernel vectors are those of the plain left-to-right
+Fraction elimination, and `solve` still checks every solution by
+recomputing its image in Fraction arithmetic.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from math import gcd, lcm
 
 from .hseries import add_into
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -43,18 +50,26 @@ def rref(rows, ncols):
     first remaining row, in input order, with a nonzero entry there, so
     the result is a function of the input alone.
 
+    The rows are eliminated fraction-free: each input row is scaled to
+    integers, a row update is `other <- (a/g) other - (f/g) pivot_row`
+    (a the pivot, f the entry to clear, g = gcd(a, f)) followed by
+    division by the gcd of the row's entries, and only the final reduced
+    rows become Fractions, each divided by its pivot entry.  Every row is
+    a nonzero multiple of the row the Fraction elimination would hold,
+    so the zero tests, the key order and the result are the same.
+
     `where` maps each column still to come to the rows (remaining or
     reduced) with a nonzero entry in it, so neither the pivot search nor
     the elimination visits a row that does not meet the column.  Explicit
     zero entries of the input stay in their rows, where they fix the key
     order, but are never indexed: they are neither pivots nor divisors.
     """
-    rows = [dict(r) for r in rows if r]
-    where: dict = {}
+    rows = [_integer_row(r) for r in rows if r]
+    where = defaultdict(set)
     for i, r in enumerate(rows):
         for c, v in r.items():
-            if v != 0 and c < ncols:
-                where.setdefault(c, set()).add(i)
+            if v and c < ncols:
+                where[c].add(i)
     done = [False] * len(rows)
     reduced = []
     pivots = []
@@ -64,28 +79,65 @@ def rref(rows, ncols):
         if p is None:
             continue
         r = rows[p]
-        inv = _F1 / r[col]
-        r = {c: v * inv for c, v in r.items() if v != 0}
+        a = r[col]
+        sign = -1 if a < 0 else 1
+        r = {c: sign * v for c, v in r.items() if v}
+        a *= sign
         for i in hits:
             if i == p:
                 continue
             other = rows[i]
             f = other[col]
+            g = gcd(a, f)
+            s, t = a // g, f // g
+            if s != 1:
+                for c in other:
+                    other[c] *= s
             for c, v in r.items():
-                nv = other.get(c, _F0) - f * v
-                if nv == 0:
-                    other.pop(c, None)
-                    if col < c < ncols:
-                        where[c].discard(i)
+                old = other.get(c)
+                if old:
+                    nv = old - t * v
+                    if nv:
+                        other[c] = nv
+                    else:
+                        del other[c]
+                        if col < c < ncols:
+                            where[c].discard(i)
                 else:
-                    other[c] = nv
+                    # fill-in, or an explicit zero overwritten in place
+                    other[c] = -t * v
                     if col < c < ncols:
-                        where.setdefault(c, set()).add(i)
+                        where[c].add(i)
+            d = gcd(*other.values())
+            if d > 1:
+                for c in other:
+                    other[c] //= d
         rows[p] = r
         done[p] = True
         reduced.append(r)
         pivots.append(col)
-    return reduced, pivots
+    return [
+        {c: Fraction(v, r[p]) for c, v in r.items()}
+        for r, p in zip(reduced, pivots)
+    ], pivots
+
+
+def _integer_row(row):
+    """The row times the lcm of its denominators, over its content."""
+    den = 1
+    for v in row.values():
+        if v.denominator != 1:
+            den = lcm(den, v.denominator)
+    if den == 1:
+        out = {c: v.numerator for c, v in row.items()}
+    else:
+        out = {c: v.numerator * (den // v.denominator)
+               for c, v in row.items()}
+    d = gcd(*out.values())
+    if d > 1:
+        for c in out:
+            out[c] //= d
+    return out
 
 
 def _rows(columns):

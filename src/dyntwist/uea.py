@@ -2,7 +2,9 @@
 
 Monomials are weakly increasing tuples of basis indices (declaration
 order).  Straightening replaces x_j x_i (j > i) by x_i x_j + [x_j, x_i]
-recursively; every result is cached per algebra.
+recursively; every result is cached per algebra, and so is the adjoint
+action `ad_mono(x, mono)` of a basis element on a monomial.  Cached dicts
+are shared by every caller, which must not mutate them.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ class UEnvelope:
         self.lie = lie
         self._straight_cache: dict = {(): {(): _F1}}
         self._sym_cache: dict = {}
+        self._ad_cache: dict = {}
 
     # -- straightening -----------------------------------------------------
 
@@ -58,7 +61,15 @@ class UEnvelope:
         return self.straighten(m1 + m2)
 
     def ad_mono(self, x: int, mono) -> dict:
-        """[x, mono] in PBW coordinates (a derivation of degree 0)."""
+        """[x, mono] in PBW coordinates (a derivation of degree 0).
+
+        Cached per (x, mono) like `straighten`: the dict is shared between
+        calls, so callers must not mutate it.
+        """
+        memo_key = (x, mono)
+        out = self._ad_cache.get(memo_key)
+        if out is not None:
+            return out
         out = {}
         for pos in range(len(mono)):
             for k, c in self.lie.bracket_basis(x, mono[pos]).items():
@@ -66,6 +77,7 @@ class UEnvelope:
                     mono[:pos] + (k,) + mono[pos + 1 :]
                 ).items():
                     add_into(out, m, c * d)
+        self._ad_cache[memo_key] = out
         return out
 
     # -- symmetrization ----------------------------------------------------

@@ -8,13 +8,19 @@ every product it enters.  `_graded` is the `graded_terms()` those loops
 read (hbar valuation, plus the leg degree for a formal twist).  The
 layered kernels must agree with these exactly, coefficient orders
 included.
+
+Also kept: the uncached h-action `ad_mono` and the element-level
+b-column, the values that `UEnvelope.ad_mono` and `adt_dgla.b_column`
+now cache and share between callers, and the invariant basis built from
+that uncached action.
 """
 
 import itertools
 from fractions import Fraction
 
-from dyntwist.adt_dgla import AdtElement
+from dyntwist.adt_dgla import AdtElement, adt_monomials
 from dyntwist.hseries import add_into
+from dyntwist.lie_core import invariant_basis
 from dyntwist.quantizer import FormalTwist, _poly_to_series, _star_mono
 from dyntwist.uea import coproduct_mono
 
@@ -248,3 +254,33 @@ def _adte_pair(uea, k1, k2, c, out):
     for p1, m1 in coproduct_mono(f2, 2).items():
         slots = (f1, p1[0] + g1, p1[1] + g2, leg + legg)
         _straight_key(uea, slots, out, -(c * m1))
+
+
+def ad_mono(uea, x, mono):
+    """[x, mono] in PBW coordinates, recomputed on every call."""
+    out = {}
+    for pos in range(len(mono)):
+        for k, c in uea.lie.bracket_basis(x, mono[pos]).items():
+            for m, d in uea.straighten(
+                mono[:pos] + (k,) + mono[pos + 1:]
+            ).items():
+                add_into(out, m, c * d)
+    return out
+
+
+def invariant_adt_basis(uea, arity, total_length):
+    def ad_key(x, key):
+        out = {}
+        for slot in range(len(key)):
+            for m, c in ad_mono(uea, x, key[slot]).items():
+                add_into(out, key[:slot] + (m,) + key[slot + 1:], c)
+        return out
+
+    return invariant_basis(
+        uea.lie, adt_monomials(uea, arity, total_length), ad_key
+    )
+
+
+def b_column(uea, arity, vec):
+    """b of one basis vector through an order-0 element."""
+    return differential_b(AdtElement(uea, arity, vec, 0)).layer(0)

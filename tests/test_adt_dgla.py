@@ -8,6 +8,8 @@ from dyntwist import (
     CdybElement,
     HSeries,
     NoSolution,
+    RMatrix,
+    UEnvelope,
     adte_residual,
     alt,
     alt_embed,
@@ -16,8 +18,10 @@ from dyntwist import (
     differential_b,
     gerstenhaber_bracket,
     kappa_solve,
+    solve_adte,
     tensor_embed,
 )
+from dyntwist import adt_dgla, schema
 from dyntwist.adt_dgla import (
     adte_residual_layer,
     b_column,
@@ -35,7 +39,7 @@ from dyntwist.props import (
 )
 
 import reference_kernels
-from conftest import mixed_element
+from conftest import CORPUS, mixed_element
 
 N = 3
 F = Fraction
@@ -263,6 +267,49 @@ def test_b_columns_are_cached_images_of_the_basis(sl2_uea):
             assert b_column(sl2_uea, arity, length, j) is col
             assert col == differential_b(
                 AdtElement(sl2_uea, arity, v, N)).layer(0)
+
+
+# -- shared caches against uncached references -----------------------------
+#
+# `UEnvelope.ad_mono`, `invariant_adt_basis` and `b_column` hand the same
+# cached dict to every caller.  After a full solve, every cached value
+# must still equal its recomputation: a caller that mutated one (even by
+# adding an explicit zero entry, which changes no result) shows here.
+
+
+def _solved_uea(name):
+    lie = schema.parse_algebra(schema.load_file(CORPUS / f"{name}.alg"))
+    body = schema.parse_rmatrix(
+        schema.load_file(CORPUS / f"{name}.rmat"), lie, N)
+    uea = UEnvelope(lie)
+    solve_adte(RMatrix(lie, body), N, uea=uea)
+    return uea
+
+
+@pytest.mark.parametrize("name", ["sl2", "nonab", "affxc2"])
+def test_cached_h_action_is_unchanged_by_its_callers(name):
+    uea = _solved_uea(name)
+    assert uea._ad_cache
+    for (x, mono), got in uea._ad_cache.items():
+        assert list(got.items()) == list(
+            reference_kernels.ad_mono(uea, x, mono).items())
+
+
+@pytest.mark.parametrize("name", ["sl2", "nonab", "affxc2"])
+def test_cached_slices_are_unchanged_by_their_callers(name):
+    uea = _solved_uea(name)
+    cache = adt_dgla._slice_caches[uea]
+    columns = {k[1:]: v for k, v in cache.items() if k[0] == "b"}
+    assert any(columns.values())
+    for key, basis in cache.items():
+        if key[0] == "b":
+            continue
+        arity, length = key
+        ref = reference_kernels.invariant_adt_basis(uea, arity, length)
+        assert [list(v.items()) for v in basis] == [
+            list(v.items()) for v in ref]
+        for j, col in columns.get(key, {}).items():
+            assert col == reference_kernels.b_column(uea, arity, ref[j])
 
 
 # -- layered kernels against their HSeries references ------------------------

@@ -4,13 +4,16 @@ import sys
 
 import pytest
 
+from dyntwist import schema
 from dyntwist.cli import main
+from dyntwist.quantizer import RMatrix, taylor_rescale
 from dyntwist.schema import MAX_ORDER
 
 from conftest import CORPUS
 
 SL2 = str(CORPUS / "sl2.alg")
 SL2_R = str(CORPUS / "sl2.rmat")
+SL2_DEG8_R = str(CORPUS / "sl2_deg8.rmat")
 AB2 = str(CORPUS / "abelian2.alg")
 AB2_R = str(CORPUS / "abelian2.rmat")
 NONAB = str(CORPUS / "nonab.alg")
@@ -205,6 +208,30 @@ def test_quantize_verify_round_trip(tmp_path, capsys):
     assert code == 0
     assert "equation residual: ok" in out
     assert "semiclassical comparison: ok" in out
+
+
+def test_sl2_degree_8_corpus_passes_check(capsys):
+    code = main(["check-rmatrix", "--algebra", SL2, "--rmatrix", SL2_DEG8_R])
+    assert code == 0
+    assert "residual head: ok" in capsys.readouterr().out
+
+
+def test_sl2_degree_8_corpus_rescales_through_order_6():
+    lie = schema.parse_algebra(schema.load_file(SL2))
+    body = schema.parse_rmatrix(schema.load_file(SL2_DEG8_R), lie, 6)
+    taylor_rescale(RMatrix(lie, body), 6)
+
+
+def test_sl2_degree_8_corpus_gives_the_degree_4_twist(tmp_path):
+    """The leg degrees above 4 do not reach the order-4 twist."""
+    twists = []
+    for rmat in (SL2_R, SL2_DEG8_R):
+        twist = tmp_path / (os.path.basename(rmat) + ".twist")
+        code = main(["quantize", "--algebra", SL2, "--rmatrix", rmat,
+                     "--order", "4", "--out", str(twist)])
+        assert code == 0
+        twists.append(twist.read_bytes())
+    assert twists[0] == twists[1]
 
 
 def test_quantize_verify_nonabelian_base(tmp_path, capsys):

@@ -226,6 +226,20 @@ sparse_rows = st.dictionaries(
 # fill-in overwrites keeps its place in the row
 @example([{0: F(0), 1: F(2)}, {0: F(3), 1: F(0)}, {1: F(0)}], 2)
 @example([{0: F(1), 2: F(1)}, {2: F(0), 0: F(2), 1: F(5)}], 3)
+# the integer elimination: negative pivots, a row with common factor 6,
+# mixed denominators, entries near 10**30 (determinant -1), and rows that
+# cancel to nothing or to an explicit zero alone
+@example([{0: F(-2), 1: F(3)}, {0: F(4), 1: F(-1), 2: F(5)},
+          {1: F(-7), 0: F(-1)}], 3)
+@example([{0: F(6), 1: F(12), 2: F(-18)}, {0: F(3), 1: F(6), 2: F(9)},
+          {1: F(6), 2: F(-6), 3: F(12)}], 3)
+@example([{0: F(1, 3), 1: F(5, 7)}, {0: F(2, 7), 1: F(-1, 3), 2: F(1)},
+          {2: F(5, 7), 3: F(-1, 3)}], 3)
+@example([{0: F(10**30 + 1), 1: F(10**30)},
+          {0: F(10**30), 1: F(10**30 - 1), 2: F(-(10**29))}], 2)
+@example([{0: F(2), 1: F(4)}, {0: F(-3), 1: F(-6)}, {1: F(1)}], 2)
+@example([{0: F(1, 2), 1: F(1)}, {0: F(3), 2: F(0), 1: F(6)},
+          {2: F(0)}], 3)
 def test_rref_equals_reference(rows, ncols):
     """Same reduced rows, key order included, and the same pivots.
 
@@ -236,6 +250,7 @@ def test_rref_equals_reference(rows, ncols):
     ref_rows, ref_pivots = reference_rref(rows, ncols)
     assert got_pivots == ref_pivots
     assert _ordered(got_rows) == _ordered(ref_rows)
+    assert all(type(v) is Fraction for r in got_rows for v in r.values())
 
 
 @given(st.lists(sparse_rows, max_size=8), st.integers(0, 10))
@@ -246,6 +261,8 @@ def test_rref_leaves_its_input_alone(rows, ncols):
 
 
 @given(st.lists(sparse_vectors, max_size=8))
+@example([{"a": F(-6), "b": F(12)}, {"a": F(1, 3), "b": F(-2, 3)},
+          {"a": F(10**30), "c": F(5, 7)}, {"b": F(-(10**30))}])
 def test_kernel_basis_and_pivots_equal_reference(columns):
     assert _ordered(linalg.kernel_basis(columns)) == _ordered(
         reference_kernel_basis(columns)
@@ -257,6 +274,11 @@ def test_kernel_basis_and_pivots_equal_reference(columns):
 
 @given(st.lists(sparse_vectors, max_size=8),
        st.lists(sparse_vectors, max_size=4))
+# mixed denominators and entries near 10**30, one target consistent and
+# one not
+@example([{"a": F(1, 3), "b": F(5, 7)}, {"a": F(-6), "b": F(10**30)},
+          {"a": F(-2, 3), "b": F(-10, 7)}],
+         [{"a": F(10**30 - 1), "b": F(1, 21)}, {"z": F(1)}])
 def test_solve_equals_reference(columns, targets):
     assert _ordered(linalg.solve(columns, targets)) == _ordered(
         reference_solve(columns, targets)
