@@ -66,7 +66,6 @@ from .quantizer import (
     taylor_rescale,
 )
 from .gauge import (
-    GaugeElement,
     GaugeResult,
     ReducedClassical,
     classical_find_gauge,

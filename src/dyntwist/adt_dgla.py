@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import GradingMismatch, NoSolution, NotInvariant, TruncationTooSmall
-from .hseries import HSeries, SparseSeries, add_into
+from .hseries import SparseSeries, add_into
 from .lie_core import invariant_basis
 from .tensor_spaces import CdybElement, wedge_sort
 from .uea import (
@@ -66,12 +66,10 @@ class AdtElement(SparseSeries):
         return sorted({sum(len(m) for m in k) for k in self.terms})
 
     def length_component(self, length: int) -> "AdtElement":
-        terms = {
-            k: c
-            for k, c in self.terms.items()
-            if sum(len(m) for m in k) == length
-        }
-        return AdtElement(self.uea, self.arity, terms, self.order)
+        return self.map_keys(
+            lambda k: ((k, 0, _F1),) if sum(map(len, k)) == length else (),
+            AdtElement, self.uea, self.arity,
+        )
 
     def filtration_degree(self) -> int:
         """Largest leg length appearing (0 for the zero element)."""
@@ -80,11 +78,11 @@ class AdtElement(SparseSeries):
     # -- h action ----------------------------------------------------------
 
     def ad(self, x: int) -> "AdtElement":
-        terms = {}
-        for key, c in self.terms.items():
-            for out_key, coeff in ad_adt_key(self.uea, x, key).items():
-                add_into(terms, out_key, c * coeff)
-        return AdtElement(self.uea, self.arity, terms, self.order)
+        uea = self.uea
+        return self.map_keys(
+            lambda k: ((o, 0, c) for o, c in ad_adt_key(uea, x, k).items()),
+            AdtElement, uea, self.arity,
+        )
 
     def is_invariant(self) -> bool:
         return all(self.ad(x).is_zero() for x in self.uea.lie.h_indices)
@@ -123,17 +121,19 @@ def coproduct_at(E, i: int):
     Slot i = arity is the leg: its coaction puts the first half into a
     new last group factor and keeps the second half as the leg.
     """
-    out: dict = {}
-    for key, c in E.terms.items():
+    def image(key):
         for parts, mult in coproduct_mono(key[i], 2).items():
-            add_into(out, key[:i] + parts + key[i + 1 :], c * mult)
-    return type(E)(E.uea, E.arity + 1, out, E.order)
+            yield key[:i] + parts + key[i + 1 :], 0, mult
+
+    return E.map_keys(image, type(E), E.uea, E.arity + 1)
 
 
 def unit_at(E, i: int):
     """Insert a unit as the new slot i."""
-    terms = {key[:i] + ((),) + key[i:]: c for key, c in E.terms.items()}
-    return type(E)(E.uea, E.arity + 1, terms, E.order)
+    return E.map_keys(
+        lambda key: ((key[:i] + ((),) + key[i:], 0, _F1),),
+        type(E), E.uea, E.arity + 1,
+    )
 
 
 def slotwise_product(A, B, leg_mul):
@@ -426,31 +426,20 @@ def gerstenhaber_bracket(
 def p2_project(splitter: UmSplitter, P: AdtElement) -> AdtElement:
     """Factorwise projection onto sym(S m) tensor counit on the leg."""
     uea = splitter.uea
-    order = P.order
-    terms: dict = {}
-    for key, c in P.terms.items():
+
+    def image(key):
         if key[-1] != ():  # counit on the leg
-            continue
-        expansions = []
-        dead = False
+            return ()
+        partial = [((), _F1)]
         for mfac in key[:-1]:
-            um = splitter.um_project(PbwElement(uea, {mfac: _F1}, order))
+            um = splitter.um_project(PbwElement(uea, {mfac: _F1}, 0))
             if um.is_zero():
-                dead = True
-                break
-            expansions.append(um.terms)
-        if dead:
-            continue
-        partial = [((), HSeries.one(order))]
-        for exp in expansions:
-            nxt = []
-            for pref, c0 in partial:
-                for mono, cc in exp.items():
-                    nxt.append((pref + (mono,), c0 * cc))
-            partial = nxt
-        for pref, c0 in partial:
-            add_into(terms, pref + ((),), c * c0)
-    return AdtElement(uea, P.arity, terms, order)
+                return ()
+            partial = [(pref + (mono,), c0 * cc) for pref, c0 in partial
+                       for mono, cc in um.layer(0).items()]
+        return [(pref + ((),), 0, c0) for pref, c0 in partial]
+
+    return P.map_keys(image, AdtElement, uea, P.arity)
 
 
 def alt(P: AdtElement) -> CdybElement:
@@ -459,28 +448,19 @@ def alt(P: AdtElement) -> CdybElement:
     The leg is carried back to S h through the symmetrization inverse.
     """
     uea = P.uea
-    order = P.order
-    out = CdybElement.zero(order)
-    # group terms by leg to invert sym legwise
-    by_leg: dict = {}
-    for key, c in P.terms.items():
+    h_allowed = set(uea.lie.h_indices)
+
+    def image(key):
         if any(len(m) != 1 for m in key[:-1]):
-            continue
-        by_leg.setdefault(key[-1], []).append((key[:-1], c))
-    for leg, items in by_leg.items():
-        leg_elt = PbwElement(uea, {leg: _F1}, order)
-        s_coeffs = uea.sym_inverse(leg_elt, allowed=set(uea.lie.h_indices))
-        for gkey, c in items:
-            letters = tuple(m[0] for m in gkey)
-            ws = wedge_sort(letters)
-            if ws is None:
-                continue
-            sign, wedge = ws
-            for smono, sc in s_coeffs.items():
-                out = out + CdybElement(
-                    {(wedge, smono): c * sc * sign}, order
-                )
-    return out
+            return ()
+        ws = wedge_sort(tuple(m[0] for m in key[:-1]))
+        if ws is None:
+            return ()
+        sign, wedge = ws
+        s_coeffs = uea.sym_preimage({key[-1]: _F1}, allowed=h_allowed)
+        return [((wedge, smono), 0, sign * c) for smono, c in s_coeffs.items()]
+
+    return P.map_keys(image, CdybElement)
 
 
 def alt_embed(uea: UEnvelope, elt: CdybElement) -> AdtElement:
@@ -489,30 +469,32 @@ def alt_embed(uea: UEnvelope, elt: CdybElement) -> AdtElement:
     All wedge monomials must share one exterior degree (the arity).
     """
     k = elt.exterior_degree()
-    order = elt.order
-    terms: dict = {}
     norm = Fraction(1, math.factorial(k))
-    for (w, s), c in elt.terms.items():
+
+    def image(key):
+        w, s = key
         leg = uea.sym_mono(s)
         for perm in itertools.permutations(range(k)):
             sign = wedge_sort(perm)[0]
             gkey = tuple((w[p],) for p in perm)
             for mono, lc in leg.items():
-                add_into(terms, gkey + (mono,), c * (sign * norm * lc))
-    return AdtElement(uea, k, terms, order)
+                yield gkey + (mono,), 0, sign * norm * lc
+
+    return elt.map_keys(image, AdtElement, uea, k)
 
 
 def tensor_embed(uea: UEnvelope, elt: CdybElement) -> AdtElement:
     """x ^ y (x) s -> (x (x) y - y (x) x) (x) sym(s), without 1/2."""
     if elt.exterior_degree() != 2:
         raise GradingMismatch("tensor_embed expects exterior degree 2")
-    order = elt.order
-    terms: dict = {}
-    for (w, s), c in elt.terms.items():
+
+    def image(key):
+        (x, y), s = key
         for mono, lc in uea.sym_mono(s).items():
-            add_into(terms, ((w[0],), (w[1],), mono), c * lc)
-            add_into(terms, ((w[1],), (w[0],), mono), -(c * lc))
-    return AdtElement(uea, 2, terms, order)
+            yield ((x,), (y,), mono), 0, lc
+            yield ((y,), (x,), mono), 0, -lc
+
+    return elt.map_keys(image, AdtElement, uea, 2)
 
 
 # -- basis enumeration and exact solving -----------------------------------

@@ -23,20 +23,22 @@ from .tensor_spaces import (
     wedge_sort,
 )
 
+_F1 = Fraction(1)
+
 _bracket_caches: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def differential(elt: CdybElement) -> CdybElement:
     """d(w (x) h_1...h_l) = - sum_i h_i ^ w (x) h_1...(h_i dropped)...h_l."""
-    terms = {}
-    for (w, s), c in elt.terms.items():
+    def image(key):
+        w, s = key
         for pos in range(len(s)):
             ws = wedge_sort((s[pos],) + w)
-            if ws is None:
-                continue
-            sign, new_w = ws
-            add_into(terms, (new_w, s[:pos] + s[pos + 1 :]), c * (-sign))
-    return CdybElement(terms, elt.order)
+            if ws is not None:
+                sign, new_w = ws
+                yield (new_w, s[:pos] + s[pos + 1 :]), 0, -sign
+
+    return elt.map_keys(image, CdybElement)
 
 
 def _wedge_cache(lie: LieData) -> dict:
@@ -196,14 +198,13 @@ def _alt_d_into(rho: CdybElement, out: dict, negate):
 
 def p1_project(lie: LieData, elt: CdybElement) -> CdybElement:
     """Projection onto wedge^* m (x) S^0: empty leg, wedge inside m only."""
-    terms = {}
-    for (w, s), c in elt.terms.items():
-        if s:
-            continue
-        if any(lie.is_h(i) for i in w):
-            continue
-        terms[(w, s)] = c
-    return CdybElement(terms, elt.order)
+    def image(key):
+        w, s = key
+        if s or any(lie.is_h(i) for i in w):
+            return ()
+        return ((key, 0, _F1),)
+
+    return elt.map_keys(image, CdybElement)
 
 
 def delta_homotopy(lie: LieData, elt: CdybElement) -> CdybElement:
@@ -215,24 +216,24 @@ def delta_homotopy(lie: LieData, elt: CdybElement) -> CdybElement:
     moved back to the symmetric leg with weight 1/(q + l) and alternating
     signs, and a global factor -(-1)^p.
     """
-    terms = {}
-    for (w, s), c in elt.terms.items():
+    def image(key):
+        w, s = key
         m_part = tuple(i for i in w if not lie.is_h(i))
         h_part = tuple(i for i in w if lie.is_h(i))
         sign = _shuffle_sign(lie, w)
         p, q, l = len(m_part), len(h_part), len(s)
         if q + l == 0:
-            continue
+            return
         outer = -_sign(p) * Fraction(1, q + l)
         for i in range(q):
-            new_wedge = m_part + h_part[:i] + h_part[i + 1 :]
-            ws = wedge_sort(new_wedge)
+            ws = wedge_sort(m_part + h_part[:i] + h_part[i + 1 :])
             if ws is None:
                 continue
             s2, new_w = ws
-            key = (new_w, sym_sort(s + (h_part[i],)))
-            add_into(terms, key, c * (sign * s2 * _sign(i) * outer))
-    return CdybElement(terms, elt.order)
+            yield ((new_w, sym_sort(s + (h_part[i],))), 0,
+                   sign * s2 * _sign(i) * outer)
+
+    return elt.map_keys(image, CdybElement)
 
 
 def _shuffle_sign(lie: LieData, wedge) -> int:

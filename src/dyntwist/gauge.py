@@ -28,49 +28,32 @@ from .errors import (
     StraighteningStalled,
     ValuationViolated,
 )
-from .hseries import HSeries, add_into
+from .hseries import add_into
 from .lie_core import LieData
 from .linfinity import classical_contraction, invert_contraction, mc_transport
 from .quantizer import FormalTwist, j_to_k, k_to_j, shift_argument
-from .tensor_spaces import CdybElement, invariant_cdyb_basis
+from .tensor_spaces import (
+    CdybElement,
+    invariant_cdyb_basis,
+    sym_sort,
+    wedge_sort,
+)
 from .uea import UEnvelope
 
 
-class GaugeElement:
-    """A gauge transformation in up to three equivalent forms.
-
-    Q: algebraic form, element of the two-leg invariant space with
-    Q = 1 + O(hbar); T: formal form with a polynomial leg; q: classical
-    generator.  Any subset may be populated.
-    """
-
-    __slots__ = ("Q", "T", "q")
-
-    def __init__(self, Q=None, T=None, q=None):
-        self.Q = Q
-        self.T = T
-        self.q = q
-
-
 def _as_algebraic(g) -> AdtElement:
-    if isinstance(g, GaugeElement):
-        g = g.Q
     if not isinstance(g, AdtElement):
         raise GradingMismatch("expected an algebraic gauge element")
     return g
 
 
 def _as_formal(g) -> FormalTwist:
-    if isinstance(g, GaugeElement):
-        g = g.T
     if not isinstance(g, FormalTwist):
         raise GradingMismatch("expected a formal gauge element")
     return g
 
 
 def _as_classical(g) -> CdybElement:
-    if isinstance(g, GaugeElement):
-        g = g.q
     if not isinstance(g, CdybElement):
         raise GradingMismatch("expected a classical gauge generator")
     return g
@@ -188,21 +171,22 @@ def gauge_to_algebraic(T) -> AdtElement:
 
 def _shift_affine(lie: LieData, q: CdybElement) -> CdybElement:
     """- sum_i h_i wedge (d q / d lambda^i)."""
-    order = q.order
-    out = CdybElement.zero(order)
-    for (w, s), c in q.terms.items():
-        x = w[0]
+    def image(key):
+        w, s = key
         for i in set(s):
-            mult = s.count(i)
-            pos = s.index(i)
-            rest = s[:pos] + s[pos + 1 :]
-            out = out + CdybElement.monomial((i, x), rest, c * (-mult), order)
-    return out
+            ws = wedge_sort((i, w[0]))
+            if ws is not None:
+                pos = s.index(i)
+                rest = sym_sort(s[:pos] + s[pos + 1 :])
+                yield (ws[1], rest), 0, -ws[0] * s.count(i)
+
+    return q.map_keys(image, CdybElement)
 
 
 def _sh_truncate(elt: CdybElement, bound: int) -> CdybElement:
-    terms = {k: c for k, c in elt.terms.items() if len(k[1]) <= bound}
-    return CdybElement(terms, elt.order)
+    return elt.map_keys(
+        lambda k: ((k, 0, 1),) if len(k[1]) <= bound else (), CdybElement
+    )
 
 
 def classical_gauge_infinitesimal(lie: LieData, q, target,
@@ -236,7 +220,7 @@ def classical_gauge_act(lie: LieData, q, target, form: str = "mc",
     if not q.is_invariant(lie):
         raise NotInvariant("gauge generator is not invariant")
     if form == "mc":
-        val = min((c.valuation() for c in q.terms.values()), default=None)
+        val = q.hbar_valuation()
         if val is None or val < 1:
             raise ValuationViolated(
                 "mc-form generator must have hbar valuation >= 1"
@@ -281,12 +265,9 @@ def rescale_generator(q: CdybElement, order: int) -> CdybElement:
     Intertwines the two flow forms with the rescaling that turns an
     r-matrix into a Maurer-Cartan element.
     """
-    terms = {}
-    for (w, s), c in q.terms.items():
-        shifted = c.truncate(order).shift(len(s))
-        if not shifted.is_zero():
-            terms[(w, s)] = shifted
-    return CdybElement(terms, order)
+    return q.truncate(order).map_keys(
+        lambda key: ((key, len(key[1]), 1),), CdybElement
+    )
 
 
 # -- equivalence testing -----------------------------------------------------
@@ -343,7 +324,7 @@ def find_gauge(K: AdtElement, K2: AdtElement) -> GaugeResult:
                 return GaugeResult(
                     False, obstruction=exc.residual, order=n
                 )
-        Q = Q + qn.scale(HSeries.hbar(order, n))
+        Q = Q + qn.shift(n)
     final = gauge_act_algebraic(Q, K)
     if not (K2 - final).is_zero():
         return GaugeResult(False, obstruction=K2 - final, order=None)
@@ -380,8 +361,8 @@ def classical_find_gauge(lie: LieData, alpha: CdybElement,
         q_terms: dict = {}
         for j, a in sol.items():
             for key, c in basis[j].items():
-                add_into(q_terms, key, HSeries.hbar(order, n, a * c))
-        qn = CdybElement(q_terms, order)
+                add_into(q_terms, key, a * c)
+        qn = CdybElement(q_terms, order).shift(n)
         if qn.is_zero():
             return GaugeResult(False, obstruction=diff, order=n)
         cur = classical_gauge_act(lie, qn, cur, form="mc")
@@ -431,7 +412,7 @@ def reduce_classical(lie: LieData, alpha: CdybElement,
     res = cdyb_dgla.cdybe_residual(lie, alpha, mode="dgla")
     if not res.is_zero():
         raise NotMaurerCartan("input fails the Maurer-Cartan equation")
-    val = min((c.valuation() for c in alpha.terms.values()), default=1)
+    val = alpha.hbar_valuation()
     if val is not None and val < 1:
         raise NotMaurerCartan("input must have hbar valuation >= 1")
     if arity_bound is None:

@@ -19,6 +19,12 @@ such pair.  The weight is the hbar power; a formal twist adds the leg
 degree, the grading of its truncation triangle.  A kernel keeps the
 layers up to `precision()`, below N when a coefficient is known to a
 lower order than its element.
+
+Every linear map works on the same layers: `SparseSeries.map_keys`
+sends each (key, Fraction, power) entry through f(key), which yields
+(image key, hbar power, Fraction), and builds the image through
+`from_layers`.  So this module alone knows that a coefficient is stored
+as a per-key HSeries.
 """
 
 from __future__ import annotations
@@ -225,20 +231,28 @@ class SparseSeries:
 
     __slots__ = ("terms", "order", "_vkey", "_layered")
     _space: tuple = ()
-    # a formal twist weighs its terms by hbar power plus leg degree
+    # a formal twist weighs its terms by hbar power plus leg degree and
+    # keeps only those of weight at most its order
     _leg_weighted = False
 
     def __init__(self, terms: dict, order: int):
         self.order = order
         self.terms = out = {}
         key = self._key
+        leg = self._leg_weighted
         for k, c in terms.items():
             if not isinstance(c, HSeries):
                 c = HSeries.constant(c, order)
             elif c.order > order:
                 c = c.truncate(order)
+            k = key(k)
+            if leg and k[-1]:
+                # keep the triangle: hbar power + leg degree <= order
+                cap = max(order + 1 - len(k[-1]), 0)
+                if any(c.coeffs[cap:]):
+                    c = HSeries(c.coeffs[:cap], c.order)
             if not c.is_zero():
-                out[key(k)] = c
+                out[k] = c
 
     def _key(self, key):
         """Normalize and validate a monomial key given to the constructor."""
@@ -371,6 +385,34 @@ class SparseSeries:
     def hbar_valuation(self):
         """Smallest hbar power with a nonzero coefficient (None for zero)."""
         return min((c.valuation() for c in self.terms.values()), default=None)
+
+    def map_keys(self, f, cls, *space):
+        """The linear map key -> f(key), as an element of cls(*space).
+
+        f(key) yields (key, hbar power, Fraction): each hbar^n
+        coefficient a of key adds a times the Fraction to the image key's
+        hbar^(n + power) coefficient.  f is called once per key.  Terms
+        above `precision()` are dropped, and each image key's HSeries is
+        built once, by `cls.from_layers`, at this element's order.
+        """
+        prec = self.precision()
+        outs = [{} for _ in range(prec + 1)]
+        images: dict = {}
+        for k, a, n, _ in self.layer_terms():
+            image = images.get(k)
+            if image is None:
+                images[k] = image = tuple(f(k))
+            for key, q, c in image:
+                if n + q <= prec:
+                    add_into(outs[n + q], key, a * c)
+        return cls.from_layers(*space, outs, self.order)
+
+    def shift(self, k: int):
+        """Multiply by hbar^k."""
+        return self.map_keys(
+            lambda key: ((key, k, _F1),),
+            type(self), *(getattr(self, a) for a in self._space),
+        )
 
     def map_coeffs(self, f):
         return self._like({k: f(c) for k, c in self.terms.items()}, self.order)

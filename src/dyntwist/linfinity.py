@@ -548,6 +548,30 @@ def check_morphism(T: MorphismTower, arity: int, samples: int, seed=0):
     return report
 
 
+def _partition_sum(outer: MorphismTower, inner: MorphismTower, args,
+                   partitions, zero):
+    """zero + sum over partitions of +-outer(inner(block), ...).
+
+    Each block feeds `inner` its arguments in increasing position; the
+    blocks go to `outer` ordered by their least position, with the Koszul
+    sign of that reordering in the grading of `inner`'s source.
+    """
+    degs = [inner.source.s_degree(a) for a in args]
+    out = zero
+    for part in partitions:
+        blocks = sorted(part, key=min)
+        perm = [i for blk in blocks for i in sorted(blk)]
+        sign = koszul_sign(degs, perm)
+        term = outer.apply(len(blocks), tuple(
+            inner.apply(len(blk), tuple(args[i] for i in sorted(blk)))
+            for blk in blocks
+        ))
+        if sign < 0:
+            term = term.scale(-1)
+        out = out + term
+    return out
+
+
 def compose_towers(G: MorphismTower, F: MorphismTower) -> MorphismTower:
     """Coalgebra composition G o F, truncated to the smaller bound."""
     bound = min(G.arity_bound, F.arity_bound)
@@ -563,24 +587,8 @@ def compose_towers(G: MorphismTower, F: MorphismTower) -> MorphismTower:
         return _set_partitions(list(range(n)))
 
     def make(n):
-        def mapped(*args):
-            degs = [src.s_degree(a) for a in args]
-            out = tgt.zero()
-            for part in partitions(n):
-                blocks = sorted(part, key=min)
-                perm = [i for blk in blocks for i in sorted(blk)]
-                sign = koszul_sign(degs, perm)
-                inner = tuple(
-                    F.apply(len(blk), tuple(args[i] for i in sorted(blk)))
-                    for blk in blocks
-                )
-                term = G.apply(len(blocks), inner)
-                if sign < 0:
-                    term = term.scale(-1)
-                out = out + term
-            return out
-
-        return mapped
+        return lambda *args: _partition_sum(G, F, args, partitions(n),
+                                            tgt.zero())
 
     return MorphismTower(
         src, tgt, [make(n) for n in range(1, bound + 1)], bound,
@@ -596,22 +604,8 @@ def invert_tower(F: MorphismTower, f1_inverse=None) -> MorphismTower:
 
     def make(n):
         def mapped(*args):
-            degs = [src.s_degree(a) for a in args]
-            out = tgt.zero()
-            for part in _set_partitions(list(range(n))):
-                if len(part) == 1:
-                    continue
-                blocks = sorted(part, key=min)
-                perm = [i for blk in blocks for i in sorted(blk)]
-                sign = koszul_sign(degs, perm)
-                inner = tuple(
-                    H.apply(len(blk), tuple(args[i] for i in sorted(blk)))
-                    for blk in blocks
-                )
-                term = F.apply(len(blocks), inner)
-                if sign < 0:
-                    term = term.scale(-1)
-                out = out + term
+            parts = (p for p in _set_partitions(list(range(n))) if len(p) > 1)
+            out = _partition_sum(F, H, args, parts, tgt.zero())
             return inv1(out.scale(-1))
 
         return mapped

@@ -21,7 +21,7 @@ from .adt_dgla import (
     kappa_solve,
 )
 from .errors import NoSolution
-from .hseries import HSeries, add_into
+from .hseries import add_into
 from .lie_core import LieData, invariant_basis
 from .linfinity import quantum_contraction
 from .tensor_spaces import (
@@ -206,9 +206,7 @@ def check_adte_modes(uea: UEnvelope, seed=0, samples=100, order=2,
     for _ in range(samples):
         K = AdtElement.unit(uea, 2, order)
         for n in range(1, order + 1):
-            K = K + _rand_adt(uea, rng, 2, max_len, order).scale(
-                HSeries.hbar(order, n)
-            )
+            K = K + _rand_adt(uea, rng, 2, max_len, order).shift(n)
         d = adte_residual(K, mode="direct")
         m = adte_residual(K, mode="mc")
         if not (d - m).is_zero():

@@ -38,7 +38,7 @@ from .errors import (
 from .hseries import HSeries, SparseSeries, add_into, as_series
 from .lie_core import LieData
 from .tensor_spaces import CdybElement
-from .uea import PbwElement, UEnvelope
+from .uea import UEnvelope
 
 _F1 = Fraction(1)
 
@@ -92,22 +92,16 @@ class RMatrix:
                     residual=head,
                 )
 
-    def layer(self, n: int, order: int) -> CdybElement:
-        """hbar-order-n coefficient of the rescaled family hbar rho(hbar l).
+    def rescaled(self, order: int) -> CdybElement:
+        """The rescaled family hbar rho(hbar l), truncated at `order`.
 
         The leg-degree-d part of the hbar^j layer of the body lands at
-        order j + d + 1; this returns the order-n slice with constant
-        coefficients.
+        order j + d + 1.  The result has the smaller of `order` and the
+        body's order.
         """
-        terms = {}
-        for (w, s), c in self.body.terms.items():
-            j = n - 1 - len(s)
-            if j < 0:
-                continue
-            a = c.coeff(j)
-            if a != 0:
-                terms[(w, s)] = HSeries.constant(a, order)
-        return CdybElement(terms, order)
+        return self.body.truncate(order).map_keys(
+            lambda key: ((key, len(key[1]) + 1, _F1),), CdybElement
+        )
 
 
 def taylor_rescale(rho: RMatrix, order: int) -> CdybElement:
@@ -116,12 +110,7 @@ def taylor_rescale(rho: RMatrix, order: int) -> CdybElement:
     The result must be Maurer-Cartan within the truncation order; the
     residual is recomputed, not assumed.
     """
-    terms = {}
-    for (w, s), c in rho.body.terms.items():
-        shifted = c.truncate(order).shift(len(s) + 1)
-        if not shifted.is_zero():
-            terms[(w, s)] = shifted
-    alpha = CdybElement(terms, order)
+    alpha = rho.rescaled(order)
     res = cdyb_dgla.cdybe_residual(rho.lie, alpha, mode="dgla")
     if not res.is_zero():
         raise NotMaurerCartan(
@@ -162,14 +151,6 @@ class FormalTwist(SparseSeries):
         self.uea = uea
         self.arity = arity
         super().__init__(terms, order)
-        terms = self.terms
-        for key in [k for k in terms if k[-1]]:
-            coeffs = terms[key].coeffs
-            cap = max(order + 1 - len(key[-1]), 0)
-            if not any(coeffs[:cap]):
-                del terms[key]
-            elif any(coeffs[cap:]):
-                terms[key] = HSeries(coeffs[:cap], terms[key].order)
 
     @classmethod
     def zero(cls, uea, arity, order):
@@ -183,10 +164,9 @@ class FormalTwist(SparseSeries):
         """Swap the two group factors (arity 2 only)."""
         if self.arity != 2:
             raise GradingMismatch("op is defined for two factors")
-        return FormalTwist(
-            self.uea, 2,
-            {(k[1], k[0], k[2]): c for k, c in self.terms.items()},
-            self.order,
+        return self.map_keys(
+            lambda k: (((k[1], k[0], k[2]), 0, _F1),),
+            FormalTwist, self.uea, 2,
         )
 
     def __mul__(self, other: "FormalTwist") -> "FormalTwist":
@@ -311,18 +291,17 @@ def _shift_coproduct(J: FormalTwist) -> FormalTwist:
     The letters sent to the new third group factor are symmetrized there.
     """
     uea = J.uea
-    order = J.order
-    out: dict = {}
-    for key, c in J.terms.items():
+
+    def image(key):
         gfac = key[:-1]
         s = key[-1]
         for positions in itertools.product((0, 1), repeat=len(s)):
             chosen = tuple(s[i] for i in range(len(s)) if positions[i] == 0)
             rest = tuple(s[i] for i in range(len(s)) if positions[i] == 1)
-            coeff = c * HSeries.hbar(order, len(chosen))
             for m, d in uea.sym_mono(chosen).items():
-                add_into(out, gfac + (m, rest), coeff * d)
-    return FormalTwist(uea, J.arity + 1, out, order)
+                yield gfac + (m, rest), len(chosen), d
+
+    return J.map_keys(image, FormalTwist, uea, J.arity + 1)
 
 
 def _leg_derivative(s, i) -> tuple:
@@ -337,19 +316,15 @@ def _leg_derivative(s, i) -> tuple:
 def _shift_taylor(J: FormalTwist) -> FormalTwist:
     """Taylor form: sum over hbar^k/k! times k-fold leg derivatives."""
     uea = J.uea
-    order = J.order
     h_idx = uea.lie.h_indices
-    out: dict = {}
-    fact = 1
-    for key, c in J.terms.items():
+
+    def image(key):
         gfac = key[:-1]
         s = key[-1]
-        deg = len(s)
         fact = 1
-        for k in range(deg + 1):
+        for k in range(len(s) + 1):
             if k:
                 fact *= k
-            coeff = c * HSeries.hbar(order, k, Fraction(1, fact))
             for word in itertools.product(h_idx, repeat=k):
                 rest = s
                 mult = 1
@@ -361,8 +336,9 @@ def _shift_taylor(J: FormalTwist) -> FormalTwist:
                 if mult == 0:
                     continue
                 for m, d in uea.straighten(word).items():
-                    add_into(out, gfac + (m, rest), coeff * (mult * d))
-    return FormalTwist(uea, J.arity + 1, out, order)
+                    yield gfac + (m, rest), k, Fraction(mult, fact) * d
+
+    return J.map_keys(image, FormalTwist, uea, J.arity + 1)
 
 
 def shift_argument(J: FormalTwist, form: str = "both") -> FormalTwist:
@@ -438,14 +414,13 @@ def k_to_j(uea: UEnvelope, K: AdtElement, strict: bool = True) -> FormalTwist:
     order = K.order
     arity = K.arity
     unit_key = ((),) * (arity + 1)
-    out: dict = {}
+    outs = [{} for _ in range(order + 1)]
     for n in range(order + 1):
         by_front: dict = {}
         for key, a in K.layer(n).items():
             by_front.setdefault(key[:-1], {})[key[-1]] = a
         for front, legs in by_front.items():
-            leg_elt = PbwElement(uea, legs, order)
-            for smono, c in uea.sym_inverse(leg_elt, allowed=h_allowed).items():
+            for smono, c in uea.sym_preimage(legs, allowed=h_allowed).items():
                 d = len(smono)
                 m = n - d
                 if m < 0 or (strict and m == 0
@@ -454,23 +429,20 @@ def k_to_j(uea: UEnvelope, K: AdtElement, strict: bool = True) -> FormalTwist:
                         f"order-{n} coefficient has leg degree {d}; the "
                         "filtration certificate fails"
                     )
-                add_into(out, front + (smono,), c.shift(m))
-    return FormalTwist(uea, arity, out, order)
+                add_into(outs[m], front + (smono,), c)
+    return FormalTwist.from_layers(uea, arity, outs, order)
 
 
 def j_to_k(J: FormalTwist) -> AdtElement:
     """Substitute the rescaled argument and symmetrize the leg."""
     uea = J.uea
-    order = J.order
-    out: dict = {}
-    for key, c in J.terms.items():
+
+    def image(key):
         s = key[-1]
-        coeff = c.shift(len(s))
-        if coeff.is_zero():
-            continue
         for m, d in uea.sym_mono(s).items():
-            add_into(out, key[:-1] + (m,), coeff * d)
-    return AdtElement(uea, J.arity, out, order)
+            yield key[:-1] + (m,), len(s), d
+
+    return J.map_keys(image, AdtElement, uea, J.arity)
 
 
 # -- the order-by-order solver ----------------------------------------------
@@ -535,12 +507,11 @@ def solve_adte(rho: RMatrix, N: int, uea: UEnvelope | None = None,
     rng = random.Random(perturb_seed) if perturb_seed is not None else None
     order = N
     K = AdtElement.unit(uea, 2, order)
+    alpha = rho.rescaled(order)
     for n in range(1, N + 1):
-        pinned = alt_embed(uea, rho.layer(n, order))
-        K = K + pinned.scale(HSeries.hbar(order, n))
+        K = K + alt_embed(uea, alpha.hbar_component(n)).shift(n)
         if rng is not None and n >= 2:
-            pert = _random_coboundary(uea, rng, n, order)
-            K = K + pert.scale(HSeries.hbar(order, n))
+            K = K + _random_coboundary(uea, rng, n, order).shift(n)
         target = AdtElement(uea, 3, adte_residual_layer(K, n), order)
         if target.is_zero():
             continue
@@ -551,7 +522,7 @@ def solve_adte(rho: RMatrix, N: int, uea: UEnvelope | None = None,
                 f"order-{n} obstruction: {exc}", order=n, obstruction=target,
                 length=exc.length,
             ) from exc
-        K = K + corr.scale(HSeries.hbar(order, n))
+        K = K + corr.shift(n)
         if adte_residual_layer(K, n):
             raise ObstructionNotRepaired(
                 f"order-{n} correction did not close the equation",

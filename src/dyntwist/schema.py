@@ -37,7 +37,7 @@ from itertools import product
 
 from .adt_dgla import AdtElement
 from .errors import AlgebraError, DecompositionError, SchemaError
-from .hseries import HSeries, add_into
+from .hseries import add_into
 from .lie_core import LieData
 from .tensor_spaces import CdybElement
 from .uea import UEnvelope
@@ -256,20 +256,14 @@ def parse_rmatrix(text, lie: LieData, order: int) -> CdybElement:
 
 
 def dump_rmatrix(body: CdybElement, lie: LieData) -> str:
+    if any(body.layer(n) for n in range(1, body.order + 1)):
+        raise SchemaError("r-matrix files carry constant coefficients only")
     out = ["rmatrix"]
-    for (w, s), c in sorted(body.terms.items()):
-        for n in range(c.order + 1):
-            a = c.coeff(n)
-            if a == 0:
-                continue
-            if n != 0:
-                raise SchemaError(
-                    "r-matrix files carry constant coefficients only"
-                )
-            out.append(
-                f"term {a} * {lie.name_of(w[0])}^{lie.name_of(w[1])} * "
-                + _dump_mono(s, lie)
-            )
+    for (w, s), a in sorted(body.layer(0).items()):
+        out.append(
+            f"term {a} * {lie.name_of(w[0])}^{lie.name_of(w[1])} * "
+            + _dump_mono(s, lie)
+        )
     out.append("end")
     return "\n".join(out) + "\n"
 
@@ -283,7 +277,7 @@ def parse_twist(text, uea: UEnvelope) -> AdtElement:
     arity = None
     order = None
     level = None
-    terms: dict = {}
+    levels: dict = {}
     for lineno, line in payload:
         parts = line.split()
         key = parts[0]
@@ -324,27 +318,25 @@ def parse_twist(text, uea: UEnvelope) -> AdtElement:
                     f"got {len(slots)}"
                 )
             words = [_parse_mono(s, lie, lineno) for s in slots]
-            leg = tuple(sorted(words[-1]))
-            for i in leg:
+            for i in words[-1]:
                 if not lie.is_h(i):
                     raise SchemaError(
                         f"line {lineno}: leg letter {lie.name_of(i)!r} is "
                         "not in the base subalgebra"
                     )
-            # slot words need not arrive straightened
-            for combo in product(
-                *(uea.straighten(w).items() for w in words[:-1])
-            ):
-                mkey = tuple(m for m, _ in combo) + (leg,)
+            # slot words, the leg included, need not arrive straightened
+            terms = levels.setdefault(level, {})
+            for combo in product(*(uea.straighten(w).items() for w in words)):
                 c = coeff
                 for _, d in combo:
                     c = c * d
-                add_into(terms, mkey, HSeries.hbar(order, level, c))
+                add_into(terms, tuple(m for m, _ in combo), c)
         else:
             raise SchemaError(f"line {lineno}: unknown twist key {key!r}")
     if arity is None or order is None:
         raise SchemaError("twist block needs 'arity' and 'order'")
-    return AdtElement(uea, arity, terms, order)
+    layers = [levels.get(n, {}) for n in range(order + 1)]
+    return AdtElement.from_layers(uea, arity, layers, order)
 
 
 def dump_twist(K: AdtElement) -> str:

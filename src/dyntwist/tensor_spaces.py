@@ -8,9 +8,13 @@ Zero coefficients are pruned eagerly.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+
 from .errors import GradingMismatch, SpaceMismatch
-from .hseries import SparseSeries, add_into, as_series
+from .hseries import SparseSeries, add_into
 from .lie_core import LieData, invariant_basis
+
+_F1 = Fraction(1)
 
 
 def wedge_sort(indices):
@@ -57,7 +61,7 @@ class CdybElement(SparseSeries):
             return cls.zero(order)
         sign, wedge = ws
         key = (wedge, sym_sort(sym))
-        return cls({key: sign * as_series(coeff, order)}, order)
+        return cls({key: sign * coeff}, order)
 
     def wedge(self, other: "CdybElement") -> "CdybElement":
         """Exterior product; S h legs multiply symmetrically."""
@@ -90,23 +94,22 @@ class CdybElement(SparseSeries):
         return degs[0] if degs else 0
 
     def component(self, *, exterior=None, sh=None) -> "CdybElement":
-        terms = {}
-        for (w, s), c in self.terms.items():
-            if exterior is not None and len(w) != exterior:
-                continue
-            if sh is not None and len(s) != sh:
-                continue
-            terms[(w, s)] = c
-        return CdybElement(terms, self.order)
+        def image(key):
+            w, s = key
+            if (exterior is not None and len(w) != exterior
+                    or sh is not None and len(s) != sh):
+                return ()
+            return ((key, 0, _F1),)
+
+        return self.map_keys(image, CdybElement)
 
     # -- h-action ----------------------------------------------------------
 
     def ad(self, lie: LieData, x: int) -> "CdybElement":
-        terms = {}
-        for key, c in self.terms.items():
-            for out_key, coeff in ad_cdyb_key(lie, x, key).items():
-                add_into(terms, out_key, c * coeff)
-        return CdybElement(terms, self.order)
+        return self.map_keys(
+            lambda k: ((o, 0, c) for o, c in ad_cdyb_key(lie, x, k).items()),
+            CdybElement,
+        )
 
     def is_invariant(self, lie: LieData) -> bool:
         return all(self.ad(lie, x).is_zero() for x in lie.h_indices)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import linalg
 from .errors import NoSolution, NotInImage
-from .hseries import HSeries, SparseSeries, add_into, as_series
+from .hseries import SparseSeries, add_into
 from .lie_core import LieData
 
 _F1 = Fraction(1)
@@ -103,21 +103,23 @@ class UEnvelope:
 
     def sym(self, coeffs: dict, order: int) -> "PbwElement":
         """Symmetrization of an S g element {sym-monomial: coeff}."""
-        terms = {}
-        for mono, c in coeffs.items():
-            c = as_series(c, order)
-            for m, d in self.sym_mono(tuple(sorted(mono))).items():
-                add_into(terms, m, c * d)
-        return PbwElement(self, terms, order)
+        return PbwElement(self, coeffs, order).map_keys(
+            lambda mono: ((m, 0, d) for m, d in self.sym_mono(mono).items()),
+            PbwElement, self,
+        )
 
     def sym_inverse(self, elt: "PbwElement", allowed=None) -> dict:
-        """Preimage under sym as {sym-monomial: HSeries}.
+        """Preimage under sym as {sym-monomial: HSeries}."""
+        return self.sym_preimage(elt.terms, allowed)
+
+    def sym_preimage(self, coeffs: dict, allowed=None) -> dict:
+        """Preimage under sym of {PBW monomial: coefficient}.
 
         sym is unitriangular for the length filtration, so back-substitute
         from the top length down.  With `allowed` set, every monomial met
         along the way must use only those indices, else NotInImage.
         """
-        work = dict(elt.terms)
+        work = dict(coeffs)
         out = {}
         while work:
             top = max(len(m) for m in work)
@@ -171,15 +173,11 @@ class PbwElement(SparseSeries):
         """Maximum PBW monomial length (0 for the zero element)."""
         return max((len(m) for m in self.terms), default=0)
 
-    def counit(self) -> HSeries:
-        return self.terms.get((), HSeries.zero(self.order))
-
     def ad(self, x: int) -> "PbwElement":
-        terms = {}
-        for m, c in self.terms.items():
-            for mm, d in self.uea.ad_mono(x, m).items():
-                add_into(terms, mm, c * d)
-        return PbwElement(self.uea, terms, self.order)
+        return self.map_keys(
+            lambda m: ((mm, 0, d) for mm, d in self.uea.ad_mono(x, m).items()),
+            PbwElement, self.uea,
+        )
 
     def __repr__(self):
         if not self.terms:
@@ -226,13 +224,12 @@ def coproduct_mono(mono, slots: int = 2) -> dict:
 
 def in_filtration_kernel(elt: PbwElement, n: int) -> bool:
     """Check elt in ker (id - unit counit)^{(n+1)} circ Delta^{(n)} directly."""
-    acc = {}
-    for m, c in elt.terms.items():
+    def image(m):
         for key, mult in coproduct_mono(m, n + 1).items():
-            if any(len(part) == 0 for part in key):
-                continue
-            add_into(acc, key, c * mult)
-    return not acc
+            if all(key):
+                yield key, 0, mult
+
+    return elt.map_keys(image, SparseSeries).is_zero()
 
 
 # -- the U g = U g . h  (+)  U m splitting ---------------------------------

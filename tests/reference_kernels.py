@@ -13,15 +13,27 @@ Also kept: the uncached h-action `ad_mono` and the element-level
 b-column, the values that `UEnvelope.ad_mono` and `adt_dgla.b_column`
 now cache and share between callers, and the invariant basis built from
 that uncached action.
+
+The linear maps that move hbar powers (`coproduct_at`, `j_to_k`, the
+two argument-shift forms and `rescale_generator`) are kept as they were
+written before they went through `SparseSeries.map_keys`: each term's
+whole HSeries is multiplied by hbar^k (`HSeries.hbar`, `shift`) and the
+result summed key by key.
 """
 
 import itertools
 from fractions import Fraction
 
 from dyntwist.adt_dgla import AdtElement, adt_monomials
-from dyntwist.hseries import add_into
+from dyntwist.hseries import HSeries, add_into
 from dyntwist.lie_core import invariant_basis
-from dyntwist.quantizer import FormalTwist, _poly_to_series, _star_mono
+from dyntwist.quantizer import (
+    FormalTwist,
+    _leg_derivative,
+    _poly_to_series,
+    _star_mono,
+)
+from dyntwist.tensor_spaces import CdybElement
 from dyntwist.uea import coproduct_mono
 
 _F1 = Fraction(1)
@@ -284,3 +296,76 @@ def invariant_adt_basis(uea, arity, total_length):
 def b_column(uea, arity, vec):
     """b of one basis vector through an order-0 element."""
     return differential_b(AdtElement(uea, arity, vec, 0)).layer(0)
+
+
+def coproduct_at(E, i):
+    out: dict = {}
+    for key, c in E.terms.items():
+        for parts, mult in coproduct_mono(key[i], 2).items():
+            add_into(out, key[:i] + parts + key[i + 1:], c * mult)
+    return type(E)(E.uea, E.arity + 1, out, E.order)
+
+
+def j_to_k(J):
+    uea = J.uea
+    out: dict = {}
+    for key, c in J.terms.items():
+        s = key[-1]
+        coeff = c.shift(len(s))
+        if coeff.is_zero():
+            continue
+        for m, d in uea.sym_mono(s).items():
+            add_into(out, key[:-1] + (m,), coeff * d)
+    return AdtElement(uea, J.arity, out, J.order)
+
+
+def shift_coproduct(J):
+    uea = J.uea
+    order = J.order
+    out: dict = {}
+    for key, c in J.terms.items():
+        gfac = key[:-1]
+        s = key[-1]
+        for positions in itertools.product((0, 1), repeat=len(s)):
+            chosen = tuple(s[i] for i in range(len(s)) if positions[i] == 0)
+            rest = tuple(s[i] for i in range(len(s)) if positions[i] == 1)
+            coeff = c * HSeries.hbar(order, len(chosen))
+            for m, d in uea.sym_mono(chosen).items():
+                add_into(out, gfac + (m, rest), coeff * d)
+    return FormalTwist(uea, J.arity + 1, out, order)
+
+
+def shift_taylor(J):
+    uea = J.uea
+    order = J.order
+    out: dict = {}
+    for key, c in J.terms.items():
+        gfac = key[:-1]
+        s = key[-1]
+        fact = 1
+        for k in range(len(s) + 1):
+            if k:
+                fact *= k
+            coeff = c * HSeries.hbar(order, k, Fraction(1, fact))
+            for word in itertools.product(uea.lie.h_indices, repeat=k):
+                rest = s
+                mult = 1
+                for i in word:
+                    m, rest = _leg_derivative(rest, i)
+                    mult *= m
+                    if mult == 0:
+                        break
+                if mult == 0:
+                    continue
+                for m, d in uea.straighten(word).items():
+                    add_into(out, gfac + (m, rest), coeff * (mult * d))
+    return FormalTwist(uea, J.arity + 1, out, order)
+
+
+def rescale_generator(q, order):
+    terms = {}
+    for (w, s), c in q.terms.items():
+        shifted = c.truncate(order).shift(len(s))
+        if not shifted.is_zero():
+            terms[(w, s)] = shifted
+    return CdybElement(terms, order)

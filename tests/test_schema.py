@@ -258,3 +258,14 @@ def test_parse_twist_fuzz(sl2_uea, parts, with_header, rnd):
     for key in K.terms:
         assert len(key) == K.arity + 1
         assert all(sl2_uea.lie.is_h(i) for i in key[-1])
+
+
+def test_parse_twist_straightens_the_leg():
+    # in U h, b.a = a.b - [a, b] = a.b - b
+    lie = schema.parse_algebra((CORPUS / "nonab.alg").read_text())
+    uea = UEnvelope(lie)
+    doc = "twist\narity 1\norder 1\nhbar 0\nterm 1 * (1 | b.a)\nend\n"
+    a, b = lie.index_of("a"), lie.index_of("b")
+    K = schema.parse_twist(doc, uea)
+    assert K.layer(0) == {((), (a, b)): 1, ((), (b,)): -1}
+    assert not K.layer(1)
