@@ -10,7 +10,6 @@ every term of hbar power plus leg degree above the order.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -126,5 +125,5 @@ def test_shift_places_every_layer(sl2_uea):
     rng = random.Random(45)
     for E in _inputs(sl2_uea, rng, 2, AdtElement):
         for k in range(N + 1):
-            ref = E.scale(HSeries.hbar(E.precision(), k, Fraction(1)))
+            ref = E.scale(HSeries.hbar(E.precision(), k))
             _agree(E.shift(k), ref)
