@@ -301,37 +301,24 @@ def brace(P: AdtElement, Qs) -> AdtElement:
     outs = [{} for _ in range(prec + 1)]
     uea = P.uea
     for positions in itertools.combinations(range(1, k + 1), m):
-        # sign exponent: sum_s (arity(Q_s)-1) * (0-based output start of block s)
-        sgn = 1
-        cursor = 0
-        consumed = {j: s for s, j in enumerate(positions)}
-        for t in range(1, k + 1):
-            if t in consumed:
-                s = consumed[t]
-                e = (ks[s] - 1) * cursor
-                if e % 2:
-                    sgn = -sgn
-                cursor += ks[s]
-            else:
-                cursor += 1
-        _brace_placement(uea, P, Qs, positions, n, sgn, outs)
+        _brace_placement(uea, P, Qs, positions, n, outs)
     return AdtElement.from_layers(uea, n, outs, order)
 
 
-def _brace_placement(uea, P, Qs, positions, n, sgn, outs):
-    m = len(Qs)
+def _brace_placement(uea, P, Qs, positions, n, outs):
     ks = [Q.arity for Q in Qs]
     consumed = {j: s for s, j in enumerate(positions)}  # input -> insertion idx
-    # slot layout: for each input of P, a block of width 1 or ks[s]
+    # slot layout: for each input of P, a block of width 1 or ks[s]; the
+    # sign exponent is sum_s (arity(Q_s) - 1) * (start of block s)
     starts = {}
     cursor = 0
-    block_of = {}
+    sgn = 1
     for t in range(1, P.arity + 1):
         if t in consumed:
             s = consumed[t]
             starts[s] = cursor
-            for u in range(ks[s]):
-                block_of[cursor + u] = s
+            if (ks[s] - 1) * cursor % 2:
+                sgn = -sgn
             cursor += ks[s]
         else:
             cursor += 1
@@ -615,39 +602,20 @@ def kappa_solve(
 def cohomology_dims(uea: UEnvelope, max_k: int, max_length: int):
     """dim H^k of the invariant complex for k = 0..max_k.
 
-    Total PBW length is preserved by the differential; each length slice
-    is finite and solved exactly.  The two largest computed lengths must
-    contribute nothing, else TruncationTooSmall.
+    b keeps the total PBW length, so each length slice up to max_length
+    is finite and solved exactly; the two largest must contribute
+    nothing, else TruncationTooSmall.
     """
     if max_length < 2:
         raise TruncationTooSmall("need max_length >= 2")
-    dims = []
-    for k in range(max_k + 1):
-        per_l = []
-        for L in range(max_length + 1):
-            per_l.append(_cohomology_dim_slice(uea, k, L))
-        if per_l[-1] != 0 or per_l[-2] != 0:
-            raise TruncationTooSmall(
-                f"cohomology in arity {k} has not stabilized by total "
-                f"length {max_length}: tail dims {per_l[-2:]}"
-            )
-        dims.append(sum(per_l))
-    return dims
 
+    def columns(k, L):
+        n = len(invariant_adt_basis(uea, k, L))
+        return [b_column(uea, k, L, j) for j in range(n)]
 
-def _cohomology_dim_slice(uea: UEnvelope, k: int, L: int) -> int:
-    dim = len(invariant_adt_basis(uea, k, L))
-    if not dim:
-        return 0
-    dim_ker = dim - _b_rank(uea, k, L)
-    if not k:
-        return dim_ker
-    return dim_ker - _b_rank(uea, k - 1, L)
-
-
-def _b_rank(uea: UEnvelope, k: int, L: int) -> int:
-    n = len(invariant_adt_basis(uea, k, L))
-    return linalg.rank([b_column(uea, k, L, j) for j in range(n)])
+    return linalg.cohomology_dims(
+        columns, max_k, lambda k: range(max_length + 1)
+    )
 
 
 # -- the twist equation residual -------------------------------------------

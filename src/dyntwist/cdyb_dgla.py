@@ -8,7 +8,6 @@ scalars.  The degree of an element is its exterior degree.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from fractions import Fraction
 
@@ -18,6 +17,7 @@ from .hseries import add_into
 from .lie_core import LieData
 from .tensor_spaces import (
     CdybElement,
+    ad_cdyb_key,
     invariant_cdyb_basis,
     sym_sort,
     wedge_sort,
@@ -53,8 +53,9 @@ def bracket_wedge(lie: LieData, w1, w2) -> dict:
     """Bracket of two wedge monomials: {wedge tuple: Fraction}.
 
     Degree-zero monomials are central; a single generator acts as a
-    derivation of the wedge product; higher degrees reduce by graded
-    antisymmetry, peeling the leading factor of the first argument.
+    derivation of the wedge product (`ad_cdyb_key` on an empty leg);
+    higher degrees reduce by graded antisymmetry, peeling the leading
+    factor of the first argument.
     """
     cache = _wedge_cache(lie)
     key = (w1, w2)
@@ -72,15 +73,8 @@ def _bracket_wedge_uncached(lie: LieData, w1, w2) -> dict:
     if p == 0 or q == 0:
         return out
     if p == 1:
-        x = w1[0]
-        for pos in range(q):
-            for z, c in lie.bracket_basis(x, w2[pos]).items():
-                ws = wedge_sort(w2[:pos] + (z,) + w2[pos + 1 :])
-                if ws is None:
-                    continue
-                sign, w = ws
-                add_into(out, w, sign * c)
-        return out
+        ad = ad_cdyb_key(lie, w1[0], (w2, ()))
+        return {w: c for (w, _), c in ad.items()}
     # [P, Q] = -(-1)^{(p-1)(q-1)} [Q, P], then peel P = x ^ P'
     flip = -(_sign((p - 1) * (q - 1)))
     x = w1[0]
@@ -138,19 +132,6 @@ def cdybe_residual(lie: LieData, rho: CdybElement, mode: str = "dgla"):
     out: dict = {}
     _cyb_into(lie, t, out)
     _alt_d_into(rho, out, negate=True)
-    return out
-
-
-def embed3(elt: CdybElement) -> dict:
-    """Alternating embedding of the wedge-3 part into three tensor slots."""
-    out: dict = {}
-    for (w, s), c in elt.terms.items():
-        if len(w) != 3:
-            raise GradingMismatch("embed3 expects exterior degree 3")
-        for perm in itertools.permutations(range(3)):
-            sign = wedge_sort(perm)[0]
-            key = ((w[perm[0]], w[perm[1]], w[perm[2]]), s)
-            add_into(out, key, c * sign)
     return out
 
 
@@ -250,44 +231,23 @@ def _shuffle_sign(lie: LieData, wedge) -> int:
 # -- cohomology ------------------------------------------------------------
 
 
-def _d_rank(basis):
-    """Rank of the differential on a list of invariant vectors."""
-    return linalg.rank(
-        [differential(CdybElement(dict(vec), 0)).layer(0) for vec in basis]
-    )
-
-
-def cohomology_dim_weight(lie: LieData, k: int, weight: int) -> int:
-    """dim H^k of the invariant complex in the given total weight."""
-    sh = weight - k
-    if sh < 0:
-        return 0
-    basis_k = invariant_cdyb_basis(lie, k, sh)
-    if not basis_k:
-        return 0
-    dim_ker = len(basis_k) - _d_rank(basis_k)
-    if not k:
-        return dim_ker
-    return dim_ker - _d_rank(invariant_cdyb_basis(lie, k - 1, sh + 1))
-
-
 def cohomology_dims(lie: LieData, max_k: int, shdeg: int):
     """dim H^k for k = 0..max_k, each summed over total weights.
 
-    Weights k..k+shdeg-1 are computed exactly; the two highest computed
-    weights must contribute zero, otherwise the truncation is too small
-    to claim stabilization.
+    The weight of a (wedge, leg) monomial is its exterior plus its leg
+    degree, which d keeps.  Weights k..k+shdeg-1 are computed exactly;
+    the two highest must contribute zero, otherwise the truncation is
+    too small to claim stabilization.
     """
     if shdeg < 3:
         raise TruncationTooSmall("need shdeg >= 3 to check stabilization")
-    dims = []
-    for k in range(max_k + 1):
-        weights = list(range(k, k + shdeg))
-        per_w = [cohomology_dim_weight(lie, k, w) for w in weights]
-        if per_w[-1] != 0 or per_w[-2] != 0:
-            raise TruncationTooSmall(
-                f"cohomology in degree {k} has not stabilized by "
-                f"symmetric degree {shdeg}: tail dims {per_w[-2:]}"
-            )
-        dims.append(sum(per_w))
-    return dims
+
+    def columns(k, weight):
+        return [
+            differential(CdybElement(dict(vec), 0)).layer(0)
+            for vec in invariant_cdyb_basis(lie, k, weight - k)
+        ]
+
+    return linalg.cohomology_dims(
+        columns, max_k, lambda k: range(k, k + shdeg)
+    )

@@ -53,9 +53,16 @@ def _as_formal(g) -> FormalTwist:
     return g
 
 
-def _as_classical(g) -> CdybElement:
+def _as_generator(lie: LieData, g) -> CdybElement:
+    """g as a classical flow generator: invariant, of exterior degree 1."""
     if not isinstance(g, CdybElement):
         raise GradingMismatch("expected a classical gauge generator")
+    if g.is_zero():
+        return g
+    if g.exterior_degrees() != [1]:
+        raise GradingMismatch("gauge generator must have exterior degree 1")
+    if not g.is_invariant(lie):
+        raise NotInvariant("gauge generator is not invariant")
     return g
 
 
@@ -73,20 +80,29 @@ def adt_mul(A: AdtElement, B: AdtElement) -> AdtElement:
     return slotwise_product(A, B, leg_mul)
 
 
-def adt_inverse(A: AdtElement) -> AdtElement:
-    """Inverse of a 1 + O(hbar) element by the truncated geometric series."""
-    unit = AdtElement.unit(A.uea, A.arity, A.order)
-    if A.hbar_component(0) != unit:
-        raise NotInvertible("constant term is not the unit")
+def _geometric_inverse(A, mul):
+    """Inverse of A by the truncated geometric series in R = unit - A.
+
+    Every layer term of R must have weight at least one (the hbar power,
+    plus the leg degree for a formal twist), so the series terminates;
+    for an algebraic element that says A = 1 + O(hbar).
+    """
+    unit = type(A).unit(A.uea, A.arity, A.order)
     R = unit - A
-    acc = unit
-    pw = unit
+    if R.terms and R.layer_terms()[0][3] < 1:
+        raise NotInvertible("element is not the unit plus weight >= 1")
+    acc = pw = unit
     for _ in range(A.order):
-        pw = adt_mul(pw, R)
+        pw = mul(pw, R)
         if pw.is_zero():
             break
         acc = acc + pw
     return acc
+
+
+def adt_inverse(A: AdtElement) -> AdtElement:
+    """Inverse of a 1 + O(hbar) element by the truncated geometric series."""
+    return _geometric_inverse(A, adt_mul)
 
 
 def formal_inverse(T: FormalTwist) -> FormalTwist:
@@ -96,18 +112,7 @@ def formal_inverse(T: FormalTwist) -> FormalTwist:
     degree (hbar order plus leg degree) at least one, so the series
     terminates on the triangle.
     """
-    unit = FormalTwist.unit(T.uea, T.arity, T.order)
-    R = unit - T
-    if R.terms and R.layer_terms()[0][3] < 1:
-        raise NotInvertible("element is not unit plus total-degree >= 1")
-    acc = unit
-    pw = unit
-    for _ in range(T.order):
-        pw = pw * R
-        if pw.is_zero():
-            break
-        acc = acc + pw
-    return acc
+    return _geometric_inverse(T, FormalTwist.__mul__)
 
 
 # -- the algebraic gauge action ----------------------------------------------
@@ -183,17 +188,15 @@ def _shift_affine(lie: LieData, q: CdybElement) -> CdybElement:
     return q.map_keys(image, CdybElement)
 
 
-def _sh_truncate(elt: CdybElement, bound: int) -> CdybElement:
-    return elt.map_keys(
-        lambda k: ((k, 0, 1),) if len(k[1]) <= bound else (), CdybElement
-    )
-
-
 def classical_gauge_infinitesimal(lie: LieData, q, target,
                                   form: str = "mc") -> CdybElement:
     """q . alpha = dq + [q, alpha], or the affine-shift variant for the
-    unrescaled r-matrix form: -sum_i h_i wedge dq/dlambda^i + [q, rho]."""
-    q = _as_classical(q)
+    unrescaled r-matrix form: -sum_i h_i wedge dq/dlambda^i + [q, rho].
+
+    q must be an invariant generator of exterior degree 1, as in
+    `classical_gauge_act`.
+    """
+    q = _as_generator(lie, q)
     if form == "mc":
         affine = cdyb_dgla.differential(q)
     elif form == "r":
@@ -203,60 +206,30 @@ def classical_gauge_infinitesimal(lie: LieData, q, target,
     return affine + cdyb_dgla.bracket(lie, q, target)
 
 
-def classical_gauge_act(lie: LieData, q, target, form: str = "mc",
-                        sh_bound=None) -> CdybElement:
-    """Exponentiated affine action by the truncated flow.
+def classical_gauge_act(lie: LieData, q, target) -> CdybElement:
+    """Exponentiated affine action by the truncated mc-form flow.
 
     The result is exp(ad_q) target plus the affine series
-    sum_k ad_q^k(affine term)/(k+1)!.  The mc form terminates by hbar
-    valuation; the r form by growth of the leg degree, truncated at
-    sh_bound (defaulting to the truncation order).
+    sum_k ad_q^k(dq)/(k+1)!, which terminates by hbar valuation.
     """
-    q = _as_classical(q)
+    q = _as_generator(lie, q)
     if q.is_zero():
         return target
-    if q.exterior_degrees() != [1]:
-        raise GradingMismatch("gauge generator must have exterior degree 1")
-    if not q.is_invariant(lie):
-        raise NotInvariant("gauge generator is not invariant")
-    if form == "mc":
-        val = q.hbar_valuation()
-        if val is None or val < 1:
-            raise ValuationViolated(
-                "mc-form generator must have hbar valuation >= 1"
-            )
-        affine = cdyb_dgla.differential(q)
-        cut = None
-    elif form == "r":
-        if 0 in q.sh_degrees():
-            raise ValuationViolated(
-                "r-form generator must vanish at the origin"
-            )
-        affine = _shift_affine(lie, q)
-        cut = target.order if sh_bound is None else sh_bound
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    out = target
-    term = target
-    k = 0
-    while not term.is_zero():
-        k += 1
-        term = cdyb_dgla.bracket(lie, q, term).scale(Fraction(1, k))
-        if cut is not None:
-            term = _sh_truncate(term, cut)
-        out = out + term
-    term = affine
-    if cut is not None:
-        term = _sh_truncate(term, cut)
-    out = out + term
-    k = 1
-    while not term.is_zero():
-        k += 1
-        term = cdyb_dgla.bracket(lie, q, term).scale(Fraction(1, k))
-        if cut is not None:
-            term = _sh_truncate(term, cut)
-        out = out + term
-    return out
+    if q.hbar_valuation() < 1:
+        raise ValuationViolated(
+            "mc-form generator must have hbar valuation >= 1"
+        )
+
+    def series(term, k):
+        """sum_j ad_q^j(term) k!/(k+j)!."""
+        out = term
+        while not term.is_zero():
+            k += 1
+            term = cdyb_dgla.bracket(lie, q, term).scale(Fraction(1, k))
+            out = out + term
+        return out
+
+    return series(target, 0) + series(cdyb_dgla.differential(q), 1)
 
 
 def rescale_generator(q: CdybElement, order: int) -> CdybElement:
@@ -365,7 +338,7 @@ def classical_find_gauge(lie: LieData, alpha: CdybElement,
         qn = CdybElement(q_terms, order).shift(n)
         if qn.is_zero():
             return GaugeResult(False, obstruction=diff, order=n)
-        cur = classical_gauge_act(lie, qn, cur, form="mc")
+        cur = classical_gauge_act(lie, qn, cur)
         chain.append(qn)
     if not (beta - cur).is_zero():
         return GaugeResult(False, obstruction=beta - cur, order=None)
@@ -376,7 +349,7 @@ def classical_chain_act(lie: LieData, chain, alpha: CdybElement):
     """Replay a chain of mc-form flow generators."""
     cur = alpha
     for q in chain:
-        cur = classical_gauge_act(lie, q, cur, form="mc")
+        cur = classical_gauge_act(lie, q, cur)
     return cur
 
 
@@ -399,8 +372,7 @@ class ReducedClassical:
         self.gauge = gauge
 
 
-def reduce_classical(lie: LieData, alpha: CdybElement,
-                     arity_bound=None) -> ReducedClassical:
+def reduce_classical(lie: LieData, alpha: CdybElement) -> ReducedClassical:
     """Reduce a Maurer-Cartan element to an invariant complement bivector.
 
     The reduction transports alpha along the homotopy tower onto the
@@ -415,10 +387,8 @@ def reduce_classical(lie: LieData, alpha: CdybElement,
     val = alpha.hbar_valuation()
     if val is not None and val < 1:
         raise NotMaurerCartan("input must have hbar valuation >= 1")
-    if arity_bound is None:
-        arity_bound = max(order, 1)
     C = classical_contraction(lie, order)
-    Q, F, R = invert_contraction(C, arity_bound)
+    Q, F, R = invert_contraction(C, max(order, 1))
     pi = mc_transport(R, alpha, check=False)
     if not (C.proj(pi) - pi).is_zero():
         raise StraighteningStalled(

@@ -133,10 +133,6 @@ class LieData:
                     add_into(acc, k, a * b * c)
         return acc
 
-    def project_m_vec(self, v: dict) -> dict:
-        """Component of v in span(m) along h."""
-        return {i: c for i, c in v.items() if i not in self._h_set}
-
     def name_of(self, i: int) -> str:
         return self.basis_names[i]
 

@@ -36,6 +36,7 @@ from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import TruncationTooSmall
 from .hseries import add_into
 
 _F1 = Fraction(1)
@@ -200,3 +201,30 @@ def solve(columns, targets):
         consistent = image == {k: v for k, v in target.items() if v != 0}
         out.append(sol if consistent else None)
     return out
+
+
+def cohomology_dims(columns, max_k: int, grades):
+    """dim H^k for k = 0..max_k of a complex that splits into slices.
+
+    The differential keeps a grade.  columns(k, g) lists the images of a
+    basis of the degree-k, grade-g slice as keyed columns, and grades(k)
+    the grades summed over in degree k.  The two highest must contribute
+    zero, else TruncationTooSmall: the slices computed are too few to
+    claim stabilization.
+    """
+    dims = []
+    for k in range(max_k + 1):
+        per_g = []
+        for g in grades(k):
+            cols = columns(k, g)
+            dim = len(cols) - rank(cols) if cols else 0
+            if cols and k:
+                dim -= rank(columns(k - 1, g))
+            per_g.append(dim)
+        if per_g[-1] != 0 or per_g[-2] != 0:
+            raise TruncationTooSmall(
+                f"cohomology in degree {k} has not stabilized by grade "
+                f"{g}: tail dims {per_g[-2:]}"
+            )
+        dims.append(sum(per_g))
+    return dims

@@ -283,11 +283,10 @@ class Contraction:
     satisfies q1 h + h q1 = id - proj everywhere.
     """
 
-    def __init__(self, dgla: LinfAlgebra, proj, h, label: str = ""):
+    def __init__(self, dgla: LinfAlgebra, proj, h):
         self.dgla = dgla
         self.proj = proj
         self.h = h
-        self.label = label
 
     def check_identity(self, x) -> bool:
         g = self.dgla
@@ -302,7 +301,6 @@ def classical_contraction(lie: LieData, order: int) -> Contraction:
         g,
         lambda x: cdyb_dgla.p1_project(lie, x),
         lambda x: cdyb_dgla.delta_homotopy(lie, x),
-        label="classical",
     )
 
 
@@ -426,12 +424,7 @@ def quantum_contraction(uea: UEnvelope, order: int) -> Contraction:
     splitter = UmSplitter(uea)
     g = AdtDgla(uea, order)
     h = _QuantumHomotopy(uea, splitter, order)
-    return Contraction(
-        g,
-        lambda x: adt_dgla.p2_project(splitter, x),
-        h,
-        label="quantum",
-    )
+    return Contraction(g, lambda x: adt_dgla.p2_project(splitter, x), h)
 
 
 # -- morphism towers --------------------------------------------------------
@@ -596,17 +589,15 @@ def compose_towers(G: MorphismTower, F: MorphismTower) -> MorphismTower:
     )
 
 
-def invert_tower(F: MorphismTower, f1_inverse=None) -> MorphismTower:
-    """Inverse of a tower whose first map is a linear isomorphism."""
-    inv1 = f1_inverse if f1_inverse is not None else (lambda x: x)
+def invert_tower(F: MorphismTower) -> MorphismTower:
+    """Inverse of a tower whose first map is the identity."""
     src, tgt = F.target, F.source
-    H = MorphismTower(src, tgt, [inv1], F.arity_bound)
+    H = MorphismTower(src, tgt, [lambda x: x], F.arity_bound)
 
     def make(n):
         def mapped(*args):
             parts = (p for p in _set_partitions(list(range(n))) if len(p) > 1)
-            out = _partition_sum(F, H, args, parts, tgt.zero())
-            return inv1(out.scale(-1))
+            return _partition_sum(F, H, args, parts, tgt.zero()).scale(-1)
 
         return mapped
 
@@ -665,15 +656,14 @@ def _pairs_add(acc, coeff, u, su, v, sv):
     acc.append((coeff, u, su, v, sv))
 
 
-def twist_by_homotopy(F: MorphismTower, V, arity_bound=None) -> MorphismTower:
+def twist_by_homotopy(F: MorphismTower, V) -> MorphismTower:
     """Twist a morphism tower by a degree -1 map V: source -> target.
 
     The first structure map becomes F^1 + q1 V + V q1 and the higher
     maps are produced by the coderivation-style extension of V, written
-    out explicitly up to arity 3.
+    out explicitly up to arity 3, F's arity bound.
     """
-    if arity_bound is None:
-        arity_bound = F.arity_bound
+    arity_bound = F.arity_bound
     if arity_bound > 3:
         raise GradingMismatch("homotopy twisting is implemented to arity 3")
     src, tgt = F.source, F.target

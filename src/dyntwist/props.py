@@ -21,14 +21,13 @@ from .adt_dgla import (
     kappa_solve,
 )
 from .errors import NoSolution
-from .hseries import add_into
 from .lie_core import LieData, invariant_basis
 from .linfinity import quantum_contraction
 from .tensor_spaces import (
     CdybElement,
+    ad_cdyb_key,
     cdyb_monomials,
     invariant_cdyb_basis,
-    wedge_sort,
 )
 from .uea import UEnvelope
 
@@ -225,8 +224,10 @@ def check_cohomology(lie: LieData, uea: UEnvelope, max_k=3, shdeg=4,
     dims_q = adt_dims(uea, max_k, max_length)
     # the invariant part of the exterior algebra on m, in either mode
     expected = [
-        len(invariant_basis(lie, combinations(lie.m_indices, k),
-                            lambda x, key: _ad_wedge(lie, x, key)))
+        len(invariant_basis(
+            lie, [(w, ()) for w in combinations(lie.m_indices, k)],
+            lambda x, key: ad_cdyb_key(lie, x, key),
+        ))
         for k in range(max_k + 1)
     ]
     if dims_c != expected or dims_q != expected:
@@ -234,18 +235,6 @@ def check_cohomology(lie: LieData, uea: UEnvelope, max_k=3, shdeg=4,
             f"cohomology dims {dims_c} / {dims_q} vs expected {expected}"
         )
     return True, f"cohomology dims {expected} match on both complexes"
-
-
-def _ad_wedge(lie, x, key):
-    out = {}
-    for pos, y in enumerate(key):
-        for z, c in lie.bracket_basis(x, y).items():
-            ws = wedge_sort(key[:pos] + (z,) + key[pos + 1 :])
-            if ws is None:
-                continue
-            sign, w = ws
-            add_into(out, w, sign * c)
-    return out
 
 
 def standard_suite(lie: LieData, seed=0, shdeg=4):

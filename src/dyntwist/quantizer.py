@@ -38,7 +38,7 @@ from .errors import (
 from .hseries import HSeries, SparseSeries, add_into, as_series
 from .lie_core import LieData
 from .tensor_spaces import CdybElement
-from .uea import UEnvelope
+from .uea import UEnvelope, coproduct_mono
 
 _F1 = Fraction(1)
 
@@ -153,10 +153,6 @@ class FormalTwist(SparseSeries):
         super().__init__(terms, order)
 
     @classmethod
-    def zero(cls, uea, arity, order):
-        return cls(uea, arity, {}, order)
-
-    @classmethod
     def unit(cls, uea, arity, order):
         return cls(uea, arity, {((),) * (arity + 1): _F1}, order)
 
@@ -193,54 +189,18 @@ class FormalTwist(SparseSeries):
 
 # -- PBW star product -------------------------------------------------------
 #
-# f * g := syminv(sym(f) sym(g)) computed in the enveloping algebra with
-# the bracket scaled by hbar, so each unit drop in word length costs one
-# power of hbar.  Polynomials in hbar with Fraction coefficients are used
-# internally so results cache independently of the truncation order.
-
-
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for a, c in p.items():
-        for b, d in q.items():
-            add_into(out, a + b, c * d)
-    return out
-
-
-def _poly_add(acc: dict, key, p: dict):
-    tgt = acc.setdefault(key, {})
-    for a, c in p.items():
-        add_into(tgt, a, c)
-    if not tgt:
-        acc.pop(key, None)
+# f * g := syminv(sym(f) sym(g)) in the enveloping algebra with the
+# bracket scaled by hbar.  Word length plus hbar power grades that
+# algebra, and sym and straightening keep the grade, so the product of
+# two leg monomials s, t is computed at hbar = 1 and each monomial m of
+# the result carries hbar^(|s| + |t| - |m|).  The result is returned as
+# {m: {power: Fraction}}, which caches independently of the truncation.
 
 
 def _poly_to_series(p: dict, order: int) -> HSeries:
     out = HSeries.zero(order)
     for a, c in p.items():
         out = out + HSeries.hbar(order, a, c)
-    return out
-
-
-def _sym_poly(uea: UEnvelope, mono) -> dict:
-    """Symmetrization in the hbar-scaled algebra as {mono: {power: Fraction}}."""
-    n = len(mono)
-    return {m: {n - len(m): c} for m, c in uea.sym_mono(mono).items()}
-
-
-def _sym_poly_inverse(uea: UEnvelope, terms: dict) -> dict:
-    """Invert the hbar-scaled symmetrization (unitriangular in length)."""
-    work = {m: dict(p) for m, p in terms.items()}
-    out: dict = {}
-    while work:
-        top = max(len(m) for m in work)
-        # snapshot the layer: subtracting a monomial's own symmetrization
-        # mutates work[m] in place
-        layer = [(m, dict(p)) for m, p in work.items() if len(m) == top]
-        for m, p in layer:
-            _poly_add(out, m, p)
-            for mm, q in _sym_poly(uea, m).items():
-                _poly_add(work, mm, _poly_mul(p, {k: -c for k, c in q.items()}))
     return out
 
 
@@ -259,13 +219,13 @@ def _star_mono(uea: UEnvelope, s, t) -> dict:
         if i not in h_set:
             raise NotInImage(f"leg index {i} is not in the base subalgebra")
     prod: dict = {}
-    for ma, pa in _sym_poly(uea, key[0]).items():
-        for mb, pb in _sym_poly(uea, key[1]).items():
-            pab = _poly_mul(pa, pb)
-            n = len(ma) + len(mb)
+    for ma, ca in uea.sym_mono(key[0]).items():
+        for mb, cb in uea.sym_mono(key[1]).items():
             for m, c in uea.straighten(ma + mb).items():
-                _poly_add(prod, m, _poly_mul(pab, {n - len(m): c}))
-    out = _sym_poly_inverse(uea, prod)
+                add_into(prod, m, ca * cb * c)
+    n = len(key[0]) + len(key[1])
+    out = {m: {n - len(m): c}
+           for m, c in uea.sym_preimage(prod, allowed=h_set).items()}
     cache[key] = out
     return out
 
@@ -293,13 +253,9 @@ def _shift_coproduct(J: FormalTwist) -> FormalTwist:
     uea = J.uea
 
     def image(key):
-        gfac = key[:-1]
-        s = key[-1]
-        for positions in itertools.product((0, 1), repeat=len(s)):
-            chosen = tuple(s[i] for i in range(len(s)) if positions[i] == 0)
-            rest = tuple(s[i] for i in range(len(s)) if positions[i] == 1)
+        for (chosen, rest), mult in coproduct_mono(key[-1], 2).items():
             for m, d in uea.sym_mono(chosen).items():
-                yield gfac + (m, rest), len(chosen), d
+                yield key[:-1] + (m, rest), len(chosen), mult * d
 
     return J.map_keys(image, FormalTwist, uea, J.arity + 1)
 

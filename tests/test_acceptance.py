@@ -231,7 +231,7 @@ def test_criterion_8_actions_preserve_zero_sets(sl2, sl2_uea, sl2_rho,
     # same on the classical side
     alpha = taylor_rescale(sl2_rho, ORDER)
     q = CdybElement.monomial((1,), (1,), HSeries.hbar(ORDER, 1), ORDER)
-    beta = classical_gauge_act(sl2, q, alpha, form="mc")
+    beta = classical_gauge_act(sl2, q, alpha)
     assert cdyb_dgla.cdybe_residual(sl2, beta, mode="dgla").is_zero()
 
 

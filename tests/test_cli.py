@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -232,6 +233,34 @@ def test_sl2_degree_8_corpus_gives_the_degree_4_twist(tmp_path):
         assert code == 0
         twists.append(twist.read_bytes())
     assert twists[0] == twists[1]
+
+
+# sha256 of the twist document `quantize` writes, pinned so that a
+# refactor of the solver, the products or the writer cannot change it
+TWIST_DIGESTS = [
+    ("sl2", "3", None,
+     "b194f2324f832345eb7be6be3323e0de1105ac9238c716e44cb0db6bd6be4e1d"),
+    ("sl2", "3", "0",
+     "032d2941a507a691b8dd15dfdf7e0ee0e8f59d0e81530c32185892ef4ae64763"),
+    ("sl2", "3", "1",
+     "d22a4e9c9338ece5601010cba33605b59ad440cea1695d250cebe9c118cfa493"),
+    ("affxc2", "2", None,
+     "2fe1bbb51be57a9d8760b5a1cf88a6212d1fddb38191876b4919eebed2f9ca3b"),
+    ("nonab", "2", None,
+     "2c72355308569089d4040a1547e7f328f76453265a97e20ae6601e6ceb6e0b80"),
+]
+
+
+@pytest.mark.parametrize("name, order, seed, digest", TWIST_DIGESTS)
+def test_quantize_twist_digest(tmp_path, name, order, seed, digest):
+    twist = tmp_path / "K.twist"
+    argv = ["quantize", "--algebra", str(CORPUS / f"{name}.alg"),
+            "--rmatrix", str(CORPUS / f"{name}.rmat"), "--order", order,
+            "--out", str(twist)]
+    if seed is not None:
+        argv += ["--seed", seed]
+    assert main(argv) == 0
+    assert hashlib.sha256(twist.read_bytes()).hexdigest() == digest
 
 
 def test_quantize_verify_nonabelian_base(tmp_path, capsys):

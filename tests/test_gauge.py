@@ -28,6 +28,7 @@ from dyntwist import (
     taylor_rescale,
 )
 from dyntwist.adt_dgla import invariant_adt_basis
+from dyntwist.errors import GradingMismatch, NotInvariant
 from dyntwist.gauge import (
     adt_inverse,
     adt_mul,
@@ -188,7 +189,7 @@ def _inv_q(lie, order):
 def test_classical_identity(sl2, sl2_rho):
     alpha = taylor_rescale(sl2_rho, ORDER)
     q = CdybElement.zero(ORDER)
-    assert classical_gauge_act(sl2, q, alpha, form="mc") == alpha
+    assert classical_gauge_act(sl2, q, alpha) == alpha
 
 
 def test_classical_infinitesimal_at_zero_is_differential(sl2):
@@ -201,7 +202,7 @@ def test_classical_infinitesimal_at_zero_is_differential(sl2):
 def test_classical_flow_preserves_mc(sl2, sl2_rho):
     alpha = taylor_rescale(sl2_rho, ORDER)
     q = _inv_q(sl2, ORDER)
-    beta = classical_gauge_act(sl2, q, alpha, form="mc")
+    beta = classical_gauge_act(sl2, q, alpha)
     res = cdyb_dgla.cdybe_residual(sl2, beta, mode="dgla")
     assert res.is_zero()
 
@@ -210,7 +211,7 @@ def test_classical_valuation_guard(sl2, sl2_rho):
     alpha = taylor_rescale(sl2_rho, ORDER)
     q = CdybElement.monomial((1,), (1,), F(1), ORDER)
     with pytest.raises(ValuationViolated):
-        classical_gauge_act(sl2, q, alpha, form="mc")
+        classical_gauge_act(sl2, q, alpha)
 
 
 def test_form_intertwining(sl2, sl2_rho):
@@ -229,9 +230,23 @@ def test_form_intertwining(sl2, sl2_rho):
     assert rescaled == inf_mc
 
 
+@pytest.mark.parametrize("form", ["mc", "r"])
+def test_infinitesimal_validates_generator(sl2, form):
+    zero = CdybElement.zero(ORDER)
+    # e^f | h is invariant but has exterior degree 2, which the r form's
+    # affine shift cannot act on
+    q2 = CdybElement.monomial((0, 2), (1,), F(1), ORDER)
+    with pytest.raises(GradingMismatch):
+        classical_gauge_infinitesimal(sl2, q2, zero, form=form)
+    # e | 1 has exterior degree 1 but is not invariant
+    q1 = CdybElement.monomial((0,), (), F(1), ORDER)
+    with pytest.raises(NotInvariant):
+        classical_gauge_infinitesimal(sl2, q1, zero, form=form)
+
+
 def test_classical_find_gauge(sl2, sl2_rho):
     alpha = taylor_rescale(sl2_rho, ORDER)
-    beta = classical_gauge_act(sl2, _inv_q(sl2, ORDER), alpha, form="mc")
+    beta = classical_gauge_act(sl2, _inv_q(sl2, ORDER), alpha)
     r = classical_find_gauge(sl2, alpha, beta)
     assert r.equivalent
     assert classical_chain_act(sl2, r.gauge, alpha) == beta

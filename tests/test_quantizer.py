@@ -241,6 +241,34 @@ def test_star_product_is_homogeneous(nonab_uea):
     assert lowered
 
 
+def test_star_product_symmetrizes_to_the_product(nonab_uea):
+    # the defining identity sym(s * t) = sym(s) sym(t) at hbar = 1, on a
+    # nonabelian base, with each term at hbar^(|s| + |t| - |m|)
+    uea = nonab_uea
+    h = uea.lie.h_indices
+    legs = [leg for d in range(6)
+            for leg in itertools.combinations_with_replacement(h, d)]
+    pairs = 0
+    for s in legs:
+        for t in legs:
+            if len(s) + len(t) > 5:
+                continue
+            lhs: dict = {}
+            for m, p in _star_mono(uea, s, t).items():
+                [(power, c)] = p.items()
+                assert power == len(s) + len(t) - len(m)
+                for mm, d in uea.sym_mono(m).items():
+                    add_into(lhs, mm, c * d)
+            rhs: dict = {}
+            for ma, ca in uea.sym_mono(s).items():
+                for mb, cb in uea.sym_mono(t).items():
+                    for m, c in uea.straighten(ma + mb).items():
+                        add_into(rhs, m, ca * cb * c)
+            assert lhs == rhs
+            pairs += 1
+    assert pairs == 126
+
+
 def test_star_abelian_base_is_commutative(sl2_uea):
     one = HSeries.one(ORDER)
     f = {(1,): one}
