@@ -522,20 +522,157 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-# per algebra: {(arity, length): invariant basis} and {("b", arity,
-# length): {basis index: b-column}}
+def _content(key):
+    """The sorted tuple of all letters of a key, which b keeps."""
+    return tuple(sorted(sum(key, ())))
+
+
+class _Block:
+    """The keys of one slice whose contents the h-action links.
+
+    `index` holds the keys' positions in the slice.  The invariant basis
+    of the block (`basis`, with `free` the slice position of each
+    vector's free key, which is its last key) and the b-columns
+    {basis index: column} are built when first asked for.
+    """
+
+    __slots__ = ("keys", "index", "basis", "free", "columns")
+
+    def __init__(self, keys, index):
+        self.keys = keys
+        self.index = index
+        self.basis = None
+        self.free = None
+        self.columns = {}
+
+
+class _Slice:
+    """The keys of one (arity, length) slice, split into content blocks.
+
+    b keeps a key's content, and the h-action maps a key only into keys
+    whose contents it joins, so both the invariant complex and every
+    coboundary system are block-diagonal.  A letter i is moving when
+    some base element x has [x, i] with a component other than i; a key
+    without one is an eigenvector of every ad x and keeps its content.
+    Only keys with a moving letter need their h-action to find the
+    union-find closure of contents, which may pass through contents
+    that no key of the slice has.
+    """
+
+    __slots__ = ("blocks", "block_of", "basis", "where")
+
+    def __init__(self, uea: UEnvelope, arity: int, length: int):
+        lie = uea.lie
+        moving = {
+            i for x in lie.h_indices for i in range(lie.dim)
+            if any(k != i for k in lie.bracket_basis(x, i))
+        }
+        keys = adt_monomials(uea, arity, length)
+        by_content: dict = {}
+        for i, key in enumerate(keys):
+            by_content.setdefault(_content(key), []).append(i)
+        root = {c: c for c in by_content}
+
+        def find(c):
+            while root[c] != c:
+                root[c] = c = root[root[c]]
+            return c
+
+        for c, index in by_content.items():
+            if moving.isdisjoint(c):
+                continue
+            for i in index:
+                for x in lie.h_indices:
+                    for out in ad_adt_key(uea, x, keys[i]):
+                        d = _content(out)
+                        a, b = find(c), find(root.setdefault(d, d))
+                        if a != b:
+                            root[b] = a
+        groups: dict = {}
+        for c, index in by_content.items():
+            groups.setdefault(find(c), []).append(index)
+        blocks = {}
+        for r, parts in groups.items():
+            index = sorted(itertools.chain.from_iterable(parts))
+            blocks[r] = _Block([keys[i] for i in index], index)
+        self.blocks = list(blocks.values())
+        self.block_of = {c: blocks[find(c)] for c in by_content}
+        self.basis = None
+        self.where = None
+
+
+# per algebra: {(arity, length): _Slice}.  A slice's blocks are found
+# when the slice is first asked for; a block's invariant basis and each
+# of its b-columns when first needed, and the merged basis of the slice
+# (`invariant_adt_basis`) only when asked for
 _slice_caches: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def invariant_adt_basis(uea: UEnvelope, arity: int, total_length: int):
+def _slice(uea: UEnvelope, arity: int, total_length: int) -> _Slice:
     cache = _slice_caches.setdefault(uea, {})
-    key = (arity, total_length)
-    if key not in cache:
-        keys = adt_monomials(uea, arity, total_length)
-        cache[key] = invariant_basis(
-            uea.lie, keys, lambda x, k: ad_adt_key(uea, x, k)
+    sl = cache.get((arity, total_length))
+    if sl is None:
+        cache[(arity, total_length)] = sl = _Slice(uea, arity, total_length)
+    return sl
+
+
+def _in_slice_order(uea: UEnvelope, blocks, keep=None):
+    """(block, basis index) of the blocks' vectors, in slice order.
+
+    A vector's place is the slice position of its free key, as in the
+    kernel basis of the whole slice; keep(vector), when given, filters.
+    """
+    tagged = []
+    for block in blocks:
+        if block.basis is None:
+            block.basis = invariant_basis(
+                uea.lie, block.keys, lambda x, k: ad_adt_key(uea, x, k)
+            )
+            position = dict(zip(block.keys, block.index))
+            block.free = [position[next(reversed(v))] for v in block.basis]
+        tagged.extend(
+            (f, block, i)
+            for i, (f, v) in enumerate(zip(block.free, block.basis))
+            if keep is None or keep(v)
         )
-    return cache[key]
+    tagged.sort(key=lambda t: t[0])
+    return [(block, i) for _, block, i in tagged]
+
+
+def _block_column(block: _Block, i: int) -> dict:
+    """b of the i-th basis vector of the block, as {key: Fraction}.
+
+    The vector is scaled by the lcm D of its denominators, b is summed
+    on integers and each image key divided by D once.  The integer sums
+    are D times the Fraction sums, so they vanish at the same steps and
+    the column has the value and key order of the Fraction sum.
+    """
+    col = block.columns.get(i)
+    if col is None:
+        vec = block.basis[i]
+        den = math.lcm(*(c.denominator for c in vec.values()))
+        acc: dict = {}
+        for key, c in vec.items():
+            a = c.numerator * (den // c.denominator)
+            for new, mult in b_key(key):
+                add_into(acc, new, a * mult)
+        block.columns[i] = col = {k: Fraction(s, den) for k, s in acc.items()}
+    return col
+
+
+def invariant_adt_basis(uea: UEnvelope, arity: int, total_length: int):
+    """Basis of the h-invariant span of a slice's keys, built block by block.
+
+    The blocks' vectors are merged in the order of their free keys'
+    positions in the slice, which is the order of the kernel basis of
+    the whole slice: the vectors, their order and their key order are
+    those of `invariant_basis` over all keys at once.
+    """
+    sl = _slice(uea, arity, total_length)
+    if sl.basis is None:
+        sl.where = _in_slice_order(uea, sl.blocks)
+        sl.basis = [block.basis[i] for block, i in sl.where]
+    return sl.basis
 
 
 def b_column(uea: UEnvelope, arity: int, total_length: int, j: int):
@@ -543,18 +680,10 @@ def b_column(uea: UEnvelope, arity: int, total_length: int, j: int):
 
     b carries no hbar: the column is the sum of c * b(key) over the
     vector's keys.  It depends on no target: each is built once, when
-    first asked for.
+    first asked for, and shared with `kappa_solve`.
     """
-    cache = _slice_caches.setdefault(uea, {})
-    columns = cache.setdefault(("b", arity, total_length), {})
-    col = columns.get(j)
-    if col is None:
-        col = {}
-        for key, c in invariant_adt_basis(uea, arity, total_length)[j].items():
-            for new, mult in b_key(key):
-                add_into(col, new, c * mult)
-        columns[j] = col
-    return col
+    invariant_adt_basis(uea, arity, total_length)
+    return _block_column(*_slice(uea, arity, total_length).where[j])
 
 
 def kappa_solve(
@@ -564,37 +693,55 @@ def kappa_solve(
 ):
     """Solve b(u) = target with u invariant, slice by slice.
 
-    Every total-length slice is solved independently by one exact
-    elimination over the invariant basis of the lower arity, which serves
-    all hbar levels; an optional leg-length bound restricts the solution
-    space.  Raises NoSolution with the unreachable residual, the arity and
-    the length of the slice when the target is not in the image.
+    Every total-length slice is solved by one exact elimination, which
+    serves all hbar levels, over the invariant basis vectors of the
+    lower arity in the content blocks that the target's keys fall in;
+    an optional leg-length bound restricts the solution space.  b keeps
+    the blocks apart, and the columns keep the order of
+    `invariant_adt_basis`, so pivots, solutions and key order are those
+    of the elimination over the whole slice.  Raises NoSolution with the
+    unreachable residual, the arity and the length of the slice when the
+    target is not in the image.
     """
     if target.arity == 0:
         raise GradingMismatch("cannot lower arity below zero")
     order = target.order
     arity = target.arity - 1
+    keep = None
+    if max_filtration is not None:
+        def keep(v):
+            return all(len(key[-1]) <= max_filtration for key in v)
+    # the target's layers up to its precision, split by total length
+    prec = target.precision()
+    slices: dict = {}
+    for key, a, n, _ in target.layer_terms():
+        if n > prec:
+            break
+        L = sum(map(len, key))
+        layers = slices.get(L)
+        if layers is None:
+            slices[L] = layers = [{} for _ in range(order + 1)]
+        layers[n][key] = a
     outs = [{} for _ in range(order + 1)]
-    for L in target.total_lengths():
-        slice_t = target.length_component(L)
-        basis = invariant_adt_basis(uea, arity, L)
-        kept = [
-            j for j, v in enumerate(basis)
-            if max_filtration is None
-            or all(len(key[-1]) <= max_filtration for key in v)
-        ]
+    for L in sorted(slices):
+        layers = slices[L]
+        block_of = _slice(uea, arity, L).block_of
+        # a key whose content no block has meets no column: no solution
+        blocks = {block_of.get(_content(key))
+                  for layer in layers for key in layer}
+        kept = _in_slice_order(uea, blocks - {None}, keep)
         sols = linalg.solve(
-            [b_column(uea, arity, L, j) for j in kept],
-            [slice_t.layer(n) for n in range(order + 1)],
-        )
+            [_block_column(block, i) for block, i in kept], layers)
         if None in sols:
             raise NoSolution(
                 f"target length-{L} slice not in the image of b",
-                residual=slice_t, arity=target.arity, length=L,
+                residual=target.length_component(L), arity=target.arity,
+                length=L,
             )
         for sol, out in zip(sols, outs):
             for j, a in sol.items():
-                for key, c in basis[kept[j]].items():
+                block, i = kept[j]
+                for key, c in block.basis[i].items():
                     add_into(out, key, a * c)
     return AdtElement.from_layers(uea, arity, outs, order)
 

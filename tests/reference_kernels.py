@@ -12,7 +12,9 @@ included.
 Also kept: the uncached h-action `ad_mono` and the element-level
 b-column, the values that `UEnvelope.ad_mono` and `adt_dgla.b_column`
 now cache and share between callers, and the invariant basis built from
-that uncached action.
+that uncached action over a whole slice.  `kappa_solve` is the solver as
+it was before it split slices into content blocks: one elimination over
+the b-columns of every invariant basis vector of a slice.
 
 The linear maps that move hbar powers (`coproduct_at`, `j_to_k`, the
 two argument-shift forms and `rescale_generator`) are kept as they were
@@ -24,7 +26,9 @@ result summed key by key.
 import itertools
 from fractions import Fraction
 
+from dyntwist import linalg
 from dyntwist.adt_dgla import AdtElement, adt_monomials
+from dyntwist.errors import NoSolution
 from dyntwist.hseries import HSeries, add_into
 from dyntwist.lie_core import invariant_basis
 from dyntwist.quantizer import (
@@ -296,6 +300,35 @@ def invariant_adt_basis(uea, arity, total_length):
 def b_column(uea, arity, vec):
     """b of one basis vector through an order-0 element."""
     return differential_b(AdtElement(uea, arity, vec, 0)).layer(0)
+
+
+def kappa_solve(uea, target, max_filtration=None):
+    """b(u) = target with u invariant, over the whole of every slice."""
+    order = target.order
+    arity = target.arity - 1
+    outs = [{} for _ in range(order + 1)]
+    for L in target.total_lengths():
+        slice_t = target.length_component(L)
+        basis = invariant_adt_basis(uea, arity, L)
+        kept = [
+            v for v in basis
+            if max_filtration is None
+            or all(len(key[-1]) <= max_filtration for key in v)
+        ]
+        sols = linalg.solve(
+            [b_column(uea, arity, v) for v in kept],
+            [slice_t.layer(n) for n in range(order + 1)],
+        )
+        if None in sols:
+            raise NoSolution(
+                f"target length-{L} slice not in the image of b",
+                residual=slice_t, arity=target.arity, length=L,
+            )
+        for sol, out in zip(sols, outs):
+            for j, a in sol.items():
+                for key, c in kept[j].items():
+                    add_into(out, key, a * c)
+    return AdtElement.from_layers(uea, arity, outs, order)
 
 
 def coproduct_at(E, i):

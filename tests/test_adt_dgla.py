@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from dyntwist import (
     AdtElement,
     CdybElement,
     HSeries,
+    LieData,
     NoSolution,
     RMatrix,
     UEnvelope,
@@ -31,6 +33,7 @@ from dyntwist.adt_dgla import (
     unit_at,
 )
 from dyntwist.gauge import adt_mul
+from dyntwist.hseries import add_into
 from dyntwist.props import (
     _rand_adt,
     check_b_squared,
@@ -39,7 +42,9 @@ from dyntwist.props import (
 )
 
 import reference_kernels
-from conftest import CORPUS, mixed_element
+from conftest import (
+    CORPUS, ab2_data, aff_data, mixed_element, nonab_data, sl2_data,
+)
 
 N = 3
 F = Fraction
@@ -155,8 +160,12 @@ def test_kappa_no_solution(sl2_uea):
         sl2_uea, CdybElement.monomial((0, 2), (), F(1), 0)
     )
     assert differential_b(target).is_zero()
-    with pytest.raises(NoSolution):
-        kappa_solve(sl2_uea, target)
+    slices = []
+    for solve in (kappa_solve, reference_kernels.kappa_solve):
+        with pytest.raises(NoSolution) as exc:
+            solve(sl2_uea, target)
+        slices.append((exc.value.arity, exc.value.length))
+    assert slices[0] == slices[1]
 
 
 def test_invariant_basis_is_invariant(sl2_uea):
@@ -299,17 +308,111 @@ def test_cached_h_action_is_unchanged_by_its_callers(name):
 def test_cached_slices_are_unchanged_by_their_callers(name):
     uea = _solved_uea(name)
     cache = adt_dgla._slice_caches[uea]
-    columns = {k[1:]: v for k, v in cache.items() if k[0] == "b"}
-    assert any(columns.values())
-    for key, basis in cache.items():
-        if key[0] == "b":
+    assert any(block.columns for sl in cache.values() for block in sl.blocks)
+    for (arity, length), sl in cache.items():
+        built = [block for block in sl.blocks if block.basis is not None]
+        if not built:
             continue
-        arity, length = key
         ref = reference_kernels.invariant_adt_basis(uea, arity, length)
-        assert [list(v.items()) for v in basis] == [
-            list(v.items()) for v in ref]
-        for j, col in columns.get(key, {}).items():
-            assert col == reference_kernels.b_column(uea, arity, ref[j])
+        for block in built:
+            # the reference vectors of the block, in slice order
+            ref_block = [v for v in ref if set(block.keys).issuperset(v)]
+            basis = block.basis
+            assert [list(v.items()) for v in basis] == [
+                list(v.items()) for v in ref_block]
+            for j, col in block.columns.items():
+                assert col == reference_kernels.b_column(
+                    uea, arity, ref_block[j])
+
+
+def test_kappa_solve_builds_only_the_blocks_it_touches():
+    # the order-3 targets on affxc2 fall in few content blocks of their
+    # slices: neither the other invariant vectors nor their b-columns
+    # are built
+    uea = _solved_uea("affxc2")
+    cache = adt_dgla._slice_caches[uea]
+    solved = [key for key, sl in cache.items()
+              if any(block.columns for block in sl.blocks)]
+    assert solved
+    blocks = [block for key in solved for block in cache[key].blocks]
+    columns = sum(len(block.columns) for block in blocks)
+    built = sum(len(block.basis) for block in blocks
+                if block.basis is not None)
+    full = sum(len(invariant_adt_basis(uea, *key)) for key in solved)
+    assert columns <= built < full
+    assert 2 * columns < full
+
+
+# -- content blocks against the whole-slice references -----------------------
+#
+# `invariant_adt_basis` and `kappa_solve` work block by block; the
+# references in reference_kernels.py build and eliminate every slice
+# whole.  The two must agree exactly, key order included.
+
+def sl2_over_itself():
+    # every letter moves: the arity-1 invariant e|f + f|e + h|h/2 spans
+    # three contents, which only the h-action joins into one block
+    return LieData(["e", "h", "f"],
+                   {(0, 1): {0: -2}, (1, 2): {2: -2}, (0, 2): {1: 1}},
+                   [0, 1, 2])
+
+
+BLOCK_ALGEBRAS = [sl2_data, aff_data, nonab_data, ab2_data, sl2_over_itself]
+
+
+@pytest.mark.parametrize("data", BLOCK_ALGEBRAS)
+def test_invariant_basis_merges_its_blocks(data):
+    uea = UEnvelope(data())
+    for arity in range(4):
+        for length in range(5):
+            got = invariant_adt_basis(uea, arity, length)
+            ref = reference_kernels.invariant_adt_basis(uea, arity, length)
+            assert [list(v.items()) for v in got] == [
+                list(v.items()) for v in ref]
+
+
+def _layered_invariant(uea, rng, arity, order):
+    """An invariant element with random basis vectors on every layer."""
+    outs = [{} for _ in range(order + 1)]
+    for out in outs:
+        for _ in range(2):
+            basis = invariant_adt_basis(uea, arity, rng.randrange(4))
+            if basis:
+                c = F(rng.choice([-2, -1, 1, 2]), rng.choice([1, 3]))
+                for key, a in basis[rng.randrange(len(basis))].items():
+                    add_into(out, key, c * a)
+    return AdtElement.from_layers(uea, arity, outs, order)
+
+
+def _kappa_outcome(solve, uea, target, bound):
+    """Every layer of the solution, or the slice of the NoSolution."""
+    try:
+        sol = solve(uea, target, max_filtration=bound)
+    except NoSolution as exc:
+        return exc.arity, exc.length
+    return [list(sol.layer(n).items()) for n in range(sol.order + 1)]
+
+
+@pytest.mark.parametrize("data", BLOCK_ALGEBRAS)
+def test_kappa_solve_matches_the_whole_slice_solve(data):
+    uea = UEnvelope(data())
+    rng = random.Random(21)
+    solved = 0
+    for _ in range(6):
+        arity = rng.randrange(1, 3)
+        target = differential_b(_layered_invariant(uea, rng, arity, 2))
+        if target.is_zero():
+            continue
+        # one coefficient known to order 1 only: the layer above the
+        # target's precision is left out
+        key, c = next(iter(target.terms.items()))
+        cut = target + AdtElement(uea, target.arity, {key: c.truncate(1)}, 2)
+        for t, bound in itertools.product((target, cut), (None, 0, 1, 2)):
+            got = _kappa_outcome(kappa_solve, uea, t, bound)
+            assert got == _kappa_outcome(
+                reference_kernels.kappa_solve, uea, t, bound)
+            solved += isinstance(got, list) and any(got)
+    assert solved
 
 
 # -- layered kernels against their HSeries references ------------------------

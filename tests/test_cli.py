@@ -248,6 +248,10 @@ TWIST_DIGESTS = [
      "2fe1bbb51be57a9d8760b5a1cf88a6212d1fddb38191876b4919eebed2f9ca3b"),
     ("nonab", "2", None,
      "2c72355308569089d4040a1547e7f328f76453265a97e20ae6601e6ceb6e0b80"),
+    ("affxc2", "4", None,
+     "35b6b802e51af6f0fcc1269d31b1b0119d7583877559b6610aabf58d611e7f50"),
+    ("nonab", "3", None,
+     "2ddd01b4dc10adff486cc78c265e95681de464e6c3d3ab397f4aa81fca3a4d04"),
 ]
 
 
