@@ -49,7 +49,7 @@ class AdtElement(SparseSeries):
             raise GradingMismatch(
                 f"key {key} has {len(key) - 1} factors, expected {self.arity}"
             )
-        return tuple(tuple(m) for m in key)
+        return tuple(map(tuple, key))
 
     @classmethod
     def zero(cls, uea, arity, order):
@@ -179,14 +179,16 @@ def differential_b(P: AdtElement) -> AdtElement:
     Terms: unit inserted in slot 1 (positive), then alternating coproducts
     on each U g factor, and finally the coaction splitting of the leg with
     its U g part becoming the new last tensor factor.  b carries no hbar,
-    so it maps each layer to the same layer, key by key (`b_key`).
+    so it maps each layer to the same layer, key by key (`b_key`), summed
+    on ints (`SparseSeries.int_layer_terms`).
     """
     outs = [{} for _ in range(P.precision() + 1)]
-    for key, a, n, _ in P.layer_terms():
+    den, items = P.int_layer_terms()
+    for key, a, n, _ in items:
         terms = outs[n]
         for new, mult in b_key(key):
             add_into(terms, new, a * mult)
-    return AdtElement.from_layers(P.uea, P.arity + 1, outs, P.order)
+    return AdtElement.from_layers(P.uea, P.arity + 1, outs, P.order, den=den)
 
 
 _b_memo: dict = {}
@@ -232,15 +234,16 @@ def cup(P: AdtElement, Q: AdtElement) -> AdtElement:
     iterated coaction over the last l slots and the leg, multiplying in
     front of Q's content.  The result is truncated to the smaller order
     N; layer-term pairs whose hbar powers add up to more than N are
-    skipped.
+    skipped.  Summed on ints, like b.
     """
     if P.uea is not Q.uea:
         raise GradingMismatch("cup of elements over different algebras")
     k, l = P.arity, Q.arity
     prec = min(P.precision(), Q.precision())
     outs = [{} for _ in range(prec + 1)]
-    terms_q = Q.layer_terms()
-    for keyP, aP, nP, _ in P.layer_terms():
+    den_p, terms_p = P.int_layer_terms()
+    den_q, terms_q = Q.int_layer_terms()
+    for keyP, aP, nP, _ in terms_p:
         gP, legP = keyP[:-1], keyP[-1]
         for parts, mult in coproduct_mono(legP, l + 1).items():
             aPm = aP * mult
@@ -253,21 +256,29 @@ def cup(P: AdtElement, Q: AdtElement) -> AdtElement:
                     slots.append(parts[j] + gQ[j])
                 slots.append(parts[l] + legQ)
                 _straight_key(P.uea, tuple(slots), outs[nP + nQ], aPm * aQ)
-    return AdtElement.from_layers(P.uea, k + l, outs, min(P.order, Q.order))
+    return AdtElement.from_layers(P.uea, k + l, outs, min(P.order, Q.order),
+                                  den=den_p * den_q)
 
 
 def _straight_key(uea, slots, acc, coeff):
-    """Straighten every slot word and accumulate coeff times it into acc."""
+    """Straighten every slot word and accumulate coeff times it into acc.
+
+    coeff is an int (or a Fraction), multiplied through the integer
+    view `straighten_int`.
+    """
     partial = [((), coeff)]
-    for w in slots:
-        exp = uea.straighten(w)
+    done = 0  # slots[:done] are in every prefix of partial
+    for i, w in enumerate(slots):
+        exp = uea.straighten_int(w)
         if w in exp:  # a PBW monomial already, with coefficient 1
-            partial = [(pref + (w,), c0) for pref, c0 in partial]
-        else:
-            partial = [(pref + (m,), c0 * c) for pref, c0 in partial
-                       for m, c in exp.items()]
-    for key, c in partial:
-        add_into(acc, key, c)
+            continue
+        run = slots[done:i]
+        partial = [(pref + run + (m,), c0 * c) for pref, c0 in partial
+                   for m, c in exp.items()]
+        done = i + 1
+    run = slots[done:]
+    for pref, c in partial:
+        add_into(acc, pref + run, c)
 
 
 # -- brace insertions ------------------------------------------------------
@@ -287,7 +298,7 @@ def brace(P: AdtElement, Qs) -> AdtElement:
 
     The result is truncated to the smallest order N among P and the Q_s;
     a choice of layer terms whose hbar powers add up to more than N is
-    skipped.
+    skipped.  Summed on ints, like b.
     """
     Qs = list(Qs)
     m = len(Qs)
@@ -302,10 +313,12 @@ def brace(P: AdtElement, Qs) -> AdtElement:
     uea = P.uea
     for positions in itertools.combinations(range(1, k + 1), m):
         _brace_placement(uea, P, Qs, positions, n, outs)
-    return AdtElement.from_layers(uea, n, outs, order)
+    den = math.prod(E.int_layer_terms()[0] for E in [P] + Qs)
+    return AdtElement.from_layers(uea, n, outs, order, den=den)
 
 
 def _brace_placement(uea, P, Qs, positions, n, outs):
+    """Add D_P D_Q1 ... D_Qm times the placement's terms to outs."""
     ks = [Q.arity for Q in Qs]
     consumed = {j: s for s, j in enumerate(positions)}  # input -> insertion idx
     # slot layout: for each input of P, a block of width 1 or ks[s]; the
@@ -324,7 +337,7 @@ def _brace_placement(uea, P, Qs, positions, n, outs):
             cursor += 1
     assert cursor == n
     top = len(outs) - 1
-    for keyP, aP, nP, _ in P.layer_terms():
+    for keyP, aP, nP, _ in P.int_layer_terms()[1]:
         if nP > top:
             break
         gP, legP = keyP[:-1], keyP[-1]
@@ -369,7 +382,7 @@ def _brace_placement(uea, P, Qs, positions, n, outs):
             w = ks[s]
             spread = n - (start + w)  # slots to the right of the block
             nxt = []
-            terms_q = Q.layer_terms()
+            terms_q = Q.int_layer_terms()[1]
             for slots, c0, v0 in stack:
                 for keyQ, cQ, vQ, _ in terms_q:
                     if v0 + vQ > top:
@@ -532,8 +545,8 @@ class _Block:
 
     `index` holds the keys' positions in the slice.  The invariant basis
     of the block (`basis`, with `free` the slice position of each
-    vector's free key, which is its last key) and the b-columns
-    {basis index: column} are built when first asked for.
+    vector's free key, which is its last key) and the integer b-columns
+    {basis index: (D, column)} are built when first asked for.
     """
 
     __slots__ = ("keys", "index", "basis", "free", "columns")
@@ -559,7 +572,7 @@ class _Slice:
     that no key of the slice has.
     """
 
-    __slots__ = ("blocks", "block_of", "basis", "where")
+    __slots__ = ("blocks", "block_of", "basis", "where", "b_columns")
 
     def __init__(self, uea: UEnvelope, arity: int, length: int):
         lie = uea.lie
@@ -599,6 +612,7 @@ class _Slice:
         self.block_of = {c: blocks[find(c)] for c in by_content}
         self.basis = None
         self.where = None
+        self.b_columns = {}
 
 
 # per algebra: {(arity, length): _Slice}.  A slice's blocks are found
@@ -639,13 +653,14 @@ def _in_slice_order(uea: UEnvelope, blocks, keep=None):
     return [(block, i) for _, block, i in tagged]
 
 
-def _block_column(block: _Block, i: int) -> dict:
-    """b of the i-th basis vector of the block, as {key: Fraction}.
+def _block_column(block: _Block, i: int):
+    """(D, b(D v)) for the i-th basis vector v of the block.
 
-    The vector is scaled by the lcm D of its denominators, b is summed
-    on integers and each image key divided by D once.  The integer sums
-    are D times the Fraction sums, so they vanish at the same steps and
-    the column has the value and key order of the Fraction sum.
+    D is the lcm of v's denominators, so b(D v) is a column of ints.  Its
+    sums are D times those of b(v), so they vanish at the same steps and
+    the column has the key order of b(v).  Scaling a column by D > 0
+    keeps every pivot of an elimination, and its solution coefficient
+    comes out divided by D.
     """
     col = block.columns.get(i)
     if col is None:
@@ -656,7 +671,7 @@ def _block_column(block: _Block, i: int) -> dict:
             a = c.numerator * (den // c.denominator)
             for new, mult in b_key(key):
                 add_into(acc, new, a * mult)
-        block.columns[i] = col = {k: Fraction(s, den) for k, s in acc.items()}
+        block.columns[i] = col = (den, acc)
     return col
 
 
@@ -679,11 +694,16 @@ def b_column(uea: UEnvelope, arity: int, total_length: int, j: int):
     """b of the j-th `invariant_adt_basis` vector, as {key: Fraction}.
 
     b carries no hbar: the column is the sum of c * b(key) over the
-    vector's keys.  It depends on no target: each is built once, when
-    first asked for, and shared with `kappa_solve`.
+    vector's keys.  It depends on no target: each is built once, from
+    the integer column that `kappa_solve` shares, when first asked for.
     """
     invariant_adt_basis(uea, arity, total_length)
-    return _block_column(*_slice(uea, arity, total_length).where[j])
+    sl = _slice(uea, arity, total_length)
+    col = sl.b_columns.get(j)
+    if col is None:
+        den, acc = _block_column(*sl.where[j])
+        sl.b_columns[j] = col = {k: Fraction(s, den) for k, s in acc.items()}
+    return col
 
 
 def kappa_solve(
@@ -702,6 +722,9 @@ def kappa_solve(
     of the elimination over the whole slice.  Raises NoSolution with the
     unreachable residual, the arity and the length of the slice when the
     target is not in the image.
+
+    The columns go to `linalg.solve` as the integer columns b(D v) of
+    `_block_column`; each solution coefficient is scaled back by D.
     """
     if target.arity == 0:
         raise GradingMismatch("cannot lower arity below zero")
@@ -730,8 +753,8 @@ def kappa_solve(
         blocks = {block_of.get(_content(key))
                   for layer in layers for key in layer}
         kept = _in_slice_order(uea, blocks - {None}, keep)
-        sols = linalg.solve(
-            [_block_column(block, i) for block, i in kept], layers)
+        columns = [_block_column(block, i) for block, i in kept]
+        sols = linalg.solve([col for _, col in columns], layers)
         if None in sols:
             raise NoSolution(
                 f"target length-{L} slice not in the image of b",
@@ -741,6 +764,7 @@ def kappa_solve(
         for sol, out in zip(sols, outs):
             for j, a in sol.items():
                 block, i = kept[j]
+                a *= columns[j][0]
                 for key, c in block.basis[i].items():
                     add_into(out, key, a * c)
     return AdtElement.from_layers(uea, arity, outs, order)
@@ -751,14 +775,15 @@ def cohomology_dims(uea: UEnvelope, max_k: int, max_length: int):
 
     b keeps the total PBW length, so each length slice up to max_length
     is finite and solved exactly; the two largest must contribute
-    nothing, else TruncationTooSmall.
+    nothing, else TruncationTooSmall.  A rank ignores the positive
+    scales of the integer columns b(D v).
     """
     if max_length < 2:
         raise TruncationTooSmall("need max_length >= 2")
 
     def columns(k, L):
-        n = len(invariant_adt_basis(uea, k, L))
-        return [b_column(uea, k, L, j) for j in range(n)]
+        invariant_adt_basis(uea, k, L)
+        return [_block_column(*w)[1] for w in _slice(uea, k, L).where]
 
     return linalg.cohomology_dims(
         columns, max_k, lambda k: range(max_length + 1)
@@ -791,8 +816,8 @@ def adte_residual(K: AdtElement, mode: str = "direct") -> AdtElement:
     if mode != "direct":
         raise ValueError(f"unknown mode {mode!r}")
     outs = [{} for _ in range(K.precision() + 1)]
-    _adte_pairs(K, 0, outs)
-    return AdtElement.from_layers(K.uea, 3, outs, K.order)
+    den = _adte_pairs(K, 0, outs)
+    return AdtElement.from_layers(K.uea, 3, outs, K.order, den=den)
 
 
 def adte_residual_layer(K: AdtElement, n: int) -> dict:
@@ -801,19 +826,20 @@ def adte_residual_layer(K: AdtElement, n: int) -> dict:
     n is at most K.precision(), the highest layer K determines.
     """
     outs = [{} for _ in range(n + 1)]
-    _adte_pairs(K, n, outs)
-    return outs[n]
+    den = _adte_pairs(K, n, outs)
+    return {key: Fraction(a, den) for key, a in outs[n].items()}
 
 
 def _adte_pairs(K, lo, outs):
     """Residual terms of K's layer-term pairs, by the sum of their powers.
 
     Every pair whose hbar powers a, b have lo <= a + b < len(outs) adds
-    its `_adte_pair` terms to outs[a + b].
+    its `_adte_pair` terms to outs[a + b], summed on ints: returns the
+    scale D^2 of the sums, D that of `K.int_layer_terms()`.
     """
     uea = K.uea
     top = len(outs) - 1
-    items = K.layer_terms()
+    den, items = K.int_layer_terms()
     for k1, a1, n1, _ in items:
         if n1 > top:
             break
@@ -822,6 +848,7 @@ def _adte_pairs(K, lo, outs):
             if n1 + n2 > top:
                 break
             _adte_pair(uea, k1, k2, a1 * a2, outs[n1 + n2])
+    return den * den
 
 
 def _adte_pair(uea, k1, k2, a, out):

@@ -10,15 +10,26 @@ classical cochains): a map from monomial keys to HSeries coefficients.
 
 Every product kernel works one hbar layer at a time.  It reads its
 factors through `SparseSeries.layer_terms`, one (key, Fraction, power,
-weight) entry per nonzero hbar coefficient sorted by weight, multiplies
-Fractions, accumulates one {key: Fraction} dict per output hbar power,
-and builds each output key's HSeries once, through `from_layers`.  A
-pair of entries whose weights add up to more than the product's order N
-contributes nothing mod hbar^(N+1), so the inner loop stops at the first
-such pair.  The weight is the hbar power; a formal twist adds the leg
-degree, the grading of its truncation triangle.  A kernel keeps the
-layers up to `precision()`, below N when a coefficient is known to a
-lower order than its element.
+weight) entry per nonzero hbar coefficient sorted by weight, accumulates
+one {key: value} dict per output hbar power, and builds each output
+key's HSeries once, through `from_layers`.  A pair of entries whose
+weights add up to more than the product's order N contributes nothing
+mod hbar^(N+1), so the inner loop stops at the first such pair.  The
+weight is the hbar power; a formal twist adds the leg degree, the
+grading of its truncation triangle.  A kernel keeps the layers up to
+`precision()`, below N when a coefficient is known to a lower order than
+its element.
+
+The kernels of the twist complex (b, cup, brace, the twist residual)
+compute on Python ints: `SparseSeries.int_layer_terms` gives the same
+entries scaled by the lcm D of the element's denominators, they
+multiply through `UEnvelope.straighten_int`, and `from_layers(...,
+den=)` divides each output coefficient once by the product of the
+factors' D.  The integer sums are D times the Fraction sums, so they
+vanish at the same steps: values and key order are those of the
+Fraction kernels.  A rational structure constant stays a Fraction in
+`straighten_int`, and an int times a Fraction is a Fraction, so the
+same path serves it.
 
 Every linear map works on the same layers: `SparseSeries.map_keys`
 sends each (key, Fraction, power) entry through f(key), which yields
@@ -30,6 +41,7 @@ as a per-key HSeries.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import GradingMismatch, NotInvertible
 
@@ -63,12 +75,14 @@ class HSeries:
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs, order: int):
-        coeffs = tuple(_frac(c) for c in coeffs)
-        if len(coeffs) < order + 1:
-            coeffs = coeffs + (_F0,) * (order + 1 - len(coeffs))
-        elif len(coeffs) > order + 1:
-            coeffs = coeffs[: order + 1]
+    def __init__(self, coeffs, order: int, *, normalized: bool = False):
+        """normalized: coeffs is already a tuple of order + 1 Fractions."""
+        if not normalized:
+            coeffs = tuple(_frac(c) for c in coeffs)
+            if len(coeffs) < order + 1:
+                coeffs = coeffs + (_F0,) * (order + 1 - len(coeffs))
+            elif len(coeffs) > order + 1:
+                coeffs = coeffs[: order + 1]
         self.coeffs = coeffs
         self.order = order
 
@@ -95,7 +109,7 @@ class HSeries:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_unit(self) -> bool:
         return self.coeffs[0] != 0
@@ -229,7 +243,7 @@ class SparseSeries:
     mutated after construction.
     """
 
-    __slots__ = ("terms", "order", "_vkey", "_layered")
+    __slots__ = ("terms", "order", "_vkey", "_layered", "_int_layered")
     _space: tuple = ()
     # a formal twist weighs its terms by hbar power plus leg degree and
     # keeps only those of weight at most its order
@@ -264,12 +278,14 @@ class SparseSeries:
         )
 
     @classmethod
-    def from_layers(cls, *args):
+    def from_layers(cls, *args, den=None):
         """cls(*space, layers, order) from per-power coefficient dicts.
 
         layers[n] = {key: Fraction} holds the nonzero hbar^n
         coefficients; every key's HSeries, of order len(layers) - 1, is
-        built once.
+        built once.  With den given, layers[n] holds den times them (as
+        ints, or Fractions where a factor was rational), and each is
+        divided by den once.
         """
         *space, layers, order = args
         prec = len(layers) - 1
@@ -279,8 +295,9 @@ class SparseSeries:
                 row = coeffs.get(k)
                 if row is None:
                     coeffs[k] = row = [_F0] * (prec + 1)
-                row[n] = a
-        terms = {k: HSeries(row, prec) for k, row in coeffs.items()}
+                row[n] = a if den is None else Fraction(a, den)
+        terms = {k: HSeries(tuple(row), prec, normalized=True)
+                 for k, row in coeffs.items()}
         return cls(*space, terms, order)
 
     # -- ring structure ----------------------------------------------------
@@ -363,6 +380,26 @@ class SparseSeries:
             key=lambda t: t[3],
         )
         return self._layered
+
+    def int_layer_terms(self):
+        """(D, entries): `layer_terms` with each Fraction a as the int D a.
+
+        D is the lcm of the denominators of the layer terms.  A kernel
+        that multiplies the entries of factors with scales D_1, ..., D_r
+        sums D_1 ... D_r times its Fraction result and hands that
+        product to `from_layers` as `den`.  Built once per element.
+        """
+        try:
+            return self._int_layered
+        except AttributeError:
+            pass
+        terms = self.layer_terms()
+        den = lcm(*{a.denominator for _, a, _, _ in terms})
+        self._int_layered = den, [
+            (k, a.numerator * (den // a.denominator), n, w)
+            for k, a, n, w in terms
+        ]
+        return self._int_layered
 
     def precision(self) -> int:
         """The order to which every coefficient is known.

@@ -1,11 +1,13 @@
-"""Sparse exact linear algebra over Fraction.
+"""Sparse exact linear algebra over the rationals.
 
 Callers hand in a matrix as a list of sparse columns, one per unknown in
-unknown order.  A column is a dict {row key: Fraction} whose row keys
-are any hashables (monomials, basis indices, ...); a key missing from a
-column is a zero entry.  Only the order of the columns matters: the
-reduced row echelon form, the pivots, the particular solutions and the
-kernel basis are functions of it alone, so callers never number rows.
+unknown order.  A column is a dict {row key: int or Fraction} whose row
+keys are any hashables (monomials, basis indices, ...); a key missing
+from a column is a zero entry.  Integer columns (the b-columns of
+`adt_dgla`) go in as ints, which need no scaling.  Only the order of the
+columns matters: the reduced row echelon form, the pivots, the
+particular solutions and the kernel basis are functions of it alone, so
+callers never number rows.
 
 `solve(columns, targets)` eliminates the system once for all of its
 right-hand sides.  A target is a dict keyed like the columns; its answer
@@ -17,12 +19,13 @@ Internally `rref` reduces rows {column index: value} with pivots chosen
 left to right; the pivot of a column is the first remaining row, in
 input order, with a nonzero entry there, which keeps every derived
 basis deterministic.  It computes on integers: each input row is scaled
-by the lcm of its denominators, a row update clears an entry by an
-integer combination with the pivot row and divides the row by the gcd
-of its entries, and only the reduced rows it returns are turned back
-into Fractions.  It keeps an index from each column still to come to
-the rows with a nonzero entry in it, updated as fill-in appears and
-cancels, so the work follows the nonzeros instead of rows x columns.
+by the lcm of its denominators (1 for a row of ints), a row update
+clears an entry by an integer combination with the pivot row and
+divides the row by the gcd of its entries, and only the reduced rows it
+returns are turned back into Fractions.  It keeps an index from each
+column still to come to the rows with a nonzero entry in it, updated as
+fill-in appears and cancels, so the work follows the nonzeros instead
+of rows x columns.
 Neither the integer rows nor the index change what is computed: the
 reduced rows (down to their key order, all values Fractions), pivots,
 solutions and kernel vectors are those of the plain left-to-right

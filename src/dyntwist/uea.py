@@ -5,6 +5,10 @@ order).  Straightening replaces x_j x_i (j > i) by x_i x_j + [x_j, x_i]
 recursively; every result is cached per algebra, and so is the adjoint
 action `ad_mono(x, mono)` of a basis element on a monomial.  Cached dicts
 are shared by every caller, which must not mutate them.
+
+`straighten_int` is an integer view of the straightening cache for the
+integer kernels of `adt_dgla`: the same dict with each integral
+coefficient as an int.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ class UEnvelope:
     def __init__(self, lie: LieData):
         self.lie = lie
         self._straight_cache: dict = {(): {(): _F1}}
+        self._int_straight_cache: dict = {}
         self._sym_cache: dict = {}
         self._ad_cache: dict = {}
 
@@ -42,6 +47,22 @@ class UEnvelope:
             return cached
         out = self._straighten_uncached(word)
         self._straight_cache[word] = out
+        return out
+
+    def straighten_int(self, word: tuple) -> dict:
+        """`straighten(word)` with an int wherever a coefficient is integral.
+
+        The keys and their order are those of `straighten`; a coefficient
+        with a denominator (a rational structure constant) stays a
+        Fraction.  Cached and shared like `straighten`.
+        """
+        out = self._int_straight_cache.get(word)
+        if out is None:
+            out = {
+                m: c.numerator if c.denominator == 1 else c
+                for m, c in self.straighten(word).items()
+            }
+            self._int_straight_cache[word] = out
         return out
 
     def _straighten_uncached(self, word) -> dict:

@@ -22,6 +22,16 @@ def sl2_data() -> LieData:
     )
 
 
+def sl2half_data() -> LieData:
+    # sl2 in the basis x = e/2: [h,x] = 2x, [h,f] = -2f, [x,f] = h/2, a
+    # structure constant with a denominator
+    return LieData(
+        ["x", "h", "f"],
+        {(0, 1): {0: -2}, (1, 2): {2: -2}, (0, 2): {1: Fraction(1, 2)}},
+        [1],
+    )
+
+
 def ab2_data() -> LieData:
     return LieData(["a", "b"], {}, [])
 
@@ -82,6 +92,11 @@ def sl2_uea(sl2):
 @pytest.fixture(scope="session")
 def sl2_rho(sl2):
     return RMatrix(sl2, geometric_body((0, 2), 1, ORDER))
+
+
+@pytest.fixture(scope="session")
+def sl2half_uea():
+    return UEnvelope(sl2half_data())
 
 
 @pytest.fixture(scope="session")

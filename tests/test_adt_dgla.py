@@ -320,7 +320,10 @@ def test_cached_slices_are_unchanged_by_their_callers(name):
             basis = block.basis
             assert [list(v.items()) for v in basis] == [
                 list(v.items()) for v in ref_block]
-            for j, col in block.columns.items():
+            # a cached column is (D, b(D v)) on ints
+            for j, (den, scaled) in block.columns.items():
+                assert all(type(s) is int for s in scaled.values())
+                col = {k: F(s, den) for k, s in scaled.items()}
                 assert col == reference_kernels.b_column(
                     uea, arity, ref_block[j])
 
@@ -422,25 +425,42 @@ def test_kappa_solve_matches_the_whole_slice_solve(data):
 # agree exactly, coefficient orders included, on order-0 elements, on
 # elements with several hbar layers per key, and on elements whose
 # coefficients are known to a lower order than the element's.
+#
+# b, cup, brace and the residual sum on ints scaled by the lcm D of their
+# inputs' denominators.  Each test also draws inputs with coefficients
+# over 2 and 3 (D > 1), from a second random stream so that the integer
+# draws stay as they were, and sl2half has the structure constant 1/2.
 
-ORACLE_ALGEBRAS = ["sl2_uea", "nonab_uea", "aff_uea"]
+ORACLE_ALGEBRAS = ["sl2_uea", "nonab_uea", "aff_uea", "sl2half_uea"]
 
 
-def _oracle_inputs(uea, rng, arity, unit=False, terms=7):
+def _draws(seed):
+    """(rng, rational): the integer draws of the seed, then rational ones."""
+    return [(random.Random(seed), False), (random.Random(seed + 100), True)]
+
+
+def _oracle_inputs(uea, rng, arity, unit=False, terms=7, rational=False):
     """[order 0, layered at order N, layered with coefficients cut at N-1]."""
     def draw(order):
-        E = (mixed_element(uea, rng, arity, order, terms)
-             + mixed_element(uea, rng, arity, order, terms))
+        A = mixed_element(uea, rng, arity, order, terms)
+        B = mixed_element(uea, rng, arity, order, terms)
+        if rational:
+            A, B = A.scale(F(1, 2)), B.scale(F(-2, 3))
+        E = A + B
         return E + AdtElement.unit(uea, arity, order) if unit else E
 
     layered = draw(N)
     assert any(len(c.coeffs) - c.coeffs.count(0) > 1
                for c in layered.terms.values())
+    if rational:
+        assert layered.int_layer_terms()[0] > 1
     return [draw(0), layered, layered.map_coeffs(lambda c: c.truncate(N - 1))]
 
 
 def _agree(new, ref, top_layer=None):
     assert new.value_key() == ref.value_key()
+    # value_key cannot tell an int from an equal Fraction
+    assert all(type(a) is F for c in new.terms.values() for a in c.coeffs)
     if top_layer is not None:  # not vacuous: the top layer is reached
         assert new.layer(top_layer)
 
@@ -448,61 +468,66 @@ def _agree(new, ref, top_layer=None):
 @pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
 def test_layered_b_matches_hseries_reference(request, uea_name):
     uea = request.getfixturevalue(uea_name)
-    rng = random.Random(31)
-    for arity in (0, 1, 2):
-        for i, P in enumerate(_oracle_inputs(uea, rng, arity)):
-            _agree(differential_b(P), reference_kernels.differential_b(P),
-                   N if i == 1 else None)
+    for rng, rational in _draws(31):
+        for arity in (0, 1, 2):
+            inputs = _oracle_inputs(uea, rng, arity, rational=rational)
+            for i, P in enumerate(inputs):
+                _agree(differential_b(P), reference_kernels.differential_b(P),
+                       N if i == 1 else None)
 
 
 @pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
 def test_layered_cup_matches_hseries_reference(request, uea_name):
     uea = request.getfixturevalue(uea_name)
-    rng = random.Random(32)
-    for k, l in ((0, 1), (1, 1), (1, 2), (2, 1)):
-        Ps = _oracle_inputs(uea, rng, k)
-        Qs = _oracle_inputs(uea, rng, l)
-        pairs = list(zip(Ps, Qs)) + [(Ps[2], Qs[1]), (Ps[1], Qs[2])]
-        for i, (P, Q) in enumerate(pairs):
-            _agree(cup(P, Q), reference_kernels.cup(P, Q),
-                   N if i == 1 else None)
+    for rng, rational in _draws(32):
+        for k, l in ((0, 1), (1, 1), (1, 2), (2, 1)):
+            Ps = _oracle_inputs(uea, rng, k, rational=rational)
+            Qs = _oracle_inputs(uea, rng, l, rational=rational)
+            pairs = list(zip(Ps, Qs)) + [(Ps[2], Qs[1]), (Ps[1], Qs[2])]
+            for i, (P, Q) in enumerate(pairs):
+                _agree(cup(P, Q), reference_kernels.cup(P, Q),
+                       N if i == 1 else None)
 
 
 @pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
 def test_layered_brace_matches_hseries_reference(request, uea_name):
     uea = request.getfixturevalue(uea_name)
-    rng = random.Random(33)
-    Ps = _oracle_inputs(uea, rng, 2, terms=5)
-    for ks in ((1,), (2,), (1, 2)):
-        Qss = [_oracle_inputs(uea, rng, k, terms=4) for k in ks]
-        for i, P in enumerate(Ps):
-            Qs = [inputs[i] for inputs in Qss]
-            _agree(brace(P, Qs), reference_kernels.brace(P, Qs))
-        # a full-precision P with a cut Q_s and the other way round
-        for P, Qs in ((Ps[1], [inputs[2] for inputs in Qss]),
-                      (Ps[2], [inputs[1] for inputs in Qss])):
-            _agree(brace(P, Qs), reference_kernels.brace(P, Qs))
+    for rng, rational in _draws(33):
+        Ps = _oracle_inputs(uea, rng, 2, terms=5, rational=rational)
+        for ks in ((1,), (2,), (1, 2)):
+            Qss = [_oracle_inputs(uea, rng, k, terms=4, rational=rational)
+                   for k in ks]
+            for i, P in enumerate(Ps):
+                Qs = [inputs[i] for inputs in Qss]
+                _agree(brace(P, Qs), reference_kernels.brace(P, Qs))
+            # a full-precision P with a cut Q_s and the other way round
+            for P, Qs in ((Ps[1], [inputs[2] for inputs in Qss]),
+                          (Ps[2], [inputs[1] for inputs in Qss])):
+                _agree(brace(P, Qs), reference_kernels.brace(P, Qs))
 
 
 @pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
 def test_layered_residual_matches_hseries_reference(request, uea_name):
     uea = request.getfixturevalue(uea_name)
-    rng = random.Random(34)
-    for i, K in enumerate(_oracle_inputs(uea, rng, 2, unit=True)):
-        ref = reference_kernels.adte_residual(K)
-        _agree(adte_residual(K), ref, N if i == 1 else None)
-        for n in range(K.precision() + 1):
-            assert adte_residual_layer(K, n) == ref.layer(n)
+    for rng, rational in _draws(34):
+        inputs = _oracle_inputs(uea, rng, 2, unit=True, rational=rational)
+        for i, K in enumerate(inputs):
+            ref = reference_kernels.adte_residual(K)
+            _agree(adte_residual(K), ref, N if i == 1 else None)
+            for n in range(K.precision() + 1):
+                layer = adte_residual_layer(K, n)
+                assert layer == ref.layer(n)
+                assert all(type(a) is F for a in layer.values())
 
 
 @pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
 def test_layered_adt_mul_matches_hseries_reference(request, uea_name):
     uea = request.getfixturevalue(uea_name)
-    rng = random.Random(35)
-    for arity in (1, 2):
-        As = _oracle_inputs(uea, rng, arity)
-        Bs = _oracle_inputs(uea, rng, arity)
-        pairs = list(zip(As, Bs)) + [(As[2], Bs[1])]
-        for i, (A, B) in enumerate(pairs):
-            _agree(adt_mul(A, B), reference_kernels.adt_mul(A, B),
-                   N if i == 1 else None)
+    for rng, rational in _draws(35):
+        for arity in (1, 2):
+            As = _oracle_inputs(uea, rng, arity, rational=rational)
+            Bs = _oracle_inputs(uea, rng, arity, rational=rational)
+            pairs = list(zip(As, Bs)) + [(As[2], Bs[1])]
+            for i, (A, B) in enumerate(pairs):
+                _agree(adt_mul(A, B), reference_kernels.adt_mul(A, B),
+                       N if i == 1 else None)
