@@ -89,7 +89,7 @@ class AdtElement(SparseSeries):
 
     def __repr__(self):
         if not self.terms:
-            return f"AdtElement(0; arity={self.arity})"
+            return f"{type(self).__name__}(0; arity={self.arity})"
         names = self.uea.lie.basis_names
         bits = []
         for key, c in sorted(self.terms.items()):
@@ -97,7 +97,7 @@ class AdtElement(SparseSeries):
                 ".".join(names[i] for i in m) or "1" for m in key
             ]
             bits.append(f"({c!r})*[" + " | ".join(slot_strs) + "]")
-        return "AdtElement(" + " + ".join(bits) + ")"
+        return f"{type(self).__name__}(" + " + ".join(bits) + ")"
 
 
 def ad_adt_key(uea: UEnvelope, x: int, key) -> dict:
@@ -263,13 +263,13 @@ def cup(P: AdtElement, Q: AdtElement) -> AdtElement:
 def _straight_key(uea, slots, acc, coeff):
     """Straighten every slot word and accumulate coeff times it into acc.
 
-    coeff is an int (or a Fraction), multiplied through the integer
-    view `straighten_int`.
+    coeff is an int (or a Fraction), multiplied through `straighten`,
+    whose integral coefficients are ints.
     """
     partial = [((), coeff)]
     done = 0  # slots[:done] are in every prefix of partial
     for i, w in enumerate(slots):
-        exp = uea.straighten_int(w)
+        exp = uea.straighten(w)
         if w in exp:  # a PBW monomial already, with coefficient 1
             continue
         run = slots[done:i]
@@ -572,7 +572,7 @@ class _Slice:
     that no key of the slice has.
     """
 
-    __slots__ = ("blocks", "block_of", "basis", "where", "b_columns")
+    __slots__ = ("blocks", "block_of", "basis", "where")
 
     def __init__(self, uea: UEnvelope, arity: int, length: int):
         lie = uea.lie
@@ -612,7 +612,6 @@ class _Slice:
         self.block_of = {c: blocks[find(c)] for c in by_content}
         self.basis = None
         self.where = None
-        self.b_columns = {}
 
 
 # per algebra: {(arity, length): _Slice}.  A slice's blocks are found
@@ -688,22 +687,6 @@ def invariant_adt_basis(uea: UEnvelope, arity: int, total_length: int):
         sl.where = _in_slice_order(uea, sl.blocks)
         sl.basis = [block.basis[i] for block, i in sl.where]
     return sl.basis
-
-
-def b_column(uea: UEnvelope, arity: int, total_length: int, j: int):
-    """b of the j-th `invariant_adt_basis` vector, as {key: Fraction}.
-
-    b carries no hbar: the column is the sum of c * b(key) over the
-    vector's keys.  It depends on no target: each is built once, from
-    the integer column that `kappa_solve` shares, when first asked for.
-    """
-    invariant_adt_basis(uea, arity, total_length)
-    sl = _slice(uea, arity, total_length)
-    col = sl.b_columns.get(j)
-    if col is None:
-        den, acc = _block_column(*sl.where[j])
-        sl.b_columns[j] = col = {k: Fraction(s, den) for k, s in acc.items()}
-    return col
 
 
 def kappa_solve(

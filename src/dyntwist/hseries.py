@@ -23,13 +23,13 @@ its element.
 The kernels of the twist complex (b, cup, brace, the twist residual)
 compute on Python ints: `SparseSeries.int_layer_terms` gives the same
 entries scaled by the lcm D of the element's denominators, they
-multiply through `UEnvelope.straighten_int`, and `from_layers(...,
-den=)` divides each output coefficient once by the product of the
-factors' D.  The integer sums are D times the Fraction sums, so they
-vanish at the same steps: values and key order are those of the
-Fraction kernels.  A rational structure constant stays a Fraction in
-`straighten_int`, and an int times a Fraction is a Fraction, so the
-same path serves it.
+multiply through `UEnvelope.straighten`, whose integral coefficients
+are ints, and `from_layers(..., den=)` divides each output coefficient
+once by the product of the factors' D.  The integer sums are D times
+the Fraction sums, so they vanish at the same steps: values and key
+order are those of the Fraction kernels.  A rational structure constant
+stays a Fraction in `straighten`, and an int times a Fraction is a
+Fraction, so the same path serves it.
 
 Every linear map works on the same layers: `SparseSeries.map_keys`
 sends each (key, Fraction, power) entry through f(key), which yields
@@ -303,20 +303,24 @@ class SparseSeries:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
+        return self._sum(other, False)
+
+    def __sub__(self, other):
+        return self._sum(other, True)
+
+    def _sum(self, other, negate):
+        """self + other, or self - other with each coefficient negated."""
         if getattr(self, "arity", None) != getattr(other, "arity", None):
             # zero is compatible with every arity (degenerate compositions)
             if self.is_zero():
-                return other
+                return -other if negate else other
             if other.is_zero():
                 return self
             raise GradingMismatch("arity mismatch in sum")
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            add_into(terms, k, c)
+            add_into(terms, k, -c if negate else c)
         return self._like(terms, min(self.order, other.order))
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()}, self.order)

@@ -241,33 +241,16 @@ class ProjectedDgla(LinfAlgebra):
         return out
 
 
-class SplitTargetDgla(LinfAlgebra):
+class SplitTargetDgla(ProjectedDgla):
     """Ambient space seen as image-plus-kernel with bracket on the image.
 
     The differential is unchanged (both summands are subcomplexes); the
     bracket keeps only the projected part of the projected arguments.
     """
 
-    def __init__(self, contraction: "Contraction"):
-        self.contraction = contraction
-        self.ambient = contraction.dgla
-        self.order = self.ambient.order
-
-    def q1(self, x):
-        return self.ambient.q1(x)
-
     def bracket(self, x, y):
         p = self.contraction.proj
         return p(self.ambient.bracket(p(x), p(y)))
-
-    def degree(self, x):
-        return self.ambient.degree(x)
-
-    def filtration(self, x):
-        return self.ambient.filtration(x)
-
-    def zero(self):
-        return self.ambient.zero()
 
     def sample_elements(self, rng, count):
         return self.ambient.sample_elements(rng, count)

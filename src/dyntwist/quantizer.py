@@ -144,17 +144,17 @@ class FormalTwist(SparseSeries):
 
     __slots__ = ("uea", "arity")
     _space = ("uea", "arity")
+    # AdtElement's key check, unit (the classmethod itself, so that cls
+    # is FormalTwist) and repr (which prints the class name)
     _key = AdtElement._key
+    unit = AdtElement.__dict__["unit"]
+    __repr__ = AdtElement.__repr__
     _leg_weighted = True
 
     def __init__(self, uea: UEnvelope, arity: int, terms: dict, order: int):
         self.uea = uea
         self.arity = arity
         super().__init__(terms, order)
-
-    @classmethod
-    def unit(cls, uea, arity, order):
-        return cls(uea, arity, {((),) * (arity + 1): _F1}, order)
 
     def op(self) -> "FormalTwist":
         """Swap the two group factors (arity 2 only)."""
@@ -175,16 +175,6 @@ class FormalTwist(SparseSeries):
                     yield m, power, c
 
         return slotwise_product(self, other, leg_mul)
-
-    def __repr__(self):
-        if not self.terms:
-            return f"FormalTwist(0; arity={self.arity})"
-        names = self.uea.lie.basis_names
-        bits = []
-        for key, c in sorted(self.terms.items()):
-            ss = [".".join(names[i] for i in m) or "1" for m in key]
-            bits.append(f"({c!r})*[" + " | ".join(ss) + "]")
-        return "FormalTwist(" + " + ".join(bits) + ")"
 
 
 # -- PBW star product -------------------------------------------------------

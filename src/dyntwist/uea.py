@@ -6,9 +6,9 @@ recursively; every result is cached per algebra, and so is the adjoint
 action `ad_mono(x, mono)` of a basis element on a monomial.  Cached dicts
 are shared by every caller, which must not mutate them.
 
-`straighten_int` is an integer view of the straightening cache for the
-integer kernels of `adt_dgla`: the same dict with each integral
-coefficient as an int.
+A straightened coefficient is stored as an int where it is integral and
+as a Fraction otherwise, so the integer kernels of `adt_dgla` multiply
+through the same cache as every Fraction caller.
 """
 
 from __future__ import annotations
@@ -32,37 +32,24 @@ class UEnvelope:
 
     def __init__(self, lie: LieData):
         self.lie = lie
-        self._straight_cache: dict = {(): {(): _F1}}
-        self._int_straight_cache: dict = {}
+        self._straight_cache: dict = {(): {(): 1}}
         self._sym_cache: dict = {}
         self._ad_cache: dict = {}
 
     # -- straightening -----------------------------------------------------
 
     def straighten(self, word) -> dict:
-        """Write an arbitrary word in the PBW basis: {monomial: Fraction}."""
-        word = tuple(word)
-        cached = self._straight_cache.get(word)
-        if cached is not None:
-            return cached
-        out = self._straighten_uncached(word)
-        self._straight_cache[word] = out
-        return out
-
-    def straighten_int(self, word: tuple) -> dict:
-        """`straighten(word)` with an int wherever a coefficient is integral.
-
-        The keys and their order are those of `straighten`; a coefficient
-        with a denominator (a rational structure constant) stays a
-        Fraction.  Cached and shared like `straighten`.
-        """
-        out = self._int_straight_cache.get(word)
+        """A word in the PBW basis: {monomial: int or Fraction}."""
+        try:  # a hit on a tuple is one dict lookup
+            return self._straight_cache[word]
+        except (KeyError, TypeError):  # a miss, or an unhashable list
+            word = tuple(word)
+        out = self._straight_cache.get(word)
         if out is None:
-            out = {
+            self._straight_cache[word] = out = {
                 m: c.numerator if c.denominator == 1 else c
-                for m, c in self.straighten(word).items()
+                for m, c in self._straighten_uncached(word).items()
             }
-            self._int_straight_cache[word] = out
         return out
 
     def _straighten_uncached(self, word) -> dict:
@@ -76,7 +63,7 @@ class UEnvelope:
                     for mono, d in self.straighten(lower).items():
                         add_into(out, mono, c * d)
                 return out
-        return {word: _F1}
+        return {word: 1}
 
     def mul_mono(self, m1, m2) -> dict:
         return self.straighten(m1 + m2)

@@ -9,12 +9,14 @@ read (hbar valuation, plus the leg degree for a formal twist).  The
 layered kernels must agree with these exactly, coefficient orders
 included.
 
-Also kept: the uncached h-action `ad_mono` and the element-level
-b-column, the values that `UEnvelope.ad_mono` and `adt_dgla.b_column`
-now cache and share between callers, and the invariant basis built from
-that uncached action over a whole slice.  `kappa_solve` is the solver as
-it was before it split slices into content blocks: one elimination over
-the b-columns of every invariant basis vector of a slice.
+Also kept: the plain Fraction `straighten`, the uncached h-action
+`ad_mono` and the element-level b-column, the values that
+`UEnvelope.straighten`, `UEnvelope.ad_mono` and the blocks of
+`adt_dgla.kappa_solve` now cache and share between callers, and the
+invariant basis built from that uncached action over a whole slice.
+`kappa_solve` is the solver as it was before it split slices into
+content blocks: one elimination over the b-columns of every invariant
+basis vector of a slice.
 
 The linear maps that move hbar powers (`coproduct_at`, `j_to_k`, the
 two argument-shift forms and `rescale_generator`) are kept as they were
@@ -270,6 +272,30 @@ def _adte_pair(uea, k1, k2, c, out):
     for p1, m1 in coproduct_mono(f2, 2).items():
         slots = (f1, p1[0] + g1, p1[1] + g2, leg + legg)
         _straight_key(uea, slots, out, -(c * m1))
+
+
+def straighten(lie, word, memo):
+    """The word in the PBW basis as {monomial: Fraction}.
+
+    memo is the caller's own dict of results, apart from every cache of
+    `UEnvelope`.
+    """
+    out = memo.get(word)
+    if out is not None:
+        return out
+    out = {word: _F1}
+    for pos in range(len(word) - 1):
+        a, b = word[pos], word[pos + 1]
+        if a > b:
+            out = dict(straighten(lie, word[:pos] + (b, a) + word[pos + 2:],
+                                  memo))
+            for k, c in lie.bracket_basis(a, b).items():
+                lower = word[:pos] + (k,) + word[pos + 2:]
+                for m, d in straighten(lie, lower, memo).items():
+                    add_into(out, m, c * d)
+            break
+    memo[word] = out
+    return out
 
 
 def ad_mono(uea, x, mono):

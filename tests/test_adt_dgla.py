@@ -26,7 +26,6 @@ from dyntwist import (
 from dyntwist import adt_dgla, schema
 from dyntwist.adt_dgla import (
     adte_residual_layer,
-    b_column,
     cohomology_dims,
     coproduct_at,
     invariant_adt_basis,
@@ -40,10 +39,12 @@ from dyntwist.props import (
     check_brace_relations,
     check_cup_leibniz,
 )
+from dyntwist.uea import all_monomials
 
 import reference_kernels
 from conftest import (
     CORPUS, ab2_data, aff_data, mixed_element, nonab_data, sl2_data,
+    sl2half_data,
 )
 
 N = 3
@@ -271,19 +272,21 @@ def test_order_zero_b_column_is_layer_zero(sl2_uea, aff_uea, arity):
 def test_b_columns_are_cached_images_of_the_basis(sl2_uea):
     for arity, length in ((1, 2), (2, 3)):
         basis = invariant_adt_basis(sl2_uea, arity, length)
-        for j, v in enumerate(basis):
-            col = b_column(sl2_uea, arity, length, j)
-            assert b_column(sl2_uea, arity, length, j) is col
+        where = adt_dgla._slice(sl2_uea, arity, length).where
+        for (block, i), v in zip(where, basis):
+            den, scaled = adt_dgla._block_column(block, i)
+            col = {k: F(s, den) for k, s in scaled.items()}
             assert col == differential_b(
                 AdtElement(sl2_uea, arity, v, N)).layer(0)
 
 
 # -- shared caches against uncached references -----------------------------
 #
-# `UEnvelope.ad_mono`, `invariant_adt_basis` and `b_column` hand the same
-# cached dict to every caller.  After a full solve, every cached value
-# must still equal its recomputation: a caller that mutated one (even by
-# adding an explicit zero entry, which changes no result) shows here.
+# `UEnvelope.straighten`, `UEnvelope.ad_mono`, `invariant_adt_basis` and
+# the blocks' b-columns hand the same cached dict to every caller.  After
+# a full solve, every cached value must still equal its recomputation: a
+# caller that mutated one (even by adding an explicit zero entry, which
+# changes no result) shows here.
 
 
 def _solved_uea(name):
@@ -302,6 +305,29 @@ def test_cached_h_action_is_unchanged_by_its_callers(name):
     for (x, mono), got in uea._ad_cache.items():
         assert list(got.items()) == list(
             reference_kernels.ad_mono(uea, x, mono).items())
+
+
+@pytest.mark.parametrize("name", ["sl2", "nonab", "affxc2", "sl2half"])
+def test_cached_straightening_is_unchanged_by_its_callers(name):
+    # the integer kernels and the Fraction callers share one cache: each
+    # entry is the Fraction straightening, key order included, with an
+    # int exactly where the denominator is 1
+    if name == "sl2half":  # rational structure constants
+        uea = UEnvelope(sl2half_data())
+        for w in all_monomials(3, 4):
+            for word in set(itertools.permutations(w)):
+                uea.straighten(word)
+    else:
+        uea = _solved_uea(name)
+    memo: dict = {}
+    kinds = set()
+    for word, got in uea._straight_cache.items():
+        ref = reference_kernels.straighten(uea.lie, word, memo)
+        assert list(got.items()) == list(ref.items())
+        for c, r in zip(got.values(), ref.values()):
+            assert type(c) is (int if r.denominator == 1 else F)
+            kinds.add(type(c))
+    assert int in kinds and (F in kinds) == (name == "sl2half")
 
 
 @pytest.mark.parametrize("name", ["sl2", "nonab", "affxc2"])

@@ -6,12 +6,15 @@ inputs use) would fail only in a traced benchmark run.
 """
 
 import pathlib
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
 from dyntwist import AdtElement, UEnvelope, adt_dgla, linfinity, schema
+
+from conftest import mixed_element
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,3 +77,20 @@ def test_traced_homotopy_reaches_rref(perfbench, sl2_uea):
     metrics = layers.rename(t.metrics())
     assert metrics["linfinity.quantum_contraction.h.calls"] == 1
     assert metrics["linalg.rref.calls"] > 0
+
+
+def test_traced_residual_reads_the_straightening_cache(perfbench, sl2_uea):
+    """The integer kernels straighten through the traced `straighten`."""
+    _, layers, tracer = perfbench
+    import dyntwist.cli  # noqa: F401  (loads every traced module)
+
+    K = mixed_element(sl2_uea, random.Random(3), 2, 2)
+    adt_dgla.adte_residual(K)  # every word is cached from here on
+    t = tracer.Tracer()
+    t.install(layers.TARGETS)
+    try:
+        adt_dgla.adte_residual(K)
+    finally:
+        t.uninstall()
+    metrics = layers.rename(t.metrics())
+    assert metrics["uea.UEnvelope.straighten.calls"] > 0

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -99,21 +98,3 @@ def test_ad_derivation(sl2_uea):
     # ad h (ef) = [h,e]f + e[h,f] = 2ef - 2ef = 0
     assert sl2_uea.ad_mono(1, (0, 2)) == {}
     assert sl2_uea.ad_mono(1, (0,)) == {(0,): F(2)}
-
-
-def test_integer_straightening_view(sl2_uea, sl2half_uea):
-    # straighten_int is straighten key by key, in the same key order, with
-    # an int exactly where the coefficient's denominator is 1
-    kinds = set()
-    for uea in (sl2_uea, sl2half_uea):
-        for w in all_monomials(3, 4):
-            for word in set(itertools.permutations(w)):
-                ints = uea.straighten_int(word)
-                exact = uea.straighten(word)
-                assert list(ints) == list(exact)
-                for m, c in exact.items():
-                    assert ints[m] == c
-                    assert type(ints[m]) is (int if c.denominator == 1 else F)
-                    kinds.add(type(ints[m]))
-                assert uea.straighten_int(word) is ints
-    assert kinds == {int, F}
