@@ -22,7 +22,6 @@ from .hseries import SparseSeries, add_into
 from .lie_core import invariant_basis
 from .tensor_spaces import CdybElement, wedge_sort
 from .uea import (
-    PbwElement,
     UEnvelope,
     UmSplitter,
     all_monomials,
@@ -424,22 +423,25 @@ def gerstenhaber_bracket(
 
 
 def p2_project(splitter: UmSplitter, P: AdtElement) -> AdtElement:
-    """Factorwise projection onto sym(S m) tensor counit on the leg."""
-    uea = splitter.uea
+    """Factorwise projection onto sym(S m) tensor counit on the leg.
+
+    Each factor's U m part is read from the splitter's memo
+    (`UmSplitter.um_mono`).
+    """
 
     def image(key):
         if key[-1] != ():  # counit on the leg
             return ()
         partial = [((), _F1)]
         for mfac in key[:-1]:
-            um = splitter.um_project(PbwElement(uea, {mfac: _F1}, 0))
-            if um.is_zero():
+            um = splitter.um_mono(mfac)
+            if not um:
                 return ()
             partial = [(pref + (mono,), c0 * cc) for pref, c0 in partial
-                       for mono, cc in um.layer(0).items()]
+                       for mono, cc in um.items()]
         return [(pref + ((),), 0, c0) for pref, c0 in partial]
 
-    return P.map_keys(image, AdtElement, uea, P.arity)
+    return P.map_keys(image, AdtElement, splitter.uea, P.arity)
 
 
 def alt(P: AdtElement) -> CdybElement:

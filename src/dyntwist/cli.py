@@ -179,9 +179,10 @@ def cmd_reduce_classical(args):
 def cmd_prop_suite(args):
     rep = Report()
     lie = _load_algebra(args)
-    rep.add(f"property suite on {args.algebra} (seed {args.seed})")
+    seed = 0 if args.seed is None else args.seed
+    rep.add(f"property suite on {args.algebra} (seed {seed})")
     for name, ok, detail in props.standard_suite(
-        lie, seed=args.seed or 0,
+        lie, seed=seed,
         shdeg=4 if args.shdeg is None else args.shdeg,
     ):
         rep.check(name, ok, detail)

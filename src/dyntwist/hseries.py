@@ -36,6 +36,13 @@ sends each (key, Fraction, power) entry through f(key), which yields
 (image key, hbar power, Fraction), and builds the image through
 `from_layers`.  So this module alone knows that a coefficient is stored
 as a per-key HSeries.
+
+Closed arithmetic builds its result once: sums of one type and order,
+negation and nonzero rational scaling store their terms directly
+(`SparseSeries._direct`), as their operands' terms are already
+normalized, and so does `from_layers` (keys aside) except for a formal
+twist, whose triangle the constructor cuts.  Mixed orders, mixed types
+and scaling by zero or by an HSeries go through the constructor.
 """
 
 from __future__ import annotations
@@ -134,13 +141,15 @@ class HSeries:
             other = HSeries.constant(other, self.order)
         n = self._common(other)
         return HSeries(
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)), n
+            tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)), n,
+            normalized=True,
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HSeries(tuple(-c for c in self.coeffs), self.order)
+        return HSeries(tuple(-c for c in self.coeffs), self.order,
+                       normalized=True)
 
     def __sub__(self, other):
         if not isinstance(other, HSeries):
@@ -153,7 +162,8 @@ class HSeries:
     def __mul__(self, other):
         if not isinstance(other, HSeries):
             c = _frac(other)
-            return HSeries(tuple(a * c for a in self.coeffs), self.order)
+            return HSeries(tuple(a * c for a in self.coeffs), self.order,
+                           normalized=True)
         n = self._common(other)
         out = [_F0] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
@@ -239,8 +249,9 @@ class SparseSeries:
     same space; an `arity` attribute, where there is one, must agree
     between summands.  The constructor takes HSeries or rational
     coefficients, truncates longer series to `order` and drops zeros, so
-    every stored coefficient is a nonzero HSeries.  Elements are never
-    mutated after construction.
+    every stored coefficient is a nonzero HSeries.  Results that hold
+    this already (see the module docstring) skip it through `_direct`.
+    Elements are never mutated after construction.
     """
 
     __slots__ = ("terms", "order", "_vkey", "_layered", "_int_layered")
@@ -272,10 +283,26 @@ class SparseSeries:
         """Normalize and validate a monomial key given to the constructor."""
         return key
 
+    def _space_values(self):
+        return [getattr(self, a) for a in self._space]
+
     def _like(self, terms: dict, order: int):
-        return type(self)(
-            *(getattr(self, a) for a in self._space), terms, order
-        )
+        return type(self)(*self._space_values(), terms, order)
+
+    @classmethod
+    def _direct(cls, space, terms: dict, order: int):
+        """cls(*space, terms, order) with terms stored as they are.
+
+        For closed arithmetic, whose terms are already what the
+        constructor would store: normalized keys, nonzero HSeries
+        coefficients of order at most `order`, on the triangle.
+        """
+        new = cls.__new__(cls)
+        for a, v in zip(cls._space, space):
+            setattr(new, a, v)
+        new.terms = terms
+        new.order = order
+        return new
 
     @classmethod
     def from_layers(cls, *args, den=None):
@@ -296,9 +323,18 @@ class SparseSeries:
                 if row is None:
                     coeffs[k] = row = [_F0] * (prec + 1)
                 row[n] = a if den is None else Fraction(a, den)
-        terms = {k: HSeries(tuple(row), prec, normalized=True)
-                 for k, row in coeffs.items()}
-        return cls(*space, terms, order)
+        if cls._leg_weighted or prec > order:
+            terms = {k: HSeries(tuple(row), prec, normalized=True)
+                     for k, row in coeffs.items()}
+            return cls(*space, terms, order)
+        # no series exceeds the order and no triangle cuts one:
+        # only the keys need the constructor's check
+        new = cls._direct(space, {}, order)
+        key = new._key
+        for k, row in coeffs.items():
+            if any(row):
+                new.terms[key(k)] = HSeries(tuple(row), prec, normalized=True)
+        return new
 
     # -- ring structure ----------------------------------------------------
 
@@ -320,16 +356,22 @@ class SparseSeries:
         terms = dict(self.terms)
         for k, c in other.terms.items():
             add_into(terms, k, -c if negate else c)
+        if type(other) is type(self) and other.order == self.order:
+            return self._direct(self._space_values(), terms, self.order)
         return self._like(terms, min(self.order, other.order))
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()}, self.order)
+        return self._direct(
+            self._space_values(),
+            {k: -c for k, c in self.terms.items()}, self.order,
+        )
 
     def scale(self, c):
         """Multiply every coefficient by a rational or an HSeries."""
-        return self._like(
-            {k: v * c for k, v in self.terms.items()}, self.order
-        )
+        terms = {k: v * c for k, v in self.terms.items()}
+        if isinstance(c, HSeries) or not c:
+            return self._like(terms, self.order)
+        return self._direct(self._space_values(), terms, self.order)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -452,7 +494,7 @@ class SparseSeries:
         """Multiply by hbar^k."""
         return self.map_keys(
             lambda key: ((key, k, _F1),),
-            type(self), *(getattr(self, a) for a in self._space),
+            type(self), *self._space_values(),
         )
 
     def map_coeffs(self, f):

@@ -373,19 +373,30 @@ class _QuantumHomotopy:
         self._cache[key] = A
         return A
 
+    def _columns(self, k: int, L: int):
+        """(columns, A_terms) of `_decompose`'s system, built once.
+
+        The columns are q1(a) for a in A at arity k - 1, then A at
+        arity k; A_terms are the arity k - 1 elements of A.
+        """
+        key = ("D", k, L)
+        if key not in self._cache:
+            A_lower = self._complement(k - 1, L) if k >= 1 else []
+            A_terms = [a.layer(0) for a in A_lower]
+            columns = [self.dgla.q1(a).layer(0) for a in A_lower]
+            columns += [a.layer(0) for a in self._complement(k, L)]
+            self._cache[key] = columns, A_terms
+        return self._cache[key]
+
     def _decompose(self, k: int, L: int, x: AdtElement):
         """Write the kernel element x as q1(a) + a' with a, a' in A."""
-        A_lower = self._complement(k - 1, L) if k >= 1 else []
-        A_here = self._complement(k, L)
-        columns = [self.dgla.q1(a).layer(0) for a in A_lower]
-        columns += [a.layer(0) for a in A_here]
+        columns, A_terms = self._columns(k, L)
         # the same rational system serves every hbar order
         sols = solve(columns, [x.layer(n) for n in range(self.order + 1)])
         if None in sols:
             raise ContractFailure(
                 "homotopy decomposition failed on a kernel slice"
             )
-        A_terms = [a.layer(0) for a in A_lower]
         outs = [{} for _ in sols]
         for sol, out in zip(sols, outs):
             for j, v in sol.items():

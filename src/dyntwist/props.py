@@ -94,10 +94,19 @@ def check_b_squared(uea: UEnvelope, max_arity=2, max_len=2):
     return True, "b^2 = 0 on all bounded basis elements"
 
 
-def _rand_adt(uea, rng, arity, max_len, order=0, terms=2):
-    pool = []
-    for L in range(max_len + 1):
-        pool.extend(adt_monomials(uea, arity, L))
+def _rand_adt(uea, rng, arity, max_len, order=0, terms=2, pools=None):
+    """A random element on the keys of total length at most max_len.
+
+    pools, a dict that a check keeps for one run, holds each key pool
+    once; without it the pool is built for this draw alone.
+    """
+    pools = {} if pools is None else pools
+    pool = pools.get((arity, max_len))
+    if pool is None:
+        pools[arity, max_len] = pool = [
+            key for L in range(max_len + 1)
+            for key in adt_monomials(uea, arity, L)
+        ]
     out: dict = {}
     for _ in range(terms):
         key = pool[rng.randrange(len(pool))]
@@ -109,11 +118,12 @@ def _rand_adt(uea, rng, arity, max_len, order=0, terms=2):
 def check_cup_leibniz(uea: UEnvelope, seed=0, samples=200, max_len=2):
     """b(P cup Q) = bP cup Q + (-1)^arity(P) P cup bQ on seeded pairs."""
     rng = random.Random(seed)
+    pools: dict = {}
     for _ in range(samples):
         ka = rng.randrange(0, 3)
         kb = rng.randrange(0, 3)
-        P = _rand_adt(uea, rng, ka, max_len)
-        Q = _rand_adt(uea, rng, kb, max_len)
+        P = _rand_adt(uea, rng, ka, max_len, pools=pools)
+        Q = _rand_adt(uea, rng, kb, max_len, pools=pools)
         lhs = differential_b(cup(P, Q))
         rhs = cup(differential_b(P), Q) + cup(
             P, differential_b(Q)
@@ -131,11 +141,12 @@ def check_brace_relations(uea: UEnvelope, seed=0, samples=100, max_len=2):
     """
     rng = random.Random(seed)
     m = AdtElement.unit(uea, 2, 0)
+    pools: dict = {}
     for _ in range(samples):
         ka = rng.randrange(1, 3)
         kb = rng.randrange(1, 3)
-        P = _rand_adt(uea, rng, ka, max_len)
-        Q = _rand_adt(uea, rng, kb, max_len)
+        P = _rand_adt(uea, rng, ka, max_len, pools=pools)
+        Q = _rand_adt(uea, rng, kb, max_len, pools=pools)
         lhs = brace(m, [P, Q])
         rhs = cup(P, Q).scale(_sign((kb - 1) * ka))
         if not (lhs - rhs).is_zero():
@@ -202,10 +213,12 @@ def check_adte_modes(uea: UEnvelope, seed=0, samples=100, order=2,
                      max_len=2):
     """Both twist-equation residual modes agree on seeded 1 + O(hbar) K."""
     rng = random.Random(seed)
+    pools: dict = {}
     for _ in range(samples):
         K = AdtElement.unit(uea, 2, order)
         for n in range(1, order + 1):
-            K = K + _rand_adt(uea, rng, 2, max_len, order).shift(n)
+            K = K + _rand_adt(uea, rng, 2, max_len, order,
+                              pools=pools).shift(n)
         d = adte_residual(K, mode="direct")
         m = adte_residual(K, mode="mc")
         if not (d - m).is_zero():

@@ -244,11 +244,17 @@ def in_filtration_kernel(elt: PbwElement, n: int) -> bool:
 
 
 class UmSplitter:
-    """Solves the filtered splitting of U g into U g . h and sym(S m)."""
+    """Solves the filtered splitting of U g into U g . h and sym(S m).
+
+    The U m part of each PBW monomial is solved once and memoized
+    (`um_mono`); the dicts are shared by every caller, which must not
+    mutate them.
+    """
 
     def __init__(self, uea: UEnvelope):
         self.uea = uea
         self._cache: dict = {}
+        self._um_memo: dict = {}
 
     def _generators(self, max_len: int):
         """(kind, expansion) of every spanning element up to max_len."""
@@ -298,6 +304,15 @@ class UmSplitter:
 
     def um_project(self, elt: PbwElement) -> PbwElement:
         return self.split(elt)[1]
+
+    def um_mono(self, mono) -> dict:
+        """The U m part of one PBW monomial as {monomial: Fraction}."""
+        out = self._um_memo.get(mono)
+        if out is None:
+            self._um_memo[mono] = out = self.um_project(
+                PbwElement(self.uea, {mono: _F1}, 0)
+            ).layer(0)
+        return out
 
 
 def all_monomials(dim: int, max_len: int):

@@ -18,6 +18,12 @@ invariant basis built from that uncached action over a whole slice.
 content blocks: one elimination over the b-columns of every invariant
 basis vector of a slice.
 
+`sparse_sum`, `sparse_neg`, `sparse_scale` and `from_layers` are the
+closed arithmetic of `SparseSeries` as it was before it stored its
+results directly: every result, and every HSeries sum, negation and
+rational multiple, goes through its constructor.  `rand_adt` draws as
+`props._rand_adt` did when it enumerated its key pool on every draw.
+
 The linear maps that move hbar powers (`coproduct_at`, `j_to_k`, the
 two argument-shift forms and `rescale_generator`) are kept as they were
 written before they went through `SparseSeries.map_keys`: each term's
@@ -30,7 +36,7 @@ from fractions import Fraction
 
 from dyntwist import linalg
 from dyntwist.adt_dgla import AdtElement, adt_monomials
-from dyntwist.errors import NoSolution
+from dyntwist.errors import GradingMismatch, NoSolution
 from dyntwist.hseries import HSeries, add_into
 from dyntwist.lie_core import invariant_basis
 from dyntwist.quantizer import (
@@ -428,3 +434,77 @@ def rescale_generator(q, order):
         if not shifted.is_zero():
             terms[(w, s)] = shifted
     return CdybElement(terms, order)
+
+
+def _hs_add(a, b):
+    n = min(a.order, b.order)
+    return HSeries(tuple(a.coeffs[i] + b.coeffs[i] for i in range(n + 1)), n)
+
+
+def _hs_neg(a):
+    return HSeries(tuple(-c for c in a.coeffs), a.order)
+
+
+def _hs_scale(a, c):
+    if isinstance(c, HSeries):
+        return a * c
+    c = Fraction(c)
+    return HSeries(tuple(x * c for x in a.coeffs), a.order)
+
+
+def sparse_sum(A, B, negate=False):
+    """A + B, or A - B, through the constructor."""
+    if getattr(A, "arity", None) != getattr(B, "arity", None):
+        if A.is_zero():
+            return sparse_neg(B) if negate else B
+        if B.is_zero():
+            return A
+        raise GradingMismatch("arity mismatch in sum")
+    terms = dict(A.terms)
+    for k, c in B.terms.items():
+        c = _hs_neg(c) if negate else c
+        old = terms.get(k)
+        if old is not None:
+            c = _hs_add(old, c)
+        if c:
+            terms[k] = c
+        elif old is not None:
+            del terms[k]
+    return A._like(terms, min(A.order, B.order))
+
+
+def sparse_neg(A):
+    return A._like({k: _hs_neg(c) for k, c in A.terms.items()}, A.order)
+
+
+def sparse_scale(A, c):
+    return A._like({k: _hs_scale(v, c) for k, v in A.terms.items()},
+                   A.order)
+
+
+def from_layers(cls, *args, den=None):
+    """cls(*space, layers, order) from per-power dicts, by the constructor."""
+    *space, layers, order = args
+    prec = len(layers) - 1
+    coeffs: dict = {}
+    for n, layer in enumerate(layers):
+        for k, a in layer.items():
+            row = coeffs.get(k)
+            if row is None:
+                coeffs[k] = row = [Fraction(0)] * (prec + 1)
+            row[n] = a if den is None else Fraction(a, den)
+    terms = {k: HSeries(tuple(row), prec, normalized=True)
+             for k, row in coeffs.items()}
+    return cls(*space, terms, order)
+
+
+def rand_adt(uea, rng, arity, max_len, order=0, terms=2):
+    pool = []
+    for L in range(max_len + 1):
+        pool.extend(adt_monomials(uea, arity, L))
+    out: dict = {}
+    for _ in range(terms):
+        key = pool[rng.randrange(len(pool))]
+        out[key] = out.get(key, 0) + rng.choice([-2, -1, 1, 2])
+    return AdtElement(uea, arity, {k: Fraction(v) for k, v in out.items()},
+                      order)

@@ -23,7 +23,7 @@ from dyntwist import (
     solve_adte,
     tensor_embed,
 )
-from dyntwist import adt_dgla, schema
+from dyntwist import PbwElement, UmSplitter, adt_dgla, linfinity, props, schema
 from dyntwist.adt_dgla import (
     adte_residual_layer,
     cohomology_dims,
@@ -557,3 +557,92 @@ def test_layered_adt_mul_matches_hseries_reference(request, uea_name):
             for i, (A, B) in enumerate(pairs):
                 _agree(adt_mul(A, B), reference_kernels.adt_mul(A, B),
                        N if i == 1 else None)
+
+
+# -- memos of the identities path ------------------------------------------
+#
+# `UmSplitter.um_mono` shares each monomial's U m part between the calls
+# of `p2_project`, and the quantum homotopy keeps the columns of each
+# decomposition system.  Each must stay what a fresh computation gives.
+
+
+def _lie(name):
+    if name == "sl2half":
+        return sl2half_data()
+    return schema.parse_algebra(schema.load_file(CORPUS / f"{name}.alg"))
+
+
+def _fresh_um(uea, mono):
+    return UmSplitter(uea).split(PbwElement(uea, {mono: F(1)}, 0))[1].layer(0)
+
+
+@pytest.mark.parametrize("name", ["sl2", "nonab", "affxc2", "sl2half"])
+def test_memoized_um_part_is_a_fresh_split(name):
+    uea = UEnvelope(_lie(name))
+    splitter = UmSplitter(uea)
+    monos = all_monomials(uea.lie.dim, 3)
+    for mono in monos:
+        splitter.um_mono(mono)
+    for mono in monos:
+        got = splitter.um_mono(mono)
+        assert got is splitter._um_memo[mono]
+        assert list(got.items()) == list(_fresh_um(uea, mono).items())
+
+
+@pytest.mark.parametrize("name", ["sl2", "affxc2"])
+def test_identities_memos_are_unchanged_by_the_suite(name, monkeypatch):
+    made = []
+
+    def contraction(uea, order):
+        made.append(linfinity.quantum_contraction(uea, order))
+        return made[-1]
+
+    monkeypatch.setattr(props, "quantum_contraction", contraction)
+    results = props.standard_suite(_lie(name), seed=3)
+    assert all(ok for _, ok, _ in results), results
+    h = made[0].h
+    uea = h.uea
+    assert h.splitter._um_memo
+    for mono, got in h.splitter._um_memo.items():
+        assert list(got.items()) == list(_fresh_um(uea, mono).items())
+    decomposed = [key for key in h._cache if key[0] == "D"]
+    assert decomposed
+    for _, k, L in decomposed:
+        columns, A_terms = h._cache["D", k, L]
+        A_lower = h._complement(k - 1, L) if k >= 1 else []
+        ref = [h.dgla.q1(a).layer(0) for a in A_lower]
+        ref += [a.layer(0) for a in h._complement(k, L)]
+        assert [list(c.items()) for c in columns] == [
+            list(c.items()) for c in ref]
+        assert [list(t.items()) for t in A_terms] == [
+            list(a.layer(0).items()) for a in A_lower]
+
+
+@pytest.mark.parametrize("name", ["sl2", "affxc2", "sl2half"])
+def test_memoized_quantum_homotopy_equals_a_recomputing_one(name):
+    # the complement the homotopy picks depends on the inputs it has seen
+    # (the column order of each arity is fixed as keys first appear), so
+    # the reference sees the same inputs in the same order but recomputes
+    # every U m part and decomposition column on every call
+    uea = UEnvelope(_lie(name))
+    h = linfinity.quantum_contraction(uea, 0).h
+    ref = linfinity.quantum_contraction(uea, 0).h
+    rng = random.Random(f"homotopy-{name}")
+    checked = 0
+    for _ in range(12):
+        arity = rng.randrange(1, 3)
+        basis = invariant_adt_basis(uea, arity, rng.randrange(1, 4))
+        if not basis:
+            continue
+        u = AdtElement(uea, arity, dict(rng.choice(basis)), 0).scale(
+            F(rng.choice([-2, -1, 1, 2])))
+        for x in (u, differential_b(u)):
+            got = h(x)
+            ref.splitter._um_memo.clear()
+            for key in [key for key in ref._cache if key[0] == "D"]:
+                del ref._cache[key]
+            want = ref(x)
+            assert got.arity == want.arity
+            assert list(got.terms.items()) == list(want.terms.items())
+            checked += not got.is_zero()
+    assert checked

@@ -323,6 +323,14 @@ def test_prop_suite(capsys):
     assert "cohomology: ok" in out
 
 
+def test_prop_suite_without_seed_prints_the_seed_it_runs(capsys):
+    assert main(["prop-suite", "--algebra", AB2]) == 0
+    unseeded = capsys.readouterr().out
+    assert main(["prop-suite", "--algebra", AB2, "--seed", "0"]) == 0
+    assert unseeded == capsys.readouterr().out
+    assert "(seed 0)" in unseeded
+
+
 def test_prop_suite_shdeg_zero_is_not_the_default():
     # --shdeg 0 is a value, not an absent flag: it is too small to check
     # stabilization, as 1 and 2 are, instead of running at the default 4

@@ -3,14 +3,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import random
+
 from dyntwist import (
     AdtElement,
     CdybElement,
     FormalTwist,
+    GradingMismatch,
     HSeries,
     NotInvertible,
     PbwElement,
+    UEnvelope,
+    schema,
 )
+from dyntwist.adt_dgla import adt_monomials
+from dyntwist.hseries import SparseSeries
+from dyntwist.tensor_spaces import cdyb_monomials
+from dyntwist.uea import all_monomials
+
+import reference_kernels
+from conftest import CORPUS, nonab_data, sl2_data, sl2half_data
 
 N = 4
 
@@ -130,3 +142,111 @@ def test_sparse_element_arithmetic(sl2_uea, build):
         assert s == build(sl2_uea, HSeries([1, 3], 1), F(3), 1)
     with pytest.raises(TypeError):
         hash(a)
+
+
+# -- closed arithmetic against the constructor ------------------------------
+#
+# Sums of one type and order, negation, nonzero rational scaling and
+# `from_layers` store their terms without the constructor.  Each must
+# store exactly what the constructor stores (`reference_kernels`): the
+# same keys in the same order, the same element order and the same
+# coefficient series, each with its own order.
+
+
+def _algebra(name):
+    if name == "affxc2":
+        return schema.parse_algebra(schema.load_file(CORPUS / "affxc2.alg"))
+    return {"sl2": sl2_data, "nonab": nonab_data,
+            "sl2half": sl2half_data}[name]()
+
+
+def _snapshot(E):
+    return (type(E), getattr(E, "arity", None), E.order, [
+        (k, c.order, c.coeffs, [type(a) for a in c.coeffs])
+        for k, c in E.terms.items()
+    ])
+
+
+def _space(kind, uea):
+    """(cls, space values, key pool) of one element type."""
+    lie = uea.lie
+    if kind == "pbw":
+        return PbwElement, (uea,), list(all_monomials(lie.dim, 3))
+    if kind == "cdyb":
+        return CdybElement, (), [
+            key for d in range(3) for sh in range(3)
+            for key in cdyb_monomials(lie, d, sh)
+        ]
+    cls = AdtElement if kind == "adt" else FormalTwist
+    return cls, (uea, 2), [
+        key for L in range(3) for key in adt_monomials(uea, 2, L)
+    ]
+
+
+def _random_series(rng, order):
+    return HSeries([Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
+                    for _ in range(order + 1)], order)
+
+
+@pytest.mark.parametrize("name", ["sl2", "nonab", "affxc2", "sl2half"])
+@pytest.mark.parametrize("kind", ["pbw", "adt", "formal", "cdyb"])
+def test_closed_arithmetic_stores_what_the_constructor_stores(kind, name):
+    uea = UEnvelope(_algebra(name))
+    cls, space, pool = _space(kind, uea)
+    rng = random.Random(f"{kind}-{name}")
+
+    def build(keys, order):
+        return cls(*space, {k: _random_series(rng, order) for k in keys},
+                   order)
+
+    keys = rng.sample(pool, 8)
+    A = build(keys[:6], N)
+    B = build(keys[5:], N)
+    # B cancels A's hbar^0 coefficient at one key and A's whole
+    # coefficient at another
+    a3, a4 = (A.terms.get(k, HSeries.zero(N)) for k in keys[3:5])
+    B = B + cls(*space, {keys[3]: HSeries([-a3.coeff(0), 1], N),
+                         keys[4]: -a4}, N)
+    low = build(keys[2:5], 1)
+    short = A.map_coeffs(lambda c: c.truncate(1))
+    other_cls = {PbwElement: SparseSeries, CdybElement: SparseSeries,
+                 AdtElement: FormalTwist, FormalTwist: AdtElement}[cls]
+    # for a formal twist, terms off its triangle
+    other = other_cls(*space[:len(other_cls._space)],
+                      {k: _random_series(rng, N) for k in keys[2:7]}, N)
+    if kind == "formal":
+        assert any(len(k[-1]) for k in A.terms)
+    for P, Q in [(A, B), (B, A), (A, A), (A, low), (low, A), (short, B),
+                 (B, short), (short, low), (A, other), (other, A)]:
+        assert _snapshot(P + Q) == _snapshot(
+            reference_kernels.sparse_sum(P, Q))
+        assert _snapshot(P - Q) == _snapshot(
+            reference_kernels.sparse_sum(P, Q, negate=True))
+    assert (A - A).is_zero() and (A + (-A)).is_zero()
+    for P in (A, B, low, short):
+        assert _snapshot(-P) == _snapshot(reference_kernels.sparse_neg(P))
+        for c in (Fraction(-3, 2), 2, 0, Fraction(0), HSeries.hbar(N, 1, 3),
+                  HSeries.hbar(N, N), HSeries([0, 0], 1),
+                  _random_series(rng, 2)):
+            assert _snapshot(P.scale(c)) == _snapshot(
+                reference_kernels.sparse_scale(P, c))
+    for prec, order, den in [(N, N, None), (1, N, None), (2, 2, 6),
+                             (0, N, 4), (N, 2, None)]:
+        layers = []
+        for _ in range(prec + 1):
+            layers.append({
+                k: rng.choice([-3, -1, 1, 2]) if den
+                else Fraction(rng.choice([-3, -1, 1, 2]),
+                              rng.choice([1, 2]))
+                for k in rng.sample(pool, 4)
+            })
+        # a row that is zero in every layer is dropped
+        zero = next(k for k in pool if all(k not in l for l in layers))
+        layers[0][zero] = Fraction(0)
+        got = cls.from_layers(*space, layers, order, den=den)
+        ref = reference_kernels.from_layers(cls, *space, layers, order,
+                                            den=den)
+        assert _snapshot(got) == _snapshot(ref)
+    if kind in ("adt", "formal"):
+        with pytest.raises(GradingMismatch):
+            cls.from_layers(uea, 2, [{((), ()): Fraction(1)}], N)
