@@ -274,10 +274,14 @@ def find_gauge(K: AdtElement, K2: AdtElement) -> GaugeResult:
     over the invariant basis (deterministic minimal solution); the full
     nonlinear action is recomputed before every order, so the final
     equality is exact, and an unsolvable layer is returned as a
-    certified obstruction rather than raised.
+    certified obstruction rather than raised.  The linearization holds
+    only for twists 1 + O(hbar); any other input raises NotInvertible.
     """
     if K.arity != 2 or K2.arity != 2:
         raise GradingMismatch("equivalence is between two-factor twists")
+    head = AdtElement.unit(K.uea, 2, 0).layer(0)
+    if K.layer(0) != head or K2.layer(0) != head:
+        raise NotInvertible("a twist must be 1 + O(hbar)")
     uea = K.uea
     order = min(K.order, K2.order)
     Q = AdtElement.unit(uea, 1, order)

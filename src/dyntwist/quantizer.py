@@ -417,7 +417,7 @@ def _random_coboundary(uea: UEnvelope, rng, n: int, order: int) -> AdtElement:
     Added at order n it leaves the equation residual untouched through
     that order (the coboundary is closed, and its cross terms with the
     positive-order coefficients start at order n + 1) while moving the
-    solver to a different representative of the same gauge class.
+    solver to a different solution.
     """
     terms: dict = {}
     for L in range(1, 4):
@@ -445,8 +445,9 @@ def solve_adte(rho: RMatrix, N: int, uea: UEnvelope | None = None,
     K_a, K_b with a + b = n; the full residual is recomputed at the end.
 
     With perturb_seed set, a seeded random coboundary is mixed into each
-    coefficient from order 2 on; different seeds give different but
-    gauge-equivalent twists.
+    coefficient from order 2 on, so different seeds give different
+    twists.  On sl2, `find_gauge` certifies seeded twists as equivalent
+    through order 4 and reports an obstruction at order 5.
     """
     if uea is None:
         uea = UEnvelope(rho.lie)

@@ -618,17 +618,9 @@ def test_identities_memos_are_unchanged_by_the_suite(name, monkeypatch):
             list(a.layer(0).items()) for a in A_lower]
 
 
-@pytest.mark.parametrize("name", ["sl2", "affxc2", "sl2half"])
-def test_memoized_quantum_homotopy_equals_a_recomputing_one(name):
-    # the complement the homotopy picks depends on the inputs it has seen
-    # (the column order of each arity is fixed as keys first appear), so
-    # the reference sees the same inputs in the same order but recomputes
-    # every U m part and decomposition column on every call
-    uea = UEnvelope(_lie(name))
-    h = linfinity.quantum_contraction(uea, 0).h
-    ref = linfinity.quantum_contraction(uea, 0).h
+def _homotopy_inputs(uea, name):
+    """12 seeded invariant u, each followed by b(u)."""
     rng = random.Random(f"homotopy-{name}")
-    checked = 0
     for _ in range(12):
         arity = rng.randrange(1, 3)
         basis = invariant_adt_basis(uea, arity, rng.randrange(1, 4))
@@ -636,13 +628,53 @@ def test_memoized_quantum_homotopy_equals_a_recomputing_one(name):
             continue
         u = AdtElement(uea, arity, dict(rng.choice(basis)), 0).scale(
             F(rng.choice([-2, -1, 1, 2])))
-        for x in (u, differential_b(u)):
-            got = h(x)
-            ref.splitter._um_memo.clear()
-            for key in [key for key in ref._cache if key[0] == "D"]:
-                del ref._cache[key]
-            want = ref(x)
-            assert got.arity == want.arity
-            assert list(got.terms.items()) == list(want.terms.items())
-            checked += not got.is_zero()
+        yield u
+        yield differential_b(u)
+
+
+@pytest.mark.parametrize("name", ["sl2", "affxc2", "sl2half"])
+def test_memoized_quantum_homotopy_equals_a_recomputing_one(name):
+    # the reference sees the same inputs but recomputes every U m part
+    # and decomposition column on every call; the complements it keeps
+    # depend on the arity and length alone (see the next test)
+    uea = UEnvelope(_lie(name))
+    h = linfinity.quantum_contraction(uea, 0).h
+    ref = linfinity.quantum_contraction(uea, 0).h
+    checked = 0
+    for x in _homotopy_inputs(uea, name):
+        got = h(x)
+        ref.splitter._um_memo.clear()
+        for key in [key for key in ref._cache if key[0] == "D"]:
+            del ref._cache[key]
+        want = ref(x)
+        assert got.arity == want.arity
+        assert list(got.terms.items()) == list(want.terms.items())
+        checked += not got.is_zero()
     assert checked
+
+
+@pytest.mark.parametrize("name", ["sl2", "affxc2"])
+def test_quantum_homotopy_is_one_linear_map(name):
+    # a contraction that has seen the earlier inputs and a fresh one
+    # give the same h(x) on every input
+    uea = UEnvelope(_lie(name))
+    used = linfinity.quantum_contraction(uea, 0).h
+    checked = 0
+    for x in _homotopy_inputs(uea, name):
+        got = used(x)
+        want = linfinity.quantum_contraction(uea, 0).h(x)
+        assert got.arity == want.arity
+        assert list(got.terms.items()) == list(want.terms.items())
+        checked += not got.is_zero()
+    assert checked
+
+
+def test_quantum_homotopy_solves_every_hbar_order(sl2_uea):
+    # the contraction's order sets its dgla, not how many hbar layers
+    # of the input h solves: h(hbar (e.f | 1)) = hbar h / 2 at order 2
+    x = AdtElement(sl2_uea, 1, {((0, 2), ()): HSeries.hbar(2, 1, F(1))}, 2)
+    want = AdtElement(sl2_uea, 0, {((1,),): HSeries.hbar(2, 1, F(1, 2))}, 2)
+    for order in (0, 2):
+        got = linfinity.quantum_contraction(sl2_uea, order).h(x)
+        assert got.order == 2
+        assert got == want

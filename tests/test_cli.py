@@ -308,6 +308,24 @@ def test_gauge_equiv(tmp_path, capsys):
     assert "gauge equivalent: ok" in out
 
 
+@pytest.mark.parametrize("bodies", [
+    ("", ""),
+    ("hbar 1\nterm 1 * (e | f | 1)\n", "hbar 0\nterm 1 * (1 | 1 | 1)\n"),
+])
+def test_gauge_equiv_rejects_non_unit_heads(tmp_path, bodies):
+    # find_gauge linearizes around 1 + O(hbar): any other input is not a
+    # twist, so neither "ok" nor an obstruction is a verdict on it
+    paths = []
+    for i, body in enumerate(bodies):
+        paths.append(tmp_path / f"K{i}.twist")
+        paths[-1].write_text(f"twist\narity 2\norder 2\n{body}end\n")
+    proc = _run_cli(["gauge-equiv", "--algebra", SL2] + list(map(str, paths)))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error (NotInvertible)")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_reduce_classical(capsys):
     code = main(["reduce-classical", "--algebra", SL2,
                  "--rmatrix", SL2_R])

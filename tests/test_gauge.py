@@ -118,6 +118,16 @@ def test_find_gauge_recovers_constructed_equivalence(sl2_uea, sl2_pair):
     assert gauge_act_algebraic(r.gauge, K) == K2
 
 
+def test_find_gauge_requires_unit_heads(sl2_uea):
+    unit = AdtElement.unit(sl2_uea, 2, 2)
+    K = AdtElement(
+        sl2_uea, 2, {((0,), (2,), ()): HSeries.hbar(2, 1, F(1))}, 2)
+    zero = AdtElement.zero(sl2_uea, 2, 2)
+    for pair in ((K, unit), (unit, K), (zero, zero), (unit + K, K)):
+        with pytest.raises(NotInvertible):
+            find_gauge(*pair)
+
+
 # -- formal action ----------------------------------------------------------
 
 
