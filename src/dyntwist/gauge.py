@@ -303,7 +303,7 @@ def find_gauge(K: AdtElement, K2: AdtElement) -> GaugeResult:
                 )
         Q = Q + qn.shift(n)
     final = gauge_act_algebraic(Q, K)
-    if not (K2 - final).is_zero():
+    if K2 != final:
         return GaugeResult(False, obstruction=K2 - final, order=None)
     return GaugeResult(True, gauge=Q)
 
@@ -344,7 +344,7 @@ def classical_find_gauge(lie: LieData, alpha: CdybElement,
             return GaugeResult(False, obstruction=diff, order=n)
         cur = classical_gauge_act(lie, qn, cur)
         chain.append(qn)
-    if not (beta - cur).is_zero():
+    if beta != cur:
         return GaugeResult(False, obstruction=beta - cur, order=None)
     return GaugeResult(True, gauge=chain)
 
@@ -394,7 +394,7 @@ def reduce_classical(lie: LieData, alpha: CdybElement) -> ReducedClassical:
     C = classical_contraction(lie, order)
     Q, F, R = invert_contraction(C, max(order, 1))
     pi = mc_transport(R, alpha, check=False)
-    if not (C.proj(pi) - pi).is_zero():
+    if C.proj(pi) != pi:
         raise StraighteningStalled(
             "transported element left the projected subspace", residual=pi
         )

@@ -43,6 +43,10 @@ negation and nonzero rational scaling store their terms directly
 normalized, and so does `from_layers` (keys aside) except for a formal
 twist, whose triangle the constructor cuts.  Mixed orders, mixed types
 and scaling by zero or by an HSeries go through the constructor.
+Equality and subtraction read the stored terms: at one order `==`
+compares the two term dicts, with no difference built, and `-`
+subtracts each shared coefficient in one pass, with no negated copy of
+the subtrahend.  Scaling by 1 or -1 is self or -self.
 """
 
 from __future__ import annotations
@@ -154,7 +158,11 @@ class HSeries:
     def __sub__(self, other):
         if not isinstance(other, HSeries):
             other = HSeries.constant(other, self.order)
-        return self + (-other)
+        n = self._common(other)
+        return HSeries(
+            tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)), n,
+            normalized=True,
+        )
 
     def __rsub__(self, other):
         return HSeries.constant(other, self.order) - self
@@ -322,7 +330,8 @@ class SparseSeries:
                 row = coeffs.get(k)
                 if row is None:
                     coeffs[k] = row = [_F0] * (prec + 1)
-                row[n] = a if den is None else Fraction(a, den)
+                row[n] = (a if den is None else Fraction(a) if den == 1
+                          else Fraction(a, den))
         if cls._leg_weighted or prec > order:
             terms = {k: HSeries(tuple(row), prec, normalized=True)
                      for k, row in coeffs.items()}
@@ -355,7 +364,15 @@ class SparseSeries:
             raise GradingMismatch("arity mismatch in sum")
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            add_into(terms, k, -c if negate else c)
+            old = terms.get(k)
+            if old is not None:
+                c = old - c if negate else old + c
+            elif negate:
+                c = -c
+            if c:
+                terms[k] = c
+            elif old is not None:
+                del terms[k]
         if type(other) is type(self) and other.order == self.order:
             return self._direct(self._space_values(), terms, self.order)
         return self._like(terms, min(self.order, other.order))
@@ -367,21 +384,43 @@ class SparseSeries:
         )
 
     def scale(self, c):
-        """Multiply every coefficient by a rational or an HSeries."""
-        terms = {k: v * c for k, v in self.terms.items()}
+        """Multiply every coefficient by a rational or an HSeries.
+
+        Scaling by the rational 1 returns self and by -1 returns -self:
+        elements are immutable, so the result may share self.
+        """
         if isinstance(c, HSeries) or not c:
-            return self._like(terms, self.order)
-        return self._direct(self._space_values(), terms, self.order)
+            return self._like({k: v * c for k, v in self.terms.items()},
+                              self.order)
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
+        return self._direct(
+            self._space_values(),
+            {k: v * c for k, v in self.terms.items()}, self.order,
+        )
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other):
+        """Whether self - other is zero, read off the stored terms.
+
+        At one order the difference vanishes exactly when both elements
+        store the same keys with equal coefficients: stored coefficients
+        are nonzero, and HSeries equality, like HSeries subtraction,
+        works up to the common order of the two series.  Mixed orders
+        take the difference, which truncates to the smaller order.
+        Elements of different arities are equal only when both are zero.
+        """
         if type(other) is not type(self):
             return NotImplemented
         if getattr(self, "arity", None) != getattr(other, "arity", None):
             return self.is_zero() and other.is_zero()
-        return (self - other).is_zero()
+        if self.order == other.order:
+            return self.terms == other.terms
+        return self._sum(other, True).is_zero()
 
     def __hash__(self):
         raise TypeError(f"{type(self).__name__} is not hashable")

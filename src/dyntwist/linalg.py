@@ -211,18 +211,27 @@ def cohomology_dims(columns, max_k: int, grades):
 
     The differential keeps a grade.  columns(k, g) lists the images of a
     basis of the degree-k, grade-g slice as keyed columns, and grades(k)
-    the grades summed over in degree k.  The two highest must contribute
-    zero, else TruncationTooSmall: the slices computed are too few to
-    claim stabilization.
+    the grades summed over in degree k.  Each slice with columns is
+    ranked once per call: degree k + 1 reuses the ranks of degree k.
+    The two highest grades must contribute zero, else
+    TruncationTooSmall: the slices computed are too few to claim
+    stabilization.
     """
     dims = []
+    below: dict = {}
     for k in range(max_k + 1):
+        ranks: dict = {}
         per_g = []
         for g in grades(k):
             cols = columns(k, g)
-            dim = len(cols) - rank(cols) if cols else 0
+            ranks[g] = r = rank(cols) if cols else 0
+            dim = len(cols) - r
             if cols and k:
-                dim -= rank(columns(k - 1, g))
+                rb = below.get(g)
+                if rb is None:
+                    cols_b = columns(k - 1, g)
+                    rb = rank(cols_b) if cols_b else 0
+                dim -= rb
             per_g.append(dim)
         if per_g[-1] != 0 or per_g[-2] != 0:
             raise TruncationTooSmall(
@@ -230,4 +239,5 @@ def cohomology_dims(columns, max_k: int, grades):
                 f"{g}: tail dims {per_g[-2:]}"
             )
         dims.append(sum(per_g))
+        below = ranks
     return dims

@@ -278,7 +278,7 @@ class Contraction:
         g = self.dgla
         lhs = g.q1(self.h(x)) + self.h(g.q1(x))
         rhs = x - self.proj(x)
-        return (lhs - rhs).is_zero()
+        return lhs == rhs
 
 
 def classical_contraction(lie: LieData, order: int) -> Contraction:

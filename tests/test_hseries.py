@@ -250,3 +250,70 @@ def test_closed_arithmetic_stores_what_the_constructor_stores(kind, name):
     if kind in ("adt", "formal"):
         with pytest.raises(GradingMismatch):
             cls.from_layers(uea, 2, [{((), ()): Fraction(1)}], N)
+
+
+# -- equality reads the stored terms ----------------------------------------
+#
+# `a == b` must say what the difference says: whether
+# `reference_kernels.sparse_sum(a, b, negate=True)`, built through the
+# constructor, is zero.  Each pair is compared both ways round, so an
+# equality that reads only one element's keys fails.
+
+
+@given(st.integers(0, N), st.integers(0, N), st.data())
+def test_series_difference_is_the_sum_with_the_negation(m, n, data):
+    a = data.draw(st.lists(fracs, max_size=m + 1).map(
+        lambda cs: HSeries(cs, m)))
+    b = data.draw(st.lists(fracs, max_size=n + 1).map(
+        lambda cs: HSeries(cs, n)))
+    d, s = a - b, a + (-b)
+    assert (d.order, d.coeffs) == (s.order, s.coeffs)
+    assert all(type(c) is Fraction for c in d.coeffs)
+
+
+@pytest.mark.parametrize("name", ["sl2", "nonab", "affxc2", "sl2half"])
+@pytest.mark.parametrize("kind", ["pbw", "adt", "formal", "cdyb"])
+def test_equality_is_a_zero_difference(kind, name):
+    uea = UEnvelope(_algebra(name))
+    cls, space, pool = _space(kind, uea)
+    rng = random.Random(f"eq-{kind}-{name}")
+    keys = rng.sample(pool, 7)
+    coeffs = {k: _random_series(rng, N) for k in keys}
+    # a formal twist keeps only its triangle, so compare what it stored
+    A = cls(*space, {k: coeffs[k] for k in keys[:6]}, N)
+    terms = dict(A.terms)
+    same = cls(*space, dict(terms), N)
+    extra = cls(*space, {**terms, keys[6]: HSeries.one(N)}, N)
+    fewer = cls(*space, dict(list(terms.items())[1:]), N)
+    moved = cls(*space, {**terms, next(iter(terms)): HSeries.hbar(N, 0, 7)},
+                N)
+    short = A.map_coeffs(lambda c: c.truncate(1))
+    # A on the keys whose coefficient survives the truncation
+    full = cls(*space, {k: terms[k] for k in short.terms}, N)
+    short_moved = moved.map_coeffs(lambda c: c.truncate(1))
+    low = A.truncate(1)
+    zero = cls(*space, {}, N)
+    pairs = [(A, A), (A, same), (A, extra), (A, fewer), (A, moved),
+             (A, short), (full, short), (full, short_moved),
+             (A, short_moved), (short, extra), (A, low), (short, low),
+             (moved, low), (low, extra), (A, zero), (zero, cls(*space, {}, 1))]
+    if kind in ("adt", "formal"):
+        other_arity = cls(uea, 1, {}, N)
+        pairs += [(zero, other_arity), (A, other_arity)]
+    for P, Q in pairs:
+        for X, Y in ((P, Q), (Q, P)):
+            expected = reference_kernels.sparse_sum(X, Y, negate=True)
+            assert (X == Y) is expected.is_zero()
+            assert (X != Y) is not expected.is_zero()
+    # the cases that must compare equal, and those that must not
+    assert A == same and full == short and A == low and short == low
+    assert zero == cls(*space, {}, 1)
+    assert A != extra and A != fewer and A != moved
+    assert full != short_moved
+    for x in (A, short, low, zero):
+        for one in (1, Fraction(1)):
+            assert x.scale(one) is x
+        for minus in (-1, Fraction(-1)):
+            assert _snapshot(x.scale(minus)) == _snapshot(-x)
+            assert _snapshot(x.scale(minus)) == _snapshot(
+                reference_kernels.sparse_scale(x, minus))

@@ -5,6 +5,9 @@ layers, `map_keys`, `from_layers` and the element arithmetic.  The one
 exception is the star-product reference `quantizer.pbw_star` with its
 helper `_poly_to_series`, which the tests compare the layered star
 product against.
+
+No module compares two elements by building their difference: `a == b`
+reads the stored terms, where `(a - b).is_zero()` builds a - b first.
 """
 
 import ast
@@ -56,3 +59,25 @@ def test_the_allowed_star_product_reference_exists():
     tree = ast.parse((SRC / "quantizer.py").read_text())
     uses = {where for where, _ in _uses(tree)}
     assert uses == {"import"} | ALLOWED["quantizer.py"]
+
+
+def _zero_tests_of_differences(tree):
+    """Lines that call `.is_zero()` on a `-` expression."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "is_zero"
+        and isinstance(node.func.value, ast.BinOp)
+        and isinstance(node.func.value.op, ast.Sub)
+    ]
+
+
+def test_no_module_builds_a_difference_to_compare():
+    """`a == b` reads the stored terms; `(a - b).is_zero()` builds a - b."""
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _zero_tests_of_differences(ast.parse(path.read_text()))
+    ]
+    assert not offenders

@@ -1,10 +1,13 @@
 from fractions import Fraction
 from itertools import chain
 
+import pytest
 from hypothesis import example, given, strategies as st
 
-from dyntwist import linalg
+from dyntwist import UEnvelope, adt_dgla, cdyb_dgla, linalg, schema
 from dyntwist.hseries import add_into
+
+from conftest import CORPUS
 
 F = Fraction
 _F0 = Fraction(0)
@@ -283,3 +286,42 @@ def test_solve_equals_reference(columns, targets):
     assert _ordered(linalg.solve(columns, targets)) == _ordered(
         reference_solve(columns, targets)
     )
+
+
+# -- cohomology: each slice ranked once ---------------------------------------
+
+
+@pytest.mark.parametrize("name, dims", [
+    ("sl2", [1, 0, 1, 0]), ("affxc2", [1, 2, 1, 0]),
+    ("abelian2", [1, 2, 1, 0]),
+])
+def test_cohomology_ranks_each_slice_once(monkeypatch, name, dims):
+    lie = schema.parse_algebra(schema.load_file(CORPUS / f"{name}.alg"))
+    uea = UEnvelope(lie)
+    rank, cohomology_dims = linalg.rank, linalg.cohomology_dims
+    slice_of = {}  # id of a live column list -> its (k, g)
+    with_columns = set()
+    ranked = []
+
+    def counting_rank(cols):
+        ranked.append(slice_of[id(cols)])
+        return rank(cols)
+
+    def recording_dims(columns, max_k, grades):
+        def recorded(k, g):
+            cols = columns(k, g)
+            slice_of[id(cols)] = (k, g)
+            if cols:
+                with_columns.add((k, g))
+            return cols
+        return cohomology_dims(recorded, max_k, grades)
+
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    monkeypatch.setattr(linalg, "cohomology_dims", recording_dims)
+    for compute in (lambda: cdyb_dgla.cohomology_dims(lie, 3, 4),
+                    lambda: adt_dgla.cohomology_dims(uea, 3, 4)):
+        with_columns.clear()
+        ranked.clear()
+        assert compute() == dims
+        assert with_columns
+        assert sorted(ranked) == sorted(with_columns)

@@ -37,12 +37,18 @@ def test_classical_contraction_identity(sl2, aff):
             assert C.check_identity(x)
 
 
-def test_quantum_contraction_identity(sl2_uea, nonab_uea):
-    for uea in (sl2_uea, nonab_uea):
+def test_quantum_contraction_identity(sl2_uea, aff_uea, sl2half_uea):
+    # on nonab the projection fixes every invariant element, so h = 0
+    # there and the identity would hold for any h; each algebra here
+    # must see h(x) != 0 on some sample
+    for uea in (sl2_uea, aff_uea, sl2half_uea):
         C = quantum_contraction(uea, ORDER)
         rng = random.Random(2)
+        moved = 0
         for x in C.dgla.sample_elements(rng, 8):
             assert C.check_identity(x)
+            moved += not C.h(x).is_zero()
+        assert moved
 
 
 def test_classical_towers_are_morphisms(sl2):

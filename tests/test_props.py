@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dyntwist import AdtElement, CdybElement, cdyb_dgla, props
 from dyntwist.props import _rand_adt, standard_suite
 
 import reference_kernels
@@ -50,3 +51,59 @@ def test_pooled_draws_equal_per_draw_pools(request, uea_name):
             assert (got.arity, got.order) == (want.arity, want.order)
             assert list(got.terms.items()) == list(want.terms.items())
         assert sorted(pools) == [(0, 2), (1, 2), (2, 2)]
+
+
+# -- a broken kernel makes its check fail -------------------------------------
+#
+# Each check compares two sides with `==`.  With one kernel that the
+# check calls made to add a fixed nonzero term to its output, the check
+# must report the failure.
+
+
+def _plus_unit(kernel):
+    """kernel with 1 (x) ... (x) 1 added to its AdtElement output."""
+    def broken(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        return out + AdtElement.unit(out.uea, out.arity, out.order)
+    return broken
+
+
+def _plus_term(kernel):
+    """kernel with the monomial ((0,), ()) added to its CdybElement output."""
+    def broken(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        return out + CdybElement({((0,), ()): 1}, out.order)
+    return broken
+
+
+@pytest.mark.parametrize("check", [
+    "cup_leibniz", "brace_relations", "adte_modes", "kappa", "d_leibniz",
+    "delta_homotopy",
+])
+def test_a_broken_kernel_fails_its_check(monkeypatch, sl2, sl2_uea, check):
+    if check == "cup_leibniz":
+        monkeypatch.setattr(props, "cup", _plus_unit(props.cup))
+        ok, detail = props.check_cup_leibniz(sl2_uea, samples=20)
+    elif check == "brace_relations":
+        monkeypatch.setattr(props, "brace", _plus_unit(props.brace))
+        ok, detail = props.check_brace_relations(sl2_uea, samples=20)
+    elif check == "adte_modes":
+        residual = props.adte_residual
+        broken = _plus_unit(residual)
+        # only the Maurer-Cartan mode breaks, so the two modes differ
+        monkeypatch.setattr(props, "adte_residual", lambda K, mode: (
+            broken if mode == "mc" else residual)(K, mode=mode))
+        ok, detail = props.check_adte_modes(sl2_uea, samples=5)
+    elif check == "kappa":
+        monkeypatch.setattr(props, "kappa_solve",
+                            _plus_unit(props.kappa_solve))
+        ok, detail = props.check_kappa(sl2_uea, samples=5)
+    elif check == "d_leibniz":
+        monkeypatch.setattr(cdyb_dgla, "bracket",
+                            _plus_term(cdyb_dgla.bracket))
+        ok, detail = props.check_d_leibniz(sl2)
+    else:
+        monkeypatch.setattr(cdyb_dgla, "delta_homotopy",
+                            _plus_term(cdyb_dgla.delta_homotopy))
+        ok, detail = props.check_delta_homotopy(sl2)
+    assert ok is False, detail
