@@ -28,7 +28,7 @@ from .errors import (
 from .hseries import HSeries
 from .lie_core import LieData, invariant_basis
 from .tensor_spaces import CdybElement
-from .uea import PbwElement, UEnvelope, UmSplitter
+from .uea import UEnvelope, UmSplitter
 from .adt_dgla import (
     AdtElement,
     adte_residual,
@@ -59,7 +59,6 @@ from .quantizer import (
     dte_residual,
     j_to_k,
     k_to_j,
-    pbw_star,
     semiclassical_check,
     shift_argument,
     solve_adte,

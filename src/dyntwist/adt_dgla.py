@@ -425,8 +425,10 @@ def gerstenhaber_bracket(
 def p2_project(splitter: UmSplitter, P: AdtElement) -> AdtElement:
     """Factorwise projection onto sym(S m) tensor counit on the leg.
 
-    Each factor's U m part is read from the splitter's memo
-    (`UmSplitter.um_mono`).
+    This is where the U g = U g . h (+) sym(S m) splitting enters: each
+    factor's U m part is a rational {monomial: Fraction} dict, read from
+    the splitter's memo (`UmSplitter.um_mono`), and applies to every
+    hbar layer alike.
     """
 
     def image(key):

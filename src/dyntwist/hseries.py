@@ -5,8 +5,8 @@ truncation orders is allowed and truncates to the smaller order, which is
 the canonical quotient map between the two rings.
 
 `HSeries` is the scalar ring; `SparseSeries` is the common base of every
-sparse element over it (PBW elements, algebraic and formal twists,
-classical cochains): a map from monomial keys to HSeries coefficients.
+sparse element over it (algebraic and formal twists, classical
+cochains): a map from monomial keys to HSeries coefficients.
 
 Every product kernel works one hbar layer at a time.  It reads its
 factors through `SparseSeries.layer_terms`, one (key, Fraction, power,
@@ -54,7 +54,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import GradingMismatch, NotInvertible
+from .errors import GradingMismatch
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -122,9 +122,6 @@ class HSeries:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def is_unit(self) -> bool:
-        return self.coeffs[0] != 0
-
     def valuation(self):
         """Smallest n with nonzero coefficient, or None for the zero series."""
         for n, c in enumerate(self.coeffs):
@@ -185,24 +182,6 @@ class HSeries:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "HSeries":
-        """Multiplicative inverse mod hbar^(N+1); requires a unit."""
-        if self.coeffs[0] == 0:
-            raise NotInvertible("constant term is zero")
-        inv0 = _F1 / self.coeffs[0]
-        out = [inv0] + [_F0] * self.order
-        for n in range(1, self.order + 1):
-            acc = _F0
-            for i in range(1, n + 1):
-                acc += self.coeffs[i] * out[n - i]
-            out[n] = -inv0 * acc
-        return HSeries(tuple(out), self.order)
-
-    def __truediv__(self, other):
-        if isinstance(other, HSeries):
-            return self * other.inverse()
-        return self * (_F1 / _frac(other))
-
     def shift(self, k: int) -> "HSeries":
         """Multiply by hbar^k."""
         return HSeries((_F0,) * k + self.coeffs, self.order)
@@ -239,13 +218,6 @@ class HSeries:
                 terms.append(f"{c}*h^{n}" if c != 1 else f"h^{n}")
         body = " + ".join(terms) if terms else "0"
         return f"HSeries({body}; N={self.order})"
-
-
-def as_series(c, order: int) -> HSeries:
-    """c itself if it is an HSeries, else the constant series c."""
-    if isinstance(c, HSeries):
-        return c
-    return HSeries.constant(c, order)
 
 
 class SparseSeries:

@@ -35,7 +35,7 @@ from .errors import (
     ObstructionNotRepaired,
     ValuationViolated,
 )
-from .hseries import HSeries, SparseSeries, add_into, as_series
+from .hseries import SparseSeries, add_into
 from .lie_core import LieData
 from .tensor_spaces import CdybElement
 from .uea import UEnvelope, coproduct_mono
@@ -187,19 +187,9 @@ class FormalTwist(SparseSeries):
 # {m: {power: Fraction}}, which caches independently of the truncation.
 
 
-def _poly_to_series(p: dict, order: int) -> HSeries:
-    out = HSeries.zero(order)
-    for a, c in p.items():
-        out = out + HSeries.hbar(order, a, c)
-    return out
-
-
 def _star_mono(uea: UEnvelope, s, t) -> dict:
     """Star product of two leg monomials: {leg monomial: hbar polynomial}."""
-    cache = getattr(uea, "_star_cache", None)
-    if cache is None:
-        cache = {}
-        uea._star_cache = cache
+    cache = uea._star_cache
     key = (tuple(s), tuple(t))
     hit = cache.get(key)
     if hit is not None:
@@ -217,18 +207,6 @@ def _star_mono(uea: UEnvelope, s, t) -> dict:
     out = {m: {n - len(m): c}
            for m, c in uea.sym_preimage(prod, allowed=h_set).items()}
     cache[key] = out
-    return out
-
-
-def pbw_star(uea: UEnvelope, f: dict, g: dict, order: int) -> dict:
-    """Star product of leg polynomials {leg monomial: HSeries}."""
-    out: dict = {}
-    for s, cf in f.items():
-        cf = as_series(cf, order)
-        for t, cg in g.items():
-            c = cf * as_series(cg, order)
-            for m, p in _star_mono(uea, s, t).items():
-                add_into(out, m, c * _poly_to_series(p, order))
     return out
 
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from . import linalg
 from .errors import NoSolution, NotInImage
-from .hseries import SparseSeries, add_into
+from .hseries import add_into
 from .lie_core import LieData
 
 _F1 = Fraction(1)
@@ -35,6 +35,7 @@ class UEnvelope:
         self._straight_cache: dict = {(): {(): 1}}
         self._sym_cache: dict = {}
         self._ad_cache: dict = {}
+        self._star_cache: dict = {}  # filled by quantizer._star_mono
 
     # -- straightening -----------------------------------------------------
 
@@ -109,17 +110,6 @@ class UEnvelope:
         self._sym_cache[mono] = out
         return out
 
-    def sym(self, coeffs: dict, order: int) -> "PbwElement":
-        """Symmetrization of an S g element {sym-monomial: coeff}."""
-        return PbwElement(self, coeffs, order).map_keys(
-            lambda mono: ((m, 0, d) for m, d in self.sym_mono(mono).items()),
-            PbwElement, self,
-        )
-
-    def sym_inverse(self, elt: "PbwElement", allowed=None) -> dict:
-        """Preimage under sym as {sym-monomial: HSeries}."""
-        return self.sym_preimage(elt.terms, allowed)
-
     def sym_preimage(self, coeffs: dict, allowed=None) -> dict:
         """Preimage under sym of {PBW monomial: coefficient}.
 
@@ -141,61 +131,6 @@ class UEnvelope:
                 for mm, d in self.sym_mono(m).items():
                     add_into(work, mm, -(c * d))
         return out
-
-
-class PbwElement(SparseSeries):
-    """Sparse element of U(g) (or U(h), U(m)) over HSeries."""
-
-    __slots__ = ("uea",)
-    _space = ("uea",)
-    _key = staticmethod(tuple)
-
-    def __init__(self, uea: UEnvelope, terms: dict, order: int):
-        self.uea = uea
-        super().__init__(terms, order)
-
-    @classmethod
-    def zero(cls, uea, order):
-        return cls(uea, {}, order)
-
-    @classmethod
-    def unit(cls, uea, order):
-        return cls(uea, {(): _F1}, order)
-
-    def __mul__(self, other: "PbwElement") -> "PbwElement":
-        prec = min(self.precision(), other.precision())
-        outs = [{} for _ in range(prec + 1)]
-        terms_b = other.layer_terms()
-        for m1, a1, n1, _ in self.layer_terms():
-            for m2, a2, n2, _ in terms_b:
-                if n1 + n2 > prec:
-                    break
-                a = a1 * a2
-                for m, d in self.uea.mul_mono(m1, m2).items():
-                    add_into(outs[n1 + n2], m, a * d)
-        return PbwElement.from_layers(
-            self.uea, outs, min(self.order, other.order)
-        )
-
-    def degree(self) -> int:
-        """Maximum PBW monomial length (0 for the zero element)."""
-        return max((len(m) for m in self.terms), default=0)
-
-    def ad(self, x: int) -> "PbwElement":
-        return self.map_keys(
-            lambda m: ((mm, 0, d) for mm, d in self.uea.ad_mono(x, m).items()),
-            PbwElement, self.uea,
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "PbwElement(0)"
-        names = self.uea.lie.basis_names
-        bits = []
-        for m, c in sorted(self.terms.items()):
-            mono = "*".join(names[i] for i in m) or "1"
-            bits.append(f"({c!r})*{mono}")
-        return "PbwElement(" + " + ".join(bits) + ")"
 
 
 # -- coproduct and coaction ------------------------------------------------
@@ -230,25 +165,15 @@ def coproduct_mono(mono, slots: int = 2) -> dict:
     return out
 
 
-def in_filtration_kernel(elt: PbwElement, n: int) -> bool:
-    """Check elt in ker (id - unit counit)^{(n+1)} circ Delta^{(n)} directly."""
-    def image(m):
-        for key, mult in coproduct_mono(m, n + 1).items():
-            if all(key):
-                yield key, 0, mult
-
-    return elt.map_keys(image, SparseSeries).is_zero()
-
-
 # -- the U g = U g . h  (+)  U m splitting ---------------------------------
 
 
 class UmSplitter:
     """Solves the filtered splitting of U g into U g . h and sym(S m).
 
-    The U m part of each PBW monomial is solved once and memoized
-    (`um_mono`); the dicts are shared by every caller, which must not
-    mutate them.
+    It works on {PBW monomial: Fraction} dicts.  The U m part of each
+    PBW monomial is solved once and memoized (`um_mono`); the dicts are
+    shared by every caller, which must not mutate them.
     """
 
     def __init__(self, uea: UEnvelope):
@@ -273,45 +198,35 @@ class UmSplitter:
         self._cache[max_len] = generators
         return generators
 
-    def split(self, elt: PbwElement):
-        """Return (ideal_part, um_part) with elt = ideal_part + um_part."""
-        if elt.is_zero():
-            z = PbwElement.zero(self.uea, elt.order)
-            return z, z
-        if not self.uea.lie.h_indices:
-            return PbwElement.zero(self.uea, elt.order), elt
-        generators = self._generators(elt.degree())
-        order = elt.order
-        # the system is rational: one elimination serves every hbar level
-        sols = linalg.solve(
-            [exp for _, exp in generators],
-            [elt.layer(n) for n in range(order + 1)],
-        )
-        if None in sols:
-            raise NoSolution("splitting system inconsistent", residual=elt)
-        ideal = [{} for _ in sols]
-        um = [{} for _ in sols]
-        for n, sol in enumerate(sols):
-            for j, coeff in sol.items():
-                kind, exp = generators[j]
-                target = (ideal if kind == "ideal" else um)[n]
-                for m, c in exp.items():
-                    add_into(target, m, coeff * c)
-        return (
-            PbwElement.from_layers(self.uea, ideal, order),
-            PbwElement.from_layers(self.uea, um, order),
-        )
+    def split(self, coeffs: dict):
+        """(ideal, um) with coeffs = ideal + um, all {monomial: Fraction}.
 
-    def um_project(self, elt: PbwElement) -> PbwElement:
-        return self.split(elt)[1]
+        ideal lies in U g . h and um in sym(S m); one elimination over
+        the spanning elements up to the longest monomial of coeffs.
+        """
+        if not coeffs:
+            return {}, {}
+        if not self.uea.lie.h_indices:
+            return {}, dict(coeffs)
+        generators = self._generators(max(len(m) for m in coeffs))
+        [sol] = linalg.solve([exp for _, exp in generators], [coeffs])
+        if sol is None:
+            raise NoSolution("splitting system inconsistent",
+                             residual=coeffs)
+        ideal: dict = {}
+        um: dict = {}
+        for j, coeff in sol.items():
+            kind, exp = generators[j]
+            target = ideal if kind == "ideal" else um
+            for m, c in exp.items():
+                add_into(target, m, coeff * c)
+        return ideal, um
 
     def um_mono(self, mono) -> dict:
         """The U m part of one PBW monomial as {monomial: Fraction}."""
         out = self._um_memo.get(mono)
         if out is None:
-            self._um_memo[mono] = out = self.um_project(
-                PbwElement(self.uea, {mono: _F1}, 0)
-            ).layer(0)
+            self._um_memo[mono] = out = self.split({mono: _F1})[1]
         return out
 
 

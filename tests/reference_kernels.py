@@ -24,6 +24,10 @@ results directly: every result, and every HSeries sum, negation and
 rational multiple, goes through its constructor.  `rand_adt` draws as
 `props._rand_adt` did when it enumerated its key pool on every draw.
 
+`pbw_star` is the base star product on whole HSeries coefficients,
+each leg monomial's hbar polynomial from `quantizer._star_mono` turned
+into a series (`_poly_to_series`); `formal_mul` multiplies legs with it.
+
 The linear maps that move hbar powers (`coproduct_at`, `j_to_k`, the
 two argument-shift forms and `rescale_generator`) are kept as they were
 written before they went through `SparseSeries.map_keys`: each term's
@@ -39,12 +43,7 @@ from dyntwist.adt_dgla import AdtElement, adt_monomials
 from dyntwist.errors import GradingMismatch, NoSolution
 from dyntwist.hseries import HSeries, add_into
 from dyntwist.lie_core import invariant_basis
-from dyntwist.quantizer import (
-    FormalTwist,
-    _leg_derivative,
-    _poly_to_series,
-    _star_mono,
-)
+from dyntwist.quantizer import FormalTwist, _leg_derivative, _star_mono
 from dyntwist.tensor_spaces import CdybElement
 from dyntwist.uea import coproduct_mono
 
@@ -84,6 +83,24 @@ def slotwise_product(A, B, leg_mul):
 
 def adt_mul(A, B):
     return slotwise_product(A, B, A.uea.mul_mono)
+
+
+def _poly_to_series(p: dict, order: int) -> HSeries:
+    out = HSeries.zero(order)
+    for a, c in p.items():
+        out = out + HSeries.hbar(order, a, c)
+    return out
+
+
+def pbw_star(uea, f: dict, g: dict, order: int) -> dict:
+    """Star product of leg polynomials {leg monomial: HSeries}."""
+    out: dict = {}
+    for s, cf in f.items():
+        for t, cg in g.items():
+            c = cf * cg
+            for m, p in _star_mono(uea, s, t).items():
+                add_into(out, m, c * _poly_to_series(p, order))
+    return out
 
 
 def formal_mul(A, B):

@@ -23,7 +23,7 @@ from dyntwist import (
     solve_adte,
     tensor_embed,
 )
-from dyntwist import PbwElement, UmSplitter, adt_dgla, linfinity, props, schema
+from dyntwist import UmSplitter, adt_dgla, linfinity, props, schema
 from dyntwist.adt_dgla import (
     adte_residual_layer,
     cohomology_dims,
@@ -573,7 +573,7 @@ def _lie(name):
 
 
 def _fresh_um(uea, mono):
-    return UmSplitter(uea).split(PbwElement(uea, {mono: F(1)}, 0))[1].layer(0)
+    return UmSplitter(uea).split({mono: F(1)})[1]
 
 
 @pytest.mark.parametrize("name", ["sl2", "nonab", "affxc2", "sl2half"])

@@ -11,15 +11,12 @@ from dyntwist import (
     FormalTwist,
     GradingMismatch,
     HSeries,
-    NotInvertible,
-    PbwElement,
     UEnvelope,
     schema,
 )
 from dyntwist.adt_dgla import adt_monomials
 from dyntwist.hseries import SparseSeries
 from dyntwist.tensor_spaces import cdyb_monomials
-from dyntwist.uea import all_monomials
 
 import reference_kernels
 from conftest import CORPUS, nonab_data, sl2_data, sl2half_data
@@ -70,15 +67,6 @@ def test_truncation_is_multiplicative(a):
     assert a.shift(1) == a * h
 
 
-@given(series)
-def test_inverse(a):
-    if a.is_unit():
-        assert a * a.inverse() == HSeries.one(N)
-    else:
-        with pytest.raises(NotInvertible):
-            a.inverse()
-
-
 def test_mixed_orders_truncate_down():
     a = HSeries.one(6)
     b = HSeries.hbar(2, 1)
@@ -93,11 +81,7 @@ def test_shift_and_truncate():
     assert t.order == 1 and t.coeff(1) == 2
 
 
-# -- the sparse element base, on each of its four element types -------------
-
-
-def _pbw(uea, a, b, order):
-    return PbwElement(uea, {(0, 2): a, (1,): b}, order)
+# -- the sparse element base, on each of its three element types -------------
 
 
 def _adt(uea, a, b, order):
@@ -113,7 +97,7 @@ def _cdyb(uea, a, b, order):
     return CdybElement({((0, 2), (1,)): a, ((1,), ()): b}, order)
 
 
-@pytest.mark.parametrize("build", [_pbw, _adt, _formal, _cdyb])
+@pytest.mark.parametrize("build", [_adt, _formal, _cdyb])
 def test_sparse_element_arithmetic(sl2_uea, build):
     F = Fraction
     a = build(sl2_uea, HSeries([1, 2, 0, -1], N), F(3), N)
@@ -170,8 +154,6 @@ def _snapshot(E):
 def _space(kind, uea):
     """(cls, space values, key pool) of one element type."""
     lie = uea.lie
-    if kind == "pbw":
-        return PbwElement, (uea,), list(all_monomials(lie.dim, 3))
     if kind == "cdyb":
         return CdybElement, (), [
             key for d in range(3) for sh in range(3)
@@ -189,7 +171,7 @@ def _random_series(rng, order):
 
 
 @pytest.mark.parametrize("name", ["sl2", "nonab", "affxc2", "sl2half"])
-@pytest.mark.parametrize("kind", ["pbw", "adt", "formal", "cdyb"])
+@pytest.mark.parametrize("kind", ["adt", "formal", "cdyb"])
 def test_closed_arithmetic_stores_what_the_constructor_stores(kind, name):
     uea = UEnvelope(_algebra(name))
     cls, space, pool = _space(kind, uea)
@@ -209,7 +191,7 @@ def test_closed_arithmetic_stores_what_the_constructor_stores(kind, name):
                          keys[4]: -a4}, N)
     low = build(keys[2:5], 1)
     short = A.map_coeffs(lambda c: c.truncate(1))
-    other_cls = {PbwElement: SparseSeries, CdybElement: SparseSeries,
+    other_cls = {CdybElement: SparseSeries,
                  AdtElement: FormalTwist, FormalTwist: AdtElement}[cls]
     # for a formal twist, terms off its triangle
     other = other_cls(*space[:len(other_cls._space)],
@@ -272,7 +254,7 @@ def test_series_difference_is_the_sum_with_the_negation(m, n, data):
 
 
 @pytest.mark.parametrize("name", ["sl2", "nonab", "affxc2", "sl2half"])
-@pytest.mark.parametrize("kind", ["pbw", "adt", "formal", "cdyb"])
+@pytest.mark.parametrize("kind", ["adt", "formal", "cdyb"])
 def test_equality_is_a_zero_difference(kind, name):
     uea = UEnvelope(_algebra(name))
     cls, space, pool = _space(kind, uea)

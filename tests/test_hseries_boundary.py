@@ -1,10 +1,9 @@
 """Only `hseries` knows that a coefficient is a per-key HSeries.
 
 Every other module reaches coefficients through `SparseSeries`: its
-layers, `map_keys`, `from_layers` and the element arithmetic.  The one
-exception is the star-product reference `quantizer.pbw_star` with its
-helper `_poly_to_series`, which the tests compare the layered star
-product against.
+layers, `map_keys`, `from_layers` and the element arithmetic.  The
+star-product reference that works on whole HSeries coefficients lives
+in `tests/reference_kernels.py`.
 
 No module compares two elements by building their difference: `a == b`
 reads the stored terms, where `(a - b).is_zero()` builds a - b first.
@@ -16,9 +15,8 @@ import pathlib
 import dyntwist
 
 SRC = pathlib.Path(dyntwist.__file__).resolve().parent
-NAMES = {"HSeries", "as_series"}
+NAMES = {"HSeries"}
 OWNERS = {"hseries.py", "__init__.py"}
-ALLOWED = {"quantizer.py": {"pbw_star", "_poly_to_series"}}
 
 
 def _uses(tree):
@@ -47,18 +45,9 @@ def test_only_hseries_knows_the_coefficient_format():
     for path in sorted(SRC.glob("*.py")):
         if path.name in OWNERS:
             continue
-        allowed = ALLOWED.get(path.name, set())
         for where, line in _uses(ast.parse(path.read_text())):
-            if where == "import" and allowed or where in allowed:
-                continue
             offenders.append(f"{path.name}:{line} ({where})")
     assert not offenders
-
-
-def test_the_allowed_star_product_reference_exists():
-    tree = ast.parse((SRC / "quantizer.py").read_text())
-    uses = {where for where, _ in _uses(tree)}
-    assert uses == {"import"} | ALLOWED["quantizer.py"]
 
 
 def _zero_tests_of_differences(tree):

@@ -20,7 +20,6 @@ from dyntwist import (
     dte_residual,
     j_to_k,
     k_to_j,
-    pbw_star,
     semiclassical_check,
     shift_argument,
     solve_adte,
@@ -28,10 +27,11 @@ from dyntwist import (
 )
 from dyntwist.adt_dgla import adte_residual_layer
 from dyntwist.hseries import add_into
-from dyntwist.quantizer import FormalTwist, _poly_to_series, _star_mono
+from dyntwist.quantizer import FormalTwist, _star_mono
 
 import reference_kernels
 from conftest import ORDER, geometric_body, mixed_element
+from reference_kernels import _poly_to_series, pbw_star
 
 F = Fraction
 

@@ -1,12 +1,23 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyntwist import HSeries, PbwElement, UmSplitter
-from dyntwist.uea import all_monomials, coproduct_mono, in_filtration_kernel
+from dyntwist import UEnvelope, UmSplitter, schema
+from dyntwist.hseries import add_into
+from dyntwist.uea import all_monomials, coproduct_mono
 
-N = 3
+from conftest import CORPUS, sl2half_data
+
 F = Fraction
+
+
+def _sum(*parts):
+    out: dict = {}
+    for part in parts:
+        for m, c in part.items():
+            add_into(out, m, c)
+    return out
 
 
 def test_straighten_fe(sl2_uea):
@@ -29,9 +40,12 @@ def test_sym_ef(sl2_uea):
 
 
 def test_sym_inverse_round_trip(sl2_uea):
-    elt = sl2_uea.sym({(1, 1): F(1), (1,): F(2)}, N)
-    back = sl2_uea.sym_inverse(elt)
-    assert back == {(1, 1): HSeries.one(N), (1,): HSeries.constant(2, N)}
+    coeffs = {(1, 1): F(1), (1,): F(2)}
+    image: dict = {}
+    for s, c in coeffs.items():
+        for m, d in sl2_uea.sym_mono(s).items():
+            add_into(image, m, c * d)
+    assert sl2_uea.sym_preimage(image) == coeffs
 
 
 def test_coproduct_h_squared():
@@ -51,47 +65,65 @@ def test_coproduct_counts():
 
 @settings(max_examples=40)
 @given(st.data())
-def test_filtration_degree_matches_kernel_definition(sl2_uea, data):
+def test_filtration_degree_matches_kernel_definition(data):
     monos = [m for m in all_monomials(3, 3) if m]
     mono = data.draw(st.sampled_from(monos))
-    elt = PbwElement(sl2_uea, {mono: HSeries.one(N)}, N)
-    d = elt.degree()
-    assert d == len(mono)
-    assert in_filtration_kernel(elt, d)
-    assert not in_filtration_kernel(elt, d - 1)
+
+    def in_kernel(n):
+        # ker (id - unit counit)^{(n+1)} o Delta^{(n)}: every term of the
+        # coproduct has an empty part (multiplicities are positive, so
+        # the surviving terms cannot cancel)
+        return not any(all(key) for key in coproduct_mono(mono, n + 1))
+
+    d = len(mono)
+    assert in_kernel(d)
+    assert not in_kernel(d - 1)
 
 
 def test_split_ef(sl2_uea):
     # U g = U g . h (+) sym(S m): ef = (h/2) + sym(ef)
     splitter = UmSplitter(sl2_uea)
-    elt = PbwElement(sl2_uea, {(0, 2): HSeries.one(N)}, N)
-    ideal, um = splitter.split(elt)
-    assert ideal + um == elt
-    assert ideal == PbwElement(
-        sl2_uea, {(1,): HSeries.constant(F(1, 2), N)}, N
-    )
-    assert um == PbwElement(
-        sl2_uea,
-        {(0, 2): HSeries.one(N), (1,): HSeries.constant(F(-1, 2), N)},
-        N,
-    )
+    ideal, um = splitter.split({(0, 2): F(1)})
+    assert _sum(ideal, um) == {(0, 2): F(1)}
+    assert ideal == {(1,): F(1, 2)}
+    assert um == {(0, 2): F(1), (1,): F(-1, 2)}
 
 
 def test_split_trivial_base(ab2_uea):
     splitter = UmSplitter(ab2_uea)
-    elt = PbwElement(ab2_uea, {(0, 1): HSeries.one(N)}, N)
-    ideal, um = splitter.split(elt)
-    assert ideal.is_zero() and um == elt
+    ideal, um = splitter.split({(0, 1): F(1)})
+    assert ideal == {} and um == {(0, 1): F(1)}
 
 
 def test_split_idempotent(nonab_uea):
     splitter = UmSplitter(nonab_uea)
-    elt = PbwElement(nonab_uea, {(0, 2, 3): HSeries.one(N)}, N)
-    ideal, um = splitter.split(elt)
-    assert ideal + um == elt
+    ideal, um = splitter.split({(0, 2, 3): F(1)})
+    assert _sum(ideal, um) == {(0, 2, 3): F(1)}
     # the um part projects to itself
-    assert splitter.um_project(um) == um
-    assert splitter.um_project(ideal).is_zero()
+    assert splitter.split(um) == ({}, um)
+    assert splitter.split(ideal) == (ideal, {})
+
+
+def _algebra(name):
+    if name == "sl2half":
+        return sl2half_data()
+    return schema.parse_algebra(schema.load_file(CORPUS / f"{name}.alg"))
+
+
+@pytest.mark.parametrize(
+    "name", ["sl2", "nonab", "affxc2", "abelian2", "sl2half"])
+def test_split_every_short_monomial(name):
+    uea = UEnvelope(_algebra(name))
+    splitter = UmSplitter(uea)
+    m_indices = set(uea.lie.m_indices)
+    for mono in all_monomials(uea.lie.dim, 3):
+        ideal, um = splitter.split({mono: F(1)})
+        assert _sum(ideal, um) == {mono: F(1)}
+        # sym_preimage back-substitutes on its own, and raises NotInImage
+        # unless um is the symmetrization of a polynomial in m alone
+        uea.sym_preimage(um, allowed=m_indices)
+        assert splitter.split(um) == ({}, um)
+        assert splitter.split(ideal) == (ideal, {})
 
 
 def test_ad_derivation(sl2_uea):
