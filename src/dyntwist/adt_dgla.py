@@ -14,11 +14,10 @@ import itertools
 import math
 import weakref
 from bisect import bisect_left
-from fractions import Fraction
 
 from . import linalg
 from .errors import GradingMismatch, NoSolution, NotInvariant, TruncationTooSmall
-from .hseries import SparseSeries, add_into
+from .hseries import SparseSeries, add_into, quotient
 from .lie_core import invariant_basis
 from .tensor_spaces import CdybElement, wedge_sort
 from .uea import (
@@ -28,8 +27,6 @@ from .uea import (
     all_monomials_from,
     coproduct_mono,
 )
-
-_F1 = Fraction(1)
 
 
 class AdtElement(SparseSeries):
@@ -57,7 +54,7 @@ class AdtElement(SparseSeries):
     @classmethod
     def unit(cls, uea, arity, order):
         """1 (x) ... (x) 1."""
-        return cls(uea, arity, {((),) * (arity + 1): _F1}, order)
+        return cls(uea, arity, {((),) * (arity + 1): 1}, order)
 
     # -- gradings and filtrations ------------------------------------------
 
@@ -66,7 +63,7 @@ class AdtElement(SparseSeries):
 
     def length_component(self, length: int) -> "AdtElement":
         return self.map_keys(
-            lambda k: ((k, 0, _F1),) if sum(map(len, k)) == length else (),
+            lambda k: ((k, 0, 1),) if sum(map(len, k)) == length else (),
             AdtElement, self.uea, self.arity,
         )
 
@@ -130,18 +127,18 @@ def coproduct_at(E, i: int):
 def unit_at(E, i: int):
     """Insert a unit as the new slot i."""
     return E.map_keys(
-        lambda key: ((key[:i] + ((),) + key[i:], 0, _F1),),
+        lambda key: ((key[:i] + ((),) + key[i:], 0, 1),),
         type(E), E.uea, E.arity + 1,
     )
 
 
 def slotwise_product(A, B, leg_mul):
-    """PBW products slot by slot; leg_mul(s, t) yields (leg, power, Fraction).
+    """PBW products slot by slot; leg_mul(s, t) yields (leg, power, rational).
 
     The legs multiply into hbar^power times leg.  The product is
     truncated to the smaller order N: a pair of layer terms whose weights
     (hbar powers, or for formal twists hbar power plus leg degree) add up
-    to more than N is never expanded.
+    to more than N is never expanded.  Summed on ints, like b.
     """
     if A.arity != B.arity:
         raise GradingMismatch("arity mismatch in product")
@@ -149,8 +146,9 @@ def slotwise_product(A, B, leg_mul):
     order = min(A.order, B.order)
     prec = min(A.precision(), B.precision())
     outs = [{} for _ in range(prec + 1)]
-    terms_b = B.layer_terms()
-    for k1, a1, n1, w1 in A.layer_terms():
+    den_a, terms_a = A.int_layer_terms()
+    den_b, terms_b = B.int_layer_terms()
+    for k1, a1, n1, w1 in terms_a:
         for k2, a2, n2, w2 in terms_b:
             if w1 + w2 > order:
                 break
@@ -166,7 +164,7 @@ def slotwise_product(A, B, leg_mul):
                 acc = outs[n]
                 for pre, c in slots:
                     add_into(acc, pre + (leg,), c * d)
-    return type(A).from_layers(uea, A.arity, outs, order)
+    return type(A).from_layers(uea, A.arity, outs, order, den=den_a * den_b)
 
 
 # -- differential ----------------------------------------------------------
@@ -426,7 +424,7 @@ def p2_project(splitter: UmSplitter, P: AdtElement) -> AdtElement:
     """Factorwise projection onto sym(S m) tensor counit on the leg.
 
     This is where the U g = U g . h (+) sym(S m) splitting enters: each
-    factor's U m part is a rational {monomial: Fraction} dict, read from
+    factor's U m part is a rational {monomial: value} dict, read from
     the splitter's memo (`UmSplitter.um_mono`), and applies to every
     hbar layer alike.
     """
@@ -434,7 +432,7 @@ def p2_project(splitter: UmSplitter, P: AdtElement) -> AdtElement:
     def image(key):
         if key[-1] != ():  # counit on the leg
             return ()
-        partial = [((), _F1)]
+        partial = [((), 1)]
         for mfac in key[:-1]:
             um = splitter.um_mono(mfac)
             if not um:
@@ -461,7 +459,7 @@ def alt(P: AdtElement) -> CdybElement:
         if ws is None:
             return ()
         sign, wedge = ws
-        s_coeffs = uea.sym_preimage({key[-1]: _F1}, allowed=h_allowed)
+        s_coeffs = uea.sym_preimage({key[-1]: 1}, allowed=h_allowed)
         return [((wedge, smono), 0, sign * c) for smono, c in s_coeffs.items()]
 
     return P.map_keys(image, CdybElement)
@@ -473,7 +471,7 @@ def alt_embed(uea: UEnvelope, elt: CdybElement) -> AdtElement:
     All wedge monomials must share one exterior degree (the arity).
     """
     k = elt.exterior_degree()
-    norm = Fraction(1, math.factorial(k))
+    norm = quotient(1, math.factorial(k))
 
     def image(key):
         w, s = key
@@ -810,11 +808,12 @@ def adte_residual(K: AdtElement, mode: str = "direct") -> AdtElement:
 def adte_residual_layer(K: AdtElement, n: int) -> dict:
     """adte_residual(K).layer(n), from the layer pairs K_a, K_b, a + b = n.
 
-    n is at most K.precision(), the highest layer K determines.
+    n is at most K.precision(), the highest layer K determines.  Values
+    are canonical, as `layer` gives them.
     """
     outs = [{} for _ in range(n + 1)]
     den = _adte_pairs(K, n, outs)
-    return {key: Fraction(a, den) for key, a in outs[n].items()}
+    return {key: quotient(a, den) for key, a in outs[n].items()}
 
 
 def _adte_pairs(K, lo, outs):

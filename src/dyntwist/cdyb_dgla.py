@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import GradingMismatch, TruncationTooSmall
-from .hseries import add_into
+from .hseries import add_into, quotient
 from .lie_core import LieData
 from .tensor_spaces import (
     CdybElement,
@@ -23,7 +23,6 @@ from .tensor_spaces import (
     wedge_sort,
 )
 
-_F1 = Fraction(1)
 
 _bracket_caches: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
@@ -50,7 +49,7 @@ def _wedge_cache(lie: LieData) -> dict:
 
 
 def bracket_wedge(lie: LieData, w1, w2) -> dict:
-    """Bracket of two wedge monomials: {wedge tuple: Fraction}.
+    """Bracket of two wedge monomials: {wedge tuple: rational}.
 
     Degree-zero monomials are central; a single generator acts as a
     derivation of the wedge product (`ad_cdyb_key` on an empty leg);
@@ -183,7 +182,7 @@ def p1_project(lie: LieData, elt: CdybElement) -> CdybElement:
         w, s = key
         if s or any(lie.is_h(i) for i in w):
             return ()
-        return ((key, 0, _F1),)
+        return ((key, 0, 1),)
 
     return elt.map_keys(image, CdybElement)
 
@@ -205,7 +204,7 @@ def delta_homotopy(lie: LieData, elt: CdybElement) -> CdybElement:
         p, q, l = len(m_part), len(h_part), len(s)
         if q + l == 0:
             return
-        outer = -_sign(p) * Fraction(1, q + l)
+        outer = -_sign(p) * quotient(1, q + l)
         for i in range(q):
             ws = wedge_sort(m_part + h_part[:i] + h_part[i + 1 :])
             if ws is None:

@@ -9,8 +9,6 @@ function flowing Maurer-Cartan elements by affine transformations).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import cdyb_dgla, linalg
 from .adt_dgla import (
     AdtElement,
@@ -28,7 +26,7 @@ from .errors import (
     StraighteningStalled,
     ValuationViolated,
 )
-from .hseries import add_into
+from .hseries import add_into, quotient
 from .lie_core import LieData
 from .linfinity import classical_contraction, invert_contraction, mc_transport
 from .quantizer import FormalTwist, j_to_k, k_to_j, shift_argument
@@ -225,7 +223,7 @@ def classical_gauge_act(lie: LieData, q, target) -> CdybElement:
         out = term
         while not term.is_zero():
             k += 1
-            term = cdyb_dgla.bracket(lie, q, term).scale(Fraction(1, k))
+            term = cdyb_dgla.bracket(lie, q, term).scale(quotient(1, k))
             out = out + term
         return out
 

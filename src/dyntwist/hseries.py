@@ -1,5 +1,13 @@
 """Truncated formal series in hbar over exact rationals.
 
+One number convention holds in every module: an integral value is an
+`int`, any other rational is a `Fraction`, and no value is ever a float.
+`canonical(x)` puts a rational in that form and `quotient(a, den)`
+divides exactly into it.  Every stored coefficient, every HSeries
+operation and every `linalg` output keeps it, so a kernel whose values
+are integral sums on ints and builds no Fraction at all.  Nothing in
+the package uses true division: `/` of two ints would be a float.
+
 All arithmetic is exact modulo hbar^(N+1).  Mixing two series of different
 truncation orders is allowed and truncates to the smaller order, which is
 the canonical quotient map between the two rings.
@@ -9,7 +17,7 @@ sparse element over it (algebraic and formal twists, classical
 cochains): a map from monomial keys to HSeries coefficients.
 
 Every product kernel works one hbar layer at a time.  It reads its
-factors through `SparseSeries.layer_terms`, one (key, Fraction, power,
+factors through `SparseSeries.layer_terms`, one (key, value, power,
 weight) entry per nonzero hbar coefficient sorted by weight, accumulates
 one {key: value} dict per output hbar power, and builds each output
 key's HSeries once, through `from_layers`.  A pair of entries whose
@@ -20,20 +28,21 @@ grading of its truncation triangle.  A kernel keeps the layers up to
 `precision()`, below N when a coefficient is known to a lower order than
 its element.
 
-The kernels of the twist complex (b, cup, brace, the twist residual)
-compute on Python ints: `SparseSeries.int_layer_terms` gives the same
-entries scaled by the lcm D of the element's denominators, they
-multiply through `UEnvelope.straighten`, whose integral coefficients
-are ints, and `from_layers(..., den=)` divides each output coefficient
-once by the product of the factors' D.  The integer sums are D times
-the Fraction sums, so they vanish at the same steps: values and key
-order are those of the Fraction kernels.  A rational structure constant
-stays a Fraction in `straighten`, and an int times a Fraction is a
-Fraction, so the same path serves it.
+The product kernels (b, cup, brace, the twist residual and the
+slotwise products) compute on Python ints: `SparseSeries.int_layer_terms`
+gives the same entries scaled by the lcm D of the element's denominators
+(the entries themselves when D = 1), they multiply through
+`UEnvelope.straighten`, whose integral coefficients are ints, and
+`from_layers(..., den=)` divides each output coefficient once, exactly,
+by the product of the factors' D.  The integer sums are D times the
+rational sums, so they vanish at the same steps: values and key order
+are those of rational kernels.  A rational structure constant stays a
+Fraction in `straighten`, and an int times a Fraction is a Fraction, so
+the same path serves it.
 
 Every linear map works on the same layers: `SparseSeries.map_keys`
-sends each (key, Fraction, power) entry through f(key), which yields
-(image key, hbar power, Fraction), and builds the image through
+sends each (key, value, power) entry through f(key), which yields
+(image key, hbar power, rational), and builds the image through
 `from_layers`.  So this module alone knows that a coefficient is stored
 as a per-key HSeries.
 
@@ -53,23 +62,34 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add, sub
 
 from .errors import GradingMismatch
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def canonical(x):
+    """The rational x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
         return x
-    return Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def quotient(a, den: int):
+    """a / den, exactly and in canonical form, for an int den > 0.
+
+    a is an int or a Fraction.  An exact division costs one divmod and
+    builds no Fraction.
+    """
+    q, r = divmod(a, den)
+    return Fraction(a, den) if r else q
 
 
 def add_into(acc: dict, key, val):
     """acc[key] += val, dropping the key when the sum is zero.
 
-    Serves Fraction (or int) and HSeries values alike; an HSeries sum
+    Serves rational and HSeries values alike; an HSeries sum
     keeps the smaller truncation order of its summands.
     """
     old = acc.get(key)
@@ -82,16 +102,17 @@ def add_into(acc: dict, key, val):
 
 
 class HSeries:
-    """Element of Q[hbar]/(hbar^(N+1))."""
+    """Element of Q[hbar]/(hbar^(N+1)), coefficients in canonical form."""
 
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order: int, *, normalized: bool = False):
-        """normalized: coeffs is already a tuple of order + 1 Fractions."""
+        """normalized: coeffs is already a tuple of order + 1 canonical
+        rationals (see `canonical`)."""
         if not normalized:
-            coeffs = tuple(_frac(c) for c in coeffs)
+            coeffs = tuple(map(canonical, coeffs))
             if len(coeffs) < order + 1:
-                coeffs = coeffs + (_F0,) * (order + 1 - len(coeffs))
+                coeffs = coeffs + (0,) * (order + 1 - len(coeffs))
             elif len(coeffs) > order + 1:
                 coeffs = coeffs[: order + 1]
         self.coeffs = coeffs
@@ -105,17 +126,17 @@ class HSeries:
 
     @classmethod
     def one(cls, order: int) -> "HSeries":
-        return cls((_F1,), order)
+        return cls((1,), order)
 
     @classmethod
     def constant(cls, c, order: int) -> "HSeries":
-        return cls((_frac(c),), order)
+        return cls((c,), order)
 
     @classmethod
     def hbar(cls, order: int, power: int = 1, coeff=1) -> "HSeries":
         if power > order:
             return cls.zero(order)
-        return cls((_F0,) * power + (_frac(coeff),), order)
+        return cls((0,) * power + (coeff,), order)
 
     # -- predicates --------------------------------------------------------
 
@@ -140,11 +161,10 @@ class HSeries:
     def __add__(self, other):
         if not isinstance(other, HSeries):
             other = HSeries.constant(other, self.order)
-        n = self._common(other)
-        return HSeries(
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)), n,
-            normalized=True,
-        )
+        # map stops at the shorter tuple, the common order
+        return HSeries(tuple(map(canonical, map(add, self.coeffs,
+                                                other.coeffs))),
+                       self._common(other), normalized=True)
 
     __radd__ = __add__
 
@@ -155,22 +175,20 @@ class HSeries:
     def __sub__(self, other):
         if not isinstance(other, HSeries):
             other = HSeries.constant(other, self.order)
-        n = self._common(other)
-        return HSeries(
-            tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)), n,
-            normalized=True,
-        )
+        return HSeries(tuple(map(canonical, map(sub, self.coeffs,
+                                                other.coeffs))),
+                       self._common(other), normalized=True)
 
     def __rsub__(self, other):
         return HSeries.constant(other, self.order) - self
 
     def __mul__(self, other):
         if not isinstance(other, HSeries):
-            c = _frac(other)
-            return HSeries(tuple(a * c for a in self.coeffs), self.order,
-                           normalized=True)
+            c = canonical(other)
+            return HSeries(tuple(canonical(a * c) for a in self.coeffs),
+                           self.order, normalized=True)
         n = self._common(other)
-        out = [_F0] * (n + 1)
+        out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
             if a == 0:
                 continue
@@ -178,17 +196,17 @@ class HSeries:
                 b = other.coeffs[j]
                 if b != 0:
                     out[i + j] += a * b
-        return HSeries(tuple(out), n)
+        return HSeries(out, n)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "HSeries":
         """Multiply by hbar^k."""
-        return HSeries((_F0,) * k + self.coeffs, self.order)
+        return HSeries((0,) * k + self.coeffs, self.order)
 
-    def coeff(self, n: int) -> Fraction:
+    def coeff(self, n: int):
         if n > self.order:
-            return _F0
+            return 0
         return self.coeffs[n]
 
     def truncate(self, order: int) -> "HSeries":
@@ -288,33 +306,42 @@ class SparseSeries:
     def from_layers(cls, *args, den=None):
         """cls(*space, layers, order) from per-power coefficient dicts.
 
-        layers[n] = {key: Fraction} holds the nonzero hbar^n
+        layers[n] = {key: rational} holds the nonzero hbar^n
         coefficients; every key's HSeries, of order len(layers) - 1, is
-        built once.  With den given, layers[n] holds den times them (as
-        ints, or Fractions where a factor was rational), and each is
-        divided by den once.
+        built once, in canonical form.  With den given, layers[n] holds
+        den times them (as ints, or Fractions where a factor was
+        rational), and each is divided by den once (`quotient`).  The
+        keys are a kernel's, built from validated ones: where the space
+        has an arity, only their width is checked.
         """
         *space, layers, order = args
         prec = len(layers) - 1
+        scaled = den is not None and den != 1
         coeffs: dict = {}
         for n, layer in enumerate(layers):
             for k, a in layer.items():
+                if scaled:
+                    a = quotient(a, den)
+                elif type(a) is not int:
+                    a = canonical(a)
                 row = coeffs.get(k)
                 if row is None:
-                    coeffs[k] = row = [_F0] * (prec + 1)
-                row[n] = (a if den is None else Fraction(a) if den == 1
-                          else Fraction(a, den))
+                    coeffs[k] = row = [0] * (prec + 1)
+                row[n] = a
         if cls._leg_weighted or prec > order:
             terms = {k: HSeries(tuple(row), prec, normalized=True)
                      for k, row in coeffs.items()}
             return cls(*space, terms, order)
         # no series exceeds the order and no triangle cuts one:
-        # only the keys need the constructor's check
+        # only the keys' width needs the constructor's check
         new = cls._direct(space, {}, order)
-        key = new._key
+        arity = getattr(new, "arity", None)
+        terms = new.terms
         for k, row in coeffs.items():
+            if arity is not None and len(k) != arity + 1:
+                new._key(k)  # raises GradingMismatch
             if any(row):
-                new.terms[key(k)] = HSeries(tuple(row), prec, normalized=True)
+                terms[k] = HSeries(tuple(row), prec, normalized=True)
         return new
 
     # -- ring structure ----------------------------------------------------
@@ -400,7 +427,7 @@ class SparseSeries:
     # -- hbar layers -------------------------------------------------------
 
     def layer(self, n: int) -> dict:
-        """The hbar^n coefficients as {key: Fraction}, zeros left out."""
+        """The hbar^n coefficients as {key: rational}, zeros left out."""
         if n > self.order:
             return {}
         out = {}
@@ -415,7 +442,7 @@ class SparseSeries:
         return self._like(self.layer(n), self.order)
 
     def layer_terms(self):
-        """(key, Fraction, power, weight) per nonzero hbar coefficient.
+        """(key, rational, power, weight) per nonzero hbar coefficient.
 
         Sorted by weight (the hbar power, plus the leg degree for a
         formal twist) and built once per element.  A product loop over
@@ -439,12 +466,14 @@ class SparseSeries:
         return self._layered
 
     def int_layer_terms(self):
-        """(D, entries): `layer_terms` with each Fraction a as the int D a.
+        """(D, entries): `layer_terms` with each value a as the int D a.
 
-        D is the lcm of the denominators of the layer terms.  A kernel
-        that multiplies the entries of factors with scales D_1, ..., D_r
-        sums D_1 ... D_r times its Fraction result and hands that
-        product to `from_layers` as `den`.  Built once per element.
+        D is the lcm of the denominators of the layer terms; when it is
+        1 the entries are `layer_terms()` itself, whose values are ints
+        already.  A kernel that multiplies the entries of factors with
+        scales D_1, ..., D_r sums D_1 ... D_r times its rational result
+        and hands that product to `from_layers` as `den`.  Built once
+        per element.
         """
         try:
             return self._int_layered
@@ -452,7 +481,7 @@ class SparseSeries:
             pass
         terms = self.layer_terms()
         den = lcm(*{a.denominator for _, a, _, _ in terms})
-        self._int_layered = den, [
+        self._int_layered = den, terms if den == 1 else [
             (k, a.numerator * (den // a.denominator), n, w)
             for k, a, n, w in terms
         ]
@@ -483,8 +512,8 @@ class SparseSeries:
     def map_keys(self, f, cls, *space):
         """The linear map key -> f(key), as an element of cls(*space).
 
-        f(key) yields (key, hbar power, Fraction): each hbar^n
-        coefficient a of key adds a times the Fraction to the image key's
+        f(key) yields (key, hbar power, rational): each hbar^n
+        coefficient a of key adds a times the rational to the image key's
         hbar^(n + power) coefficient.  f is called once per key.  Terms
         above `precision()` are dropped, and each image key's HSeries is
         built once, by `cls.from_layers`, at this element's order.
@@ -504,7 +533,7 @@ class SparseSeries:
     def shift(self, k: int):
         """Multiply by hbar^k."""
         return self.map_keys(
-            lambda key: ((key, k, _F1),),
+            lambda key: ((key, k, 1),),
             type(self), *self._space_values(),
         )
 

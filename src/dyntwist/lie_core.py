@@ -7,11 +7,9 @@ hold on the nose, h must be closed under the bracket, and the chosen mode
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .errors import AlgebraError, DecompositionError
-from .hseries import add_into
+from .hseries import add_into, canonical
 
 MODE_REDUCTIVE = "reductive"
 MODE_ABELIAN_BASE = "abelian_base"
@@ -31,7 +29,7 @@ class LieData:
         for (i, j), comps in brackets.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise AlgebraError(f"bracket index out of range: ({i},{j})")
-            comps = {k: Fraction(c) for k, c in comps.items() if c != 0}
+            comps = {k: canonical(c) for k, c in comps.items() if c != 0}
             if any(not 0 <= k < self.dim for k in comps):
                 raise AlgebraError(
                     f"bracket output index out of range in ({i},{j}): "
@@ -153,7 +151,7 @@ def invariant_basis(lie: LieData, keys, ad_apply):
     """
     keys = list(keys)
     if not lie.h_indices:
-        return [{k: Fraction(1)} for k in keys]
+        return [{k: 1} for k in keys]
     columns = []
     for k in keys:
         col: dict = {}

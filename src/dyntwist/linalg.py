@@ -1,48 +1,48 @@
 """Sparse exact linear algebra over the rationals.
 
+Every value in and out follows the package's one number convention (see
+`hseries`): an integral value is an int, any other rational a Fraction,
+never a float.  Integer columns (the b-columns of `adt_dgla`) go in as
+ints, which need no scaling, and every reduced row, solution and kernel
+vector comes out canonical.
+
 Callers hand in a matrix as a list of sparse columns, one per unknown in
-unknown order.  A column is a dict {row key: int or Fraction} whose row
-keys are any hashables (monomials, basis indices, ...); a key missing
-from a column is a zero entry.  Integer columns (the b-columns of
-`adt_dgla`) go in as ints, which need no scaling.  Only the order of the
-columns matters: the reduced row echelon form, the pivots, the
-particular solutions and the kernel basis are functions of it alone, so
-callers never number rows.
+unknown order.  A column is a dict {row key: rational} whose row keys
+are any hashables (monomials, basis indices, ...); a key missing from a
+column is a zero entry.  Only the order of the columns matters: the
+reduced row echelon form, the pivots, the particular solutions and the
+kernel basis are functions of it alone, so callers never number rows.
 
 `solve(columns, targets)` eliminates the system once for all of its
 right-hand sides.  A target is a dict keyed like the columns; its answer
-is the particular solution {unknown index: Fraction} with every free
+is the particular solution {unknown index: rational} with every free
 unknown zero, or None when the target is not in the column span (a
 target key that no column carries makes it inconsistent).
 
-Internally `rref` reduces rows {column index: value} with pivots chosen
-left to right; the pivot of a column is the first remaining row, in
-input order, with a nonzero entry there, which keeps every derived
+Internally `_eliminate` reduces rows {column index: value} with pivots
+chosen left to right; the pivot of a column is the first remaining row,
+in input order, with a nonzero entry there, which keeps every derived
 basis deterministic.  It computes on integers: each input row is scaled
 by the lcm of its denominators (1 for a row of ints), a row update
 clears an entry by an integer combination with the pivot row and
-divides the row by the gcd of its entries, and only the reduced rows it
-returns are turned back into Fractions.  It keeps an index from each
-column still to come to the rows with a nonzero entry in it, updated as
-fill-in appears and cancels, so the work follows the nonzeros instead
-of rows x columns.
+divides the row by the gcd of its entries.  `pivots` and `rank` read
+its pivots alone; `rref` divides each reduced row by its pivot entry,
+exactly.  It keeps an index from each column still to come to the rows
+with a nonzero entry in it, updated as fill-in appears and cancels, so
+the work follows the nonzeros instead of rows x columns.
 Neither the integer rows nor the index change what is computed: the
-reduced rows (down to their key order, all values Fractions), pivots,
-solutions and kernel vectors are those of the plain left-to-right
-Fraction elimination, and `solve` still checks every solution by
-recomputing its image in Fraction arithmetic.
+reduced rows (down to their key order), pivots, solutions and kernel
+vectors are those of the plain left-to-right rational elimination, and
+`solve` still checks every solution by recomputing its image.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import TruncationTooSmall
-from .hseries import add_into
-
-_F1 = Fraction(1)
+from .hseries import add_into, quotient
 
 
 def rref(rows, ncols):
@@ -52,15 +52,26 @@ def rref(rows, ncols):
     among the first `ncols` columns; entries at later column indices are
     carried along by every row operation.  The pivot of a column is the
     first remaining row, in input order, with a nonzero entry there, so
-    the result is a function of the input alone.
+    the result is a function of the input alone.  Each reduced row is
+    `_eliminate`'s integer row divided by its pivot entry, in canonical
+    form.
+    """
+    reduced, pivot_cols = _eliminate(rows, ncols)
+    return [
+        {c: quotient(v, r[p]) for c, v in r.items()}
+        for r, p in zip(reduced, pivot_cols)
+    ], pivot_cols
+
+
+def _eliminate(rows, ncols):
+    """(integer reduced rows, pivot columns) of `rref`, pivot entries > 0.
 
     The rows are eliminated fraction-free: each input row is scaled to
     integers, a row update is `other <- (a/g) other - (f/g) pivot_row`
     (a the pivot, f the entry to clear, g = gcd(a, f)) followed by
-    division by the gcd of the row's entries, and only the final reduced
-    rows become Fractions, each divided by its pivot entry.  Every row is
-    a nonzero multiple of the row the Fraction elimination would hold,
-    so the zero tests, the key order and the result are the same.
+    division by the gcd of the row's entries.  Every row is a nonzero
+    multiple of the row the rational elimination would hold, so the zero
+    tests, the key order and the pivots are the same.
 
     `where` maps each column still to come to the rows (remaining or
     reduced) with a nonzero entry in it, so neither the pivot search nor
@@ -120,10 +131,7 @@ def rref(rows, ncols):
         done[p] = True
         reduced.append(r)
         pivots.append(col)
-    return [
-        {c: Fraction(v, r[p]) for c, v in r.items()}
-        for r, p in zip(reduced, pivots)
-    ], pivots
+    return reduced, pivots
 
 
 def _integer_row(row):
@@ -145,7 +153,7 @@ def _integer_row(row):
 
 
 def _rows(columns):
-    """The rows {column index: Fraction} of a list of keyed columns."""
+    """The rows {column index: rational} of a list of keyed columns."""
     rows: dict = {}
     for j, col in enumerate(columns):
         for key, v in col.items():
@@ -155,7 +163,7 @@ def _rows(columns):
 
 def pivots(columns):
     """Indices of the columns independent of every earlier column."""
-    return rref(_rows(columns), len(columns))[1]
+    return _eliminate(_rows(columns), len(columns))[1]
 
 
 def rank(columns) -> int:
@@ -163,7 +171,7 @@ def rank(columns) -> int:
 
 
 def kernel_basis(columns):
-    """Basis of the kernel, as dicts {unknown index: Fraction}.
+    """Basis of the kernel, as dicts {unknown index: rational}.
 
     One basis vector per free unknown, in increasing order, with the free
     coordinate normalized to 1; built in one pass over the nonzeros of
@@ -172,7 +180,7 @@ def kernel_basis(columns):
     ncols = len(columns)
     reduced, pivot_cols = rref(_rows(columns), ncols)
     pivot_set = set(pivot_cols)
-    basis = {j: {j: _F1} for j in range(ncols) if j not in pivot_set}
+    basis = {j: {j: 1} for j in range(ncols) if j not in pivot_set}
     for r, p in zip(reduced, pivot_cols):
         for c, v in r.items():
             vec = basis.get(c)

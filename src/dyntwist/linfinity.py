@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import adt_dgla, cdyb_dgla
 from .adt_dgla import AdtElement, gerstenhaber_bracket, invariant_adt_basis
 from .errors import ContractFailure, GradingMismatch, MorphismUnsound
-from .hseries import add_into
+from .hseries import add_into, quotient
 from .lie_core import LieData
 from .linalg import pivots, solve
 # bound but never called: perfbench/test_perfbench.py reads linfinity.rref
@@ -34,7 +34,6 @@ from .linalg import rref  # noqa: F401
 from .tensor_spaces import CdybElement, invariant_cdyb_basis
 from .uea import UEnvelope, UmSplitter
 
-_F1 = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
@@ -736,7 +735,7 @@ def mc_transport(T: MorphismTower, alpha, check: bool = True):
     for n in range(1, T.arity_bound + 1):
         fact *= n
         term = T.apply(n, (alpha,) * n)
-        out = out + term.scale(Fraction(1, fact))
+        out = out + term.scale(quotient(1, fact))
     if check:
         res = T.target.mc_residual(out)
         if not res.is_zero():

@@ -7,7 +7,6 @@ all comparisons are exact.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from . import cdyb_dgla
 from .adt_dgla import (
@@ -30,8 +29,6 @@ from .tensor_spaces import (
     invariant_cdyb_basis,
 )
 from .uea import UEnvelope
-
-_F1 = Fraction(1)
 
 
 def _sign(n):
@@ -88,7 +85,7 @@ def check_b_squared(uea: UEnvelope, max_arity=2, max_len=2):
     for arity in range(max_arity + 1):
         for L in range(max_len + 1):
             for key in adt_monomials(uea, arity, L):
-                elt = AdtElement(uea, arity, {key: _F1}, 0)
+                elt = AdtElement(uea, arity, {key: 1}, 0)
                 if not differential_b(differential_b(elt)).is_zero():
                     return False, f"b^2 != 0 on {key}"
     return True, "b^2 = 0 on all bounded basis elements"
@@ -111,8 +108,7 @@ def _rand_adt(uea, rng, arity, max_len, order=0, terms=2, pools=None):
     for _ in range(terms):
         key = pool[rng.randrange(len(pool))]
         out[key] = out.get(key, 0) + rng.choice([-2, -1, 1, 2])
-    return AdtElement(uea, arity, {k: Fraction(v) for k, v in out.items()},
-                      order)
+    return AdtElement(uea, arity, out, order)
 
 
 def check_cup_leibniz(uea: UEnvelope, seed=0, samples=200, max_len=2):
@@ -162,7 +158,7 @@ def check_delta_homotopy(lie: LieData, max_k=3, max_sh=2):
     for k in range(max_k + 1):
         for sh in range(max_sh + 1):
             for key in cdyb_monomials(lie, k, sh):
-                x = CdybElement({key: _F1}, 0)
+                x = CdybElement({key: 1}, 0)
                 lhs = cdyb_dgla.delta_homotopy(
                     lie, cdyb_dgla.differential(x)
                 ) + cdyb_dgla.differential(cdyb_dgla.delta_homotopy(lie, x))
@@ -192,7 +188,7 @@ def check_kappa(uea: UEnvelope, seed=0, samples=20, max_len=3):
             if basis:
                 vec = basis[rng.randrange(len(basis))]
                 u = u + AdtElement(uea, arity, dict(vec), 0).scale(
-                    Fraction(rng.choice([-2, -1, 1, 2]))
+                    rng.choice([-2, -1, 1, 2])
                 )
         target = differential_b(u)
         if target.is_zero():

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 from . import cdyb_dgla
 from .adt_dgla import (
@@ -35,12 +34,10 @@ from .errors import (
     ObstructionNotRepaired,
     ValuationViolated,
 )
-from .hseries import SparseSeries, add_into
+from .hseries import SparseSeries, add_into, quotient
 from .lie_core import LieData
 from .tensor_spaces import CdybElement
 from .uea import UEnvelope, coproduct_mono
-
-_F1 = Fraction(1)
 
 
 # -- validated r-matrix input ----------------------------------------------
@@ -100,7 +97,7 @@ class RMatrix:
         body's order.
         """
         return self.body.truncate(order).map_keys(
-            lambda key: ((key, len(key[1]) + 1, _F1),), CdybElement
+            lambda key: ((key, len(key[1]) + 1, 1),), CdybElement
         )
 
 
@@ -161,7 +158,7 @@ class FormalTwist(SparseSeries):
         if self.arity != 2:
             raise GradingMismatch("op is defined for two factors")
         return self.map_keys(
-            lambda k: (((k[1], k[0], k[2]), 0, _F1),),
+            lambda k: (((k[1], k[0], k[2]), 0, 1),),
             FormalTwist, self.uea, 2,
         )
 
@@ -184,7 +181,7 @@ class FormalTwist(SparseSeries):
 # algebra, and sym and straightening keep the grade, so the product of
 # two leg monomials s, t is computed at hbar = 1 and each monomial m of
 # the result carries hbar^(|s| + |t| - |m|).  The result is returned as
-# {m: {power: Fraction}}, which caches independently of the truncation.
+# {m: {power: rational}}, which caches independently of the truncation.
 
 
 def _star_mono(uea: UEnvelope, s, t) -> dict:
@@ -260,7 +257,7 @@ def _shift_taylor(J: FormalTwist) -> FormalTwist:
                 if mult == 0:
                     continue
                 for m, d in uea.straighten(word).items():
-                    yield gfac + (m, rest), k, Fraction(mult, fact) * d
+                    yield gfac + (m, rest), k, quotient(mult, fact) * d
 
     return J.map_keys(image, FormalTwist, uea, J.arity + 1)
 

@@ -37,7 +37,7 @@ from itertools import product
 
 from .adt_dgla import AdtElement
 from .errors import AlgebraError, DecompositionError, SchemaError
-from .hseries import add_into
+from .hseries import add_into, canonical
 from .lie_core import LieData
 from .tensor_spaces import CdybElement
 from .uea import UEnvelope
@@ -91,13 +91,16 @@ def _find_block(blocks, name):
     return found[0]
 
 
-def _frac(tok, lineno):
-    # an exponent would make Fraction build 10**exponent before any bound
-    # could be checked, so only the p/q and decimal forms are read
+def _rational(tok, lineno):
+    """The token as a canonical rational (an int when integral).
+
+    An exponent would make Fraction build 10**exponent before any bound
+    could be checked, so only the p/q and decimal forms are read.
+    """
     try:
         if "e" in tok.lower():
             raise ValueError(tok)
-        return Fraction(tok)
+        return canonical(Fraction(tok))
     except (ValueError, ZeroDivisionError):
         raise SchemaError(f"line {lineno}: bad rational {tok!r}") from None
 
@@ -186,7 +189,7 @@ def parse_algebra(text) -> LieData:
                     raise SchemaError(
                         f"line {lineno}: output index {k} repeated"
                     )
-                comps[k] = _frac(inner[0].strip(), lineno)
+                comps[k] = _rational(inner[0].strip(), lineno)
             brackets[(i, j)] = comps
         else:
             raise SchemaError(f"line {lineno}: unknown algebra key {key!r}")
@@ -238,7 +241,7 @@ def parse_rmatrix(text, lie: LieData, order: int) -> CdybElement:
             raise SchemaError(
                 f"line {lineno}: expected 'term coeff * a^b * leg'"
             )
-        coeff = _frac(parts[1], lineno)
+        coeff = _rational(parts[1], lineno)
         wedge_tok = parts[3]
         if "^" not in wedge_tok:
             raise SchemaError(f"line {lineno}: expected a wedge a^b")
@@ -307,7 +310,7 @@ def parse_twist(text, uea: UEnvelope) -> AdtElement:
                 raise SchemaError(
                     f"line {lineno}: expected 'term coeff * (m | ... | leg)'"
                 )
-            coeff = _frac(parts[1], lineno)
+            coeff = _rational(parts[1], lineno)
             body = " ".join(parts[3:]).strip()
             if not (body.startswith("(") and body.endswith(")")):
                 raise SchemaError(f"line {lineno}: slots must be in (...)")

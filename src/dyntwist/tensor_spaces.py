@@ -8,13 +8,10 @@ Zero coefficients are pruned eagerly.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .errors import GradingMismatch, SpaceMismatch
 from .hseries import SparseSeries, add_into
 from .lie_core import LieData, invariant_basis
-
-_F1 = Fraction(1)
 
 
 def wedge_sort(indices):
@@ -99,7 +96,7 @@ class CdybElement(SparseSeries):
             if (exterior is not None and len(w) != exterior
                     or sh is not None and len(s) != sh):
                 return ()
-            return ((key, 0, _F1),)
+            return ((key, 0, 1),)
 
         return self.map_keys(image, CdybElement)
 
@@ -121,8 +118,10 @@ class CdybElement(SparseSeries):
             return "CdybElement(0)"
         bits = []
         for (w, s), c in sorted(self.terms.items()):
-            mono = "^".join(str(i) for i in w) or "1"
-            leg = "*".join(str(i) for i in s) or "1"
+            # indices, not names: an empty wedge or leg is "()", since
+            # "1" would read as basis index 1
+            mono = "^".join(str(i) for i in w) or "()"
+            leg = "*".join(str(i) for i in s) or "()"
             bits.append(f"({c!r})*[{mono}|{leg}]")
         return "CdybElement(" + " + ".join(bits) + ")"
 
@@ -138,7 +137,7 @@ class CdybElement(SparseSeries):
 def ad_cdyb_key(lie: LieData, x: int, key) -> dict:
     """Action of basis element x on a (wedge, sym) monomial, by derivations.
 
-    Returns {key: Fraction}.  The S h leg is only acted on when x is in h
+    Returns {key: rational}.  The S h leg is only acted on when x is in h
     (the leg lives in S h, so the action must stay there).
     """
     wedge, sym = key

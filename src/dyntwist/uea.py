@@ -6,9 +6,11 @@ recursively; every result is cached per algebra, and so is the adjoint
 action `ad_mono(x, mono)` of a basis element on a monomial.  Cached dicts
 are shared by every caller, which must not mutate them.
 
-A straightened coefficient is stored as an int where it is integral and
-as a Fraction otherwise, so the integer kernels of `adt_dgla` multiply
-through the same cache as every Fraction caller.
+Values follow the package's one number convention (see `hseries`): an
+integral value is an int, any other rational a Fraction.  The structure
+constants are stored that way, and so is every cached straightening and
+symmetrization, so the integer kernels of `adt_dgla` multiply through
+the same caches as every rational caller.
 """
 
 from __future__ import annotations
@@ -16,15 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
 from .errors import NoSolution, NotInImage
-from .hseries import add_into
+from .hseries import add_into, canonical, quotient
 from .lie_core import LieData
-
-_F1 = Fraction(1)
 
 
 class UEnvelope:
@@ -40,7 +39,7 @@ class UEnvelope:
     # -- straightening -----------------------------------------------------
 
     def straighten(self, word) -> dict:
-        """A word in the PBW basis: {monomial: int or Fraction}."""
+        """A word in the PBW basis: {monomial: rational}, canonical."""
         try:  # a hit on a tuple is one dict lookup
             return self._straight_cache[word]
         except (KeyError, TypeError):  # a miss, or an unhashable list
@@ -48,7 +47,7 @@ class UEnvelope:
         out = self._straight_cache.get(word)
         if out is None:
             self._straight_cache[word] = out = {
-                m: c.numerator if c.denominator == 1 else c
+                m: canonical(c)
                 for m, c in self._straighten_uncached(word).items()
             }
         return out
@@ -103,11 +102,12 @@ class UEnvelope:
         stab = 1
         for v in Counter(mono).values():
             stab *= math.factorial(v)
-        norm = Fraction(stab, math.factorial(len(mono)))
+        norm = quotient(stab, math.factorial(len(mono)))
         for p in set(itertools.permutations(mono)):
             for m, c in self.straighten(p).items():
                 add_into(out, m, c * norm)
-        self._sym_cache[mono] = out
+        self._sym_cache[mono] = out = {m: canonical(c)
+                                       for m, c in out.items()}
         return out
 
     def sym_preimage(self, coeffs: dict, allowed=None) -> dict:
@@ -171,7 +171,7 @@ def coproduct_mono(mono, slots: int = 2) -> dict:
 class UmSplitter:
     """Solves the filtered splitting of U g into U g . h and sym(S m).
 
-    It works on {PBW monomial: Fraction} dicts.  The U m part of each
+    It works on {PBW monomial: rational} dicts.  The U m part of each
     PBW monomial is solved once and memoized (`um_mono`); the dicts are
     shared by every caller, which must not mutate them.
     """
@@ -199,7 +199,7 @@ class UmSplitter:
         return generators
 
     def split(self, coeffs: dict):
-        """(ideal, um) with coeffs = ideal + um, all {monomial: Fraction}.
+        """(ideal, um) with coeffs = ideal + um, all {monomial: rational}.
 
         ideal lies in U g . h and um in sym(S m); one elimination over
         the spanning elements up to the longest monomial of coeffs.
@@ -223,10 +223,10 @@ class UmSplitter:
         return ideal, um
 
     def um_mono(self, mono) -> dict:
-        """The U m part of one PBW monomial as {monomial: Fraction}."""
+        """The U m part of one PBW monomial as {monomial: rational}."""
         out = self._um_memo.get(mono)
         if out is None:
-            self._um_memo[mono] = out = self.split({mono: _F1})[1]
+            self._um_memo[mono] = out = self.split({mono: 1})[1]
         return out
 
 

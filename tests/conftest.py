@@ -13,6 +13,13 @@ ORDER = 3
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
+def is_canonical(a) -> bool:
+    """Whether a follows the one number convention: an int when the
+    denominator is 1, else a Fraction (so never a float, and never an
+    integral Fraction)."""
+    return type(a) is int or type(a) is Fraction and a.denominator != 1
+
+
 def sl2_data() -> LieData:
     # [h,e] = 2e, [h,f] = -2f, [e,f] = h; base = Cartan line
     return LieData(

@@ -510,8 +510,7 @@ def from_layers(cls, *args, den=None):
             if row is None:
                 coeffs[k] = row = [Fraction(0)] * (prec + 1)
             row[n] = a if den is None else Fraction(a, den)
-    terms = {k: HSeries(tuple(row), prec, normalized=True)
-             for k, row in coeffs.items()}
+    terms = {k: HSeries(row, prec) for k, row in coeffs.items()}
     return cls(*space, terms, order)
 
 

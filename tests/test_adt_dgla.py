@@ -43,8 +43,8 @@ from dyntwist.uea import all_monomials
 
 import reference_kernels
 from conftest import (
-    CORPUS, ab2_data, aff_data, mixed_element, nonab_data, sl2_data,
-    sl2half_data,
+    CORPUS, ab2_data, aff_data, is_canonical, mixed_element, nonab_data,
+    sl2_data, sl2half_data,
 )
 
 N = 3
@@ -486,7 +486,7 @@ def _oracle_inputs(uea, rng, arity, unit=False, terms=7, rational=False):
 def _agree(new, ref, top_layer=None):
     assert new.value_key() == ref.value_key()
     # value_key cannot tell an int from an equal Fraction
-    assert all(type(a) is F for c in new.terms.values() for a in c.coeffs)
+    assert all(is_canonical(a) for c in new.terms.values() for a in c.coeffs)
     if top_layer is not None:  # not vacuous: the top layer is reached
         assert new.layer(top_layer)
 
@@ -543,7 +543,7 @@ def test_layered_residual_matches_hseries_reference(request, uea_name):
             for n in range(K.precision() + 1):
                 layer = adte_residual_layer(K, n)
                 assert layer == ref.layer(n)
-                assert all(type(a) is F for a in layer.values())
+                assert all(map(is_canonical, layer.values()))
 
 
 @pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
@@ -557,6 +557,42 @@ def test_layered_adt_mul_matches_hseries_reference(request, uea_name):
             for i, (A, B) in enumerate(pairs):
                 _agree(adt_mul(A, B), reference_kernels.adt_mul(A, B),
                        N if i == 1 else None)
+
+
+@pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
+def test_every_stored_coefficient_is_canonical(request, uea_name):
+    """Each kernel stores an int when a value is integral, else a Fraction.
+
+    Never a float, and never a Fraction with denominator 1: b, cup,
+    brace, the residual and its layers, adt_mul on the oracle inputs
+    (integer and rational draws), and kappa_solve and the quantum
+    homotopy on layered invariant elements with rational coefficients.
+    """
+    uea = request.getfixturevalue(uea_name)
+    values = []
+
+    def stored(E):
+        values.extend(a for c in E.terms.values() for a in c.coeffs)
+
+    for rng, rational in _draws(36):
+        Ps = _oracle_inputs(uea, rng, 2, terms=5, rational=rational)
+        Qs = _oracle_inputs(uea, rng, 1, terms=4, rational=rational)
+        Ks = _oracle_inputs(uea, rng, 2, unit=True, rational=rational)
+        for P, Q, K in zip(Ps, Qs, Ks):
+            for E in (differential_b(P), cup(P, Q), brace(P, [Q]),
+                      adt_mul(P, P), adte_residual(K)):
+                stored(E)
+            for n in range(K.precision() + 1):
+                values.extend(adte_residual_layer(K, n).values())
+    h = linfinity.quantum_contraction(uea, 0).h
+    rng = random.Random(36)
+    for arity in (1, 2, 1, 2):
+        u = _layered_invariant(uea, rng, arity, N)
+        stored(u)
+        stored(kappa_solve(uea, differential_b(u)))
+        stored(h(u))
+    assert all(map(is_canonical, values))
+    assert {type(a) for a in values} == {int, F}
 
 
 # -- memos of the identities path ------------------------------------------

@@ -7,6 +7,9 @@ in `tests/reference_kernels.py`.
 
 No module compares two elements by building their difference: `a == b`
 reads the stored terms, where `(a - b).is_zero()` builds a - b first.
+
+No module uses true division: integral values are ints, and `a / b` of
+two ints is a float.
 """
 
 import ast
@@ -68,5 +71,17 @@ def test_no_module_builds_a_difference_to_compare():
         f"{path.name}:{line}"
         for path in sorted(SRC.glob("*.py"))
         for line in _zero_tests_of_differences(ast.parse(path.read_text()))
+    ]
+    assert not offenders
+
+
+def test_no_module_uses_true_division():
+    """Exact quotients go through `hseries.quotient` or `Fraction`."""
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.Div)
     ]
     assert not offenders

@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 from dyntwist import UEnvelope, adt_dgla, cdyb_dgla, linalg, schema
 from dyntwist.hseries import add_into
 
-from conftest import CORPUS
+from conftest import CORPUS, is_canonical
 
 F = Fraction
 _F0 = Fraction(0)
@@ -253,7 +253,7 @@ def test_rref_equals_reference(rows, ncols):
     ref_rows, ref_pivots = reference_rref(rows, ncols)
     assert got_pivots == ref_pivots
     assert _ordered(got_rows) == _ordered(ref_rows)
-    assert all(type(v) is Fraction for r in got_rows for v in r.values())
+    assert all(is_canonical(v) for r in got_rows for v in r.values())
 
 
 @given(st.lists(sparse_rows, max_size=8), st.integers(0, 10))

@@ -35,6 +35,16 @@ def test_sym_sort():
     assert sym_sort((2, 1, 1)) == (1, 1, 2)
 
 
+def test_repr_tells_an_empty_wedge_or_leg_from_index_one():
+    def shown(w, s):
+        return repr(CdybElement({(w, s): 1}, N))
+
+    assert shown((0, 2), ()) == "CdybElement((HSeries(1; N=3))*[0^2|()])"
+    assert shown((0, 2), (1,)) == "CdybElement((HSeries(1; N=3))*[0^2|1])"
+    assert shown((), (1,)) == "CdybElement((HSeries(1; N=3))*[()|1])"
+    assert shown((1,), (1,)) == "CdybElement((HSeries(1; N=3))*[1|1])"
+
+
 def test_monomial_normalizes():
     a = CdybElement.monomial((1, 0), (), F1, N)
     b = CdybElement.monomial((0, 1), (), F1, N)
