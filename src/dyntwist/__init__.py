@@ -39,7 +39,6 @@ from .adt_dgla import (
     differential_b,
     gerstenhaber_bracket,
     kappa_solve,
-    tensor_embed,
 )
 from .cdyb_dgla import cdybe_residual, delta_homotopy, p1_project
 from .linfinity import (
@@ -72,10 +71,6 @@ from .gauge import (
     classical_gauge_infinitesimal,
     find_gauge,
     gauge_act_algebraic,
-    gauge_act_formal,
-    gauge_compose,
-    gauge_to_algebraic,
-    gauge_to_formal,
     reduce_classical,
 )
 

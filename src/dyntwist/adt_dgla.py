@@ -485,20 +485,6 @@ def alt_embed(uea: UEnvelope, elt: CdybElement) -> AdtElement:
     return elt.map_keys(image, AdtElement, uea, k)
 
 
-def tensor_embed(uea: UEnvelope, elt: CdybElement) -> AdtElement:
-    """x ^ y (x) s -> (x (x) y - y (x) x) (x) sym(s), without 1/2."""
-    if elt.exterior_degree() != 2:
-        raise GradingMismatch("tensor_embed expects exterior degree 2")
-
-    def image(key):
-        (x, y), s = key
-        for mono, lc in uea.sym_mono(s).items():
-            yield ((x,), (y,), mono), 0, lc
-            yield ((y,), (x,), mono), 0, -lc
-
-    return elt.map_keys(image, AdtElement, uea, 2)
-
-
 # -- basis enumeration and exact solving -----------------------------------
 
 

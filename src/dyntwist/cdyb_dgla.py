@@ -12,7 +12,7 @@ import weakref
 from fractions import Fraction
 
 from . import linalg
-from .errors import GradingMismatch, TruncationTooSmall
+from .errors import TruncationTooSmall
 from .hseries import add_into, quotient
 from .lie_core import LieData
 from .tensor_spaces import (
@@ -116,64 +116,12 @@ def bracket(lie: LieData, a: CdybElement, b: CdybElement) -> CdybElement:
     return CdybElement.from_layers(outs, min(a.order, b.order))
 
 
-def cdybe_residual(lie: LieData, rho: CdybElement, mode: str = "dgla"):
+def cdybe_residual(lie: LieData, rho: CdybElement) -> CdybElement:
     """Residual of the classical dynamical Yang-Baxter equation.
 
-    mode "dgla" gives d(rho) + (1/2)[rho, rho] in wedge^3 g (x) S h;
-    mode "literal" gives the tensor form CYB(rho) - Alt(d rho) as
-    {((i, j, k), sym): HSeries} in g (x) g (x) g (x) S h.
+    d(rho) + (1/2)[rho, rho] in wedge^3 g (x) S h.
     """
-    if mode == "dgla":
-        return differential(rho) + bracket(lie, rho, rho).scale(Fraction(1, 2))
-    if mode != "literal":
-        raise ValueError(f"unknown mode {mode!r}")
-    t = _tensor2(rho)
-    out: dict = {}
-    _cyb_into(lie, t, out)
-    _alt_d_into(rho, out, negate=True)
-    return out
-
-
-def _tensor2(rho: CdybElement) -> dict:
-    """x ^ y -> x (x) y - y (x) x, legs carried along."""
-    out = {}
-    for (w, s), c in rho.terms.items():
-        if len(w) != 2:
-            raise GradingMismatch("expected exterior degree 2")
-        add_into(out, ((w[0], w[1]), s), c)
-        add_into(out, ((w[1], w[0]), s), -c)
-    return out
-
-
-def _cyb_into(lie: LieData, t: dict, out: dict):
-    """[r12, r13] + [r12, r23] + [r13, r23] accumulated into `out`."""
-    # slot pairs: (shared slot of first factor, placements)
-    items = list(t.items())
-    for ((a1, a2), s1), c1 in items:
-        for ((b1, b2), s2), c2 in items:
-            c = c1 * c2
-            leg = sym_sort(s1 + s2)
-            # [r12, r13]: bracket in slot 1
-            for k, f in lie.bracket_basis(a1, b1).items():
-                add_into(out, ((k, a2, b2), leg), c * f)
-            # [r12, r23]: bracket in slot 2
-            for k, f in lie.bracket_basis(a2, b1).items():
-                add_into(out, ((a1, k, b2), leg), c * f)
-            # [r13, r23]: bracket in slot 3
-            for k, f in lie.bracket_basis(a2, b2).items():
-                add_into(out, ((a1, b1, k), leg), c * f)
-
-
-def _alt_d_into(rho: CdybElement, out: dict, negate):
-    """sum_i (h_i^1 d_i rho^23 - h_i^2 d_i rho^13 + h_i^3 d_i rho^12)."""
-    sgn = -1 if negate else 1
-    for ((a1, a2), s), c in _tensor2(rho).items():
-        for pos in range(len(s)):
-            h = s[pos]
-            rest = s[:pos] + s[pos + 1 :]
-            add_into(out, ((h, a1, a2), rest), c * sgn)
-            add_into(out, ((a1, h, a2), rest), c * (-sgn))
-            add_into(out, ((a1, a2, h), rest), c * sgn)
+    return differential(rho) + bracket(lie, rho, rho).scale(Fraction(1, 2))
 
 
 def p1_project(lie: LieData, elt: CdybElement) -> CdybElement:

@@ -189,14 +189,21 @@ def cmd_prop_suite(args):
     return rep.emit(args.out)
 
 
+# name: (handler, help, the flags it reads beyond --algebra and --out)
 _COMMANDS = {
-    "quantize": (cmd_quantize, "quantize an r-matrix to a dynamical twist"),
-    "verify-twist": (cmd_verify_twist, "recompute all residuals of a twist"),
-    "check-rmatrix": (cmd_check_rmatrix, "validate a classical r-matrix"),
-    "gauge-equiv": (cmd_gauge_equiv, "test two twists for gauge equivalence"),
+    "quantize": (cmd_quantize, "quantize an r-matrix to a dynamical twist",
+                 ("rmatrix", "order", "shdeg", "seed")),
+    "verify-twist": (cmd_verify_twist, "recompute all residuals of a twist",
+                     ("rmatrix", "shdeg")),
+    "check-rmatrix": (cmd_check_rmatrix, "validate a classical r-matrix",
+                      ("rmatrix", "order", "shdeg")),
+    "gauge-equiv": (cmd_gauge_equiv, "test two twists for gauge equivalence",
+                    ()),
     "reduce-classical": (cmd_reduce_classical,
-                         "reduce a classical solution to a bivector"),
-    "prop-suite": (cmd_prop_suite, "run the seeded invariant suites"),
+                         "reduce a classical solution to a bivector",
+                         ("rmatrix", "order", "shdeg")),
+    "prop-suite": (cmd_prop_suite, "run the seeded invariant suites",
+                   ("shdeg", "seed")),
 }
 
 
@@ -206,20 +213,22 @@ def build_parser():
         description="Exact twist quantization of formal dynamical r-matrices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--algebra", required=True,
                        help="path to the algebra document")
-        p.add_argument("--rmatrix",
-                       required=name in ("quantize", "check-rmatrix",
-                                         "reduce-classical"),
-                       help="path to the r-matrix document")
-        p.add_argument("--order", type=int, default=3,
-                       help="hbar truncation order (default 3)")
-        p.add_argument("--shdeg", type=int, default=None,
-                       help="leg-degree bound for classical checks")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for sampled checks and perturbations")
+        if "rmatrix" in flags:
+            p.add_argument("--rmatrix", required=name != "verify-twist",
+                           help="path to the r-matrix document")
+        if "order" in flags:
+            p.add_argument("--order", type=int, default=3,
+                           help="hbar truncation order (default 3)")
+        if "shdeg" in flags:
+            p.add_argument("--shdeg", type=int, default=None,
+                           help="leg-degree bound for classical checks")
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed for sampled checks and perturbations")
         p.add_argument("--out", default=None,
                        help="write the report (or twist) to this path")
         if name == "verify-twist":
@@ -232,13 +241,15 @@ def build_parser():
 
 def _check_bounds(args):
     for flag in ("order", "shdeg"):
-        value = getattr(args, flag)
-        if value is not None and value < 0:
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        if value < 0:
             raise SchemaError(f"--{flag} must be >= 0, got {value}")
-    if args.order > schema.MAX_ORDER:
-        raise SchemaError(
-            f"--order must be <= {schema.MAX_ORDER}, got {args.order}"
-        )
+        if value > schema.MAX_ORDER:
+            raise SchemaError(
+                f"--{flag} must be <= {schema.MAX_ORDER}, got {value}"
+            )
 
 
 def _slice(exc):

@@ -1,10 +1,9 @@
 """Gauge actions on twists and the classical reduction to bivectors.
 
-Three incarnations of a gauge transformation are handled: the algebraic
+Two incarnations of a gauge transformation are handled: the algebraic
 form Q (a group factor with a universal-enveloping leg, Q = 1 + O(hbar)),
-the formal form T (a group factor with a polynomial leg, invertible by
-total degree), and the classical generator q (a vector-valued formal
-function flowing Maurer-Cartan elements by affine transformations).
+and the classical generator q (a vector-valued formal function flowing
+Maurer-Cartan elements by affine transformations).
 """
 
 from __future__ import annotations
@@ -29,26 +28,12 @@ from .errors import (
 from .hseries import add_into, quotient
 from .lie_core import LieData
 from .linfinity import classical_contraction, invert_contraction, mc_transport
-from .quantizer import FormalTwist, j_to_k, k_to_j, shift_argument
 from .tensor_spaces import (
     CdybElement,
     invariant_cdyb_basis,
     sym_sort,
     wedge_sort,
 )
-from .uea import UEnvelope
-
-
-def _as_algebraic(g) -> AdtElement:
-    if not isinstance(g, AdtElement):
-        raise GradingMismatch("expected an algebraic gauge element")
-    return g
-
-
-def _as_formal(g) -> FormalTwist:
-    if not isinstance(g, FormalTwist):
-        raise GradingMismatch("expected a formal gauge element")
-    return g
 
 
 def _as_generator(lie: LieData, g) -> CdybElement:
@@ -78,39 +63,23 @@ def adt_mul(A: AdtElement, B: AdtElement) -> AdtElement:
     return slotwise_product(A, B, leg_mul)
 
 
-def _geometric_inverse(A, mul):
+def adt_inverse(A: AdtElement) -> AdtElement:
     """Inverse of A by the truncated geometric series in R = unit - A.
 
-    Every layer term of R must have weight at least one (the hbar power,
-    plus the leg degree for a formal twist), so the series terminates;
-    for an algebraic element that says A = 1 + O(hbar).
+    Every layer term of R must have hbar power at least one, so the
+    series terminates; that says A = 1 + O(hbar).
     """
-    unit = type(A).unit(A.uea, A.arity, A.order)
+    unit = AdtElement.unit(A.uea, A.arity, A.order)
     R = unit - A
     if R.terms and R.layer_terms()[0][3] < 1:
         raise NotInvertible("element is not the unit plus weight >= 1")
     acc = pw = unit
     for _ in range(A.order):
-        pw = mul(pw, R)
+        pw = adt_mul(pw, R)
         if pw.is_zero():
             break
         acc = acc + pw
     return acc
-
-
-def adt_inverse(A: AdtElement) -> AdtElement:
-    """Inverse of a 1 + O(hbar) element by the truncated geometric series."""
-    return _geometric_inverse(A, adt_mul)
-
-
-def formal_inverse(T: FormalTwist) -> FormalTwist:
-    """Inverse by the geometric series in the total-degree filtration.
-
-    A legitimate gauge element differs from the unit by terms of total
-    degree (hbar order plus leg degree) at least one, so the series
-    terminates on the triangle.
-    """
-    return _geometric_inverse(T, FormalTwist.__mul__)
 
 
 # -- the algebraic gauge action ----------------------------------------------
@@ -118,7 +87,8 @@ def formal_inverse(T: FormalTwist) -> FormalTwist:
 
 def gauge_act_algebraic(Q, K: AdtElement) -> AdtElement:
     """K' = Q^{12,3} K (Q^{2,3})^{-1} (Q^{1,23})^{-1}."""
-    Q = _as_algebraic(Q)
+    if not isinstance(Q, AdtElement):
+        raise GradingMismatch("expected an algebraic gauge element")
     if Q.arity != 1 or K.arity != 2:
         raise GradingMismatch("gauge has one factor, twist has two")
     unit1 = AdtElement.unit(Q.uea, 1, Q.order)
@@ -128,45 +98,6 @@ def gauge_act_algebraic(Q, K: AdtElement) -> AdtElement:
     out = adt_mul(out, adt_inverse(unit_at(Q, 0)))
     out = adt_mul(out, adt_inverse(coproduct_at(Q, 1)))
     return out
-
-
-def gauge_compose(Q2, Q1) -> AdtElement:
-    """Composite gauge: plain slotwise product.
-
-    Acting by Q1 then Q2 equals acting by the composite whenever the
-    invariant group factors commute with the base subalgebra, which is
-    automatic when the base is abelian (invariance then means each
-    factor commutes with it elementwise).
-    """
-    return adt_mul(_as_algebraic(Q2), _as_algebraic(Q1))
-
-
-# -- the formal gauge action -------------------------------------------------
-
-
-def gauge_act_formal(T, J: FormalTwist) -> FormalTwist:
-    """J' = T^{12} * J * (T^2)^{-1} * (T^1 at the shifted argument)^{-1}.
-
-    Computed on the triangle (hbar order plus leg degree bounded by the
-    truncation), where all four factors and their inverses are finite.
-    """
-    T = _as_formal(T)
-    if T.arity != 1 or J.arity != 2:
-        raise GradingMismatch("gauge has one factor, twist has two")
-    T = T.truncate(J.order)
-    t2_inv = formal_inverse(unit_at(T, 0))
-    t1s_inv = formal_inverse(shift_argument(T, form="coproduct"))
-    return coproduct_at(T, 0) * J * t2_inv * t1s_inv
-
-
-def gauge_to_formal(uea: UEnvelope, Q) -> FormalTwist:
-    """Formal form of an algebraic gauge element (the inverse rescaling)."""
-    return k_to_j(uea, _as_algebraic(Q), strict=False)
-
-
-def gauge_to_algebraic(T) -> AdtElement:
-    """Algebraic form of a formal gauge element (rescaled argument)."""
-    return j_to_k(_as_formal(T))
 
 
 # -- classical gauge flows ---------------------------------------------------
@@ -347,14 +278,6 @@ def classical_find_gauge(lie: LieData, alpha: CdybElement,
     return GaugeResult(True, gauge=chain)
 
 
-def classical_chain_act(lie: LieData, chain, alpha: CdybElement):
-    """Replay a chain of mc-form flow generators."""
-    cur = alpha
-    for q in chain:
-        cur = classical_gauge_act(lie, q, cur)
-    return cur
-
-
 # -- classical reduction -----------------------------------------------------
 
 
@@ -383,7 +306,7 @@ def reduce_classical(lie: LieData, alpha: CdybElement) -> ReducedClassical:
     order-by-order classical gauge solve certifies the round trip.
     """
     order = alpha.order
-    res = cdyb_dgla.cdybe_residual(lie, alpha, mode="dgla")
+    res = cdyb_dgla.cdybe_residual(lie, alpha)
     if not res.is_zero():
         raise NotMaurerCartan("input fails the Maurer-Cartan equation")
     val = alpha.hbar_valuation()

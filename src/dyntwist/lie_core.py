@@ -123,14 +123,6 @@ class LieData:
             return self._sc.get((i, j), {})
         return {k: -c for k, c in self._sc.get((j, i), {}).items()}
 
-    def bracket_vec(self, v: dict, w: dict) -> dict:
-        acc = {}
-        for i, a in v.items():
-            for j, b in w.items():
-                for k, c in self.bracket_basis(i, j).items():
-                    add_into(acc, k, a * b * c)
-        return acc
-
     def name_of(self, i: int) -> str:
         return self.basis_names[i]
 

@@ -84,8 +84,8 @@ class LinfAlgebra:
     """A dgla presented through its two structure operations.
 
     Subclasses provide q1 (the differential), bracket (a standard graded
-    Lie bracket), a degree function, a filtration function, and sampling
-    of homogeneous invariant elements for property checks.
+    Lie bracket), a degree function, and sampling of homogeneous
+    invariant elements for property checks.
     """
 
     order: int
@@ -101,9 +101,6 @@ class LinfAlgebra:
 
     def s_degree(self, x) -> int:
         return self.degree(x) - 1
-
-    def filtration(self, x) -> int:
-        raise NotImplementedError
 
     def zero(self):
         raise NotImplementedError
@@ -182,9 +179,6 @@ class AdtDgla(LinfAlgebra):
     def degree(self, x):
         return x.arity - 1
 
-    def filtration(self, x):
-        return x.filtration_degree()
-
     def zero(self):
         return AdtElement.zero(self.uea, 1, self.order)
 
@@ -225,9 +219,6 @@ class ProjectedDgla(LinfAlgebra):
 
     def degree(self, x):
         return self.ambient.degree(x)
-
-    def filtration(self, x):
-        return self.ambient.filtration(x)
 
     def zero(self):
         return self.ambient.zero()
@@ -411,10 +402,6 @@ class MorphismTower:
 
 def strict_tower(f1, source, target, arity_bound) -> MorphismTower:
     return MorphismTower(source, target, [f1], arity_bound, strict=True)
-
-
-def identity_tower(g, arity_bound) -> MorphismTower:
-    return strict_tower(lambda x: x, g, g, arity_bound)
 
 
 def _bracket_defect(T: MorphismTower, args, degs):

@@ -9,7 +9,6 @@ star product on the triangle (hbar order + leg degree <= N) K determines.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from . import cdyb_dgla
@@ -34,7 +33,7 @@ from .errors import (
     ObstructionNotRepaired,
     ValuationViolated,
 )
-from .hseries import SparseSeries, add_into, quotient
+from .hseries import SparseSeries, add_into
 from .lie_core import LieData
 from .tensor_spaces import CdybElement
 from .uea import UEnvelope, coproduct_mono
@@ -71,7 +70,7 @@ class RMatrix:
         self.residual_head = None
         self.residual_tail = None
         if check:
-            res = cdyb_dgla.cdybe_residual(lie, body, mode="dgla")
+            res = cdyb_dgla.cdybe_residual(lie, body)
             head = CdybElement.zero(body.order)
             tail = CdybElement.zero(body.order)
             for d in res.sh_degrees():
@@ -108,7 +107,7 @@ def taylor_rescale(rho: RMatrix, order: int) -> CdybElement:
     residual is recomputed, not assumed.
     """
     alpha = rho.rescaled(order)
-    res = cdyb_dgla.cdybe_residual(rho.lie, alpha, mode="dgla")
+    res = cdyb_dgla.cdybe_residual(rho.lie, alpha)
     if not res.is_zero():
         raise NotMaurerCartan(
             "rescaled element fails Maurer-Cartan: residual "
@@ -141,10 +140,8 @@ class FormalTwist(SparseSeries):
 
     __slots__ = ("uea", "arity")
     _space = ("uea", "arity")
-    # AdtElement's key check, unit (the classmethod itself, so that cls
-    # is FormalTwist) and repr (which prints the class name)
+    # AdtElement's key check and repr (which prints the class name)
     _key = AdtElement._key
-    unit = AdtElement.__dict__["unit"]
     __repr__ = AdtElement.__repr__
     _leg_weighted = True
 
@@ -210,10 +207,12 @@ def _star_mono(uea: UEnvelope, s, t) -> dict:
 # -- argument shift ---------------------------------------------------------
 
 
-def _shift_coproduct(J: FormalTwist) -> FormalTwist:
-    """Leg coaction form: each leg letter maps to hbar x (x) 1 + 1 (x) x.
+def shift_argument(J: FormalTwist) -> FormalTwist:
+    """Append a group factor recording the shifted leg argument.
 
-    The letters sent to the new third group factor are symmetrized there.
+    Leg coaction form: each leg letter maps to hbar x (x) 1 + 1 (x) x,
+    and the letters sent to the new third group factor are symmetrized
+    there.
     """
     uea = J.uea
 
@@ -223,64 +222,6 @@ def _shift_coproduct(J: FormalTwist) -> FormalTwist:
                 yield key[:-1] + (m, rest), len(chosen), mult * d
 
     return J.map_keys(image, FormalTwist, uea, J.arity + 1)
-
-
-def _leg_derivative(s, i) -> tuple:
-    """d/dx_i of a commutative leg monomial: (multiplicity, reduced monomial)."""
-    mult = s.count(i)
-    if mult == 0:
-        return 0, ()
-    pos = s.index(i)
-    return mult, s[:pos] + s[pos + 1 :]
-
-
-def _shift_taylor(J: FormalTwist) -> FormalTwist:
-    """Taylor form: sum over hbar^k/k! times k-fold leg derivatives."""
-    uea = J.uea
-    h_idx = uea.lie.h_indices
-
-    def image(key):
-        gfac = key[:-1]
-        s = key[-1]
-        fact = 1
-        for k in range(len(s) + 1):
-            if k:
-                fact *= k
-            for word in itertools.product(h_idx, repeat=k):
-                rest = s
-                mult = 1
-                for i in word:
-                    m, rest = _leg_derivative(rest, i)
-                    mult *= m
-                    if mult == 0:
-                        break
-                if mult == 0:
-                    continue
-                for m, d in uea.straighten(word).items():
-                    yield gfac + (m, rest), k, quotient(mult, fact) * d
-
-    return J.map_keys(image, FormalTwist, uea, J.arity + 1)
-
-
-def shift_argument(J: FormalTwist, form: str = "both") -> FormalTwist:
-    """Append a group factor recording the shifted leg argument.
-
-    Both defining forms (leg coaction and Taylor expansion) are computed
-    and compared exactly unless one is selected.
-    """
-    if form == "coproduct":
-        return _shift_coproduct(J)
-    if form == "taylor":
-        return _shift_taylor(J)
-    if form != "both":
-        raise ValueError(f"unknown form {form!r}")
-    a = _shift_coproduct(J)
-    b = _shift_taylor(J)
-    if a != b:
-        raise GradingMismatch(
-            "the two argument-shift forms disagree: " + repr(a - b)
-        )
-    return a
 
 
 # -- the twist equation on the formal side ----------------------------------
@@ -293,7 +234,7 @@ def dte_residual(J: FormalTwist) -> FormalTwist:
     """
     if J.arity != 2:
         raise GradingMismatch("twist equation requires two group factors")
-    lhs = coproduct_at(J, 0) * shift_argument(J, form="coproduct")
+    lhs = coproduct_at(J, 0) * shift_argument(J)
     rhs = coproduct_at(J, 1) * unit_at(J, 0)
     return lhs - rhs
 
@@ -320,16 +261,14 @@ def semiclassical_check(J: FormalTwist, rho: RMatrix):
 # -- conversion between the algebraic and formal pictures -------------------
 
 
-def k_to_j(uea: UEnvelope, K: AdtElement, strict: bool = True) -> FormalTwist:
+def k_to_j(uea: UEnvelope, K: AdtElement) -> FormalTwist:
     """Recover the formal twist from an algebraic twist.
 
     The order-n coefficient of K is the symmetrized image of the
     leg-degree-d, order-(n-d) coefficients of J; inverting legwise is
-    triangular in the leg degree.  A leg degree above n has no preimage
-    and raises ValuationViolated.  With strict=True (twists, which are
-    1 + O(hbar)) leg degree n at order n is also rejected; gauge
-    elements may carry it (their formal form starts at exp of a leg
-    polynomial) and convert with strict=False.
+    triangular in the leg degree.  A leg degree above n has no preimage,
+    and a twist is 1 + O(hbar), so leg degree n at order n is allowed
+    only on the unit key; either raises ValuationViolated.
     """
     h_allowed = set(uea.lie.h_indices)
     order = K.order
@@ -344,8 +283,7 @@ def k_to_j(uea: UEnvelope, K: AdtElement, strict: bool = True) -> FormalTwist:
             for smono, c in uea.sym_preimage(legs, allowed=h_allowed).items():
                 d = len(smono)
                 m = n - d
-                if m < 0 or (strict and m == 0
-                             and front + (smono,) != unit_key):
+                if m < 0 or (m == 0 and front + (smono,) != unit_key):
                     raise ValuationViolated(
                         f"order-{n} coefficient has leg degree {d}; the "
                         "filtration certificate fails"

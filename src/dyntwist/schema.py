@@ -42,10 +42,11 @@ from .lie_core import LieData
 from .tensor_spaces import CdybElement
 from .uea import UEnvelope
 
-# The highest hbar order a twist header or `--order` may declare.  Every
-# coefficient is stored as order + 1 rationals, so an unbounded header
-# would allocate without end; the highest order any command reaches in
-# practice (reduce-classical on affxc2) is 10.
+# The highest hbar order a twist header or `--order` may declare, and the
+# highest `--shdeg`.  Every coefficient is stored as order + 1 rationals,
+# so an unbounded header would allocate without end, and the classical
+# checks grow without end in `--shdeg`; the highest order any command
+# reaches in practice (reduce-classical on affxc2) is 10.
 MAX_ORDER = 64
 
 # Characters the monomial and term syntax gives a meaning; a basis name
@@ -203,17 +204,6 @@ def parse_algebra(text) -> LieData:
         raise SchemaError(f"invalid algebra: {exc}") from exc
 
 
-def dump_algebra(lie: LieData) -> str:
-    out = ["algebra", f"dim {lie.dim}", "basis " + " ".join(lie.basis_names)]
-    out.append("h_indices" + "".join(f" {i}" for i in lie.h_indices))
-    out.append(f"mode {lie.mode}")
-    for (i, j), comps in sorted(lie._sc.items()):
-        pairs = " ".join(f"({c}, {k})" for k, c in sorted(comps.items()))
-        out.append(f"bracket {i} {j} -> {pairs}")
-    out.append("end")
-    return "\n".join(out) + "\n"
-
-
 # -- monomials --------------------------------------------------------------
 
 
@@ -256,19 +246,6 @@ def parse_rmatrix(text, lie: LieData, order: int) -> CdybElement:
                 )
         body = body + CdybElement.monomial(wedge, leg, coeff, order)
     return body
-
-
-def dump_rmatrix(body: CdybElement, lie: LieData) -> str:
-    if any(body.layer(n) for n in range(1, body.order + 1)):
-        raise SchemaError("r-matrix files carry constant coefficients only")
-    out = ["rmatrix"]
-    for (w, s), a in sorted(body.layer(0).items()):
-        out.append(
-            f"term {a} * {lie.name_of(w[0])}^{lie.name_of(w[1])} * "
-            + _dump_mono(s, lie)
-        )
-    out.append("end")
-    return "\n".join(out) + "\n"
 
 
 # -- twists -----------------------------------------------------------------

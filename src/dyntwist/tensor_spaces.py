@@ -60,22 +60,6 @@ class CdybElement(SparseSeries):
         key = (wedge, sym_sort(sym))
         return cls({key: sign * coeff}, order)
 
-    def wedge(self, other: "CdybElement") -> "CdybElement":
-        """Exterior product; S h legs multiply symmetrically."""
-        prec = min(self.precision(), other.precision())
-        outs = [{} for _ in range(prec + 1)]
-        terms_b = other.layer_terms()
-        for (w1, s1), a1, n1, _ in self.layer_terms():
-            for (w2, s2), a2, n2, _ in terms_b:
-                if n1 + n2 > prec:
-                    break
-                ws = wedge_sort(w1 + w2)
-                if ws is None:
-                    continue
-                sign, w = ws
-                add_into(outs[n1 + n2], (w, sym_sort(s1 + s2)), a1 * a2 * sign)
-        return CdybElement.from_layers(outs, min(self.order, other.order))
-
     # -- gradings ----------------------------------------------------------
 
     def exterior_degrees(self):

@@ -32,7 +32,14 @@ The linear maps that move hbar powers (`coproduct_at`, `j_to_k`, the
 two argument-shift forms and `rescale_generator`) are kept as they were
 written before they went through `SparseSeries.map_keys`: each term's
 whole HSeries is multiplied by hbar^k (`HSeries.hbar`, `shift`) and the
-result summed key by key.
+result summed key by key.  `shift_taylor` is the only Taylor form of the
+argument shift: `quantizer.shift_argument` computes the leg coaction
+form, and the two must agree.
+
+`cdybe_literal` is the classical dynamical Yang-Baxter residual in its
+literal tensor form, CYB(rho) - Alt(d rho); `cdyb_dgla.cdybe_residual`
+computes the DGLA form d(rho) + (1/2)[rho, rho], and the two must
+vanish at the same leg degrees.
 """
 
 import itertools
@@ -43,8 +50,8 @@ from dyntwist.adt_dgla import AdtElement, adt_monomials
 from dyntwist.errors import GradingMismatch, NoSolution
 from dyntwist.hseries import HSeries, add_into
 from dyntwist.lie_core import invariant_basis
-from dyntwist.quantizer import FormalTwist, _leg_derivative, _star_mono
-from dyntwist.tensor_spaces import CdybElement
+from dyntwist.quantizer import FormalTwist, _star_mono
+from dyntwist.tensor_spaces import CdybElement, sym_sort
 from dyntwist.uea import coproduct_mono
 
 _F1 = Fraction(1)
@@ -417,6 +424,15 @@ def shift_coproduct(J):
     return FormalTwist(uea, J.arity + 1, out, order)
 
 
+def _leg_derivative(s, i) -> tuple:
+    """d/dx_i of a commutative leg monomial: (multiplicity, reduced monomial)."""
+    mult = s.count(i)
+    if mult == 0:
+        return 0, ()
+    pos = s.index(i)
+    return mult, s[:pos] + s[pos + 1 :]
+
+
 def shift_taylor(J):
     uea = J.uea
     order = J.order
@@ -451,6 +467,55 @@ def rescale_generator(q, order):
         if not shifted.is_zero():
             terms[(w, s)] = shifted
     return CdybElement(terms, order)
+
+
+def cdybe_literal(lie, rho):
+    """CYB(rho) - Alt(d rho) as {((i, j, k), leg): HSeries} in g^(x)3 (x) S h."""
+    t = _tensor2(rho)
+    out: dict = {}
+    _cyb_into(lie, t, out)
+    _alt_d_into(t, out)
+    return out
+
+
+def _tensor2(rho):
+    """x ^ y -> x (x) y - y (x) x, legs carried along."""
+    out = {}
+    for (w, s), c in rho.terms.items():
+        if len(w) != 2:
+            raise GradingMismatch("expected exterior degree 2")
+        add_into(out, ((w[0], w[1]), s), c)
+        add_into(out, ((w[1], w[0]), s), -c)
+    return out
+
+
+def _cyb_into(lie, t, out):
+    """[r12, r13] + [r12, r23] + [r13, r23] accumulated into `out`."""
+    items = list(t.items())
+    for ((a1, a2), s1), c1 in items:
+        for ((b1, b2), s2), c2 in items:
+            c = c1 * c2
+            leg = sym_sort(s1 + s2)
+            # [r12, r13]: bracket in slot 1
+            for k, f in lie.bracket_basis(a1, b1).items():
+                add_into(out, ((k, a2, b2), leg), c * f)
+            # [r12, r23]: bracket in slot 2
+            for k, f in lie.bracket_basis(a2, b1).items():
+                add_into(out, ((a1, k, b2), leg), c * f)
+            # [r13, r23]: bracket in slot 3
+            for k, f in lie.bracket_basis(a2, b2).items():
+                add_into(out, ((a1, b1, k), leg), c * f)
+
+
+def _alt_d_into(t, out):
+    """Subtract sum_i (h_i^1 d_i r^23 - h_i^2 d_i r^13 + h_i^3 d_i r^12)."""
+    for ((a1, a2), s), c in t.items():
+        for pos in range(len(s)):
+            h = s[pos]
+            rest = s[:pos] + s[pos + 1 :]
+            add_into(out, ((h, a1, a2), rest), -c)
+            add_into(out, ((a1, h, a2), rest), c)
+            add_into(out, ((a1, a2, h), rest), -c)
 
 
 def _hs_add(a, b):

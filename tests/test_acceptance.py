@@ -232,7 +232,7 @@ def test_criterion_8_actions_preserve_zero_sets(sl2, sl2_uea, sl2_rho,
     alpha = taylor_rescale(sl2_rho, ORDER)
     q = CdybElement.monomial((1,), (1,), HSeries.hbar(ORDER, 1), ORDER)
     beta = classical_gauge_act(sl2, q, alpha)
-    assert cdyb_dgla.cdybe_residual(sl2, beta, mode="dgla").is_zero()
+    assert cdyb_dgla.cdybe_residual(sl2, beta).is_zero()
 
 
 # 9. With trivial base subalgebra the solver output is gauge-equivalent

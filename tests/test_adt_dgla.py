@@ -21,7 +21,6 @@ from dyntwist import (
     gerstenhaber_bracket,
     kappa_solve,
     solve_adte,
-    tensor_embed,
 )
 from dyntwist import UmSplitter, adt_dgla, linfinity, props, schema
 from dyntwist.adt_dgla import (
@@ -180,9 +179,6 @@ def test_alt_embed_round_trip(sl2_uea):
     x = CdybElement.monomial((0, 2), (1,), F(1), N)
     emb = alt_embed(sl2_uea, x)
     assert alt(emb) == x
-    # the tensor embedding carries no 1/k! normalization
-    ten = tensor_embed(sl2_uea, x)
-    assert alt(ten) == x.scale(2)
 
 
 def test_cohomology_dims_quantum(sl2_uea):

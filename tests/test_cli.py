@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from dyntwist import schema
-from dyntwist.cli import main
+from dyntwist.cli import build_parser, main
 from dyntwist.quantizer import RMatrix, taylor_rescale
 from dyntwist.schema import MAX_ORDER
 
@@ -19,6 +19,7 @@ AB2 = str(CORPUS / "abelian2.alg")
 AB2_R = str(CORPUS / "abelian2.rmat")
 NONAB = str(CORPUS / "nonab.alg")
 NONAB_R = str(CORPUS / "nonab.rmat")
+AFF = str(CORPUS / "affxc2.alg")
 
 
 def test_check_rmatrix(capsys):
@@ -67,6 +68,59 @@ def test_order_above_max_is_input_error(tmp_path, capsys):
     assert code == 2
     assert not out.exists()
     assert f"must be <= {MAX_ORDER}" in capsys.readouterr().err
+
+
+def test_shdeg_above_max_is_input_error():
+    # prop-suite's classical checks grow without end in --shdeg
+    proc = _run_cli(["prop-suite", "--algebra", AFF,
+                     "--shdeg", str(MAX_ORDER + 1)])
+    assert proc.returncode == 2
+    assert f"--shdeg must be <= {MAX_ORDER}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("gauge-equiv", "--rmatrix"),
+    ("gauge-equiv", "--order"),
+    ("gauge-equiv", "--shdeg"),
+    ("gauge-equiv", "--seed"),
+    ("verify-twist", "--order"),
+    ("verify-twist", "--seed"),
+    ("check-rmatrix", "--seed"),
+    ("reduce-classical", "--seed"),
+    ("prop-suite", "--rmatrix"),
+    ("prop-suite", "--order"),
+])
+def test_a_flag_the_command_does_not_read_is_refused(command, flag):
+    positional = {"verify-twist": ["K.twist"],
+                  "gauge-equiv": ["K1.twist", "K2.twist"]}.get(command, [])
+    rmatrix = ([] if command in ("gauge-equiv", "prop-suite")
+               else ["--rmatrix", SL2_R])
+    value = SL2_R if flag == "--rmatrix" else "1"
+    proc = _run_cli([command, "--algebra", SL2] + rmatrix
+                    + [f"{flag}={value}"] + positional)
+    assert proc.returncode == 2
+    assert f"unrecognized arguments: {flag}={value}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    # every command shape the benchmark workloads run
+    ["check-rmatrix", "--algebra", "a.alg", "--rmatrix", "r.rmat"],
+    ["quantize", "--algebra", "a.alg", "--rmatrix", "r.rmat",
+     "--order", "3", "--out", "K.twist"],
+    ["verify-twist", "--algebra", "a.alg", "--rmatrix", "r.rmat", "K.twist"],
+    ["gauge-equiv", "--algebra", "a.alg", "K.twist", "KQ.twist"],
+    ["reduce-classical", "--algebra", "a.alg", "--rmatrix", "r.rmat",
+     "--order", "4"],
+    ["prop-suite", "--algebra", "a.alg", "--seed", "7"],
+])
+def test_benchmark_command_shapes_parse(argv):
+    args = build_parser().parse_args(argv)
+    assert args.command == argv[0]
+    assert args.algebra == "a.alg"
 
 
 def test_oversized_twist_order_exits_quickly(tmp_path):

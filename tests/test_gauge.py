@@ -15,40 +15,23 @@ from dyntwist import (
     classical_find_gauge,
     classical_gauge_act,
     classical_gauge_infinitesimal,
-    dte_residual,
     find_gauge,
     gauge_act_algebraic,
-    gauge_act_formal,
-    gauge_compose,
-    gauge_to_algebraic,
-    gauge_to_formal,
-    j_to_k,
     reduce_classical,
     solve_adte,
     taylor_rescale,
 )
 from dyntwist.adt_dgla import invariant_adt_basis
 from dyntwist.errors import GradingMismatch, NotInvariant
-from dyntwist.gauge import (
-    adt_inverse,
-    adt_mul,
-    classical_chain_act,
-    formal_inverse,
-    rescale_generator,
-)
-from dyntwist.quantizer import FormalTwist
+from dyntwist.gauge import adt_inverse, adt_mul, rescale_generator
 
 from conftest import ORDER
 
 F = Fraction
 
 
-def sparse_gauge(uea, seed, order=ORDER, picks=2, formal=False):
-    """Random invariant group element 1 + O(hbar) with small support.
-
-    With formal=True the order-n coefficient keeps leg degree <= n, the
-    condition for the gauge to come from a formal one by substitution.
-    """
+def sparse_gauge(uea, seed, order=ORDER, picks=2):
+    """Random invariant group element 1 + O(hbar) with small support."""
     rng = random.Random(seed)
     pool = []
     for L in range(1, 3):
@@ -57,8 +40,6 @@ def sparse_gauge(uea, seed, order=ORDER, picks=2, formal=False):
     for n in range(1, order + 1):
         for _ in range(picks):
             vec = pool[rng.randrange(len(pool))]
-            if formal and any(len(key[-1]) > n for key in vec):
-                continue
             Q = Q + AdtElement(uea, 1, dict(vec), order).scale(
                 HSeries.hbar(order, n, F(rng.choice([-1, 1])))
             )
@@ -100,7 +81,7 @@ def test_action_group_law(sl2_uea, sl2_pair):
     Q1 = sparse_gauge(sl2_uea, 7)
     Q2 = sparse_gauge(sl2_uea, 11)
     lhs = gauge_act_algebraic(Q2, gauge_act_algebraic(Q1, K))
-    rhs = gauge_act_algebraic(gauge_compose(Q2, Q1), K)
+    rhs = gauge_act_algebraic(adt_mul(Q2, Q1), K)
     assert lhs == rhs
 
 
@@ -126,64 +107,6 @@ def test_find_gauge_requires_unit_heads(sl2_uea):
     for pair in ((K, unit), (unit, K), (zero, zero), (unit + K, K)):
         with pytest.raises(NotInvertible):
             find_gauge(*pair)
-
-
-# -- formal action ----------------------------------------------------------
-
-
-def _exp_leg_gauge(uea, order):
-    """T = exp(hbar h (x) lambda)-type gauge truncated at the order."""
-    terms = {}
-    c = F(1)
-    for n in range(order + 1):
-        terms[((1,) * n, (1,) * n)] = HSeries.hbar(order, n, c)
-        c /= n + 1
-    return FormalTwist(uea, 1, terms, order)
-
-
-def test_formal_identity(sl2_uea, sl2_pair):
-    T = FormalTwist.unit(sl2_uea, 1, ORDER)
-    assert gauge_act_formal(T, sl2_pair.J) == sl2_pair.J.truncate(
-        ORDER
-    )
-
-
-def test_formal_inverse(sl2_uea):
-    T = _exp_leg_gauge(sl2_uea, ORDER)
-    unit = FormalTwist.unit(sl2_uea, 1, ORDER)
-    prod = (T * formal_inverse(T)).truncate(ORDER)
-    assert prod == unit.truncate(ORDER)
-
-
-def test_formal_inverse_requires_valuation(sl2_uea):
-    T = FormalTwist.unit(sl2_uea, 1, ORDER) + FormalTwist(
-        sl2_uea, 1, {((0,), ()): HSeries.one(ORDER)}, ORDER
-    )
-    with pytest.raises(NotInvertible):
-        formal_inverse(T)
-
-
-def test_formal_action_preserves_equation(sl2_uea, sl2_pair):
-    T = _exp_leg_gauge(sl2_uea, ORDER)
-    J2 = gauge_act_formal(T, sl2_pair.J)
-    assert dte_residual(J2).truncate(ORDER).is_zero()
-
-
-def test_formal_algebraic_consistency(sl2_uea, sl2_pair):
-    # acting formally then substituting equals substituting then acting
-    for T in (
-        _exp_leg_gauge(sl2_uea, ORDER),
-        gauge_to_formal(sl2_uea, sparse_gauge(sl2_uea, 17, formal=True)),
-    ):
-        J2 = gauge_act_formal(T, sl2_pair.J)
-        lhs = j_to_k(J2)
-        rhs = gauge_act_algebraic(gauge_to_algebraic(T), sl2_pair.K)
-        assert lhs == rhs
-
-
-def test_gauge_conversion_round_trip(sl2_uea):
-    Q = sparse_gauge(sl2_uea, 19)
-    assert gauge_to_algebraic(gauge_to_formal(sl2_uea, Q)) == Q
 
 
 # -- classical action -------------------------------------------------------
@@ -213,7 +136,7 @@ def test_classical_flow_preserves_mc(sl2, sl2_rho):
     alpha = taylor_rescale(sl2_rho, ORDER)
     q = _inv_q(sl2, ORDER)
     beta = classical_gauge_act(sl2, q, alpha)
-    res = cdyb_dgla.cdybe_residual(sl2, beta, mode="dgla")
+    res = cdyb_dgla.cdybe_residual(sl2, beta)
     assert res.is_zero()
 
 
@@ -259,7 +182,10 @@ def test_classical_find_gauge(sl2, sl2_rho):
     beta = classical_gauge_act(sl2, _inv_q(sl2, ORDER), alpha)
     r = classical_find_gauge(sl2, alpha, beta)
     assert r.equivalent
-    assert classical_chain_act(sl2, r.gauge, alpha) == beta
+    cur = alpha
+    for q in r.gauge:
+        cur = classical_gauge_act(sl2, q, cur)
+    assert cur == beta
 
 
 # -- classical reduction ----------------------------------------------------

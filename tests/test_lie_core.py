@@ -49,12 +49,6 @@ def test_abelian_base_mode(aff):
                 mode="abelian_base")
 
 
-def test_bracket_vec(sl2):
-    v = {0: Fraction(1)}  # e
-    w = {2: Fraction(3)}  # 3f
-    assert sl2.bracket_vec(v, w) == {1: 3}
-
-
 def test_invariant_basis_sl2(sl2):
     # ad h on basis vectors: e -> 2e, h -> 0, f -> -2f
     def ad(x, k):

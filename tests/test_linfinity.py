@@ -20,8 +20,8 @@ from dyntwist.gauge import reduce_classical
 from dyntwist.linfinity import (
     MorphismTower,
     compose_towers,
-    identity_tower,
     morphism_residual,
+    strict_tower,
 )
 
 from conftest import ORDER
@@ -71,7 +71,7 @@ def test_quantum_towers_are_morphisms(ab2_uea):
 def test_twist_by_homotopy_identity_tower(sl2):
     C = classical_contraction(sl2, ORDER)
     g = C.dgla
-    T = identity_tower(g, 3)
+    T = strict_tower(lambda x: x, g, g, 3)
     psi = twist_by_homotopy(T, lambda x: delta_homotopy(sl2, x))
     report = check_morphism(psi, 3, SAMPLES, seed=5)
     assert report["ok"], report["failures"][:1]
@@ -80,7 +80,7 @@ def test_twist_by_homotopy_identity_tower(sl2):
 def test_twist_by_zero_is_identity(sl2):
     C = classical_contraction(sl2, ORDER)
     g = C.dgla
-    T = identity_tower(g, 3)
+    T = strict_tower(lambda x: x, g, g, 3)
     psi = twist_by_homotopy(T, lambda x: g.zero())
     rng = random.Random(6)
     for x in g.sample_elements(rng, 10):
@@ -233,7 +233,7 @@ def test_strict_skips_match_the_full_partition_sum(sl2):
         g.bracket,
         lambda x, y, z: g.bracket(g.bracket(x, y), z),
     ], 3)
-    strict = identity_tower(g, 3)
+    strict = strict_tower(lambda x: x, g, g, 3)
     full = MorphismTower(g, g, [lambda x: x] + [lambda *a: g.zero()] * 2, 3)
     # single letters of sl2 with legs, so that brackets rarely vanish
     pool = [CdybElement.monomial((i,), leg, 1, ORDER)

@@ -6,39 +6,28 @@ from dyntwist import DyntwistError, LieData, SchemaError, UEnvelope, schema
 from conftest import CORPUS, ORDER
 
 
-def test_parse_corpus_algebras(sl2, aff):
-    parsed = schema.parse_algebra((CORPUS / "sl2.alg").read_text())
-    assert parsed.basis_names == sl2.basis_names
-    assert parsed._sc == sl2._sc
-    assert parsed.h_indices == sl2.h_indices
-    parsed = schema.parse_algebra((CORPUS / "affxc2.alg").read_text())
-    assert parsed.mode == "abelian_base"
-    assert parsed.h_indices == (2, 3)
+def test_parse_corpus_algebras(sl2, ab2, aff, nonab):
+    for name, lie in (("sl2", sl2), ("abelian2", ab2), ("affxc2", aff),
+                      ("nonab", nonab)):
+        parsed = schema.parse_algebra((CORPUS / f"{name}.alg").read_text())
+        assert parsed.basis_names == lie.basis_names
+        assert parsed._sc == lie._sc
+        assert parsed.h_indices == lie.h_indices
+        assert parsed.mode == lie.mode
+    assert aff.mode == "abelian_base"
+    assert aff.h_indices == (2, 3)
 
 
-def test_algebra_round_trip(sl2, ab2, aff, nonab):
-    for lie in (sl2, ab2, aff, nonab):
-        doc = schema.dump_algebra(lie)
-        back = schema.parse_algebra(doc)
-        assert back.basis_names == lie.basis_names
-        assert back._sc == lie._sc
-        assert back.h_indices == lie.h_indices
-        assert back.mode == lie.mode
-
-
-def test_rmatrix_round_trip(sl2, sl2_rho):
-    doc = schema.dump_rmatrix(sl2_rho.body, sl2)
-    back = schema.parse_rmatrix(doc, sl2, ORDER)
-    assert back == sl2_rho.body
-
-
-def test_corpus_rmatrix_matches_fixture(sl2, sl2_rho):
-    body = schema.parse_rmatrix(
-        (CORPUS / "sl2.rmat").read_text(), sl2, ORDER
-    )
-    # the file carries one extra leg degree of headroom
-    for d in range(ORDER + 1):
-        assert body.component(sh=d) == sl2_rho.body.component(sh=d)
+def test_corpus_rmatrix_matches_fixture(sl2, sl2_rho, ab2, ab2_rho,
+                                        aff, aff_rho):
+    for name, lie, rho in (("sl2", sl2, sl2_rho), ("abelian2", ab2, ab2_rho),
+                           ("affxc2", aff, aff_rho)):
+        body = schema.parse_rmatrix(
+            (CORPUS / f"{name}.rmat").read_text(), lie, ORDER
+        )
+        # a file may carry leg degrees beyond the fixture's as headroom
+        for d in range(ORDER + 1):
+            assert body.component(sh=d) == rho.body.component(sh=d)
 
 
 def test_twist_round_trip(sl2_uea, sl2_pair):

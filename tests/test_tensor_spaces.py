@@ -52,15 +52,6 @@ def test_monomial_normalizes():
     assert CdybElement.monomial((0, 0), (), F1, N).is_zero()
 
 
-def test_wedge_product_graded_commutes():
-    x = CdybElement.monomial((0,), (1,), F1, N)
-    y = CdybElement.monomial((2,), (), F1, N)
-    assert x.wedge(y) == -(y.wedge(x))
-    xy = x.wedge(y)
-    assert xy.exterior_degree() == 2
-    assert xy.sh_degrees() == [1]
-
-
 def test_component_and_hbar_layers():
     x = CdybElement.monomial((0,), (1,), HSeries.hbar(N, 2), N)
     y = CdybElement.monomial((0, 2), (), F1, N)
