@@ -144,8 +144,7 @@ def slotwise_product(A, B, leg_mul):
         raise GradingMismatch("arity mismatch in product")
     uea = A.uea
     order = min(A.order, B.order)
-    prec = min(A.precision(), B.precision())
-    outs = [{} for _ in range(prec + 1)]
+    outs = [{} for _ in range(order + 1)]
     den_a, terms_a = A.int_layer_terms()
     den_b, terms_b = B.int_layer_terms()
     for k1, a1, n1, w1 in terms_a:
@@ -159,12 +158,12 @@ def slotwise_product(A, B, leg_mul):
                          for m, d in exp]
             for leg, q, d in leg_mul(k1[-1], k2[-1]):
                 n = n1 + n2 + q
-                if n > prec:
+                if n > order:
                     continue
                 acc = outs[n]
                 for pre, c in slots:
                     add_into(acc, pre + (leg,), c * d)
-    return type(A).from_layers(uea, A.arity, outs, order, den=den_a * den_b)
+    return type(A).from_layers(uea, A.arity, outs, den=den_a * den_b)
 
 
 # -- differential ----------------------------------------------------------
@@ -179,13 +178,13 @@ def differential_b(P: AdtElement) -> AdtElement:
     so it maps each layer to the same layer, key by key (`b_key`), summed
     on ints (`SparseSeries.int_layer_terms`).
     """
-    outs = [{} for _ in range(P.precision() + 1)]
+    outs = [{} for _ in range(P.order + 1)]
     den, items = P.int_layer_terms()
     for key, a, n, _ in items:
         terms = outs[n]
         for new, mult in b_key(key):
             add_into(terms, new, a * mult)
-    return AdtElement.from_layers(P.uea, P.arity + 1, outs, P.order, den=den)
+    return AdtElement.from_layers(P.uea, P.arity + 1, outs, den=den)
 
 
 _b_memo: dict = {}
@@ -236,8 +235,8 @@ def cup(P: AdtElement, Q: AdtElement) -> AdtElement:
     if P.uea is not Q.uea:
         raise GradingMismatch("cup of elements over different algebras")
     k, l = P.arity, Q.arity
-    prec = min(P.precision(), Q.precision())
-    outs = [{} for _ in range(prec + 1)]
+    order = min(P.order, Q.order)
+    outs = [{} for _ in range(order + 1)]
     den_p, terms_p = P.int_layer_terms()
     den_q, terms_q = Q.int_layer_terms()
     for keyP, aP, nP, _ in terms_p:
@@ -245,7 +244,7 @@ def cup(P: AdtElement, Q: AdtElement) -> AdtElement:
         for parts, mult in coproduct_mono(legP, l + 1).items():
             aPm = aP * mult
             for keyQ, aQ, nQ, _ in terms_q:
-                if nP + nQ > prec:
+                if nP + nQ > order:
                     break
                 gQ, legQ = keyQ[:-1], keyQ[-1]
                 slots = list(gP)
@@ -253,8 +252,7 @@ def cup(P: AdtElement, Q: AdtElement) -> AdtElement:
                     slots.append(parts[j] + gQ[j])
                 slots.append(parts[l] + legQ)
                 _straight_key(P.uea, tuple(slots), outs[nP + nQ], aPm * aQ)
-    return AdtElement.from_layers(P.uea, k + l, outs, min(P.order, Q.order),
-                                  den=den_p * den_q)
+    return AdtElement.from_layers(P.uea, k + l, outs, den=den_p * den_q)
 
 
 def _straight_key(uea, slots, acc, coeff):
@@ -305,13 +303,12 @@ def brace(P: AdtElement, Qs) -> AdtElement:
     if m > k or n < 0:
         return AdtElement.zero(P.uea, max(n, 0), P.order)
     order = min([P.order] + [Q.order for Q in Qs])
-    prec = min([P.precision()] + [Q.precision() for Q in Qs])
-    outs = [{} for _ in range(prec + 1)]
+    outs = [{} for _ in range(order + 1)]
     uea = P.uea
     for positions in itertools.combinations(range(1, k + 1), m):
         _brace_placement(uea, P, Qs, positions, n, outs)
     den = math.prod(E.int_layer_terms()[0] for E in [P] + Qs)
-    return AdtElement.from_layers(uea, n, outs, order, den=den)
+    return AdtElement.from_layers(uea, n, outs, den=den)
 
 
 def _brace_placement(uea, P, Qs, positions, n, outs):
@@ -705,12 +702,9 @@ def kappa_solve(
     if max_filtration is not None:
         def keep(v):
             return all(len(key[-1]) <= max_filtration for key in v)
-    # the target's layers up to its precision, split by total length
-    prec = target.precision()
+    # the target's layers, split by total length
     slices: dict = {}
     for key, a, n, _ in target.layer_terms():
-        if n > prec:
-            break
         L = sum(map(len, key))
         layers = slices.get(L)
         if layers is None:
@@ -738,7 +732,7 @@ def kappa_solve(
                 a *= columns[j][0]
                 for key, c in block.basis[i].items():
                     add_into(out, key, a * c)
-    return AdtElement.from_layers(uea, arity, outs, order)
+    return AdtElement.from_layers(uea, arity, outs)
 
 
 def cohomology_dims(uea: UEnvelope, max_k: int, max_length: int):
@@ -786,15 +780,15 @@ def adte_residual(K: AdtElement, mode: str = "direct") -> AdtElement:
         return -differential_b(Kt) + brace(Kt, [Kt])
     if mode != "direct":
         raise ValueError(f"unknown mode {mode!r}")
-    outs = [{} for _ in range(K.precision() + 1)]
+    outs = [{} for _ in range(K.order + 1)]
     den = _adte_pairs(K, 0, outs)
-    return AdtElement.from_layers(K.uea, 3, outs, K.order, den=den)
+    return AdtElement.from_layers(K.uea, 3, outs, den=den)
 
 
 def adte_residual_layer(K: AdtElement, n: int) -> dict:
     """adte_residual(K).layer(n), from the layer pairs K_a, K_b, a + b = n.
 
-    n is at most K.precision(), the highest layer K determines.  Values
+    n is at most K.order, the highest layer K determines.  Values
     are canonical, as `layer` gives them.
     """
     outs = [{} for _ in range(n + 1)]

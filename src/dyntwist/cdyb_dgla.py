@@ -102,18 +102,18 @@ def _sign(n: int) -> int:
 
 def bracket(lie: LieData, a: CdybElement, b: CdybElement) -> CdybElement:
     """Graded bracket; symmetric legs multiply as scalars."""
-    prec = min(a.precision(), b.precision())
-    outs = [{} for _ in range(prec + 1)]
+    order = min(a.order, b.order)
+    outs = [{} for _ in range(order + 1)]
     terms_b = b.layer_terms()
     for (w1, s1), a1, n1, _ in a.layer_terms():
         for (w2, s2), a2, n2, _ in terms_b:
-            if n1 + n2 > prec:
+            if n1 + n2 > order:
                 break
             c = a1 * a2
             leg = sym_sort(s1 + s2)
             for w, coeff in bracket_wedge(lie, w1, w2).items():
                 add_into(outs[n1 + n2], (w, leg), c * coeff)
-    return CdybElement.from_layers(outs, min(a.order, b.order))
+    return CdybElement.from_layers(outs)
 
 
 def cdybe_residual(lie: LieData, rho: CdybElement) -> CdybElement:

@@ -117,6 +117,9 @@ def cmd_quantize(args):
 
 
 def cmd_verify_twist(args):
+    if args.shdeg is not None and args.rmatrix is None:
+        raise SchemaError("--shdeg bounds the r-matrix's leg degree, so "
+                          "verify-twist reads it only with --rmatrix")
     rep = Report()
     lie = _load_algebra(args)
     uea = UEnvelope(lie)

@@ -24,9 +24,9 @@ key's HSeries once, through `from_layers`.  A pair of entries whose
 weights add up to more than the product's order N contributes nothing
 mod hbar^(N+1), so the inner loop stops at the first such pair.  The
 weight is the hbar power; a formal twist adds the leg degree, the
-grading of its truncation triangle.  A kernel keeps the layers up to
-`precision()`, below N when a coefficient is known to a lower order than
-its element.
+grading of its truncation triangle.  Every stored coefficient has
+exactly its element's order, so a kernel's output layers run from 0 to
+its order N.
 
 The product kernels (b, cup, brace, the twist residual and the
 slotwise products) compute on Python ints: `SparseSeries.int_layer_terms`
@@ -247,8 +247,10 @@ class SparseSeries:
     same space; an `arity` attribute, where there is one, must agree
     between summands.  The constructor takes HSeries or rational
     coefficients, truncates longer series to `order` and drops zeros, so
-    every stored coefficient is a nonzero HSeries.  Results that hold
-    this already (see the module docstring) skip it through `_direct`.
+    every stored coefficient is a nonzero HSeries of exactly the
+    element's order; a shorter series raises GradingMismatch.  Results
+    that hold this already (see the module docstring) skip it through
+    `_direct`.
     Elements are never mutated after construction.
     """
 
@@ -266,7 +268,12 @@ class SparseSeries:
         for k, c in terms.items():
             if not isinstance(c, HSeries):
                 c = HSeries.constant(c, order)
-            elif c.order > order:
+            elif c.order != order:
+                if c.order < order:
+                    raise GradingMismatch(
+                        f"coefficient of order {c.order} in an element "
+                        f"of order {order}"
+                    )
                 c = c.truncate(order)
             k = key(k)
             if leg and k[-1]:
@@ -293,7 +300,7 @@ class SparseSeries:
 
         For closed arithmetic, whose terms are already what the
         constructor would store: normalized keys, nonzero HSeries
-        coefficients of order at most `order`, on the triangle.
+        coefficients of order `order`, on the triangle.
         """
         new = cls.__new__(cls)
         for a, v in zip(cls._space, space):
@@ -304,18 +311,18 @@ class SparseSeries:
 
     @classmethod
     def from_layers(cls, *args, den=None):
-        """cls(*space, layers, order) from per-power coefficient dicts.
+        """An element of cls(*space) from per-power coefficient dicts.
 
         layers[n] = {key: rational} holds the nonzero hbar^n
-        coefficients; every key's HSeries, of order len(layers) - 1, is
-        built once, in canonical form.  With den given, layers[n] holds
-        den times them (as ints, or Fractions where a factor was
-        rational), and each is divided by den once (`quotient`).  The
-        keys are a kernel's, built from validated ones: where the space
-        has an arity, only their width is checked.
+        coefficients, and the element's order is len(layers) - 1; every
+        key's HSeries is built once, in canonical form.  With den given,
+        layers[n] holds den times them (as ints, or Fractions where a
+        factor was rational), and each is divided by den once
+        (`quotient`).  The keys are a kernel's, built from validated
+        ones: where the space has an arity, only their width is checked.
         """
-        *space, layers, order = args
-        prec = len(layers) - 1
+        *space, layers = args
+        order = len(layers) - 1
         scaled = den is not None and den != 1
         coeffs: dict = {}
         for n, layer in enumerate(layers):
@@ -326,14 +333,14 @@ class SparseSeries:
                     a = canonical(a)
                 row = coeffs.get(k)
                 if row is None:
-                    coeffs[k] = row = [0] * (prec + 1)
+                    coeffs[k] = row = [0] * (order + 1)
                 row[n] = a
-        if cls._leg_weighted or prec > order:
-            terms = {k: HSeries(tuple(row), prec, normalized=True)
+        if cls._leg_weighted:
+            terms = {k: HSeries(tuple(row), order, normalized=True)
                      for k, row in coeffs.items()}
             return cls(*space, terms, order)
-        # no series exceeds the order and no triangle cuts one:
-        # only the keys' width needs the constructor's check
+        # no triangle cuts a series: only the keys' width needs the
+        # constructor's check
         new = cls._direct(space, {}, order)
         arity = getattr(new, "arity", None)
         terms = new.terms
@@ -341,7 +348,7 @@ class SparseSeries:
             if arity is not None and len(k) != arity + 1:
                 new._key(k)  # raises GradingMismatch
             if any(row):
-                terms[k] = HSeries(tuple(row), prec, normalized=True)
+                terms[k] = HSeries(tuple(row), order, normalized=True)
         return new
 
     # -- ring structure ----------------------------------------------------
@@ -385,12 +392,16 @@ class SparseSeries:
     def scale(self, c):
         """Multiply every coefficient by a rational or an HSeries.
 
-        Scaling by the rational 1 returns self and by -1 returns -self:
-        elements are immutable, so the result may share self.
+        Scaling by an HSeries truncates to the smaller of the two
+        orders.  Scaling by the rational 1 returns self and by -1
+        returns -self: elements are immutable, so the result may share
+        self.
         """
-        if isinstance(c, HSeries) or not c:
+        if isinstance(c, HSeries):
             return self._like({k: v * c for k, v in self.terms.items()},
-                              self.order)
+                              min(self.order, c.order))
+        if not c:
+            return self._like({}, self.order)
         if c == 1:
             return self
         if c == -1:
@@ -487,14 +498,6 @@ class SparseSeries:
         ]
         return self._int_layered
 
-    def precision(self) -> int:
-        """The order to which every coefficient is known.
-
-        The element's order, or less where a coefficient series has a
-        lower order of its own (as `map_coeffs(c.truncate(n))` builds).
-        """
-        return min((c.order for c in self.terms.values()), default=self.order)
-
     def truncate(self, n: int):
         """The image mod hbar^(n+1) (self when n is not below the order).
 
@@ -515,20 +518,20 @@ class SparseSeries:
         f(key) yields (key, hbar power, rational): each hbar^n
         coefficient a of key adds a times the rational to the image key's
         hbar^(n + power) coefficient.  f is called once per key.  Terms
-        above `precision()` are dropped, and each image key's HSeries is
+        above the order are dropped, and each image key's HSeries is
         built once, by `cls.from_layers`, at this element's order.
         """
-        prec = self.precision()
-        outs = [{} for _ in range(prec + 1)]
+        order = self.order
+        outs = [{} for _ in range(order + 1)]
         images: dict = {}
         for k, a, n, _ in self.layer_terms():
             image = images.get(k)
             if image is None:
                 images[k] = image = tuple(f(k))
             for key, q, c in image:
-                if n + q <= prec:
+                if n + q <= order:
                     add_into(outs[n + q], key, a * c)
-        return cls.from_layers(*space, outs, self.order)
+        return cls.from_layers(*space, outs)
 
     def shift(self, k: int):
         """Multiply by hbar^k."""
@@ -536,9 +539,6 @@ class SparseSeries:
             lambda key: ((key, k, 1),),
             type(self), *self._space_values(),
         )
-
-    def map_coeffs(self, f):
-        return self._like({k: f(c) for k, c in self.terms.items()}, self.order)
 
     def value_key(self):
         """Hashable exact value, built once per element.

@@ -338,7 +338,7 @@ class _QuantumHomotopy:
         """Write the kernel element x as q1(a) + a' with a, a' in A."""
         columns, A_terms = self._columns(k, L)
         # the same rational system serves every hbar order
-        sols = solve(columns, [x.layer(n) for n in range(x.precision() + 1)])
+        sols = solve(columns, [x.layer(n) for n in range(x.order + 1)])
         if None in sols:
             raise ContractFailure(
                 "homotopy decomposition failed on a kernel slice"
@@ -349,7 +349,7 @@ class _QuantumHomotopy:
                 if j < len(A_terms):
                     for key, c in A_terms[j].items():
                         add_into(out, key, v * c)
-        return AdtElement.from_layers(self.uea, max(k - 1, 0), outs, x.order)
+        return AdtElement.from_layers(self.uea, max(k - 1, 0), outs)
 
     def __call__(self, x: AdtElement) -> AdtElement:
         xn = x - adt_dgla.p2_project(self.splitter, x)

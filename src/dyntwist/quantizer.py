@@ -289,7 +289,7 @@ def k_to_j(uea: UEnvelope, K: AdtElement) -> FormalTwist:
                         "filtration certificate fails"
                     )
                 add_into(outs[m], front + (smono,), c)
-    return FormalTwist.from_layers(uea, arity, outs, order)
+    return FormalTwist.from_layers(uea, arity, outs)
 
 
 def j_to_k(J: FormalTwist) -> AdtElement:
@@ -360,7 +360,8 @@ def solve_adte(rho: RMatrix, N: int, uea: UEnvelope | None = None,
     With perturb_seed set, a seeded random coboundary is mixed into each
     coefficient from order 2 on, so different seeds give different
     twists.  On sl2, `find_gauge` certifies seeded twists as equivalent
-    through order 4 and reports an obstruction at order 5.
+    to the unseeded one through order 4 and reports an obstruction at
+    order 5; on affxc2, through order 2, with an obstruction at order 3.
     """
     if uea is None:
         uea = UEnvelope(rho.lie)

@@ -316,7 +316,7 @@ def parse_twist(text, uea: UEnvelope) -> AdtElement:
     if arity is None or order is None:
         raise SchemaError("twist block needs 'arity' and 'order'")
     layers = [levels.get(n, {}) for n in range(order + 1)]
-    return AdtElement.from_layers(uea, arity, layers, order)
+    return AdtElement.from_layers(uea, arity, layers)
 
 
 def dump_twist(K: AdtElement) -> str:

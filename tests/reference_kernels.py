@@ -3,11 +3,10 @@
 Copies of b, cup, brace, the direct twist-equation residual and the
 slotwise product as they were written before the kernels moved to hbar
 layers: every term pair multiplies and sums whole HSeries coefficients,
-and a coefficient series of an order below its element's truncates
-every product it enters.  `_graded` is the `graded_terms()` those loops
-read (hbar valuation, plus the leg degree for a formal twist).  The
-layered kernels must agree with these exactly, coefficient orders
-included.
+and a product truncates to the smaller order of its factors.  `_graded`
+is the `graded_terms()` those loops read (hbar valuation, plus the leg
+degree for a formal twist).  The layered kernels must agree with these
+exactly, coefficient orders included.
 
 Also kept: the plain Fraction `straighten`, the uncached h-action
 `ad_mono` and the element-level b-column, the values that
@@ -384,7 +383,7 @@ def kappa_solve(uea, target, max_filtration=None):
             for j, a in sol.items():
                 for key, c in kept[j].items():
                     add_into(out, key, a * c)
-    return AdtElement.from_layers(uea, arity, outs, order)
+    return AdtElement.from_layers(uea, arity, outs)
 
 
 def coproduct_at(E, i):
@@ -560,22 +559,22 @@ def sparse_neg(A):
 
 
 def sparse_scale(A, c):
-    return A._like({k: _hs_scale(v, c) for k, v in A.terms.items()},
-                   A.order)
+    order = min(A.order, c.order) if isinstance(c, HSeries) else A.order
+    return A._like({k: _hs_scale(v, c) for k, v in A.terms.items()}, order)
 
 
 def from_layers(cls, *args, den=None):
-    """cls(*space, layers, order) from per-power dicts, by the constructor."""
-    *space, layers, order = args
-    prec = len(layers) - 1
+    """cls.from_layers(*space, layers), by the constructor."""
+    *space, layers = args
+    order = len(layers) - 1
     coeffs: dict = {}
     for n, layer in enumerate(layers):
         for k, a in layer.items():
             row = coeffs.get(k)
             if row is None:
-                coeffs[k] = row = [Fraction(0)] * (prec + 1)
+                coeffs[k] = row = [Fraction(0)] * (order + 1)
             row[n] = a if den is None else Fraction(a, den)
-    terms = {k: HSeries(row, prec) for k, row in coeffs.items()}
+    terms = {k: HSeries(row, order) for k, row in coeffs.items()}
     return cls(*space, terms, order)
 
 

@@ -406,7 +406,7 @@ def _layered_invariant(uea, rng, arity, order):
                 c = F(rng.choice([-2, -1, 1, 2]), rng.choice([1, 3]))
                 for key, a in basis[rng.randrange(len(basis))].items():
                     add_into(out, key, c * a)
-    return AdtElement.from_layers(uea, arity, outs, order)
+    return AdtElement.from_layers(uea, arity, outs)
 
 
 def _kappa_outcome(solve, uea, target, bound):
@@ -428,11 +428,8 @@ def test_kappa_solve_matches_the_whole_slice_solve(data):
         target = differential_b(_layered_invariant(uea, rng, arity, 2))
         if target.is_zero():
             continue
-        # one coefficient known to order 1 only: the layer above the
-        # target's precision is left out
-        key, c = next(iter(target.terms.items()))
-        cut = target + AdtElement(uea, target.arity, {key: c.truncate(1)}, 2)
-        for t, bound in itertools.product((target, cut), (None, 0, 1, 2)):
+        for t, bound in itertools.product((target, target.truncate(1)),
+                                          (None, 0, 1, 2)):
             got = _kappa_outcome(kappa_solve, uea, t, bound)
             assert got == _kappa_outcome(
                 reference_kernels.kappa_solve, uea, t, bound)
@@ -445,8 +442,8 @@ def test_kappa_solve_matches_the_whole_slice_solve(data):
 # Every kernel computes on (key, Fraction, hbar power) terms.  The
 # references in reference_kernels.py multiply whole HSeries; the two must
 # agree exactly, coefficient orders included, on order-0 elements, on
-# elements with several hbar layers per key, and on elements whose
-# coefficients are known to a lower order than the element's.
+# elements with several hbar layers per key, and on their truncations to
+# a lower order, alone and mixed with the untruncated ones.
 #
 # b, cup, brace and the residual sum on ints scaled by the lcm D of their
 # inputs' denominators.  Each test also draws inputs with coefficients
@@ -462,7 +459,7 @@ def _draws(seed):
 
 
 def _oracle_inputs(uea, rng, arity, unit=False, terms=7, rational=False):
-    """[order 0, layered at order N, layered with coefficients cut at N-1]."""
+    """[order 0, layered at order N, the layered one truncated to N-1]."""
     def draw(order):
         A = mixed_element(uea, rng, arity, order, terms)
         B = mixed_element(uea, rng, arity, order, terms)
@@ -476,7 +473,7 @@ def _oracle_inputs(uea, rng, arity, unit=False, terms=7, rational=False):
                for c in layered.terms.values())
     if rational:
         assert layered.int_layer_terms()[0] > 1
-    return [draw(0), layered, layered.map_coeffs(lambda c: c.truncate(N - 1))]
+    return [draw(0), layered, layered.truncate(N - 1)]
 
 
 def _agree(new, ref, top_layer=None):
@@ -522,7 +519,7 @@ def test_layered_brace_matches_hseries_reference(request, uea_name):
             for i, P in enumerate(Ps):
                 Qs = [inputs[i] for inputs in Qss]
                 _agree(brace(P, Qs), reference_kernels.brace(P, Qs))
-            # a full-precision P with a cut Q_s and the other way round
+            # an order-N P with truncated Q_s and the other way round
             for P, Qs in ((Ps[1], [inputs[2] for inputs in Qss]),
                           (Ps[2], [inputs[1] for inputs in Qss])):
                 _agree(brace(P, Qs), reference_kernels.brace(P, Qs))
@@ -536,7 +533,7 @@ def test_layered_residual_matches_hseries_reference(request, uea_name):
         for i, K in enumerate(inputs):
             ref = reference_kernels.adte_residual(K)
             _agree(adte_residual(K), ref, N if i == 1 else None)
-            for n in range(K.precision() + 1):
+            for n in range(K.order + 1):
                 layer = adte_residual_layer(K, n)
                 assert layer == ref.layer(n)
                 assert all(map(is_canonical, layer.values()))
@@ -563,11 +560,13 @@ def test_every_stored_coefficient_is_canonical(request, uea_name):
     brace, the residual and its layers, adt_mul on the oracle inputs
     (integer and rational draws), and kappa_solve and the quantum
     homotopy on layered invariant elements with rational coefficients.
+    Every stored coefficient series has exactly its element's order.
     """
     uea = request.getfixturevalue(uea_name)
     values = []
 
     def stored(E):
+        assert all(c.order == E.order for c in E.terms.values())
         values.extend(a for c in E.terms.values() for a in c.coeffs)
 
     for rng, rational in _draws(36):
@@ -578,8 +577,13 @@ def test_every_stored_coefficient_is_canonical(request, uea_name):
             for E in (differential_b(P), cup(P, Q), brace(P, [Q]),
                       adt_mul(P, P), adte_residual(K)):
                 stored(E)
-            for n in range(K.precision() + 1):
+            for n in range(K.order + 1):
                 values.extend(adte_residual_layer(K, n).values())
+        # mixed orders truncate to the smaller one
+        for P, Q in ((Ps[1], Qs[2]), (Ps[2], Qs[1])):
+            for E in (cup(P, Q), brace(P, [Q])):
+                stored(E)
+        stored(adt_mul(Ps[1], Ps[2]))
     h = linfinity.quantum_contraction(uea, 0).h
     rng = random.Random(36)
     for arity in (1, 2, 1, 2):

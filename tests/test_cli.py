@@ -106,6 +106,20 @@ def test_a_flag_the_command_does_not_read_is_refused(command, flag):
     assert proc.stdout == ""
 
 
+def test_verify_twist_refuses_shdeg_without_rmatrix(tmp_path):
+    # --shdeg only bounds the r-matrix of the semiclassical comparison
+    twist = tmp_path / "K.twist"
+    assert main(["quantize", "--algebra", SL2, "--rmatrix", SL2_R,
+                 "--order", "2", "--out", str(twist)]) == 0
+    proc = _run_cli(["verify-twist", "--algebra", SL2, "--shdeg", "0",
+                     str(twist)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
+    assert "--shdeg" in proc.stderr and "--rmatrix" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("argv", [
     # every command shape the benchmark workloads run
     ["check-rmatrix", "--algebra", "a.alg", "--rmatrix", "r.rmat"],

@@ -3,8 +3,7 @@
 The references in reference_kernels.py shift whole HSeries coefficients
 by powers of hbar.  The layered maps must agree with them exactly,
 coefficient orders included, on order-0 elements, on elements with
-several hbar layers per key, and on elements whose coefficients are
-known to a lower order than the element's (`map_coeffs(c.truncate(n))`).
+several hbar layers per key, and on their truncations to a lower order.
 Formal twists are drawn on their triangle, where the constructor cuts
 every term of hbar power plus leg degree above the order.
 """
@@ -27,13 +26,13 @@ ALGEBRAS = ["sl2_uea", "nonab_uea", "aff_uea"]
 
 
 def _inputs(uea, rng, arity, cls):
-    """[order 0, layered at order N, layered with coefficients cut at N-1]."""
+    """[order 0, layered at order N, the layered one truncated to N-1]."""
     def draw(order):
         return (mixed_element(uea, rng, arity, order, 8, cls=cls)
                 + mixed_element(uea, rng, arity, order, 8, cls=cls))
 
     layered = draw(N)
-    return [draw(0), layered, layered.map_coeffs(lambda c: c.truncate(N - 1))]
+    return [draw(0), layered, layered.truncate(N - 1)]
 
 
 def _cdyb_inputs(lie, rng):
@@ -49,7 +48,7 @@ def _cdyb_inputs(lie, rng):
         return CdybElement(terms, order)
 
     layered = draw(N)
-    return [draw(0), layered, layered.map_coeffs(lambda c: c.truncate(N - 1))]
+    return [draw(0), layered, layered.truncate(N - 1)]
 
 
 def _agree(new, ref):
@@ -57,8 +56,8 @@ def _agree(new, ref):
 
 
 def _reaches_top(elements):
-    """Not vacuous: some result has a nonzero coefficient at its precision."""
-    assert any(E.layer(E.precision()) for E in elements if E.precision())
+    """Not vacuous: some result has a nonzero coefficient at its order."""
+    assert any(E.layer(E.order) for E in elements if E.order)
 
 
 @pytest.mark.parametrize("uea_name", ALGEBRAS)
@@ -120,5 +119,5 @@ def test_shift_places_every_layer(sl2_uea):
     rng = random.Random(45)
     for E in _inputs(sl2_uea, rng, 2, AdtElement):
         for k in range(N + 1):
-            ref = E.scale(HSeries.hbar(E.precision(), k))
+            ref = E.scale(HSeries.hbar(E.order, k))
             _agree(E.shift(k), ref)

@@ -30,7 +30,6 @@ ALLOWED = {
     "linfinity.CdybDgla.filtration":
         "oracle: the filtration bound of the twisted classical towers",
     "hseries.HSeries.one": "tests build inputs with it",
-    "hseries.SparseSeries.map_coeffs": "tests build inputs with it",
 }
 
 

@@ -114,8 +114,7 @@ def test_prefix_stability(sl2_pair):
     # order-n truncations of a solved twist remain exact solutions
     K = sl2_pair.K
     for n in range(1, ORDER):
-        Kn = K.map_coeffs(lambda c: c.truncate(n))
-        assert adte_residual(Kn).is_zero()
+        assert adte_residual(K.truncate(n)).is_zero()
 
 
 def test_first_order_is_antisymmetrized_rmatrix(sl2_uea, sl2_pair):
@@ -405,8 +404,8 @@ def test_formal_product_truncation_oracle(nonab_uea):
 def test_layered_formal_product_matches_hseries_reference(request, uea_name):
     # the product reads the star polynomials by hbar power; the reference
     # multiplies whole HSeries and lets the constructor cut the triangle.
-    # Inputs: order 0, several hbar layers per key, and coefficients cut
-    # below the element order; coefficient orders must agree as well
+    # Inputs: order 0, several hbar layers per key, and their
+    # truncations to a lower order; coefficient orders must agree as well
     uea = request.getfixturevalue(uea_name)
     rng = random.Random(36)
     for arity in (1, 2):
@@ -416,7 +415,7 @@ def test_layered_formal_product_matches_hseries_reference(request, uea_name):
                     + mixed_element(uea, rng, arity, order, cls=FormalTwist))
 
         layered = [draw(ORDER + 1) for _ in range(2)]
-        cut = [E.map_coeffs(lambda c: c.truncate(ORDER)) for E in layered]
+        cut = [E.truncate(ORDER) for E in layered]
         pairs = [(draw(0), draw(0)), tuple(layered), tuple(cut),
                  (layered[0], cut[1])]
         for A, B in pairs:
