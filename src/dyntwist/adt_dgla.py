@@ -16,7 +16,7 @@ import weakref
 from bisect import bisect_left
 
 from . import linalg
-from .errors import GradingMismatch, NoSolution, NotInvariant, TruncationTooSmall
+from .errors import GradingMismatch, NoSolution, TruncationTooSmall
 from .hseries import SparseSeries, add_into, quotient
 from .lie_core import invariant_basis
 from .tensor_spaces import CdybElement, wedge_sort
@@ -300,9 +300,9 @@ def brace(P: AdtElement, Qs) -> AdtElement:
     k = P.arity
     ks = [Q.arity for Q in Qs]
     n = k + sum(ks) - m
-    if m > k or n < 0:
-        return AdtElement.zero(P.uea, max(n, 0), P.order)
     order = min([P.order] + [Q.order for Q in Qs])
+    if m > k or n < 0:
+        return AdtElement.zero(P.uea, max(n, 0), order)
     outs = [{} for _ in range(order + 1)]
     uea = P.uea
     for positions in itertools.combinations(range(1, k + 1), m):
@@ -398,18 +398,12 @@ def _brace_placement(uea, P, Qs, positions, n, outs):
             _straight_key(uea, words, outs[v0], c0 * sgn)
 
 
-def gerstenhaber_bracket(
-    P: AdtElement, Q: AdtElement, check_invariance: bool = True
-) -> AdtElement:
+def gerstenhaber_bracket(P: AdtElement, Q: AdtElement) -> AdtElement:
     """[P, Q] = {P|Q} - (-1)^{(|P|-1)(|Q|-1)} {Q|P}.
 
-    A Lie bracket only on h-invariant elements; by default both arguments
-    are checked and NotInvariant is raised otherwise.
+    A Lie bracket only on h-invariant elements; the arguments are not
+    checked for invariance.
     """
-    if check_invariance:
-        for name, E in (("first", P), ("second", Q)):
-            if not E.is_invariant():
-                raise NotInvariant(f"{name} bracket argument is not h-invariant")
     sgn = -1 if ((P.arity - 1) * (Q.arity - 1)) % 2 else 1
     return brace(P, [Q]) - brace(Q, [P]).scale(sgn)
 

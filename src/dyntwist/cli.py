@@ -79,10 +79,9 @@ def cmd_check_rmatrix(args):
     rho = _load_rmatrix(args, lie, args.order)
     rep.add(f"algebra: {args.algebra} (mode {lie.mode})")
     rep.check("invariance and grading", True)
-    rep.check("residual head", rho.residual_head.is_zero()
-              if rho.residual_head is not None else True)
+    rep.check("residual head", rho.residual_head.is_zero())
     tail = rho.residual_tail
-    if tail is not None and not tail.is_zero():
+    if not tail.is_zero():
         rep.add(f"unverifiable residual tail beyond leg degree "
                 f"{rho.truncation - 1}: {sorted(tail.sh_degrees())}")
     return rep.emit(args.out)

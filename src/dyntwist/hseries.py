@@ -200,10 +200,6 @@ class HSeries:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "HSeries":
-        """Multiply by hbar^k."""
-        return HSeries((0,) * k + self.coeffs, self.order)
-
     def coeff(self, n: int):
         if n > self.order:
             return 0
@@ -362,11 +358,12 @@ class SparseSeries:
     def _sum(self, other, negate):
         """self + other, or self - other with each coefficient negated."""
         if getattr(self, "arity", None) != getattr(other, "arity", None):
-            # zero is compatible with every arity (degenerate compositions)
+            # zero is compatible with every arity (degenerate
+            # compositions); the sum still has the smaller order
             if self.is_zero():
-                return -other if negate else other
+                return (-other if negate else other).truncate(self.order)
             if other.is_zero():
-                return self
+                return self.truncate(other.order)
             raise GradingMismatch("arity mismatch in sum")
         terms = dict(self.terms)
         for k, c in other.terms.items():

@@ -11,9 +11,9 @@ Both sides are wrapped as honest dgla's with the standard axioms:
 Morphism towers are stored as explicit multilinear structure maps
 F^n : Lambda^n(source) -> target, evaluated on demand and memoized per
 tower by argument value, so a transport computes each F^n(x1, ..., xn)
-once however many subsets and partitions ask for it.  Koszul signs are
-computed in the double-shifted grading where Maurer-Cartan elements sit
-in degree 0 (so transport of such elements needs no signs at all).
+once however many subsets ask for it.  Koszul signs are computed in the
+double-shifted grading where Maurer-Cartan elements sit in degree 0 (so
+transport of such elements needs no signs at all).
 """
 
 from __future__ import annotations
@@ -62,19 +62,6 @@ def _subsets(n):
             A = (0,) + extra
             B = tuple(i for i in range(1, n) if i not in extra)
             yield A, B
-
-
-def _set_partitions(items):
-    """All set partitions; blocks ordered by minimum, sorted internally."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
 
 
 # -- dgla wrappers ----------------------------------------------------------
@@ -172,7 +159,7 @@ class AdtDgla(LinfAlgebra):
         return adt_dgla.differential_b(x).scale(-1)
 
     def bracket(self, x, y):
-        raw = gerstenhaber_bracket(x, y, check_invariance=False)
+        raw = gerstenhaber_bracket(x, y)
         p, q = x.arity - 1, y.arity - 1
         return raw.scale(-1) if (p * q) % 2 == 0 else raw
 
@@ -372,24 +359,25 @@ def quantum_contraction(uea: UEnvelope, order: int) -> Contraction:
 class MorphismTower:
     """Structure maps F^1..F^A of a coalgebra morphism between dgla's.
 
+    The maps above the last one given are zero, so a strict morphism is
+    a tower given only its first map.
+
     Memo contract: every structure map is a pure function of the values
     of its arguments, and elements are never mutated after construction.
     So `apply` evaluates each map at most once per distinct argument
     tuple, keyed by value rather than identity, and answers zero without
-    evaluating when an argument is zero (the maps are multilinear).  A
-    strict tower has no nonzero maps above arity one.
+    evaluating when an argument is zero (the maps are multilinear).
     """
 
-    def __init__(self, source, target, maps, arity_bound, strict=False):
+    def __init__(self, source, target, maps, arity_bound):
         self.source = source
         self.target = target
         self.maps = list(maps)
         self.arity_bound = arity_bound
-        self.strict = strict
         self._memo: dict = {}
 
     def apply(self, n, args):
-        if n < 1 or n > self.arity_bound or (self.strict and n > 1):
+        if n < 1 or n > min(self.arity_bound, len(self.maps)):
             return self.target.zero()
         if any(a.is_zero() for a in args):
             return self.target.zero()
@@ -398,10 +386,6 @@ class MorphismTower:
         if out is None:
             out = self._memo[key] = self.maps[n - 1](*args)
         return out
-
-
-def strict_tower(f1, source, target, arity_bound) -> MorphismTower:
-    return MorphismTower(source, target, [f1], arity_bound, strict=True)
 
 
 def _bracket_defect(T: MorphismTower, args, degs):
@@ -476,109 +460,49 @@ def check_morphism(T: MorphismTower, arity: int, samples: int, seed=0):
     return report
 
 
-def _partition_sum(outer: MorphismTower, inner: MorphismTower, args,
-                   partitions, zero):
-    """zero + sum over partitions of +-outer(inner(block), ...).
+def _perturbed_tower(C: Contraction, source, target, arity_bound):
+    """The tower with first map the identity and n-th map -h(defect).
 
-    Each block feeds `inner` its arguments in increasing position; the
-    blocks go to `outer` ordered by their least position, with the Koszul
-    sign of that reordering in the grading of `inner`'s source.
+    The defect is the bracket defect of the maps below arity n
+    (`_bracket_defect`).  It must lie in the kernel of the projection,
+    where q1 h + h q1 is the identity; ContractFailure is raised when
+    it does not.
     """
-    degs = [inner.source.s_degree(a) for a in args]
-    out = zero
-    for part in partitions:
-        blocks = sorted(part, key=min)
-        perm = [i for blk in blocks for i in sorted(blk)]
-        sign = koszul_sign(degs, perm)
-        term = outer.apply(len(blocks), tuple(
-            inner.apply(len(blk), tuple(args[i] for i in sorted(blk)))
-            for blk in blocks
-        ))
-        if sign < 0:
-            term = term.scale(-1)
-        out = out + term
-    return out
+    T = MorphismTower(source, target, [lambda x: x], arity_bound)
 
+    def higher(*args):
+        degs = [source.s_degree(a) for a in args]
+        defect = _bracket_defect(T, args, degs)
+        if not C.proj(defect).is_zero():
+            raise ContractFailure(
+                "relation defect has a component outside the kernel"
+            )
+        return C.h(defect).scale(-1)
 
-def compose_towers(G: MorphismTower, F: MorphismTower) -> MorphismTower:
-    """Coalgebra composition G o F, truncated to the smaller bound."""
-    bound = min(G.arity_bound, F.arity_bound)
-    src, tgt = F.source, G.target
-
-    def partitions(n):
-        # a strict G vanishes on two or more blocks, a strict F on any
-        # block of size two or more
-        if G.strict:
-            return [[list(range(n))]]
-        if F.strict:
-            return [[[i] for i in range(n)]]
-        return _set_partitions(list(range(n)))
-
-    def make(n):
-        return lambda *args: _partition_sum(G, F, args, partitions(n),
-                                            tgt.zero())
-
-    return MorphismTower(
-        src, tgt, [make(n) for n in range(1, bound + 1)], bound,
-        strict=G.strict and F.strict,
-    )
-
-
-def invert_tower(F: MorphismTower) -> MorphismTower:
-    """Inverse of a tower whose first map is the identity."""
-    src, tgt = F.target, F.source
-    H = MorphismTower(src, tgt, [lambda x: x], F.arity_bound)
-
-    def make(n):
-        def mapped(*args):
-            parts = (p for p in _set_partitions(list(range(n))) if len(p) > 1)
-            return _partition_sum(F, H, args, parts, tgt.zero()).scale(-1)
-
-        return mapped
-
-    for n in range(2, F.arity_bound + 1):
-        H.maps.append(make(n))
-    return H
+    T.maps += [higher] * (arity_bound - 1)
+    return T
 
 
 def invert_contraction(C: Contraction, arity_bound: int):
-    """Build the inclusion tower of a contraction's image.
+    """The towers (Q, F, R) of a contraction, up to `arity_bound`.
 
-    Returns the tower Q with Q^1 the inclusion of the projected dgla
-    into the ambient one, plus the straightening tower F and the
-    reduction tower R = proj o F as attributes of the result tuple
-    (Q, F, R).
+    F straightens the ambient dgla onto the split target, Q includes the
+    projected dgla into the ambient one, and R = proj o F reduces the
+    ambient dgla onto the projected one.  F and Q share one recursion:
+    the first map is the identity and the higher maps are -h of the
+    bracket defect.  As h h = 0, p h = 0 and h p = 0, Q is the only
+    tower with the inclusion as first map and higher maps in the image
+    of h, so it is the inverse of F composed with the inclusion.
     """
     ambient = C.dgla
-    split = SplitTargetDgla(C)
-    F = MorphismTower(ambient, split, [lambda x: x], arity_bound)
-
-    def make(n):
-        def mapped(*args):
-            degs = [ambient.s_degree(a) for a in args]
-            defect = _bracket_defect(F, args, degs)
-            if not C.proj(defect).is_zero():
-                raise ContractFailure(
-                    "relation defect has a component outside the kernel"
-                )
-            return C.h(defect).scale(-1)
-
-        return mapped
-
-    for n in range(2, arity_bound + 1):
-        F.maps.append(make(n))
-
-    H = invert_tower(F)
-    # re-type the endpoints of H: it maps the split target back
     sub = ProjectedDgla(C)
-    incl = strict_tower(lambda x: x, sub, split, arity_bound)
-    Q = compose_towers(H, incl)
-    Q.source = sub
-    Q.target = ambient
-    proj_tower = strict_tower(C.proj, split, sub, arity_bound)
-    R = compose_towers(proj_tower, F)
-    R.source = ambient
-    R.target = sub
+    F = _perturbed_tower(C, ambient, SplitTargetDgla(C), arity_bound)
+    Q = _perturbed_tower(C, sub, ambient, arity_bound)
+
+    def reduced(*args):
+        return C.proj(F.apply(len(args), args))
+
+    R = MorphismTower(ambient, sub, [reduced] * arity_bound, arity_bound)
     return Q, F, R
 
 

@@ -52,8 +52,7 @@ class RMatrix:
     is stored, never hidden.
     """
 
-    def __init__(self, lie: LieData, body: CdybElement, truncation=None,
-                 check: bool = True):
+    def __init__(self, lie: LieData, body: CdybElement, truncation=None):
         self.lie = lie
         self.body = body
         self.mode = lie.mode
@@ -67,26 +66,23 @@ class RMatrix:
         if truncation is None:
             truncation = max(body.sh_degrees(), default=0)
         self.truncation = truncation
-        self.residual_head = None
-        self.residual_tail = None
-        if check:
-            res = cdyb_dgla.cdybe_residual(lie, body)
-            head = CdybElement.zero(body.order)
-            tail = CdybElement.zero(body.order)
-            for d in res.sh_degrees():
-                part = res.component(sh=d)
-                if d <= truncation - 1:
-                    head = head + part
-                else:
-                    tail = tail + part
-            self.residual_head = head
-            self.residual_tail = tail
-            if not head.is_zero():
-                raise NotMaurerCartan(
-                    "classical dynamical equation residual nonzero below "
-                    f"the truncation degree {truncation}: {head.pretty(lie)}",
-                    residual=head,
-                )
+        res = cdyb_dgla.cdybe_residual(lie, body)
+        head = CdybElement.zero(body.order)
+        tail = CdybElement.zero(body.order)
+        for d in res.sh_degrees():
+            part = res.component(sh=d)
+            if d <= truncation - 1:
+                head = head + part
+            else:
+                tail = tail + part
+        self.residual_head = head
+        self.residual_tail = tail
+        if not head.is_zero():
+            raise NotMaurerCartan(
+                "classical dynamical equation residual nonzero below "
+                f"the truncation degree {truncation}: {head.pretty(lie)}",
+                residual=head,
+            )
 
     def rescaled(self, order: int) -> CdybElement:
         """The rescaled family hbar rho(hbar l), truncated at `order`.

@@ -30,7 +30,7 @@ into a series (`_poly_to_series`); `formal_mul` multiplies legs with it.
 The linear maps that move hbar powers (`coproduct_at`, `j_to_k`, the
 two argument-shift forms and `rescale_generator`) are kept as they were
 written before they went through `SparseSeries.map_keys`: each term's
-whole HSeries is multiplied by hbar^k (`HSeries.hbar`, `shift`) and the
+whole HSeries is multiplied by hbar^k (`HSeries.hbar`) and the
 result summed key by key.  `shift_taylor` is the only Taylor form of the
 argument shift: `quantizer.shift_argument` computes the leg coaction
 form, and the two must agree.
@@ -39,6 +39,13 @@ form, and the two must agree.
 literal tensor form, CYB(rho) - Alt(d rho); `cdyb_dgla.cdybe_residual`
 computes the DGLA form d(rho) + (1/2)[rho, rho], and the two must
 vanish at the same leg degrees.
+
+`contraction_towers` builds the towers (Q, F, R) of a contraction as
+`linfinity.invert_contraction` built them before Q had a recursion of
+its own: F by the homotopy recursion, its inverse by a sum over the set
+partitions of the arguments (`invert_tower`), and Q and R by composing
+that inverse and F with the strict inclusion and projection
+(`compose_towers`, here over every partition).
 """
 
 import itertools
@@ -46,9 +53,16 @@ from fractions import Fraction
 
 from dyntwist import linalg
 from dyntwist.adt_dgla import AdtElement, adt_monomials
-from dyntwist.errors import GradingMismatch, NoSolution
+from dyntwist.errors import ContractFailure, GradingMismatch, NoSolution
 from dyntwist.hseries import HSeries, add_into
 from dyntwist.lie_core import invariant_basis
+from dyntwist.linfinity import (
+    MorphismTower,
+    ProjectedDgla,
+    SplitTargetDgla,
+    _bracket_defect,
+    koszul_sign,
+)
 from dyntwist.quantizer import FormalTwist, _star_mono
 from dyntwist.tensor_spaces import CdybElement, sym_sort
 from dyntwist.uea import coproduct_mono
@@ -399,7 +413,7 @@ def j_to_k(J):
     out: dict = {}
     for key, c in J.terms.items():
         s = key[-1]
-        coeff = c.shift(len(s))
+        coeff = HSeries.hbar(c.order, len(s)) * c
         if coeff.is_zero():
             continue
         for m, d in uea.sym_mono(s).items():
@@ -462,7 +476,8 @@ def shift_taylor(J):
 def rescale_generator(q, order):
     terms = {}
     for (w, s), c in q.terms.items():
-        shifted = c.truncate(order).shift(len(s))
+        c = c.truncate(order)
+        shifted = HSeries.hbar(c.order, len(s)) * c
         if not shifted.is_zero():
             terms[(w, s)] = shifted
     return CdybElement(terms, order)
@@ -588,3 +603,84 @@ def rand_adt(uea, rng, arity, max_len, order=0, terms=2):
         out[key] = out.get(key, 0) + rng.choice([-2, -1, 1, 2])
     return AdtElement(uea, arity, {k: Fraction(v) for k, v in out.items()},
                       order)
+
+
+# -- L-infinity towers by inversion and composition ---------------------------
+
+
+def _set_partitions(items):
+    """All set partitions; blocks ordered by minimum, sorted internally."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def _partition_sum(outer, inner, args, partitions, zero):
+    """zero + sum over partitions of +-outer(inner(block), ...)."""
+    degs = [inner.source.s_degree(a) for a in args]
+    out = zero
+    for part in partitions:
+        blocks = sorted(part, key=min)
+        perm = [i for blk in blocks for i in sorted(blk)]
+        sign = koszul_sign(degs, perm)
+        term = outer.apply(len(blocks), tuple(
+            inner.apply(len(blk), tuple(args[i] for i in sorted(blk)))
+            for blk in blocks
+        ))
+        if sign < 0:
+            term = term.scale(-1)
+        out = out + term
+    return out
+
+
+def compose_towers(G, F, source, target):
+    """Coalgebra composition G o F from source to target."""
+    bound = min(G.arity_bound, F.arity_bound)
+
+    def composed(*args):
+        parts = _set_partitions(list(range(len(args))))
+        return _partition_sum(G, F, args, parts, target.zero())
+
+    return MorphismTower(source, target, [composed] * bound, bound)
+
+
+def invert_tower(F):
+    """Inverse of a tower whose first map is the identity."""
+    src, tgt = F.target, F.source
+    H = MorphismTower(src, tgt, [lambda x: x], F.arity_bound)
+
+    def inverted(*args):
+        parts = (p for p in _set_partitions(list(range(len(args))))
+                 if len(p) > 1)
+        return _partition_sum(F, H, args, parts, tgt.zero()).scale(-1)
+
+    H.maps += [inverted] * (F.arity_bound - 1)
+    return H
+
+
+def contraction_towers(C, arity_bound):
+    """(Q, F, R): the inclusion, straightening and reduction towers."""
+    ambient = C.dgla
+    split = SplitTargetDgla(C)
+    sub = ProjectedDgla(C)
+    F = MorphismTower(ambient, split, [lambda x: x], arity_bound)
+
+    def straightened(*args):
+        degs = [ambient.s_degree(a) for a in args]
+        defect = _bracket_defect(F, args, degs)
+        if not C.proj(defect).is_zero():
+            raise ContractFailure("defect outside the kernel")
+        return C.h(defect).scale(-1)
+
+    F.maps += [straightened] * (arity_bound - 1)
+    incl = MorphismTower(sub, split, [lambda x: x], arity_bound)
+    Q = compose_towers(invert_tower(F), incl, sub, ambient)
+    proj = MorphismTower(split, sub, [C.proj], arity_bound)
+    R = compose_towers(proj, F, ambient, sub)
+    return Q, F, R

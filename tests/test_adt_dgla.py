@@ -244,6 +244,16 @@ def test_brace_truncation_oracle(sl2_uea):
         assert braced.layer(N)
 
 
+def test_brace_with_too_many_inserts_has_the_smallest_order(sl2_uea):
+    # more inserted elements than inputs leaves no placement, and the
+    # zero result still has the smallest order among P and the Q_s
+    rng = random.Random(15)
+    P = mixed_element(sl2_uea, rng, 1, N + 2)
+    Qs = [mixed_element(sl2_uea, rng, 1, order) for order in (N + 1, N)]
+    out = brace(P, Qs)
+    assert out.is_zero() and out.order == N
+
+
 @pytest.mark.parametrize("arity", [1, 2])
 def test_order_zero_b_column_is_layer_zero(sl2_uea, aff_uea, arity):
     # kappa_solve builds its columns from order-0 elements: b carries no

@@ -402,6 +402,22 @@ def test_reduce_classical(capsys):
     assert "round-trip equivalence: ok" in out
 
 
+# the towers reach arity 10 and 9 here; the reduced bivector and both
+# verdicts are pinned
+@pytest.mark.parametrize("alg, rmat, order, pi", [
+    (AFF, str(CORPUS / "affxc2.rmat"), "10", "(HSeries(h; N=10)) x^y | 1"),
+    (SL2, SL2_DEG8_R, "9", "(HSeries(h; N=9)) e^f | 1"),
+], ids=["affxc2-10", "sl2_deg8-9"])
+def test_reduce_classical_at_high_order(capsys, alg, rmat, order, pi):
+    code = main(["reduce-classical", "--algebra", alg, "--rmatrix", rmat,
+                 "--order", order])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        f"reduced bivector:\n  {pi}\nrestricted square: ok\n"
+        "round-trip equivalence: ok\n"
+    )
+
+
 def test_prop_suite(capsys):
     code = main(["prop-suite", "--algebra", AB2, "--seed", "1"])
     out = capsys.readouterr().out

@@ -145,7 +145,7 @@ def test_unsolvable_order_is_reported_as_obstruction(sl2):
         (0, 2), (1,), F(3), 2
     )
     with pytest.raises(ObstructionNotRepaired) as info:
-        solve_adte(RMatrix(sl2, body, check=False), 2)
+        solve_adte(RMatrix(sl2, body, truncation=0), 2)
     assert info.value.order == 2
     assert isinstance(info.value.__cause__, NoSolution)
 
@@ -157,7 +157,7 @@ def test_obstruction_carries_its_slice(sl2):
         (0, 2), (1,), F(3), 2
     )
     with pytest.raises(ObstructionNotRepaired) as info:
-        solve_adte(RMatrix(sl2, body, check=False), 2)
+        solve_adte(RMatrix(sl2, body, truncation=0), 2)
     exc, cause = info.value, info.value.__cause__
     assert cause.arity == 3
     assert isinstance(cause.length, int)
