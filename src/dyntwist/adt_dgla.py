@@ -71,18 +71,6 @@ class AdtElement(SparseSeries):
         """Largest leg length appearing (0 for the zero element)."""
         return max((len(k[-1]) for k in self.terms), default=0)
 
-    # -- h action ----------------------------------------------------------
-
-    def ad(self, x: int) -> "AdtElement":
-        uea = self.uea
-        return self.map_keys(
-            lambda k: ((o, 0, c) for o, c in ad_adt_key(uea, x, k).items()),
-            AdtElement, uea, self.arity,
-        )
-
-    def is_invariant(self) -> bool:
-        return all(self.ad(x).is_zero() for x in self.uea.lie.h_indices)
-
     def __repr__(self):
         if not self.terms:
             return f"{type(self).__name__}(0; arity={self.arity})"

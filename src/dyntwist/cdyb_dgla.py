@@ -178,6 +178,26 @@ def _shuffle_sign(lie: LieData, wedge) -> int:
 # -- cohomology ------------------------------------------------------------
 
 
+# per algebra: {(exterior, sh): d-columns}
+_column_caches: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def d_columns(lie: LieData, exterior: int, sh: int):
+    """d of each `invariant_cdyb_basis` vector of the bidegree, as dicts.
+
+    Built once per algebra and bidegree; callers share the list and its
+    columns, and must not mutate them.
+    """
+    cache = _column_caches.setdefault(lie, {})
+    cols = cache.get((exterior, sh))
+    if cols is None:
+        cache[(exterior, sh)] = cols = [
+            differential(CdybElement(dict(vec), 0)).layer(0)
+            for vec in invariant_cdyb_basis(lie, exterior, sh)
+        ]
+    return cols
+
+
 def cohomology_dims(lie: LieData, max_k: int, shdeg: int):
     """dim H^k for k = 0..max_k, each summed over total weights.
 
@@ -188,13 +208,7 @@ def cohomology_dims(lie: LieData, max_k: int, shdeg: int):
     """
     if shdeg < 3:
         raise TruncationTooSmall("need shdeg >= 3 to check stabilization")
-
-    def columns(k, weight):
-        return [
-            differential(CdybElement(dict(vec), 0)).layer(0)
-            for vec in invariant_cdyb_basis(lie, k, weight - k)
-        ]
-
     return linalg.cohomology_dims(
-        columns, max_k, lambda k: range(k, k + shdeg)
+        lambda k, weight: d_columns(lie, k, weight - k),
+        max_k, lambda k: range(k, k + shdeg),
     )

@@ -254,13 +254,10 @@ def classical_find_gauge(lie: LieData, alpha: CdybElement,
         # at order n the flow moves cur by the differential of the new
         # generator (brackets with cur contribute at higher order)
         sh_max = max(diff.sh_degrees(), default=0) + 1
-        basis = []
+        basis, columns = [], []
         for sh in range(sh_max + 1):
-            basis.extend(invariant_cdyb_basis(lie, 1, sh))
-        columns = [
-            cdyb_dgla.differential(CdybElement(dict(v), order)).layer(0)
-            for v in basis
-        ]
+            basis += invariant_cdyb_basis(lie, 1, sh)
+            columns += cdyb_dgla.d_columns(lie, 1, sh)
         [sol] = linalg.solve(columns, [diff.layer(0)])
         if sol is None:
             return GaugeResult(False, obstruction=diff, order=n)

@@ -10,10 +10,13 @@ Both sides are wrapped as honest dgla's with the standard axioms:
 
 Morphism towers are stored as explicit multilinear structure maps
 F^n : Lambda^n(source) -> target, evaluated on demand and memoized per
-tower by argument value, so a transport computes each F^n(x1, ..., xn)
-once however many subsets ask for it.  Koszul signs are computed in the
-double-shifted grading where Maurer-Cartan elements sit in degree 0 (so
-transport of such elements needs no signs at all).
+tower by argument value.  The bracket defect that defines a higher map
+sums over classes of equal arguments, not over argument subsets, so the
+transport of a Maurer-Cartan element alpha evaluates F^n(alpha, ...,
+alpha) from the n - 1 splittings of its n equal arguments, and the whole
+transport takes work polynomial in the order.  Koszul signs are computed
+in the double-shifted grading where Maurer-Cartan elements sit in degree
+0 (so transport of such elements needs no signs at all).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 from . import adt_dgla, cdyb_dgla
 from .adt_dgla import AdtElement, gerstenhaber_bracket, invariant_adt_basis
@@ -52,16 +56,6 @@ def koszul_sign(degs, perm):
             if perm[a] > perm[b] and degs[perm[a]] % 2 and degs[perm[b]] % 2:
                 s = -s
     return s
-
-
-def _subsets(n):
-    """Proper nonempty subsets of range(n) containing 0, with complements."""
-    rest = list(range(1, n))
-    for r in range(0, n - 1):
-        for extra in itertools.combinations(rest, r):
-            A = (0,) + extra
-            B = tuple(i for i in range(1, n) if i not in extra)
-            yield A, B
 
 
 # -- dgla wrappers ----------------------------------------------------------
@@ -388,35 +382,91 @@ class MorphismTower:
         return out
 
 
+def _argument_classes(args, degs):
+    """[value, shifted degree, count] per argument class.
+
+    Equal arguments of even shifted degree form one class; each argument
+    of odd degree is a class of its own, since the relative order of the
+    odd arguments sets the Koszul signs.  Classes come in the order of
+    their first argument, so the odd ones keep their relative order and
+    the first class holds the first argument.
+    """
+    classes = []
+    even = {}
+    for a, d in zip(args, degs):
+        if d % 2 == 0:
+            key = a.value_key()
+            cls = even.get(key)
+            if cls is not None:
+                cls[2] += 1
+                continue
+            even[key] = cls = [a, d, 1]
+        else:
+            cls = [a, d, 1]
+        classes.append(cls)
+    return classes
+
+
+def _expand(classes, counts):
+    """The arguments that take counts[c] members of each class c."""
+    return tuple(
+        cls[0] for cls, m in zip(classes, counts) for _ in range(m)
+    )
+
+
 def _bracket_defect(T: MorphismTower, args, degs):
     """The bracket terms of the morphism relation at arity len(args).
 
     This is the failure term the next structure map has to repair: the
     target-bracket pairings of lower maps minus the lower maps applied
-    to source brackets.
+    to source brackets.  The maps are graded symmetric, so a term
+    depends only on how many members of each argument class
+    (`_argument_classes`) it takes, and the sums run over those counts,
+    each term weighted by the number of argument subsets or pairs that
+    take them.  The target pairings keep the first argument on the
+    left, so a left side with a members of the first class (m members)
+    is one of C(m - 1, a - 1) subsets, not C(m, a).
     """
     n = len(args)
     src, tgt = T.source, T.target
+    classes = _argument_classes(args, degs)
+    cdegs = [d for _, d, _ in classes]
+    sizes = [m for _, _, m in classes]
     res = tgt.zero()
-    for A, B in _subsets(n):
-        perm = A + B
-        sign = koszul_sign(degs, perm)
-        u = T.apply(len(A), tuple(args[i] for i in A))
-        v = T.apply(len(B), tuple(args[i] for i in B))
-        su = sum(degs[i] for i in A)
-        term = tgt.q2(u, v, su)
-        if sign < 0:
-            term = term.scale(-1)
-        res = res + term
-    for i, j in itertools.combinations(range(n), 2):
-        rest = [x for x in range(n) if x not in (i, j)]
-        perm = [i, j] + rest
-        sign = koszul_sign(degs, perm)
-        w = src.q2(args[i], args[j], degs[i])
-        term = T.apply(n - 1, (w,) + tuple(args[x] for x in rest))
-        if sign > 0:
-            term = term.scale(-1)
-        res = res + term
+    ranges = [range(1, sizes[0] + 1)] + [range(m + 1) for m in sizes[1:]]
+    for left in itertools.product(*ranges):
+        right = [m - a for m, a in zip(sizes, left)]
+        if not any(right):
+            continue
+        u = T.apply(sum(left), _expand(classes, left))
+        if u.is_zero():
+            continue
+        v = T.apply(n - sum(left), _expand(classes, right))
+        if v.is_zero():
+            continue
+        coeff = comb(sizes[0] - 1, left[0] - 1)
+        for m, a in zip(sizes[1:], left[1:]):
+            coeff *= comb(m, a)
+        perm = ([c for c, a in enumerate(left) if a]
+                + [c for c, b in enumerate(right) if b])
+        coeff *= koszul_sign(cdegs, perm)
+        su = sum(a * d for a, d in zip(left, cdegs))
+        res = res + tgt.q2(u, v, su).scale(coeff)
+    pairs = itertools.combinations_with_replacement(range(len(classes)), 2)
+    for c, e in pairs:
+        coeff = comb(sizes[c], 2) if c == e else sizes[c] * sizes[e]
+        if not coeff:
+            continue
+        rest = list(sizes)
+        rest[c] -= 1
+        rest[e] -= 1
+        w = src.q2(classes[c][0], classes[e][0], cdegs[c])
+        term = T.apply(n - 1, (w,) + _expand(classes, rest))
+        if term.is_zero():
+            continue
+        perm = [c, e] + [k for k, m in enumerate(rest) if m]
+        coeff *= -koszul_sign(cdegs, perm)
+        res = res + term.scale(coeff)
     return res
 
 
@@ -492,17 +542,15 @@ def invert_contraction(C: Contraction, arity_bound: int):
     the first map is the identity and the higher maps are -h of the
     bracket defect.  As h h = 0, p h = 0 and h p = 0, Q is the only
     tower with the inclusion as first map and higher maps in the image
-    of h, so it is the inverse of F composed with the inclusion.
+    of h, so it is the inverse of F composed with the inclusion.  R is
+    strict: its first map is proj, and as p h = 0 every higher map
+    R^n = p(F^n) = -p h(defect) is zero, so R never evaluates F.
     """
     ambient = C.dgla
     sub = ProjectedDgla(C)
     F = _perturbed_tower(C, ambient, SplitTargetDgla(C), arity_bound)
     Q = _perturbed_tower(C, sub, ambient, arity_bound)
-
-    def reduced(*args):
-        return C.proj(F.apply(len(args), args))
-
-    R = MorphismTower(ambient, sub, [reduced] * arity_bound, arity_bound)
+    R = MorphismTower(ambient, sub, [C.proj], arity_bound)
     return Q, F, R
 
 

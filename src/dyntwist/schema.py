@@ -45,8 +45,9 @@ from .uea import UEnvelope
 # The highest hbar order a twist header or `--order` may declare, and the
 # highest `--shdeg`.  Every coefficient is stored as order + 1 rationals,
 # so an unbounded header would allocate without end, and the classical
-# checks grow without end in `--shdeg`; the highest order any command
-# reaches in practice (reduce-classical on affxc2) is 10.
+# checks grow without end in `--shdeg`.  reduce-classical on affxc2
+# runs at this order; the highest order quantize has reached on the
+# corpus is 9 (sl2_deg8).
 MAX_ORDER = 64
 
 # Characters the monomial and term syntax gives a meaning; a basis name

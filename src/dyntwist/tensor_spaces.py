@@ -8,6 +8,7 @@ Zero coefficients are pruned eagerly.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 from .errors import GradingMismatch, SpaceMismatch
 from .hseries import SparseSeries, add_into
@@ -157,7 +158,21 @@ def cdyb_monomials(lie: LieData, exterior: int, sh: int):
     return [(w, s) for w in wedges for s in syms]
 
 
+# per algebra: {(exterior, sh): invariant basis}
+_basis_caches: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def invariant_cdyb_basis(lie: LieData, exterior: int, sh: int):
-    """Basis of the invariant (wedge, sym) keys of the given bidegree."""
-    keys = cdyb_monomials(lie, exterior, sh)
-    return invariant_basis(lie, keys, lambda x, k: ad_cdyb_key(lie, x, k))
+    """Basis of the invariant (wedge, sym) keys of the given bidegree.
+
+    Built once per algebra and bidegree; callers share the list and its
+    rows, and must not mutate them.
+    """
+    cache = _basis_caches.setdefault(lie, {})
+    basis = cache.get((exterior, sh))
+    if basis is None:
+        keys = cdyb_monomials(lie, exterior, sh)
+        cache[(exterior, sh)] = basis = invariant_basis(
+            lie, keys, lambda x, k: ad_cdyb_key(lie, x, k)
+        )
+    return basis

@@ -6,7 +6,7 @@ import pytest
 from dyntwist import (
     AdtElement, CdybElement, HSeries, LieData, RMatrix, UEnvelope,
 )
-from dyntwist.adt_dgla import adt_monomials
+from dyntwist.adt_dgla import ad_adt_key, adt_monomials
 from dyntwist.hseries import add_into
 
 ORDER = 3
@@ -54,6 +54,18 @@ def aff_data() -> LieData:
 def nonab_data() -> LieData:
     # abelian complement, nonabelian base [a,b] = b
     return LieData(["u", "v", "a", "b"], {(2, 3): {3: 1}}, [2, 3])
+
+
+def adt_is_invariant(E) -> bool:
+    """Whether every h basis element kills E, acting by `ad_adt_key`."""
+    for x in E.uea.lie.h_indices:
+        image: dict = {}
+        for key, c, n, _ in E.layer_terms():
+            for out, a in ad_adt_key(E.uea, x, key).items():
+                add_into(image, (out, n), a * c)
+        if image:
+            return False
+    return True
 
 
 def geometric_body(wedge, leg_index, order, max_deg=None) -> CdybElement:

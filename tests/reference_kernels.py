@@ -42,10 +42,13 @@ vanish at the same leg degrees.
 
 `contraction_towers` builds the towers (Q, F, R) of a contraction as
 `linfinity.invert_contraction` built them before Q had a recursion of
-its own: F by the homotopy recursion, its inverse by a sum over the set
-partitions of the arguments (`invert_tower`), and Q and R by composing
-that inverse and F with the strict inclusion and projection
-(`compose_towers`, here over every partition).
+its own and before R was strict: F by the homotopy recursion, its
+inverse by a sum over the set partitions of the arguments
+(`invert_tower`), and Q and R by composing that inverse and F with the
+strict inclusion and projection (`compose_towers`, here over every
+partition).  Its F sums the bracket defect over argument positions
+(`bracket_defect`, over every subset that holds the first argument), as
+`linfinity._bracket_defect` did before it summed over argument classes.
 """
 
 import itertools
@@ -60,7 +63,6 @@ from dyntwist.linfinity import (
     MorphismTower,
     ProjectedDgla,
     SplitTargetDgla,
-    _bracket_defect,
     koszul_sign,
 )
 from dyntwist.quantizer import FormalTwist, _star_mono
@@ -608,6 +610,43 @@ def rand_adt(uea, rng, arity, max_len, order=0, terms=2):
 # -- L-infinity towers by inversion and composition ---------------------------
 
 
+def _subsets(n):
+    """Proper nonempty subsets of range(n) containing 0, with complements."""
+    rest = list(range(1, n))
+    for r in range(0, n - 1):
+        for extra in itertools.combinations(rest, r):
+            A = (0,) + extra
+            B = tuple(i for i in range(1, n) if i not in extra)
+            yield A, B
+
+
+def bracket_defect(T, args, degs):
+    """The bracket terms of the morphism relation, summed by position."""
+    n = len(args)
+    src, tgt = T.source, T.target
+    res = tgt.zero()
+    for A, B in _subsets(n):
+        perm = A + B
+        sign = koszul_sign(degs, perm)
+        u = T.apply(len(A), tuple(args[i] for i in A))
+        v = T.apply(len(B), tuple(args[i] for i in B))
+        su = sum(degs[i] for i in A)
+        term = tgt.q2(u, v, su)
+        if sign < 0:
+            term = term.scale(-1)
+        res = res + term
+    for i, j in itertools.combinations(range(n), 2):
+        rest = [x for x in range(n) if x not in (i, j)]
+        perm = [i, j] + rest
+        sign = koszul_sign(degs, perm)
+        w = src.q2(args[i], args[j], degs[i])
+        term = T.apply(n - 1, (w,) + tuple(args[x] for x in rest))
+        if sign > 0:
+            term = term.scale(-1)
+        res = res + term
+    return res
+
+
 def _set_partitions(items):
     """All set partitions; blocks ordered by minimum, sorted internally."""
     items = list(items)
@@ -673,7 +712,7 @@ def contraction_towers(C, arity_bound):
 
     def straightened(*args):
         degs = [ambient.s_degree(a) for a in args]
-        defect = _bracket_defect(F, args, degs)
+        defect = bracket_defect(F, args, degs)
         if not C.proj(defect).is_zero():
             raise ContractFailure("defect outside the kernel")
         return C.h(defect).scale(-1)

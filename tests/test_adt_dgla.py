@@ -42,8 +42,8 @@ from dyntwist.uea import all_monomials
 
 import reference_kernels
 from conftest import (
-    CORPUS, ab2_data, aff_data, is_canonical, mixed_element, nonab_data,
-    sl2_data, sl2half_data,
+    CORPUS, ab2_data, aff_data, adt_is_invariant, is_canonical,
+    mixed_element, nonab_data, sl2_data, sl2half_data,
 )
 
 N = 3
@@ -150,7 +150,7 @@ def test_kappa_recomputation(sl2_uea, nonab_uea):
                 continue
             sol = kappa_solve(uea, target)
             assert (differential_b(sol) - target).is_zero()
-            assert sol.is_invariant()
+            assert adt_is_invariant(sol)
 
 
 def test_kappa_no_solution(sl2_uea):
@@ -172,7 +172,12 @@ def test_invariant_basis_is_invariant(sl2_uea):
     for L in range(1, 4):
         for vec in invariant_adt_basis(sl2_uea, 2, L):
             elt = AdtElement(sl2_uea, 2, dict(vec), 0)
-            assert elt.is_invariant()
+            assert adt_is_invariant(elt)
+    # e in one slot has h-weight 2, e.f in one slot weight 0
+    e = AdtElement(sl2_uea, 1, {((0,), ()): 1}, N)
+    assert not adt_is_invariant(e)
+    assert not adt_is_invariant(e.shift(2) + e.shift(1))
+    assert adt_is_invariant(AdtElement(sl2_uea, 1, {((0, 2), ()): 1}, N))
 
 
 def test_alt_embed_round_trip(sl2_uea):

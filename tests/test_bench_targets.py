@@ -14,7 +14,7 @@ import pytest
 
 from dyntwist import AdtElement, UEnvelope, adt_dgla, linfinity, schema
 
-from conftest import mixed_element
+from conftest import adt_is_invariant, mixed_element
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -56,7 +56,7 @@ def test_tracer_binds_every_target(perfbench):
         assert not hasattr(_resolve(target), "__wrapped__"), target.name
     assert Q.arity == 1
     assert Q.hbar_component(0) == AdtElement.unit(uea, 1, 2)
-    assert Q.is_invariant()
+    assert adt_is_invariant(Q)
     metrics = layers.rename(t.metrics())
     assert metrics["hseries.HSeries.constructed"] > 0
     assert metrics["adt_dgla.adte_residual.calls"] == 1

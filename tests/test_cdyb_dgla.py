@@ -2,7 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from dyntwist import CdybElement, HSeries, TruncationTooSmall, cdyb_dgla
+from dyntwist import (
+    CdybElement,
+    HSeries,
+    TruncationTooSmall,
+    cdyb_dgla,
+    taylor_rescale,
+    tensor_spaces,
+)
+from dyntwist.gauge import reduce_classical
+from dyntwist.lie_core import invariant_basis
 from dyntwist.props import (
     check_d_leibniz,
     check_d_squared,
@@ -10,6 +19,7 @@ from dyntwist.props import (
 )
 
 import reference_kernels
+from conftest import ORDER
 
 N = 3
 F = Fraction
@@ -98,3 +108,29 @@ def test_cohomology_dims(sl2):
 def test_cohomology_truncation_guard(sl2):
     with pytest.raises(TruncationTooSmall):
         cdyb_dgla.cohomology_dims(sl2, 3, 2)
+
+
+@pytest.mark.parametrize("name", ["sl2", "aff"])
+def test_classical_bases_are_built_once_and_left_unchanged(request, name):
+    # every caller gets the same basis and d-column lists; after the
+    # cohomology ranks and a reduction with its gauge certificate have
+    # read them, each still equals a fresh computation
+    lie = request.getfixturevalue(name)
+    rho = request.getfixturevalue(f"{name}_rho")
+    cdyb_dgla.cohomology_dims(lie, 3, 4)
+    assert reduce_classical(lie, taylor_rescale(rho, ORDER)).gauge
+    bases = tensor_spaces._basis_caches[lie]
+    columns = cdyb_dgla._column_caches[lie]
+    assert (1, 1) in columns
+    for (k, sh), basis in bases.items():
+        assert tensor_spaces.invariant_cdyb_basis(lie, k, sh) is basis
+        assert basis == invariant_basis(
+            lie, tensor_spaces.cdyb_monomials(lie, k, sh),
+            lambda x, key: tensor_spaces.ad_cdyb_key(lie, x, key),
+        )
+    for (k, sh), cols in columns.items():
+        assert cdyb_dgla.d_columns(lie, k, sh) is cols
+        assert cols == [
+            cdyb_dgla.differential(CdybElement(dict(v), 0)).layer(0)
+            for v in bases[(k, sh)]
+        ]

@@ -402,12 +402,15 @@ def test_reduce_classical(capsys):
     assert "round-trip equivalence: ok" in out
 
 
-# the towers reach arity 10 and 9 here; the reduced bivector and both
-# verdicts are pinned
+# the inclusion tower reaches arity 10 and 9 here, and 64 at the highest
+# order the CLI accepts; the reduced bivector and both verdicts are pinned
 @pytest.mark.parametrize("alg, rmat, order, pi", [
     (AFF, str(CORPUS / "affxc2.rmat"), "10", "(HSeries(h; N=10)) x^y | 1"),
     (SL2, SL2_DEG8_R, "9", "(HSeries(h; N=9)) e^f | 1"),
-], ids=["affxc2-10", "sl2_deg8-9"])
+    (AFF, str(CORPUS / "affxc2.rmat"), "20", "(HSeries(h; N=20)) x^y | 1"),
+    (AFF, str(CORPUS / "affxc2.rmat"), str(MAX_ORDER),
+     f"(HSeries(h; N={MAX_ORDER})) x^y | 1"),
+], ids=["affxc2-10", "sl2_deg8-9", "affxc2-20", "affxc2-max"])
 def test_reduce_classical_at_high_order(capsys, alg, rmat, order, pi):
     code = main(["reduce-classical", "--algebra", alg, "--rmatrix", rmat,
                  "--order", order])

@@ -1,12 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from dyntwist import (
+    AdtElement,
     CdybElement,
     HSeries,
+    LieData,
     RMatrix,
+    UEnvelope,
     check_morphism,
     classical_contraction,
     invert_contraction,
@@ -17,10 +21,14 @@ from dyntwist import (
 )
 from dyntwist.cdyb_dgla import delta_homotopy
 from dyntwist.gauge import reduce_classical
-from dyntwist.linfinity import MorphismTower, morphism_residual
+from dyntwist.linfinity import (
+    MorphismTower,
+    _bracket_defect,
+    morphism_residual,
+)
 
 import reference_kernels
-from conftest import ORDER
+from conftest import ORDER, geometric_body
 
 SAMPLES = 6
 
@@ -89,7 +97,7 @@ def test_contraction_side_conditions(request, make, name):
 
 def test_towers_match_inversion_and_composition(sl2, aff, sl2_uea, ab2_uea):
     # the recursion for Q gives the inverse of F composed with the
-    # inclusion, and R^n = p(F^n(args)) gives p composed with F; the
+    # inclusion, and the strict R is p composed with F; the
     # higher maps vanish on most samples, so nonzero ones are counted
     # over all four contractions
     arity = 4
@@ -112,6 +120,127 @@ def test_towers_match_inversion_and_composition(sl2, aff, sl2_uea, ab2_uea):
                     if n > 1 and name in higher:
                         higher[name] += not got.is_zero()
     assert all(higher.values()), higher
+
+
+# -- the bracket defect by argument class -----------------------------------
+
+
+def _mc_case(request, kind):
+    """(contraction, alpha, p(alpha)) for a Maurer-Cartan alpha.
+
+    The classical alpha is the sl2 geometric r-matrix at order 8, whose
+    reduced bivector has nonzero inclusion defects at every arity up to
+    8; the twist-side alpha is the solver's order-3 sl2 twist minus the
+    unit.
+    """
+    if kind == "classical":
+        sl2, order = request.getfixturevalue("sl2"), 8
+        C = classical_contraction(sl2, order)
+        alpha = taylor_rescale(
+            RMatrix(sl2, geometric_body((0, 2), 1, order)), order
+        )
+    else:
+        uea = request.getfixturevalue("sl2_uea")
+        C = quantum_contraction(uea, ORDER)
+        alpha = (request.getfixturevalue("sl2_pair").K
+                 - AdtElement.unit(uea, 2, ORDER))
+    return C, alpha, C.proj(alpha)
+
+
+def _assert_defects_agree(T, args):
+    degs = [T.source.s_degree(a) for a in args]
+    got = _bracket_defect(T, args, degs)
+    want = reference_kernels.bracket_defect(T, args, degs)
+    assert got == want and got.order == want.order
+    return not got.is_zero()
+
+
+@pytest.mark.parametrize("kind", ["classical", "quantum"])
+def test_defect_by_class_on_equal_mc_arguments(request, kind):
+    # F's alpha^n and Q's p(alpha)^n are the transports' own arguments
+    C, alpha, pi = _mc_case(request, kind)
+    Q, F, R = invert_contraction(C, 8)
+    nonzero = 0
+    for T, x in ((F, alpha), (Q, pi)):
+        assert T.source.mc_residual(x).is_zero()
+        for n in range(2, 9):
+            nonzero += _assert_defects_agree(T, (x,) * n)
+    assert nonzero >= 3
+
+
+def _heisenberg_contraction(kind):
+    """A contraction of the Heisenberg algebra [p, q] = z, base z.
+
+    Brackets of the complement leave it, so the inclusion tower has
+    nonzero higher maps on arguments of odd shifted degree (p and q on
+    the classical side), which the corpus algebras do not give.
+    """
+    heis = LieData(["p", "q", "z"], {(0, 1): {2: 1}}, [2])
+    if kind == "classical":
+        return classical_contraction(heis, ORDER)
+    return quantum_contraction(UEnvelope(heis), ORDER)
+
+
+# x has even shifted degree, y and z odd; an odd letter repeated is two
+# arguments of one value, which keep their positions
+PATTERNS = ["xy", "yy", "yz", "xxy", "yxx", "xyx", "yzx", "yyx", "zxy",
+            "xzz", "zxz", "yxyx", "xyzx", "xxyz", "zyxx", "xyxzx", "yxxzx",
+            "xxxyz"]
+
+
+@pytest.mark.parametrize("kind", ["classical", "quantum"])
+def test_defect_by_class_on_mixed_repeats(kind):
+    Q, F, R = invert_contraction(_heisenberg_contraction(kind), 6)
+    nonzero = 0
+    for T in (F, Q):
+        pool = T.source.sample_elements(random.Random(16), 80)
+        even = [x for x in pool if T.source.s_degree(x) % 2 == 0]
+        odd = list({x.value_key(): x
+                    for x in pool if T.source.s_degree(x) % 2}.values())
+        letters = {"x": even[0], "y": odd[0], "z": odd[1]}
+        for pattern in PATTERNS:
+            args = tuple(letters[c] for c in pattern)
+            nonzero += _assert_defects_agree(T, args)
+    assert nonzero >= 6
+
+
+@pytest.mark.parametrize("kind", ["classical", "quantum"])
+def test_defect_by_class_on_distinct_arguments(kind):
+    Q, F, R = invert_contraction(_heisenberg_contraction(kind), 4)
+    checked = nonzero = 0
+    for T in (F, Q):
+        pool = T.source.sample_elements(random.Random(17), 40)
+        pool = list({x.value_key(): x for x in pool}.values())[:6]
+        for n in range(2, 5):
+            for args in itertools.combinations(pool, n):
+                checked += 1
+                nonzero += _assert_defects_agree(T, args)
+    assert checked >= 40 and nonzero
+
+
+@pytest.mark.parametrize("kind", ["classical", "quantum"])
+def test_reduction_tower_is_strict(request, kind):
+    # p h = 0, so R^n = p(F^n) vanishes for n >= 2 although F^n does not,
+    # and the transport along R never evaluates F
+    C, alpha, pi = _mc_case(request, kind)
+    arity = 4
+    Q, F, R = invert_contraction(C, arity)
+    ref_F, ref_R = reference_kernels.contraction_towers(C, arity)[1:]
+    rng = random.Random(18)
+    moved = 0
+    for n in range(2, arity + 1):
+        cases = [(alpha,) * n] + [
+            tuple(R.source.sample_elements(rng, n)) for _ in range(SAMPLES)
+        ]
+        for args in cases:
+            if len(args) < n:
+                continue
+            assert R.apply(n, args).is_zero()
+            assert ref_R.apply(n, args).is_zero()
+            moved += not ref_F.apply(n, args).is_zero()
+    assert moved
+    assert mc_transport(R, alpha, check=False) == pi
+    assert F._memo == {}
 
 
 def test_twist_by_homotopy_identity_tower(sl2):
