@@ -14,6 +14,7 @@ import itertools
 import math
 import weakref
 from bisect import bisect_left
+from operator import add
 
 from . import linalg
 from .errors import GradingMismatch, NoSolution, TruncationTooSmall
@@ -25,6 +26,7 @@ from .uea import (
     UmSplitter,
     all_monomials,
     all_monomials_from,
+    compositions,
     coproduct_mono,
 )
 
@@ -228,31 +230,43 @@ def cup(P: AdtElement, Q: AdtElement) -> AdtElement:
     den_p, terms_p = P.int_layer_terms()
     den_q, terms_q = Q.int_layer_terms()
     for keyP, aP, nP, _ in terms_p:
-        gP, legP = keyP[:-1], keyP[-1]
-        for parts, mult in coproduct_mono(legP, l + 1).items():
+        gP = keyP[:-1]
+        for parts, mult in coproduct_mono(keyP[-1], l + 1).items():
             aPm = aP * mult
             for keyQ, aQ, nQ, _ in terms_q:
                 if nP + nQ > order:
                     break
-                gQ, legQ = keyQ[:-1], keyQ[-1]
-                slots = list(gP)
-                for j in range(l):
-                    slots.append(parts[j] + gQ[j])
-                slots.append(parts[l] + legQ)
-                _straight_key(P.uea, tuple(slots), outs[nP + nQ], aPm * aQ)
+                # parts[j] multiplies in front of Q's factor j, the last
+                # part in front of Q's leg
+                _straight_key(P.uea, gP + tuple(map(add, parts, keyQ)),
+                              outs[nP + nQ], aPm * aQ)
     return AdtElement.from_layers(P.uea, k + l, outs, den=den_p * den_q)
 
 
 def _straight_key(uea, slots, acc, coeff):
     """Straighten every slot word and accumulate coeff times it into acc.
 
-    coeff is an int (or a Fraction), multiplied through `straighten`,
-    whose integral coefficients are ints.
+    coeff is a nonzero int (or a Fraction), multiplied through
+    `straighten`, whose integral coefficients are ints.  A key whose
+    words are all PBW monomials already is accumulated as it is.
     """
-    partial = [((), coeff)]
-    done = 0  # slots[:done] are in every prefix of partial
+    straighten = uea.straighten
     for i, w in enumerate(slots):
-        exp = uea.straighten(w)
+        exp = straighten(w)
+        if w not in exp:  # not a PBW monomial: expand from slot i on
+            break
+    else:
+        v = acc.get(slots, 0) + coeff
+        if v:
+            acc[slots] = v
+        else:
+            del acc[slots]
+        return
+    partial = [(slots[:i] + (m,), coeff * c) for m, c in exp.items()]
+    done = i + 1  # slots[:done] are in every prefix of partial
+    for i in range(done, len(slots)):
+        w = slots[i]
+        exp = straighten(w)
         if w in exp:  # a PBW monomial already, with coefficient 1
             continue
         run = slots[done:i]
@@ -293,97 +307,92 @@ def brace(P: AdtElement, Qs) -> AdtElement:
         return AdtElement.zero(P.uea, max(n, 0), order)
     outs = [{} for _ in range(order + 1)]
     uea = P.uea
+    den, terms_p = P.int_layer_terms()
+    terms_q = []
+    for Q in Qs:
+        den_q, terms = Q.int_layer_terms()
+        den *= den_q
+        terms_q.append(terms)
     for positions in itertools.combinations(range(1, k + 1), m):
-        _brace_placement(uea, P, Qs, positions, n, outs)
-    den = math.prod(E.int_layer_terms()[0] for E in [P] + Qs)
+        _brace_placement(uea, k, terms_p, ks, terms_q, positions, n, outs)
     return AdtElement.from_layers(uea, n, outs, den=den)
 
 
-def _brace_placement(uea, P, Qs, positions, n, outs):
-    """Add D_P D_Q1 ... D_Qm times the placement's terms to outs."""
-    ks = [Q.arity for Q in Qs]
-    consumed = {j: s for s, j in enumerate(positions)}  # input -> insertion idx
-    # slot layout: for each input of P, a block of width 1 or ks[s]; the
-    # sign exponent is sum_s (arity(Q_s) - 1) * (start of block s)
-    starts = {}
+def _brace_placement(uea, k, terms_p, ks, terms_q, positions, n, outs):
+    """Add D_P D_Q1 ... D_Qm times the placement's terms to outs.
+
+    A term is a tuple of n + 1 slot words, each word a tuple extended by
+    concatenation as P's factor (or a part of its coproduct) and then
+    the Q_s contents, in order of s, fill it.
+    """
+    top = len(outs) - 1
+    # the output slot of each input of P, with the width of its block
+    # when it is consumed (None when it is not); the sign exponent is
+    # sum_s (arity(Q_s) - 1) * (start of block s)
+    layout = []
+    blocks = []  # (start, width) per Q_s, in order of s
     cursor = 0
     sgn = 1
-    for t in range(1, P.arity + 1):
-        if t in consumed:
-            s = consumed[t]
-            starts[s] = cursor
-            if (ks[s] - 1) * cursor % 2:
+    for t in range(1, k + 1):
+        if t in positions:
+            w = ks[len(blocks)]
+            if (w - 1) * cursor % 2:
                 sgn = -sgn
-            cursor += ks[s]
+            blocks.append((cursor, w))
+            layout.append((cursor, w))
+            cursor += w
         else:
+            layout.append((cursor, None))
             cursor += 1
     assert cursor == n
-    top = len(outs) - 1
-    for keyP, aP, nP, _ in P.int_layer_terms()[1]:
+    # each Q_s term with its leg's coaction over the slots to the right
+    # of its block, looked up once per placement
+    plan = [
+        (start, start + w, [
+            (vQ, cQ, keyQ[:-1], coproduct_mono(keyQ[-1], n - start - w + 1))
+            for keyQ, cQ, vQ, _ in terms
+        ])
+        for (start, w), terms in zip(blocks, terms_q)
+    ]
+    for keyP, aP, nP, _ in terms_p:
         if nP > top:
             break
-        gP, legP = keyP[:-1], keyP[-1]
-        # distribute P's factors
-        base: list = [[] for _ in range(n + 1)]
-        cursor = 0
-        dead = False
-        delta_choices = []  # (slot range, factor, width) needing coproduct
-        for t in range(1, P.arity + 1):
-            f = gP[t - 1]
-            if t in consumed:
-                s = consumed[t]
-                w = ks[s]
-                if w == 0:
-                    if f != ():  # counit kills non-scalars
-                        dead = True
-                        break
-                else:
-                    delta_choices.append((cursor, f, w))
-                cursor += w
-            else:
-                base[cursor].append(f)
-                cursor += 1
-        if dead:
-            continue
-        base[n].append(legP)
-        # expand coproducts of consumed factors and Q contents recursively;
-        # each entry carries the hbar power of the terms chosen so far
-        stack = [(base, aP, nP)]
-        for start, f, w in delta_choices:
-            nxt = []
+        # distribute P's factors; consumed ones wait for their coproduct
+        base = [()] * (n + 1)
+        base[n] = keyP[-1]
+        spread = []  # (start, factor, width) of the consumed factors
+        for (slot, w), f in zip(layout, keyP):
+            if w is None:
+                base[slot] = f
+            elif w:
+                spread.append((slot, f, w))
+            elif f:  # counit kills non-scalars
+                break
+        else:
+            # each entry carries the hbar power of the terms chosen so far
+            stack = [(tuple(base), aP, nP)]
+            for start, f, w in spread:
+                stack = [
+                    (slots[:start] + parts + slots[start + w:], c0 * mult, v0)
+                    for slots, c0, v0 in stack
+                    for parts, mult in coproduct_mono(f, w).items()
+                ]
+            for start, mid, entries in plan:
+                nxt = []
+                for slots, c0, v0 in stack:
+                    head, block, tail = (slots[:start], slots[start:mid],
+                                         slots[mid:])
+                    for vQ, cQ, gQ, coaction in entries:
+                        if v0 + vQ > top:
+                            break
+                        pre = head + tuple(map(add, block, gQ))
+                        c1 = c0 * cQ
+                        for parts, mult in coaction.items():
+                            nxt.append((pre + tuple(map(add, tail, parts)),
+                                        c1 * mult, v0 + vQ))
+                stack = nxt
             for slots, c0, v0 in stack:
-                for parts, mult in coproduct_mono(f, w).items():
-                    s2 = [list(x) for x in slots]
-                    for u in range(w):
-                        s2[start + u].append(parts[u])
-                    nxt.append((s2, c0 * mult, v0))
-            stack = nxt
-        # insert the Q_s contents, in order of s (legs spread to the right)
-        for s, Q in enumerate(Qs):
-            start = starts[s]
-            w = ks[s]
-            spread = n - (start + w)  # slots to the right of the block
-            nxt = []
-            terms_q = Q.int_layer_terms()[1]
-            for slots, c0, v0 in stack:
-                for keyQ, cQ, vQ, _ in terms_q:
-                    if v0 + vQ > top:
-                        break
-                    gQ, legQ = keyQ[:-1], keyQ[-1]
-                    for parts, mult in coproduct_mono(legQ, spread + 1).items():
-                        s2 = [list(x) for x in slots]
-                        for u in range(w):
-                            s2[start + u].append(gQ[u])
-                        for u in range(spread):
-                            s2[start + w + u].append(parts[u])
-                        s2[n].append(parts[spread])
-                        nxt.append((s2, c0 * cQ * mult, v0 + vQ))
-            stack = nxt
-        for slots, c0, v0 in stack:
-            words = tuple(
-                tuple(itertools.chain.from_iterable(slot)) for slot in slots
-            )
-            _straight_key(uea, words, outs[v0], c0 * sgn)
+                _straight_key(uea, slots, outs[v0], c0 * sgn)
 
 
 def gerstenhaber_bracket(P: AdtElement, Q: AdtElement) -> AdtElement:
@@ -471,7 +480,7 @@ def adt_monomials(uea: UEnvelope, arity: int, total_length: int):
     """All keys of the given arity whose factor lengths sum to the total."""
     lie = uea.lie
     keys = []
-    for comp in _compositions(total_length, arity + 1):
+    for comp in compositions(total_length, arity + 1):
         per_slot = []
         for slot in range(arity):
             per_slot.append(
@@ -491,15 +500,6 @@ def adt_monomials(uea: UEnvelope, arity: int, total_length: int):
         for combo in itertools.product(*per_slot):
             keys.append(tuple(combo))
     return keys
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _content(key):
@@ -782,33 +782,96 @@ def _adte_pairs(K, lo, outs):
     """Residual terms of K's layer-term pairs, by the sum of their powers.
 
     Every pair whose hbar powers a, b have lo <= a + b < len(outs) adds
-    its `_adte_pair` terms to outs[a + b], summed on ints: returns the
-    scale D^2 of the sums, D that of `K.int_layer_terms()`.
+    its terms to outs[a + b], summed on ints: returns the scale D^2 of
+    the sums, D that of `K.int_layer_terms()`.
+
+    The terms are read in factored form.  For the pair of keys
+    k1 = (f1, f2, leg) and k2 = (g1, g2, legg),
+
+        K^{12,3,4} K^{1,2,34} = X(f1; g1, g2) (x) Y(f2, leg; legg),
+        K^{1,23,4} K^{2,3,4}  = f1 (x) X(f2; g1, g2) (x) S(leg legg),
+
+    with X(f; g1, g2) = sum Delta(f) (g1 (x) g2) and
+    Y(f2, leg; legg) = sum (f2 (x) leg) Delta(legg), each straightened
+    slot by slot, and S the straightening.  Each factor is built once,
+    as a tuple of (monomial pair, int) items, in memos that this call
+    alone keeps.  The X of one f serve every pair whose k1 has f in the
+    place that X reads, so the first term runs over the pairs grouped by
+    f1 and the second over them grouped by f2, each group's X freed
+    after it.  The sums are exact, so their order changes no value.
     """
     uea = K.uea
+    straighten = uea.straighten
     top = len(outs) - 1
     den, items = K.int_layer_terms()
+    Y: dict = {}  # {(f2, leg, legg): Y(f2, leg; legg)}
+    S: dict = {}  # {(leg, legg): S(leg legg)}
+    by_f1: dict = {}  # f1 -> entries of K with that first factor
+    by_f2: dict = {}
     for k1, a1, n1, _ in items:
         if n1 > top:
             break
+        # the second entries of the pairs run from `start` on
         start = bisect_left(items, lo - n1, key=lambda t: t[2])
-        for k2, a2, n2, _ in itertools.islice(items, start, None):
-            if n1 + n2 > top:
-                break
-            _adte_pair(uea, k1, k2, a1 * a2, outs[n1 + n2])
+        by_f1.setdefault(k1[0], []).append((k1, a1, n1, start))
+        by_f2.setdefault(k1[1], []).append((k1, a1, n1, start))
+
+    def pairs(firsts):
+        for k1, a1, n1, start in firsts:
+            for k2, a2, n2, _ in itertools.islice(items, start, None):
+                if n1 + n2 > top:
+                    break
+                yield k1, k2, a1 * a2, outs[n1 + n2]
+
+    def factor(w, l1, l2, r1, r2):
+        """Sum over Delta(w) = p1 (x) p2 of S(l1 p1 r1) (x) S(l2 p2 r2)."""
+        acc: dict = {}
+        for (p1, p2), mult in coproduct_mono(w, 2).items():
+            for m1, c1 in straighten(l1 + p1 + r1).items():
+                c1 *= mult
+                for m2, c2 in straighten(l2 + p2 + r2).items():
+                    add_into(acc, (m1, m2), c1 * c2)
+        return tuple(acc.items())
+
+    # K^{12,3,4} K^{1,2,34}
+    for f1, firsts in by_f1.items():
+        X: dict = {}  # {(g1, g2): X(f1; g1, g2)}
+        for (_, f2, leg), (g1, g2, legg), a, out in pairs(firsts):
+            x = X.get((g1, g2))
+            if x is None:
+                X[g1, g2] = x = factor(f1, (), (), g1, g2)
+            y = Y.get((f2, leg, legg))
+            if y is None:
+                Y[f2, leg, legg] = y = factor(legg, f2, leg, (), ())
+            _add_products(out, x, y, a)
+    # - K^{1,23,4} K^{2,3,4}
+    for f2, firsts in by_f2.items():
+        X = {}  # {(g1, g2): X(f2; g1, g2)}
+        for (f1, _, leg), (g1, g2, legg), a, out in pairs(firsts):
+            x = X.get((g1, g2))
+            if x is None:
+                X[g1, g2] = x = factor(f2, (), (), g1, g2)
+            sl = S.get((leg, legg))
+            if sl is None:
+                S[leg, legg] = sl = tuple(
+                    ((m,), c) for m, c in straighten(leg + legg).items())
+            left = [((m1,) + kx, c1 * cx)
+                    for m1, c1 in straighten(f1).items() for kx, cx in x]
+            _add_products(out, left, sl, -a)
     return den * den
 
 
-def _adte_pair(uea, k1, k2, a, out):
-    """Add the residual terms of the pair (k1, k2) of K, times a, to out."""
-    f1, f2, leg = k1
-    g1, g2, legg = k2
-    # K^{12,3,4} K^{1,2,34}
-    for p1, m1 in coproduct_mono(f1, 2).items():
-        for p2, m2 in coproduct_mono(legg, 2).items():
-            slots = (p1[0] + g1, p1[1] + g2, f2 + p2[0], leg + p2[1])
-            _straight_key(uea, slots, out, a * (m1 * m2))
-    # - K^{1,23,4} K^{2,3,4}
-    for p1, m1 in coproduct_mono(f2, 2).items():
-        slots = (f1, p1[0] + g1, p1[1] + g2, leg + legg)
-        _straight_key(uea, slots, out, -(a * m1))
+def _add_products(out, lefts, rights, a):
+    """out[l + r] += a cl cr for each (l, cl) of lefts and (r, cr) of rights.
+
+    Every coefficient is nonzero, so a sum that vanishes had a key before.
+    """
+    for kl, cl in lefts:
+        cl *= a
+        for kr, cr in rights:
+            key = kl + kr
+            v = out.get(key, 0) + cl * cr
+            if v:
+                out[key] = v
+            else:
+                del out[key]

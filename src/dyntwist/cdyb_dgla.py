@@ -198,6 +198,10 @@ def d_columns(lie: LieData, exterior: int, sh: int):
     return cols
 
 
+# the two highest weights must vanish and one must lie below them
+MIN_SHDEG = 3
+
+
 def cohomology_dims(lie: LieData, max_k: int, shdeg: int):
     """dim H^k for k = 0..max_k, each summed over total weights.
 
@@ -206,8 +210,9 @@ def cohomology_dims(lie: LieData, max_k: int, shdeg: int):
     the two highest must contribute zero, otherwise the truncation is
     too small to claim stabilization.
     """
-    if shdeg < 3:
-        raise TruncationTooSmall("need shdeg >= 3 to check stabilization")
+    if shdeg < MIN_SHDEG:
+        raise TruncationTooSmall(
+            f"need shdeg >= {MIN_SHDEG} to check stabilization")
     return linalg.cohomology_dims(
         lambda k, weight: d_columns(lie, k, weight - k),
         max_k, lambda k: range(k, k + shdeg),

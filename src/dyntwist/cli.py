@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import props, schema
+from . import cdyb_dgla, props, schema
 from .adt_dgla import AdtElement, adte_residual
 from .errors import (
     DyntwistError,
@@ -18,6 +18,7 @@ from .errors import (
     ObstructionNotRepaired,
     SchemaError,
     StraighteningStalled,
+    TruncationTooSmall,
     ValuationViolated,
 )
 from .gauge import find_gauge, reduce_classical
@@ -156,6 +157,8 @@ def cmd_gauge_equiv(args):
     K2 = schema.parse_twist(schema.load_file(args.twist2), uea)
     result = find_gauge(K1, K2)
     rep.check("gauge equivalent", result.equivalent)
+    # find_gauge compares the two twists mod hbar^(min(N1, N2) + 1)
+    rep.add(f"compared through order {min(K1.order, K2.order)}")
     if result.equivalent:
         rep.add("gauge element:")
         rep.add(schema.dump_twist(result.gauge).rstrip("\n"))
@@ -179,14 +182,19 @@ def cmd_reduce_classical(args):
 
 
 def cmd_prop_suite(args):
+    shdeg = 4 if args.shdeg is None else args.shdeg
+    # the last check, cohomology, refuses a smaller bound: refuse it
+    # before the others run, not after
+    if shdeg < cdyb_dgla.MIN_SHDEG:
+        raise TruncationTooSmall(
+            f"--shdeg must be >= {cdyb_dgla.MIN_SHDEG} for the cohomology "
+            f"check to see stabilization, got {shdeg}")
     rep = Report()
     lie = _load_algebra(args)
     seed = 0 if args.seed is None else args.seed
     rep.add(f"property suite on {args.algebra} (seed {seed})")
-    for name, ok, detail in props.standard_suite(
-        lie, seed=seed,
-        shdeg=4 if args.shdeg is None else args.shdeg,
-    ):
+    for name, ok, detail in props.standard_suite(lie, seed=seed,
+                                                 shdeg=shdeg):
         rep.check(name, ok, detail)
     return rep.emit(args.out)
 

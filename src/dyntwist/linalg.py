@@ -19,6 +19,12 @@ is the particular solution {unknown index: rational} with every free
 unknown zero, or None when the target is not in the column span (a
 target key that no column carries makes it inconsistent).
 
+`Factorization(columns)` serves a system that meets its targets one at
+a time: it eliminates the columns once and answers every later target
+by substitution, as `solve` would.  It is still the one elimination:
+each row carries a tag column of its own through `_eliminate`, so the
+reduced rows record the row operations that reached each pivot.
+
 Internally `_eliminate` reduces rows {column index: value} with pivots
 chosen left to right; the pivot of a column is the first remaining row,
 in input order, with a nonzero entry there, which keeps every derived
@@ -203,6 +209,11 @@ def solve(columns, targets):
         for c, b in r.items():
             if c >= ncols:
                 sols[c - ncols][p] = b
+    return _checked(columns, sols, targets)
+
+
+def _checked(columns, sols, targets):
+    """Each solution whose image is its target, None in place of the rest."""
     out = []
     for sol, target in zip(sols, targets):
         image: dict = {}
@@ -212,6 +223,61 @@ def solve(columns, targets):
         consistent = image == {k: v for k, v in target.items() if v != 0}
         out.append(sol if consistent else None)
     return out
+
+
+class Factorization:
+    """A column system eliminated once, solved for any later target.
+
+    Building it hands `_eliminate` the system's rows, each tagged
+    with one carried column of its own (entry 1 at index ncols + i for
+    the i-th row).  Row operations carry the tags along, so the tags of
+    a reduced row record the integer combination of input rows that
+    reached it, and its pivot entry is the scale of that combination.
+    A target riding along in `solve` would pick up the same combination
+    of its own entries: `solve` here sums it over the target's nonzeros
+    and divides by the pivot entry, so every answer is the one `solve`
+    gives, and is checked by recomputing its image as there.
+    """
+
+    __slots__ = ("columns", "row_of", "uses", "pivots", "scales")
+
+    def __init__(self, columns):
+        self.columns = columns = list(columns)
+        ncols = len(columns)
+        self.row_of = row_of = {}  # row key -> input row index
+        rows = []
+        for j, col in enumerate(columns):
+            for key, v in col.items():
+                i = row_of.get(key)
+                if i is None:
+                    row_of[key] = i = len(rows)
+                    rows.append({})
+                rows[i][j] = v
+        for i, r in enumerate(rows):
+            r[ncols + i] = 1
+        reduced, self.pivots = _eliminate(rows, ncols)
+        self.scales = [r[p] for r, p in zip(reduced, self.pivots)]
+        # input row index -> [(reduced row number, tag weight)]
+        self.uses = uses = [[] for _ in rows]
+        for q, r in enumerate(reduced):
+            for c, w in r.items():
+                if c >= ncols:
+                    uses[c - ncols].append((q, w))
+
+    def solve(self, targets):
+        """`solve(columns, targets)`, by substitution."""
+        sols = []
+        for target in targets:
+            acc: dict = {}
+            for key, t in target.items():
+                i = self.row_of.get(key)
+                # a key no column carries fails the image check
+                if t and i is not None:
+                    for q, w in self.uses[i]:
+                        add_into(acc, q, w * t)
+            sols.append({self.pivots[q]: quotient(acc[q], self.scales[q])
+                         for q in sorted(acc)})
+        return _checked(self.columns, sols, targets)
 
 
 def cohomology_dims(columns, max_k: int, grades):

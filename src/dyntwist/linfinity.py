@@ -31,7 +31,7 @@ from .adt_dgla import AdtElement, gerstenhaber_bracket, invariant_adt_basis
 from .errors import ContractFailure, GradingMismatch, MorphismUnsound
 from .hseries import add_into, quotient
 from .lie_core import LieData
-from .linalg import pivots, solve
+from .linalg import Factorization, pivots
 # bound but never called: perfbench/test_perfbench.py reads linfinity.rref
 # to check that its tracer wraps a name imported into another module
 from .linalg import rref  # noqa: F401
@@ -270,6 +270,10 @@ class _QuantumHomotopy:
     element of N is q1(a) + a' with a, a' in A, and h sends it to a.
     A depends on the arity and the length bound alone, so h is one
     linear map, whatever inputs it has seen.
+
+    Each (arity, length) system of that decomposition is factored once
+    (`linalg.Factorization`) and answers every later input by
+    substitution; each answer is still checked by recomputing its image.
     """
 
     def __init__(self, uea: UEnvelope, splitter: UmSplitter):
@@ -279,47 +283,53 @@ class _QuantumHomotopy:
         self._cache: dict = {}
 
     def _complement(self, k: int, L: int):
-        """Complement of the cocycles in the kernel, up to length L.
+        """(A, images): the complement of the cocycles in the kernel, up
+        to length L, and the q1 image of each of its elements.
 
         The candidates are the choice at L - 1, then x - p(x) for each
         invariant basis vector x of length L, in slice order.  A
         candidate is independent of the cocycles and of the candidates
         before it exactly when its q1 image is independent of theirs, so
         A keeps the candidates at the pivots of their images and the
-        choice at L extends the choice at L - 1.
+        choice at L extends the choice at L - 1, whose images are kept.
         """
         key = ("A", k, L)
         if key not in self._cache:
-            cands = list(self._complement(k, L - 1)) if L > 0 else []
+            if L > 0:
+                cands, images = map(list, self._complement(k, L - 1))
+            else:
+                cands, images = [], []
             for r in invariant_adt_basis(self.uea, k, L):
                 e = AdtElement(self.uea, k, dict(r), 0)
                 ne = e - adt_dgla.p2_project(self.splitter, e)
                 if not ne.is_zero():
                     cands.append(ne)
-            images = [self.dgla.q1(a).layer(0) for a in cands]
-            self._cache[key] = [cands[j] for j in pivots(images)]
+                    images.append(self.dgla.q1(ne).layer(0))
+            keep = pivots(images)
+            self._cache[key] = ([cands[j] for j in keep],
+                                [images[j] for j in keep])
         return self._cache[key]
 
     def _columns(self, k: int, L: int):
-        """(columns, A_terms) of `_decompose`'s system, built once.
+        """(A_terms, factorization) of `_decompose`'s system, built once.
 
         The columns are q1(a) for a in A at arity k - 1, then A at
         arity k; A_terms are the arity k - 1 elements of A.
         """
         key = ("D", k, L)
         if key not in self._cache:
-            A_lower = self._complement(k - 1, L) if k >= 1 else []
+            A_lower, images = (self._complement(k - 1, L) if k >= 1
+                               else ([], []))
             A_terms = [a.layer(0) for a in A_lower]
-            columns = [self.dgla.q1(a).layer(0) for a in A_lower]
-            columns += [a.layer(0) for a in self._complement(k, L)]
-            self._cache[key] = columns, A_terms
+            columns = images + [a.layer(0) for a in self._complement(k, L)[0]]
+            self._cache[key] = A_terms, Factorization(columns)
         return self._cache[key]
 
     def _decompose(self, k: int, L: int, x: AdtElement):
         """Write the kernel element x as q1(a) + a' with a, a' in A."""
-        columns, A_terms = self._columns(k, L)
+        A_terms, system = self._columns(k, L)
         # the same rational system serves every hbar order
-        sols = solve(columns, [x.layer(n) for n in range(x.order + 1)])
+        sols = system.solve([x.layer(n) for n in range(x.order + 1)])
         if None in sols:
             raise ContractFailure(
                 "homotopy decomposition failed on a kernel slice"

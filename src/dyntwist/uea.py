@@ -19,6 +19,7 @@ import itertools
 import math
 from collections import Counter
 from functools import lru_cache
+from operator import add
 
 from . import linalg
 from .errors import NoSolution, NotInImage
@@ -146,6 +147,13 @@ def coproduct_mono(mono, slots: int = 2) -> dict:
     so no straightening occurs.  Returns {tuple of monomials: multiplicity},
     shared between calls: callers must not mutate it.
 
+    A run of a equal letters puts c_t of them into part t in
+    a! / (c_0! ... c_(slots-1)!) of the slots^a ways to place them, so
+    the parts are counted run by run, not position by position.  The
+    keys come in the order in which placing each letter in turn would
+    first reach them: runs from the left, and within a run the counts
+    (`compositions`) in decreasing lexicographic order.
+
     The memo is a plain module dict, not `functools.lru_cache`: a cache
     wrapper carries `__wrapped__`, the attribute by which the benchmark's
     tracer (`perfbench/tracer.py`) marks a function it has wrapped, so
@@ -154,15 +162,29 @@ def coproduct_mono(mono, slots: int = 2) -> dict:
     memo_key = (tuple(mono), slots)
     out = _coproduct_memo.get(memo_key)
     if out is None:
+        partial = [(((),) * slots, 1)]
+        for letter, run in itertools.groupby(memo_key[0]):
+            a = len(tuple(run))
+            splits = [
+                (tuple((letter,) * c for c in counts),
+                 math.factorial(a) // math.prod(map(math.factorial, counts)))
+                for counts in reversed(compositions(a, slots))
+            ]
+            partial = [(tuple(map(add, parts, new)), mult * m)
+                       for parts, mult in partial for new, m in splits]
         out = {}
-        for assignment in itertools.product(range(slots), repeat=len(mono)):
-            parts = [[] for _ in range(slots)]
-            for pos, s in enumerate(assignment):
-                parts[s].append(mono[pos])
-            key = tuple(tuple(p) for p in parts)
-            out[key] = out.get(key, 0) + 1
+        for key, mult in partial:
+            out[key] = out.get(key, 0) + mult
         _coproduct_memo[memo_key] = out
     return out
+
+
+def compositions(total: int, parts: int):
+    """Every tuple of `parts` naturals summing to total, lexicographic."""
+    if parts == 1:
+        return [(total,)]
+    return [(first,) + rest for first in range(total + 1)
+            for rest in compositions(total - first, parts - 1)]
 
 
 # -- the U g = U g . h  (+)  U m splitting ---------------------------------

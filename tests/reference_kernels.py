@@ -8,6 +8,9 @@ is the `graded_terms()` those loops read (hbar valuation, plus the leg
 degree for a formal twist).  The layered kernels must agree with these
 exactly, coefficient orders included.
 
+`coproduct_by_position` is the iterated coproduct placed letter by
+letter, as `uea.coproduct_mono` computed it before it counted runs.
+
 Also kept: the plain Fraction `straighten`, the uncached h-action
 `ad_mono` and the element-level b-column, the values that
 `UEnvelope.straighten`, `UEnvelope.ad_mono` and the blocks of
@@ -22,6 +25,10 @@ closed arithmetic of `SparseSeries` as it was before it stored its
 results directly: every result, and every HSeries sum, negation and
 rational multiple, goes through its constructor.  `rand_adt` draws as
 `props._rand_adt` did when it enumerated its key pool on every draw.
+
+`quantum_homotopy` is the twist-side homotopy h as it was before its
+decomposition systems were factored once: one whole `linalg.solve` per
+input, over columns rebuilt from the complements.
 
 `pbw_star` is the base star product on whole HSeries coefficients,
 each leg monomial's hbar polynomial from `quantizer._star_mono` turned
@@ -55,7 +62,7 @@ import itertools
 from fractions import Fraction
 
 from dyntwist import linalg
-from dyntwist.adt_dgla import AdtElement, adt_monomials
+from dyntwist.adt_dgla import AdtElement, adt_monomials, p2_project
 from dyntwist.errors import ContractFailure, GradingMismatch, NoSolution
 from dyntwist.hseries import HSeries, add_into
 from dyntwist.lie_core import invariant_basis
@@ -317,6 +324,20 @@ def _adte_pair(uea, k1, k2, c, out):
     for p1, m1 in coproduct_mono(f2, 2).items():
         slots = (f1, p1[0] + g1, p1[1] + g2, leg + legg)
         _straight_key(uea, slots, out, -(c * m1))
+
+
+def coproduct_by_position(mono, slots):
+    """The iterated coproduct as `uea.coproduct_mono` computed it before
+    it counted runs of equal letters: every placement of every letter
+    position into a part, keys in order of first placement."""
+    out = {}
+    for assignment in itertools.product(range(slots), repeat=len(mono)):
+        parts = [[] for _ in range(slots)]
+        for pos, s in enumerate(assignment):
+            parts[s].append(mono[pos])
+        key = tuple(tuple(p) for p in parts)
+        out[key] = out.get(key, 0) + 1
+    return out
 
 
 def straighten(lie, word, memo):
@@ -593,6 +614,32 @@ def from_layers(cls, *args, den=None):
             row[n] = a if den is None else Fraction(a, den)
     terms = {k: HSeries(row, order) for k, row in coeffs.items()}
     return cls(*space, terms, order)
+
+
+def quantum_homotopy(h, x):
+    """h(x) for a `linfinity._QuantumHomotopy` h, as it was computed
+    before each decomposition system was factored once: the q1 images of
+    the lower complement recomputed and the system solved by one whole
+    `linalg.solve` per call, its result built by the constructor.
+    """
+    xn = x - p2_project(h.splitter, x)
+    arity = max(x.arity - 1, 0)
+    if xn.is_zero():
+        return AdtElement.zero(h.uea, arity, x.order)
+    k, L = xn.arity, max(xn.total_lengths())
+    A_lower = h._complement(k - 1, L)[0] if k >= 1 else []
+    columns = [h.dgla.q1(a).layer(0) for a in A_lower]
+    columns += [a.layer(0) for a in h._complement(k, L)[0]]
+    sols = linalg.solve(columns, [xn.layer(n) for n in range(xn.order + 1)])
+    if None in sols:
+        raise ContractFailure("homotopy decomposition failed")
+    outs = [{} for _ in sols]
+    for sol, out in zip(sols, outs):
+        for j, v in sol.items():
+            if j < len(A_lower):
+                for key, c in A_lower[j].layer(0).items():
+                    add_into(out, key, v * c)
+    return from_layers(AdtElement, h.uea, arity, outs)
 
 
 def rand_adt(uea, rng, arity, max_len, order=0, terms=2):

@@ -7,6 +7,7 @@ import pytest
 from dyntwist import (
     AdtElement,
     CdybElement,
+    ContractFailure,
     HSeries,
     LieData,
     NoSolution,
@@ -22,7 +23,7 @@ from dyntwist import (
     kappa_solve,
     solve_adte,
 )
-from dyntwist import UmSplitter, adt_dgla, linfinity, props, schema
+from dyntwist import UmSplitter, adt_dgla, linalg, linfinity, props, schema
 from dyntwist.adt_dgla import (
     adte_residual_layer,
     cohomology_dims,
@@ -540,9 +541,21 @@ def test_layered_brace_matches_hseries_reference(request, uea_name):
                 _agree(brace(P, Qs), reference_kernels.brace(P, Qs))
 
 
+def _unstraight_leg_pairs(K):
+    """Pairs of K's layer terms within its order whose legs multiply to
+    a word that is not a PBW monomial, so that S(leg legg) straightens."""
+    terms = K.layer_terms()
+    return sum(
+        1 for k1, _, n1, _ in terms for k2, _, n2, _ in terms
+        if n1 + n2 <= K.order
+        and k1[-1] + k2[-1] not in K.uea.straighten(k1[-1] + k2[-1])
+    )
+
+
 @pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
 def test_layered_residual_matches_hseries_reference(request, uea_name):
     uea = request.getfixturevalue(uea_name)
+    unstraight = 0
     for rng, rational in _draws(34):
         inputs = _oracle_inputs(uea, rng, 2, unit=True, rational=rational)
         for i, K in enumerate(inputs):
@@ -552,6 +565,32 @@ def test_layered_residual_matches_hseries_reference(request, uea_name):
                 layer = adte_residual_layer(K, n)
                 assert layer == ref.layer(n)
                 assert all(map(is_canonical, layer.values()))
+            unstraight += _unstraight_leg_pairs(K)
+    # the base of nonab is not abelian: some leg products straighten
+    if uea_name == "nonab_uea":
+        assert unstraight
+
+
+def test_residual_matches_reference_on_the_solved_sl2_twist():
+    # the solver's order-4 twist has legs up to h^3; its residual is
+    # zero, and changing its top layers gives nonzero rational ones
+    lie = schema.parse_algebra(schema.load_file(CORPUS / "sl2.alg"))
+    body = schema.parse_rmatrix(schema.load_file(CORPUS / "sl2.rmat"),
+                                lie, 4)
+    uea = UEnvelope(lie)
+    K = solve_adte(RMatrix(lie, body), 4, uea=uea).K
+    assert max(len(key[-1]) for key in K.terms) == 3
+    changed = [
+        K,
+        K + K.hbar_component(4).shift(4),
+        K + K.hbar_component(3).shift(3).scale(F(1, 2)),
+    ]
+    for i, Ki in enumerate(changed):
+        ref = reference_kernels.adte_residual(Ki)
+        assert ref.is_zero() == (i == 0)
+        _agree(adte_residual(Ki), ref)
+        for n in range(Ki.order + 1):
+            assert adte_residual_layer(Ki, n) == ref.layer(n)
 
 
 @pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
@@ -656,17 +695,26 @@ def test_identities_memos_are_unchanged_by_the_suite(name, monkeypatch):
     assert h.splitter._um_memo
     for mono, got in h.splitter._um_memo.items():
         assert list(got.items()) == list(_fresh_um(uea, mono).items())
+    complements = [key for key in h._cache if key[0] == "A"]
+    assert complements
+    for key in complements:
+        A, images = h._cache[key]
+        assert [list(c.items()) for c in images] == [
+            list(h.dgla.q1(a).layer(0).items()) for a in A]
     decomposed = [key for key in h._cache if key[0] == "D"]
     assert decomposed
     for _, k, L in decomposed:
-        columns, A_terms = h._cache["D", k, L]
-        A_lower = h._complement(k - 1, L) if k >= 1 else []
+        A_terms, system = h._cache["D", k, L]
+        A_lower = h._complement(k - 1, L)[0] if k >= 1 else []
         ref = [h.dgla.q1(a).layer(0) for a in A_lower]
-        ref += [a.layer(0) for a in h._complement(k, L)]
-        assert [list(c.items()) for c in columns] == [
+        ref += [a.layer(0) for a in h._complement(k, L)[0]]
+        assert [list(c.items()) for c in system.columns] == [
             list(c.items()) for c in ref]
         assert [list(t.items()) for t in A_terms] == [
             list(a.layer(0).items()) for a in A_lower]
+        fresh = linalg.Factorization(ref)
+        for attr in ("row_of", "uses", "pivots", "scales"):
+            assert getattr(system, attr) == getattr(fresh, attr)
 
 
 def _homotopy_inputs(uea, name):
@@ -685,9 +733,9 @@ def _homotopy_inputs(uea, name):
 
 @pytest.mark.parametrize("name", ["sl2", "affxc2", "sl2half"])
 def test_memoized_quantum_homotopy_equals_a_recomputing_one(name):
-    # the reference sees the same inputs but recomputes every U m part
-    # and decomposition column on every call; the complements it keeps
-    # depend on the arity and length alone (see the next test)
+    # the reference sees the same inputs but recomputes every U m part,
+    # complement, q1 image, decomposition column and factorization on
+    # every call, and solves each system by a whole elimination
     uea = UEnvelope(_lie(name))
     h = linfinity.quantum_contraction(uea, 0).h
     ref = linfinity.quantum_contraction(uea, 0).h
@@ -695,12 +743,38 @@ def test_memoized_quantum_homotopy_equals_a_recomputing_one(name):
     for x in _homotopy_inputs(uea, name):
         got = h(x)
         ref.splitter._um_memo.clear()
-        for key in [key for key in ref._cache if key[0] == "D"]:
-            del ref._cache[key]
-        want = ref(x)
+        ref._cache.clear()
+        want = reference_kernels.quantum_homotopy(ref, x)
         assert got.arity == want.arity
         assert list(got.terms.items()) == list(want.terms.items())
         checked += not got.is_zero()
+    assert checked
+
+
+@pytest.mark.parametrize("name", ["sl2", "affxc2"])
+def test_decomposition_outside_the_columns_span_fails(name):
+    # the factored systems still check each answer by its image: a key
+    # in the image of p lies outside the kernel N that the columns span,
+    # alone and in the hbar^1 layer of an input whose hbar^0 layer
+    # decomposes
+    uea = UEnvelope(_lie(name))
+    h = linfinity.quantum_contraction(uea, 0).h
+    m = uea.lie.m_indices[0]
+    checked = 0
+    for y in _homotopy_inputs(uea, name):
+        yn = y - adt_dgla.p2_project(h.splitter, y)
+        if yn.is_zero():
+            continue
+        k, L = yn.arity, max(yn.total_lengths())
+        h._decompose(k, L, yn)  # in the span; factors the system
+        outside = AdtElement(uea, k, {((m,),) + ((),) * k: 1}, 0)
+        assert adt_dgla.p2_project(h.splitter, outside) == outside
+        layered = (AdtElement(uea, k, yn.layer(0), 1)
+                   + AdtElement(uea, k, outside.layer(0), 1).shift(1))
+        for x in (outside, layered):
+            with pytest.raises(ContractFailure):
+                h._decompose(k, L, x)
+        checked += 1
     assert checked
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from dyntwist import schema
+from dyntwist import props, schema
 from dyntwist.cli import build_parser, main
 from dyntwist.quantizer import RMatrix, taylor_rescale
 from dyntwist.schema import MAX_ORDER
@@ -376,6 +376,23 @@ def test_gauge_equiv(tmp_path, capsys):
     assert "gauge equivalent: ok" in out
 
 
+def test_gauge_equiv_reports_the_order_it_compared(tmp_path, capsys):
+    # an order-0 twist against an order-2 one is compared mod hbar only
+    unit = tmp_path / "K0.twist"
+    unit.write_text("twist\narity 2\norder 0\nhbar 0\n"
+                    "term 1 * (1 | 1 | 1)\nend\n")
+    K2 = tmp_path / "K2.twist"
+    assert main(["quantize", "--algebra", SL2, "--rmatrix", SL2_R,
+                 "--order", "2", "--out", str(K2)]) == 0
+    capsys.readouterr()
+    for pair, order in (((unit, K2), 0), ((K2, unit), 0), ((K2, K2), 2)):
+        code = main(["gauge-equiv", "--algebra", SL2] + list(map(str, pair)))
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[:2] == ["gauge equivalent: ok",
+                             f"compared through order {order}"]
+
+
 @pytest.mark.parametrize("bodies", [
     ("", ""),
     ("hbar 1\nterm 1 * (e | f | 1)\n", "hbar 0\nterm 1 * (1 | 1 | 1)\n"),
@@ -436,7 +453,7 @@ def test_prop_suite_without_seed_prints_the_seed_it_runs(capsys):
     assert "(seed 0)" in unseeded
 
 
-def test_prop_suite_shdeg_zero_is_not_the_default():
+def test_prop_suite_shdeg_zero_is_not_the_default(monkeypatch, capsys):
     # --shdeg 0 is a value, not an absent flag: it is too small to check
     # stabilization, as 1 and 2 are, instead of running at the default 4
     proc = _run_cli(["prop-suite", "--algebra", AB2, "--shdeg", "0"])
@@ -444,6 +461,23 @@ def test_prop_suite_shdeg_zero_is_not_the_default():
     assert proc.stderr.startswith("input error (TruncationTooSmall)")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+    # each bound below 3 is refused before any check runs
+    def check_called(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    for name in ("check_d_squared", "check_d_leibniz", "check_b_squared",
+                 "check_cup_leibniz", "check_brace_relations",
+                 "check_delta_homotopy", "check_kappa", "check_adte_modes",
+                 "check_cohomology"):
+        monkeypatch.setattr(props, name, check_called)
+    for shdeg in ("0", "1", "2"):
+        assert main(["prop-suite", "--algebra", AB2, "--shdeg", shdeg]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("input error (TruncationTooSmall)")
+        assert out == ""
+    with pytest.raises(AssertionError, match="a check ran"):
+        main(["prop-suite", "--algebra", AB2, "--shdeg", "3"])
 
 
 def test_report_to_file(tmp_path):

@@ -288,6 +288,33 @@ def test_solve_equals_reference(columns, targets):
     )
 
 
+
+@given(st.lists(sparse_vectors, max_size=8),
+       st.lists(sparse_vectors, max_size=4),
+       st.lists(sparse_vectors, max_size=3))
+@example([{"a": F(1, 3), "b": F(5, 7)}, {"a": F(-6), "b": F(10**30)},
+          {"a": F(-2, 3), "b": F(-10, 7)}],
+         [{"a": F(10**30 - 1), "b": F(1, 21)}, {"z": F(1)}],
+         [{"a": F(0), "b": F(1, 7)}, {}])
+# a rank-deficient system with an explicit zero, and a target whose
+# inconsistency shows only at a key the columns carry
+@example([{"a": F(2), "b": F(0)}, {"a": F(-4)}, {"b": F(3), 7: F(1)}],
+         [{"a": F(1), "b": F(1), 7: F(1)}, {7: F(2), "b": F(6)}],
+         [{7: F(5)}])
+def test_factored_solve_equals_solve(columns, targets, later):
+    """One factorization answers every batch of targets as `solve` does.
+
+    Same solutions, key order and number types included, and None for
+    the same inconsistent targets.
+    """
+    system = linalg.Factorization(columns)
+    for batch in (targets, later, targets):
+        got = system.solve(batch)
+        assert _ordered(got) == _ordered(reference_solve(columns, batch))
+        assert all(is_canonical(v) for sol in got if sol
+                   for v in sol.values())
+
+
 # -- cohomology: each slice ranked once ---------------------------------------
 
 

@@ -7,6 +7,7 @@ from dyntwist import UEnvelope, UmSplitter, schema
 from dyntwist.hseries import add_into
 from dyntwist.uea import all_monomials, coproduct_mono
 
+import reference_kernels
 from conftest import CORPUS, sl2half_data
 
 F = Fraction
@@ -61,6 +62,20 @@ def test_coproduct_h_squared():
 def test_coproduct_counts():
     out = coproduct_mono((0, 1), 2)
     assert sum(out.values()) == 4
+
+
+def test_coproduct_counts_runs_as_placements_would():
+    # same parts, multiplicities and key order as placing every letter
+    # position into a part, for monomials up to length 6 over three
+    # letters and up to four parts (a word out of PBW order too)
+    words = [m for m in all_monomials(3, 6)] + [(1, 0, 1), (2, 0, 2, 1)]
+    for mono in words:
+        for slots in (1, 2, 3, 4):
+            if slots == 4 and len(mono) > 5:
+                continue
+            want = reference_kernels.coproduct_by_position(mono, slots)
+            assert list(coproduct_mono(mono, slots).items()) == list(
+                want.items())
 
 
 @settings(max_examples=40)
