@@ -157,8 +157,7 @@ def cmd_gauge_equiv(args):
     K2 = schema.parse_twist(schema.load_file(args.twist2), uea)
     result = find_gauge(K1, K2)
     rep.check("gauge equivalent", result.equivalent)
-    # find_gauge compares the two twists mod hbar^(min(N1, N2) + 1)
-    rep.add(f"compared through order {min(K1.order, K2.order)}")
+    rep.add(f"compared through order {result.compared}")
     if result.equivalent:
         rep.add("gauge element:")
         rep.add(schema.dump_twist(result.gauge).rstrip("\n"))

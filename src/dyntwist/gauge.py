@@ -181,13 +181,16 @@ class GaugeResult:
     equivalent is the verdict; gauge holds the transformation (algebraic
     element, or the list of classical flow generators applied in order);
     when inequivalent, obstruction carries the first unreachable residual
-    layer and order its hbar order.
+    layer and order its hbar order.  compared is the hbar order through
+    which the two sides were compared: the smaller of their orders.
     """
 
-    __slots__ = ("equivalent", "gauge", "obstruction", "order")
+    __slots__ = ("equivalent", "gauge", "obstruction", "order", "compared")
 
-    def __init__(self, equivalent, gauge=None, obstruction=None, order=None):
+    def __init__(self, equivalent, compared, gauge=None, obstruction=None,
+                 order=None):
         self.equivalent = equivalent
+        self.compared = compared
         self.gauge = gauge
         self.obstruction = obstruction
         self.order = order
@@ -228,13 +231,13 @@ def find_gauge(K: AdtElement, K2: AdtElement) -> GaugeResult:
                 qn = kappa_solve(uea, -diff, max_filtration=None)
             except NoSolution as exc:
                 return GaugeResult(
-                    False, obstruction=exc.residual, order=n
+                    False, compared=order, obstruction=exc.residual, order=n
                 )
         Q = Q + qn.shift(n)
     final = gauge_act_algebraic(Q, K)
     if K2 != final:
-        return GaugeResult(False, obstruction=K2 - final, order=None)
-    return GaugeResult(True, gauge=Q)
+        return GaugeResult(False, compared=order, obstruction=K2 - final)
+    return GaugeResult(True, compared=order, gauge=Q)
 
 
 def classical_find_gauge(lie: LieData, alpha: CdybElement,
@@ -260,19 +263,21 @@ def classical_find_gauge(lie: LieData, alpha: CdybElement,
             columns += cdyb_dgla.d_columns(lie, 1, sh)
         [sol] = linalg.solve(columns, [diff.layer(0)])
         if sol is None:
-            return GaugeResult(False, obstruction=diff, order=n)
+            return GaugeResult(False, compared=order, obstruction=diff,
+                               order=n)
         q_terms: dict = {}
         for j, a in sol.items():
             for key, c in basis[j].items():
                 add_into(q_terms, key, a * c)
         qn = CdybElement(q_terms, order).shift(n)
         if qn.is_zero():
-            return GaugeResult(False, obstruction=diff, order=n)
+            return GaugeResult(False, compared=order, obstruction=diff,
+                               order=n)
         cur = classical_gauge_act(lie, qn, cur)
         chain.append(qn)
     if beta != cur:
-        return GaugeResult(False, obstruction=beta - cur, order=None)
-    return GaugeResult(True, gauge=chain)
+        return GaugeResult(False, compared=order, obstruction=beta - cur)
+    return GaugeResult(True, compared=order, gauge=chain)
 
 
 # -- classical reduction -----------------------------------------------------

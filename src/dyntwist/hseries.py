@@ -26,10 +26,7 @@ mod hbar^(N+1), so the inner loop stops at the first such pair.  The
 weight is the hbar power; a formal twist adds the leg degree, the
 grading of its truncation triangle.  Every stored coefficient has
 exactly its element's order, so a kernel's output layers run from 0 to
-its order N.  Outputs carry their layer terms: `from_layers` builds
-them in the pass that builds the series, in the order `layer_terms`
-would give, so the kernel that reads an output next neither flattens
-nor sorts it (a formal twist's are built when first asked for).
+its order N.
 
 The product kernels (b, cup, brace, the twist residual and the
 slotwise products) compute on Python ints: `SparseSeries.int_layer_terms`
@@ -319,74 +316,42 @@ class SparseSeries:
         times them (as ints, or Fractions where a factor was rational),
         and each is divided by den once (`quotient`).  The keys are a
         kernel's, built from validated ones: where the space has an
-        arity, only their width is checked.
-
-        The element comes with its `layer_terms()`, built in the same
-        pass and in the order that method gives, so the next kernel
-        that reads it neither flattens nor sorts.  A formal twist, whose
+        arity, only their width is checked.  A formal twist, whose
         triangle the constructor cuts, goes through the constructor.
         """
         *space, layers = args
         order = len(layers) - 1
         scaled = den is not None and den != 1
-        if cls._leg_weighted:
-            rows: dict = {}
-            for n, layer in enumerate(layers):
-                for k, a in layer.items():
-                    row = rows.get(k)
-                    if row is None:
-                        rows[k] = row = [0] * (order + 1)
-                    row[n] = quotient(a, den) if scaled else canonical(a)
-            terms = {k: HSeries(tuple(row), order, normalized=True)
-                     for k, row in rows.items()}
-            return cls(*space, terms, order)
-        # no triangle cuts a series: only the keys' width needs the
-        # constructor's check
-        new = cls._direct(space, {}, order)
-        arity = getattr(new, "arity", None)
-        width = None if arity is None else arity + 1
-        terms = new.terms
-        if order == 0:
-            layered = []
-            for k, a in layers[0].items():
-                if width is not None and len(k) != width:
-                    new._key(k)  # raises GradingMismatch
-                if scaled:
-                    a = quotient(a, den)
-                elif type(a) is not int:
-                    a = canonical(a)
-                if a:
-                    terms[k] = HSeries((a,), 0, normalized=True)
-                    layered.append((k, a, 0, 0))
-            new._layered = layered
-            return new
-        # the rows are written into the term dict, then each is replaced
-        # by its HSeries in place
+        rows: dict = {}
         for n, layer in enumerate(layers):
             for k, a in layer.items():
                 if scaled:
                     a = quotient(a, den)
                 elif type(a) is not int:
                     a = canonical(a)
-                row = terms.get(k)
+                row = rows.get(k)
                 if row is None:
-                    terms[k] = row = [0] * (order + 1)
+                    rows[k] = row = [0] * (order + 1)
                 row[n] = a
+        if cls._leg_weighted:
+            terms = {k: HSeries(tuple(row), order, normalized=True)
+                     for k, row in rows.items()}
+            return cls(*space, terms, order)
+        # no triangle cuts a series: only the keys' width needs the
+        # constructor's check, and each row is replaced by its HSeries
+        # in place
+        new = cls._direct(space, rows, order)
+        arity = getattr(new, "arity", None)
         zero_rows = []
-        for k, row in terms.items():
-            if width is not None and len(k) != width:
+        for k, row in rows.items():
+            if arity is not None and len(k) != arity + 1:
                 new._key(k)  # raises GradingMismatch
             if any(row):
-                terms[k] = HSeries(tuple(row), order, normalized=True)
+                rows[k] = HSeries(tuple(row), order, normalized=True)
             else:
                 zero_rows.append(k)
         for k in zero_rows:
-            del terms[k]
-        # layer_terms: by hbar power, each power's keys in term order
-        new._layered = [
-            (k, a, n, n) for n in range(order + 1)
-            for k, c in terms.items() if (a := c.coeffs[n])
-        ]
+            del rows[k]
         return new
 
     # -- ring structure ----------------------------------------------------

@@ -89,6 +89,10 @@ def test_find_gauge_identity(sl2_uea, sl2_pair):
     r = find_gauge(sl2_pair.K, sl2_pair.K)
     assert r.equivalent and bool(r)
     assert r.gauge == AdtElement.unit(sl2_uea, 1, ORDER)
+    assert r.compared == ORDER
+    # a pair of two orders is compared through the smaller one
+    assert find_gauge(sl2_pair.K.truncate(1), sl2_pair.K).compared == 1
+    assert find_gauge(sl2_pair.K, sl2_pair.K.truncate(1)).compared == 1
 
 
 def test_find_gauge_recovers_constructed_equivalence(sl2_uea, sl2_pair):
@@ -179,6 +183,7 @@ def test_classical_find_gauge(sl2, sl2_rho):
     beta = classical_gauge_act(sl2, _inv_q(sl2, ORDER), alpha)
     r = classical_find_gauge(sl2, alpha, beta)
     assert r.equivalent
+    assert r.compared == ORDER
     cur = alpha
     for q in r.gauge:
         cur = classical_gauge_act(sl2, q, cur)

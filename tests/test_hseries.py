@@ -270,8 +270,8 @@ def test_closed_arithmetic_stores_what_the_constructor_stores(kind, name):
         ref = reference_kernels.from_layers(cls, *space, layers, den=den)
         assert got.order == order
         assert _snapshot(got) == _snapshot(ref)
-        # the layer terms it comes with are those `layer_terms` sorts
-        # out of the constructor's element, value types included
+        # its layer terms are those of the constructor's element,
+        # value types included
         assert [(t, type(t[1])) for t in got.layer_terms()] == [
             (t, type(t[1])) for t in ref.layer_terms()]
     if kind in ("adt", "formal"):
