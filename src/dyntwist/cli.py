@@ -2,11 +2,19 @@
 
 Exit codes: 0 all residuals exactly zero, 1 a residual check failed,
 2 malformed input, 3 the solver hit an obstruction.
+
+A command-line run ends through os._exit once main() has returned and
+stdout and stderr are flushed: the report is out and every file was
+written in a `with` block, so interpreter teardown (module cleanup and a
+last collection, about 10 ms) would only delay the exit.  A flush that
+fails exits as sys.exit would.  main() itself just returns the code, so
+in-process callers are unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import cdyb_dgla, props, schema
@@ -296,4 +304,13 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    try:
+        # a stream is None when its descriptor was closed at startup
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        # teardown reports the failed flush and exits 120
+        sys.exit(code)
+    os._exit(code)

@@ -150,16 +150,20 @@ def test_oversized_twist_order_exits_quickly(tmp_path):
     assert "order must be <=" in proc.stderr
 
 
-def _run_cli(argv):
-    """The CLI in a fresh process, killed after 60 s."""
+def _run_cli(argv, stdout=subprocess.PIPE, drop_env=(), **popen):
+    """The CLI in a fresh process, killed after 60 s.
+
+    The variables named in drop_env are taken out of its environment.
+    """
     src = str(CORPUS.parent / "src")
-    env = dict(os.environ)
+    env = {k: v for k, v in os.environ.items() if k not in drop_env}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-m", "dyntwist.cli"] + argv,
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-m", "dyntwist.cli"] + argv, env=env,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+        **popen,
     )
 
 
@@ -177,6 +181,60 @@ def test_quantize_refuses_order_beyond_verified_range(tmp_path):
 
 
 BAD_R = "rmatrix\nterm 1 * e^f * 1\nterm 3 * e^f * h\nend\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["quantize", "--algebra", SL2, "--rmatrix", SL2_R, "--order", "2",
+      "--out", "{out}"], 0),
+    (["quantize", "--algebra", SL2, "--rmatrix", SL2_R, "--order", "2"], 0),
+    (["check-rmatrix", "--algebra", SL2, "--rmatrix", "{bad}"], 1),
+    (["check-rmatrix", "--algebra", SL2, "--rmatrix", "{malformed}"], 2),
+])
+def test_a_fresh_process_reports_what_main_reports(tmp_path, capsys, argv,
+                                                   code):
+    # a command-line run skips interpreter teardown; nothing it prints,
+    # writes or returns may differ from the in-process main(), also when
+    # stdout is block-buffered until the end
+    out = tmp_path / "K.twist"
+    (tmp_path / "bad.rmat").write_text(BAD_R)
+    (tmp_path / "malformed.rmat").write_text("rmatrix\nterm e^f\nend\n")
+    argv = [a.format(out=out, bad=tmp_path / "bad.rmat",
+                     malformed=tmp_path / "malformed.rmat") for a in argv]
+    proc = _run_cli(argv, drop_env=("PYTHONUNBUFFERED",))
+    written = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, captured.out, captured.err)
+    assert (written is None) == ("--out" not in argv)
+    assert written == (out.read_bytes() if out.exists() else None)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device whose writes fail")
+def test_a_failed_final_flush_exits_120_without_a_traceback():
+    # with stdout block-buffered the report is still in the buffer when
+    # main() returns, so the flush after it is the write that fails
+    with open("/dev/full", "w") as full:
+        proc = _run_cli(["quantize", "--algebra", SL2, "--rmatrix", SL2_R,
+                         "--order", "2"], stdout=full,
+                        drop_env=("PYTHONUNBUFFERED",))
+    assert proc.returncode == 120
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("Exception ignored in: ")
+    assert "OSError: [Errno 28]" in proc.stderr
+
+
+def test_a_closed_stdout_is_no_error_when_nothing_is_printed(tmp_path):
+    # a descriptor closed at startup leaves sys.stdout None
+    report = tmp_path / "report.txt"
+    proc = _run_cli(["check-rmatrix", "--algebra", SL2, "--rmatrix", SL2_R,
+                     "--out", str(report)],
+                    stdout=subprocess.DEVNULL,
+                    preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "residual head: ok" in report.read_text()
 
 
 def test_quantize_refuses_input_that_fails_below_the_order(tmp_path, capsys):
