@@ -32,7 +32,6 @@ from .uea import UEnvelope, UmSplitter
 from .adt_dgla import (
     AdtElement,
     adte_residual,
-    alt,
     alt_embed,
     brace,
     cup,
@@ -44,12 +43,10 @@ from .cdyb_dgla import cdybe_residual, delta_homotopy, p1_project
 from .linfinity import (
     Contraction,
     MorphismTower,
-    check_morphism,
     classical_contraction,
     invert_contraction,
     mc_transport,
     quantum_contraction,
-    twist_by_homotopy,
 )
 from .quantizer import (
     FormalTwist,
@@ -68,7 +65,6 @@ from .gauge import (
     ReducedClassical,
     classical_find_gauge,
     classical_gauge_act,
-    classical_gauge_infinitesimal,
     find_gauge,
     gauge_act_algebraic,
     reduce_classical,

@@ -432,27 +432,6 @@ def p2_project(splitter: UmSplitter, P: AdtElement) -> AdtElement:
     return P.map_keys(image, AdtElement, splitter.uea, P.arity)
 
 
-def alt(P: AdtElement) -> CdybElement:
-    """Project each factor to its primitive part, antisymmetrize to wedges.
-
-    The leg is carried back to S h through the symmetrization inverse.
-    """
-    uea = P.uea
-    h_allowed = set(uea.lie.h_indices)
-
-    def image(key):
-        if any(len(m) != 1 for m in key[:-1]):
-            return ()
-        ws = wedge_sort(tuple(m[0] for m in key[:-1]))
-        if ws is None:
-            return ()
-        sign, wedge = ws
-        s_coeffs = uea.sym_preimage({key[-1]: 1}, allowed=h_allowed)
-        return [((wedge, smono), 0, sign * c) for smono, c in s_coeffs.items()]
-
-    return P.map_keys(image, CdybElement)
-
-
 def alt_embed(uea: UEnvelope, elt: CdybElement) -> AdtElement:
     """Antisymmetrized tensor embedding with 1/k! so alt o alt_embed = id.
 

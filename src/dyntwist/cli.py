@@ -1,7 +1,9 @@
 """Command-line front end: quantize, verify, classify, report.
 
 Exit codes: 0 all residuals exactly zero, 1 a residual check failed,
-2 malformed input, 3 the solver hit an obstruction.
+2 malformed input, 3 the solver hit an obstruction, 120 the report or
+the twist could not be written (the code Python gives a failed final
+flush of stdout).
 
 A command-line run ends through os._exit once main() has returned and
 stdout and stderr are flushed: the report is out and every file was
@@ -44,6 +46,7 @@ EXIT_PASS = 0
 EXIT_RESIDUAL = 1
 EXIT_INPUT = 2
 EXIT_OBSTRUCTION = 3
+EXIT_OUTPUT = 120
 
 
 class Report:
@@ -68,6 +71,9 @@ class Report:
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
+        elif sys.stdout is None:
+            # its descriptor was closed at startup
+            raise OSError("stdout is closed")
         else:
             sys.stdout.write(text)
         return self.code
@@ -299,8 +305,10 @@ def main(argv=None) -> int:
         print(f"input error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        # schema.load_file turns read failures into SchemaError, so this
+        # is a failed write of the report or the twist
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

@@ -28,12 +28,7 @@ from .errors import (
 from .hseries import add_into, quotient
 from .lie_core import LieData
 from .linfinity import classical_contraction, invert_contraction, mc_transport
-from .tensor_spaces import (
-    CdybElement,
-    invariant_cdyb_basis,
-    sym_sort,
-    wedge_sort,
-)
+from .tensor_spaces import CdybElement, invariant_cdyb_basis
 
 
 def _as_generator(lie: LieData, g) -> CdybElement:
@@ -103,38 +98,6 @@ def gauge_act_algebraic(Q, K: AdtElement) -> AdtElement:
 # -- classical gauge flows ---------------------------------------------------
 
 
-def _shift_affine(lie: LieData, q: CdybElement) -> CdybElement:
-    """- sum_i h_i wedge (d q / d lambda^i)."""
-    def image(key):
-        w, s = key
-        for i in set(s):
-            ws = wedge_sort((i, w[0]))
-            if ws is not None:
-                pos = s.index(i)
-                rest = sym_sort(s[:pos] + s[pos + 1 :])
-                yield (ws[1], rest), 0, -ws[0] * s.count(i)
-
-    return q.map_keys(image, CdybElement)
-
-
-def classical_gauge_infinitesimal(lie: LieData, q, target,
-                                  form: str = "mc") -> CdybElement:
-    """q . alpha = dq + [q, alpha], or the affine-shift variant for the
-    unrescaled r-matrix form: -sum_i h_i wedge dq/dlambda^i + [q, rho].
-
-    q must be an invariant generator of exterior degree 1, as in
-    `classical_gauge_act`.
-    """
-    q = _as_generator(lie, q)
-    if form == "mc":
-        affine = cdyb_dgla.differential(q)
-    elif form == "r":
-        affine = _shift_affine(lie, q)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return affine + cdyb_dgla.bracket(lie, q, target)
-
-
 def classical_gauge_act(lie: LieData, q, target) -> CdybElement:
     """Exponentiated affine action by the truncated mc-form flow.
 
@@ -159,17 +122,6 @@ def classical_gauge_act(lie: LieData, q, target) -> CdybElement:
         return out
 
     return series(target, 0) + series(cdyb_dgla.differential(q), 1)
-
-
-def rescale_generator(q: CdybElement, order: int) -> CdybElement:
-    """Substitute the rescaled argument: leg degree d gains hbar^d.
-
-    Intertwines the two flow forms with the rescaling that turns an
-    r-matrix into a Maurer-Cartan element.
-    """
-    return q.truncate(order).map_keys(
-        lambda key: ((key, len(key[1]), 1),), CdybElement
-    )
 
 
 # -- equivalence testing -----------------------------------------------------
@@ -315,7 +267,7 @@ def reduce_classical(lie: LieData, alpha: CdybElement) -> ReducedClassical:
     if val is not None and val < 1:
         raise NotMaurerCartan("input must have hbar valuation >= 1")
     C = classical_contraction(lie, order)
-    Q, F, R = invert_contraction(C, max(order, 1))
+    Q, R = invert_contraction(C, max(order, 1))
     pi = mc_transport(R, alpha, check=False)
     if C.proj(pi) != pi:
         raise StraighteningStalled(

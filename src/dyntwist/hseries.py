@@ -125,10 +125,6 @@ class HSeries:
         return cls((), order)
 
     @classmethod
-    def one(cls, order: int) -> "HSeries":
-        return cls((1,), order)
-
-    @classmethod
     def constant(cls, c, order: int) -> "HSeries":
         return cls((c,), order)
 

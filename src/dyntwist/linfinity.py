@@ -17,12 +17,15 @@ alpha) from the n - 1 splittings of its n equal arguments, and the whole
 transport takes work polynomial in the order.  Koszul signs are computed
 in the double-shifted grading where Maurer-Cartan elements sit in degree
 0 (so transport of such elements needs no signs at all).
+
+A contraction gives the inclusion tower Q and the strict reduction R
+(`invert_contraction`).  The oracles that certify them are test code,
+in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 from math import comb
 
@@ -35,7 +38,7 @@ from .linalg import Factorization, pivots
 # bound but never called: perfbench/test_perfbench.py reads linfinity.rref
 # to check that its tracer wraps a name imported into another module
 from .linalg import rref  # noqa: F401
-from .tensor_spaces import CdybElement, invariant_cdyb_basis
+from .tensor_spaces import CdybElement
 from .uea import UEnvelope, UmSplitter
 
 _HALF = Fraction(1, 2)
@@ -65,8 +68,7 @@ class LinfAlgebra:
     """A dgla presented through its two structure operations.
 
     Subclasses provide q1 (the differential), bracket (a standard graded
-    Lie bracket), a degree function, and sampling of homogeneous
-    invariant elements for property checks.
+    Lie bracket), a degree function and the zero element.
     """
 
     order: int
@@ -84,9 +86,6 @@ class LinfAlgebra:
         return self.degree(x) - 1
 
     def zero(self):
-        raise NotImplementedError
-
-    def sample_elements(self, rng, count):
         raise NotImplementedError
 
     def q2(self, x, y, sx):
@@ -117,24 +116,8 @@ class CdybDgla(LinfAlgebra):
             raise GradingMismatch(f"mixed exterior degrees {degs}")
         return (degs[0] - 1) if degs else 0
 
-    def filtration(self, x):
-        degs = x.sh_degrees()
-        return max(degs) if degs else 0
-
     def zero(self):
         return CdybElement.zero(self.order)
-
-    def sample_elements(self, rng, count):
-        out = []
-        guard = 0
-        while len(out) < count and guard < 50 * count:
-            guard += 1
-            k = rng.randint(1, 3)
-            l = rng.randint(0, 2)
-            rows = invariant_cdyb_basis(self.lie, k, l)
-            if rows:
-                out.append(CdybElement(dict(rng.choice(rows)), self.order))
-        return out
 
 
 class AdtDgla(LinfAlgebra):
@@ -163,26 +146,6 @@ class AdtDgla(LinfAlgebra):
     def zero(self):
         return AdtElement.zero(self.uea, 1, self.order)
 
-    def invariant_slice(self, arity, total_length):
-        rows = invariant_adt_basis(self.uea, arity, total_length)
-        return [
-            AdtElement(self.uea, arity, dict(r), self.order) for r in rows
-        ]
-
-    def sample_elements(self, rng, count):
-        # lengths are kept small: relation residuals at arity 3 touch
-        # slices of three times the sampled length
-        out = []
-        guard = 0
-        while len(out) < count and guard < 50 * count:
-            guard += 1
-            k = rng.randint(1, 2)
-            L = rng.randint(0, 1)
-            slice_elts = self.invariant_slice(k, L)
-            if slice_elts:
-                out.append(rng.choice(slice_elts))
-        return out
-
 
 class ProjectedDgla(LinfAlgebra):
     """The image of a contraction's projection, as a dgla of its own."""
@@ -203,31 +166,6 @@ class ProjectedDgla(LinfAlgebra):
 
     def zero(self):
         return self.ambient.zero()
-
-    def sample_elements(self, rng, count):
-        out = []
-        for e in self.ambient.sample_elements(rng, 20 * count):
-            pe = self.contraction.proj(e)
-            if not pe.is_zero():
-                out.append(pe)
-            if len(out) == count:
-                break
-        return out
-
-
-class SplitTargetDgla(ProjectedDgla):
-    """Ambient space seen as image-plus-kernel with bracket on the image.
-
-    The differential is unchanged (both summands are subcomplexes); the
-    bracket keeps only the projected part of the projected arguments.
-    """
-
-    def bracket(self, x, y):
-        p = self.contraction.proj
-        return p(self.ambient.bracket(p(x), p(y)))
-
-    def sample_elements(self, rng, count):
-        return self.ambient.sample_elements(rng, count)
 
 
 # -- contractions -----------------------------------------------------------
@@ -480,46 +418,6 @@ def _bracket_defect(T: MorphismTower, args, degs):
     return res
 
 
-def morphism_residual(T: MorphismTower, args, degs=None):
-    """Exact residual of the L-infinity morphism relation at this arity."""
-    n = len(args)
-    src, tgt = T.source, T.target
-    if degs is None:
-        degs = [src.s_degree(a) for a in args]
-    res = tgt.q1(T.apply(n, args))
-    for i in range(n):
-        sign = (-1) ** (sum(degs[:i]) % 2)
-        repl = tuple(
-            src.q1(a) if j == i else a for j, a in enumerate(args)
-        )
-        term = T.apply(n, repl)
-        if sign > 0:
-            term = term.scale(-1)
-        res = res + term
-    return res + _bracket_defect(T, args, degs)
-
-
-def check_morphism(T: MorphismTower, arity: int, samples: int, seed=0):
-    """Evaluate the morphism relations on sampled invariant elements.
-
-    Returns a report dict; `ok` means every sampled residual was exactly
-    zero.
-    """
-    rng = random.Random(seed)
-    report = {"ok": True, "failures": [], "checked": 0}
-    for n in range(1, arity + 1):
-        for _ in range(samples):
-            args = tuple(T.source.sample_elements(rng, n))
-            if len(args) < n:
-                continue
-            res = morphism_residual(T, args)
-            report["checked"] += 1
-            if not res.is_zero():
-                report["ok"] = False
-                report["failures"].append((n, args, res))
-    return report
-
-
 def _perturbed_tower(C: Contraction, source, target, arity_bound):
     """The tower with first map the identity and n-th map -h(defect).
 
@@ -544,150 +442,24 @@ def _perturbed_tower(C: Contraction, source, target, arity_bound):
 
 
 def invert_contraction(C: Contraction, arity_bound: int):
-    """The towers (Q, F, R) of a contraction, up to `arity_bound`.
+    """The towers (Q, R) of a contraction, up to `arity_bound`.
 
-    F straightens the ambient dgla onto the split target, Q includes the
-    projected dgla into the ambient one, and R = proj o F reduces the
-    ambient dgla onto the projected one.  F and Q share one recursion:
+    Q includes the projected dgla into the ambient one, and R reduces
+    the ambient dgla onto the projected one.  Both come from the tower F
+    that straightens the ambient dgla onto its split target (image plus
+    kernel, with the bracket on the image), which shares Q's recursion:
     the first map is the identity and the higher maps are -h of the
     bracket defect.  As h h = 0, p h = 0 and h p = 0, Q is the only
     tower with the inclusion as first map and higher maps in the image
-    of h, so it is the inverse of F composed with the inclusion.  R is
-    strict: its first map is proj, and as p h = 0 every higher map
-    R^n = p(F^n) = -p h(defect) is zero, so R never evaluates F.
+    of h, so it is the inverse of F composed with the inclusion.  R =
+    proj o F is strict: its first map is proj, and as p h = 0 every
+    higher map R^n = p(F^n) = -p h(defect) is zero, so neither tower
+    needs F itself.  F and `check_morphism` live in `tests/oracles.py`.
     """
-    ambient = C.dgla
     sub = ProjectedDgla(C)
-    F = _perturbed_tower(C, ambient, SplitTargetDgla(C), arity_bound)
-    Q = _perturbed_tower(C, sub, ambient, arity_bound)
-    R = MorphismTower(ambient, sub, [C.proj], arity_bound)
-    return Q, F, R
-
-
-# -- homotopy twisting (arity <= 3) -----------------------------------------
-
-
-def _pairs_add(acc, coeff, u, su, v, sv):
-    if u.is_zero() or v.is_zero():
-        return
-    acc.append((coeff, u, su, v, sv))
-
-
-def twist_by_homotopy(F: MorphismTower, V) -> MorphismTower:
-    """Twist a morphism tower by a degree -1 map V: source -> target.
-
-    The first structure map becomes F^1 + q1 V + V q1 and the higher
-    maps are produced by the coderivation-style extension of V, written
-    out explicitly up to arity 3, F's arity bound.
-    """
-    arity_bound = F.arity_bound
-    if arity_bound > 3:
-        raise GradingMismatch("homotopy twisting is implemented to arity 3")
-    src, tgt = F.source, F.target
-
-    def W1(x):
-        return tgt.q1(V(x)) + V(src.q1(x))
-
-    def psi1(x):
-        return F.apply(1, (x,)) + W1(x)
-
-    def v2_pairs(args, degs):
-        """S^2-component of the extension on a length-2 word."""
-        (x, y), (sx, sy) = args, degs
-        acc = []
-        orderings = [((x, sx), (y, sy), 1)]
-        swap_sign = -1 if (sx % 2 and sy % 2) else 1
-        orderings.append(((y, sy), (x, sx), swap_sign))
-        for (a, sa), (b, sb), eps in orderings:
-            sga = -1 if sa % 2 else 1
-            _pairs_add(
-                acc,
-                Fraction(eps * sga, 2),
-                F.apply(1, (a,)),
-                sa,
-                V(b),
-                sb - 1,
-            )
-            _pairs_add(acc, Fraction(eps, 2), V(a), sa - 1, F.apply(1, (b,)), sb)
-            _pairs_add(acc, Fraction(eps, 4), V(a), sa - 1, W1(b), sb)
-            _pairs_add(acc, Fraction(eps * sga, 4), W1(a), sa, V(b), sb - 1)
-        return acc
-
-    def w2(args, degs):
-        """Target-component of the extension's W on a length-2 word."""
-        out = tgt.zero()
-        for coeff, u, su, v, sv in v2_pairs(args, degs):
-            out = out + tgt.q2(u, v, su).scale(coeff)
-        out = out + V(src.q2(args[0], args[1], degs[0]))
-        return out
-
-    def psi2(x, y):
-        degs = (src.s_degree(x), src.s_degree(y))
-        return F.apply(2, (x, y)) + w2((x, y), degs)
-
-    def v2_pairs3(args, degs):
-        """S^2-component of the extension on a length-3 word."""
-        acc = []
-        idx = (0, 1, 2)
-        for A in itertools.combinations(idx, 2):
-            b = [i for i in idx if i not in A][0]
-            perm = list(A) + [b]
-            eps = koszul_sign(degs, perm)
-            sA = degs[A[0]] + degs[A[1]]
-            sga = -1 if sA % 2 else 1
-            argsA = (args[A[0]], args[A[1]])
-            degsA = (degs[A[0]], degs[A[1]])
-            _pairs_add(
-                acc,
-                Fraction(eps * sga, 2),
-                F.apply(2, argsA),
-                sA,
-                V(args[b]),
-                degs[b] - 1,
-            )
-            _pairs_add(
-                acc,
-                Fraction(eps * sga, 4),
-                w2(argsA, degsA),
-                sA,
-                V(args[b]),
-                degs[b] - 1,
-            )
-        for a in idx:
-            B = tuple(i for i in idx if i != a)
-            perm = [a] + list(B)
-            eps = koszul_sign(degs, perm)
-            argsB = (args[B[0]], args[B[1]])
-            degsB = (degs[B[0]], degs[B[1]])
-            sB = degsB[0] + degsB[1]
-            _pairs_add(
-                acc,
-                Fraction(eps, 2),
-                V(args[a]),
-                degs[a] - 1,
-                F.apply(2, argsB),
-                sB,
-            )
-            _pairs_add(
-                acc,
-                Fraction(eps, 4),
-                V(args[a]),
-                degs[a] - 1,
-                w2(argsB, degsB),
-                sB,
-            )
-        return acc
-
-    def psi3(x, y, z):
-        args = (x, y, z)
-        degs = tuple(src.s_degree(a) for a in args)
-        out = F.apply(3, args)
-        for coeff, u, su, v, sv in v2_pairs3(args, degs):
-            out = out + tgt.q2(u, v, su).scale(coeff)
-        return out
-
-    maps = [psi1, psi2, psi3][:arity_bound]
-    return MorphismTower(src, tgt, maps, arity_bound)
+    Q = _perturbed_tower(C, sub, C.dgla, arity_bound)
+    R = MorphismTower(C.dgla, sub, [C.proj], arity_bound)
+    return Q, R
 
 
 # -- Maurer-Cartan transport ------------------------------------------------

@@ -34,11 +34,14 @@ input, over columns rebuilt from the complements.
 each leg monomial's hbar polynomial from `quantizer._star_mono` turned
 into a series (`_poly_to_series`); `formal_mul` multiplies legs with it.
 
-The linear maps that move hbar powers (`coproduct_at`, `j_to_k`, the
-two argument-shift forms and `rescale_generator`) are kept as they were
-written before they went through `SparseSeries.map_keys`: each term's
-whole HSeries is multiplied by hbar^k (`HSeries.hbar`) and the
-result summed key by key.  `shift_taylor` is the only Taylor form of the
+The linear maps that move hbar powers (`coproduct_at`, `j_to_k` and the
+two argument-shift forms) are kept as they were written before they went
+through `SparseSeries.map_keys`: each term's whole HSeries is multiplied
+by hbar^k (`HSeries.hbar`) and the result summed key by key.
+`rescale_generator`, written the same way, is the only copy of the
+substitution that gives leg degree d of a classical flow generator the
+factor hbar^d; `quantizer.RMatrix.rescaled` is the same shift with one
+more hbar.  `shift_taylor` is the only Taylor form of the
 argument shift: `quantizer.shift_argument` computes the leg coaction
 form, and the two must agree.
 
@@ -49,7 +52,8 @@ vanish at the same leg degrees.
 
 `contraction_towers` builds the towers (Q, F, R) of a contraction as
 `linfinity.invert_contraction` built them before Q had a recursion of
-its own and before R was strict: F by the homotopy recursion, its
+its own and before R was strict: F, onto the split target of
+`oracles.SplitTargetDgla`, by the homotopy recursion, its
 inverse by a sum over the set partitions of the arguments
 (`invert_tower`), and Q and R by composing that inverse and F with the
 strict inclusion and projection (`compose_towers`, here over every
@@ -66,15 +70,11 @@ from dyntwist.adt_dgla import AdtElement, adt_monomials, p2_project
 from dyntwist.errors import ContractFailure, GradingMismatch, NoSolution
 from dyntwist.hseries import HSeries, add_into
 from dyntwist.lie_core import invariant_basis
-from dyntwist.linfinity import (
-    MorphismTower,
-    ProjectedDgla,
-    SplitTargetDgla,
-    koszul_sign,
-)
+from dyntwist.linfinity import MorphismTower, ProjectedDgla, koszul_sign
 from dyntwist.quantizer import FormalTwist, _star_mono
 from dyntwist.tensor_spaces import CdybElement, sym_sort
 from dyntwist.uea import coproduct_mono
+from oracles import SplitTargetDgla
 
 _F1 = Fraction(1)
 

@@ -14,7 +14,6 @@ from dyntwist import (
     RMatrix,
     UEnvelope,
     adte_residual,
-    alt,
     alt_embed,
     brace,
     cup,
@@ -46,6 +45,7 @@ from conftest import (
     CORPUS, ab2_data, aff_data, adt_is_invariant, is_canonical,
     mixed_element, nonab_data, sl2_data, sl2half_data,
 )
+from oracles import alt
 
 N = 3
 F = Fraction
@@ -60,18 +60,18 @@ def test_b_squared_all_corpus(sl2_uea, ab2_uea, aff_uea, nonab_uea):
 def test_b_kills_primitives(sl2_uea):
     # primitive group factors with empty leg are cocycles in arity 1:
     # the padded copy cancels against the coproduct terms
-    P = AdtElement(sl2_uea, 1, {((0,), ()): HSeries.one(N)}, N)
+    P = AdtElement(sl2_uea, 1, {((0,), ()): HSeries.constant(1, N)}, N)
     assert differential_b(P).is_zero()
 
 
 def test_b_on_unit_and_leg(sl2_uea):
     # a pure leg letter: the pad and the leg part of the coaction cancel
     # one copy, leaving the group part of the coaction plus the leg copy
-    P = AdtElement(sl2_uea, 1, {((), (1,)): HSeries.one(N)}, N)
+    P = AdtElement(sl2_uea, 1, {((), (1,)): HSeries.constant(1, N)}, N)
     b = differential_b(P)
     expected = AdtElement(
         sl2_uea, 2,
-        {((), (1,), ()): HSeries.one(N), ((), (), (1,)): HSeries.one(N)},
+        {((), (1,), ()): HSeries.constant(1, N), ((), (), (1,)): HSeries.constant(1, N)},
         N,
     )
     assert b == expected

@@ -237,6 +237,44 @@ def test_a_closed_stdout_is_no_error_when_nothing_is_printed(tmp_path):
     assert "residual head: ok" in report.read_text()
 
 
+def _assert_output_error(proc):
+    assert proc.returncode == 120
+    assert proc.stderr.startswith("output error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_closed_stdout_is_an_output_error():
+    # without --out the report has nowhere to go
+    proc = _run_cli(["check-rmatrix", "--algebra", SL2, "--rmatrix", SL2_R],
+                    stdout=subprocess.DEVNULL,
+                    preexec_fn=lambda: os.close(1))
+    _assert_output_error(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device whose writes fail")
+def test_an_unbuffered_write_to_a_full_device_is_an_output_error(
+        monkeypatch):
+    # unbuffered, the report's own write inside main() is the one that
+    # fails, and it ends as the failed final flush of a buffered run does
+    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    with open("/dev/full", "w") as full:
+        proc = _run_cli(["quantize", "--algebra", SL2, "--rmatrix", SL2_R,
+                         "--order", "2"], stdout=full)
+    _assert_output_error(proc)
+    assert "[Errno 28]" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["quantize", "check-rmatrix"])
+def test_a_missing_out_directory_is_an_output_error(tmp_path, command):
+    # quantize writes the twist itself, the others through the report
+    out = tmp_path / "missing" / "out.txt"
+    proc = _run_cli([command, "--algebra", SL2, "--rmatrix", SL2_R,
+                     "--order", "2", "--out", str(out)])
+    _assert_output_error(proc)
+    assert not out.parent.exists()
+
+
 def test_quantize_refuses_input_that_fails_below_the_order(tmp_path, capsys):
     # e^f + 3 e^f (x) h passes the leg-degree-0 check of --shdeg 0, but
     # its rescaled residual has an hbar^2 term

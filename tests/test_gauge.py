@@ -14,7 +14,6 @@ from dyntwist import (
     cdyb_dgla,
     classical_find_gauge,
     classical_gauge_act,
-    classical_gauge_infinitesimal,
     find_gauge,
     gauge_act_algebraic,
     reduce_classical,
@@ -23,9 +22,11 @@ from dyntwist import (
 )
 from dyntwist.adt_dgla import invariant_adt_basis
 from dyntwist.errors import GradingMismatch, NotInvariant
-from dyntwist.gauge import adt_inverse, adt_mul, rescale_generator
+from dyntwist.gauge import adt_inverse, adt_mul
 
 from conftest import ORDER
+from oracles import classical_gauge_infinitesimal
+from reference_kernels import rescale_generator
 
 F = Fraction
 
@@ -63,7 +64,7 @@ def test_inverse(sl2_uea):
 
 def test_inverse_requires_unit_head(sl2_uea):
     Q = AdtElement(
-        sl2_uea, 1, {((0,), ()): HSeries.one(ORDER)}, ORDER
+        sl2_uea, 1, {((0,), ()): HSeries.constant(1, ORDER)}, ORDER
     )
     with pytest.raises(NotInvertible):
         adt_inverse(Q)

@@ -33,7 +33,7 @@ series = st.lists(fracs, min_size=0, max_size=N + 1).map(
 
 def test_constructors():
     assert HSeries.zero(N).is_zero()
-    assert HSeries.one(N).coeff(0) == 1
+    assert HSeries.constant(1, N).coeff(0) == 1
     assert HSeries.constant(Fraction(3, 2), N).coeff(0) == Fraction(3, 2)
     h2 = HSeries.hbar(N, 2, 5)
     assert h2.coeff(2) == 5 and h2.coeff(0) == 0
@@ -43,7 +43,7 @@ def test_constructors():
 def test_valuation():
     assert HSeries.zero(N).valuation() is None
     assert HSeries.hbar(N, 3).valuation() == 3
-    assert HSeries.one(N).valuation() == 0
+    assert HSeries.constant(1, N).valuation() == 0
 
 
 @given(series, series, series)
@@ -54,7 +54,7 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + HSeries.zero(N) == a
-    assert a * HSeries.one(N) == a
+    assert a * HSeries.constant(1, N) == a
     assert (a - a).is_zero()
 
 
@@ -67,7 +67,7 @@ def test_truncation_is_multiplicative(a):
 
 
 def test_mixed_orders_truncate_down():
-    a = HSeries.one(6)
+    a = HSeries.constant(1, 6)
     b = HSeries.hbar(2, 1)
     assert (a + b).order == 2
     assert (a * b).order == 2
@@ -157,7 +157,7 @@ def test_a_coefficient_below_the_element_order_is_refused(sl2_uea, build):
 def test_scaling_by_a_shorter_series_truncates_to_its_order(sl2_uea, build):
     a = build(sl2_uea, HSeries([1, 2, 0, -1], N), Fraction(3), N)
     for m in range(N + 1):
-        s = a.scale(HSeries.one(m))
+        s = a.scale(HSeries.constant(1, m))
         assert s.order == m
         assert all(c.order == m for c in s.terms.values())
         assert _snapshot(s) == _snapshot(a.truncate(m))
@@ -166,7 +166,7 @@ def test_scaling_by_a_shorter_series_truncates_to_its_order(sl2_uea, build):
     assert _snapshot(s) == _snapshot(
         build(sl2_uea, HSeries([0, 1, 2], 2), HSeries.hbar(2, 1, 3), 2))
     # a longer series keeps the element's order
-    assert _snapshot(a.scale(HSeries.one(N + 2))) == _snapshot(a)
+    assert _snapshot(a.scale(HSeries.constant(1, N + 2))) == _snapshot(a)
 
 
 # -- closed arithmetic against the constructor ------------------------------
@@ -311,7 +311,7 @@ def test_equality_is_a_zero_difference(kind, name):
     A = cls(*space, {k: coeffs[k] for k in keys[:6]}, N)
     terms = dict(A.terms)
     same = cls(*space, dict(terms), N)
-    extra = cls(*space, {**terms, keys[6]: HSeries.one(N)}, N)
+    extra = cls(*space, {**terms, keys[6]: HSeries.constant(1, N)}, N)
     fewer = cls(*space, dict(list(terms.items())[1:]), N)
     moved = cls(*space, {**terms, next(iter(terms)): HSeries.hbar(N, 0, 7)},
                 N)

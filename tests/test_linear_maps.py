@@ -12,17 +12,19 @@ import random
 
 import pytest
 
-from dyntwist import AdtElement, CdybElement, HSeries
+from dyntwist import AdtElement, HSeries, schema
 from dyntwist.adt_dgla import coproduct_at
-from dyntwist.gauge import rescale_generator
-from dyntwist.quantizer import FormalTwist, j_to_k, shift_argument
-from dyntwist.tensor_spaces import cdyb_monomials
+from dyntwist.quantizer import FormalTwist, RMatrix, j_to_k, shift_argument
 
 import reference_kernels
-from conftest import mixed_element
+from conftest import CORPUS, mixed_element
 
 N = 3
 ALGEBRAS = ["sl2_uea", "nonab_uea", "aff_uea"]
+# the corpus r-matrix of each algebra, and the order that the rescaled
+# top leg degree (4 on sl2 and affxc2) reaches
+RMATRICES = {"sl2_uea": "sl2", "nonab_uea": "nonab", "aff_uea": "affxc2"}
+BODY_ORDER = 5
 
 
 def _inputs(uea, rng, arity, cls):
@@ -30,22 +32,6 @@ def _inputs(uea, rng, arity, cls):
     def draw(order):
         return (mixed_element(uea, rng, arity, order, 8, cls=cls)
                 + mixed_element(uea, rng, arity, order, 8, cls=cls))
-
-    layered = draw(N)
-    return [draw(0), layered, layered.truncate(N - 1)]
-
-
-def _cdyb_inputs(lie, rng):
-    """The same three kinds of classical element, exterior degree 1."""
-    pool = [key for sh in range(N + 1) for key in cdyb_monomials(lie, 1, sh)]
-
-    def draw(order):
-        terms: dict = {}
-        for v in range(order + 1):
-            for key in rng.sample(pool, min(4, len(pool))):
-                terms[key] = (terms.get(key, HSeries.zero(order))
-                              + HSeries.hbar(order, v, rng.choice([-2, 1, 3])))
-        return CdybElement(terms, order)
 
     layered = draw(N)
     return [draw(0), layered, layered.truncate(N - 1)]
@@ -105,13 +91,16 @@ def test_argument_shifts_match_hseries_references(request, uea_name):
 
 @pytest.mark.parametrize("uea_name", ALGEBRAS)
 def test_rescale_generator_matches_hseries_reference(request, uea_name):
+    # RMatrix.rescaled is the same leg-degree hbar shift with one more
+    # hbar: leg degree d of the body gains hbar^(d + 1)
     lie = request.getfixturevalue(uea_name).lie
-    rng = random.Random(44)
+    path = CORPUS / f"{RMATRICES[uea_name]}.rmat"
+    body = schema.parse_rmatrix(schema.load_file(path), lie, BODY_ORDER)
+    rho = RMatrix(lie, body)
     outs = []
-    for q in _cdyb_inputs(lie, rng):
-        for order in range(q.order + 1):
-            outs.append(rescale_generator(q, order))
-            _agree(outs[-1], reference_kernels.rescale_generator(q, order))
+    for n in range(body.order + 1):
+        outs.append(rho.rescaled(n))
+        _agree(outs[-1], reference_kernels.rescale_generator(body, n).shift(1))
     _reaches_top(outs)
 
 

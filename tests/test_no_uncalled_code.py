@@ -1,42 +1,34 @@
 """Every definition in `src/dyntwist` is reached from outside the tests.
 
-Each module-level function and class, and each public method, must be
-referenced from `src/`, `demos/` or `perfbench/` somewhere other than its
-own definition.  A reference is a name or an attribute with the same
-identifier, but only an attribute refers to a method, and a reference
-from inside unreferenced code does not count.  The scan does not resolve
-types, so `x.apply` counts for every method named `apply`; but a call
-`x.ad(lie, i)` counts only for the methods whose parameters can take
-its arguments, so a method whose name another class's method shares is
-not kept alive by calls that fit that other method alone.  An import
-only binds a name, so it is not a reference, and neither is a re-export
-in `__init__.py`.  Code that only tests reach either goes or is listed
-in ALLOWED with its reason.
+Liveness is reachability.  The definitions are the module-level
+functions and classes of `src/` and the public methods of its classes.
+The roots are the module-level code of `src/`, `demos/` and
+`perfbench/`, and every definition in `demos/` and `perfbench/`.  A
+definition is live when a live scope references it, and a scope in
+`src/` is live when the innermost definition around it is: a private
+method or a nested function belongs to the definition that holds it.
+So code that only calls itself stays dead, and so do two definitions
+that only call each other.
+
+A reference is a name or an attribute with the same identifier, but only
+an attribute refers to a method.  The scan does not resolve types, so
+`x.apply` counts for every method named `apply`; but a call `x.ad(lie,
+i)` counts only for the methods whose parameters can take its
+arguments, so a method whose name another class's method shares is not
+kept alive by calls that fit that other method alone.  An import only
+binds a name, so it is not a reference, and neither is a re-export in
+`__init__.py`.  Code that only the tests reach lives in the tests:
+`tests/oracles.py` and `tests/reference_kernels.py`.
 """
 
 import ast
 import pathlib
+import shutil
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dyntwist"
-CALLER_DIRS = [SRC, ROOT / "demos", ROOT / "perfbench"]
+CALLER_DIRS = [ROOT / "demos", ROOT / "perfbench"]
 NAME = "name"
-
-ALLOWED = {
-    "linfinity.check_morphism":
-        "oracle: certifies the L-infinity towers in the acceptance tests",
-    "linfinity.twist_by_homotopy":
-        "oracle: the twisting of a tower by a homotopy, acceptance test 4",
-    "gauge.classical_gauge_infinitesimal":
-        "oracle: the affine-shift form of the classical flow",
-    "gauge.rescale_generator":
-        "oracle: intertwines the two classical flow forms",
-    "adt_dgla.alt":
-        "oracle: the left inverse of alt_embed, which the solver pins with",
-    "linfinity.CdybDgla.filtration":
-        "oracle: the filtration bound of the twisted classical towers",
-    "hseries.HSeries.one": "tests build inputs with it",
-}
 
 
 def _always(use):
@@ -114,41 +106,65 @@ def _references(path):
     return out
 
 
-def _unreferenced():
-    """Definitions with no reference outside themselves and dead code.
-
-    Dead code is an unreferenced definition that ALLOWED does not keep;
-    a reference from inside it does not count, so the scan repeats until
-    no definition is added.
-    """
-    refs = {}  # identifier: [(file, enclosing scope, use)]
-    for folder in CALLER_DIRS:
+def _unreachable(src=SRC, caller_dirs=CALLER_DIRS):
+    """The definitions in src that no root reaches, as module.qualname."""
+    defs = {(path, qual): fits for path in sorted(src.glob("*.py"))
+            for qual, fits in _definitions(path)}
+    named = {}  # identifier: the definitions it can name
+    for path, qual in defs:
+        named.setdefault(qual.rsplit(".", 1)[-1], []).append((path, qual))
+    uses = {}  # owning definition, or None for a root: [(identifier, use)]
+    for folder in [src, *caller_dirs]:
         for path in sorted(folder.glob("*.py")):
-            if path.name != "__init__.py":
-                for ident, scope, use in _references(path):
-                    refs.setdefault(ident, []).append((path, scope, use))
-    defs = [(path, qual, fits) for path in sorted(SRC.glob("*.py"))
-            for qual, fits in _definitions(path)]
-    dead: set = set()
-    while True:
-        out = [
-            f"{path.stem}.{qual}" for path, qual, fits in defs
-            if all(p == path and qual in scope
-                   or any((p, q) in dead for q in scope)
-                   for p, scope, use in refs.get(qual.rsplit(".", 1)[-1], ())
-                   if fits(use))
-        ]
-        grown = {(SRC / f"{name.split('.', 1)[0]}.py", name.split(".", 1)[1])
-                 for name in out if name not in ALLOWED}
-        if grown <= dead:
-            return out
-        dead |= grown
+            if path.name == "__init__.py":
+                continue
+            for ident, scope, use in _references(path):
+                owner = None
+                if folder == src:
+                    owner = next((d for d in ((path, q) for q in scope[::-1])
+                                  if d in defs), None)
+                uses.setdefault(owner, []).append((ident, use))
+    live = set()
+    pending = [None]
+    while pending:
+        for ident, use in uses.pop(pending.pop(), ()):
+            for d in named.get(ident, ()):
+                if d not in live and defs[d](use):
+                    live.add(d)
+                    pending.append(d)
+    return sorted(f"{path.stem}.{qual}" for path, qual in defs
+                  if (path, qual) not in live)
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
-    assert sorted(set(_unreferenced()) - set(ALLOWED)) == []
+    assert _unreachable() == []
 
 
-def test_every_allowed_entry_is_still_uncalled():
-    # an entry that gained a caller no longer needs its exemption
-    assert sorted(set(ALLOWED) - set(_unreferenced())) == []
+def _plant(tmp_path, source):
+    """The scan of a copy of src/dyntwist with `source` as planted.py."""
+    src = tmp_path / "dyntwist"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    (src / "planted.py").write_text(source)
+    return _unreachable(src)
+
+
+def test_a_planted_definition_only_the_tests_call_is_found(tmp_path):
+    source = ("def shipped():\n    return 1\n\n\n"
+              "def only_tested():\n    return shipped()\n\n\n"
+              "SHIPPED = shipped()\n")
+    assert _plant(tmp_path, source) == ["planted.only_tested"]
+
+
+def test_a_planted_dead_cycle_is_found(tmp_path):
+    # both classes are live, and each method's only caller is the other
+    # class's method of the same name, which nothing live calls
+    source = "".join(
+        f"class Planted{side}:\n"
+        "    def planted_draw(self, other, n):\n"
+        "        return other.planted_draw(self, n - 1) if n else self\n\n\n"
+        for side in ("Left", "Right")
+    ) + "PAIR = (PlantedLeft(), PlantedRight())\n"
+    assert _plant(tmp_path, source) == [
+        "planted.PlantedLeft.planted_draw",
+        "planted.PlantedRight.planted_draw",
+    ]

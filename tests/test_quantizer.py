@@ -192,7 +192,7 @@ def test_semiclassical_check_detects_wrong_limit(sl2_uea, sl2_rho):
 
 
 def test_star_commutator_is_scaled_bracket(nonab_uea):
-    one = HSeries.one(ORDER)
+    one = HSeries.constant(1, ORDER)
     a = {(2,): one}
     b = {(3,): one}
     ab = pbw_star(nonab_uea, a, b, ORDER)
@@ -206,7 +206,7 @@ def test_star_commutator_is_scaled_bracket(nonab_uea):
 
 
 def test_star_associativity(nonab_uea):
-    one = HSeries.one(ORDER)
+    one = HSeries.constant(1, ORDER)
     samples = [
         ({(2,): one}, {(3,): one}, {(2, 3): one}),
         ({(3,): one}, {(3, 3): one}, {(2,): one}),
@@ -271,7 +271,7 @@ def test_star_product_symmetrizes_to_the_product(nonab_uea):
 
 
 def test_star_abelian_base_is_commutative(sl2_uea):
-    one = HSeries.one(ORDER)
+    one = HSeries.constant(1, ORDER)
     f = {(1,): one}
     g = {(1, 1): one}
     assert pbw_star(sl2_uea, f, g, ORDER) == pbw_star(sl2_uea, g, f, ORDER)
@@ -284,7 +284,7 @@ def test_shift_forms_agree(nonab_uea):
     J = FormalTwist(
         nonab_uea, 2,
         {
-            ((), (), ()): HSeries.one(ORDER),
+            ((), (), ()): HSeries.constant(1, ORDER),
             ((0,), (1,), (2, 3)): HSeries.hbar(ORDER, 1),
             ((1,), (0,), (3, 3)): HSeries.hbar(ORDER, 1),
         },
