@@ -32,7 +32,7 @@ from .uea import (
 
 
 class AdtElement(SparseSeries):
-    """Sparse element of (U g)^{(x) k} (x) U h over HSeries."""
+    """Sparse element of (U g)^{(x) k} (x) U h over the hbar series."""
 
     __slots__ = ("uea", "arity")
     _space = ("uea", "arity")
@@ -61,7 +61,7 @@ class AdtElement(SparseSeries):
     # -- gradings and filtrations ------------------------------------------
 
     def total_lengths(self):
-        return sorted({sum(len(m) for m in k) for k in self.terms})
+        return sorted({sum(len(m) for m in k) for k in self.keys()})
 
     def length_component(self, length: int) -> "AdtElement":
         return self.map_keys(
@@ -71,18 +71,19 @@ class AdtElement(SparseSeries):
 
     def filtration_degree(self) -> int:
         """Largest leg length appearing (0 for the zero element)."""
-        return max((len(k[-1]) for k in self.terms), default=0)
+        return max((len(k[-1]) for k in self.keys()), default=0)
 
     def __repr__(self):
-        if not self.terms:
+        if self.is_zero():
             return f"{type(self).__name__}(0; arity={self.arity})"
         names = self.uea.lie.basis_names
         bits = []
-        for key, c in sorted(self.terms.items()):
+        for key in sorted(self.keys()):
             slot_strs = [
                 ".".join(names[i] for i in m) or "1" for m in key
             ]
-            bits.append(f"({c!r})*[" + " | ".join(slot_strs) + "]")
+            bits.append(f"({self.series_repr(key)})*["
+                        + " | ".join(slot_strs) + "]")
         return f"{type(self).__name__}(" + " + ".join(bits) + ")"
 
 

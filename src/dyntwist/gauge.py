@@ -66,7 +66,7 @@ def adt_inverse(A: AdtElement) -> AdtElement:
     """
     unit = AdtElement.unit(A.uea, A.arity, A.order)
     R = unit - A
-    if R.terms and R.layer_terms()[0][3] < 1:
+    if R.hbar_valuation() == 0:
         raise NotInvertible("element is not the unit plus weight >= 1")
     acc = pw = unit
     for _ in range(A.order):

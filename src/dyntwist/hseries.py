@@ -14,19 +14,22 @@ the canonical quotient map between the two rings.
 
 `HSeries` is the scalar ring; `SparseSeries` is the common base of every
 sparse element over it (algebraic and formal twists, classical
-cochains): a map from monomial keys to HSeries coefficients.
+cochains).  An element stores its coefficients by hbar power:
+`layers[n]` is one {key: rational} dict of the nonzero hbar^n
+coefficients, for n = 0, ..., N.  So this module alone knows the format;
+the per-key HSeries of an element are a read-only view,
+`SparseSeries.terms`, built on its first read.
 
 Every product kernel works one hbar layer at a time.  It reads its
 factors through `SparseSeries.layer_terms`, one (key, value, power,
-weight) entry per nonzero hbar coefficient sorted by weight, accumulates
-one {key: value} dict per output hbar power, and builds each output
-key's HSeries once, through `from_layers`.  A pair of entries whose
-weights add up to more than the product's order N contributes nothing
-mod hbar^(N+1), so the inner loop stops at the first such pair.  The
-weight is the hbar power; a formal twist adds the leg degree, the
-grading of its truncation triangle.  Every stored coefficient has
-exactly its element's order, so a kernel's output layers run from 0 to
-its order N.
+weight) entry per stored coefficient sorted by weight, accumulates one
+{key: value} dict per output hbar power, and hands those dicts to
+`from_layers`, which keeps them as the output's layers.  A pair of
+entries whose weights add up to more than the product's order N
+contributes nothing mod hbar^(N+1), so the inner loop stops at the first
+such pair.  The weight is the hbar power; a formal twist adds the leg
+degree, the grading of its truncation triangle, and keeps only the
+entries of weight at most N.
 
 The product kernels (b, cup, brace, the twist residual and the
 slotwise products) compute on Python ints: `SparseSeries.int_layer_terms`
@@ -43,19 +46,17 @@ the same path serves it.
 Every linear map works on the same layers: `SparseSeries.map_keys`
 sends each (key, value, power) entry through f(key), which yields
 (image key, hbar power, rational), and builds the image through
-`from_layers`.  So this module alone knows that a coefficient is stored
-as a per-key HSeries.
+`from_layers`.
 
-Closed arithmetic builds its result once: sums of one type and order,
-negation and nonzero rational scaling store their terms directly
-(`SparseSeries._direct`), as their operands' terms are already
-normalized, and so does `from_layers` (keys aside) except for a formal
-twist, whose triangle the constructor cuts.  Mixed orders, mixed types
-and scaling by zero or by an HSeries go through the constructor.
-Equality and subtraction read the stored terms: at one order `==`
-compares the two term dicts, with no difference built, and `-`
-subtracts each shared coefficient in one pass, with no negated copy of
-the subtrahend.  Scaling by 1 or -1 is self or -self.
+Closed arithmetic works on the layers too and builds no HSeries: a sum
+adds the two dicts of each power, negation and rational scaling map
+each value, scaling by an HSeries convolves the layers with its
+coefficients, and `truncate` and `shift` slice the list of layers.  A
+formal twist cuts its triangle wherever the order or the hbar powers
+change.  Equality at one order compares the two lists of layers, with
+no difference built.  Scaling by 1 or -1 is self or -self.  Elements,
+and their layer dicts, are never mutated after construction, so a
+result may share a layer with its operand.
 """
 
 from __future__ import annotations
@@ -196,14 +197,6 @@ class HSeries:
 
     __rmul__ = __mul__
 
-    def coeff(self, n: int):
-        if n > self.order:
-            return 0
-        return self.coeffs[n]
-
-    def truncate(self, order: int) -> "HSeries":
-        return HSeries(self.coeffs, min(order, self.order))
-
     # -- comparison / display ---------------------------------------------
 
     def __eq__(self, other):
@@ -216,37 +209,43 @@ class HSeries:
         return hash(self.coeffs)
 
     def __repr__(self):
-        terms = []
-        for n, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if n == 0:
-                terms.append(str(c))
-            elif n == 1:
-                terms.append(f"{c}*h" if c != 1 else "h")
-            else:
-                terms.append(f"{c}*h^{n}" if c != 1 else f"h^{n}")
-        body = " + ".join(terms) if terms else "0"
-        return f"HSeries({body}; N={self.order})"
+        return _series_text(self.coeffs, self.order)
+
+
+def _series_text(coeffs, order: int) -> str:
+    """The repr of the HSeries with these coefficients and order."""
+    terms = []
+    for n, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if n == 0:
+            terms.append(str(c))
+        elif n == 1:
+            terms.append(f"{c}*h" if c != 1 else "h")
+        else:
+            terms.append(f"{c}*h^{n}" if c != 1 else f"h^{n}")
+    body = " + ".join(terms) if terms else "0"
+    return f"HSeries({body}; N={order})"
+
+
 
 
 class SparseSeries:
-    """Sparse element {monomial key: HSeries} truncated mod hbar^(order+1).
+    """Sparse element sum_n hbar^n layers[n], truncated mod hbar^(order+1).
 
-    Subclasses fix the space.  `_space` names the attributes that come
-    before `terms` in the constructor, so that
-    `type(self)(*space values, terms, order)` builds an element of the
-    same space; an `arity` attribute, where there is one, must agree
-    between summands.  The constructor takes HSeries or rational
-    coefficients, truncates longer series to `order` and drops zeros, so
-    every stored coefficient is a nonzero HSeries of exactly the
-    element's order; a shorter series raises GradingMismatch.  Results
-    that hold this already (see the module docstring) skip it through
-    `_direct`.
-    Elements are never mutated after construction.
+    `layers` holds exactly order + 1 dicts {key: rational}: the nonzero
+    hbar^n coefficients, in canonical form.  Subclasses fix the space.
+    `_space` names the attributes that come before the coefficients in
+    the constructor, so that `type(self)(*space values, terms, order)`
+    builds an element of the same space; an `arity` attribute, where
+    there is one, must agree between summands.  The constructor takes
+    {key: HSeries or rational}, truncates longer series to `order` and
+    drops zeros; a shorter series raises GradingMismatch.  Every other
+    path builds the layers directly (see the module docstring).
     """
 
-    __slots__ = ("terms", "order", "_vkey", "_layered", "_int_layered")
+    __slots__ = ("layers", "order", "_terms", "_vkey", "_layered",
+                 "_int_layered")
     _space: tuple = ()
     # a formal twist weighs its terms by hbar power plus leg degree and
     # keeps only those of weight at most its order
@@ -254,27 +253,25 @@ class SparseSeries:
 
     def __init__(self, terms: dict, order: int):
         self.order = order
-        self.terms = out = {}
+        self.layers = layers = [{} for _ in range(order + 1)]
         key = self._key
         leg = self._leg_weighted
         for k, c in terms.items():
-            if not isinstance(c, HSeries):
-                c = HSeries.constant(c, order)
-            elif c.order != order:
+            if isinstance(c, HSeries):
                 if c.order < order:
                     raise GradingMismatch(
                         f"coefficient of order {c.order} in an element "
                         f"of order {order}"
                     )
-                c = c.truncate(order)
+                coeffs = c.coeffs
+            else:
+                coeffs = (canonical(c),)
             k = key(k)
-            if leg and k[-1]:
-                # keep the triangle: hbar power + leg degree <= order
-                cap = max(order + 1 - len(k[-1]), 0)
-                if any(c.coeffs[cap:]):
-                    c = HSeries(c.coeffs[:cap], c.order)
-            if not c.is_zero():
-                out[k] = c
+            # a formal twist keeps its triangle: power + leg degree <= order
+            top = max(order + 1 - len(k[-1]), 0) if leg else order + 1
+            for n, a in enumerate(coeffs[:top]):
+                if a:
+                    layers[n][k] = a
 
     def _key(self, key):
         """Normalize and validate a monomial key given to the constructor."""
@@ -283,72 +280,101 @@ class SparseSeries:
     def _space_values(self):
         return [getattr(self, a) for a in self._space]
 
-    def _like(self, terms: dict, order: int):
-        return type(self)(*self._space_values(), terms, order)
-
     @classmethod
-    def _direct(cls, space, terms: dict, order: int):
-        """cls(*space, terms, order) with terms stored as they are.
+    def _direct(cls, space, layers: list):
+        """The element of cls(*space) that stores `layers` as they are.
 
-        For closed arithmetic, whose terms are already what the
-        constructor would store: normalized keys, nonzero HSeries
-        coefficients of order `order`, on the triangle.
+        For closed arithmetic, whose layers are already what the
+        constructor would store: validated keys, nonzero canonical
+        values, on the triangle.  The order is len(layers) - 1.
         """
         new = cls.__new__(cls)
         for a, v in zip(cls._space, space):
             setattr(new, a, v)
-        new.terms = terms
-        new.order = order
+        new.layers = layers
+        new.order = len(layers) - 1
         return new
+
+    def _same_space(self, layers: list, cut: bool = False):
+        """An element of self's space from layers; with cut, a formal
+        twist drops the entries off its triangle."""
+        if cut and self._leg_weighted:
+            order = len(layers) - 1
+            layers = [{k: a for k, a in layer.items()
+                       if len(k[-1]) <= order - n}
+                      for n, layer in enumerate(layers)]
+        return self._direct(self._space_values(), layers)
 
     @classmethod
     def from_layers(cls, *args, den=None):
         """An element of cls(*space) from per-power coefficient dicts.
 
-        layers[n] = {key: rational} holds the nonzero hbar^n
-        coefficients, and the element's order is len(layers) - 1; every
-        key's HSeries is built once, in canonical form, straight from
-        its row of coefficients.  With den given, layers[n] holds den
-        times them (as ints, or Fractions where a factor was rational),
-        and each is divided by den once (`quotient`).  The keys are a
-        kernel's, built from validated ones: where the space has an
-        arity, only their width is checked.  A formal twist, whose
-        triangle the constructor cuts, goes through the constructor.
+        layers[n] = {key: rational} holds the hbar^n coefficients, and
+        the element's order is len(layers) - 1.  A dict of nonzero ints
+        is kept as it is, so the caller hands it over; any other is
+        copied once, without zeros and in canonical form.  With den
+        given, layers[n] holds den times the coefficients (as ints, or
+        Fractions where a factor was rational), each divided by den once
+        (`quotient`).  A formal twist drops the entries off its triangle
+        in the same pass.  The keys are a kernel's, built from validated
+        ones: where the space has an arity, only their width is checked.
         """
         *space, layers = args
         order = len(layers) - 1
         scaled = den is not None and den != 1
-        rows: dict = {}
+        out = []
         for n, layer in enumerate(layers):
-            for k, a in layer.items():
-                if scaled:
-                    a = quotient(a, den)
-                elif type(a) is not int:
-                    a = canonical(a)
-                row = rows.get(k)
-                if row is None:
-                    rows[k] = row = [0] * (order + 1)
-                row[n] = a
-        if cls._leg_weighted:
-            terms = {k: HSeries(tuple(row), order, normalized=True)
-                     for k, row in rows.items()}
-            return cls(*space, terms, order)
-        # no triangle cuts a series: only the keys' width needs the
-        # constructor's check, and each row is replaced by its HSeries
-        # in place
-        new = cls._direct(space, rows, order)
+            if cls._leg_weighted:
+                cap = order - n
+                layer = {k: quotient(a, den) if scaled else canonical(a)
+                         for k, a in layer.items()
+                         if a and len(k[-1]) <= cap}
+            elif scaled:
+                layer = {k: quotient(a, den) for k, a in layer.items() if a}
+            elif not {int}.issuperset(map(type, layer.values())) \
+                    or 0 in layer.values():
+                layer = {k: canonical(a) for k, a in layer.items() if a}
+            out.append(layer)
+        new = cls._direct(space, out)
         arity = getattr(new, "arity", None)
-        zero_rows = []
-        for k, row in rows.items():
-            if arity is not None and len(k) != arity + 1:
-                new._key(k)  # raises GradingMismatch
-            if any(row):
-                rows[k] = HSeries(tuple(row), order, normalized=True)
-            else:
-                zero_rows.append(k)
-        for k in zero_rows:
-            del rows[k]
+        if arity is not None:
+            for layer in out:
+                for k in layer:
+                    if len(k) != arity + 1:
+                        new._key(k)  # raises GradingMismatch
         return new
+
+    # -- the per-key view --------------------------------------------------
+
+    @property
+    def terms(self) -> dict:
+        """{key: HSeries}, the coefficients by key: a read-only view.
+
+        Built once, on its first read, with the keys in order of first
+        appearance over the layers.  The package itself reads the
+        layers; the view serves callers that want whole series.
+        """
+        try:
+            return self._terms
+        except AttributeError:
+            pass
+        order = self.order
+        rows: dict = {}
+        for n, layer in enumerate(self.layers):
+            for k, a in layer.items():
+                rows.setdefault(k, [0] * (order + 1))[n] = a
+        self._terms = {k: HSeries(tuple(row), order, normalized=True)
+                       for k, row in rows.items()}
+        return self._terms
+
+    def keys(self) -> list:
+        """The keys with a nonzero coefficient, in order of first appearance."""
+        return list(dict.fromkeys(k for layer in self.layers for k in layer))
+
+    def series_repr(self, key) -> str:
+        """The coefficient of key, written as the repr of its HSeries."""
+        return _series_text([layer.get(key, 0) for layer in self.layers],
+                            self.order)
 
     # -- ring structure ----------------------------------------------------
 
@@ -359,7 +385,12 @@ class SparseSeries:
         return self._sum(other, True)
 
     def _sum(self, other, negate):
-        """self + other, or self - other with each coefficient negated."""
+        """self + other, or self - other, one hbar power at a time.
+
+        Each layer keeps self's keys in their order, then adds the keys
+        that only other has.  A sum of mixed orders truncates to the
+        smaller one.
+        """
         if getattr(self, "arity", None) != getattr(other, "arity", None):
             # zero is compatible with every arity (degenerate
             # compositions); the sum still has the smaller order
@@ -368,69 +399,82 @@ class SparseSeries:
             if other.is_zero():
                 return self.truncate(other.order)
             raise GradingMismatch("arity mismatch in sum")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            old = terms.get(k)
-            if old is not None:
+        out = []
+        # zip stops at the common order
+        for a, b in zip(self.layers, other.layers):
+            if not b:
+                out.append(a)
+                continue
+            s = dict(a)
+            for k, c in b.items():
+                old = s.get(k)
+                if old is None:
+                    s[k] = -c if negate else c
+                    continue
                 c = old - c if negate else old + c
-            elif negate:
-                c = -c
-            if c:
-                terms[k] = c
-            elif old is not None:
-                del terms[k]
-        if type(other) is type(self) and other.order == self.order:
-            return self._direct(self._space_values(), terms, self.order)
-        return self._like(terms, min(self.order, other.order))
+                if not c:
+                    del s[k]
+                else:
+                    s[k] = c if type(c) is int else canonical(c)
+            out.append(s)
+        return self._same_space(out, cut=other.order != self.order
+                                or type(other) is not type(self))
 
     def __neg__(self):
-        return self._direct(
-            self._space_values(),
-            {k: -c for k, c in self.terms.items()}, self.order,
-        )
+        return self._same_space(
+            [{k: -a for k, a in layer.items()} for layer in self.layers])
 
     def scale(self, c):
         """Multiply every coefficient by a rational or an HSeries.
 
         Scaling by an HSeries truncates to the smaller of the two
-        orders.  Scaling by the rational 1 returns self and by -1
-        returns -self: elements are immutable, so the result may share
-        self.
+        orders; each layer of the product collects the keys of
+        self.layers[n - i] times hbar^i, for ascending i.  Scaling by the
+        rational 1 returns self and by -1 returns -self: elements are
+        immutable, so the result may share self.
         """
         if isinstance(c, HSeries):
-            return self._like({k: v * c for k, v in self.terms.items()},
-                              min(self.order, c.order))
+            coeffs = c.coeffs
+            out = []
+            for n in range(min(self.order, c.order) + 1):
+                acc: dict = {}
+                for i in range(n + 1):
+                    if coeffs[i]:
+                        for k, a in self.layers[n - i].items():
+                            acc[k] = acc.get(k, 0) + a * coeffs[i]
+                out.append({k: canonical(a) for k, a in acc.items() if a})
+            return self._same_space(out, cut=True)
         if not c:
-            return self._like({}, self.order)
+            return self._same_space([{} for _ in self.layers])
         if c == 1:
             return self
         if c == -1:
             return -self
-        return self._direct(
-            self._space_values(),
-            {k: v * c for k, v in self.terms.items()}, self.order,
-        )
+        c = canonical(c)
+        return self._same_space(
+            [{k: canonical(a * c) for k, a in layer.items()}
+             for layer in self.layers])
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not any(self.layers)
 
     def __eq__(self, other):
-        """Whether self - other is zero, read off the stored terms.
+        """Whether self - other is zero, read off the stored layers.
 
         At one order the difference vanishes exactly when both elements
-        store the same keys with equal coefficients: stored coefficients
-        are nonzero, and HSeries equality, like HSeries subtraction,
-        works up to the common order of the two series.  Mixed orders
-        take the difference, which truncates to the smaller order.
-        Elements of different arities are equal only when both are zero.
+        store the same layers: stored values are nonzero and canonical.
+        Mixed orders compare the layers of both truncations to the
+        smaller order.  Elements of different arities are equal only
+        when both are zero.
         """
         if type(other) is not type(self):
             return NotImplemented
         if getattr(self, "arity", None) != getattr(other, "arity", None):
             return self.is_zero() and other.is_zero()
         if self.order == other.order:
-            return self.terms == other.terms
-        return self._sum(other, True).is_zero()
+            return self.layers == other.layers
+        order = min(self.order, other.order)
+        return self.truncate(order).layers == other.truncate(order).layers
 
     def __hash__(self):
         raise TypeError(f"{type(self).__name__} is not hashable")
@@ -438,42 +482,40 @@ class SparseSeries:
     # -- hbar layers -------------------------------------------------------
 
     def layer(self, n: int) -> dict:
-        """The hbar^n coefficients as {key: rational}, zeros left out."""
-        if n > self.order:
-            return {}
-        out = {}
-        for k, c in self.terms.items():
-            a = c.coeff(n)
-            if a:
-                out[k] = a
-        return out
+        """The hbar^n coefficients as a new {key: rational} dict."""
+        return dict(self.layers[n]) if n <= self.order else {}
 
     def hbar_component(self, n: int):
         """The hbar^n layer as an element with constant coefficients."""
-        return self._like(self.layer(n), self.order)
+        out = [{} for _ in self.layers]
+        if n <= self.order:
+            out[0] = self.layers[n]
+        return self._same_space(out)
 
     def layer_terms(self):
-        """(key, rational, power, weight) per nonzero hbar coefficient.
+        """(key, rational, power, weight) per stored coefficient.
 
-        Sorted by weight (the hbar power, plus the leg degree for a
-        formal twist) and built once per element.  A product loop over
-        two elements stops its inner loop at the first entry whose
-        weight, added to the outer entry's, exceeds the product's order.
+        The layers one after the other; a formal twist sorts them by
+        weight (the hbar power plus the leg degree).  Built once per
+        element.  A product loop over two elements stops its inner loop
+        at the first entry whose weight, added to the outer entry's,
+        exceeds the product's order.
         """
         try:
             return self._layered
         except AttributeError:
             pass
-        leg = self._leg_weighted
-        self._layered = sorted(
-            (
-                (k, a, n, n + len(k[-1]) if leg else n)
-                for k, c in self.terms.items()
-                for n, a in enumerate(c.coeffs)
-                if a
-            ),
-            key=lambda t: t[3],
-        )
+        if self._leg_weighted:
+            self._layered = sorted(
+                ((k, a, n, n + len(k[-1]))
+                 for n, layer in enumerate(self.layers)
+                 for k, a in layer.items()),
+                key=lambda t: t[3],
+            )
+        else:
+            self._layered = [(k, a, n, n)
+                             for n, layer in enumerate(self.layers)
+                             for k, a in layer.items()]
         return self._layered
 
     def int_layer_terms(self):
@@ -506,11 +548,12 @@ class SparseSeries:
         """
         if n >= self.order:
             return self
-        return self._like(self.terms, n)
+        return self._same_space(self.layers[: n + 1], cut=True)
 
     def hbar_valuation(self):
         """Smallest hbar power with a nonzero coefficient (None for zero)."""
-        return min((c.valuation() for c in self.terms.values()), default=None)
+        return next((n for n, layer in enumerate(self.layers) if layer),
+                    None)
 
     def map_keys(self, f, cls, *space):
         """The linear map key -> f(key), as an element of cls(*space).
@@ -518,26 +561,29 @@ class SparseSeries:
         f(key) yields (key, hbar power, rational): each hbar^n
         coefficient a of key adds a times the rational to the image key's
         hbar^(n + power) coefficient.  f is called once per key.  Terms
-        above the order are dropped, and each image key's HSeries is
-        built once, by `cls.from_layers`, at this element's order.
+        above the order are dropped, and the image, of this element's
+        order, is built by `cls.from_layers`.
         """
         order = self.order
         outs = [{} for _ in range(order + 1)]
         images: dict = {}
-        for k, a, n, _ in self.layer_terms():
-            image = images.get(k)
-            if image is None:
-                images[k] = image = tuple(f(k))
-            for key, q, c in image:
-                if n + q <= order:
-                    add_into(outs[n + q], key, a * c)
+        for n, layer in enumerate(self.layers):
+            for k, a in layer.items():
+                image = images.get(k)
+                if image is None:
+                    images[k] = image = tuple(f(k))
+                for key, q, c in image:
+                    if n + q <= order:
+                        add_into(outs[n + q], key, a * c)
         return cls.from_layers(*space, outs)
 
     def shift(self, k: int):
         """Multiply by hbar^k."""
-        return self.map_keys(
-            lambda key: ((key, k, 1),),
-            type(self), *self._space_values(),
+        order = self.order
+        return self._same_space(
+            [{} for _ in range(min(k, order + 1))]
+            + self.layers[: max(order + 1 - k, 0)],
+            cut=True,
         )
 
     def value_key(self):
@@ -552,6 +598,6 @@ class SparseSeries:
         self._vkey = (
             self.order,
             getattr(self, "arity", None),
-            frozenset((k, c.coeffs) for k, c in self.terms.items()),
+            tuple(frozenset(layer.items()) for layer in self.layers),
         )
         return self._vkey

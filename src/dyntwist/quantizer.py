@@ -117,7 +117,7 @@ def taylor_rescale(rho: RMatrix, order: int) -> CdybElement:
 
 
 class FormalTwist(SparseSeries):
-    """Sparse element of (U g)^{(x) arity} (x) S h over HSeries.
+    """Sparse element of (U g)^{(x) arity} (x) S h over the hbar series.
 
     Keys are tuples of `arity` PBW monomials (the group factors) followed
     by one sorted leg monomial (a commutative word in the base indices).
@@ -127,10 +127,11 @@ class FormalTwist(SparseSeries):
     total degree adds up under the group products, the star product (its
     hbar-scaled symmetrization is homogeneous) and the argument shift
     x -> hbar x (x) 1 + 1 (x) x, so the terms above N form a two-sided
-    ideal: the constructor drops them, `truncate(n)` cuts to a smaller
-    triangle, and `layer_terms` weighs each hbar coefficient by its
-    total degree, so a product expands exactly the pairs whose total
-    degrees add up to at most N.  No formal path applies the leg
+    ideal: the constructor and `from_layers` drop them, `truncate(n)`
+    and the mixed-order sums cut to a smaller triangle, and
+    `layer_terms` weighs each hbar coefficient by its total degree, so a
+    product expands exactly the pairs whose total degrees add up to at
+    most N.  No formal path applies the leg
     coaction `coproduct_at(J, arity)`, which lowers the total degree.
     """
 

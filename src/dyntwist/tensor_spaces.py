@@ -37,7 +37,7 @@ def sym_sort(indices):
 
 
 class CdybElement(SparseSeries):
-    """Sparse element of wedge^* g (x) S h with HSeries coefficients."""
+    """Sparse element of wedge^* g (x) S h over the hbar series."""
 
     __slots__ = ()
 
@@ -64,10 +64,10 @@ class CdybElement(SparseSeries):
     # -- gradings ----------------------------------------------------------
 
     def exterior_degrees(self):
-        return sorted({len(w) for (w, _) in self.terms})
+        return sorted({len(w) for (w, _) in self.keys()})
 
     def sh_degrees(self):
-        return sorted({len(s) for (_, s) in self.terms})
+        return sorted({len(s) for (_, s) in self.keys()})
 
     def exterior_degree(self) -> int:
         degs = self.exterior_degrees()
@@ -99,23 +99,23 @@ class CdybElement(SparseSeries):
     # -- display -----------------------------------------------------------
 
     def __repr__(self):
-        if not self.terms:
+        if self.is_zero():
             return "CdybElement(0)"
         bits = []
-        for (w, s), c in sorted(self.terms.items()):
+        for w, s in sorted(self.keys()):
             # indices, not names: an empty wedge or leg is "()", since
             # "1" would read as basis index 1
             mono = "^".join(str(i) for i in w) or "()"
             leg = "*".join(str(i) for i in s) or "()"
-            bits.append(f"({c!r})*[{mono}|{leg}]")
+            bits.append(f"({self.series_repr((w, s))})*[{mono}|{leg}]")
         return "CdybElement(" + " + ".join(bits) + ")"
 
     def pretty(self, lie: LieData) -> str:
         bits = []
-        for (w, s), c in sorted(self.terms.items()):
+        for w, s in sorted(self.keys()):
             mono = "^".join(lie.name_of(i) for i in w) or "1"
             leg = "*".join(lie.name_of(i) for i in s) or "1"
-            bits.append(f"({c!r}) {mono} | {leg}")
+            bits.append(f"({self.series_repr((w, s))}) {mono} | {leg}")
         return " + ".join(bits) if bits else "0"
 
 

@@ -23,7 +23,10 @@ basis vector of a slice.
 `sparse_sum`, `sparse_neg`, `sparse_scale` and `from_layers` are the
 closed arithmetic of `SparseSeries` as it was before it stored its
 results directly: every result, and every HSeries sum, negation and
-rational multiple, goes through its constructor.  `rand_adt` draws as
+rational multiple, goes through its constructor.  `series_coeff` and
+`series_truncate` are `HSeries.coeff` and `HSeries.truncate`, which the
+package stopped calling once elements stored their coefficients by hbar
+layer.  `rand_adt` draws as
 `props._rand_adt` did when it enumerated its key pool on every draw.
 
 `quantum_homotopy` is the twist-side homotopy h as it was before its
@@ -499,7 +502,7 @@ def shift_taylor(J):
 def rescale_generator(q, order):
     terms = {}
     for (w, s), c in q.terms.items():
-        c = c.truncate(order)
+        c = series_truncate(c, order)
         shifted = HSeries.hbar(c.order, len(s)) * c
         if not shifted.is_zero():
             terms[(w, s)] = shifted
@@ -555,6 +558,18 @@ def _alt_d_into(t, out):
             add_into(out, ((a1, a2, h), rest), -c)
 
 
+def series_coeff(a, n: int):
+    """`HSeries.coeff` as it was: the hbar^n coefficient, 0 above the order."""
+    if n > a.order:
+        return 0
+    return a.coeffs[n]
+
+
+def series_truncate(a, order: int):
+    """`HSeries.truncate` as it was: the image mod hbar^(order+1)."""
+    return HSeries(a.coeffs, min(order, a.order))
+
+
 def _hs_add(a, b):
     n = min(a.order, b.order)
     return HSeries(tuple(a.coeffs[i] + b.coeffs[i] for i in range(n + 1)), n)
@@ -589,16 +604,20 @@ def sparse_sum(A, B, negate=False):
             terms[k] = c
         elif old is not None:
             del terms[k]
-    return A._like(terms, min(A.order, B.order))
+    return _like(A, terms, min(A.order, B.order))
+
+
+def _like(A, terms, order):
+    return type(A)(*A._space_values(), terms, order)
 
 
 def sparse_neg(A):
-    return A._like({k: _hs_neg(c) for k, c in A.terms.items()}, A.order)
+    return _like(A, {k: _hs_neg(c) for k, c in A.terms.items()}, A.order)
 
 
 def sparse_scale(A, c):
     order = min(A.order, c.order) if isinstance(c, HSeries) else A.order
-    return A._like({k: _hs_scale(v, c) for k, v in A.terms.items()}, order)
+    return _like(A, {k: _hs_scale(v, c) for k, v in A.terms.items()}, order)
 
 
 def from_layers(cls, *args, den=None):

@@ -1,7 +1,8 @@
+import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import random
 
@@ -19,6 +20,7 @@ from dyntwist.hseries import SparseSeries
 from dyntwist.tensor_spaces import cdyb_monomials
 
 import reference_kernels
+from reference_kernels import series_coeff, series_truncate
 from conftest import CORPUS, is_canonical, nonab_data, sl2_data, sl2half_data
 
 N = 4
@@ -33,10 +35,11 @@ series = st.lists(fracs, min_size=0, max_size=N + 1).map(
 
 def test_constructors():
     assert HSeries.zero(N).is_zero()
-    assert HSeries.constant(1, N).coeff(0) == 1
-    assert HSeries.constant(Fraction(3, 2), N).coeff(0) == Fraction(3, 2)
+    assert series_coeff(HSeries.constant(1, N), 0) == 1
+    assert series_coeff(HSeries.constant(Fraction(3, 2), N), 0) \
+        == Fraction(3, 2)
     h2 = HSeries.hbar(N, 2, 5)
-    assert h2.coeff(2) == 5 and h2.coeff(0) == 0
+    assert series_coeff(h2, 2) == 5 and series_coeff(h2, 0) == 0
     assert HSeries.hbar(N, N + 1).is_zero()
 
 
@@ -61,9 +64,9 @@ def test_ring_axioms(a, b, c):
 @given(series)
 def test_truncation_is_multiplicative(a):
     h = HSeries.hbar(N, 1)
-    assert (a * h).coeff(0) == 0
+    assert series_coeff(a * h, 0) == 0
     for n in range(N):
-        assert (a * h).coeff(n + 1) == a.coeff(n)
+        assert series_coeff(a * h, n + 1) == series_coeff(a, n)
 
 
 def test_mixed_orders_truncate_down():
@@ -76,9 +79,10 @@ def test_mixed_orders_truncate_down():
 def test_shift_and_truncate():
     a = HSeries([1, 2, 3], N)
     s = HSeries.hbar(N, 2) * a
-    assert s.order == N and s.coeff(2) == 1 and s.coeff(3) == 2
-    t = a.truncate(1)
-    assert t.order == 1 and t.coeff(1) == 2
+    assert s.order == N
+    assert series_coeff(s, 2) == 1 and series_coeff(s, 3) == 2
+    t = series_truncate(a, 1)
+    assert t.order == 1 and series_coeff(t, 1) == 2
 
 
 # -- the sparse element base, on each of its three element types -------------
@@ -171,11 +175,15 @@ def test_scaling_by_a_shorter_series_truncates_to_its_order(sl2_uea, build):
 
 # -- closed arithmetic against the constructor ------------------------------
 #
-# Sums of one type and order, negation, nonzero rational scaling and
-# `from_layers` store their terms without the constructor.  Each must
-# store exactly what the constructor stores (`reference_kernels`): the
-# same keys in the same order, the same element order and the same
-# coefficient series, each of the element's order.
+# Sums, negation, scaling and `from_layers` build their layers without
+# the constructor.  Each must store what the constructor stores
+# (`reference_kernels`): the same element order, order + 1 layers and, in
+# each layer, the same keys with the same values of the same types.  The
+# key order of each layer is pinned as well (`_layer_order`): a sum keeps
+# the first operand's keys in their order and appends the second's new
+# ones, negation and rational scaling keep the operand's order, scaling
+# by an HSeries collects self.layers[n - i] for ascending powers i, and
+# `from_layers` keeps its input's order.
 
 
 def _algebra(name):
@@ -191,6 +199,26 @@ def _snapshot(E):
     return (type(E), getattr(E, "arity", None), E.order, [
         (k, c.order, c.coeffs) for k, c in E.terms.items()
     ])
+
+
+def _stored(E):
+    """Element order and, per layer, {key: (value, value type)}."""
+    assert len(E.layers) == E.order + 1
+    assert all(a and is_canonical(a) for layer in E.layers
+               for a in layer.values())
+    return (type(E), getattr(E, "arity", None), E.order,
+            [{k: (a, type(a)) for k, a in layer.items()}
+             for layer in E.layers])
+
+
+def _layer_order(E, sources):
+    """Whether each layer n of E lists its keys in order of first
+    appearance over the dicts sources(n)."""
+    for n, layer in enumerate(E.layers):
+        seen = dict.fromkeys(k for d in sources(n) for k in d)
+        if list(layer) != [k for k in seen if k in layer]:
+            return False
+    return True
 
 
 def _space(kind, uea):
@@ -229,7 +257,7 @@ def test_closed_arithmetic_stores_what_the_constructor_stores(kind, name):
     # B cancels A's hbar^0 coefficient at one key and A's whole
     # coefficient at another
     a3, a4 = (A.terms.get(k, HSeries.zero(N)) for k in keys[3:5])
-    B = B + cls(*space, {keys[3]: HSeries([-a3.coeff(0), 1], N),
+    B = B + cls(*space, {keys[3]: HSeries([-series_coeff(a3, 0), 1], N),
                          keys[4]: -a4}, N)
     low = build(keys[2:5], 1)
     short = A.truncate(1)
@@ -242,18 +270,25 @@ def test_closed_arithmetic_stores_what_the_constructor_stores(kind, name):
         assert any(len(k[-1]) for k in A.terms)
     for P, Q in [(A, B), (B, A), (A, A), (A, low), (low, A), (short, B),
                  (B, short), (short, low), (A, other), (other, A)]:
-        assert _snapshot(P + Q) == _snapshot(
-            reference_kernels.sparse_sum(P, Q))
-        assert _snapshot(P - Q) == _snapshot(
-            reference_kernels.sparse_sum(P, Q, negate=True))
+        for negate in (False, True):
+            got = P - Q if negate else P + Q
+            assert _stored(got) == _stored(
+                reference_kernels.sparse_sum(P, Q, negate=negate))
+            assert _layer_order(got, lambda n: (P.layers[n], Q.layers[n]))
     assert (A - A).is_zero() and (A + (-A)).is_zero()
     for P in (A, B, low, short):
-        assert _snapshot(-P) == _snapshot(reference_kernels.sparse_neg(P))
+        assert _stored(-P) == _stored(reference_kernels.sparse_neg(P))
+        assert _layer_order(-P, lambda n: (P.layers[n],))
         for c in (Fraction(-3, 2), 2, 0, Fraction(0), HSeries.hbar(N, 1, 3),
                   HSeries.hbar(N, N), HSeries([0, 0], 1),
                   _random_series(rng, 2)):
-            assert _snapshot(P.scale(c)) == _snapshot(
+            got = P.scale(c)
+            assert _stored(got) == _stored(
                 reference_kernels.sparse_scale(P, c))
+            powers = c.coeffs if isinstance(c, HSeries) else (c,)
+            assert _layer_order(got, lambda n: [
+                P.layers[n - i] for i in range(min(n + 1, len(powers)))
+                if powers[i]])
     for order, den in [(N, None), (1, None), (2, 6), (0, 4)]:
         layers = []
         for _ in range(order + 1):
@@ -269,11 +304,19 @@ def test_closed_arithmetic_stores_what_the_constructor_stores(kind, name):
         got = cls.from_layers(*space, layers, den=den)
         ref = reference_kernels.from_layers(cls, *space, layers, den=den)
         assert got.order == order
-        assert _snapshot(got) == _snapshot(ref)
-        # its layer terms are those of the constructor's element,
-        # value types included
+        assert _stored(got) == _stored(ref)
+        assert _layer_order(got, lambda n: (layers[n],))
+        # its layer terms are its layers one after the other, sorted by
+        # weight for a formal twist, with the values the constructor's
+        # element stores
+        entries = [(k, a, n, n + len(k[-1]) if kind == "formal" else n)
+                   for n, layer in enumerate(got.layers)
+                   for k, a in layer.items()]
+        entries.sort(key=lambda t: t[3])
         assert [(t, type(t[1])) for t in got.layer_terms()] == [
-            (t, type(t[1])) for t in ref.layer_terms()]
+            (t, type(t[1])) for t in entries]
+        assert sorted(map(repr, got.layer_terms())) == sorted(
+            map(repr, ref.layer_terms()))
     if kind in ("adt", "formal"):
         for layers in ([{((), ()): Fraction(1)}], [{}, {((), ()): 1}]):
             with pytest.raises(GradingMismatch):
@@ -343,3 +386,105 @@ def test_equality_is_a_zero_difference(kind, name):
             assert _snapshot(x.scale(minus)) == _snapshot(-x)
             assert _snapshot(x.scale(minus)) == _snapshot(
                 reference_kernels.sparse_scale(x, minus))
+
+
+# -- every closed operation against the references, through `terms` --------
+#
+# Random elements of each type at orders 0-4 on a small key pool (so that
+# keys collide), with Fraction values and zeros, a second operand that
+# cancels some of the first one's coefficients, and, for a formal twist,
+# legs that reach off the triangle.  Each operation on the layers must
+# give the element the HSeries reference builds through the constructor,
+# read through the `terms` view.
+
+
+@functools.cache
+def _sl2_uea():
+    return UEnvelope(sl2_data())
+
+
+def _sl2_space(kind):
+    cls, space, pool = _space(kind, _sl2_uea())
+    return cls, space, pool[:12]
+
+
+small = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3),
+                         Fraction(3, 2)])
+
+
+def _view(E):
+    """Element order and {key: (series order, coefficients)}, checking
+    the layer invariants on the way."""
+    _stored(E)
+    if isinstance(E, FormalTwist):
+        assert all(n + len(k[-1]) <= E.order
+                   for n, layer in enumerate(E.layers) for k in layer)
+    return (type(E), getattr(E, "arity", None), E.order,
+            {k: (c.order, c.coeffs) for k, c in E.terms.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["adt", "formal", "cdyb"]), st.integers(0, N),
+       st.integers(0, N), st.data())
+def test_closed_operations_match_the_references(kind, m, n, data):
+    cls, space, pool = _sl2_space(kind)
+
+    def element(order, cancel=None):
+        keys = data.draw(st.lists(st.sampled_from(pool), max_size=5,
+                                  unique=True))
+        terms = {k: HSeries(data.draw(st.lists(small, min_size=order + 1,
+                                               max_size=order + 1)), order)
+                 for k in keys}
+        # cancel some of another element's coefficients, whole or in part
+        for k, c in (cancel.terms if cancel else {}).items():
+            if data.draw(st.booleans()):
+                neg = [-a for a in c.coeffs]
+                if data.draw(st.booleans()):
+                    neg[0] += 1
+                terms[k] = HSeries(neg, order)
+        return cls(*space, terms, order)
+
+    def build(terms, order):
+        return cls(*space, terms, order)
+
+    P = element(m)
+    Q = element(n, cancel=P)
+    for X, Y in ((P, Q), (Q, P), (P, P)):
+        assert _view(X + Y) == _view(reference_kernels.sparse_sum(X, Y))
+        diff = reference_kernels.sparse_sum(X, Y, negate=True)
+        assert _view(X - Y) == _view(diff)
+        assert (X == Y) is (not diff.terms)
+        assert (X.value_key() == Y.value_key()) is (_view(X) == _view(Y))
+    assert _view(-P) == _view(reference_kernels.sparse_neg(P))
+    for c in (0, 1, -1, Fraction(1), Fraction(-1), data.draw(small),
+              HSeries(data.draw(st.lists(small, max_size=N + 2)),
+                      data.draw(st.integers(0, N + 1)))):
+        got = P.scale(c)
+        assert _view(got) == _view(reference_kernels.sparse_scale(P, c))
+        if c == 1 and not isinstance(c, HSeries):
+            assert got is P
+    for k in range(N + 2):
+        assert _view(P.truncate(k)) == _view(build(
+            {key: series_truncate(c, k) for key, c in P.terms.items()},
+            min(k, P.order)))
+        assert _view(P.shift(k)) == _view(
+            reference_kernels.sparse_scale(P, HSeries.hbar(P.order, k)))
+        layer = {key: series_coeff(c, k) for key, c in P.terms.items()
+                 if series_coeff(c, k)}
+        assert P.layer(k) == layer
+        assert _view(P.hbar_component(k)) == _view(build(layer, P.order))
+    assert P.hbar_valuation() == min(
+        (c.valuation() for c in P.terms.values()), default=None)
+    assert P.is_zero() is (not P.terms)
+    assert sorted(P.keys()) == sorted(P.terms)
+    for key, c in P.terms.items():
+        assert P.series_repr(key) == repr(c)
+    # from_layers, with zeros, Fraction values and a common denominator
+    den = data.draw(st.sampled_from([None, 1, 6]))
+    layers = [{k: data.draw(st.integers(-3, 3)) if den
+               else data.draw(small)
+               for k in data.draw(st.lists(st.sampled_from(pool),
+                                           max_size=4, unique=True))}
+              for _ in range(m + 1)]
+    assert _view(cls.from_layers(*space, layers, den=den)) == _view(
+        reference_kernels.from_layers(cls, *space, layers, den=den))

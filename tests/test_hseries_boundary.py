@@ -1,12 +1,13 @@
-"""Only `hseries` knows that a coefficient is a per-key HSeries.
+"""Only `hseries` knows how an element stores its coefficients.
 
 Every other module reaches coefficients through `SparseSeries`: its
-layers, `map_keys`, `from_layers` and the element arithmetic.  The
-star-product reference that works on whole HSeries coefficients lives
-in `tests/reference_kernels.py`.
+layers, `map_keys`, `from_layers`, `keys`, `series_repr` and the element
+arithmetic.  No module names HSeries, and none reads the per-key
+HSeries view `terms`.  The references that work on whole HSeries
+coefficients live in `tests/reference_kernels.py`.
 
 No module compares two elements by building their difference: `a == b`
-reads the stored terms, where `(a - b).is_zero()` builds a - b first.
+reads the stored layers, where `(a - b).is_zero()` builds a - b first.
 
 No module uses true division: integral values are ints, and `a / b` of
 two ints is a float.
@@ -53,6 +54,17 @@ def test_only_hseries_knows_the_coefficient_format():
     assert not offenders
 
 
+def test_no_module_reads_the_per_key_view():
+    """`terms` builds one HSeries per key; the package reads layers."""
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "hseries.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "terms"
+    ]
+    assert not offenders
+
+
 def _zero_tests_of_differences(tree):
     """Lines that call `.is_zero()` on a `-` expression."""
     return [
@@ -66,7 +78,7 @@ def _zero_tests_of_differences(tree):
 
 
 def test_no_module_builds_a_difference_to_compare():
-    """`a == b` reads the stored terms; `(a - b).is_zero()` builds a - b."""
+    """`a == b` reads the stored layers; `(a - b).is_zero()` builds a - b."""
     offenders = [
         f"{path.name}:{line}"
         for path in sorted(SRC.glob("*.py"))
