@@ -494,13 +494,18 @@ class _Block:
     of the block (`basis`, with `free` the slice position of each
     vector's free key, which is its last key) and the integer b-columns
     {basis index: (D, column)} are built when first asked for.
+
+    An eigen-block (`eigen`) is one content with no moving letter: each
+    ad x multiplies every key of it by the same scalar, the sum of its
+    letters' eigenvalues, so its keys are all invariant or none is.
     """
 
-    __slots__ = ("keys", "index", "basis", "free", "columns")
+    __slots__ = ("keys", "index", "eigen", "basis", "free", "columns")
 
-    def __init__(self, keys, index):
+    def __init__(self, keys, index, eigen):
         self.keys = keys
         self.index = index
+        self.eigen = eigen
         self.basis = None
         self.free = None
         self.columns = {}
@@ -516,7 +521,9 @@ class _Slice:
     without one is an eigenvector of every ad x and keeps its content.
     Only keys with a moving letter need their h-action to find the
     union-find closure of contents, which may pass through contents
-    that no key of the slice has.
+    that no key of the slice has.  A content without a moving letter
+    that no other content reaches is a block of its own, an eigen-block,
+    whose invariants one key's h-action decides (`_in_slice_order`).
     """
 
     __slots__ = ("blocks", "block_of", "basis", "where")
@@ -550,11 +557,12 @@ class _Slice:
                             root[b] = a
         groups: dict = {}
         for c, index in by_content.items():
-            groups.setdefault(find(c), []).append(index)
+            groups.setdefault(find(c), []).append((c, index))
         blocks = {}
         for r, parts in groups.items():
-            index = sorted(itertools.chain.from_iterable(parts))
-            blocks[r] = _Block([keys[i] for i in index], index)
+            index = sorted(itertools.chain.from_iterable(i for _, i in parts))
+            eigen = len(parts) == 1 and moving.isdisjoint(parts[0][0])
+            blocks[r] = _Block([keys[i] for i in index], index, eigen)
         self.blocks = list(blocks.values())
         self.block_of = {c: blocks[find(c)] for c in by_content}
         self.basis = None
@@ -581,10 +589,20 @@ def _in_slice_order(uea: UEnvelope, blocks, keep=None):
 
     A vector's place is the slice position of its free key, as in the
     kernel basis of the whole slice; keep(vector), when given, filters.
+    An eigen-block's basis is read from its first key's h-action: every
+    key, as {key: 1} in slice order, when each ad x kills it, else none.
+    That is the kernel basis `invariant_basis` gives there.
     """
     tagged = []
     for block in blocks:
-        if block.basis is None:
+        if block.basis is None and block.eigen:
+            key = block.keys[0]
+            if any(ad_adt_key(uea, x, key) for x in uea.lie.h_indices):
+                block.basis, block.free = [], []
+            else:
+                block.basis = [{k: 1} for k in block.keys]
+                block.free = block.index
+        elif block.basis is None:
             block.basis = invariant_basis(
                 uea.lie, block.keys, lambda x, k: ad_adt_key(uea, x, k)
             )

@@ -81,7 +81,12 @@ def adt_inverse(A: AdtElement) -> AdtElement:
 
 
 def gauge_act_algebraic(Q, K: AdtElement) -> AdtElement:
-    """K' = Q^{12,3} K (Q^{2,3})^{-1} (Q^{1,23})^{-1}."""
+    """K' = Q^{12,3} K (Q^{2,3})^{-1} (Q^{1,23})^{-1}.
+
+    Inserting a unit and the coproduct are algebra maps, so both
+    inverses are images of one: K' = Q^{12,3} K (Q^{-1})^{2,3}
+    (Q^{-1})^{1,23}.
+    """
     if not isinstance(Q, AdtElement):
         raise GradingMismatch("expected an algebraic gauge element")
     if Q.arity != 1 or K.arity != 2:
@@ -89,9 +94,10 @@ def gauge_act_algebraic(Q, K: AdtElement) -> AdtElement:
     unit1 = AdtElement.unit(Q.uea, 1, Q.order)
     if Q.hbar_component(0) != unit1:
         raise NotInvertible("algebraic gauge element must be 1 + O(hbar)")
+    inverse = adt_inverse(Q)
     out = adt_mul(coproduct_at(Q, 0), K)
-    out = adt_mul(out, adt_inverse(unit_at(Q, 0)))
-    out = adt_mul(out, adt_inverse(coproduct_at(Q, 1)))
+    out = adt_mul(out, unit_at(inverse, 0))
+    out = adt_mul(out, coproduct_at(inverse, 1))
     return out
 
 
@@ -155,10 +161,12 @@ def find_gauge(K: AdtElement, K2: AdtElement) -> GaugeResult:
     """Solve the algebraic gauge relation for Q order by order.
 
     At each hbar order the linearized problem is a coboundary equation
-    over the invariant basis (deterministic minimal solution); the full
-    nonlinear action is recomputed before every order, so the final
-    equality is exact, and an unsolvable layer is returned as a
-    certified obstruction rather than raised.  The linearization holds
+    over the invariant basis (deterministic minimal solution); the
+    nonlinear action is recomputed before every order, from Q and K mod
+    hbar^(n+1), which fix its order-n layer since truncation is a ring
+    map.  The final equality is checked at full order, so it is exact,
+    and an unsolvable layer is returned as a certified obstruction
+    rather than raised.  The linearization holds
     only for twists 1 + O(hbar); any other input raises NotInvertible.
     """
     if K.arity != 2 or K2.arity != 2:
@@ -170,10 +178,12 @@ def find_gauge(K: AdtElement, K2: AdtElement) -> GaugeResult:
     order = min(K.order, K2.order)
     Q = AdtElement.unit(uea, 1, order)
     for n in range(1, order + 1):
-        cur = gauge_act_algebraic(Q, K)
-        diff = (K2 - cur).hbar_component(n)
-        if diff.is_zero():
+        cur = gauge_act_algebraic(Q.truncate(n), K.truncate(n))
+        layer = (K2 - cur).layer(n)
+        if not layer:
             continue
+        # at the full order, which Q and the obstruction keep
+        diff = AdtElement.from_layers(uea, 2, [layer] + [{}] * order)
         # the linearization of the action at order n is minus the
         # coboundary of the new gauge coefficient
         try:

@@ -25,20 +25,25 @@ by substitution, as `solve` would.  It is still the one elimination:
 each row carries a tag column of its own through `_eliminate`, so the
 reduced rows record the row operations that reached each pivot.
 
-Internally `_eliminate` reduces rows {column index: value} with pivots
-chosen left to right; the pivot of a column is the first remaining row,
-in input order, with a nonzero entry there, which keeps every derived
-basis deterministic.  It computes on integers: each input row is scaled
-by the lcm of its denominators (1 for a row of ints), a row update
-clears an entry by an integer combination with the pivot row and
-divides the row by the gcd of its entries.  `pivots` and `rank` read
+Internally `_eliminate` reduces rows {column index: value}, pivot
+columns left to right.  A column's pivot row is the remaining row with a
+nonzero entry there and the fewest stored entries, the first in input
+order among equals (Markowitz's rule on rows: a short pivot row fills in
+little).  The rule cannot change `solve`, `pivots`, `rank`,
+`kernel_basis` or `Factorization`: over the unknowns the reduced row
+echelon form is unique, and a consistent target's carried entries are
+its unique solution.  Only `rref`'s key order and the carried entries of
+an inconsistent system follow it.  It computes on integers: each input
+row is scaled by the lcm of its denominators (1 for a row of ints), a
+row update clears an entry by an integer combination with the pivot row
+and divides the row by the gcd of its entries.  `pivots` and `rank` read
 its pivots alone; `rref` divides each reduced row by its pivot entry,
 exactly.  It keeps an index from each column still to come to the rows
 with a nonzero entry in it, updated as fill-in appears and cancels, so
 the work follows the nonzeros instead of rows x columns.
 Neither the integer rows nor the index change what is computed: the
 reduced rows (down to their key order), pivots, solutions and kernel
-vectors are those of the plain left-to-right rational elimination, and
+vectors are those of the rational elimination with the same rule, and
 `solve` still checks every solution by recomputing its image.
 """
 
@@ -56,9 +61,11 @@ def rref(rows, ncols):
 
     Returns (reduced_rows, pivot_cols).  Pivots are chosen left to right
     among the first `ncols` columns; entries at later column indices are
-    carried along by every row operation.  The pivot of a column is the
-    first remaining row, in input order, with a nonzero entry there, so
-    the result is a function of the input alone.  Each reduced row is
+    carried along by every row operation.  The pivot row of a column is
+    the shortest remaining row with a nonzero entry there (explicit
+    zeros and carried entries count), the first in input order among
+    equals, so the result is a function of the input alone (the module
+    docstring says what the rule can change).  Each reduced row is
     `_eliminate`'s integer row divided by its pivot entry, in canonical
     form.
     """
@@ -77,7 +84,7 @@ def _eliminate(rows, ncols):
     (a the pivot, f the entry to clear, g = gcd(a, f)) followed by
     division by the gcd of the row's entries.  Every row is a nonzero
     multiple of the row the rational elimination would hold, so the zero
-    tests, the key order and the pivots are the same.
+    tests, the key order, the row lengths and the pivots are the same.
 
     `where` maps each column still to come to the rows (remaining or
     reduced) with a nonzero entry in it, so neither the pivot search nor
@@ -96,7 +103,8 @@ def _eliminate(rows, ncols):
     pivots = []
     for col in range(ncols):
         hits = where.pop(col, ())
-        p = min((i for i in hits if not done[i]), default=None)
+        p = min((i for i in hits if not done[i]),
+                key=lambda i: (len(rows[i]), i), default=None)
         if p is None:
             continue
         r = rows[p]
@@ -233,10 +241,11 @@ class Factorization:
     the i-th row).  Row operations carry the tags along, so the tags of
     a reduced row record the integer combination of input rows that
     reached it, and its pivot entry is the scale of that combination.
-    A target riding along in `solve` would pick up the same combination
-    of its own entries: `solve` here sums it over the target's nonzeros
-    and divides by the pivot entry, so every answer is the one `solve`
-    gives, and is checked by recomputing its image as there.
+    A target riding along would pick up the same combination of its own
+    entries: `solve` here sums it over the target's nonzeros and divides
+    by the pivot entry.  A consistent target's answer is unique, so it
+    is the one `solve` gives, and every answer is checked by recomputing
+    its image as there.
     """
 
     __slots__ = ("columns", "row_of", "uses", "pivots", "scales")

@@ -48,6 +48,11 @@ more hbar.  `shift_taylor` is the only Taylor form of the
 argument shift: `quantizer.shift_argument` computes the leg coaction
 form, and the two must agree.
 
+`gauge_act_algebraic` is the algebraic gauge action as it was before it
+inverted Q once: Q^{12,3} K (Q^{2,3})^{-1} (Q^{1,23})^{-1}, with one
+`gauge.adt_inverse` per inverted factor (and the HSeries `adt_mul` and
+`coproduct_at` here).
+
 `cdybe_literal` is the classical dynamical Yang-Baxter residual in its
 literal tensor form, CYB(rho) - Alt(d rho); `cdyb_dgla.cdybe_residual`
 computes the DGLA form d(rho) + (1/2)[rho, rho], and the two must
@@ -69,8 +74,9 @@ import itertools
 from fractions import Fraction
 
 from dyntwist import linalg
-from dyntwist.adt_dgla import AdtElement, adt_monomials, p2_project
+from dyntwist.adt_dgla import AdtElement, adt_monomials, p2_project, unit_at
 from dyntwist.errors import ContractFailure, GradingMismatch, NoSolution
+from dyntwist.gauge import adt_inverse
 from dyntwist.hseries import HSeries, add_into
 from dyntwist.lie_core import invariant_basis
 from dyntwist.linfinity import MorphismTower, ProjectedDgla, koszul_sign
@@ -497,6 +503,12 @@ def shift_taylor(J):
                 for m, d in uea.straighten(word).items():
                     add_into(out, gfac + (m, rest), coeff * (mult * d))
     return FormalTwist(uea, J.arity + 1, out, order)
+
+
+def gauge_act_algebraic(Q, K):
+    out = adt_mul(coproduct_at(Q, 0), K)
+    out = adt_mul(out, adt_inverse(unit_at(Q, 0)))
+    return adt_mul(out, adt_inverse(coproduct_at(Q, 1)))
 
 
 def rescale_generator(q, order):

@@ -32,6 +32,7 @@ from dyntwist.adt_dgla import (
 )
 from dyntwist.gauge import adt_mul
 from dyntwist.hseries import add_into
+from dyntwist.lie_core import invariant_basis
 from dyntwist.props import (
     _rand_adt,
     check_b_squared,
@@ -366,6 +367,33 @@ def test_cached_slices_are_unchanged_by_their_callers(name):
                     uea, arity, ref_block[j])
 
 
+@pytest.mark.parametrize("name", ["sl2", "affxc2", "nonab"])
+def test_only_blocks_with_a_moving_letter_need_a_kernel_basis(monkeypatch,
+                                                              name):
+    # an eigen-block's invariants are read from one h-action.  No letter
+    # of sl2 or affxc2 moves under the base, so neither a solve nor the
+    # whole-slice bases call `invariant_basis`; nonab's base letter a
+    # moves under b, so its blocks with an a in them still do
+    calls = []
+
+    def counting(lie, keys, ad_apply):
+        calls.append(keys)
+        return invariant_basis(lie, keys, ad_apply)
+
+    monkeypatch.setattr(adt_dgla, "invariant_basis", counting)
+    uea = _solved_uea(name)
+    for arity in range(3):
+        for length in range(5):
+            invariant_adt_basis(uea, arity, length)
+    blocks = [block for sl in adt_dgla._slice_caches[uea].values()
+              for block in sl.blocks if block.basis is not None]
+    assert any(block.basis for block in blocks if block.eigen)
+    assert {id(keys) for keys in calls} == {
+        id(block.keys) for block in blocks if not block.eigen}
+    assert len(calls) == len({id(keys) for keys in calls})
+    assert bool(calls) == (name == "nonab")
+
+
 def test_kappa_solve_builds_only_the_blocks_it_touches():
     # the order-3 targets on affxc2 fall in few content blocks of their
     # slices: neither the other invariant vectors nor their b-columns
@@ -398,7 +426,8 @@ def sl2_over_itself():
                    [0, 1, 2])
 
 
-BLOCK_ALGEBRAS = [sl2_data, aff_data, nonab_data, ab2_data, sl2_over_itself]
+BLOCK_ALGEBRAS = [sl2_data, sl2half_data, aff_data, nonab_data, ab2_data,
+                  sl2_over_itself]
 
 
 @pytest.mark.parametrize("data", BLOCK_ALGEBRAS)

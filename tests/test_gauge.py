@@ -24,7 +24,8 @@ from dyntwist.adt_dgla import invariant_adt_basis
 from dyntwist.errors import GradingMismatch, NotInvariant
 from dyntwist.gauge import adt_inverse, adt_mul
 
-from conftest import ORDER
+import reference_kernels
+from conftest import ORDER, mixed_element
 from oracles import classical_gauge_infinitesimal
 from reference_kernels import rescale_generator
 
@@ -84,6 +85,24 @@ def test_action_group_law(sl2_uea, sl2_pair):
     lhs = gauge_act_algebraic(Q2, gauge_act_algebraic(Q1, K))
     rhs = gauge_act_algebraic(adt_mul(Q2, Q1), K)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("name", ["sl2_uea", "aff_uea", "nonab_uea"])
+def test_action_inverts_q_once(request, name):
+    # unit insertion and the coproduct are algebra maps, so one inverse
+    # of Q serves both inverted factors; Q and K need not be invariant,
+    # and may have different orders
+    uea = request.getfixturevalue(name)
+    rng = random.Random(29)
+    for q_order in (ORDER, ORDER - 1):
+        Q = AdtElement.unit(uea, 1, q_order) + mixed_element(
+            uea, rng, 1, q_order).shift(1)
+        K = AdtElement.unit(uea, 2, ORDER) + mixed_element(
+            uea, rng, 2, ORDER).shift(1)
+        got = gauge_act_algebraic(Q, K)
+        assert got.order == q_order
+        assert got.layers == reference_kernels.gauge_act_algebraic(
+            Q, K).layers
 
 
 def test_find_gauge_identity(sl2_uea, sl2_pair):

@@ -15,23 +15,26 @@ _F1 = Fraction(1)
 
 
 # -- reference: the plain left-to-right elimination ------------------------
-# A verbatim copy of the scan-every-row rref that the indexed one replaced,
-# with kernel_basis and solve written over it as they were.  The indexed
-# rref must agree with it exactly, key order of every dict included.
+# The scan-every-row rref that the indexed one replaced, with kernel_basis
+# and solve written over it as they were.  By default it pivots as
+# `linalg` does: on the remaining row with the fewest stored entries
+# (explicit zeros and carried entries count), the first in input order
+# among equals.  The indexed rref must agree with it exactly, key order
+# of every dict included.  With shortest=False it is the first-row rule
+# that `linalg` used before; solve, pivots, rank and kernel_basis must
+# agree with that one too, since the pivot row does not change them.
 
 
-def reference_rref(rows, ncols):
+def reference_rref(rows, ncols, shortest=True):
     rows = [dict(r) for r in rows if r]
     reduced = []
     pivots = []
     for col in range(ncols):
-        pivot_row = None
-        for i, r in enumerate(rows):
-            if r.get(col, _F0) != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        hits = [i for i, r in enumerate(rows) if r.get(col, _F0) != 0]
+        if not hits:
             continue
+        pivot_row = (min(hits, key=lambda i: len(rows[i])) if shortest
+                     else hits[0])
         r = rows.pop(pivot_row)
         inv = _F1 / r[col]
         r = {c: v * inv for c, v in r.items() if v != 0}
@@ -52,9 +55,13 @@ def reference_rref(rows, ncols):
     return reduced, pivots
 
 
-def reference_kernel_basis(columns):
+def first_row_rref(rows, ncols):
+    return reference_rref(rows, ncols, shortest=False)
+
+
+def reference_kernel_basis(columns, rref=reference_rref):
     ncols = len(columns)
-    reduced, pivot_cols = reference_rref(linalg._rows(columns), ncols)
+    reduced, pivot_cols = rref(linalg._rows(columns), ncols)
     pivot_set = set(pivot_cols)
     basis = []
     for free in range(ncols):
@@ -69,9 +76,9 @@ def reference_kernel_basis(columns):
     return basis
 
 
-def reference_solve(columns, targets):
+def reference_solve(columns, targets, rref=reference_rref):
     ncols = len(columns)
-    reduced, pivot_cols = reference_rref(
+    reduced, pivot_cols = rref(
         linalg._rows(list(columns) + list(targets)), ncols
     )
     sols = []
@@ -243,11 +250,20 @@ sparse_rows = st.dictionaries(
 @example([{0: F(2), 1: F(4)}, {0: F(-3), 1: F(-6)}, {1: F(1)}], 2)
 @example([{0: F(1, 2), 1: F(1)}, {0: F(3), 2: F(0), 1: F(6)},
           {2: F(0)}], 3)
+# the pivot row decides the carried entries or the key order: the
+# shortest row pivots, not the first; an explicit zero makes a row
+# longer; among rows of one length the first pivots; and a rank-deficient
+# system whose carried column is inconsistent
+@example([{0: F(1), 1: F(1), 2: F(3)}, {0: F(2), 2: F(1)}], 2)
+@example([{0: F(2), 2: F(1)}, {1: F(0), 0: F(1)}], 2)
+@example([{0: F(1), 2: F(1)}, {0: F(1), 2: F(2)}], 1)
+@example([{0: F(1), 1: F(1), 3: F(1)}, {0: F(1), 1: F(1), 3: F(2)},
+          {0: F(2), 3: F(5)}], 3)
 def test_rref_equals_reference(rows, ncols):
     """Same reduced rows, key order included, and the same pivots.
 
     Entries at column indices >= ncols are carried along, as the solve
-    targets are.
+    targets are.  Both pivot on the shortest row, the first among equals.
     """
     got_rows, got_pivots = linalg.rref(rows, ncols)
     ref_rows, ref_pivots = reference_rref(rows, ncols)
@@ -286,6 +302,29 @@ def test_solve_equals_reference(columns, targets):
     assert _ordered(linalg.solve(columns, targets)) == _ordered(
         reference_solve(columns, targets)
     )
+
+
+@given(st.lists(sparse_vectors, max_size=8),
+       st.lists(sparse_vectors, max_size=4))
+# row "a" is longer than row "b", so the two rules pivot column 0 on
+# different rows; the second target is inconsistent
+@example([{"a": F(1), "b": F(2)}, {"a": F(3)}, {"a": F(-1), "b": F(5)}],
+         [{"a": F(4), "b": F(2)}, {"a": F(1), "b": F(1), 7: F(1)}])
+@example([{"a": F(2), "b": F(1), "c": F(1)}, {"a": F(1), "c": F(0)},
+          {"b": F(1), "c": F(1)}],
+         [{"a": F(1), "b": F(1), "c": F(2)}, {"c": F(1)}])
+def test_outputs_equal_the_first_row_rule(columns, targets):
+    """solve, Factorization, pivots, rank and kernel_basis do not depend
+    on the pivot row: they give what the first-row rule gives, key order
+    included."""
+    want = _ordered(reference_solve(columns, targets, first_row_rref))
+    assert _ordered(linalg.solve(columns, targets)) == want
+    assert _ordered(linalg.Factorization(columns).solve(targets)) == want
+    assert _ordered(linalg.kernel_basis(columns)) == _ordered(
+        reference_kernel_basis(columns, first_row_rref))
+    pivots = first_row_rref(linalg._rows(columns), len(columns))[1]
+    assert linalg.pivots(columns) == pivots
+    assert linalg.rank(columns) == len(pivots)
 
 
 
