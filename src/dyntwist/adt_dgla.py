@@ -35,12 +35,18 @@ class AdtElement(SparseSeries):
     """Sparse element of (U g)^{(x) k} (x) U h over the hbar series."""
 
     __slots__ = ("uea", "arity")
-    _space = ("uea", "arity")
 
     def __init__(self, uea: UEnvelope, arity: int, terms: dict, order: int):
         self.uea = uea
         self.arity = arity
         super().__init__(terms, order)
+
+    def _space_values(self):
+        return self.uea, self.arity
+
+    def _set_space(self, uea, arity):
+        self.uea = uea
+        self.arity = arity
 
     def _key(self, key):
         if len(key) != self.arity + 1:
@@ -415,22 +421,24 @@ def p2_project(splitter: UmSplitter, P: AdtElement) -> AdtElement:
     This is where the U g = U g . h (+) sym(S m) splitting enters: each
     factor's U m part is a rational {monomial: value} dict, read from
     the splitter's memo (`UmSplitter.um_mono`), and applies to every
-    hbar layer alike.
+    hbar layer alike (`p2_image`).
     """
+    return P.map_keys(lambda key: p2_image(splitter, key), AdtElement,
+                      splitter.uea, P.arity)
 
-    def image(key):
-        if key[-1] != ():  # counit on the leg
+
+def p2_image(splitter: UmSplitter, key):
+    """p2 of one key, as ((key, 0, rational), ...) for `map_keys`."""
+    if key[-1] != ():  # counit on the leg
+        return ()
+    partial = [((), 1)]
+    for mfac in key[:-1]:
+        um = splitter.um_mono(mfac)
+        if not um:
             return ()
-        partial = [((), 1)]
-        for mfac in key[:-1]:
-            um = splitter.um_mono(mfac)
-            if not um:
-                return ()
-            partial = [(pref + (mono,), c0 * cc) for pref, c0 in partial
-                       for mono, cc in um.items()]
-        return [(pref + ((),), 0, c0) for pref, c0 in partial]
-
-    return P.map_keys(image, AdtElement, splitter.uea, P.arity)
+        partial = [(pref + (mono,), c0 * cc) for pref, c0 in partial
+                   for mono, cc in um.items()]
+    return [(pref + ((),), 0, c0) for pref, c0 in partial]
 
 
 def alt_embed(uea: UEnvelope, elt: CdybElement) -> AdtElement:
@@ -617,25 +625,31 @@ def _in_slice_order(uea: UEnvelope, blocks, keep=None):
     return [(block, i) for _, block, i in tagged]
 
 
-def _block_column(block: _Block, i: int):
-    """(D, b(D v)) for the i-th basis vector v of the block.
+def b_vector(vec: dict):
+    """(D, b(D v)) for a vector v = {key: rational} of hbar order 0.
 
-    D is the lcm of v's denominators, so b(D v) is a column of ints.  Its
+    D is the lcm of v's denominators, so b(D v) is a dict of ints.  Its
     sums are D times those of b(v), so they vanish at the same steps and
-    the column has the key order of b(v).  Scaling a column by D > 0
-    keeps every pivot of an elimination, and its solution coefficient
-    comes out divided by D.
+    it has the key order of b(v).
+    """
+    den = math.lcm(*(c.denominator for c in vec.values()))
+    acc: dict = {}
+    for key, c in vec.items():
+        a = c.numerator * (den // c.denominator)
+        for new, mult in b_key(key):
+            add_into(acc, new, a * mult)
+    return den, acc
+
+
+def _block_column(block: _Block, i: int):
+    """(D, b(D v)) for the i-th basis vector v of the block (`b_vector`).
+
+    Scaling a column by D > 0 keeps every pivot of an elimination, and
+    its solution coefficient comes out divided by D.
     """
     col = block.columns.get(i)
     if col is None:
-        vec = block.basis[i]
-        den = math.lcm(*(c.denominator for c in vec.values()))
-        acc: dict = {}
-        for key, c in vec.items():
-            a = c.numerator * (den // c.denominator)
-            for new, mult in b_key(key):
-                add_into(acc, new, a * mult)
-        block.columns[i] = col = (den, acc)
+        block.columns[i] = col = b_vector(block.basis[i])
     return col
 
 
@@ -791,19 +805,21 @@ def _adte_pairs(K, lo, outs):
 
     with X(f; g1, g2) = sum Delta(f) (g1 (x) g2) and
     Y(f2, leg; legg) = sum (f2 (x) leg) Delta(legg), each straightened
-    slot by slot, and S the straightening.  Each factor is built once,
-    as a tuple of (monomial pair, int) items, in memos that this call
-    alone keeps.  The X of one f serve every pair whose k1 has f in the
-    place that X reads, so the first term runs over the pairs grouped by
-    f1 and the second over them grouped by f2, each group's X freed
-    after it.  The sums are exact, so their order changes no value.
+    slot by slot, and S the straightening.  Each factor depends on its
+    keys alone and is built once per algebra, as a tuple of (monomial
+    pair, rational) items, in the memos `UEnvelope._adte_factors` (X by
+    (f, g1, g2), Y by (f2, leg, legg), S by (leg, legg)).  They live as
+    long as the envelope, like its straightening cache, and every
+    residual over it shares them: callers must not mutate them.  The
+    first term runs over the pairs grouped by f1 and the second over
+    them grouped by f2; the sums are exact, so their order changes no
+    value.
     """
     uea = K.uea
     straighten = uea.straighten
+    X, Y, S = uea._adte_factors
     top = len(outs) - 1
     den, items = K.int_layer_terms()
-    Y: dict = {}  # {(f2, leg, legg): Y(f2, leg; legg)}
-    S: dict = {}  # {(leg, legg): S(leg legg)}
     by_f1: dict = {}  # f1 -> entries of K with that first factor
     by_f2: dict = {}
     for k1, a1, n1, _ in items:
@@ -821,34 +837,23 @@ def _adte_pairs(K, lo, outs):
                     break
                 yield k1, k2, a1 * a2, outs[n1 + n2]
 
-    def factor(w, l1, l2, r1, r2):
-        """Sum over Delta(w) = p1 (x) p2 of S(l1 p1 r1) (x) S(l2 p2 r2)."""
-        acc: dict = {}
-        for (p1, p2), mult in coproduct_mono(w, 2).items():
-            for m1, c1 in straighten(l1 + p1 + r1).items():
-                c1 *= mult
-                for m2, c2 in straighten(l2 + p2 + r2).items():
-                    add_into(acc, (m1, m2), c1 * c2)
-        return tuple(acc.items())
-
     # K^{12,3,4} K^{1,2,34}
     for f1, firsts in by_f1.items():
-        X: dict = {}  # {(g1, g2): X(f1; g1, g2)}
         for (_, f2, leg), (g1, g2, legg), a, out in pairs(firsts):
-            x = X.get((g1, g2))
+            x = X.get((f1, g1, g2))
             if x is None:
-                X[g1, g2] = x = factor(f1, (), (), g1, g2)
+                X[f1, g1, g2] = x = _factor(straighten, f1, (), (), g1, g2)
             y = Y.get((f2, leg, legg))
             if y is None:
-                Y[f2, leg, legg] = y = factor(legg, f2, leg, (), ())
+                Y[f2, leg, legg] = y = _factor(straighten, legg, f2, leg,
+                                               (), ())
             _add_products(out, x, y, a)
     # - K^{1,23,4} K^{2,3,4}
     for f2, firsts in by_f2.items():
-        X = {}  # {(g1, g2): X(f2; g1, g2)}
         for (f1, _, leg), (g1, g2, legg), a, out in pairs(firsts):
-            x = X.get((g1, g2))
+            x = X.get((f2, g1, g2))
             if x is None:
-                X[g1, g2] = x = factor(f2, (), (), g1, g2)
+                X[f2, g1, g2] = x = _factor(straighten, f2, (), (), g1, g2)
             sl = S.get((leg, legg))
             if sl is None:
                 S[leg, legg] = sl = tuple(
@@ -857,6 +862,18 @@ def _adte_pairs(K, lo, outs):
                     for m1, c1 in straighten(f1).items() for kx, cx in x]
             _add_products(out, left, sl, -a)
     return den * den
+
+
+def _factor(straighten, w, l1, l2, r1, r2):
+    """Sum over Delta(w) = p1 (x) p2 of S(l1 p1 r1) (x) S(l2 p2 r2), as
+    a tuple of ((m1, m2), rational) items."""
+    acc: dict = {}
+    for (p1, p2), mult in coproduct_mono(w, 2).items():
+        for m1, c1 in straighten(l1 + p1 + r1).items():
+            c1 *= mult
+            for m2, c2 in straighten(l2 + p2 + r2).items():
+                add_into(acc, (m1, m2), c1 * c2)
+    return tuple(acc.items())
 
 
 def _add_products(out, lefts, rights, a):

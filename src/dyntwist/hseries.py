@@ -57,13 +57,23 @@ change.  Equality at one order compares the two lists of layers, with
 no difference built.  Scaling by 1 or -1 is self or -self.  Elements,
 and their layer dicts, are never mutated after construction, so a
 result may share a layer with its operand.
+
+An element is built by its constructor or by `SparseSeries._direct`
+(closed arithmetic and `from_layers`), and both set its caches (the
+`terms` view, `layer_terms`, `int_layer_terms` and `value_key`) to
+None; each is filled on its first read and then kept.  The constructor
+stores an int coefficient on a fast path: its key still goes through
+`_key`, zero coefficients included, but no HSeries or canonical form is
+made.  `int_layer_terms` of an element whose values are all ints is
+`layer_terms` itself, found by one type check and no lcm, and
+`from_layers` checks the widths of a layer's keys in one pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .errors import GradingMismatch
 
@@ -100,6 +110,29 @@ def add_into(acc: dict, key, val):
         acc[key] = val
     elif old is not None:
         del acc[key]
+
+
+def sum_layers(a: dict, b: dict, negate: bool = False) -> dict:
+    """a + b, or a - b, of two {key: canonical rational} dicts.
+
+    The sum keeps a's keys in their order, then adds the keys that only
+    b has, and drops the keys whose sum vanishes; it is a itself when b
+    is empty.  Neither input is changed.
+    """
+    if not b:
+        return a
+    s = dict(a)
+    for k, c in b.items():
+        old = s.get(k)
+        if old is None:
+            s[k] = -c if negate else c
+            continue
+        c = old - c if negate else old + c
+        if not c:
+            del s[k]
+        else:
+            s[k] = c if type(c) is int else canonical(c)
+    return s
 
 
 class HSeries:
@@ -234,19 +267,20 @@ class SparseSeries:
     """Sparse element sum_n hbar^n layers[n], truncated mod hbar^(order+1).
 
     `layers` holds exactly order + 1 dicts {key: rational}: the nonzero
-    hbar^n coefficients, in canonical form.  Subclasses fix the space.
-    `_space` names the attributes that come before the coefficients in
-    the constructor, so that `type(self)(*space values, terms, order)`
-    builds an element of the same space; an `arity` attribute, where
-    there is one, must agree between summands.  The constructor takes
-    {key: HSeries or rational}, truncates longer series to `order` and
-    drops zeros; a shorter series raises GradingMismatch.  Every other
-    path builds the layers directly (see the module docstring).
+    hbar^n coefficients, in canonical form.  Subclasses fix the space:
+    `_space_values()` gives the values that come before the coefficients
+    in the constructor, so that `type(self)(*space values, terms,
+    order)` builds an element of the same space, and `_set_space` stores
+    them; a space with an `arity` (None here) must agree between
+    summands.  The constructor takes {key: HSeries or rational},
+    truncates longer series to `order` and drops zeros; a shorter series
+    raises GradingMismatch.  Every other path builds the layers directly
+    (see the module docstring).
     """
 
     __slots__ = ("layers", "order", "_terms", "_vkey", "_layered",
                  "_int_layered")
-    _space: tuple = ()
+    arity = None
     # a formal twist weighs its terms by hbar power plus leg degree and
     # keeps only those of weight at most its order
     _leg_weighted = False
@@ -254,9 +288,16 @@ class SparseSeries:
     def __init__(self, terms: dict, order: int):
         self.order = order
         self.layers = layers = [{} for _ in range(order + 1)]
+        self._terms = self._vkey = self._layered = self._int_layered = None
         key = self._key
         leg = self._leg_weighted
+        first = layers[0]
         for k, c in terms.items():
+            if type(c) is int:  # an hbar^0 coefficient, or zero
+                k = key(k)
+                if c and (not leg or len(k[-1]) <= order):
+                    first[k] = c
+                continue
             if isinstance(c, HSeries):
                 if c.order < order:
                     raise GradingMismatch(
@@ -278,7 +319,10 @@ class SparseSeries:
         return key
 
     def _space_values(self):
-        return [getattr(self, a) for a in self._space]
+        return ()
+
+    def _set_space(self):
+        """Store the space values of `_space_values` on a new element."""
 
     @classmethod
     def _direct(cls, space, layers: list):
@@ -289,10 +333,10 @@ class SparseSeries:
         values, on the triangle.  The order is len(layers) - 1.
         """
         new = cls.__new__(cls)
-        for a, v in zip(cls._space, space):
-            setattr(new, a, v)
+        new._set_space(*space)
         new.layers = layers
         new.order = len(layers) - 1
+        new._terms = new._vkey = new._layered = new._int_layered = None
         return new
 
     def _same_space(self, layers: list, cut: bool = False):
@@ -317,14 +361,17 @@ class SparseSeries:
         Fractions where a factor was rational), each divided by den once
         (`quotient`).  A formal twist drops the entries off its triangle
         in the same pass.  The keys are a kernel's, built from validated
-        ones: where the space has an arity, only their width is checked.
+        ones: where the space has an arity, only their width is checked,
+        one pass per layer, and a key of the wrong width goes to `_key`,
+        which raises GradingMismatch.
         """
         *space, layers = args
         order = len(layers) - 1
         scaled = den is not None and den != 1
+        leg = cls._leg_weighted
         out = []
         for n, layer in enumerate(layers):
-            if cls._leg_weighted:
+            if leg:
                 cap = order - n
                 layer = {k: quotient(a, den) if scaled else canonical(a)
                          for k, a in layer.items()
@@ -336,11 +383,12 @@ class SparseSeries:
                 layer = {k: canonical(a) for k, a in layer.items() if a}
             out.append(layer)
         new = cls._direct(space, out)
-        arity = getattr(new, "arity", None)
+        arity = new.arity
         if arity is not None:
+            width = {arity + 1}
             for layer in out:
-                for k in layer:
-                    if len(k) != arity + 1:
+                if not width.issuperset(map(len, layer)):
+                    for k in layer:
                         new._key(k)  # raises GradingMismatch
         return new
 
@@ -354,10 +402,8 @@ class SparseSeries:
         appearance over the layers.  The package itself reads the
         layers; the view serves callers that want whole series.
         """
-        try:
+        if self._terms is not None:
             return self._terms
-        except AttributeError:
-            pass
         order = self.order
         rows: dict = {}
         for n, layer in enumerate(self.layers):
@@ -391,7 +437,7 @@ class SparseSeries:
         that only other has.  A sum of mixed orders truncates to the
         smaller one.
         """
-        if getattr(self, "arity", None) != getattr(other, "arity", None):
+        if self.arity != other.arity:
             # zero is compatible with every arity (degenerate
             # compositions); the sum still has the smaller order
             if self.is_zero():
@@ -399,24 +445,9 @@ class SparseSeries:
             if other.is_zero():
                 return self.truncate(other.order)
             raise GradingMismatch("arity mismatch in sum")
-        out = []
         # zip stops at the common order
-        for a, b in zip(self.layers, other.layers):
-            if not b:
-                out.append(a)
-                continue
-            s = dict(a)
-            for k, c in b.items():
-                old = s.get(k)
-                if old is None:
-                    s[k] = -c if negate else c
-                    continue
-                c = old - c if negate else old + c
-                if not c:
-                    del s[k]
-                else:
-                    s[k] = c if type(c) is int else canonical(c)
-            out.append(s)
+        out = [sum_layers(a, b, negate)
+               for a, b in zip(self.layers, other.layers)]
         return self._same_space(out, cut=other.order != self.order
                                 or type(other) is not type(self))
 
@@ -469,7 +500,7 @@ class SparseSeries:
         """
         if type(other) is not type(self):
             return NotImplemented
-        if getattr(self, "arity", None) != getattr(other, "arity", None):
+        if self.arity != other.arity:
             return self.is_zero() and other.is_zero()
         if self.order == other.order:
             return self.layers == other.layers
@@ -501,10 +532,8 @@ class SparseSeries:
         at the first entry whose weight, added to the outer entry's,
         exceeds the product's order.
         """
-        try:
+        if self._layered is not None:
             return self._layered
-        except AttributeError:
-            pass
         if self._leg_weighted:
             self._layered = sorted(
                 ((k, a, n, n + len(k[-1]))
@@ -521,23 +550,23 @@ class SparseSeries:
     def int_layer_terms(self):
         """(D, entries): `layer_terms` with each value a as the int D a.
 
-        D is the lcm of the denominators of the layer terms; when it is
-        1 the entries are `layer_terms()` itself, whose values are ints
-        already.  A kernel that multiplies the entries of factors with
-        scales D_1, ..., D_r sums D_1 ... D_r times its rational result
-        and hands that product to `from_layers` as `den`.  Built once
-        per element.
+        D is the lcm of the denominators of the layer terms.  When every
+        value is an int, D is 1 and the entries are `layer_terms()`
+        itself, found by one type check and no lcm.  A kernel that
+        multiplies the entries of factors with scales D_1, ..., D_r sums
+        D_1 ... D_r times its rational result and hands that product to
+        `from_layers` as `den`.  Built once per element.
         """
-        try:
-            return self._int_layered
-        except AttributeError:
-            pass
-        terms = self.layer_terms()
-        den = lcm(*{a.denominator for _, a, _, _ in terms})
-        self._int_layered = den, terms if den == 1 else [
-            (k, a.numerator * (den // a.denominator), n, w)
-            for k, a, n, w in terms
-        ]
+        if self._int_layered is None:
+            terms = self.layer_terms()
+            if {int}.issuperset(map(type, map(itemgetter(1), terms))):
+                self._int_layered = 1, terms
+            else:
+                den = lcm(*{a.denominator for _, a, _, _ in terms})
+                self._int_layered = den, [
+                    (k, a.numerator * (den // a.denominator), n, w)
+                    for k, a, n, w in terms
+                ]
         return self._int_layered
 
     def truncate(self, n: int):
@@ -591,13 +620,11 @@ class SparseSeries:
 
         linfinity's tower memo keys structure-map arguments by it.
         """
-        try:
+        if self._vkey is not None:
             return self._vkey
-        except AttributeError:
-            pass
         self._vkey = (
             self.order,
-            getattr(self, "arity", None),
+            self.arity,
             tuple(frozenset(layer.items()) for layer in self.layers),
         )
         return self._vkey

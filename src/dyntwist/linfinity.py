@@ -32,7 +32,7 @@ from math import comb
 from . import adt_dgla, cdyb_dgla
 from .adt_dgla import AdtElement, gerstenhaber_bracket, invariant_adt_basis
 from .errors import ContractFailure, GradingMismatch, MorphismUnsound
-from .hseries import add_into, quotient
+from .hseries import add_into, canonical, quotient, sum_layers
 from .lie_core import LieData
 from .linalg import Factorization, pivots
 # bound but never called: perfbench/test_perfbench.py reads linfinity.rref
@@ -209,20 +209,24 @@ class _QuantumHomotopy:
     A depends on the arity and the length bound alone, so h is one
     linear map, whatever inputs it has seen.
 
-    Each (arity, length) system of that decomposition is factored once
+    The complement and its q1 images are built as plain {key: rational}
+    dicts of hbar order 0, straight from the invariant basis vectors
+    (`_kernel_part`, `_q1_image`), and cached as dicts.  Each (arity,
+    length) system of the decomposition is factored once
     (`linalg.Factorization`) and answers every later input by
     substitution; each answer is still checked by recomputing its image.
+    Cached dicts are shared with the factored systems and must not be
+    mutated.
     """
 
     def __init__(self, uea: UEnvelope, splitter: UmSplitter):
         self.uea = uea
         self.splitter = splitter
-        self.dgla = AdtDgla(uea, 0)
         self._cache: dict = {}
 
     def _complement(self, k: int, L: int):
         """(A, images): the complement of the cocycles in the kernel, up
-        to length L, and the q1 image of each of its elements.
+        to length L, and the q1 image of each of its elements, as dicts.
 
         The candidates are the choice at L - 1, then x - p(x) for each
         invariant basis vector x of length L, in slice order.  A
@@ -230,23 +234,39 @@ class _QuantumHomotopy:
         before it exactly when its q1 image is independent of theirs, so
         A keeps the candidates at the pivots of their images and the
         choice at L extends the choice at L - 1, whose images are kept.
+        The values and key order are those of the element arithmetic
+        x - p2_project(x) and -b(x - p(x)).
         """
         key = ("A", k, L)
-        if key not in self._cache:
+        cached = self._cache.get(key)
+        if cached is None:
             if L > 0:
                 cands, images = map(list, self._complement(k, L - 1))
             else:
                 cands, images = [], []
             for r in invariant_adt_basis(self.uea, k, L):
-                e = AdtElement(self.uea, k, dict(r), 0)
-                ne = e - adt_dgla.p2_project(self.splitter, e)
-                if not ne.is_zero():
+                ne = self._kernel_part(r)
+                if ne:
                     cands.append(ne)
-                    images.append(self.dgla.q1(ne).layer(0))
+                    images.append(_q1_image(ne))
             keep = pivots(images)
-            self._cache[key] = ([cands[j] for j in keep],
-                                [images[j] for j in keep])
-        return self._cache[key]
+            self._cache[key] = cached = ([cands[j] for j in keep],
+                                         [images[j] for j in keep])
+        return cached
+
+    def _kernel_part(self, x: dict) -> dict:
+        """x - p(x) for a basis vector x, key order as the element sum.
+
+        p(x) is accumulated in a dict of its own first, as
+        `adt_dgla.p2_project` builds it, and then subtracted key by key,
+        x's keys first, as `SparseSeries._sum` does (`sum_layers`).
+        """
+        px: dict = {}
+        for key, a in x.items():
+            for new, _, c in adt_dgla.p2_image(self.splitter, key):
+                add_into(px, new, a * c)
+        return sum_layers(x, {k: canonical(c) for k, c in px.items()},
+                          negate=True)
 
     def _columns(self, k: int, L: int):
         """(A_terms, factorization) of `_decompose`'s system, built once.
@@ -255,13 +275,13 @@ class _QuantumHomotopy:
         arity k; A_terms are the arity k - 1 elements of A.
         """
         key = ("D", k, L)
-        if key not in self._cache:
-            A_lower, images = (self._complement(k - 1, L) if k >= 1
+        cached = self._cache.get(key)
+        if cached is None:
+            A_terms, images = (self._complement(k - 1, L) if k >= 1
                                else ([], []))
-            A_terms = [a.layer(0) for a in A_lower]
-            columns = images + [a.layer(0) for a in self._complement(k, L)[0]]
-            self._cache[key] = A_terms, Factorization(columns)
-        return self._cache[key]
+            columns = images + self._complement(k, L)[0]
+            self._cache[key] = cached = A_terms, Factorization(columns)
+        return cached
 
     def _decompose(self, k: int, L: int, x: AdtElement):
         """Write the kernel element x as q1(a) + a' with a, a' in A."""
@@ -286,6 +306,16 @@ class _QuantumHomotopy:
             return AdtElement.zero(self.uea, max(x.arity - 1, 0), x.order)
         L = max(xn.total_lengths())
         return self._decompose(xn.arity, L, xn)
+
+
+def _q1_image(x: dict) -> dict:
+    """q1(x) = -b(x) of an hbar-order-0 element given as a dict.
+
+    Its values and key order are those of `differential_b(x).scale(-1)`:
+    both sum b(D x) on ints (`adt_dgla.b_vector`).
+    """
+    den, bx = adt_dgla.b_vector(x)
+    return {key: -quotient(a, den) for key, a in bx.items()}
 
 
 def quantum_contraction(uea: UEnvelope, order: int) -> Contraction:

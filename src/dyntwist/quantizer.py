@@ -136,8 +136,9 @@ class FormalTwist(SparseSeries):
     """
 
     __slots__ = ("uea", "arity")
-    _space = ("uea", "arity")
-    # AdtElement's key check and repr (which prints the class name)
+    # AdtElement's space, key check and repr (which prints the class name)
+    _space_values = AdtElement._space_values
+    _set_space = AdtElement._set_space
     _key = AdtElement._key
     __repr__ = AdtElement.__repr__
     _leg_weighted = True

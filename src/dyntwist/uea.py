@@ -36,6 +36,9 @@ class UEnvelope:
         self._sym_cache: dict = {}
         self._ad_cache: dict = {}
         self._star_cache: dict = {}  # filled by quantizer._star_mono
+        # the X, Y and S factors of the twist residual, filled by
+        # adt_dgla._adte_pairs
+        self._adte_factors: tuple = ({}, {}, {})
 
     # -- straightening -----------------------------------------------------
 

@@ -31,7 +31,9 @@ layer.  `rand_adt` draws as
 
 `quantum_homotopy` is the twist-side homotopy h as it was before its
 decomposition systems were factored once: one whole `linalg.solve` per
-input, over columns rebuilt from the complements.
+input, over columns rebuilt from the complements.  Those come from
+`complement`, the choice of complement as it was made on AdtElements
+before `_QuantumHomotopy` built it from plain dicts.
 
 `pbw_star` is the base star product on whole HSeries coefficients,
 each leg monomial's hbar polynomial from `quantizer._star_mono` turned
@@ -73,13 +75,18 @@ partition).  Its F sums the bracket defect over argument positions
 import itertools
 from fractions import Fraction
 
-from dyntwist import linalg
+from dyntwist import adt_dgla, linalg
 from dyntwist.adt_dgla import AdtElement, adt_monomials, p2_project, unit_at
 from dyntwist.errors import ContractFailure, GradingMismatch, NoSolution
 from dyntwist.gauge import adt_inverse
 from dyntwist.hseries import HSeries, add_into
 from dyntwist.lie_core import invariant_basis
-from dyntwist.linfinity import MorphismTower, ProjectedDgla, koszul_sign
+from dyntwist.linfinity import (
+    AdtDgla,
+    MorphismTower,
+    ProjectedDgla,
+    koszul_sign,
+)
 from dyntwist.quantizer import FormalTwist, _star_mono
 from dyntwist.tensor_spaces import CdybElement, sym_sort
 from dyntwist.uea import coproduct_mono
@@ -647,20 +654,41 @@ def from_layers(cls, *args, den=None):
     return cls(*space, terms, order)
 
 
+def complement(h, k, L):
+    """(A, images) of `linfinity._QuantumHomotopy._complement` as it was
+    built before it worked on dicts: each candidate x - p(x) and its q1
+    image as AdtElements (`p2_project`, the element difference and
+    `AdtDgla.q1`), recomputed with the choice at every lower length.
+    """
+    if L > 0:
+        cands, images = map(list, complement(h, k, L - 1))
+    else:
+        cands, images = [], []
+    q1 = AdtDgla(h.uea, 0).q1
+    for r in adt_dgla.invariant_adt_basis(h.uea, k, L):
+        e = AdtElement(h.uea, k, dict(r), 0)
+        ne = e - p2_project(h.splitter, e)
+        if not ne.is_zero():
+            cands.append(ne)
+            images.append(q1(ne).layer(0))
+    keep = linalg.pivots(images)
+    return [cands[j] for j in keep], [images[j] for j in keep]
+
+
 def quantum_homotopy(h, x):
     """h(x) for a `linfinity._QuantumHomotopy` h, as it was computed
-    before each decomposition system was factored once: the q1 images of
-    the lower complement recomputed and the system solved by one whole
-    `linalg.solve` per call, its result built by the constructor.
+    before each decomposition system was factored once: the complements
+    and q1 images rebuilt from elements (`complement`) and the system
+    solved by one whole `linalg.solve` per call, its result built by the
+    constructor.
     """
     xn = x - p2_project(h.splitter, x)
     arity = max(x.arity - 1, 0)
     if xn.is_zero():
         return AdtElement.zero(h.uea, arity, x.order)
     k, L = xn.arity, max(xn.total_lengths())
-    A_lower = h._complement(k - 1, L)[0] if k >= 1 else []
-    columns = [h.dgla.q1(a).layer(0) for a in A_lower]
-    columns += [a.layer(0) for a in h._complement(k, L)[0]]
+    A_lower, columns = complement(h, k - 1, L) if k >= 1 else ([], [])
+    columns += [a.layer(0) for a in complement(h, k, L)[0]]
     sols = linalg.solve(columns, [xn.layer(n) for n in range(xn.order + 1)])
     if None in sols:
         raise ContractFailure("homotopy decomposition failed")

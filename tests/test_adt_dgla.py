@@ -622,6 +622,78 @@ def test_residual_matches_reference_on_the_solved_sl2_twist():
             assert adte_residual_layer(Ki, n) == ref.layer(n)
 
 
+# -- the residual's factor memo ---------------------------------------------
+#
+# `_adte_pairs` keeps its X, Y and S factors per algebra, in
+# `UEnvelope._adte_factors`, so every residual over one envelope reads
+# the factors earlier residuals built.  Each entry must be the factor of
+# its keys, whatever residual built it, and a residual must not depend
+# on what the memo holds.
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl2half", "affxc2"])
+def test_residual_matches_reference_with_a_cold_or_warm_factor_memo(name):
+    uea = UEnvelope(_lie(name))
+    inputs = []
+    for rng, rational in _draws(35):
+        inputs += _oracle_inputs(uea, rng, 2, unit=True, rational=rational)
+    assert not any(uea._adte_factors)
+    for _ in range(2):  # with the memo cold, then warm
+        for K in inputs:
+            ref = reference_kernels.adte_residual(K)
+            _agree(adte_residual(K), ref)
+            for n in range(K.order + 1):
+                assert adte_residual_layer(K, n) == ref.layer(n)
+        assert all(uea._adte_factors)
+
+
+def _reference_factor(lie, memo, w, l1, l2, r1, r2):
+    """X or Y from the Fraction straightening and the positional coproduct."""
+    acc: dict = {}
+    for (p1, p2), mult in reference_kernels.coproduct_by_position(
+            w, 2).items():
+        for m1, c1 in reference_kernels.straighten(
+                lie, l1 + p1 + r1, memo).items():
+            for m2, c2 in reference_kernels.straighten(
+                    lie, l2 + p2 + r2, memo).items():
+                add_into(acc, (m1, m2), mult * c1 * c2)
+    return acc
+
+
+@pytest.mark.parametrize("name", ["sl2", "affxc2"])
+def test_factor_memo_holds_fresh_factors_after_suite_and_solve(
+        name, monkeypatch):
+    # the suite's envelope, then a solve over the same envelope
+    made = []
+
+    def envelope(lie):
+        made.append(UEnvelope(lie))
+        return made[-1]
+
+    lie = _lie(name)
+    monkeypatch.setattr(props, "UEnvelope", envelope)
+    assert all(ok for _, ok, _ in props.standard_suite(lie, seed=3))
+    [uea] = made
+    body = schema.parse_rmatrix(
+        schema.load_file(CORPUS / f"{name}.rmat"), lie, N)
+    solve_adte(RMatrix(lie, body), N, uea=uea)
+    X, Y, S = uea._adte_factors
+    assert X and Y and S
+    memo: dict = {}
+
+    def same(got, want):
+        assert dict(got) == want
+        assert all(c and is_canonical(c) for _, c in got)
+
+    for (f, g1, g2), got in X.items():
+        same(got, _reference_factor(lie, memo, f, (), (), g1, g2))
+    for (f2, leg, legg), got in Y.items():
+        same(got, _reference_factor(lie, memo, legg, f2, leg, (), ()))
+    for (leg, legg), got in S.items():
+        same(got, {(m,): c for m, c in reference_kernels.straighten(
+            lie, leg + legg, memo).items() if c})
+
+
 @pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
 def test_layered_adt_mul_matches_hseries_reference(request, uea_name):
     uea = request.getfixturevalue(uea_name)
@@ -726,24 +798,45 @@ def test_identities_memos_are_unchanged_by_the_suite(name, monkeypatch):
         assert list(got.items()) == list(_fresh_um(uea, mono).items())
     complements = [key for key in h._cache if key[0] == "A"]
     assert complements
-    for key in complements:
-        A, images = h._cache[key]
-        assert [list(c.items()) for c in images] == [
-            list(h.dgla.q1(a).layer(0).items()) for a in A]
+    for _, k, L in complements:
+        A, images = h._cache["A", k, L]
+        ref_A, ref_images = reference_kernels.complement(h, k, L)
+        assert _items(A) == _items(a.layer(0) for a in ref_A)
+        assert _items(images) == _items(ref_images)
     decomposed = [key for key in h._cache if key[0] == "D"]
     assert decomposed
     for _, k, L in decomposed:
         A_terms, system = h._cache["D", k, L]
-        A_lower = h._complement(k - 1, L)[0] if k >= 1 else []
-        ref = [h.dgla.q1(a).layer(0) for a in A_lower]
-        ref += [a.layer(0) for a in h._complement(k, L)[0]]
-        assert [list(c.items()) for c in system.columns] == [
-            list(c.items()) for c in ref]
-        assert [list(t.items()) for t in A_terms] == [
-            list(a.layer(0).items()) for a in A_lower]
+        A_lower, ref = (reference_kernels.complement(h, k - 1, L) if k >= 1
+                        else ([], []))
+        ref += [a.layer(0) for a in reference_kernels.complement(h, k, L)[0]]
+        assert _items(system.columns) == _items(ref)
+        assert _items(A_terms) == _items(a.layer(0) for a in A_lower)
         fresh = linalg.Factorization(ref)
         for attr in ("row_of", "uses", "pivots", "scales"):
             assert getattr(system, attr) == getattr(fresh, attr)
+
+
+def _items(dicts):
+    """Each dict's (key, value, value type) items, in order."""
+    return [[(k, v, type(v)) for k, v in d.items()] for d in dicts]
+
+
+@pytest.mark.parametrize("name", ["sl2", "affxc2", "sl2half"])
+def test_dict_built_complement_equals_the_element_built_one(name):
+    # values and key order of x - p(x) and of its q1 image, at every
+    # arity up to 3 and length up to 4
+    uea = UEnvelope(_lie(name))
+    h = linfinity.quantum_contraction(uea, 0).h
+    nonzero = 0
+    for k in range(4):
+        for L in range(5):
+            A, images = h._complement(k, L)
+            ref_A, ref_images = reference_kernels.complement(h, k, L)
+            assert _items(A) == _items(a.layer(0) for a in ref_A)
+            assert _items(images) == _items(ref_images)
+            nonzero += len(A)
+    assert nonzero
 
 
 def _homotopy_inputs(uea, name):
@@ -772,7 +865,6 @@ def test_memoized_quantum_homotopy_equals_a_recomputing_one(name):
     for x in _homotopy_inputs(uea, name):
         got = h(x)
         ref.splitter._um_memo.clear()
-        ref._cache.clear()
         want = reference_kernels.quantum_homotopy(ref, x)
         assert got.arity == want.arity
         assert list(got.terms.items()) == list(want.terms.items())

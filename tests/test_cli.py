@@ -431,6 +431,30 @@ def test_quantize_twist_digest(tmp_path, name, order, seed, digest):
     assert hashlib.sha256(twist.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the whole stdout of `prop-suite`, run from the repository
+# root on a relative algebra path (the header names it): the verdict
+# lines alone would not see a change to a sampled count or a detail
+PROP_SUITE_DIGESTS = [
+    ("sl2", "0",
+     "da500a9aeceb59da330423100e90554fdb7e68d2aa1820a84ad793c31d88c19b"),
+    ("sl2", "1",
+     "4c051926efde99ed189530fc48cdf59d72c215be938229ddb7be6c6f4e1331a3"),
+    ("sl2", "7",
+     "0793522aa0da23cf9b7cf0dfadb31928fb8d14ba504c04ba544fc691984cea53"),
+    ("affxc2", "0",
+     "452c07e940ec1ccb4dbebc644efb9e3d45adb04646c8fad76a8b1c4a357f283f"),
+]
+
+
+@pytest.mark.parametrize("name, seed, digest", PROP_SUITE_DIGESTS)
+def test_prop_suite_stdout_digest(name, seed, digest):
+    proc = _run_cli(["prop-suite", "--algebra", f"corpus/{name}.alg",
+                     "--seed", seed], cwd=CORPUS.parent)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 def test_quantize_verify_nonabelian_base(tmp_path, capsys):
     twist = tmp_path / "K.twist"
     code = main(["quantize", "--algebra", NONAB, "--rmatrix", NONAB_R,

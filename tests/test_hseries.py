@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -264,7 +265,7 @@ def test_closed_arithmetic_stores_what_the_constructor_stores(kind, name):
     other_cls = {CdybElement: SparseSeries,
                  AdtElement: FormalTwist, FormalTwist: AdtElement}[cls]
     # for a formal twist, terms off its triangle
-    other = other_cls(*space[:len(other_cls._space)],
+    other = other_cls(*(space if other_cls is not SparseSeries else ()),
                       {k: _random_series(rng, N) for k in keys[2:7]}, N)
     if kind == "formal":
         assert any(len(k[-1]) for k in A.terms)
@@ -488,3 +489,105 @@ def test_closed_operations_match_the_references(kind, m, n, data):
               for _ in range(m + 1)]
     assert _view(cls.from_layers(*space, layers, den=den)) == _view(
         reference_kernels.from_layers(cls, *space, layers, den=den))
+
+
+# -- the caches of every construction path ----------------------------------
+#
+# An element's `layer_terms()` and `int_layer_terms()` are built on their
+# first read and kept.  Every path that builds an element must start them
+# afresh: each is compared with a recomputation from the stored layers,
+# after the operands' own caches have been read, so a path that carried
+# an operand's cache over would show.
+
+
+def _fresh_layer_terms(E):
+    """(layer_terms, (D, int entries)) recomputed from E.layers."""
+    leg = isinstance(E, FormalTwist)
+    entries = [(k, a, n, n + len(k[-1]) if leg else n)
+               for n, layer in enumerate(E.layers) for k, a in layer.items()]
+    entries.sort(key=lambda t: t[3])
+    den = 1
+    for _, a, _, _ in entries:
+        d = Fraction(a).denominator
+        den = den * d // math.gcd(den, d)
+    ints = [(k, int(a * den), n, w) for k, a, n, w in entries]
+    return entries, (den, ints)
+
+
+def _typed(entries):
+    return [(t, type(t[1])) for t in entries]
+
+
+@pytest.mark.parametrize("name", ["sl2", "affxc2"])
+@pytest.mark.parametrize("kind", ["adt", "formal", "cdyb"])
+def test_every_construction_path_starts_fresh_layer_terms(kind, name):
+    uea = UEnvelope(_algebra(name))
+    cls, space, pool = _space(kind, uea)
+    rng = random.Random(f"caches-{kind}-{name}")
+    keys = rng.sample(pool, 8)
+    A = cls(*space, {k: _random_series(rng, N) for k in keys[:5]}, N)
+    B = cls(*space, {k: _random_series(rng, N) for k in keys[3:]}, N)
+    # the int path of the constructor, a zero coefficient included
+    C = cls(*space, {k: rng.choice([-2, -1, 0, 1, 3]) for k in keys}, N)
+    for E in (A, B, C):
+        E.layer_terms()
+        E.int_layer_terms()
+    int_layers = [{k: rng.choice([-3, -1, 1, 2]) for k in rng.sample(pool, 4)}
+                  for _ in range(N + 1)]
+    frac_layers = [{k: Fraction(rng.choice([-3, -1, 1, 2]),
+                                rng.choice([1, 2, 3]))
+                    for k in rng.sample(pool, 4)} for _ in range(N + 1)]
+    built = {
+        "constructor": A, "int constructor": C,
+        "from_layers": cls.from_layers(*space, int_layers),
+        "from_layers rational": cls.from_layers(*space, frac_layers),
+        "from_layers den": cls.from_layers(*space, int_layers, den=6),
+        "sum": A + B, "difference": A - B, "mixed sum": A + B.truncate(2),
+        "negation": -A,
+        "scale 0": A.scale(0), "scale 1": A.scale(1),
+        "scale -1": A.scale(-1), "scale rational": A.scale(Fraction(-3, 2)),
+        "scale series": A.scale(_random_series(rng, 3)),
+        "truncate": A.truncate(2), "shift": A.shift(1),
+        "hbar_component": A.hbar_component(1),
+        "map_keys": A.map_keys(
+            lambda k: ((k, 1, Fraction(1, 2)), (keys[0], 0, 3)),
+            cls, *space),
+    }
+    for path, E in built.items():
+        entries, (den, ints) = _fresh_layer_terms(E)
+        assert _typed(E.layer_terms()) == _typed(entries), path
+        got_den, got = E.int_layer_terms()
+        assert got_den == den, path
+        assert _typed(got) == _typed(ints), path
+        assert all(type(t[1]) is int for t in got), path
+    assert built["from_layers den"].int_layer_terms()[0] > 1
+    assert built["int constructor"].int_layer_terms()[0] == 1
+
+
+@pytest.mark.parametrize("kind", ["adt", "formal"])
+def test_from_layers_refuses_a_key_of_the_wrong_width(kind):
+    # in any layer, alone or among keys of the right width, with and
+    # without a common denominator
+    uea = _sl2_uea()
+    cls, space, pool = _space(kind, uea)
+    good = {k: 1 for k in pool[:3]}
+    for bad in (((), ()), ((), (), (), ())):
+        for n in range(3):
+            for layer in ({bad: 1}, {**dict(list(good.items())[:1]), bad: 2,
+                                     **good}):
+                layers = [dict(good) for _ in range(3)]
+                layers[n] = layer
+                for den in (None, 2):
+                    with pytest.raises(GradingMismatch):
+                        cls.from_layers(*space, layers, den=den)
+
+
+@pytest.mark.parametrize("kind", ["adt", "formal"])
+def test_constructor_checks_every_key(kind):
+    # a zero coefficient is dropped, but its key is still checked, on the
+    # int path as on the others
+    cls, space, pool = _space(kind, _sl2_uea())
+    for bad in (((), ()), ((), (), (), ())):
+        for c in (0, 3, Fraction(0), Fraction(1, 2), HSeries.zero(N)):
+            with pytest.raises(GradingMismatch):
+                cls(*space, {pool[0]: 1, bad: c}, N)
