@@ -6,6 +6,14 @@ coboundary of Eq-free description: a unit is inserted on the left, the
 coproduct is applied to each tensor factor in turn, and finally the leg
 is split by the coaction (U g part first).  All of these preserve the
 total PBW length, so every computation decomposes into finite slices.
+
+Every key an element holds is a tuple of PBW monomials, weakly
+increasing words: `schema.parse_twist` straightens what it reads, and
+every kernel here returns straightened keys.  The kernels rely on it.
+The coproduct splits a monomial into monomials without straightening
+(`coproduct_mono`), so b of a key is a sum of keys.  cup and brace
+add a key in which no product joins two nonempty words as it stands,
+and straighten the others only from the first slot a product reaches.
 """
 
 from __future__ import annotations
@@ -13,8 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from bisect import bisect_left
-from operator import add
+from bisect import bisect_left, bisect_right
+from operator import add, itemgetter
 
 from . import linalg
 from .errors import GradingMismatch, NoSolution, TruncationTooSmall
@@ -191,30 +199,60 @@ def b_key(key) -> tuple:
     """b of one key, as ((key, int multiplicity), ...) with no zero.
 
     The coproduct and the coaction split monomials without straightening,
-    so b of a key depends on the key alone.  The result is memoized, like
-    `coproduct_mono`, and shared between calls: callers must not mutate
-    it.
+    so b of a key depends on the key alone.  The result (`_b_terms`) is
+    memoized, like `coproduct_mono`, and shared between calls: callers
+    must not mutate it.
     """
     out = _b_memo.get(key)
     if out is None:
-        k = len(key) - 1
-        gfac = key[:-1]
-        leg = key[-1]
-        terms: dict = {}
-        # unit insertion on the left
-        add_into(terms, ((),) + key, 1)
-        # coproduct on factor i (1-based), sign (-1)^i
-        for i in range(1, k + 1):
-            sgn = -1 if i % 2 else 1
-            for parts, mult in coproduct_mono(gfac[i - 1], 2).items():
-                new = gfac[: i - 1] + parts + gfac[i:] + (leg,)
-                add_into(terms, new, sgn * mult)
-        # coaction on the leg, sign (-1)^{k+1}
-        sgn = -1 if (k + 1) % 2 else 1
-        for parts, mult in coproduct_mono(leg, 2).items():
-            add_into(terms, gfac + parts, sgn * mult)
-        _b_memo[key] = out = tuple(terms.items())
+        _b_memo[key] = out = _b_terms(key)
     return out
+
+
+def _b_terms(key) -> tuple:
+    """b of one key, generating only the terms that survive.
+
+    A nonempty word w has (w, ()) first and ((), w) last among the parts
+    of Delta(w) (`coproduct_mono`).  Both put an empty word beside a
+    neighbour: ((), w) at slot i gives the key that (f_(i-1), ()) of the
+    slot before gives with the opposite sign, or the unit insertion when
+    i is the first slot, and (f_k, ()) gives the key that ((), leg) of
+    the leg's coaction gives.  Between two nonempty words, every empty
+    word adds its one part to that same key, so the key's coefficient is
+    the alternating sum over the run, 0 or +-1 (`net`).  The other parts
+    give keys that no other part gives, each once.  The keys come in the
+    order in which summing every term in turn into a dict leaves them:
+    the parts in slot order, and a run's key where the last word to
+    reach it, the ((), w) of the nonempty word after the run, puts it.
+    """
+    gfac = key[:-1]
+    leg = key[-1]
+    out = []
+    net = 1  # the unit insertion on the left
+    sgn = 1
+    for i, w in enumerate(gfac):
+        sgn = -sgn  # the coproduct on factor i + 1 has sign (-1)^(i+1)
+        if not w:
+            net += sgn
+            continue
+        head, tail = gfac[:i], gfac[i + 1 :] + (leg,)
+        parts = tuple(coproduct_mono(w, 2).items())
+        for p, mult in parts[1:-1]:
+            out.append((head + p + tail, sgn * mult))
+        net += sgn
+        if net:
+            out.append((head + ((), w) + tail, net))
+        net = sgn
+    # the coaction on the leg, sign (-1)^(k+1); an empty leg has one
+    # part, ((), ()), which ends the last run
+    sgn = -sgn
+    if leg:
+        for p, mult in tuple(coproduct_mono(leg, 2).items())[:-1]:
+            out.append((gfac + p, sgn * mult))
+    net += sgn
+    if net:
+        out.append((gfac + ((), leg), net))
+    return tuple(out)
 
 
 # -- cup product -----------------------------------------------------------
@@ -228,6 +266,11 @@ def cup(P: AdtElement, Q: AdtElement) -> AdtElement:
     front of Q's content.  The result is truncated to the smaller order
     N; layer-term pairs whose hbar powers add up to more than N are
     skipped.  Summed on ints, like b.
+
+    An empty leg spreads as 1 (x) ... (x) 1, so the product key is P's
+    factors followed by Q's key, PBW as it stands and added without
+    straightening.  Otherwise only the last l + 1 slots can hold a
+    product, and `_straight_key` starts at slot k.
     """
     if P.uea is not Q.uea:
         raise GradingMismatch("cup of elements over different algebras")
@@ -238,6 +281,12 @@ def cup(P: AdtElement, Q: AdtElement) -> AdtElement:
     den_q, terms_q = Q.int_layer_terms()
     for keyP, aP, nP, _ in terms_p:
         gP = keyP[:-1]
+        if not keyP[-1]:
+            for keyQ, aQ, nQ, _ in terms_q:
+                if nP + nQ > order:
+                    break
+                add_into(outs[nP + nQ], gP + keyQ, aP * aQ)
+            continue
         for parts, mult in coproduct_mono(keyP[-1], l + 1).items():
             aPm = aP * mult
             for keyQ, aQ, nQ, _ in terms_q:
@@ -246,19 +295,23 @@ def cup(P: AdtElement, Q: AdtElement) -> AdtElement:
                 # parts[j] multiplies in front of Q's factor j, the last
                 # part in front of Q's leg
                 _straight_key(P.uea, gP + tuple(map(add, parts, keyQ)),
-                              outs[nP + nQ], aPm * aQ)
+                              outs[nP + nQ], aPm * aQ, k)
     return AdtElement.from_layers(P.uea, k + l, outs, den=den_p * den_q)
 
 
-def _straight_key(uea, slots, acc, coeff):
+def _straight_key(uea, slots, acc, coeff, start):
     """Straighten every slot word and accumulate coeff times it into acc.
 
-    coeff is a nonzero int (or a Fraction), multiplied through
-    `straighten`, whose integral coefficients are ints.  A key whose
-    words are all PBW monomials already is accumulated as it is.
+    The words before slot `start` must be PBW monomials already: the
+    caller knows that no product reached them.  coeff is a nonzero int
+    (or a Fraction), multiplied through `straighten`, whose integral
+    coefficients are ints.  A key whose words are all PBW monomials is
+    accumulated as it is, as is every key with `start` past its last
+    slot.
     """
     straighten = uea.straighten
-    for i, w in enumerate(slots):
+    for i in range(start, len(slots)):
+        w = slots[i]
         exp = straighten(w)
         if w not in exp:  # not a PBW monomial: expand from slot i on
             break
@@ -302,7 +355,9 @@ def brace(P: AdtElement, Qs) -> AdtElement:
 
     The result is truncated to the smallest order N among P and the Q_s;
     a choice of layer terms whose hbar powers add up to more than N is
-    skipped.  Summed on ints, like b.
+    skipped.  A P term whose power exceeds N minus the sum of the Q_s's
+    lowest powers meets no such choice, so it is dropped before any
+    placement spreads it.  Summed on ints, like b.
     """
     Qs = list(Qs)
     m = len(Qs)
@@ -316,10 +371,14 @@ def brace(P: AdtElement, Qs) -> AdtElement:
     uea = P.uea
     den, terms_p = P.int_layer_terms()
     terms_q = []
+    floor = 0  # the lowest hbar power of a choice of Q_s terms
     for Q in Qs:
         den_q, terms = Q.int_layer_terms()
         den *= den_q
         terms_q.append(terms)
+        floor += terms[0][2] if terms else order + 1
+    terms_p = terms_p[:bisect_right(terms_p, order - floor,
+                                    key=itemgetter(2))]
     for positions in itertools.combinations(range(1, k + 1), m):
         _brace_placement(uea, k, terms_p, ks, terms_q, positions, n, outs)
     return AdtElement.from_layers(uea, n, outs, den=den)
@@ -330,7 +389,12 @@ def _brace_placement(uea, k, terms_p, ks, terms_q, positions, n, outs):
 
     A term is a tuple of n + 1 slot words, each word a tuple extended by
     concatenation as P's factor (or a part of its coproduct) and then
-    the Q_s contents, in order of s, fill it.
+    the Q_s contents, in order of s, fill it.  A slot holds a product
+    only where a nonempty consumed factor of P spreads or, right of a
+    block, where an inserted term's nonempty leg does: each term carries
+    the first such slot, from which `_straight_key` starts (past the
+    last slot, a term is PBW as it stands).  An empty consumed factor
+    and an empty leg spread as 1 (x) ... (x) 1 and change no slot.
     """
     top = len(outs) - 1
     # the output slot of each input of P, with the width of its block
@@ -353,40 +417,45 @@ def _brace_placement(uea, k, terms_p, ks, terms_q, positions, n, outs):
             cursor += 1
     assert cursor == n
     # each Q_s term with its leg's coaction over the slots to the right
-    # of its block, looked up once per placement
+    # of its block (None for an empty leg), looked up once per placement
     plan = [
         (start, start + w, [
-            (vQ, cQ, keyQ[:-1], coproduct_mono(keyQ[-1], n - start - w + 1))
+            (vQ, cQ, keyQ[:-1],
+             coproduct_mono(keyQ[-1], n - start - w + 1) if keyQ[-1]
+             else None)
             for keyQ, cQ, vQ, _ in terms
         ])
         for (start, w), terms in zip(blocks, terms_q)
     ]
     for keyP, aP, nP, _ in terms_p:
-        if nP > top:
-            break
-        # distribute P's factors; consumed ones wait for their coproduct
+        # distribute P's factors; nonempty consumed ones wait for their
+        # coproduct
         base = [()] * (n + 1)
         base[n] = keyP[-1]
         spread = []  # (start, factor, width) of the consumed factors
         for (slot, w), f in zip(layout, keyP):
             if w is None:
                 base[slot] = f
+            elif not f:
+                continue
             elif w:
                 spread.append((slot, f, w))
-            elif f:  # counit kills non-scalars
+            else:  # counit kills non-scalars
                 break
         else:
-            # each entry carries the hbar power of the terms chosen so far
-            stack = [(tuple(base), aP, nP)]
+            # each entry carries the hbar power of the terms chosen so
+            # far and the first slot that may hold a product
+            stack = [(tuple(base), aP, nP, spread[0][0] if spread else n + 1)]
             for start, f, w in spread:
                 stack = [
-                    (slots[:start] + parts + slots[start + w:], c0 * mult, v0)
-                    for slots, c0, v0 in stack
+                    (slots[:start] + parts + slots[start + w:], c0 * mult,
+                     v0, d)
+                    for slots, c0, v0, d in stack
                     for parts, mult in coproduct_mono(f, w).items()
                 ]
             for start, mid, entries in plan:
                 nxt = []
-                for slots, c0, v0 in stack:
+                for slots, c0, v0, d in stack:
                     head, block, tail = (slots[:start], slots[start:mid],
                                          slots[mid:])
                     for vQ, cQ, gQ, coaction in entries:
@@ -394,12 +463,16 @@ def _brace_placement(uea, k, terms_p, ks, terms_q, positions, n, outs):
                             break
                         pre = head + tuple(map(add, block, gQ))
                         c1 = c0 * cQ
+                        if coaction is None:
+                            nxt.append((pre + tail, c1, v0 + vQ, d))
+                            continue
+                        d1 = min(d, mid)
                         for parts, mult in coaction.items():
                             nxt.append((pre + tuple(map(add, tail, parts)),
-                                        c1 * mult, v0 + vQ))
+                                        c1 * mult, v0 + vQ, d1))
                 stack = nxt
-            for slots, c0, v0 in stack:
-                _straight_key(uea, slots, outs[v0], c0 * sgn)
+            for slots, c0, v0, d in stack:
+                _straight_key(uea, slots, outs[v0], c0 * sgn, d)
 
 
 def gerstenhaber_bracket(P: AdtElement, Q: AdtElement) -> AdtElement:
@@ -630,13 +703,18 @@ def b_vector(vec: dict):
 
     D is the lcm of v's denominators, so b(D v) is a dict of ints.  Its
     sums are D times those of b(v), so they vanish at the same steps and
-    it has the key order of b(v).
+    it has the key order of b(v).  Its callers keep each column they
+    build, so it reads b of a key from the memo of `b_key` but does not
+    store it there: on the solver's path no other caller asks for b of
+    a column's keys again, and the memo would hold them for the life of
+    the process.
     """
     den = math.lcm(*(c.denominator for c in vec.values()))
     acc: dict = {}
     for key, c in vec.items():
         a = c.numerator * (den // c.denominator)
-        for new, mult in b_key(key):
+        terms = _b_memo.get(key)
+        for new, mult in terms if terms is not None else _b_terms(key):
             add_into(acc, new, a * mult)
     return den, acc
 

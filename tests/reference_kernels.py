@@ -8,6 +8,14 @@ is the `graded_terms()` those loops read (hbar valuation, plus the leg
 degree for a formal twist).  The layered kernels must agree with these
 exactly, coefficient orders included.
 
+`expanded_b_key`, `expanded_cup` and `expanded_brace` are the layered
+b of one key, cup and brace as they were before they skipped work whose
+outcome is known: b summed every part of every coproduct, cancelling
+ones included, cup and brace straightened every slot of every product
+key, and brace spread P terms that the truncation then dropped.  The
+kernels must agree with them in values, value types and the key order
+of every layer.
+
 `coproduct_by_position` is the iterated coproduct placed letter by
 letter, as `uea.coproduct_mono` computed it before it counted runs.
 
@@ -74,6 +82,7 @@ partition).  Its F sums the bracket defect over argument positions
 
 import itertools
 from fractions import Fraction
+from operator import add
 
 from dyntwist import adt_dgla, linalg
 from dyntwist.adt_dgla import AdtElement, adt_monomials, p2_project, unit_at
@@ -340,6 +349,178 @@ def _adte_pair(uea, k1, k2, c, out):
     for p1, m1 in coproduct_mono(f2, 2).items():
         slots = (f1, p1[0] + g1, p1[1] + g2, leg + legg)
         _straight_key(uea, slots, out, -(c * m1))
+
+
+# -- the layered b, cup and brace as they were before they skipped work
+# with a known outcome: b summed every part of every coproduct, and cup
+# and brace straightened every slot of every product key
+
+
+def expanded_b_key(key) -> tuple:
+    k = len(key) - 1
+    gfac = key[:-1]
+    leg = key[-1]
+    terms: dict = {}
+    # unit insertion on the left
+    add_into(terms, ((),) + key, 1)
+    # coproduct on factor i (1-based), sign (-1)^i
+    for i in range(1, k + 1):
+        sgn = -1 if i % 2 else 1
+        for parts, mult in coproduct_mono(gfac[i - 1], 2).items():
+            new = gfac[: i - 1] + parts + gfac[i:] + (leg,)
+            add_into(terms, new, sgn * mult)
+    # coaction on the leg, sign (-1)^{k+1}
+    sgn = -1 if (k + 1) % 2 else 1
+    for parts, mult in coproduct_mono(leg, 2).items():
+        add_into(terms, gfac + parts, sgn * mult)
+    return tuple(terms.items())
+
+
+def expanded_cup(P, Q):
+    if P.uea is not Q.uea:
+        raise GradingMismatch("cup of elements over different algebras")
+    k, l = P.arity, Q.arity
+    order = min(P.order, Q.order)
+    outs = [{} for _ in range(order + 1)]
+    den_p, terms_p = P.int_layer_terms()
+    den_q, terms_q = Q.int_layer_terms()
+    for keyP, aP, nP, _ in terms_p:
+        gP = keyP[:-1]
+        for parts, mult in coproduct_mono(keyP[-1], l + 1).items():
+            aPm = aP * mult
+            for keyQ, aQ, nQ, _ in terms_q:
+                if nP + nQ > order:
+                    break
+                # parts[j] multiplies in front of Q's factor j, the last
+                # part in front of Q's leg
+                _expanded_straight_key(
+                    P.uea, gP + tuple(map(add, parts, keyQ)),
+                    outs[nP + nQ], aPm * aQ)
+    return AdtElement.from_layers(P.uea, k + l, outs, den=den_p * den_q)
+
+
+def _expanded_straight_key(uea, slots, acc, coeff):
+    straighten = uea.straighten
+    for i, w in enumerate(slots):
+        exp = straighten(w)
+        if w not in exp:  # not a PBW monomial: expand from slot i on
+            break
+    else:
+        v = acc.get(slots, 0) + coeff
+        if v:
+            acc[slots] = v
+        else:
+            del acc[slots]
+        return
+    partial = [(slots[:i] + (m,), coeff * c) for m, c in exp.items()]
+    done = i + 1  # slots[:done] are in every prefix of partial
+    for i in range(done, len(slots)):
+        w = slots[i]
+        exp = straighten(w)
+        if w in exp:  # a PBW monomial already, with coefficient 1
+            continue
+        run = slots[done:i]
+        partial = [(pref + run + (m,), c0 * c) for pref, c0 in partial
+                   for m, c in exp.items()]
+        done = i + 1
+    run = slots[done:]
+    for pref, c in partial:
+        add_into(acc, pref + run, c)
+
+
+def expanded_brace(P, Qs):
+    Qs = list(Qs)
+    m = len(Qs)
+    k = P.arity
+    ks = [Q.arity for Q in Qs]
+    n = k + sum(ks) - m
+    order = min([P.order] + [Q.order for Q in Qs])
+    if m > k or n < 0:
+        return AdtElement.zero(P.uea, max(n, 0), order)
+    outs = [{} for _ in range(order + 1)]
+    uea = P.uea
+    den, terms_p = P.int_layer_terms()
+    terms_q = []
+    for Q in Qs:
+        den_q, terms = Q.int_layer_terms()
+        den *= den_q
+        terms_q.append(terms)
+    for positions in itertools.combinations(range(1, k + 1), m):
+        _expanded_brace_placement(uea, k, terms_p, ks, terms_q, positions,
+                                  n, outs)
+    return AdtElement.from_layers(uea, n, outs, den=den)
+
+
+def _expanded_brace_placement(uea, k, terms_p, ks, terms_q, positions, n,
+                              outs):
+    top = len(outs) - 1
+    # the output slot of each input of P, with the width of its block
+    # when it is consumed (None when it is not); the sign exponent is
+    # sum_s (arity(Q_s) - 1) * (start of block s)
+    layout = []
+    blocks = []  # (start, width) per Q_s, in order of s
+    cursor = 0
+    sgn = 1
+    for t in range(1, k + 1):
+        if t in positions:
+            w = ks[len(blocks)]
+            if (w - 1) * cursor % 2:
+                sgn = -sgn
+            blocks.append((cursor, w))
+            layout.append((cursor, w))
+            cursor += w
+        else:
+            layout.append((cursor, None))
+            cursor += 1
+    assert cursor == n
+    # each Q_s term with its leg's coaction over the slots to the right
+    # of its block, looked up once per placement
+    plan = [
+        (start, start + w, [
+            (vQ, cQ, keyQ[:-1], coproduct_mono(keyQ[-1], n - start - w + 1))
+            for keyQ, cQ, vQ, _ in terms
+        ])
+        for (start, w), terms in zip(blocks, terms_q)
+    ]
+    for keyP, aP, nP, _ in terms_p:
+        if nP > top:
+            break
+        # distribute P's factors; consumed ones wait for their coproduct
+        base = [()] * (n + 1)
+        base[n] = keyP[-1]
+        spread = []  # (start, factor, width) of the consumed factors
+        for (slot, w), f in zip(layout, keyP):
+            if w is None:
+                base[slot] = f
+            elif w:
+                spread.append((slot, f, w))
+            elif f:  # counit kills non-scalars
+                break
+        else:
+            # each entry carries the hbar power of the terms chosen so far
+            stack = [(tuple(base), aP, nP)]
+            for start, f, w in spread:
+                stack = [
+                    (slots[:start] + parts + slots[start + w:], c0 * mult, v0)
+                    for slots, c0, v0 in stack
+                    for parts, mult in coproduct_mono(f, w).items()
+                ]
+            for start, mid, entries in plan:
+                nxt = []
+                for slots, c0, v0 in stack:
+                    head, block, tail = (slots[:start], slots[start:mid],
+                                         slots[mid:])
+                    for vQ, cQ, gQ, coaction in entries:
+                        if v0 + vQ > top:
+                            break
+                        pre = head + tuple(map(add, block, gQ))
+                        c1 = c0 * cQ
+                        for parts, mult in coaction.items():
+                            nxt.append((pre + tuple(map(add, tail, parts)),
+                                        c1 * mult, v0 + vQ))
+                stack = nxt
+            for slots, c0, v0 in stack:
+                _expanded_straight_key(uea, slots, outs[v0], c0 * sgn)
 
 
 def coproduct_by_position(mono, slots):

@@ -24,6 +24,7 @@ from dyntwist import (
 )
 from dyntwist import UmSplitter, adt_dgla, linalg, linfinity, props, schema
 from dyntwist.adt_dgla import (
+    adt_monomials,
     adte_residual_layer,
     cohomology_dims,
     coproduct_at,
@@ -568,6 +569,172 @@ def test_layered_brace_matches_hseries_reference(request, uea_name):
             for P, Qs in ((Ps[1], [inputs[2] for inputs in Qss]),
                           (Ps[2], [inputs[1] for inputs in Qss])):
                 _agree(brace(P, Qs), reference_kernels.brace(P, Qs))
+
+
+# -- kernels that skip work whose outcome is known ---------------------------
+#
+# b generates only the terms that survive; cup and brace add a key in
+# which no product joins two nonempty words as it stands, and straighten
+# the others only from the first slot a product reaches; brace drops a P
+# term that the truncation would drop before spreading it.
+# `expanded_b_key`, `expanded_cup` and `expanded_brace` in
+# reference_kernels.py are the kernels as they were before: the two must
+# agree in values, value types and the key order of every layer.
+
+
+def _same_layers(new, ref):
+    assert (new.arity, new.order) == (ref.arity, ref.order)
+    for got, want in zip(new.layers, ref.layers, strict=True):
+        assert list(got.items()) == list(want.items())
+        assert list(map(type, got.values())) == list(map(type, want.values()))
+
+
+def _empty_runs(key):
+    """The lengths of the maximal runs of empty factors of a key."""
+    return {len(list(run)) for nonempty, run in
+            itertools.groupby(key[:-1], bool) if not nonempty}
+
+
+@pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
+def test_b_key_matches_the_expansion_on_every_small_key(request, uea_name):
+    """Every key of arity <= 4 and total length <= 5, with runs of 1 to 4
+    empty factors among them: the terms, their int values and their
+    order.  `_b_terms` is called directly, so the memo of b stays as it
+    is."""
+    uea = request.getfixturevalue(uea_name)
+    runs = set()
+    for arity in range(5):
+        for length in range(6):
+            for key in adt_monomials(uea, arity, length):
+                got = adt_dgla._b_terms(key)
+                assert got == reference_kernels.expanded_b_key(key)
+                assert {type(c) for _, c in got} <= {int}
+                runs |= _empty_runs(key)
+    assert runs == {1, 2, 3, 4}
+
+
+def _shaped_element(uea, arity, lowest, rng, rational=False):
+    """One term at each hbar power from `lowest` to N for every pattern of
+    empty and nonempty slot words (factors and leg), keys of total length
+    at most 3: empty and nonempty legs and consumed factors, for every
+    fast path of cup and brace and its miss."""
+    by_shape: dict = {}
+    for length in range(4):
+        for key in adt_monomials(uea, arity, length):
+            by_shape.setdefault(tuple(map(bool, key)), []).append(key)
+    assert len(by_shape) == 2 ** (arity + 1)
+    terms: dict = {}
+    for n in range(lowest, N + 1):
+        for shape in sorted(by_shape):
+            c = rng.choice([-2, -1, 1, 3])
+            if rational:
+                c = F(c, rng.choice([2, 3]))
+            add_into(terms, rng.choice(by_shape[shape]),
+                     HSeries.hbar(N, n, c))
+    return AdtElement(uea, arity, terms, N)
+
+
+@pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
+def test_cup_and_brace_match_the_expanded_kernels(request, uea_name):
+    """The oracle inputs, and shaped elements whose lowest power is 0 or
+    1: with inserted elements of lowest power 1, the P terms at N minus
+    their number are the last that a choice of Q_s terms keeps, and the
+    P terms above are dropped."""
+    uea = request.getfixturevalue(uea_name)
+    for rng, rational in _draws(37):
+        oracle = {k: _oracle_inputs(uea, rng, k, terms=5, rational=rational)
+                  for k in (0, 1, 2)}
+        shaped = {(k, low): _shaped_element(uea, k, low, rng, rational)
+                  for k in (0, 1, 2) for low in (0, 1)}
+        for k, l in ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)):
+            Ps, Qs = oracle[k], oracle[l]
+            pairs = list(zip(Ps, Qs)) + [(Ps[2], Qs[1]), (Ps[1], Qs[2])]
+            pairs += [(shaped[k, 0], shaped[l, low]) for low in (0, 1)]
+            pairs.append((shaped[k, 1], shaped[l, 0]))
+            for P, Q in pairs:
+                _same_layers(cup(P, Q), reference_kernels.expanded_cup(P, Q))
+        for k, ks in ((1, (0,)), (1, (1,)), (1, (2,)), (2, (0,)), (2, (1,)),
+                      (2, (2,)), (2, (1, 2)), (2, (0, 1))):
+            runs = [[oracle[k][i], [oracle[j][i] for j in ks]]
+                    for i in range(3)]
+            runs.append([oracle[k][1], [oracle[j][2] for j in ks]])
+            runs += [[shaped[k, 0], [shaped[j, low] for j in ks]]
+                     for low in (0, 1)]
+            for P, Qs in runs:
+                _same_layers(brace(P, Qs),
+                             reference_kernels.expanded_brace(P, Qs))
+
+
+def test_brace_spreads_no_p_term_above_the_truncation_floor(
+        sl2_uea, monkeypatch):
+    """With Q of lowest power 1, a P term at power N - 1 is spread and
+    one at power N never reaches a coproduct."""
+    rng = random.Random(38)
+    kept, dropped = (0, 0, 0, 0), (2, 2, 2, 2)  # words no shaped key has
+    P = _shaped_element(sl2_uea, 2, 0, rng) + AdtElement(sl2_uea, 2, {
+        (kept, kept, ()): HSeries.hbar(N, N - 1, 1),
+        (dropped, dropped, ()): HSeries.hbar(N, N, 1),
+    }, N)
+    Q = _shaped_element(sl2_uea, 1, 1, rng)
+    spread = []
+    real = adt_dgla.coproduct_mono
+
+    def recording(mono, slots=2):
+        spread.append(mono)
+        return real(mono, slots)
+
+    monkeypatch.setattr(adt_dgla, "coproduct_mono", recording)
+    brace(P, [Q])
+    assert kept in spread and dropped not in spread
+
+
+def _is_pbw(E):
+    return all(list(w) == sorted(w) for key in E.keys() for w in key)
+
+
+@pytest.mark.parametrize("uea_name", ORACLE_ALGEBRAS)
+def test_kernel_outputs_have_pbw_words(request, uea_name):
+    """b, cup and brace of elements with PBW keys, and `parse_twist` of
+    words written in any order, hold only PBW monomials."""
+    uea = request.getfixturevalue(uea_name)
+    rng = random.Random(39)
+    P = _shaped_element(uea, 2, 0, rng)
+    Q = _shaped_element(uea, 1, 0, rng)
+    R = _shaped_element(uea, 0, 1, rng)
+    assert all(map(_is_pbw, (P, Q, R)))
+    for E in (differential_b(P), differential_b(Q), differential_b(R),
+              cup(P, Q), cup(Q, P), cup(R, Q), brace(P, [Q]),
+              brace(P, [Q, Q]), brace(Q, [P]), brace(P, [R, Q])):
+        assert _is_pbw(E) and not E.is_zero()
+    names = uea.lie.basis_names
+    lines = ["twist", "arity 2", f"order {N}"]
+    unsorted = 0
+    for n in range(N + 1):
+        lines.append(f"hbar {n}")
+        for key, a in P.layer(n).items():
+            words = [w[::-1] for w in key]
+            unsorted += sum(w != v for w, v in zip(words, key))
+            slots = " | ".join(".".join(names[i] for i in w) or "1"
+                               for w in words)
+            lines.append(f"term {a} * ({slots})")
+    lines.append("end")
+    K = schema.parse_twist("\n".join(lines) + "\n", uea)
+    assert unsorted and _is_pbw(K) and not K.is_zero()
+
+
+def test_b_vector_reads_the_memo_of_b_but_does_not_fill_it(sl2_uea,
+                                                           monkeypatch):
+    monkeypatch.setattr(adt_dgla, "_b_memo", {})
+    for arity, length in ((1, 3), (2, 4)):
+        for v in invariant_adt_basis(sl2_uea, arity, length):
+            den, col = adt_dgla.b_vector(v)
+            assert not adt_dgla._b_memo
+            want = differential_b(AdtElement(sl2_uea, arity, v, 0)).layer(0)
+            assert list(want.items()) == [(k, F(a, den))
+                                          for k, a in col.items()]
+            assert adt_dgla._b_memo  # differential_b fills it
+            assert adt_dgla.b_vector(v) == (den, col)
+            adt_dgla._b_memo.clear()
 
 
 def _unstraight_leg_pairs(K):
