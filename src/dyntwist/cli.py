@@ -11,13 +11,20 @@ written in a `with` block, so interpreter teardown (module cleanup and a
 last collection, about 10 ms) would only delay the exit.  A flush that
 fails exits as sys.exit would.  main() itself just returns the code, so
 in-process callers are unaffected.
+
+parse_args reads the command line from the command and flag tables
+below, not through argparse, whose import and parser build cost a few
+ms in every process, more than some commands' own work.  A help request
+prints to stdout and returns 0; a refused command line prints a usage
+line and an error to stderr and returns 2; main() raises no SystemExit.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import cdyb_dgla, props, schema
 from .adt_dgla import AdtElement, adte_residual
@@ -229,37 +236,192 @@ _COMMANDS = {
                    ("shdeg", "seed")),
 }
 
+# flag: (type, default, help); every command requires --algebra, and
+# each that reads --rmatrix requires it but verify-twist, whose
+# semiclassical comparison is optional
+_FLAGS = {
+    "algebra": (str, None, "path to the algebra document"),
+    "rmatrix": (str, None, "path to the r-matrix document"),
+    "order": (int, 3, "hbar truncation order (default 3)"),
+    "shdeg": (int, None, "leg-degree bound for classical checks"),
+    "seed": (int, None, "seed for sampled checks and perturbations"),
+    "out": (str, None, "write the report (or twist) to this path"),
+}
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="dyntwist",
-        description="Exact twist quantization of formal dynamical r-matrices",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--algebra", required=True,
-                       help="path to the algebra document")
-        if "rmatrix" in flags:
-            p.add_argument("--rmatrix", required=name != "verify-twist",
-                           help="path to the r-matrix document")
-        if "order" in flags:
-            p.add_argument("--order", type=int, default=3,
-                           help="hbar truncation order (default 3)")
-        if "shdeg" in flags:
-            p.add_argument("--shdeg", type=int, default=None,
-                           help="leg-degree bound for classical checks")
-        if "seed" in flags:
-            p.add_argument("--seed", type=int, default=None,
-                           help="seed for sampled checks and perturbations")
-        p.add_argument("--out", default=None,
-                       help="write the report (or twist) to this path")
-        if name == "verify-twist":
-            p.add_argument("twist", help="twist document to verify")
-        if name == "gauge-equiv":
-            p.add_argument("twist", help="first twist document")
-            p.add_argument("twist2", help="second twist document")
-    return parser
+# command: its positionals, in order, as (name, help)
+_POSITIONALS = {
+    "verify-twist": (("twist", "twist document to verify"),),
+    "gauge-equiv": (("twist", "first twist document"),
+                    ("twist2", "second twist document")),
+}
+
+# an argument that matches no flag but looks like a negative number is
+# a value, so `--order -1` reaches _check_bounds (argparse's pattern)
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
+
+
+class CommandLineExit(Exception):
+    """The command line ends the run before any command starts.
+
+    code is 0 for a help request, whose text goes to stdout, and 2 for
+    a refused command line, whose usage and error go to stderr.
+    """
+
+    def __init__(self, code, text):
+        super().__init__(text)
+        self.code = code
+        self.text = text
+
+
+def _flags(command):
+    return ("algebra", *_COMMANDS[command][2], "out")
+
+
+def _required(command, flag):
+    return flag == "algebra" or flag == "rmatrix" and command != "verify-twist"
+
+
+def _usage(command):
+    if command is None:
+        return "usage: dyntwist [-h] {" + ",".join(_COMMANDS) + "} ..."
+    parts = ["usage: dyntwist", command, "[-h]"]
+    for flag in _flags(command):
+        part = f"--{flag} {flag.upper()}"
+        parts.append(part if _required(command, flag) else f"[{part}]")
+    parts += [name for name, _ in _POSITIONALS.get(command, ())]
+    return " ".join(parts)
+
+
+def _refuse(command, message):
+    prog = "dyntwist" if command is None else f"dyntwist {command}"
+    return CommandLineExit(
+        EXIT_INPUT, f"{_usage(command)}\n{prog}: error: {message}")
+
+
+def _help(command, value=None):
+    """The help of the command (None: of dyntwist), or the refusal of a
+    help flag given a value, as in `-hx` or `--help=x`."""
+    if value is not None:
+        return _refuse(command, "argument -h/--help: ignored explicit "
+                       f"argument {value!r}")
+    if command is None:
+        description = "Exact twist quantization of formal dynamical r-matrices"
+        sections = [("commands", [(name, entry[1])
+                                  for name, entry in _COMMANDS.items()])]
+        options = []
+    else:
+        description = _COMMANDS[command][1]
+        sections = []
+        if command in _POSITIONALS:
+            sections.append(("positional arguments", _POSITIONALS[command]))
+        options = [(f"--{flag} {flag.upper()}", _FLAGS[flag][2])
+                   for flag in _flags(command)]
+    sections.append(("options", [("-h, --help",
+                                  "show this help message and exit")]
+                     + options))
+    width = max(len(name) for _, rows in sections for name, _ in rows)
+    lines = [_usage(command), "", description]
+    for title, rows in sections:
+        lines += ["", f"{title}:"]
+        lines += [f"  {name:<{width}}  {text}" for name, text in rows]
+    return CommandLineExit(EXIT_PASS, "\n".join(lines))
+
+
+def _option(arg, flags, command):
+    """How argparse reads one argument before `--`.
+
+    None for a value, "" for an option that matches no flag, else
+    (flag, the value after "=" or None), where "help" stands for
+    -h/--help.  A long option may be cut to a prefix of one flag alone;
+    a prefix of more is refused.
+    """
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg[1] != "-":
+        if arg[1] == "h":
+            return "help", (None if arg == "-h" else
+                            arg[3:] if arg[2] == "=" else arg[2:])
+    else:
+        name, eq, value = arg.partition("=")
+        matches = [flag for flag in ("help", *flags) if "--" + flag == name]
+        matches = matches or [flag for flag in ("help", *flags)
+                              if ("--" + flag).startswith(name)]
+        if len(matches) > 1:
+            raise _refuse(command, f"ambiguous option: {arg} could match "
+                          + ", ".join("--" + flag for flag in matches))
+        if matches:
+            return matches[0], value if eq else None
+    if " " in arg or re.match(_NEGATIVE, arg):
+        return None
+    return ""
+
+
+def parse_args(argv):
+    """The namespace of the command that argv runs, read from the tables.
+
+    The grammar is what the argparse parser of `tests/oracles.py`
+    accepts in real use: the command first, then in any order its flags
+    as `--flag VALUE`, `--flag=VALUE` or cut to an unambiguous prefix
+    (the last of a repeated flag wins), its positionals, and -h/--help;
+    every argument after `--` is a positional.  Raises CommandLineExit
+    for a help request and for a command line it refuses, with
+    argparse's wording of the error.
+    """
+    if not argv:
+        raise _refuse(None, "the following arguments are required: command")
+    command, args = argv[0], argv[1:]
+    if command not in _COMMANDS:
+        top = command != "--" and _option(command, (), None)
+        if top:
+            raise _help(None, top[1])
+        raise _refuse(None, f"argument command: invalid choice: {command!r} "
+                      "(choose from " + ", ".join(map(repr, _COMMANDS)) + ")")
+    flags = _flags(command)
+    names = [name for name, _ in _POSITIONALS.get(command, ())]
+    values = {"command": command}
+    values.update((flag, _FLAGS[flag][1]) for flag in flags)
+    end = args.index("--") if "--" in args else len(args)
+    # argparse reads every argument before it takes any, so an ambiguous
+    # prefix is refused wherever it stands, even after -h
+    kinds = [_option(arg, flags, command) for arg in args[:end]]
+    free, extras = [], []
+    i = 0
+    while i < end:
+        arg, kind = args[i], kinds[i]
+        i += 1
+        if kind is None:
+            (free if len(free) < len(names) else extras).append(arg)
+            continue
+        if kind == "":
+            extras.append(arg)
+            continue
+        flag, value = kind
+        if flag == "help":
+            raise _help(command, value)
+        if value is None:
+            if i == end or kinds[i] is not None:
+                raise _refuse(command,
+                              f"argument --{flag}: expected one argument")
+            value = args[i]
+            i += 1
+        convert = _FLAGS[flag][0]
+        try:
+            values[flag] = convert(value)
+        except ValueError:
+            raise _refuse(command, f"argument --{flag}: invalid "
+                          f"{convert.__name__} value: {value!r}") from None
+    for arg in args[end + 1:]:
+        (free if len(free) < len(names) else extras).append(arg)
+    values.update(zip(names, free))
+    missing = [f"--{flag}" for flag in flags
+               if _required(command, flag) and values[flag] is None]
+    missing += names[len(free):]
+    if missing:
+        raise _refuse(command, "the following arguments are required: "
+                      + ", ".join(missing))
+    if extras:
+        raise _refuse(command, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**values)
 
 
 def _check_bounds(args):
@@ -286,7 +448,11 @@ def _slice(exc):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except CommandLineExit as exc:
+        print(exc.text, file=sys.stderr if exc.code else sys.stdout)
+        return exc.code
     fn = _COMMANDS[args.command][0]
     try:
         _check_bounds(args)

@@ -1,4 +1,5 @@
-"""The oracles that certify the L-infinity towers and the classical flows.
+"""The oracles that certify the L-infinity towers, the classical flows
+and the command-line grammar.
 
 `check_morphism` evaluates the morphism relations exactly on elements
 that `sample_elements` draws from each dgla's invariant slices.
@@ -7,14 +8,18 @@ package never needs (R is strict) but which exercises Q's recursion on
 arguments of mixed parity.  `twist_by_homotopy` twists a tower to arity
 3; `classical_gauge_infinitesimal` is the classical flow in its mc and r
 forms; `alt` is the left inverse of `adt_dgla.alt_embed`.
+`build_parser` is the argparse grammar that `cli.parse_args` reads from
+its tables.
 """
 
+import argparse
 import itertools
 import random
 from fractions import Fraction
 
 from dyntwist import cdyb_dgla
 from dyntwist.adt_dgla import AdtElement, invariant_adt_basis
+from dyntwist.cli import _COMMANDS
 from dyntwist.errors import GradingMismatch
 from dyntwist.gauge import _as_generator
 from dyntwist.linfinity import (
@@ -337,3 +342,38 @@ def alt(P: AdtElement) -> CdybElement:
         return [((wedge, smono), 0, sign * c) for smono, c in s_coeffs.items()]
 
     return P.map_keys(image, CdybElement)
+
+
+# -- the command line -------------------------------------------------------
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="dyntwist",
+        description="Exact twist quantization of formal dynamical r-matrices",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--algebra", required=True,
+                       help="path to the algebra document")
+        if "rmatrix" in flags:
+            p.add_argument("--rmatrix", required=name != "verify-twist",
+                           help="path to the r-matrix document")
+        if "order" in flags:
+            p.add_argument("--order", type=int, default=3,
+                           help="hbar truncation order (default 3)")
+        if "shdeg" in flags:
+            p.add_argument("--shdeg", type=int, default=None,
+                           help="leg-degree bound for classical checks")
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed for sampled checks and perturbations")
+        p.add_argument("--out", default=None,
+                       help="write the report (or twist) to this path")
+        if name == "verify-twist":
+            p.add_argument("twist", help="twist document to verify")
+        if name == "gauge-equiv":
+            p.add_argument("twist", help="first twist document")
+            p.add_argument("twist2", help="second twist document")
+    return parser

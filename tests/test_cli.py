@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -6,11 +8,14 @@ import sys
 import pytest
 
 from dyntwist import props, schema
-from dyntwist.cli import build_parser, main
+from dyntwist.cli import (
+    _COMMANDS, _FLAGS, CommandLineExit, main, parse_args,
+)
 from dyntwist.quantizer import RMatrix, taylor_rescale
 from dyntwist.schema import MAX_ORDER
 
 from conftest import CORPUS
+from oracles import build_parser
 
 SL2 = str(CORPUS / "sl2.alg")
 SL2_R = str(CORPUS / "sl2.rmat")
@@ -132,9 +137,236 @@ def test_verify_twist_refuses_shdeg_without_rmatrix(tmp_path):
     ["prop-suite", "--algebra", "a.alg", "--seed", "7"],
 ])
 def test_benchmark_command_shapes_parse(argv):
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     assert args.command == argv[0]
     assert args.algebra == "a.alg"
+
+
+# -- the command-line grammar against the argparse oracle -------------------
+
+VALUE = {"algebra": "a.alg", "rmatrix": "r.rmat", "order": "4",
+         "shdeg": "5", "seed": "7", "out": "o.txt"}
+# what an int flag may be handed: ints, negative ints (which must reach
+# _check_bounds), what int() refuses, and what reads as an option
+INT_VALUES = ["0", "-1", "-0", "-12", " 7 ", "1_0", "+3", "x", "1.5",
+              "-1.5", "-.5", "", "-", "-x", "--x", "--", "-1e3", "a b"]
+POSITIONALS = {"verify-twist": ["K.twist"],
+               "gauge-equiv": ["K1.twist", "K2.twist"]}
+
+
+def _argv_grid(command):
+    """The command lines of the grammar check for one command."""
+    reads = ("algebra", *_COMMANDS[command][2], "out")
+    pos = POSITIONALS.get(command, [])
+    need = ["--algebra", "a.alg"] + (
+        ["--rmatrix", "r.rmat"] if "rmatrix" in reads else [])
+    base = [command] + need + pos
+    yield base
+    for flag in _FLAGS:  # the flags of other commands too
+        values = [VALUE[flag]] + (INT_VALUES if _FLAGS[flag][0] is int
+                                  else ["", "-1", "-x", "a b", "--"])
+        for value in values:
+            yield base + [f"--{flag}", value]
+            yield base + [f"--{flag}={value}"]
+            yield [command, f"--{flag}", value] + need + pos
+        for cut in range(1, len(flag)):
+            yield base + [f"--{flag[:cut]}", VALUE[flag]]
+            yield base + [f"--{flag[:cut]}={VALUE[flag]}"]
+        yield base + [f"--{flag}", VALUE[flag], f"--{flag}=9"]
+        yield base + [f"--{flag}=9", f"--{flag[:3]}", VALUE[flag]]
+        yield base + [f"--{flag}"]
+        yield [command, f"--{flag}"] + need + pos
+        yield base + [f"--{flag}", "-h"]
+    for extra in (["--bogus"], ["--bogus", "1"], ["--bogus=1"], ["-x"],
+                  ["-x", "1"], ["-"], ["-1"], ["stray"], ["a", "b"],
+                  ["--algebra", "a.alg", "--order=x", "--bogus"],
+                  ["--bogus", "--order", "x"], ["--=x"], ["---algebra"]):
+        yield base + extra
+        yield [command] + extra + need + pos
+    yield [command] + pos
+    yield [command] + need
+    yield [command] + need + pos[:1]
+    yield [command] + need + pos + ["K3.twist"]
+    yield [command] + pos + need
+    yield [command] + pos[:1] + need + pos[1:]
+    yield [command] + need[:2] + pos + need[2:]
+    yield [command] + need[2:] + pos
+    yield [command] + need[:2] + pos
+    yield [command]
+    for tail in (["-h"], ["--help"], ["--h"], ["--he"], ["--help=x"],
+                 ["-hx"], ["-h=x"], ["-h", "--order", "x"],
+                 ["--order", "x", "-h"], ["--bogus", "-h"], ["-h", "--o"],
+                 ["--"], ["--", "-x"], ["--", "--order", "1"]):
+        yield base + tail
+        yield [command] + tail
+    yield [command] + need + ["--"] + pos
+    yield [command] + need + ["--", "--"] + pos[1:]
+    yield [command, "--"] + need + pos
+
+
+TOP_GRID = [[], ["nope"], ["quant"], ["QUANTIZE"], ["-1"], ["-x"], ["-h"],
+            ["--help"], ["--h"], ["--he"], ["--help=x"], ["-hx"], ["--"],
+            ["--", "quantize"], ["-h", "quantize"], ["--bogus"],
+            ["--bogus", "quantize", "--algebra", "a.alg", "--rmatrix",
+             "r.rmat"], ["--algebra", "a.alg", "quantize"], ["--=x"]]
+
+
+def _separator(argv, theirs, ours):
+    # argparse drops a bare `--` only when a positional takes it along
+    # (and a second `--` from the positional that takes it, leaving []);
+    # it refuses any other as an unrecognized argument
+    return "--" in argv[1:] and (theirs[0] == "refuse"
+                                 or argv[1:].count("--") > 1)
+
+
+def _equals_separator(argv, theirs, ours):
+    # argparse drops the `--` of `--flag=--` and stores [] (a traceback
+    # later, or for --out=-- a report to stdout)
+    return theirs[0] == "accept" and [] in theirs[1].values()
+
+
+def _leading_option(argv, theirs, ours):
+    # argparse sets an unknown option before the command aside, reports
+    # it after the command's own errors, and obeys a -h after it
+    return bool(argv) and argv[0][:1] == "-" and ours[0] == "refuse"
+
+
+def _double_h(argv, theirs, ours):
+    # argparse reads -hh as -h twice
+    return "-hh" in argv
+
+
+# how parse_args departs from argparse on purpose: (what it does instead,
+# the test that a difference is that quirk)
+DELIBERATE = [
+    ("a bare `--` ends the flags and is dropped", _separator),
+    ("`--flag=--` hands the flag the value '--'", _equals_separator),
+    ("the command comes first: an option before it is an invalid command",
+     _leading_option),
+    ("-hh is -h given the value 'h'", _double_h),
+]
+QUIRKS = [["quantize", "--algebra", "a.alg", "--rmatrix", "r.rmat", "--"],
+          ["verify-twist", "K.twist", "--algebra", "a.alg", "--"],
+          ["gauge-equiv", "--algebra", "a.alg", "--", "--", "K2.twist"],
+          ["prop-suite", "--algebra", "a.alg", "--out=--"],
+          ["--bogus", "-h"], ["quantize", "-hh"]]
+
+
+def _oracle(parser, argv):
+    """(verdict, namespace or error message) from the argparse oracle."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            return "accept", vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        if exc.code == 0:
+            return "help", None
+        return "refuse", err.getvalue().split(": error: ", 1)[1].rstrip("\n")
+
+
+def _table(argv):
+    """(verdict, namespace or error message) from parse_args."""
+    try:
+        return "accept", vars(parse_args(argv))
+    except CommandLineExit as exc:
+        if exc.code == 0:
+            return "help", None
+        return "refuse", exc.text.split(": error: ", 1)[1]
+
+
+def _differences(argvs):
+    """(argv, argparse's outcome, parse_args's) where they differ for no
+    reason in DELIBERATE, and the reasons that explain some difference."""
+    parser = build_parser()
+    unexplained, used = [], set()
+    for argv in argvs:
+        theirs, ours = _oracle(parser, argv), _table(argv)
+        if theirs == ours:
+            continue
+        reasons = [why for why, holds in DELIBERATE
+                   if holds(argv, theirs, ours)]
+        used.update(reasons)
+        if not reasons:
+            unexplained.append((argv, theirs, ours))
+    return unexplained, used
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_the_table_parser_reads_argv_as_argparse_does(command):
+    # the same verdict, the same namespace on acceptance and the same
+    # error message on refusal, but for the listed quirks of argparse
+    grid = list(_argv_grid(command))
+    assert len(grid) > 300
+    assert _differences(grid)[0] == []
+
+
+def test_the_table_parser_reads_the_command_as_argparse_does():
+    assert _differences(TOP_GRID)[0] == []
+
+
+def test_each_deliberate_difference_from_argparse_is_seen():
+    unexplained, used = _differences(QUIRKS)
+    assert unexplained == []
+    assert used == {why for why, _ in DELIBERATE}
+
+
+def test_a_usage_error_returns_2_in_process(capsys):
+    # not SystemExit: main() returns the exit code of every run
+    code = main(["quantize", "--algebra", "a", "--rmatrix", "r",
+                 "--order", "x"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: dyntwist quantize ")
+    assert error == ("dyntwist quantize: error: argument --order: invalid "
+                     "int value: 'x'")
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_top_level_help_lists_every_command(capsys, flag):
+    # main() returns the code of a help request, as of any other run
+    assert main([flag]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("usage: dyntwist ")
+    listed = [line.split()[0] for line in out.split("commands:\n")[1]
+              .split("\n\n")[0].splitlines()]
+    assert listed == list(_COMMANDS)
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_command_help_lists_every_flag_it_reads(capsys, command, flag):
+    assert main([command, flag]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith(f"usage: dyntwist {command} ")
+    options = out.split("options:\n")[1].splitlines()
+    assert [line.split()[0].rstrip(",") for line in options] == [
+        "-h", "--algebra", *(f"--{f}" for f in _COMMANDS[command][2]),
+        "--out"]
+    names = {"verify-twist": ["twist"], "gauge-equiv": ["twist", "twist2"]}
+    section = out.split("positional arguments:\n")[1:]
+    assert [line.split()[0] for part in section
+            for line in part.split("\n\n")[0].splitlines()] == names.get(
+                command, [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-rmatrix", "--algebra", SL2, "--rmatrix", SL2_R],
+    ["--help"],
+], ids=["check-rmatrix", "help"])
+def test_a_run_imports_no_argparse_gettext_or_locale(argv):
+    # the table parser exists to keep these imports (about 5 ms with the
+    # parser built) out of every command-line process
+    proc = _run_cli(argv, python_flags=["-X", "importtime"])
+    assert proc.returncode == 0
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "dyntwist.schema" in imported
+    assert imported & {"argparse", "gettext", "locale"} == set()
 
 
 def test_oversized_twist_order_exits_quickly(tmp_path):
@@ -150,10 +382,12 @@ def test_oversized_twist_order_exits_quickly(tmp_path):
     assert "order must be <=" in proc.stderr
 
 
-def _run_cli(argv, stdout=subprocess.PIPE, drop_env=(), **popen):
+def _run_cli(argv, stdout=subprocess.PIPE, drop_env=(), python_flags=(),
+             **popen):
     """The CLI in a fresh process, killed after 60 s.
 
-    The variables named in drop_env are taken out of its environment.
+    The variables named in drop_env are taken out of its environment;
+    python_flags go to the interpreter before `-m dyntwist.cli`.
     """
     src = str(CORPUS.parent / "src")
     env = {k: v for k, v in os.environ.items() if k not in drop_env}
@@ -161,7 +395,7 @@ def _run_cli(argv, stdout=subprocess.PIPE, drop_env=(), **popen):
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-m", "dyntwist.cli"] + argv, env=env,
+        [sys.executable, *python_flags, "-m", "dyntwist.cli"] + argv, env=env,
         stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
         **popen,
     )
