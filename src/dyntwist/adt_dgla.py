@@ -12,8 +12,9 @@ increasing words: `schema.parse_twist` straightens what it reads, and
 every kernel here returns straightened keys.  The kernels rely on it.
 The coproduct splits a monomial into monomials without straightening
 (`coproduct_mono`), so b of a key is a sum of keys.  cup and brace
-add a key in which no product joins two nonempty words as it stands,
-and straighten the others only from the first slot a product reaches.
+join PBW words p + q, which is PBW exactly when one is empty or
+p[-1] <= q[0]: they add a key whose joins all pass as it stands, and
+straighten the others from the first slot whose join fails.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from operator import add, itemgetter
 
 from . import linalg
 from .errors import GradingMismatch, NoSolution, TruncationTooSmall
-from .hseries import SparseSeries, add_into, quotient
+from .hseries import SparseSeries, add_into, canonical, quotient
 from .lie_core import invariant_basis
 from .tensor_spaces import CdybElement, wedge_sort
 from .uea import (
@@ -181,15 +182,22 @@ def differential_b(P: AdtElement) -> AdtElement:
     on each U g factor, and finally the coaction splitting of the leg with
     its U g part becoming the new last tensor factor.  b carries no hbar,
     so it maps each layer to the same layer, key by key (`b_key`), summed
-    on ints (`SparseSeries.int_layer_terms`).
+    on ints (`SparseSeries.int_layer_terms`).  Its multiplicities are
+    ints, so the sums of an input with integral values are the output's
+    layers as they stand (`from_layers(..., integral=True)`).
     """
     outs = [{} for _ in range(P.order + 1)]
     den, items = P.int_layer_terms()
     for key, a, n, _ in items:
         terms = outs[n]
         for new, mult in b_key(key):
-            add_into(terms, new, a * mult)
-    return AdtElement.from_layers(P.uea, P.arity + 1, outs, den=den)
+            v = terms.get(new, 0) + a * mult
+            if v:
+                terms[new] = v
+            else:
+                del terms[new]
+    return AdtElement.from_layers(P.uea, P.arity + 1, outs, den=den,
+                                  integral=True)
 
 
 _b_memo: dict = {}
@@ -265,18 +273,23 @@ def cup(P: AdtElement, Q: AdtElement) -> AdtElement:
     iterated coaction over the last l slots and the leg, multiplying in
     front of Q's content.  The result is truncated to the smaller order
     N; layer-term pairs whose hbar powers add up to more than N are
-    skipped.  Summed on ints, like b.
+    skipped.  Summed on ints, like b, and kept as it stands when both
+    factors have integral values over an integral envelope
+    (`UEnvelope.integral`).
 
-    An empty leg spreads as 1 (x) ... (x) 1, so the product key is P's
-    factors followed by Q's key, PBW as it stands and added without
-    straightening.  Otherwise only the last l + 1 slots can hold a
-    product, and `_straight_key` starts at slot k.
+    Slot k + j joins the PBW word parts[j] of the coaction in front of
+    Q's word q_j.  The join is PBW exactly when one of them is empty or
+    the last letter of parts[j] is at most the first of q_j, so a key
+    whose joins all pass is added as it stands, and any other goes to
+    `_straight_key` from its first failing slot.  An empty leg spreads
+    as 1 (x) ... (x) 1: the key is P's factors followed by Q's key.
     """
     if P.uea is not Q.uea:
         raise GradingMismatch("cup of elements over different algebras")
     k, l = P.arity, Q.arity
     order = min(P.order, Q.order)
     outs = [{} for _ in range(order + 1)]
+    straighten = P.uea.straighten
     den_p, terms_p = P.int_layer_terms()
     den_q, terms_q = Q.int_layer_terms()
     for keyP, aP, nP, _ in terms_p:
@@ -285,45 +298,55 @@ def cup(P: AdtElement, Q: AdtElement) -> AdtElement:
             for keyQ, aQ, nQ, _ in terms_q:
                 if nP + nQ > order:
                     break
-                add_into(outs[nP + nQ], gP + keyQ, aP * aQ)
+                acc = outs[nP + nQ]
+                slots = gP + keyQ
+                v = acc.get(slots, 0) + aP * aQ
+                if v:
+                    acc[slots] = v
+                else:
+                    del acc[slots]
             continue
         for parts, mult in coproduct_mono(keyP[-1], l + 1).items():
             aPm = aP * mult
+            # the last letter of each nonempty part, by slot past k
+            ends = [(j, p[-1]) for j, p in enumerate(parts) if p]
             for keyQ, aQ, nQ, _ in terms_q:
                 if nP + nQ > order:
                     break
                 # parts[j] multiplies in front of Q's factor j, the last
                 # part in front of Q's leg
-                _straight_key(P.uea, gP + tuple(map(add, parts, keyQ)),
-                              outs[nP + nQ], aPm * aQ, k)
-    return AdtElement.from_layers(P.uea, k + l, outs, den=den_p * den_q)
+                slots = gP + tuple(map(add, parts, keyQ))
+                acc = outs[nP + nQ]
+                c = aPm * aQ
+                for j, a in ends:
+                    q = keyQ[j]
+                    if q and a > q[0]:
+                        _straight_key(straighten, slots, acc, c, k + j)
+                        break
+                else:
+                    v = acc.get(slots, 0) + c
+                    if v:
+                        acc[slots] = v
+                    else:
+                        del acc[slots]
+    return AdtElement.from_layers(P.uea, k + l, outs, den=den_p * den_q,
+                                  integral=P.uea.integral)
 
 
-def _straight_key(uea, slots, acc, coeff, start):
-    """Straighten every slot word and accumulate coeff times it into acc.
+def _straight_key(straighten, slots, acc, coeff, start):
+    """Straighten the slot words and accumulate coeff times them into acc.
 
-    The words before slot `start` must be PBW monomials already: the
-    caller knows that no product reached them.  coeff is a nonzero int
-    (or a Fraction), multiplied through `straighten`, whose integral
-    coefficients are ints.  A key whose words are all PBW monomials is
-    accumulated as it is, as is every key with `start` past its last
-    slot.
+    slots[start] is the first word that is not a PBW monomial: the
+    caller read that off the boundary letters of the PBW words it
+    joined (a join p + q of PBW words is PBW exactly when one is empty
+    or p[-1] <= q[0]), so the words before it are kept as they are.
+    Each later word is looked up and expanded only when it is not PBW.
+    coeff is a nonzero int (or a Fraction), multiplied through
+    `straighten`, whose integral coefficients are ints.
     """
-    straighten = uea.straighten
-    for i in range(start, len(slots)):
-        w = slots[i]
-        exp = straighten(w)
-        if w not in exp:  # not a PBW monomial: expand from slot i on
-            break
-    else:
-        v = acc.get(slots, 0) + coeff
-        if v:
-            acc[slots] = v
-        else:
-            del acc[slots]
-        return
-    partial = [(slots[:i] + (m,), coeff * c) for m, c in exp.items()]
-    done = i + 1  # slots[:done] are in every prefix of partial
+    partial = [(slots[:start] + (m,), coeff * c)
+               for m, c in straighten(slots[start]).items()]
+    done = start + 1  # slots[:done] are in every prefix of partial
     for i in range(done, len(slots)):
         w = slots[i]
         exp = straighten(w)
@@ -357,75 +380,106 @@ def brace(P: AdtElement, Qs) -> AdtElement:
     a choice of layer terms whose hbar powers add up to more than N is
     skipped.  A P term whose power exceeds N minus the sum of the Q_s's
     lowest powers meets no such choice, so it is dropped before any
-    placement spreads it.  Summed on ints, like b.
+    placement spreads it.  Summed on ints, like b, and kept as it stands
+    when every factor has integral values over an integral envelope
+    (`UEnvelope.integral`).  The placements of one arity signature are
+    laid out once (`_placements`), and each Q_s's terms are read once
+    per call.
     """
-    Qs = list(Qs)
-    m = len(Qs)
     k = P.arity
-    ks = [Q.arity for Q in Qs]
+    order = P.order
+    den, terms_p = P.int_layer_terms()
+    ks = []
+    views = []  # per Q_s: (hbar power, value, factors, leg) of each term
+    floor = 0  # the lowest hbar power of a choice of Q_s terms
+    for Q in Qs:
+        ks.append(Q.arity)
+        if Q.order < order:
+            order = Q.order
+        den_q, terms = Q.int_layer_terms()
+        den *= den_q
+        views.append([(vQ, cQ, keyQ[:-1], keyQ[-1])
+                      for keyQ, cQ, vQ, _ in terms])
+        # an empty Q_s meets no choice: every P term is dropped
+        floor += terms[0][2] if terms else P.order + 1
+    m = len(ks)
     n = k + sum(ks) - m
-    order = min([P.order] + [Q.order for Q in Qs])
     if m > k or n < 0:
         return AdtElement.zero(P.uea, max(n, 0), order)
     outs = [{} for _ in range(order + 1)]
-    uea = P.uea
-    den, terms_p = P.int_layer_terms()
-    terms_q = []
-    floor = 0  # the lowest hbar power of a choice of Q_s terms
-    for Q in Qs:
-        den_q, terms = Q.int_layer_terms()
-        den *= den_q
-        terms_q.append(terms)
-        floor += terms[0][2] if terms else order + 1
     terms_p = terms_p[:bisect_right(terms_p, order - floor,
                                     key=itemgetter(2))]
-    for positions in itertools.combinations(range(1, k + 1), m):
-        _brace_placement(uea, k, terms_p, ks, terms_q, positions, n, outs)
-    return AdtElement.from_layers(uea, n, outs, den=den)
+    for layout, blocks, sgn in _placements(k, tuple(ks)):
+        _brace_placement(P.uea.straighten, terms_p, views, layout, blocks,
+                         sgn, n, outs)
+    return AdtElement.from_layers(P.uea, n, outs, den=den,
+                                  integral=P.uea.integral)
 
 
-def _brace_placement(uea, k, terms_p, ks, terms_q, positions, n, outs):
+# (k, Q arities) -> the placements of a brace, bounded by the arity
+# signatures met
+_placement_memo: dict = {}
+
+
+def _placements(k: int, ks: tuple) -> tuple:
+    """(layout, blocks, sign) of each placement, by increasing positions.
+
+    layout holds the output slot of each input of P, with the width of
+    its block when it is consumed (None when it is not); blocks holds
+    (start, width) per Q_s, in order of s; the sign exponent is
+    sum_s (arity(Q_s) - 1) * (start of block s).
+    """
+    out = _placement_memo.get((k, ks))
+    if out is not None:
+        return out
+    out = []
+    for positions in itertools.combinations(range(1, k + 1), len(ks)):
+        layout = []
+        blocks = []
+        cursor = 0
+        sgn = 1
+        for t in range(1, k + 1):
+            if t in positions:
+                w = ks[len(blocks)]
+                if (w - 1) * cursor % 2:
+                    sgn = -sgn
+                blocks.append((cursor, w))
+                layout.append((cursor, w))
+                cursor += w
+            else:
+                layout.append((cursor, None))
+                cursor += 1
+        out.append((tuple(layout), tuple(blocks), sgn))
+    _placement_memo[k, ks] = out = tuple(out)
+    return out
+
+
+def _brace_placement(straighten, terms_p, views, layout, blocks, sgn, n,
+                     outs):
     """Add D_P D_Q1 ... D_Qm times the placement's terms to outs.
 
     A term is a tuple of n + 1 slot words, each word a tuple extended by
     concatenation as P's factor (or a part of its coproduct) and then
-    the Q_s contents, in order of s, fill it.  A slot holds a product
-    only where a nonempty consumed factor of P spreads or, right of a
-    block, where an inserted term's nonempty leg does: each term carries
-    the first such slot, from which `_straight_key` starts (past the
-    last slot, a term is PBW as it stands).  An empty consumed factor
-    and an empty leg spread as 1 (x) ... (x) 1 and change no slot.
+    the Q_s contents, in order of s, fill it.  P's words each land in a
+    slot of their own.  A Q_s term joins its factors behind the words of
+    its block and its leg's coaction parts behind the words to the right
+    of the block.  Every word joined is PBW, and a join p + q of PBW
+    words is PBW exactly when one is empty or p[-1] <= q[0]: each term
+    carries the first slot where a join failed, from which
+    `_straight_key` starts, and a term with none (n + 1) is added as it
+    stands.  An empty consumed factor and an empty leg spread as
+    1 (x) ... (x) 1 and join nothing.
     """
     top = len(outs) - 1
-    # the output slot of each input of P, with the width of its block
-    # when it is consumed (None when it is not); the sign exponent is
-    # sum_s (arity(Q_s) - 1) * (start of block s)
-    layout = []
-    blocks = []  # (start, width) per Q_s, in order of s
-    cursor = 0
-    sgn = 1
-    for t in range(1, k + 1):
-        if t in positions:
-            w = ks[len(blocks)]
-            if (w - 1) * cursor % 2:
-                sgn = -sgn
-            blocks.append((cursor, w))
-            layout.append((cursor, w))
-            cursor += w
-        else:
-            layout.append((cursor, None))
-            cursor += 1
-    assert cursor == n
     # each Q_s term with its leg's coaction over the slots to the right
-    # of its block (None for an empty leg), looked up once per placement
+    # of its block (None for an empty leg)
     plan = [
         (start, start + w, [
-            (vQ, cQ, keyQ[:-1],
-             coproduct_mono(keyQ[-1], n - start - w + 1) if keyQ[-1]
+            (vQ, cQ, gQ, coproduct_mono(leg, n - start - w + 1) if leg
              else None)
-            for keyQ, cQ, vQ, _ in terms
+            for vQ, cQ, gQ, leg in view
         ])
-        for (start, w), terms in zip(blocks, terms_q)
+        for (start, w), view in zip(blocks, views)
     ]
     for keyP, aP, nP, _ in terms_p:
         # distribute P's factors; nonempty consumed ones wait for their
@@ -444,8 +498,8 @@ def _brace_placement(uea, k, terms_p, ks, terms_q, positions, n, outs):
                 break
         else:
             # each entry carries the hbar power of the terms chosen so
-            # far and the first slot that may hold a product
-            stack = [(tuple(base), aP, nP, spread[0][0] if spread else n + 1)]
+            # far and the first slot where a join failed
+            stack = [(tuple(base), aP * sgn, nP, n + 1)]
             for start, f, w in spread:
                 stack = [
                     (slots[:start] + parts + slots[start + w:], c0 * mult,
@@ -458,21 +512,46 @@ def _brace_placement(uea, k, terms_p, ks, terms_q, positions, n, outs):
                 for slots, c0, v0, d in stack:
                     head, block, tail = (slots[:start], slots[start:mid],
                                          slots[mid:])
+                    # the last letter of each nonempty word a join can
+                    # fail behind, by its offset in the block or tail
+                    bends = [(u, p[-1]) for u, p in enumerate(block)
+                             if p] if any(block) else ()
+                    tends = [(u, p[-1]) for u, p in enumerate(tail)
+                             if p] if any(tail) else ()
                     for vQ, cQ, gQ, coaction in entries:
                         if v0 + vQ > top:
                             break
                         pre = head + tuple(map(add, block, gQ))
                         c1 = c0 * cQ
+                        d1 = d
+                        for u, a in bends:
+                            q = gQ[u]
+                            if q and a > q[0]:
+                                d1 = min(d, start + u)
+                                break
                         if coaction is None:
-                            nxt.append((pre + tail, c1, v0 + vQ, d))
+                            nxt.append((pre + tail, c1, v0 + vQ, d1))
                             continue
-                        d1 = min(d, mid)
                         for parts, mult in coaction.items():
+                            d2 = d1
+                            for u, a in tends:
+                                q = parts[u]
+                                if q and a > q[0]:
+                                    d2 = min(d1, mid + u)
+                                    break
                             nxt.append((pre + tuple(map(add, tail, parts)),
-                                        c1 * mult, v0 + vQ, d1))
+                                        c1 * mult, v0 + vQ, d2))
                 stack = nxt
-            for slots, c0, v0, d in stack:
-                _straight_key(uea, slots, outs[v0], c0 * sgn, d)
+            for slots, c, v0, d in stack:
+                acc = outs[v0]
+                if d <= n:
+                    _straight_key(straighten, slots, acc, c, d)
+                    continue
+                v = acc.get(slots, 0) + c
+                if v:
+                    acc[slots] = v
+                else:
+                    del acc[slots]
 
 
 def gerstenhaber_bracket(P: AdtElement, Q: AdtElement) -> AdtElement:
@@ -848,13 +927,47 @@ def adte_residual(K: AdtElement, mode: str = "direct") -> AdtElement:
     if K.arity != 2:
         raise GradingMismatch("twist residual requires arity 2")
     if mode == "mc":
-        Kt = K - AdtElement.unit(K.uea, 2, K.order)
-        return -differential_b(Kt) + brace(Kt, [Kt])
+        return _mc_residual(K)
     if mode != "direct":
         raise ValueError(f"unknown mode {mode!r}")
     outs = [{} for _ in range(K.order + 1)]
     den = _adte_pairs(K, 0, outs)
-    return AdtElement.from_layers(K.uea, 3, outs, den=den)
+    return AdtElement.from_layers(K.uea, 3, outs, den=den,
+                                  integral=K.uea.integral)
+
+
+def _mc_residual(K: AdtElement) -> AdtElement:
+    """-b(K - 1) + {K - 1 | K - 1}, with the keys and values of those sums.
+
+    K - 1 shares K's layers but the first, a copy whose unit key is
+    lowered by one: in place, appended when K has none, and dropped when
+    it cancels.  The two terms then meet in one pass per layer: b's keys
+    negated in their order, then the brace's added.
+    """
+    layers = list(K.layers)
+    first = layers[0] = dict(layers[0])
+    unit = ((),) * 3
+    v = first.get(unit, 0) - 1
+    if v:
+        first[unit] = v
+    else:
+        del first[unit]
+    Kt = K._same_space(layers)
+    out = []
+    for bl, rl in zip(differential_b(Kt).layers, brace(Kt, [Kt]).layers):
+        acc = {key: -a for key, a in bl.items()}
+        for key, c in rl.items():
+            old = acc.get(key)
+            if old is None:
+                acc[key] = c
+                continue
+            c = old + c
+            if c:
+                acc[key] = c if type(c) is int else canonical(c)
+            else:
+                del acc[key]
+        out.append(acc)
+    return AdtElement._direct((K.uea, 3), out)
 
 
 def adte_residual_layer(K: AdtElement, n: int) -> dict:
@@ -936,9 +1049,19 @@ def _adte_pairs(K, lo, outs):
             if sl is None:
                 S[leg, legg] = sl = tuple(
                     ((m,), c) for m, c in straighten(leg + legg).items())
-            left = [((m1,) + kx, c1 * cx)
-                    for m1, c1 in straighten(f1).items() for kx, cx in x]
-            _add_products(out, left, sl, -a)
+            # S(f1) (x) X (x) S, the three factors in one loop
+            for m1, c1 in straighten(f1).items():
+                c1 *= -a
+                for kx, cx in x:
+                    kl = (m1,) + kx
+                    cl = c1 * cx
+                    for kr, cr in sl:
+                        key = kl + kr
+                        v = out.get(key, 0) + cl * cr
+                        if v:
+                            out[key] = v
+                        else:
+                            del out[key]
     return den * den
 
 

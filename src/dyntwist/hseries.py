@@ -41,7 +41,11 @@ by the product of the factors' D.  The integer sums are D times the
 rational sums, so they vanish at the same steps: values and key order
 are those of rational kernels.  A rational structure constant stays a
 Fraction in `straighten`, and an int times a Fraction is a Fraction, so
-the same path serves it.
+the same path serves it.  When D is 1 and every structure constant is
+an int (`UEnvelope.integral`), b, cup, brace and the twist residual
+hand over nonzero int sums on keys of their width, and
+`from_layers(..., integral=True)` keeps them as the element's layers
+without a scan.
 
 Every linear map works on the same layers: `SparseSeries.map_keys`
 sends each (key, value, power) entry through f(key), which yields
@@ -350,7 +354,7 @@ class SparseSeries:
         return self._direct(self._space_values(), layers)
 
     @classmethod
-    def from_layers(cls, *args, den=None):
+    def from_layers(cls, *args, den=None, integral=False):
         """An element of cls(*space) from per-power coefficient dicts.
 
         layers[n] = {key: rational} holds the hbar^n coefficients, and
@@ -364,8 +368,18 @@ class SparseSeries:
         ones: where the space has an arity, only their width is checked,
         one pass per layer, and a key of the wrong width goes to `_key`,
         which raises GradingMismatch.
+
+        integral: the caller summed ints times integral factors (b, or
+        cup, brace and the twist residual over an envelope whose
+        structure constants are ints, `UEnvelope.integral`) into keys of
+        its output width, dropping each sum that vanished.  With den 1
+        as well, every value is a nonzero int, so the layers are the
+        element as they are (`_direct`), with no type, zero or width
+        scan.  Not for a space with a triangle.
         """
         *space, layers = args
+        if integral and den == 1:
+            return cls._direct(space, layers)
         order = len(layers) - 1
         scaled = den is not None and den != 1
         leg = cls._leg_weighted

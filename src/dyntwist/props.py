@@ -95,7 +95,10 @@ def _rand_adt(uea, rng, arity, max_len, order=0, terms=2, pools=None):
     """A random element on the keys of total length at most max_len.
 
     pools, a dict that a check keeps for one run, holds each key pool
-    once; without it the pool is built for this draw alone.
+    once; without it the pool is built for this draw alone.  The pool
+    keys come from `adt_monomials`, valid as they are, and the values
+    ints: without a value that two draws cancelled, the draws are the
+    element's layer 0 as they stand (`from_layers(..., integral=True)`).
     """
     pools = {} if pools is None else pools
     pool = pools.get((arity, max_len))
@@ -108,7 +111,10 @@ def _rand_adt(uea, rng, arity, max_len, order=0, terms=2, pools=None):
     for _ in range(terms):
         key = pool[rng.randrange(len(pool))]
         out[key] = out.get(key, 0) + rng.choice([-2, -1, 1, 2])
-    return AdtElement(uea, arity, out, order)
+    out = {key: v for key, v in out.items() if v}
+    return AdtElement.from_layers(uea, arity,
+                                  [out] + [{} for _ in range(order)],
+                                  den=1, integral=True)
 
 
 def check_cup_leibniz(uea: UEnvelope, seed=0, samples=200, max_len=2):

@@ -32,6 +32,13 @@ class UEnvelope:
 
     def __init__(self, lie: LieData):
         self.lie = lie
+        # every structure constant an int: then so is every coefficient
+        # of a straightening, and a kernel's integer sums stay ints
+        self.integral = all(
+            type(c) is int
+            for i in range(lie.dim) for j in range(i + 1, lie.dim)
+            for c in lie.bracket_basis(i, j).values()
+        )
         self._straight_cache: dict = {(): {(): 1}}
         self._sym_cache: dict = {}
         self._ad_cache: dict = {}

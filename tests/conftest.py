@@ -20,6 +20,17 @@ def is_canonical(a) -> bool:
     return type(a) is int or type(a) is Fraction and a.denominator != 1
 
 
+def same_layers(new, ref):
+    """Two elements of one arity and order with the same layers: the
+    same keys in the same order, equal values of the same types, each
+    canonical."""
+    assert (new.arity, new.order) == (ref.arity, ref.order)
+    for got, want in zip(new.layers, ref.layers, strict=True):
+        assert list(got.items()) == list(want.items())
+        assert list(map(type, got.values())) == list(map(type, want.values()))
+        assert all(map(is_canonical, got.values()))
+
+
 def sl2_data() -> LieData:
     # [h,e] = 2e, [h,f] = -2f, [e,f] = h; base = Cartan line
     return LieData(

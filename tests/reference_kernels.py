@@ -14,7 +14,10 @@ outcome is known: b summed every part of every coproduct, cancelling
 ones included, cup and brace straightened every slot of every product
 key, and brace spread P terms that the truncation then dropped.  The
 kernels must agree with them in values, value types and the key order
-of every layer.
+of every layer; `expanded_b` is b summed from `expanded_b_key`.
+`listed_adte_residual` is the layered direct residual as it was before
+its second term multiplied its three factors in one loop, the pin of
+the direct residual's key order.
 
 `coproduct_by_position` is the iterated coproduct placed letter by
 letter, as `uea.coproduct_mono` computed it before it counted runs.
@@ -521,6 +524,69 @@ def _expanded_brace_placement(uea, k, terms_p, ks, terms_q, positions, n,
                 stack = nxt
             for slots, c0, v0 in stack:
                 _expanded_straight_key(uea, slots, outs[v0], c0 * sgn)
+
+
+def expanded_b(P):
+    """b as the layered kernel summed it from `expanded_b_key`."""
+    outs = [{} for _ in range(P.order + 1)]
+    den, items = P.int_layer_terms()
+    for key, a, n, _ in items:
+        for new, mult in expanded_b_key(key):
+            add_into(outs[n], new, a * mult)
+    return AdtElement.from_layers(P.uea, P.arity + 1, outs, den=den)
+
+
+def listed_adte_residual(K):
+    """The layered direct residual as it was while its second term built
+    the list f1 (x) X(f2; g1, g2) for every pair of twist terms, with its
+    X, Y and S factors computed afresh."""
+    uea = K.uea
+    straighten = uea.straighten
+    outs = [{} for _ in range(K.order + 1)]
+    den, items = K.int_layer_terms()
+    by_f1: dict = {}
+    by_f2: dict = {}
+    for entry in items:
+        by_f1.setdefault(entry[0][0], []).append(entry)
+        by_f2.setdefault(entry[0][1], []).append(entry)
+
+    def pairs(firsts):
+        for k1, a1, n1, _ in firsts:
+            for k2, a2, n2, _ in items:
+                if n1 + n2 > K.order:
+                    break
+                yield k1, k2, a1 * a2, outs[n1 + n2]
+
+    for f1, firsts in by_f1.items():
+        for (_, f2, leg), (g1, g2, legg), a, out in pairs(firsts):
+            _listed_products(
+                out, _listed_factor(straighten, f1, (), (), g1, g2),
+                _listed_factor(straighten, legg, f2, leg, (), ()), a)
+    for f2, firsts in by_f2.items():
+        for (f1, _, leg), (g1, g2, legg), a, out in pairs(firsts):
+            x = _listed_factor(straighten, f2, (), (), g1, g2)
+            sl = tuple(((m,), c) for m, c in straighten(leg + legg).items())
+            left = [((m1,) + kx, c1 * cx)
+                    for m1, c1 in straighten(f1).items() for kx, cx in x]
+            _listed_products(out, left, sl, -a)
+    return AdtElement.from_layers(uea, 3, outs, den=den * den)
+
+
+def _listed_factor(straighten, w, l1, l2, r1, r2):
+    acc: dict = {}
+    for (p1, p2), mult in coproduct_mono(w, 2).items():
+        for m1, c1 in straighten(l1 + p1 + r1).items():
+            c1 *= mult
+            for m2, c2 in straighten(l2 + p2 + r2).items():
+                add_into(acc, (m1, m2), c1 * c2)
+    return tuple(acc.items())
+
+
+def _listed_products(out, lefts, rights, a):
+    for kl, cl in lefts:
+        cl *= a
+        for kr, cr in rights:
+            add_into(out, kl + kr, cl * cr)
 
 
 def coproduct_by_position(mono, slots):

@@ -45,7 +45,7 @@ from dyntwist.uea import all_monomials
 import reference_kernels
 from conftest import (
     CORPUS, ab2_data, aff_data, adt_is_invariant, is_canonical,
-    mixed_element, nonab_data, sl2_data, sl2half_data,
+    mixed_element, nonab_data, same_layers, sl2_data, sl2half_data,
 )
 from oracles import alt
 
@@ -582,13 +582,6 @@ def test_layered_brace_matches_hseries_reference(request, uea_name):
 # agree in values, value types and the key order of every layer.
 
 
-def _same_layers(new, ref):
-    assert (new.arity, new.order) == (ref.arity, ref.order)
-    for got, want in zip(new.layers, ref.layers, strict=True):
-        assert list(got.items()) == list(want.items())
-        assert list(map(type, got.values())) == list(map(type, want.values()))
-
-
 def _empty_runs(key):
     """The lengths of the maximal runs of empty factors of a key."""
     return {len(list(run)) for nonempty, run in
@@ -652,7 +645,7 @@ def test_cup_and_brace_match_the_expanded_kernels(request, uea_name):
             pairs += [(shaped[k, 0], shaped[l, low]) for low in (0, 1)]
             pairs.append((shaped[k, 1], shaped[l, 0]))
             for P, Q in pairs:
-                _same_layers(cup(P, Q), reference_kernels.expanded_cup(P, Q))
+                same_layers(cup(P, Q), reference_kernels.expanded_cup(P, Q))
         for k, ks in ((1, (0,)), (1, (1,)), (1, (2,)), (2, (0,)), (2, (1,)),
                       (2, (2,)), (2, (1, 2)), (2, (0, 1))):
             runs = [[oracle[k][i], [oracle[j][i] for j in ks]]
@@ -661,7 +654,7 @@ def test_cup_and_brace_match_the_expanded_kernels(request, uea_name):
             runs += [[shaped[k, 0], [shaped[j, low] for j in ks]]
                      for low in (0, 1)]
             for P, Qs in runs:
-                _same_layers(brace(P, Qs),
+                same_layers(brace(P, Qs),
                              reference_kernels.expanded_brace(P, Qs))
 
 
