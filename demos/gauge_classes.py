@@ -1,8 +1,8 @@
 """Different solver runs land in the same gauge class.
 
-Running the quantizer with a perturbation seed mixes random closed
-corrections into each order; the resulting twists differ term by term
-but solve the same equation, and the gauge search certifies their
+Running the quantizer with a perturbation seed acts on each order by a
+random gauge element 1 + hbar^n u; the resulting twists differ term by
+term but solve the same equation, and the gauge search certifies their
 equivalence with an explicit invariant group element.
 """
 

@@ -639,9 +639,9 @@ TWIST_DIGESTS = [
     ("sl2", "3", None,
      "b194f2324f832345eb7be6be3323e0de1105ac9238c716e44cb0db6bd6be4e1d"),
     ("sl2", "3", "0",
-     "032d2941a507a691b8dd15dfdf7e0ee0e8f59d0e81530c32185892ef4ae64763"),
+     "95a2583b27bba894d2397648fd748523b15c32d7021cf35a42670b7802ace815"),
     ("sl2", "3", "1",
-     "d22a4e9c9338ece5601010cba33605b59ad440cea1695d250cebe9c118cfa493"),
+     "2a417748043dee0755e936c3f8532060c17cb836c2c768f19ccf43ea5ba3f4b0"),
     ("affxc2", "2", None,
      "2fe1bbb51be57a9d8760b5a1cf88a6212d1fddb38191876b4919eebed2f9ca3b"),
     ("nonab", "2", None,
@@ -663,6 +663,27 @@ def test_quantize_twist_digest(tmp_path, name, order, seed, digest):
         argv += ["--seed", seed]
     assert main(argv) == 0
     assert hashlib.sha256(twist.read_bytes()).hexdigest() == digest
+
+
+def test_seeded_twists_stay_in_one_gauge_class(tmp_path, capsys):
+    # a seed acts by gauges 1 + hbar^n u, so at order 5 the twists of no
+    # seed, seed 0 and seed 1 all verify and are pairwise equivalent
+    twists = []
+    for seed in (None, "0", "1"):
+        twist = tmp_path / f"K{seed}.twist"
+        argv = ["quantize", "--algebra", SL2, "--rmatrix", SL2_R,
+                "--order", "5", "--out", str(twist)]
+        if seed is not None:
+            argv += ["--seed", seed]
+        assert main(argv) == 0
+        assert main(["verify-twist", "--algebra", SL2, "--rmatrix", SL2_R,
+                     str(twist)]) == 0
+        twists.append(str(twist))
+    capsys.readouterr()
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert main(["gauge-equiv", "--algebra", SL2,
+                     twists[i], twists[j]]) == 0
+        assert "gauge equivalent: ok" in capsys.readouterr().out
 
 
 # sha256 of the whole stdout of `prop-suite`, run from the repository

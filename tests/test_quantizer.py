@@ -25,7 +25,8 @@ from dyntwist import (
     solve_adte,
     taylor_rescale,
 )
-from dyntwist.adt_dgla import adte_residual_layer
+from dyntwist import quantizer
+from dyntwist.adt_dgla import adte_residual_layer, differential_b, kappa_solve
 from dyntwist.hseries import add_into
 from dyntwist.quantizer import FormalTwist, _star_mono
 
@@ -164,6 +165,53 @@ def test_obstruction_carries_its_slice(sl2):
     assert exc.length == cause.length
     assert (cause.residual.total_lengths()) == [cause.length]
     assert f"length-{exc.length} slice" in str(exc)
+
+
+def test_unclosed_correction_fails_the_final_residual(sl2_rho, sl2_uea,
+                                                      monkeypatch):
+    # the solver does not re-check an order after its correction; a
+    # correction that does not close order N is caught by the final
+    # residual, whose valuation is N
+    calls = []
+
+    def doubled(uea, target, max_filtration):
+        corr = kappa_solve(uea, target, max_filtration=max_filtration)
+        if max_filtration == ORDER - 2:
+            calls.append(max_filtration)
+            corr = corr.scale(2)
+        return corr
+
+    monkeypatch.setattr(quantizer, "kappa_solve", doubled)
+    with pytest.raises(ObstructionNotRepaired) as info:
+        solve_adte(sl2_rho, ORDER, uea=sl2_uea)
+    assert calls
+    assert info.value.order == ORDER
+    assert info.value.__cause__ is None
+
+
+@pytest.mark.parametrize("name", ["sl2", "aff", "nonab"])
+def test_residual_layer_is_linear_in_the_top_coefficient(request, name):
+    # for K = 1 + O(hbar), the order-n layer of the residual of
+    # K + hbar^n u is the old layer minus b(u) at hbar^0, so a correction
+    # c with b(c) = the old layer closes order n, as the solver assumes
+    uea = request.getfixturevalue(f"{name}_uea")
+    if name == "nonab":
+        rho = RMatrix(request.getfixturevalue("nonab"),
+                      CdybElement.monomial((0, 1), (), F(1), ORDER))
+        K = solve_adte(rho, ORDER, uea=uea).K
+    else:
+        K = request.getfixturevalue(f"{name}_pair").K
+    rng = random.Random(36)
+    for n in range(1, ORDER + 1):
+        head = AdtElement.from_layers(
+            uea, 2, [K.layer(m) for m in range(n)]
+            + [{} for _ in range(n, ORDER + 1)])
+        u = mixed_element(uea, rng, 2, ORDER, terms=8)
+        bu = differential_b(u).truncate(0)
+        assert not bu.is_zero()
+        new = adte_residual_layer(head + u.shift(n), n)
+        old = AdtElement(uea, 3, adte_residual_layer(head, n), 0)
+        assert AdtElement(uea, 3, new, 0) == old - bu
 
 
 # -- conversion and valuation ----------------------------------------------
