@@ -38,6 +38,7 @@ from .adt_dgla import (
     differential_b,
     gerstenhaber_bracket,
     kappa_solve,
+    mc_residual,
 )
 from .cdyb_dgla import cdybe_residual, delta_homotopy, p1_project
 from .linfinity import (

@@ -909,13 +909,11 @@ def cohomology_dims(uea: UEnvelope, max_k: int, max_length: int):
 # -- the twist equation residual -------------------------------------------
 
 
-def adte_residual(K: AdtElement, mode: str = "direct") -> AdtElement:
+def adte_residual(K: AdtElement) -> AdtElement:
     """Residual of the algebraic dynamical twist equation for arity-2 K.
 
-    mode "direct" computes K^{12,3,4} K^{1,2,34} - K^{1,23,4} K^{2,3,4}
-    with slotwise products; mode "mc" computes the Maurer-Cartan residual
-    -b(K-1) + {K-1 | K-1} of K-1 for the dgla whose differential is the
-    negative coboundary.  The two modes agree identically.
+    It is K^{12,3,4} K^{1,2,34} - K^{1,23,4} K^{2,3,4}, with slotwise
+    products; `mc_residual` is the same element, computed another way.
 
     The residual is exact mod hbar^(N+1), N = K.order: a pair of layer
     terms whose hbar powers add up to more than N is skipped, as it
@@ -926,24 +924,26 @@ def adte_residual(K: AdtElement, mode: str = "direct") -> AdtElement:
     """
     if K.arity != 2:
         raise GradingMismatch("twist residual requires arity 2")
-    if mode == "mc":
-        return _mc_residual(K)
-    if mode != "direct":
-        raise ValueError(f"unknown mode {mode!r}")
     outs = [{} for _ in range(K.order + 1)]
     den = _adte_pairs(K, 0, outs)
     return AdtElement.from_layers(K.uea, 3, outs, den=den,
                                   integral=K.uea.integral)
 
 
-def _mc_residual(K: AdtElement) -> AdtElement:
+def mc_residual(K: AdtElement) -> AdtElement:
     """-b(K - 1) + {K - 1 | K - 1}, with the keys and values of those sums.
+
+    This is the Maurer-Cartan residual of K - 1 in the dgla whose
+    differential is the negative coboundary; it equals adte_residual(K)
+    identically (`props.check_adte_modes`).
 
     K - 1 shares K's layers but the first, a copy whose unit key is
     lowered by one: in place, appended when K has none, and dropped when
     it cancels.  The two terms then meet in one pass per layer: b's keys
     negated in their order, then the brace's added.
     """
+    if K.arity != 2:
+        raise GradingMismatch("twist residual requires arity 2")
     layers = list(K.layers)
     first = layers[0] = dict(layers[0])
     unit = ((),) * 3

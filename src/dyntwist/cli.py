@@ -164,7 +164,10 @@ def cmd_verify_twist(args):
         else:
             rep.check("formal equation residual (triangle)",
                       dte_residual(J).is_zero())
-            if rho is not None:
+            if rho is not None and K.order == 0:
+                rep.add("semiclassical comparison: not made (order 0 has "
+                        "no hbar^1 layer)")
+            elif rho is not None:
                 ok, _ = semiclassical_check(J, rho)
                 rep.check("semiclassical comparison", ok)
     return rep.emit(args.out)

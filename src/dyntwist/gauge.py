@@ -264,10 +264,11 @@ class ReducedClassical:
 def reduce_classical(lie: LieData, alpha: CdybElement) -> ReducedClassical:
     """Reduce a Maurer-Cartan element to an invariant complement bivector.
 
-    The reduction transports alpha along the homotopy tower onto the
-    image of the projection, where the bracket restricted square must
-    vanish; the inclusion tower carries the result back, and an
-    order-by-order classical gauge solve certifies the round trip.
+    The reduced bivector is p(alpha): the reduction tower of the
+    contraction is strict (`linfinity.invert_contraction`), so transport
+    along it is the projection.  Its restricted square must vanish; the
+    inclusion tower carries it back, and an order-by-order classical
+    gauge solve certifies the round trip.
     """
     order = alpha.order
     res = cdyb_dgla.cdybe_residual(lie, alpha)
@@ -277,19 +278,14 @@ def reduce_classical(lie: LieData, alpha: CdybElement) -> ReducedClassical:
     if val is not None and val < 1:
         raise NotMaurerCartan("input must have hbar valuation >= 1")
     C = classical_contraction(lie, order)
-    Q, R = invert_contraction(C, max(order, 1))
-    pi = mc_transport(R, alpha, check=False)
-    if C.proj(pi) != pi:
-        raise StraighteningStalled(
-            "transported element left the projected subspace", residual=pi
-        )
+    pi = C.proj(alpha)
     square = cdyb_dgla.p1_project(lie, cdyb_dgla.bracket(lie, pi, pi))
     if not square.is_zero():
         raise StraighteningStalled(
             "restricted square of the reduced bivector is nonzero",
             residual=square,
         )
-    embedded = mc_transport(Q, pi, check=True)
+    embedded = mc_transport(invert_contraction(C, max(order, 1)), pi)
     cert = classical_find_gauge(lie, alpha, embedded)
     if not cert.equivalent:
         raise StraighteningStalled(

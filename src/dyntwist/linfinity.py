@@ -18,9 +18,9 @@ transport takes work polynomial in the order.  Koszul signs are computed
 in the double-shifted grading where Maurer-Cartan elements sit in degree
 0 (so transport of such elements needs no signs at all).
 
-A contraction gives the inclusion tower Q and the strict reduction R
-(`invert_contraction`).  The oracles that certify them are test code,
-in `tests/oracles.py`.
+A contraction gives the inclusion tower Q (`invert_contraction`); its
+reduction side is the projection itself.  The oracles that certify them
+are test code, in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -471,35 +471,33 @@ def _perturbed_tower(C: Contraction, source, target, arity_bound):
     return T
 
 
-def invert_contraction(C: Contraction, arity_bound: int):
-    """The towers (Q, R) of a contraction, up to `arity_bound`.
+def invert_contraction(C: Contraction, arity_bound: int) -> MorphismTower:
+    """The inclusion tower Q of a contraction, up to `arity_bound`.
 
-    Q includes the projected dgla into the ambient one, and R reduces
-    the ambient dgla onto the projected one.  Both come from the tower F
-    that straightens the ambient dgla onto its split target (image plus
-    kernel, with the bracket on the image), which shares Q's recursion:
-    the first map is the identity and the higher maps are -h of the
-    bracket defect.  As h h = 0, p h = 0 and h p = 0, Q is the only
-    tower with the inclusion as first map and higher maps in the image
-    of h, so it is the inverse of F composed with the inclusion.  R =
+    Q includes the projected dgla into the ambient one.  It shares the
+    recursion of the tower F that straightens the ambient dgla onto its
+    split target (image plus kernel, with the bracket on the image): the
+    first map is the identity and the higher maps are -h of the bracket
+    defect.  As h h = 0, p h = 0 and h p = 0, Q is the only tower with
+    the inclusion as first map and higher maps in the image of h, so it
+    is the inverse of F composed with the inclusion.  The reduction R =
     proj o F is strict: its first map is proj, and as p h = 0 every
-    higher map R^n = p(F^n) = -p h(defect) is zero, so neither tower
-    needs F itself.  F and `check_morphism` live in `tests/oracles.py`.
+    higher map R^n = p(F^n) = -p h(defect) is zero.  So transport along
+    R is proj itself, and no tower is built for it.  F, R and
+    `check_morphism` live in `tests/oracles.py`.
     """
-    sub = ProjectedDgla(C)
-    Q = _perturbed_tower(C, sub, C.dgla, arity_bound)
-    R = MorphismTower(C.dgla, sub, [C.proj], arity_bound)
-    return Q, R
+    return _perturbed_tower(C, ProjectedDgla(C), C.dgla, arity_bound)
 
 
 # -- Maurer-Cartan transport ------------------------------------------------
 
 
-def mc_transport(T: MorphismTower, alpha, check: bool = True):
+def mc_transport(T: MorphismTower, alpha):
     """Push a Maurer-Cartan element through a morphism tower.
 
     alpha must have degree-0 shifted parity (bivector-type) so that no
-    Koszul signs appear in the symmetric powers.
+    Koszul signs appear in the symmetric powers.  MorphismUnsound is
+    raised unless the result's recomputed Maurer-Cartan residual is zero.
     """
     out = T.target.zero()
     fact = 1
@@ -507,10 +505,8 @@ def mc_transport(T: MorphismTower, alpha, check: bool = True):
         fact *= n
         term = T.apply(n, (alpha,) * n)
         out = out + term.scale(quotient(1, fact))
-    if check:
-        res = T.target.mc_residual(out)
-        if not res.is_zero():
-            raise MorphismUnsound(
-                "transported element fails the Maurer-Cartan equation"
-            )
+    if not T.target.mc_residual(out).is_zero():
+        raise MorphismUnsound(
+            "transported element fails the Maurer-Cartan equation"
+        )
     return out

@@ -208,10 +208,13 @@ def parse_algebra(text) -> LieData:
 # -- monomials --------------------------------------------------------------
 
 
-def _parse_mono(tok, lie: LieData, lineno):
+def _parse_mono(tok, lie: LieData, lineno, sep="."):
     if tok == "1":
         return ()
-    return tuple(lie.index_of(name) for name in tok.split("."))
+    try:
+        return tuple(lie.index_of(name) for name in tok.split(sep))
+    except AlgebraError as exc:
+        raise SchemaError(f"line {lineno}: {exc}") from None
 
 
 def _dump_mono(mono, lie: LieData) -> str:
@@ -234,10 +237,9 @@ def parse_rmatrix(text, lie: LieData, order: int) -> CdybElement:
             )
         coeff = _rational(parts[1], lineno)
         wedge_tok = parts[3]
-        if "^" not in wedge_tok:
+        if wedge_tok.count("^") != 1:
             raise SchemaError(f"line {lineno}: expected a wedge a^b")
-        a, b = wedge_tok.split("^", 1)
-        wedge = (lie.index_of(a), lie.index_of(b))
+        wedge = _parse_mono(wedge_tok, lie, lineno, sep="^")
         leg = _parse_mono(parts[5], lie, lineno)
         for i in leg:
             if not lie.is_h(i):

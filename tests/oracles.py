@@ -4,10 +4,12 @@ and the command-line grammar.
 `check_morphism` evaluates the morphism relations exactly on elements
 that `sample_elements` draws from each dgla's invariant slices.
 `straightening_tower` is the tower F onto the split target, which the
-package never needs (R is strict) but which exercises Q's recursion on
-arguments of mixed parity.  `twist_by_homotopy` twists a tower to arity
-3; `classical_gauge_infinitesimal` is the classical flow in its mc and r
-forms; `alt` is the left inverse of `adt_dgla.alt_embed`.
+package never needs but which exercises Q's recursion on arguments of
+mixed parity, and `reduction_tower` is the strict R = p o F, whose
+transport the package computes as the projection.  `twist_by_homotopy`
+twists a tower to arity 3; `classical_gauge_infinitesimal` is the
+classical flow in its mc and r forms; `alt` is the left inverse of
+`adt_dgla.alt_embed`.
 `build_parser` is the argparse grammar that `cli.parse_args` reads from
 its tables.
 """
@@ -120,6 +122,15 @@ def sample_elements(g, rng, count):
 def straightening_tower(C, arity_bound):
     """F: the ambient dgla of C straightened onto its split target."""
     return _perturbed_tower(C, C.dgla, SplitTargetDgla(C), arity_bound)
+
+
+def reduction_tower(C, arity_bound):
+    """R: the ambient dgla of C reduced onto the projected one.
+
+    R = p o F is strict (`linfinity.invert_contraction`), so its one map
+    is the projection.
+    """
+    return MorphismTower(C.dgla, ProjectedDgla(C), [C.proj], arity_bound)
 
 
 def morphism_residual(T: MorphismTower, args, degs=None):

@@ -47,6 +47,7 @@ from conftest import ORDER
 from oracles import (
     check_morphism,
     filtration,
+    reduction_tower,
     sample_elements,
     straightening_tower,
     twist_by_homotopy,
@@ -125,8 +126,8 @@ def test_criterion_4_towers(sl2, sl2_uea):
     CC = classical_contraction(sl2, ORDER)
     CQ = quantum_contraction(sl2_uea, ORDER)
     for C in (CC, CQ):
-        Q, R = invert_contraction(C, 3)
-        Ftow = straightening_tower(C, 3)
+        Q = invert_contraction(C, 3)
+        Ftow, R = straightening_tower(C, 3), reduction_tower(C, 3)
         for tower in (Q, Ftow, R):
             report = check_morphism(tower, 3, 6, seed=0)
             assert report["ok"], report["failures"][:1]
@@ -135,7 +136,7 @@ def test_criterion_4_towers(sl2, sl2_uea):
 
 def test_criterion_4_twisting(sl2):
     C = classical_contraction(sl2, ORDER)
-    Q, R = invert_contraction(C, 3)
+    Q = invert_contraction(C, 3)
     psi = twist_by_homotopy(Q, lambda x: delta_homotopy(sl2, x))
     report = check_morphism(psi, 3, 6, seed=1)
     assert report["ok"], report["failures"][:1]
@@ -207,15 +208,14 @@ def test_criterion_8_perturbed_runs(sl2_uea, sl2_rho):
 def test_criterion_8_classical_round_trip(sl2, sl2_rho):
     alpha = taylor_rescale(sl2_rho, ORDER)
     C = classical_contraction(sl2, ORDER)
-    Q, R = invert_contraction(C, 3)
-    pi = mc_transport(R, alpha, check=False)
+    pi = mc_transport(reduction_tower(C, 3), alpha)
     assert C.proj(pi) == pi
     # restricted square of the reduced bivector vanishes
     sq = cdyb_dgla.p1_project(
         sl2, cdyb_dgla.bracket(sl2, pi, pi)
     )
     assert sq.is_zero()
-    embedded = mc_transport(Q, pi, check=True)
+    embedded = mc_transport(invert_contraction(C, 3), pi)
     cert = classical_find_gauge(sl2, alpha, embedded)
     assert cert.equivalent
 

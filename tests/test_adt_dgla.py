@@ -29,6 +29,7 @@ from dyntwist.adt_dgla import (
     cohomology_dims,
     coproduct_at,
     invariant_adt_basis,
+    mc_residual,
     unit_at,
 )
 from dyntwist.gauge import adt_mul
@@ -195,8 +196,8 @@ def test_cohomology_dims_quantum(sl2_uea):
 
 def test_adte_residual_of_unit(sl2_uea):
     K = AdtElement.unit(sl2_uea, 2, N)
-    assert adte_residual(K, mode="direct").is_zero()
-    assert adte_residual(K, mode="mc").is_zero()
+    assert adte_residual(K).is_zero()
+    assert mc_residual(K).is_zero()
 
 
 # -- truncation oracles ------------------------------------------------------
@@ -215,13 +216,14 @@ def _truncation_agrees(product, *factors):
     return low
 
 
-@pytest.mark.parametrize("mode", ["direct", "mc"])
-def test_adte_residual_truncation_oracle(sl2_uea, mode):
+@pytest.mark.parametrize("residual", [adte_residual, mc_residual],
+                         ids=["direct", "mc"])
+def test_adte_residual_truncation_oracle(sl2_uea, residual):
     rng = random.Random(11)
     for _ in range(3):
         K = AdtElement.unit(sl2_uea, 2, N + 2) + mixed_element(
             sl2_uea, rng, 2, N + 2, terms=6)
-        res = _truncation_agrees(lambda E: adte_residual(E, mode), K)
+        res = _truncation_agrees(residual, K)
         assert res.layer(N)  # nonzero at the truncation: not vacuous
 
 

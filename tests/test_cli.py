@@ -653,6 +653,30 @@ TWIST_DIGESTS = [
 ]
 
 
+# sha256 of the `reduce-classical --order 5` stdout: the reduced
+# bivector is p(alpha), which the transport along the strict reduction
+# tower gave before
+REDUCE_DIGESTS = [
+    ("sl2",
+     "ead80828f4ce487dbeb975e18de0bda4488d7881cf0e2402d75cc62c67c48287"),
+    ("affxc2",
+     "8028e95a0630c9a757ea2bf12a841584824c17d949956309aafde5c525333e31"),
+    ("nonab",
+     "d8c9a7330dd26068e7f25c7b948eeeb9f338c4728e34789bae564bee79a93667"),
+    ("abelian2",
+     "356582fae171288e861de8006cedc6f09d5a4fac4c4be7ffc299b835ac72059b"),
+]
+
+
+@pytest.mark.parametrize("name, digest", REDUCE_DIGESTS)
+def test_reduce_classical_stdout_digest(capsys, name, digest):
+    assert main(["reduce-classical", "--algebra", str(CORPUS / f"{name}.alg"),
+                 "--rmatrix", str(CORPUS / f"{name}.rmat"),
+                 "--order", "5"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("name, order, seed, digest", TWIST_DIGESTS)
 def test_quantize_twist_digest(tmp_path, name, order, seed, digest):
     twist = tmp_path / "K.twist"
@@ -784,6 +808,23 @@ def test_gauge_equiv_rejects_non_unit_heads(tmp_path, bodies):
     assert proc.stderr.startswith("input error (NotInvertible)")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_verify_order_0_makes_no_semiclassical_comparison(tmp_path,
+                                                           capsys):
+    # an order-0 J has no hbar^1 layer, so an ok would compare nothing
+    twist = tmp_path / "K.twist"
+    twist.write_text("twist\narity 2\norder 0\nhbar 0\n"
+                     "term 1 * (1 | 1 | 1)\nend\n")
+    code = main(["verify-twist", "--algebra", SL2, "--rmatrix", SL2_R,
+                 str(twist)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "equation residual: ok",
+        "valuation certificate: ok",
+        "formal equation residual (triangle): ok",
+        "semiclassical comparison: not made (order 0 has no hbar^1 layer)",
+    ]
 
 
 def test_reduce_classical(capsys):

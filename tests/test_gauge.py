@@ -16,6 +16,7 @@ from dyntwist import (
     classical_gauge_act,
     find_gauge,
     gauge_act_algebraic,
+    quantizer,
     reduce_classical,
     solve_adte,
     taylor_rescale,
@@ -121,6 +122,27 @@ def test_find_gauge_recovers_constructed_equivalence(sl2_uea, sl2_pair):
     r = find_gauge(K, K2)
     assert r.equivalent
     assert gauge_act_algebraic(r.gauge, K) == K2
+
+
+# ROADMAP item 2: find_gauge fixes each q_n at the minimal kappa_solve
+# solution and never adds an invariant arity-1 cocycle at an earlier
+# order, so on affxc2 it says FAIL at order 3 to K0 and its image under
+# the first gauge Q2 = 1 + hbar^2 u2 that seed 1 draws
+@pytest.mark.parametrize("name", [
+    pytest.param("aff", marks=pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="find_gauge false negative (ROADMAP item 2)")),
+    "sl2",
+])
+def test_find_gauge_recovers_a_drawn_gauge(request, name):
+    uea = request.getfixturevalue(f"{name}_uea")
+    K0 = request.getfixturevalue(f"{name}_pair").K
+    Q2 = quantizer._random_gauge(uea, random.Random(1), 2, ORDER)
+    K2 = gauge_act_algebraic(Q2, K0)
+    assert not K2 == K0
+    result = find_gauge(K0, K2)
+    assert result.equivalent
+    assert gauge_act_algebraic(result.gauge, K0) == K2
 
 
 def test_find_gauge_requires_unit_heads(sl2_uea):

@@ -1,4 +1,4 @@
-"""b, cup, brace and both residual modes against their oracles, drawn.
+"""b, cup, brace and both twist residuals against their oracles, drawn.
 
 The kernels read a PBW join off the boundary letters of its words, keep
 integer sums as they are over an integral envelope, lay out brace
@@ -24,6 +24,7 @@ from dyntwist.adt_dgla import (
     brace,
     cup,
     differential_b,
+    mc_residual,
 )
 from dyntwist.hseries import add_into
 from dyntwist.uea import UEnvelope
@@ -143,4 +144,4 @@ def test_mc_residual_matches_the_element_sum(K):
     Kt = K - AdtElement.unit(K.uea, 2, K.order)
     want = (-reference_kernels.expanded_b(Kt)
             + reference_kernels.expanded_brace(Kt, [Kt]))
-    same_layers(adte_residual(K, mode="mc"), want)
+    same_layers(mc_residual(K), want)

@@ -15,6 +15,7 @@ from dyntwist import (
     invert_contraction,
     mc_transport,
     quantum_contraction,
+    schema,
     taylor_rescale,
 )
 from dyntwist.cdyb_dgla import delta_homotopy
@@ -26,11 +27,12 @@ from oracles import (
     check_morphism,
     filtration,
     morphism_residual,
+    reduction_tower,
     sample_elements,
     straightening_tower,
     twist_by_homotopy,
 )
-from conftest import ORDER, geometric_body
+from conftest import CORPUS, ORDER, geometric_body
 
 SAMPLES = 6
 
@@ -59,8 +61,8 @@ def test_quantum_contraction_identity(sl2_uea, aff_uea, sl2half_uea):
 
 def test_classical_towers_are_morphisms(sl2):
     C = classical_contraction(sl2, ORDER)
-    Q, R = invert_contraction(C, 3)
-    F = straightening_tower(C, 3)
+    Q = invert_contraction(C, 3)
+    F, R = straightening_tower(C, 3), reduction_tower(C, 3)
     for tower in (Q, F, R):
         report = check_morphism(tower, 3, SAMPLES, seed=3)
         assert report["ok"], report["failures"][:1]
@@ -69,8 +71,8 @@ def test_classical_towers_are_morphisms(sl2):
 
 def test_quantum_towers_are_morphisms(ab2_uea):
     C = quantum_contraction(ab2_uea, ORDER)
-    Q, R = invert_contraction(C, 3)
-    F = straightening_tower(C, 3)
+    Q = invert_contraction(C, 3)
+    F, R = straightening_tower(C, 3), reduction_tower(C, 3)
     for tower in (Q, F, R):
         report = check_morphism(tower, 3, SAMPLES, seed=4)
         assert report["ok"], report["failures"][:1]
@@ -110,8 +112,8 @@ def test_towers_match_inversion_and_composition(sl2, aff, sl2_uea, ab2_uea):
               classical_contraction(aff, ORDER),
               quantum_contraction(sl2_uea, ORDER),
               quantum_contraction(ab2_uea, ORDER)):
-        Q, R = invert_contraction(C, arity)
-        towers = (Q, straightening_tower(C, arity), R)
+        towers = (invert_contraction(C, arity),
+                  straightening_tower(C, arity), reduction_tower(C, arity))
         refs = reference_kernels.contraction_towers(C, arity)
         rng = random.Random(14)
         for n in range(1, arity + 1):
@@ -164,7 +166,7 @@ def _assert_defects_agree(T, args):
 def test_defect_by_class_on_equal_mc_arguments(request, kind):
     # F's alpha^n and Q's p(alpha)^n are the transports' own arguments
     C, alpha, pi = _mc_case(request, kind)
-    Q, R = invert_contraction(C, 8)
+    Q = invert_contraction(C, 8)
     F = straightening_tower(C, 8)
     nonzero = 0
     for T, x in ((F, alpha), (Q, pi)):
@@ -197,7 +199,7 @@ PATTERNS = ["xy", "yy", "yz", "xxy", "yxx", "xyx", "yzx", "yyx", "zxy",
 @pytest.mark.parametrize("kind", ["classical", "quantum"])
 def test_defect_by_class_on_mixed_repeats(kind):
     C = _heisenberg_contraction(kind)
-    Q, R = invert_contraction(C, 6)
+    Q = invert_contraction(C, 6)
     F = straightening_tower(C, 6)
     nonzero = 0
     for T in (F, Q):
@@ -215,7 +217,7 @@ def test_defect_by_class_on_mixed_repeats(kind):
 @pytest.mark.parametrize("kind", ["classical", "quantum"])
 def test_defect_by_class_on_distinct_arguments(kind):
     C = _heisenberg_contraction(kind)
-    Q, R = invert_contraction(C, 4)
+    Q = invert_contraction(C, 4)
     F = straightening_tower(C, 4)
     checked = nonzero = 0
     for T in (F, Q):
@@ -231,10 +233,10 @@ def test_defect_by_class_on_distinct_arguments(kind):
 @pytest.mark.parametrize("kind", ["classical", "quantum"])
 def test_reduction_tower_is_strict(request, kind):
     # p h = 0, so R^n = p(F^n) vanishes for n >= 2 although F^n does not,
-    # and invert_contraction needs no F to give R
+    # and transport along R is the projection
     C, alpha, pi = _mc_case(request, kind)
     arity = 4
-    Q, R = invert_contraction(C, arity)
+    R = reduction_tower(C, arity)
     ref_F, ref_R = reference_kernels.contraction_towers(C, arity)[1:]
     rng = random.Random(18)
     moved = 0
@@ -249,8 +251,19 @@ def test_reduction_tower_is_strict(request, kind):
             assert ref_R.apply(n, args).is_zero()
             moved += not ref_F.apply(n, args).is_zero()
     assert moved
-    assert mc_transport(R, alpha, check=False) == pi
-    assert R.maps == [C.proj]
+    assert mc_transport(R, alpha) == pi
+
+
+@pytest.mark.parametrize("name", ["sl2", "affxc2", "nonab", "abelian2"])
+def test_reduced_bivector_is_the_transport_along_r(name):
+    order = 5
+    lie = schema.parse_algebra((CORPUS / f"{name}.alg").read_text())
+    body = schema.parse_rmatrix((CORPUS / f"{name}.rmat").read_text(), lie,
+                                order)
+    alpha = taylor_rescale(RMatrix(lie, body), order)
+    C = classical_contraction(lie, order)
+    want = mc_transport(reduction_tower(C, order), alpha)
+    assert reduce_classical(lie, alpha).pi == want
 
 
 def test_twist_by_homotopy_identity_tower(sl2):
@@ -277,7 +290,7 @@ def test_twisted_tower_filtration_bound(sl2):
     # map raises filtration by at most one, the twisted maps land in
     # filtration <= n + k - 1 for inputs of filtration <= k
     C = classical_contraction(sl2, ORDER)
-    Q, R = invert_contraction(C, 3)
+    Q = invert_contraction(C, 3)
     psi = twist_by_homotopy(Q, lambda x: delta_homotopy(sl2, x))
     report = check_morphism(psi, 3, SAMPLES, seed=11)
     assert report["ok"], report["failures"][:1]
@@ -297,12 +310,11 @@ def test_twisted_tower_filtration_bound(sl2):
 def test_mc_transport_classical_reduction(sl2, sl2_rho):
     alpha = taylor_rescale(sl2_rho, ORDER)
     C = classical_contraction(sl2, ORDER)
-    Q, R = invert_contraction(C, 3)
     # reduction transports alpha onto the image of the projection
-    pi = mc_transport(R, alpha, check=False)
+    pi = mc_transport(reduction_tower(C, 3), alpha)
     assert C.proj(pi) == pi
     # the inclusion tower transports it back to a Maurer-Cartan element
-    back = mc_transport(Q, pi, check=True)
+    back = mc_transport(invert_contraction(C, 3), pi)
     assert not back.is_zero()
 
 

@@ -26,7 +26,9 @@ from dyntwist import (
     taylor_rescale,
 )
 from dyntwist import quantizer
-from dyntwist.adt_dgla import adte_residual_layer, differential_b, kappa_solve
+from dyntwist.adt_dgla import (
+    adte_residual_layer, differential_b, kappa_solve, mc_residual,
+)
 from dyntwist.hseries import add_into
 from dyntwist.quantizer import FormalTwist, _star_mono
 
@@ -87,8 +89,8 @@ def test_taylor_rescale_is_mc(sl2, sl2_rho):
 
 def _check_pipeline(lie, rho, pair):
     K, J = pair.K, pair.J
-    assert adte_residual(K, mode="direct").is_zero()
-    assert adte_residual(K, mode="mc").is_zero()
+    assert adte_residual(K).is_zero()
+    assert mc_residual(K).is_zero()
     for n, f in enumerate(pair.valuation_certificate):
         if n >= 1:
             assert f <= n - 1

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyntwist import DyntwistError, LieData, SchemaError, UEnvelope, schema
+from dyntwist.cli import main
 
 from conftest import CORPUS, ORDER
 
@@ -109,6 +110,32 @@ def test_malformed_documents_raise(sl2, sl2_uea, doc):
             schema.parse_twist(doc, sl2_uea)
         else:
             schema.parse_rmatrix(doc, sl2, ORDER)
+
+
+# each names the line, whichever reader meets the bad name
+@pytest.mark.parametrize("command, doc, err", [
+    ("check-rmatrix", "rmatrix\nterm 1 * e^f * 1\nterm 1 * e^q * 1\nend\n",
+     "line 3: unknown basis name 'q'"),
+    ("check-rmatrix", "rmatrix\nterm 1 * e^f * z\nend\n",
+     "line 2: unknown basis name 'z'"),
+    ("verify-twist", "twist\narity 2\norder 1\nhbar 0\n"
+     "term 1 * (1 | 1 | 1)\nhbar 1\nterm 1 * (e | zz | 1)\nend\n",
+     "line 7: unknown basis name 'zz'"),
+    ("check-rmatrix", "rmatrix\nterm 1 * e^f^h * 1\nend\n",
+     "line 2: expected a wedge a^b"),
+    ("check-rmatrix", "rmatrix\n# comment\nterm 1 * e^f * h..h\nend\n",
+     "line 3: unknown basis name ''"),
+], ids=["wedge-name", "leg", "slot", "three-factor-wedge", "empty-name"])
+def test_unknown_names_are_malformed_input(tmp_path, capsys, command, doc,
+                                           err):
+    path = tmp_path / "doc"
+    path.write_text(doc)
+    reads = ["--rmatrix"] if command == "check-rmatrix" else []
+    assert main([command, "--algebra", str(CORPUS / "sl2.alg"), *reads,
+                 str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {err}\n"
+    assert captured.out == ""
 
 
 def test_load_file_missing():
