@@ -139,12 +139,11 @@ def unit_at(E, i: int):
 
 
 def slotwise_product(A, B, leg_mul):
-    """PBW products slot by slot; leg_mul(s, t) yields (leg, power, rational).
+    """PBW products slot by slot; leg_mul(s, t) yields (leg, rational).
 
-    The legs multiply into hbar^power times leg.  The product is
-    truncated to the smaller order N: a pair of layer terms whose weights
-    (hbar powers, or for formal twists hbar power plus leg degree) add up
-    to more than N is never expanded.  Summed on ints, like b.
+    The product of two layer terms lies in the layer of the sum of their
+    powers, and is truncated to the smaller order N: a pair whose powers
+    add up to more than N is never expanded.  Summed on ints, like b.
     """
     if A.arity != B.arity:
         raise GradingMismatch("arity mismatch in product")
@@ -153,20 +152,17 @@ def slotwise_product(A, B, leg_mul):
     outs = [{} for _ in range(order + 1)]
     den_a, terms_a = A.int_layer_terms()
     den_b, terms_b = B.int_layer_terms()
-    for k1, a1, n1, w1 in terms_a:
-        for k2, a2, n2, w2 in terms_b:
-            if w1 + w2 > order:
+    for k1, a1, n1 in terms_a:
+        for k2, a2, n2 in terms_b:
+            if n1 + n2 > order:
                 break
             slots = [((), a1 * a2)]
             for i in range(A.arity):
                 exp = uea.mul_mono(k1[i], k2[i]).items()
                 slots = [(pre + (m,), c * d) for pre, c in slots
                          for m, d in exp]
-            for leg, q, d in leg_mul(k1[-1], k2[-1]):
-                n = n1 + n2 + q
-                if n > order:
-                    continue
-                acc = outs[n]
+            acc = outs[n1 + n2]
+            for leg, d in leg_mul(k1[-1], k2[-1]):
                 for pre, c in slots:
                     add_into(acc, pre + (leg,), c * d)
     return type(A).from_layers(uea, A.arity, outs, den=den_a * den_b)
@@ -188,7 +184,7 @@ def differential_b(P: AdtElement) -> AdtElement:
     """
     outs = [{} for _ in range(P.order + 1)]
     den, items = P.int_layer_terms()
-    for key, a, n, _ in items:
+    for key, a, n in items:
         terms = outs[n]
         for new, mult in b_key(key):
             v = terms.get(new, 0) + a * mult
@@ -292,10 +288,10 @@ def cup(P: AdtElement, Q: AdtElement) -> AdtElement:
     straighten = P.uea.straighten
     den_p, terms_p = P.int_layer_terms()
     den_q, terms_q = Q.int_layer_terms()
-    for keyP, aP, nP, _ in terms_p:
+    for keyP, aP, nP in terms_p:
         gP = keyP[:-1]
         if not keyP[-1]:
-            for keyQ, aQ, nQ, _ in terms_q:
+            for keyQ, aQ, nQ in terms_q:
                 if nP + nQ > order:
                     break
                 acc = outs[nP + nQ]
@@ -310,7 +306,7 @@ def cup(P: AdtElement, Q: AdtElement) -> AdtElement:
             aPm = aP * mult
             # the last letter of each nonempty part, by slot past k
             ends = [(j, p[-1]) for j, p in enumerate(parts) if p]
-            for keyQ, aQ, nQ, _ in terms_q:
+            for keyQ, aQ, nQ in terms_q:
                 if nP + nQ > order:
                     break
                 # parts[j] multiplies in front of Q's factor j, the last
@@ -399,7 +395,7 @@ def brace(P: AdtElement, Qs) -> AdtElement:
         den_q, terms = Q.int_layer_terms()
         den *= den_q
         views.append([(vQ, cQ, keyQ[:-1], keyQ[-1])
-                      for keyQ, cQ, vQ, _ in terms])
+                      for keyQ, cQ, vQ in terms])
         # an empty Q_s meets no choice: every P term is dropped
         floor += terms[0][2] if terms else P.order + 1
     m = len(ks)
@@ -481,7 +477,7 @@ def _brace_placement(straighten, terms_p, views, layout, blocks, sgn, n,
         ])
         for (start, w), view in zip(blocks, views)
     ]
-    for keyP, aP, nP, _ in terms_p:
+    for keyP, aP, nP in terms_p:
         # distribute P's factors; nonempty consumed ones wait for their
         # coproduct
         base = [()] * (n + 1)
@@ -855,7 +851,7 @@ def kappa_solve(
             return all(len(key[-1]) <= max_filtration for key in v)
     # the target's layers, split by total length
     slices: dict = {}
-    for key, a, n, _ in target.layer_terms():
+    for key, a, n in target.layer_terms():
         L = sum(map(len, key))
         layers = slices.get(L)
         if layers is None:
@@ -1013,7 +1009,7 @@ def _adte_pairs(K, lo, outs):
     den, items = K.int_layer_terms()
     by_f1: dict = {}  # f1 -> entries of K with that first factor
     by_f2: dict = {}
-    for k1, a1, n1, _ in items:
+    for k1, a1, n1 in items:
         if n1 > top:
             break
         # the second entries of the pairs run from `start` on
@@ -1023,7 +1019,7 @@ def _adte_pairs(K, lo, outs):
 
     def pairs(firsts):
         for k1, a1, n1, start in firsts:
-            for k2, a2, n2, _ in itertools.islice(items, start, None):
+            for k2, a2, n2 in itertools.islice(items, start, None):
                 if n1 + n2 > top:
                     break
                 yield k1, k2, a1 * a2, outs[n1 + n2]

@@ -105,8 +105,8 @@ def bracket(lie: LieData, a: CdybElement, b: CdybElement) -> CdybElement:
     order = min(a.order, b.order)
     outs = [{} for _ in range(order + 1)]
     terms_b = b.layer_terms()
-    for (w1, s1), a1, n1, _ in a.layer_terms():
-        for (w2, s2), a2, n2, _ in terms_b:
+    for (w1, s1), a1, n1 in a.layer_terms():
+        for (w2, s2), a2, n2 in terms_b:
             if n1 + n2 > order:
                 break
             c = a1 * a2

@@ -21,15 +21,13 @@ the per-key HSeries of an element are a read-only view,
 `SparseSeries.terms`, built on its first read.
 
 Every product kernel works one hbar layer at a time.  It reads its
-factors through `SparseSeries.layer_terms`, one (key, value, power,
-weight) entry per stored coefficient sorted by weight, accumulates one
+factors through `SparseSeries.layer_terms`, one (key, value, power)
+entry per stored coefficient in order of power, accumulates one
 {key: value} dict per output hbar power, and hands those dicts to
 `from_layers`, which keeps them as the output's layers.  A pair of
-entries whose weights add up to more than the product's order N
+entries whose powers add up to more than the product's order N
 contributes nothing mod hbar^(N+1), so the inner loop stops at the first
-such pair.  The weight is the hbar power; a formal twist adds the leg
-degree, the grading of its truncation triangle, and keeps only the
-entries of weight at most N.
+such pair.
 
 The product kernels (b, cup, brace, the twist residual and the
 slotwise products) compute on Python ints: `SparseSeries.int_layer_terms`
@@ -55,9 +53,8 @@ sends each (key, value, power) entry through f(key), which yields
 Closed arithmetic works on the layers too and builds no HSeries: a sum
 adds the two dicts of each power, negation and rational scaling map
 each value, scaling by an HSeries convolves the layers with its
-coefficients, and `truncate` and `shift` slice the list of layers.  A
-formal twist cuts its triangle wherever the order or the hbar powers
-change.  Equality at one order compares the two lists of layers, with
+coefficients, and `truncate` and `shift` slice the list of layers.
+Equality at one order compares the two lists of layers, with
 no difference built.  Scaling by 1 or -1 is self or -self.  Elements,
 and their layer dicts, are never mutated after construction, so a
 result may share a layer with its operand.
@@ -285,21 +282,17 @@ class SparseSeries:
     __slots__ = ("layers", "order", "_terms", "_vkey", "_layered",
                  "_int_layered")
     arity = None
-    # a formal twist weighs its terms by hbar power plus leg degree and
-    # keeps only those of weight at most its order
-    _leg_weighted = False
 
     def __init__(self, terms: dict, order: int):
         self.order = order
         self.layers = layers = [{} for _ in range(order + 1)]
         self._terms = self._vkey = self._layered = self._int_layered = None
         key = self._key
-        leg = self._leg_weighted
         first = layers[0]
         for k, c in terms.items():
             if type(c) is int:  # an hbar^0 coefficient, or zero
                 k = key(k)
-                if c and (not leg or len(k[-1]) <= order):
+                if c:
                     first[k] = c
                 continue
             if isinstance(c, HSeries):
@@ -312,9 +305,7 @@ class SparseSeries:
             else:
                 coeffs = (canonical(c),)
             k = key(k)
-            # a formal twist keeps its triangle: power + leg degree <= order
-            top = max(order + 1 - len(k[-1]), 0) if leg else order + 1
-            for n, a in enumerate(coeffs[:top]):
+            for n, a in enumerate(coeffs[: order + 1]):
                 if a:
                     layers[n][k] = a
 
@@ -333,8 +324,8 @@ class SparseSeries:
         """The element of cls(*space) that stores `layers` as they are.
 
         For closed arithmetic, whose layers are already what the
-        constructor would store: validated keys, nonzero canonical
-        values, on the triangle.  The order is len(layers) - 1.
+        constructor would store: validated keys and nonzero canonical
+        values.  The order is len(layers) - 1.
         """
         new = cls.__new__(cls)
         new._set_space(*space)
@@ -343,14 +334,8 @@ class SparseSeries:
         new._terms = new._vkey = new._layered = new._int_layered = None
         return new
 
-    def _same_space(self, layers: list, cut: bool = False):
-        """An element of self's space from layers; with cut, a formal
-        twist drops the entries off its triangle."""
-        if cut and self._leg_weighted:
-            order = len(layers) - 1
-            layers = [{k: a for k, a in layer.items()
-                       if len(k[-1]) <= order - n}
-                      for n, layer in enumerate(layers)]
+    def _same_space(self, layers: list):
+        """An element of self's space that stores `layers` as they are."""
         return self._direct(self._space_values(), layers)
 
     @classmethod
@@ -363,8 +348,7 @@ class SparseSeries:
         copied once, without zeros and in canonical form.  With den
         given, layers[n] holds den times the coefficients (as ints, or
         Fractions where a factor was rational), each divided by den once
-        (`quotient`).  A formal twist drops the entries off its triangle
-        in the same pass.  The keys are a kernel's, built from validated
+        (`quotient`).  The keys are a kernel's, built from validated
         ones: where the space has an arity, only their width is checked,
         one pass per layer, and a key of the wrong width goes to `_key`,
         which raises GradingMismatch.
@@ -375,22 +359,15 @@ class SparseSeries:
         its output width, dropping each sum that vanished.  With den 1
         as well, every value is a nonzero int, so the layers are the
         element as they are (`_direct`), with no type, zero or width
-        scan.  Not for a space with a triangle.
+        scan.
         """
         *space, layers = args
         if integral and den == 1:
             return cls._direct(space, layers)
-        order = len(layers) - 1
         scaled = den is not None and den != 1
-        leg = cls._leg_weighted
         out = []
-        for n, layer in enumerate(layers):
-            if leg:
-                cap = order - n
-                layer = {k: quotient(a, den) if scaled else canonical(a)
-                         for k, a in layer.items()
-                         if a and len(k[-1]) <= cap}
-            elif scaled:
+        for layer in layers:
+            if scaled:
                 layer = {k: quotient(a, den) for k, a in layer.items() if a}
             elif not {int}.issuperset(map(type, layer.values())) \
                     or 0 in layer.values():
@@ -462,8 +439,7 @@ class SparseSeries:
         # zip stops at the common order
         out = [sum_layers(a, b, negate)
                for a, b in zip(self.layers, other.layers)]
-        return self._same_space(out, cut=other.order != self.order
-                                or type(other) is not type(self))
+        return self._same_space(out)
 
     def __neg__(self):
         return self._same_space(
@@ -488,7 +464,7 @@ class SparseSeries:
                         for k, a in self.layers[n - i].items():
                             acc[k] = acc.get(k, 0) + a * coeffs[i]
                 out.append({k: canonical(a) for k, a in acc.items() if a})
-            return self._same_space(out, cut=True)
+            return self._same_space(out)
         if not c:
             return self._same_space([{} for _ in self.layers])
         if c == 1:
@@ -538,25 +514,15 @@ class SparseSeries:
         return self._same_space(out)
 
     def layer_terms(self):
-        """(key, rational, power, weight) per stored coefficient.
+        """(key, rational, power) per stored coefficient.
 
-        The layers one after the other; a formal twist sorts them by
-        weight (the hbar power plus the leg degree).  Built once per
-        element.  A product loop over two elements stops its inner loop
-        at the first entry whose weight, added to the outer entry's,
-        exceeds the product's order.
+        The layers one after the other, so the entries ascend in power.
+        Built once per element.  A product loop over two elements stops
+        its inner loop at the first entry whose power, added to the outer
+        entry's, exceeds the product's order.
         """
-        if self._layered is not None:
-            return self._layered
-        if self._leg_weighted:
-            self._layered = sorted(
-                ((k, a, n, n + len(k[-1]))
-                 for n, layer in enumerate(self.layers)
-                 for k, a in layer.items()),
-                key=lambda t: t[3],
-            )
-        else:
-            self._layered = [(k, a, n, n)
+        if self._layered is None:
+            self._layered = [(k, a, n)
                              for n, layer in enumerate(self.layers)
                              for k, a in layer.items()]
         return self._layered
@@ -576,10 +542,10 @@ class SparseSeries:
             if {int}.issuperset(map(type, map(itemgetter(1), terms))):
                 self._int_layered = 1, terms
             else:
-                den = lcm(*{a.denominator for _, a, _, _ in terms})
+                den = lcm(*{a.denominator for _, a, _ in terms})
                 self._int_layered = den, [
-                    (k, a.numerator * (den // a.denominator), n, w)
-                    for k, a, n, w in terms
+                    (k, a.numerator * (den // a.denominator), n)
+                    for k, a, n in terms
                 ]
         return self._int_layered
 
@@ -591,7 +557,7 @@ class SparseSeries:
         """
         if n >= self.order:
             return self
-        return self._same_space(self.layers[: n + 1], cut=True)
+        return self._same_space(self.layers[: n + 1])
 
     def hbar_valuation(self):
         """Smallest hbar power with a nonzero coefficient (None for zero)."""
@@ -625,9 +591,7 @@ class SparseSeries:
         order = self.order
         return self._same_space(
             [{} for _ in range(min(k, order + 1))]
-            + self.layers[: max(order + 1 - k, 0)],
-            cut=True,
-        )
+            + self.layers[: max(order + 1 - k, 0)])
 
     def value_key(self):
         """Hashable exact value, built once per element.

@@ -5,6 +5,7 @@ solve the algebraic twist equation order by order in hbar (an obstruction
 at some order is reported, not repaired), convert the algebraic twist K to
 the formal twist J, and verify the dynamical twist equation with the PBW
 star product on the triangle (hbar order + leg degree <= N) K determines.
+J is stored at the rescaled argument, by that total degree (`FormalTwist`).
 """
 
 from __future__ import annotations
@@ -122,16 +123,19 @@ class FormalTwist(SparseSeries):
     Keys are tuples of `arity` PBW monomials (the group factors) followed
     by one sorted leg monomial (a commutative word in the base indices).
 
-    An element of order N lives on the triangle hbar order + leg degree
-    <= N, where a twist through hbar order N determines J exactly.  This
-    total degree adds up under the group products, the star product (its
-    hbar-scaled symmetrization is homogeneous) and the argument shift
-    x -> hbar x (x) 1 + 1 (x) x, so the terms above N form a two-sided
-    ideal: the constructor and `from_layers` drop them, `truncate(n)`
-    and the mixed-order sums cut to a smaller triangle, and
-    `layer_terms` weighs each hbar coefficient by its total degree, so a
-    product expands exactly the pairs whose total degrees add up to at
-    most N.  No formal path applies the leg
+    J(lambda) is stored at the rescaled argument lambda -> hbar lambda:
+    layer w holds the terms whose hbar order plus leg degree is w, the
+    hbar^w coefficients of J(hbar lambda).  `layer(w)`,
+    `hbar_component(w)`, the `terms` view and the constructor's
+    coefficients are all by this total degree.  An element of order N
+    is then J on the triangle hbar order + leg degree <= N, which a
+    twist through hbar order N determines exactly.  The total degree
+    adds up under the group products, the star product (its hbar-scaled
+    symmetrization is homogeneous), the argument shift
+    x -> hbar x (x) 1 + 1 (x) x and `op`, so every formal operation is
+    the plain hbar-graded one of `SparseSeries`: truncation is the
+    triangle's, and products expand exactly the pairs whose total
+    degrees add up to at most N.  No formal path applies the leg
     coaction `coproduct_at(J, arity)`, which lowers the total degree.
     """
 
@@ -141,7 +145,6 @@ class FormalTwist(SparseSeries):
     _set_space = AdtElement._set_space
     _key = AdtElement._key
     __repr__ = AdtElement.__repr__
-    _leg_weighted = True
 
     def __init__(self, uea: UEnvelope, arity: int, terms: dict, order: int):
         self.uea = uea
@@ -158,13 +161,17 @@ class FormalTwist(SparseSeries):
         )
 
     def __mul__(self, other: "FormalTwist") -> "FormalTwist":
-        """Slotwise group products, star product on the legs."""
+        """Slotwise group products, star product on the legs.
+
+        Every leg monomial m of s * t comes with hbar^(|s| + |t| - |m|),
+        so its total degree is |s| + |t|: the product of two layer terms
+        lies in the sum of their layers, and `leg_mul` drops the power.
+        """
         uea = self.uea
 
         def leg_mul(s, t):
-            for m, p in _star_mono(uea, s, t).items():
-                for power, c in p.items():
-                    yield m, power, c
+            return [(m, c) for m, p in _star_mono(uea, s, t).items()
+                    for c in p.values()]
 
         return slotwise_product(self, other, leg_mul)
 
@@ -176,7 +183,8 @@ class FormalTwist(SparseSeries):
 # algebra, and sym and straightening keep the grade, so the product of
 # two leg monomials s, t is computed at hbar = 1 and each monomial m of
 # the result carries hbar^(|s| + |t| - |m|).  The result is returned as
-# {m: {power: rational}}, which caches independently of the truncation.
+# {m: {power: rational}}, which caches independently of the truncation;
+# a formal twist's layers count that power together with |m|.
 
 
 def _star_mono(uea: UEnvelope, s, t) -> dict:
@@ -210,14 +218,15 @@ def shift_argument(J: FormalTwist) -> FormalTwist:
 
     Leg coaction form: each leg letter maps to hbar x (x) 1 + 1 (x) x,
     and the letters sent to the new third group factor are symmetrized
-    there.
+    there.  A letter trades leg degree for an hbar, so every image term
+    stays in its layer.
     """
     uea = J.uea
 
     def image(key):
         for (chosen, rest), mult in coproduct_mono(key[-1], 2).items():
             for m, d in uea.sym_mono(chosen).items():
-                yield key[:-1] + (m, rest), len(chosen), mult * d
+                yield key[:-1] + (m, rest), 0, mult * d
 
     return J.map_keys(image, FormalTwist, uea, J.arity + 1)
 
@@ -240,19 +249,27 @@ def dte_residual(J: FormalTwist) -> FormalTwist:
 def semiclassical_check(J: FormalTwist, rho: RMatrix):
     """Compare (J - J^op)/hbar mod hbar against the embedded r-matrix.
 
-    Returns (flag, residual).  For hbar-dependent families the comparison
-    uses the constant layer of the body, matching the rescaling.
+    Returns (flag, residual).  The hbar^1 coefficient of a key of leg
+    degree d sits in layer 1 + d; the residual holds, in the same
+    places, those of J - J^op minus the embedded r-matrix.  For
+    hbar-dependent families the comparison uses the constant layer of
+    the body, matching the rescaling.
     """
-    diff = (J - J.op()).hbar_component(1)
-    expected: dict = {}
+    order = J.order
+    diff = J - J.op()
+    outs = [{} for _ in range(order + 1)]
+    for n in range(1, order + 1):
+        outs[n] = {k: a for k, a in diff.layer(n).items()
+                   if len(k[-1]) == n - 1}
     for (w, s), a in rho.body.layer(0).items():
-        if len(s) > J.order - 1:
+        n = len(s) + 1
+        if n > order:
             # leg degrees at the truncation order and beyond sit outside
             # the triangle the computed twist determines
             continue
-        add_into(expected, ((w[0],), (w[1],), s), a)
-        add_into(expected, ((w[1],), (w[0],), s), -a)
-    residual = diff - FormalTwist(J.uea, 2, expected, J.order)
+        add_into(outs[n], ((w[0],), (w[1],), s), -a)
+        add_into(outs[n], ((w[1],), (w[0],), s), a)
+    residual = FormalTwist.from_layers(J.uea, 2, outs)
     return residual.is_zero(), residual
 
 
@@ -263,10 +280,10 @@ def k_to_j(uea: UEnvelope, K: AdtElement) -> FormalTwist:
     """Recover the formal twist from an algebraic twist.
 
     The order-n coefficient of K is the symmetrized image of the
-    leg-degree-d, order-(n-d) coefficients of J; inverting legwise is
-    triangular in the leg degree.  A leg degree above n has no preimage,
-    and a twist is 1 + O(hbar), so leg degree n at order n is allowed
-    only on the unit key; either raises ValuationViolated.
+    leg-degree-d, order-(n-d) coefficients of J, which make up J's layer
+    n.  A leg degree above n has no preimage, and a twist is
+    1 + O(hbar), so leg degree n at order n is allowed only on the unit
+    key; either raises ValuationViolated.
     """
     h_allowed = set(uea.lie.h_indices)
     order = K.order
@@ -280,26 +297,36 @@ def k_to_j(uea: UEnvelope, K: AdtElement) -> FormalTwist:
         for front, legs in by_front.items():
             for smono, c in uea.sym_preimage(legs, allowed=h_allowed).items():
                 d = len(smono)
-                m = n - d
-                if m < 0 or (m == 0 and front + (smono,) != unit_key):
+                if d > n or (d == n and front + (smono,) != unit_key):
                     raise ValuationViolated(
                         f"order-{n} coefficient has leg degree {d}; the "
                         "filtration certificate fails"
                     )
-                add_into(outs[m], front + (smono,), c)
+                add_into(outs[n], front + (smono,), c)
     return FormalTwist.from_layers(uea, arity, outs)
 
 
 def j_to_k(J: FormalTwist) -> AdtElement:
-    """Substitute the rescaled argument and symmetrize the leg."""
+    """Symmetrize the leg; J is stored at the rescaled argument already."""
     uea = J.uea
 
     def image(key):
-        s = key[-1]
-        for m, d in uea.sym_mono(s).items():
-            yield key[:-1] + (m,), len(s), d
+        for m, d in uea.sym_mono(key[-1]).items():
+            yield key[:-1] + (m,), 0, d
 
     return J.map_keys(image, AdtElement, uea, J.arity)
+
+
+def valuation_certificate(K: AdtElement) -> list:
+    """The longest leg of K's hbar^n coefficient, for n = 0, ..., N.
+
+    A twist K = 1 mod hbar passes when the legs at order n >= 1 are at
+    most n - 1 long.  Then `k_to_j` returns: `sym_preimage` never
+    lengthens a leg, so every term of J but the unit has hbar order at
+    least 1.
+    """
+    return [K.hbar_component(n).filtration_degree()
+            for n in range(K.order + 1)]
 
 
 # -- the order-by-order solver ----------------------------------------------
@@ -389,8 +416,7 @@ def solve_adte(rho: RMatrix, N: int, uea: UEnvelope | None = None,
             "final residual nonzero after order-by-order solve",
             order=res.hbar_valuation(), obstruction=res,
         )
-    certificate = [K.hbar_component(n).filtration_degree()
-                   for n in range(N + 1)]
+    certificate = valuation_certificate(K)
     for n, f in enumerate(certificate):
         if n >= 1 and f > n - 1:
             raise ValuationViolated(

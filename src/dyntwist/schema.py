@@ -43,9 +43,10 @@ from .tensor_spaces import CdybElement
 from .uea import UEnvelope
 
 # The highest hbar order a twist header or `--order` may declare, and the
-# highest `--shdeg`.  Every coefficient is stored as order + 1 rationals,
-# so an unbounded header would allocate without end, and the classical
-# checks grow without end in `--shdeg`.  reduce-classical on affxc2
+# highest `--shdeg`.  An element of order N holds N + 1 layer dicts, one
+# per hbar power, empty ones included, so an unbounded header would
+# allocate without end, and the classical checks grow without end in
+# `--shdeg`.  reduce-classical on affxc2
 # runs at this order; the highest order quantize has reached on the
 # corpus is 9 (sl2_deg8).
 MAX_ORDER = 64

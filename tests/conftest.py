@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from dyntwist import (
-    AdtElement, CdybElement, HSeries, LieData, RMatrix, UEnvelope,
+    AdtElement, CdybElement, FormalTwist, HSeries, LieData, RMatrix,
+    UEnvelope,
 )
 from dyntwist.adt_dgla import ad_adt_key, adt_monomials
 from dyntwist.hseries import add_into
@@ -67,11 +68,34 @@ def nonab_data() -> LieData:
     return LieData(["u", "v", "a", "b"], {(2, 3): {3: 1}}, [2, 3])
 
 
+def formal_twist(uea, arity, terms, order) -> FormalTwist:
+    """The FormalTwist with coefficients {key: HSeries or rational} in
+    hbar: the hbar^n coefficient of a key of leg degree d goes to layer
+    n + d, and is dropped when that exceeds the order.  A series of lower
+    order raises GradingMismatch, as in the constructor."""
+    return FormalTwist(uea, arity, {
+        k: HSeries.hbar(order, len(k[-1])) * c for k, c in terms.items()
+    }, order)
+
+
+def hbar_terms(J) -> dict:
+    """J's coefficients in hbar, {key: HSeries of J's order}, read back
+    from its layers: layer w holds the hbar^(w - d) coefficient of a key
+    of leg degree d."""
+    rows: dict = {}
+    for w in range(J.order + 1):
+        for k, a in J.layer(w).items():
+            n = w - len(k[-1])
+            assert n >= 0, f"{k} has leg degree above its layer {w}"
+            rows.setdefault(k, [0] * (J.order + 1))[n] = a
+    return {k: HSeries(row, J.order) for k, row in rows.items()}
+
+
 def adt_is_invariant(E) -> bool:
     """Whether every h basis element kills E, acting by `ad_adt_key`."""
     for x in E.uea.lie.h_indices:
         image: dict = {}
-        for key, c, n, _ in E.layer_terms():
+        for key, c, n in E.layer_terms():
             for out, a in ad_adt_key(E.uea, x, key).items():
                 add_into(image, (out, n), a * c)
         if image:
@@ -97,6 +121,8 @@ def mixed_element(uea, rng, arity, order, terms=7, max_len=2,
 
     Each coefficient is c hbar^v + c' hbar^(v+1), so products of two such
     elements have term pairs on both sides of any truncation below order.
+    A formal twist is drawn in hbar and placed on its triangle
+    (`formal_twist`).
     """
     pool = [key for L in range(max_len + 1)
             for key in adt_monomials(uea, arity, L)]
@@ -106,6 +132,8 @@ def mixed_element(uea, rng, arity, order, terms=7, max_len=2,
         c = HSeries.hbar(order, v, rng.choice([-2, -1, 1, 2]))
         add_into(out, pool[rng.randrange(len(pool))],
                  c + HSeries.hbar(order, v + 1, rng.choice([-1, 1])))
+    if cls is FormalTwist:
+        return formal_twist(uea, arity, out, order)
     return cls(uea, arity, out, order)
 
 

@@ -6,7 +6,10 @@ layers: every term pair multiplies and sums whole HSeries coefficients,
 and a product truncates to the smaller order of its factors.  `_graded`
 is the `graded_terms()` those loops read (hbar valuation, plus the leg
 degree for a formal twist).  The layered kernels must agree with these
-exactly, coefficient orders included.
+exactly, coefficient orders included.  A formal twist is read in hbar
+(`conftest.hbar_terms`) and built from hbar series
+(`conftest.formal_twist`), so these references do not depend on the
+layers `FormalTwist` stores.
 
 `expanded_b_key`, `expanded_cup` and `expanded_brace` are the layered
 b of one key, cup and brace as they were before they skipped work whose
@@ -102,16 +105,30 @@ from dyntwist.linfinity import (
 from dyntwist.quantizer import FormalTwist, _star_mono
 from dyntwist.tensor_spaces import CdybElement, sym_sort
 from dyntwist.uea import coproduct_mono
+from conftest import formal_twist, hbar_terms
 from oracles import SplitTargetDgla
 
 _F1 = Fraction(1)
+
+
+def _terms(E):
+    """E's coefficients in hbar: a formal twist's read back from its
+    layers (`conftest.hbar_terms`), any other element's `terms`."""
+    return hbar_terms(E) if isinstance(E, FormalTwist) else E.terms
+
+
+def _element(cls, space, terms, order):
+    """The element of cls(*space) with coefficients `terms` in hbar."""
+    if cls is FormalTwist:
+        return formal_twist(*space, terms, order)
+    return cls(*space, terms, order)
 
 
 def _graded(E):
     leg = isinstance(E, FormalTwist)
     return sorted(
         ((k, c, c.valuation() + (len(k[-1]) if leg else 0))
-         for k, c in E.terms.items()),
+         for k, c in _terms(E).items()),
         key=lambda t: t[2],
     )
 
@@ -135,7 +152,7 @@ def slotwise_product(A, B, leg_mul):
                 for _, d in combo:
                     coeff = coeff * d
                 add_into(out, tuple(m for m, _ in combo), coeff)
-    return type(A)(uea, A.arity, out, order)
+    return _element(type(A), (uea, A.arity), out, order)
 
 
 def adt_mul(A, B):
@@ -387,11 +404,11 @@ def expanded_cup(P, Q):
     outs = [{} for _ in range(order + 1)]
     den_p, terms_p = P.int_layer_terms()
     den_q, terms_q = Q.int_layer_terms()
-    for keyP, aP, nP, _ in terms_p:
+    for keyP, aP, nP in terms_p:
         gP = keyP[:-1]
         for parts, mult in coproduct_mono(keyP[-1], l + 1).items():
             aPm = aP * mult
-            for keyQ, aQ, nQ, _ in terms_q:
+            for keyQ, aQ, nQ in terms_q:
                 if nP + nQ > order:
                     break
                 # parts[j] multiplies in front of Q's factor j, the last
@@ -481,11 +498,11 @@ def _expanded_brace_placement(uea, k, terms_p, ks, terms_q, positions, n,
     plan = [
         (start, start + w, [
             (vQ, cQ, keyQ[:-1], coproduct_mono(keyQ[-1], n - start - w + 1))
-            for keyQ, cQ, vQ, _ in terms
+            for keyQ, cQ, vQ in terms
         ])
         for (start, w), terms in zip(blocks, terms_q)
     ]
-    for keyP, aP, nP, _ in terms_p:
+    for keyP, aP, nP in terms_p:
         if nP > top:
             break
         # distribute P's factors; consumed ones wait for their coproduct
@@ -530,7 +547,7 @@ def expanded_b(P):
     """b as the layered kernel summed it from `expanded_b_key`."""
     outs = [{} for _ in range(P.order + 1)]
     den, items = P.int_layer_terms()
-    for key, a, n, _ in items:
+    for key, a, n in items:
         for new, mult in expanded_b_key(key):
             add_into(outs[n], new, a * mult)
     return AdtElement.from_layers(P.uea, P.arity + 1, outs, den=den)
@@ -551,8 +568,8 @@ def listed_adte_residual(K):
         by_f2.setdefault(entry[0][1], []).append(entry)
 
     def pairs(firsts):
-        for k1, a1, n1, _ in firsts:
-            for k2, a2, n2, _ in items:
+        for k1, a1, n1 in firsts:
+            for k2, a2, n2 in items:
                 if n1 + n2 > K.order:
                     break
                 yield k1, k2, a1 * a2, outs[n1 + n2]
@@ -688,16 +705,16 @@ def kappa_solve(uea, target, max_filtration=None):
 
 def coproduct_at(E, i):
     out: dict = {}
-    for key, c in E.terms.items():
+    for key, c in _terms(E).items():
         for parts, mult in coproduct_mono(key[i], 2).items():
             add_into(out, key[:i] + parts + key[i + 1:], c * mult)
-    return type(E)(E.uea, E.arity + 1, out, E.order)
+    return _element(type(E), (E.uea, E.arity + 1), out, E.order)
 
 
 def j_to_k(J):
     uea = J.uea
     out: dict = {}
-    for key, c in J.terms.items():
+    for key, c in hbar_terms(J).items():
         s = key[-1]
         coeff = HSeries.hbar(c.order, len(s)) * c
         if coeff.is_zero():
@@ -711,7 +728,7 @@ def shift_coproduct(J):
     uea = J.uea
     order = J.order
     out: dict = {}
-    for key, c in J.terms.items():
+    for key, c in hbar_terms(J).items():
         gfac = key[:-1]
         s = key[-1]
         for positions in itertools.product((0, 1), repeat=len(s)):
@@ -720,7 +737,7 @@ def shift_coproduct(J):
             coeff = c * HSeries.hbar(order, len(chosen))
             for m, d in uea.sym_mono(chosen).items():
                 add_into(out, gfac + (m, rest), coeff * d)
-    return FormalTwist(uea, J.arity + 1, out, order)
+    return formal_twist(uea, J.arity + 1, out, order)
 
 
 def _leg_derivative(s, i) -> tuple:
@@ -736,7 +753,7 @@ def shift_taylor(J):
     uea = J.uea
     order = J.order
     out: dict = {}
-    for key, c in J.terms.items():
+    for key, c in hbar_terms(J).items():
         gfac = key[:-1]
         s = key[-1]
         fact = 1
@@ -756,7 +773,7 @@ def shift_taylor(J):
                     continue
                 for m, d in uea.straighten(word).items():
                     add_into(out, gfac + (m, rest), coeff * (mult * d))
-    return FormalTwist(uea, J.arity + 1, out, order)
+    return formal_twist(uea, J.arity + 1, out, order)
 
 
 def gauge_act_algebraic(Q, K):

@@ -737,7 +737,7 @@ def _unstraight_leg_pairs(K):
     a word that is not a PBW monomial, so that S(leg legg) straightens."""
     terms = K.layer_terms()
     return sum(
-        1 for k1, _, n1, _ in terms for k2, _, n2, _ in terms
+        1 for k1, _, n1 in terms for k2, _, n2 in terms
         if n1 + n2 <= K.order
         and k1[-1] + k2[-1] not in K.uea.straighten(k1[-1] + k2[-1])
     )

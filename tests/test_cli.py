@@ -4,10 +4,11 @@ import io
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from dyntwist import props, schema
+from dyntwist import CdybElement, props, schema
 from dyntwist.cli import (
     _COMMANDS, _FLAGS, CommandLineExit, main, parse_args,
 )
@@ -40,6 +41,33 @@ def test_check_rmatrix_failure(tmp_path, capsys):
     code = main(["check-rmatrix", "--algebra", SL2,
                  "--rmatrix", str(bad), "--shdeg", "1"])
     assert code == 1
+
+
+@pytest.mark.parametrize("algebra, rmatrix, shdeg", [
+    (SL2, None, None),  # the constant body e^f: top leg degree 0
+    (AB2, AB2_R, None),
+    (SL2, SL2_R, "0"),
+], ids=["sl2-constant", "abelian2", "sl2-shdeg-0"])
+def test_check_rmatrix_at_truncation_0_gives_no_verdict(
+        tmp_path, capsys, algebra, rmatrix, shdeg):
+    # the head covers the leg degrees below the truncation: none at 0
+    if rmatrix is None:
+        rmatrix = tmp_path / "const.rmat"
+        rmatrix.write_text("rmatrix\nterm 1 * e^f * 1\nend\n")
+    argv = ["check-rmatrix", "--algebra", algebra, "--rmatrix", str(rmatrix)]
+    if shdeg is not None:
+        argv += ["--shdeg", shdeg]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "residual head: not checked (truncation 0 covers no leg " \
+        "degree)" in lines
+    assert not any(line.startswith("residual head: ok") for line in lines)
+
+
+def test_check_rmatrix_abelian2_at_truncation_1_is_checked(capsys):
+    assert main(["check-rmatrix", "--algebra", AB2, "--rmatrix", AB2_R,
+                 "--shdeg", "1"]) == 0
+    assert "residual head: ok" in capsys.readouterr().out.splitlines()
 
 
 def test_input_error_exit_code(tmp_path):
@@ -675,6 +703,31 @@ def test_reduce_classical_stdout_digest(capsys, name, digest):
                  "--order", "5"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_reduce_classical_recomputes_the_restricted_square(
+        tmp_path, capsys, monkeypatch):
+    # sl2 with no base: p1 keeps all of wedge^3 g, and the restricted
+    # square of e^f is -2 e^h^f; the zero r-matrix reaches the report
+    alg = tmp_path / "sl2_nobase.alg"
+    alg.write_text("algebra\ndim 3\nbasis e h f\nh_indices\n"
+                   "mode reductive\nbracket 0 1 -> (-2, 0)\n"
+                   "bracket 1 2 -> (-2, 2)\nbracket 0 2 -> (1, 1)\nend\n")
+    rmat = tmp_path / "zero.rmat"
+    rmat.write_text("rmatrix\nend\n")
+    argv = ["reduce-classical", "--algebra", str(alg), "--rmatrix", str(rmat)]
+    assert main(argv) == 0
+    assert "restricted square: ok" in capsys.readouterr().out.splitlines()
+
+    def reduce_classical(lie, alpha):
+        pi = CdybElement.monomial((0, 2), (), 1, alpha.order)
+        return SimpleNamespace(pi=pi, gauge=SimpleNamespace(equivalent=True))
+
+    monkeypatch.setattr("dyntwist.cli.reduce_classical", reduce_classical)
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "restricted square: FAIL" in lines
+    assert "round-trip equivalence: ok" in lines
 
 
 @pytest.mark.parametrize("name, order, seed, digest", TWIST_DIGESTS)

@@ -22,7 +22,10 @@ from dyntwist.tensor_spaces import cdyb_monomials
 
 import reference_kernels
 from reference_kernels import series_coeff, series_truncate
-from conftest import CORPUS, is_canonical, nonab_data, sl2_data, sl2half_data
+from conftest import (
+    CORPUS, formal_twist, hbar_terms, is_canonical, nonab_data, sl2_data,
+    sl2half_data,
+)
 
 N = 4
 
@@ -264,7 +267,7 @@ def test_closed_arithmetic_stores_what_the_constructor_stores(kind, name):
     short = A.truncate(1)
     other_cls = {CdybElement: SparseSeries,
                  AdtElement: FormalTwist, FormalTwist: AdtElement}[cls]
-    # for a formal twist, terms off its triangle
+    # an element of the other class: sums read the layers alone
     other = other_cls(*(space if other_cls is not SparseSeries else ()),
                       {k: _random_series(rng, N) for k in keys[2:7]}, N)
     if kind == "formal":
@@ -307,13 +310,10 @@ def test_closed_arithmetic_stores_what_the_constructor_stores(kind, name):
         assert got.order == order
         assert _stored(got) == _stored(ref)
         assert _layer_order(got, lambda n: (layers[n],))
-        # its layer terms are its layers one after the other, sorted by
-        # weight for a formal twist, with the values the constructor's
-        # element stores
-        entries = [(k, a, n, n + len(k[-1]) if kind == "formal" else n)
-                   for n, layer in enumerate(got.layers)
+        # its layer terms are its layers one after the other, with the
+        # values the constructor's element stores
+        entries = [(k, a, n) for n, layer in enumerate(got.layers)
                    for k, a in layer.items()]
-        entries.sort(key=lambda t: t[3])
         assert [(t, type(t[1])) for t in got.layer_terms()] == [
             (t, type(t[1])) for t in entries]
         assert sorted(map(repr, got.layer_terms())) == sorted(
@@ -394,9 +394,9 @@ def test_equality_is_a_zero_difference(kind, name):
 # Random elements of each type at orders 0-4 on a small key pool (so that
 # keys collide), with Fraction values and zeros, a second operand that
 # cancels some of the first one's coefficients, and, for a formal twist,
-# legs that reach off the triangle.  Each operation on the layers must
-# give the element the HSeries reference builds through the constructor,
-# read through the `terms` view.
+# legs that reach off the triangle, drawn in hbar (`formal_twist`).  Each
+# operation on the layers must give the element the HSeries reference
+# builds through the constructor, read through the `terms` view.
 
 
 @functools.cache
@@ -415,11 +415,10 @@ small = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3),
 
 def _view(E):
     """Element order and {key: (series order, coefficients)}, checking
-    the layer invariants on the way."""
+    the layer invariants on the way.  A formal twist stores layer w =
+    hbar order + leg degree, so `_stored`'s order + 1 layers are its
+    triangle."""
     _stored(E)
-    if isinstance(E, FormalTwist):
-        assert all(n + len(k[-1]) <= E.order
-                   for n, layer in enumerate(E.layers) for k in layer)
     return (type(E), getattr(E, "arity", None), E.order,
             {k: (c.order, c.coeffs) for k, c in E.terms.items()})
 
@@ -437,13 +436,18 @@ def test_closed_operations_match_the_references(kind, m, n, data):
                                                max_size=order + 1)), order)
                  for k in keys}
         # cancel some of another element's coefficients, whole or in part
-        for k, c in (cancel.terms if cancel else {}).items():
+        for k, c in (read(cancel) if cancel else {}).items():
             if data.draw(st.booleans()):
                 neg = [-a for a in c.coeffs]
                 if data.draw(st.booleans()):
                     neg[0] += 1
                 terms[k] = HSeries(neg, order)
+        if cls is FormalTwist:
+            return formal_twist(*space, terms, order)
         return cls(*space, terms, order)
+
+    def read(E):
+        return hbar_terms(E) if cls is FormalTwist else E.terms
 
     def build(terms, order):
         return cls(*space, terms, order)
@@ -502,15 +506,13 @@ def test_closed_operations_match_the_references(kind, m, n, data):
 
 def _fresh_layer_terms(E):
     """(layer_terms, (D, int entries)) recomputed from E.layers."""
-    leg = isinstance(E, FormalTwist)
-    entries = [(k, a, n, n + len(k[-1]) if leg else n)
+    entries = [(k, a, n)
                for n, layer in enumerate(E.layers) for k, a in layer.items()]
-    entries.sort(key=lambda t: t[3])
     den = 1
-    for _, a, _, _ in entries:
+    for _, a, _ in entries:
         d = Fraction(a).denominator
         den = den * d // math.gcd(den, d)
-    ints = [(k, int(a * den), n, w) for k, a, n, w in entries]
+    ints = [(k, int(a * den), n) for k, a, n in entries]
     return entries, (den, ints)
 
 

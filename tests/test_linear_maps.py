@@ -4,8 +4,9 @@ The references in reference_kernels.py shift whole HSeries coefficients
 by powers of hbar.  The layered maps must agree with them exactly,
 coefficient orders included, on order-0 elements, on elements with
 several hbar layers per key, and on their truncations to a lower order.
-Formal twists are drawn on their triangle, where the constructor cuts
-every term of hbar power plus leg degree above the order.
+Formal twists are drawn in hbar on their triangle, where
+`conftest.formal_twist` drops every term of hbar power plus leg degree
+above the order, and the references read them back in hbar.
 """
 
 import random

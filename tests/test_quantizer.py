@@ -1,9 +1,12 @@
+import functools
+import hashlib
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyntwist import (
     AdtElement,
@@ -24,16 +27,22 @@ from dyntwist import (
     shift_argument,
     solve_adte,
     taylor_rescale,
+    UEnvelope,
+    schema,
 )
 from dyntwist import quantizer
 from dyntwist.adt_dgla import (
-    adte_residual_layer, differential_b, kappa_solve, mc_residual,
+    adt_monomials, adte_residual_layer, differential_b, kappa_solve,
+    mc_residual,
 )
 from dyntwist.hseries import add_into
-from dyntwist.quantizer import FormalTwist, _star_mono
+from dyntwist.quantizer import FormalTwist, _star_mono, valuation_certificate
 
 import reference_kernels
-from conftest import ORDER, geometric_body, mixed_element
+from conftest import (
+    CORPUS, ORDER, formal_twist, geometric_body, hbar_terms, mixed_element,
+    nonab_data, sl2_data, sl2half_data,
+)
 from reference_kernels import _poly_to_series, pbw_star, series_coeff
 
 F = Fraction
@@ -228,6 +237,68 @@ def test_k_to_j_strict_rejects_gauge_valuation(sl2_uea):
         k_to_j(sl2_uea, K)
 
 
+@functools.cache
+def _twist_keys(name):
+    """(envelope, the arity-2 keys of total length at most 3)."""
+    if name == "affxc2":
+        lie = schema.parse_algebra(schema.load_file(CORPUS / "affxc2.alg"))
+    else:
+        lie = {"sl2": sl2_data, "nonab": nonab_data,
+               "sl2half": sl2half_data}[name]()
+    uea = UEnvelope(lie)
+    return uea, [key for L in range(4) for key in adt_monomials(uea, 2, L)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["sl2", "nonab", "affxc2", "sl2half"]),
+       st.integers(1, 4), st.data())
+def test_certified_twists_convert(name, order, data):
+    # K = 1 + sum_n hbar^n u_n with the legs of u_n at most n - 1 long
+    # passes the certificate, and k_to_j then returns
+    uea, keys = _twist_keys(name)
+    K = AdtElement.unit(uea, 2, order)
+    for n in range(1, order + 1):
+        pool = [key for key in keys if len(key[-1]) <= n - 1]
+        u = {key: data.draw(st.sampled_from([-2, -1, F(1, 2), 1, 3]))
+             for key in data.draw(st.lists(st.sampled_from(pool),
+                                           max_size=5, unique=True))}
+        K = K + AdtElement(uea, 2, u, order).shift(n)
+    certificate = valuation_certificate(K)
+    assert K.hbar_component(0) == AdtElement.unit(uea, 2, order)
+    assert all(f <= n - 1 for n, f in enumerate(certificate) if n)
+    assert j_to_k(k_to_j(uea, K)) == K
+
+
+# sha256 of J = k_to_j(K) for the solved corpus twists, read in hbar
+# (`hbar_terms`), one line per key with its coefficients through the
+# order; taken while J was stored by hbar order
+J_DIGESTS = [
+    ("sl2", "sl2", 4,
+     "af6d8d057fbca4a362590ca584a8456323760480e31cd71ecbf27b3906b3964b"),
+    ("affxc2", "affxc2", 4,
+     "4fe14090d11209a4d9f5714870f34144d90e917b57b622110607227ef6c39dff"),
+    ("nonab", "nonab", 4,
+     "89655618a59e681535518931fe41e2f2fad78b7e93f9f5ea80a8f3268b1da667"),
+    ("abelian2", "abelian2", 4,
+     "89655618a59e681535518931fe41e2f2fad78b7e93f9f5ea80a8f3268b1da667"),
+    ("sl2", "sl2_deg8", 6,
+     "03ef6fe374f99759157fc68fdb82e96a82fe1d60884ab32b2a962e8e73d87527"),
+]
+
+
+@pytest.mark.parametrize("alg, rmat, order, digest", J_DIGESTS,
+                         ids=[case[1] for case in J_DIGESTS])
+def test_formal_twist_digest(alg, rmat, order, digest):
+    lie = schema.parse_algebra(schema.load_file(CORPUS / f"{alg}.alg"))
+    body = schema.parse_rmatrix(schema.load_file(CORPUS / f"{rmat}.rmat"),
+                                lie, order)
+    uea = UEnvelope(lie)
+    J = k_to_j(uea, solve_adte(RMatrix(lie, body), order, uea=uea).K)
+    text = "\n".join(sorted(f"{key} {','.join(map(str, c.coeffs))}"
+                            for key, c in hbar_terms(J).items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def _formal_unit(uea, arity, order):
     return FormalTwist(uea, arity, {((),) * (arity + 1): 1}, order)
 
@@ -331,7 +402,7 @@ def test_star_abelian_base_is_commutative(sl2_uea):
 
 
 def test_shift_forms_agree(nonab_uea):
-    J = FormalTwist(
+    J = formal_twist(
         nonab_uea, 2,
         {
             ((), (), ()): HSeries.constant(1, ORDER),
@@ -421,21 +492,21 @@ def _off_triangle_terms(uea, rng, arity, order):
 @pytest.mark.parametrize("uea_name", ["sl2_uea", "nonab_uea"])
 def test_formal_product_on_the_triangle(request, uea_name):
     # raw terms reach off the triangle (valuation up to the order, legs up
-    # to length 2); the constructor drops them, the reference keeps them
+    # to length 2); `formal_twist` drops them, the reference keeps them
     uea = request.getfixturevalue(uea_name)
     rng = random.Random(23)
     for arity in (1, 2, 3):
         for order in (ORDER, ORDER + 1):
             raws = [_off_triangle_terms(uea, rng, arity, order)
                     for _ in range(2)]
-            A, B = (FormalTwist(uea, arity, t, order) for t in raws)
+            A, B = (formal_twist(uea, arity, t, order) for t in raws)
             assert any(
                 series_coeff(c, m) and m + len(k[-1]) > order
                 for t in raws for k, c in t.items()
                 for m in range(order + 1)
             )
             expected = _reference_formal_product(uea, arity, order, *raws)
-            assert (A * B).terms == expected
+            assert hbar_terms(A * B) == expected
 
 
 def test_formal_product_truncation_oracle(nonab_uea):
@@ -453,7 +524,7 @@ def test_formal_product_truncation_oracle(nonab_uea):
 @pytest.mark.parametrize("uea_name", ["sl2_uea", "nonab_uea", "aff_uea"])
 def test_layered_formal_product_matches_hseries_reference(request, uea_name):
     # the product reads the star polynomials by hbar power; the reference
-    # multiplies whole HSeries and lets the constructor cut the triangle.
+    # multiplies whole HSeries and lets `formal_twist` cut the triangle.
     # Inputs: order 0, several hbar layers per key, and their
     # truncations to a lower order; coefficient orders must agree as well
     uea = request.getfixturevalue(uea_name)
