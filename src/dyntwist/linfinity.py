@@ -11,10 +11,11 @@ Both sides are wrapped as honest dgla's with the standard axioms:
 Morphism towers are stored as explicit multilinear structure maps
 F^n : Lambda^n(source) -> target, evaluated on demand and memoized per
 tower by argument value.  The bracket defect that defines a higher map
-sums over classes of equal arguments, not over argument subsets, so the
-transport of a Maurer-Cartan element alpha evaluates F^n(alpha, ...,
-alpha) from the n - 1 splittings of its n equal arguments, and the whole
-transport takes work polynomial in the order.  Koszul signs are computed
+sums over classes of equal arguments, not over argument subsets, and
+reads the source bracket at arity 2 alone, so the transport of a
+Maurer-Cartan element alpha evaluates one map per arity: F^n(alpha, ...,
+alpha), from the n - 1 splittings of its n equal arguments into the
+lower maps already evaluated.  Koszul signs are computed
 in the double-shifted grading where Maurer-Cartan elements sit in degree
 0 (so transport of such elements needs no signs at all).
 
@@ -331,8 +332,8 @@ def quantum_contraction(uea: UEnvelope, order: int) -> Contraction:
 class MorphismTower:
     """Structure maps F^1..F^A of a coalgebra morphism between dgla's.
 
-    The maps above the last one given are zero, so a strict morphism is
-    a tower given only its first map.
+    The arity bound A is the number of maps: `apply` answers zero above
+    it, and a strict morphism lists its higher maps as zero maps.
 
     Memo contract: every structure map is a pure function of the values
     of its arguments, and elements are never mutated after construction.
@@ -341,15 +342,14 @@ class MorphismTower:
     evaluating when an argument is zero (the maps are multilinear).
     """
 
-    def __init__(self, source, target, maps, arity_bound):
+    def __init__(self, source, target, maps):
         self.source = source
         self.target = target
         self.maps = list(maps)
-        self.arity_bound = arity_bound
         self._memo: dict = {}
 
     def apply(self, n, args):
-        if n < 1 or n > min(self.arity_bound, len(self.maps)):
+        if n < 1 or n > len(self.maps):
             return self.target.zero()
         if any(a.is_zero() for a in args):
             return self.target.zero()
@@ -393,20 +393,30 @@ def _expand(classes, counts):
 
 
 def _bracket_defect(T: MorphismTower, args, degs):
-    """The bracket terms of the morphism relation at arity len(args).
+    """The bracket terms of the morphism relation of a perturbed tower.
 
     This is the failure term the next structure map has to repair: the
     target-bracket pairings of lower maps minus the lower maps applied
-    to source brackets.  The maps are graded symmetric, so a term
-    depends only on how many members of each argument class
-    (`_argument_classes`) it takes, and the sums run over those counts,
-    each term weighted by the number of argument subsets or pairs that
-    take them.  The target pairings keep the first argument on the
-    left, so a left side with a members of the first class (m members)
-    is one of C(m - 1, a - 1) subsets, not C(m, a).
+    to source brackets.  Only the source term of arity 2 is summed: the
+    source bracket of the two arguments, as the first map is the
+    identity.  Every other one is a map of T of arity n - 1 >= 2, which
+    is -h(...) (`_perturbed_tower`), and as h h = 0 and p h = 0 it
+    drops out of both uses of the defect, -h(defect) and the check
+    p(defect).  For Q, h p = 0 erases the arity-2 term from -h(defect)
+    too, but the check reads it.  These side conditions are tested in
+    `test_contraction_side_conditions`; the full relation of any tower
+    is `bracket_defect` in `tests/reference_kernels.py`.
+
+    The maps are graded symmetric, so a target pairing depends only on
+    how many members of each argument class (`_argument_classes`) it
+    takes, and the sum runs over those counts, each term weighted by
+    the number of argument subsets that take them.  The pairings keep
+    the first argument on the left, so a left side with a members of
+    the first class (m members) is one of C(m - 1, a - 1) subsets, not
+    C(m, a).
     """
     n = len(args)
-    src, tgt = T.source, T.target
+    tgt = T.target
     classes = _argument_classes(args, degs)
     cdegs = [d for _, d, _ in classes]
     sizes = [m for _, _, m in classes]
@@ -430,33 +440,20 @@ def _bracket_defect(T: MorphismTower, args, degs):
         coeff *= koszul_sign(cdegs, perm)
         su = sum(a * d for a, d in zip(left, cdegs))
         res = res + tgt.q2(u, v, su).scale(coeff)
-    pairs = itertools.combinations_with_replacement(range(len(classes)), 2)
-    for c, e in pairs:
-        coeff = comb(sizes[c], 2) if c == e else sizes[c] * sizes[e]
-        if not coeff:
-            continue
-        rest = list(sizes)
-        rest[c] -= 1
-        rest[e] -= 1
-        w = src.q2(classes[c][0], classes[e][0], cdegs[c])
-        term = T.apply(n - 1, (w,) + _expand(classes, rest))
-        if term.is_zero():
-            continue
-        perm = [c, e] + [k for k, m in enumerate(rest) if m]
-        coeff *= -koszul_sign(cdegs, perm)
-        res = res + term.scale(coeff)
+    if n == 2:
+        res = res - T.source.q2(args[0], args[1], degs[0])
     return res
 
 
 def _perturbed_tower(C: Contraction, source, target, arity_bound):
     """The tower with first map the identity and n-th map -h(defect).
 
-    The defect is the bracket defect of the maps below arity n
-    (`_bracket_defect`).  It must lie in the kernel of the projection,
-    where q1 h + h q1 is the identity; ContractFailure is raised when
-    it does not.
+    The defect is the bracket defect of the maps below arity n, less
+    the source terms that h erases (`_bracket_defect`).  It must lie in
+    the kernel of the projection, where q1 h + h q1 is the identity;
+    ContractFailure is raised when it does not.
     """
-    T = MorphismTower(source, target, [lambda x: x], arity_bound)
+    T = MorphismTower(source, target, [lambda x: x])
 
     def higher(*args):
         degs = [source.s_degree(a) for a in args]
@@ -480,7 +477,9 @@ def invert_contraction(C: Contraction, arity_bound: int) -> MorphismTower:
     first map is the identity and the higher maps are -h of the bracket
     defect.  As h h = 0, p h = 0 and h p = 0, Q is the only tower with
     the inclusion as first map and higher maps in the image of h, so it
-    is the inverse of F composed with the inclusion.  The reduction R =
+    is the inverse of F composed with the inclusion, and they erase
+    every source term of the defect but one (`_bracket_defect`), so
+    transport evaluates one map per arity.  The reduction R =
     proj o F is strict: its first map is proj, and as p h = 0 every
     higher map R^n = p(F^n) = -p h(defect) is zero.  So transport along
     R is proj itself, and no tower is built for it.  F, R and
@@ -501,7 +500,7 @@ def mc_transport(T: MorphismTower, alpha):
     """
     out = T.target.zero()
     fact = 1
-    for n in range(1, T.arity_bound + 1):
+    for n in range(1, len(T.maps) + 1):
         fact *= n
         term = T.apply(n, (alpha,) * n)
         out = out + term.scale(quotient(1, fact))

@@ -56,7 +56,6 @@ class RMatrix:
     def __init__(self, lie: LieData, body: CdybElement, truncation=None):
         self.lie = lie
         self.body = body
-        self.mode = lie.mode
         degs = body.exterior_degrees()
         if degs and degs != [2]:
             raise GradingMismatch(

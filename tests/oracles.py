@@ -6,7 +6,8 @@ that `sample_elements` draws from each dgla's invariant slices.
 `straightening_tower` is the tower F onto the split target, which the
 package never needs but which exercises Q's recursion on arguments of
 mixed parity, and `reduction_tower` is the strict R = p o F, whose
-transport the package computes as the projection.  `twist_by_homotopy`
+transport the package computes as the projection; `strict_tower` lists
+the zero higher maps of such a tower.  `twist_by_homotopy`
 twists a tower to arity 3; `classical_gauge_infinitesimal` is the
 classical flow in its mc and r forms; `alt` is the left inverse of
 `adt_dgla.alt_embed`.
@@ -25,12 +26,14 @@ from dyntwist.cli import _COMMANDS
 from dyntwist.errors import GradingMismatch
 from dyntwist.gauge import _as_generator
 from dyntwist.linfinity import (
-    AdtDgla, CdybDgla, MorphismTower, ProjectedDgla, _bracket_defect,
-    _perturbed_tower, koszul_sign,
+    AdtDgla, CdybDgla, MorphismTower, ProjectedDgla, _perturbed_tower,
+    koszul_sign,
 )
 from dyntwist.tensor_spaces import (
     CdybElement, invariant_cdyb_basis, sym_sort, wedge_sort,
 )
+
+import reference_kernels
 
 
 # -- the dgla wrappers ------------------------------------------------------
@@ -119,6 +122,12 @@ def sample_elements(g, rng, count):
 # -- morphism relations -----------------------------------------------------
 
 
+def strict_tower(source, target, first, arity_bound):
+    """The tower with first map `first` and zero maps up to arity_bound."""
+    zero = [lambda *args: target.zero()] * (arity_bound - 1)
+    return MorphismTower(source, target, [first] + zero)
+
+
 def straightening_tower(C, arity_bound):
     """F: the ambient dgla of C straightened onto its split target."""
     return _perturbed_tower(C, C.dgla, SplitTargetDgla(C), arity_bound)
@@ -127,14 +136,20 @@ def straightening_tower(C, arity_bound):
 def reduction_tower(C, arity_bound):
     """R: the ambient dgla of C reduced onto the projected one.
 
-    R = p o F is strict (`linfinity.invert_contraction`), so its one map
-    is the projection.
+    R = p o F is strict (`linfinity.invert_contraction`): its first map
+    is the projection and its higher maps are zero.
     """
-    return MorphismTower(C.dgla, ProjectedDgla(C), [C.proj], arity_bound)
+    return strict_tower(C.dgla, ProjectedDgla(C), C.proj, arity_bound)
 
 
 def morphism_residual(T: MorphismTower, args, degs=None):
-    """Exact residual of the L-infinity morphism relation at this arity."""
+    """Exact residual of the L-infinity morphism relation at this arity.
+
+    The bracket terms are the full relation, source brackets under
+    every lower map included (`reference_kernels.bracket_defect`), so
+    any tower can be checked, not only the perturbed ones that
+    `linfinity._bracket_defect` serves.
+    """
     n = len(args)
     src, tgt = T.source, T.target
     if degs is None:
@@ -149,7 +164,7 @@ def morphism_residual(T: MorphismTower, args, degs=None):
         if sign > 0:
             term = term.scale(-1)
         res = res + term
-    return res + _bracket_defect(T, args, degs)
+    return res + reference_kernels.bracket_defect(T, args, degs)
 
 
 def check_morphism(T: MorphismTower, arity: int, samples: int, seed=0):
@@ -189,7 +204,7 @@ def twist_by_homotopy(F: MorphismTower, V) -> MorphismTower:
     maps are produced by the coderivation-style extension of V, written
     out explicitly up to arity 3, F's arity bound.
     """
-    arity_bound = F.arity_bound
+    arity_bound = len(F.maps)
     if arity_bound > 3:
         raise GradingMismatch("homotopy twisting is implemented to arity 3")
     src, tgt = F.source, F.target
@@ -295,8 +310,7 @@ def twist_by_homotopy(F: MorphismTower, V) -> MorphismTower:
             out = out + tgt.q2(u, v, su).scale(coeff)
         return out
 
-    maps = [psi1, psi2, psi3][:arity_bound]
-    return MorphismTower(src, tgt, maps, arity_bound)
+    return MorphismTower(src, tgt, [psi1, psi2, psi3][:arity_bound])
 
 
 # -- the classical flow and alt ---------------------------------------------

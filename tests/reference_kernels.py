@@ -82,8 +82,12 @@ inverse by a sum over the set partitions of the arguments
 (`invert_tower`), and Q and R by composing that inverse and F with the
 strict inclusion and projection (`compose_towers`, here over every
 partition).  Its F sums the bracket defect over argument positions
-(`bracket_defect`, over every subset that holds the first argument), as
-`linfinity._bracket_defect` did before it summed over argument classes.
+(`bracket_defect`, over every subset that holds the first argument),
+with every source-bracket term under every lower map: this is the full
+morphism relation of any tower, which `oracles.morphism_residual`
+checks.  `linfinity._bracket_defect` sums over argument classes and
+keeps only the arity-2 source term, since h erases the others from a
+perturbed tower; above arity 2 the two agree under h and p.
 """
 
 import itertools
@@ -106,7 +110,9 @@ from dyntwist.quantizer import FormalTwist, _star_mono
 from dyntwist.tensor_spaces import CdybElement, sym_sort
 from dyntwist.uea import coproduct_mono
 from conftest import formal_twist, hbar_terms
-from oracles import SplitTargetDgla
+# imported as a module: oracles imports this module in turn, so its
+# names are read at call time
+import oracles
 
 _F1 = Fraction(1)
 
@@ -1050,35 +1056,35 @@ def _partition_sum(outer, inner, args, partitions, zero):
 
 def compose_towers(G, F, source, target):
     """Coalgebra composition G o F from source to target."""
-    bound = min(G.arity_bound, F.arity_bound)
+    bound = min(len(G.maps), len(F.maps))
 
     def composed(*args):
         parts = _set_partitions(list(range(len(args))))
         return _partition_sum(G, F, args, parts, target.zero())
 
-    return MorphismTower(source, target, [composed] * bound, bound)
+    return MorphismTower(source, target, [composed] * bound)
 
 
 def invert_tower(F):
     """Inverse of a tower whose first map is the identity."""
     src, tgt = F.target, F.source
-    H = MorphismTower(src, tgt, [lambda x: x], F.arity_bound)
+    H = MorphismTower(src, tgt, [lambda x: x])
 
     def inverted(*args):
         parts = (p for p in _set_partitions(list(range(len(args))))
                  if len(p) > 1)
         return _partition_sum(F, H, args, parts, tgt.zero()).scale(-1)
 
-    H.maps += [inverted] * (F.arity_bound - 1)
+    H.maps += [inverted] * (len(F.maps) - 1)
     return H
 
 
 def contraction_towers(C, arity_bound):
     """(Q, F, R): the inclusion, straightening and reduction towers."""
     ambient = C.dgla
-    split = SplitTargetDgla(C)
+    split = oracles.SplitTargetDgla(C)
     sub = ProjectedDgla(C)
-    F = MorphismTower(ambient, split, [lambda x: x], arity_bound)
+    F = MorphismTower(ambient, split, [lambda x: x])
 
     def straightened(*args):
         degs = [ambient.s_degree(a) for a in args]
@@ -1088,8 +1094,8 @@ def contraction_towers(C, arity_bound):
         return C.h(defect).scale(-1)
 
     F.maps += [straightened] * (arity_bound - 1)
-    incl = MorphismTower(sub, split, [lambda x: x], arity_bound)
+    incl = oracles.strict_tower(sub, split, lambda x: x, arity_bound)
     Q = compose_towers(invert_tower(F), incl, sub, ambient)
-    proj = MorphismTower(split, sub, [C.proj], arity_bound)
+    proj = oracles.strict_tower(split, sub, C.proj, arity_bound)
     R = compose_towers(proj, F, ambient, sub)
     return Q, F, R

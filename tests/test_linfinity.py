@@ -12,10 +12,12 @@ from dyntwist import (
     RMatrix,
     UEnvelope,
     classical_contraction,
+    find_gauge,
     invert_contraction,
     mc_transport,
     quantum_contraction,
     schema,
+    solve_adte,
     taylor_rescale,
 )
 from dyntwist.cdyb_dgla import delta_homotopy
@@ -30,6 +32,7 @@ from oracles import (
     reduction_tower,
     sample_elements,
     straightening_tower,
+    strict_tower,
     twist_by_homotopy,
 )
 from conftest import CORPUS, ORDER, geometric_body
@@ -154,12 +157,20 @@ def _mc_case(request, kind):
     return C, alpha, C.proj(alpha)
 
 
-def _assert_defects_agree(T, args):
+def _assert_defects_agree(C, T, args):
+    # the class sum keeps the source terms of arity 2 alone: the others
+    # are higher maps of T, in the image of h, so the two defects agree
+    # exactly at arity 2 and under h and p above it
     degs = [T.source.s_degree(a) for a in args]
     got = _bracket_defect(T, args, degs)
     want = reference_kernels.bracket_defect(T, args, degs)
-    assert got == want and got.order == want.order
-    return not got.is_zero()
+    assert got.order == want.order
+    if len(args) == 2:
+        assert got == want
+    else:
+        assert C.h(got) == C.h(want)
+        assert C.proj(got) == C.proj(want)
+    return not want.is_zero()
 
 
 @pytest.mark.parametrize("kind", ["classical", "quantum"])
@@ -172,7 +183,7 @@ def test_defect_by_class_on_equal_mc_arguments(request, kind):
     for T, x in ((F, alpha), (Q, pi)):
         assert T.source.mc_residual(x).is_zero()
         for n in range(2, 9):
-            nonzero += _assert_defects_agree(T, (x,) * n)
+            nonzero += _assert_defects_agree(C, T, (x,) * n)
     assert nonzero >= 3
 
 
@@ -210,7 +221,7 @@ def test_defect_by_class_on_mixed_repeats(kind):
         letters = {"x": even[0], "y": odd[0], "z": odd[1]}
         for pattern in PATTERNS:
             args = tuple(letters[c] for c in pattern)
-            nonzero += _assert_defects_agree(T, args)
+            nonzero += _assert_defects_agree(C, T, args)
     assert nonzero >= 6
 
 
@@ -226,7 +237,7 @@ def test_defect_by_class_on_distinct_arguments(kind):
         for n in range(2, 5):
             for args in itertools.combinations(pool, n):
                 checked += 1
-                nonzero += _assert_defects_agree(T, args)
+                nonzero += _assert_defects_agree(C, T, args)
     assert checked >= 40 and nonzero
 
 
@@ -266,10 +277,36 @@ def test_reduced_bivector_is_the_transport_along_r(name):
     assert reduce_classical(lie, alpha).pi == want
 
 
+@pytest.mark.parametrize("name,order", [
+    ("sl2", 4), ("affxc2", 4), ("nonab", 3),
+])
+def test_twist_round_trip_applies_h_once_per_arity(name, order):
+    # E = Q(p(K - 1)) + 1 is gauge-equivalent to K; transport evaluates
+    # Q^n(pi, ..., pi) alone at each arity n, so h runs once per arity
+    # from 2 to the order, on no source bracket
+    lie = schema.parse_algebra((CORPUS / f"{name}.alg").read_text())
+    body = schema.parse_rmatrix((CORPUS / f"{name}.rmat").read_text(), lie,
+                                order)
+    uea = UEnvelope(lie)
+    K = solve_adte(RMatrix(lie, body), order, uea=uea).K
+    C = quantum_contraction(uea, order)
+    h, calls = C.h, []
+
+    def counted(x):
+        calls.append(x)
+        return h(x)
+
+    C.h = counted
+    one = AdtElement.unit(uea, 2, order)
+    E = mc_transport(invert_contraction(C, order), C.proj(K - one)) + one
+    assert len(calls) == order - 1
+    assert find_gauge(K, E).equivalent
+
+
 def test_twist_by_homotopy_identity_tower(sl2):
     C = classical_contraction(sl2, ORDER)
     g = C.dgla
-    T = MorphismTower(g, g, [lambda x: x], 3)
+    T = strict_tower(g, g, lambda x: x, 3)
     psi = twist_by_homotopy(T, lambda x: delta_homotopy(sl2, x))
     report = check_morphism(psi, 3, SAMPLES, seed=5)
     assert report["ok"], report["failures"][:1]
@@ -278,7 +315,7 @@ def test_twist_by_homotopy_identity_tower(sl2):
 def test_twist_by_zero_is_identity(sl2):
     C = classical_contraction(sl2, ORDER)
     g = C.dgla
-    T = MorphismTower(g, g, [lambda x: x], 3)
+    T = strict_tower(g, g, lambda x: x, 3)
     psi = twist_by_homotopy(T, lambda x: g.zero())
     rng = random.Random(6)
     for x in sample_elements(g, rng, 10):
@@ -325,7 +362,7 @@ def test_morphism_residual_detects_fake_tower(sl2):
     F = straightening_tower(C, 3)
     broken = type(F)(F.source, F.target, [F.maps[0]] + [
         lambda *a: F.target.zero() for _ in range(2)
-    ], 3)
+    ])
     rng = random.Random(8)
     bad = 0
     for _ in range(20):
@@ -390,7 +427,7 @@ def _counting_tower(g, arity):
             out = out + x
         return out
 
-    T = MorphismTower(g, g, [f] * arity, arity)
+    T = MorphismTower(g, g, [f] * arity)
     return T, calls
 
 
