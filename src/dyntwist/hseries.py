@@ -3,22 +3,23 @@
 One number convention holds in every module: an integral value is an
 `int`, any other rational is a `Fraction`, and no value is ever a float.
 `canonical(x)` puts a rational in that form and `quotient(a, den)`
-divides exactly into it.  Every stored coefficient, every HSeries
-operation and every `linalg` output keeps it, so a kernel whose values
-are integral sums on ints and builds no Fraction at all.  Nothing in
-the package uses true division: `/` of two ints would be a float.
+divides exactly into it.  Every stored coefficient and every `linalg`
+output keeps it, so a kernel whose values are integral sums on ints and
+builds no Fraction at all.  Nothing in the package uses true division:
+`/` of two ints would be a float.
 
-All arithmetic is exact modulo hbar^(N+1).  Mixing two series of different
-truncation orders is allowed and truncates to the smaller order, which is
-the canonical quotient map between the two rings.
+All arithmetic is exact modulo hbar^(N+1).  Mixing two elements of
+different truncation orders is allowed and truncates to the smaller order,
+which is the canonical quotient map between the two rings.
 
-`HSeries` is the scalar ring; `SparseSeries` is the common base of every
-sparse element over it (algebraic and formal twists, classical
-cochains).  An element stores its coefficients by hbar power:
-`layers[n]` is one {key: rational} dict of the nonzero hbar^n
-coefficients, for n = 0, ..., N.  So this module alone knows the format;
-the per-key HSeries of an element are a read-only view,
-`SparseSeries.terms`, built on its first read.
+`SparseSeries` is the common base of every sparse element (algebraic and
+formal twists, classical cochains).  An element stores its coefficients
+by hbar power: `layers[n]` is one {key: rational} dict of the nonzero
+hbar^n coefficients, for n = 0, ..., N.  So this module alone knows the
+format.  `HSeries` is a read-only record of one key's coefficients: the
+constructor and `scale` take it, and the per-key view
+`SparseSeries.terms`, built on its first read, gives it.  It has no
+arithmetic; the test oracles compute in a ring subclass of it.
 
 Every product kernel works one hbar layer at a time.  It reads its
 factors through `SparseSeries.layer_terms`, one (key, value, power)
@@ -74,7 +75,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, itemgetter, sub
+from operator import itemgetter
 
 from .errors import GradingMismatch
 
@@ -101,8 +102,8 @@ def quotient(a, den: int):
 def add_into(acc: dict, key, val):
     """acc[key] += val, dropping the key when the sum is zero.
 
-    Serves rational and HSeries values alike; an HSeries sum
-    keeps the smaller truncation order of its summands.
+    Any value with `+` and a truth value serves: the package sums
+    rationals, and the test oracles the series of their ring.
     """
     old = acc.get(key)
     if old is not None:
@@ -137,42 +138,33 @@ def sum_layers(a: dict, b: dict, negate: bool = False) -> dict:
 
 
 class HSeries:
-    """Element of Q[hbar]/(hbar^(N+1)), coefficients in canonical form."""
+    """The coefficients of one element of Q[hbar]/(hbar^(N+1)): a record.
+
+    `coeffs` holds order + 1 canonical rationals, the hbar^n coefficient
+    at index n.  The package computes on layers and defines no
+    arithmetic here: the record carries coefficients into the
+    `SparseSeries` constructor and `scale`, and out of the `terms` view.
+    """
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs, order: int, *, normalized: bool = False):
-        """normalized: coeffs is already a tuple of order + 1 canonical
-        rationals (see `canonical`)."""
-        if not normalized:
-            coeffs = tuple(map(canonical, coeffs))
-            if len(coeffs) < order + 1:
-                coeffs = coeffs + (0,) * (order + 1 - len(coeffs))
-            elif len(coeffs) > order + 1:
-                coeffs = coeffs[: order + 1]
+    def __init__(self, coeffs, order: int):
+        coeffs = tuple(map(canonical, coeffs))
+        if len(coeffs) < order + 1:
+            coeffs = coeffs + (0,) * (order + 1 - len(coeffs))
+        elif len(coeffs) > order + 1:
+            coeffs = coeffs[: order + 1]
         self.coeffs = coeffs
         self.order = order
-
-    # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "HSeries":
         return cls((), order)
 
     @classmethod
-    def constant(cls, c, order: int) -> "HSeries":
-        return cls((c,), order)
-
-    @classmethod
     def hbar(cls, order: int, power: int = 1, coeff=1) -> "HSeries":
-        if power > order:
-            return cls.zero(order)
+        # the constructor truncates a power above the order to zero
         return cls((0,) * power + (coeff,), order)
-
-    # -- predicates --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def valuation(self):
         """Smallest n with nonzero coefficient, or None for the zero series."""
@@ -181,73 +173,9 @@ class HSeries:
                 return n
         return None
 
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _common(self, other: "HSeries") -> int:
-        return min(self.order, other.order)
-
-    def __add__(self, other):
-        if not isinstance(other, HSeries):
-            other = HSeries.constant(other, self.order)
-        # map stops at the shorter tuple, the common order
-        return HSeries(tuple(map(canonical, map(add, self.coeffs,
-                                                other.coeffs))),
-                       self._common(other), normalized=True)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return HSeries(tuple(-c for c in self.coeffs), self.order,
-                       normalized=True)
-
-    def __sub__(self, other):
-        if not isinstance(other, HSeries):
-            other = HSeries.constant(other, self.order)
-        return HSeries(tuple(map(canonical, map(sub, self.coeffs,
-                                                other.coeffs))),
-                       self._common(other), normalized=True)
-
-    def __rsub__(self, other):
-        return HSeries.constant(other, self.order) - self
-
-    def __mul__(self, other):
-        if not isinstance(other, HSeries):
-            c = canonical(other)
-            return HSeries(tuple(canonical(a * c) for a in self.coeffs),
-                           self.order, normalized=True)
-        n = self._common(other)
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return HSeries(out, n)
-
-    __rmul__ = __mul__
-
-    # -- comparison / display ---------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, HSeries):
-            n = self._common(other)
-            return self.coeffs[: n + 1] == other.coeffs[: n + 1]
-        return self == HSeries.constant(other, self.order)
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return _series_text(self.coeffs, self.order)
-
 
 def _series_text(coeffs, order: int) -> str:
-    """The repr of the HSeries with these coefficients and order."""
+    """The coefficient text of every report, e.g. `HSeries(h + 2*h^2; N=4)`."""
     terms = []
     for n, c in enumerate(coeffs):
         if c == 0:
@@ -260,8 +188,6 @@ def _series_text(coeffs, order: int) -> str:
             terms.append(f"{c}*h^{n}" if c != 1 else f"h^{n}")
     body = " + ".join(terms) if terms else "0"
     return f"HSeries({body}; N={order})"
-
-
 
 
 class SparseSeries:
@@ -400,7 +326,7 @@ class SparseSeries:
         for n, layer in enumerate(self.layers):
             for k, a in layer.items():
                 rows.setdefault(k, [0] * (order + 1))[n] = a
-        self._terms = {k: HSeries(tuple(row), order, normalized=True)
+        self._terms = {k: HSeries(row, order)
                        for k, row in rows.items()}
         return self._terms
 
@@ -409,7 +335,7 @@ class SparseSeries:
         return list(dict.fromkeys(k for layer in self.layers for k in layer))
 
     def series_repr(self, key) -> str:
-        """The coefficient of key, written as the repr of its HSeries."""
+        """The coefficient of key, as `_series_text` writes it."""
         return _series_text([layer.get(key, 0) for layer in self.layers],
                             self.order)
 

@@ -75,7 +75,6 @@ class RMatrix:
                 head = head + part
             else:
                 tail = tail + part
-        self.residual_head = head
         self.residual_tail = tail
         if not head.is_zero():
             raise NotMaurerCartan(

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from dyntwist import (
-    AdtElement, CdybElement, FormalTwist, HSeries, LieData, RMatrix,
-    UEnvelope,
+    AdtElement, CdybElement, FormalTwist, LieData, RMatrix, UEnvelope,
 )
 from dyntwist.adt_dgla import ad_adt_key, adt_monomials
 from dyntwist.hseries import add_into
+
+from ring import HSeries
 
 ORDER = 3
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"

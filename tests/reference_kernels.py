@@ -98,7 +98,7 @@ from dyntwist import adt_dgla, linalg
 from dyntwist.adt_dgla import AdtElement, adt_monomials, p2_project, unit_at
 from dyntwist.errors import ContractFailure, GradingMismatch, NoSolution
 from dyntwist.gauge import adt_inverse
-from dyntwist.hseries import HSeries, add_into
+from dyntwist.hseries import add_into
 from dyntwist.lie_core import invariant_basis
 from dyntwist.linfinity import (
     AdtDgla,
@@ -109,6 +109,7 @@ from dyntwist.linfinity import (
 from dyntwist.quantizer import FormalTwist, _star_mono
 from dyntwist.tensor_spaces import CdybElement, sym_sort
 from dyntwist.uea import coproduct_mono
+from ring import HSeries, ring_terms
 from conftest import formal_twist, hbar_terms
 # imported as a module: oracles imports this module in turn, so its
 # names are read at call time
@@ -119,8 +120,8 @@ _F1 = Fraction(1)
 
 def _terms(E):
     """E's coefficients in hbar: a formal twist's read back from its
-    layers (`conftest.hbar_terms`), any other element's `terms`."""
-    return hbar_terms(E) if isinstance(E, FormalTwist) else E.terms
+    layers (`conftest.hbar_terms`), any other element's `ring_terms`."""
+    return hbar_terms(E) if isinstance(E, FormalTwist) else ring_terms(E)
 
 
 def _element(cls, space, terms, order):
@@ -199,7 +200,7 @@ def formal_mul(A, B):
 def differential_b(P):
     k = P.arity
     terms: dict = {}
-    for key, c in P.terms.items():
+    for key, c in ring_terms(P).items():
         gfac = key[:-1]
         leg = key[-1]
         add_into(terms, ((),) + gfac + (leg,), c)
@@ -790,7 +791,7 @@ def gauge_act_algebraic(Q, K):
 
 def rescale_generator(q, order):
     terms = {}
-    for (w, s), c in q.terms.items():
+    for (w, s), c in ring_terms(q).items():
         c = series_truncate(c, order)
         shifted = HSeries.hbar(c.order, len(s)) * c
         if not shifted.is_zero():
@@ -810,7 +811,7 @@ def cdybe_literal(lie, rho):
 def _tensor2(rho):
     """x ^ y -> x (x) y - y (x) x, legs carried along."""
     out = {}
-    for (w, s), c in rho.terms.items():
+    for (w, s), c in ring_terms(rho).items():
         if len(w) != 2:
             raise GradingMismatch("expected exterior degree 2")
         add_into(out, ((w[0], w[1]), s), c)
@@ -883,8 +884,8 @@ def sparse_sum(A, B, negate=False):
         if B.is_zero():
             return A
         raise GradingMismatch("arity mismatch in sum")
-    terms = dict(A.terms)
-    for k, c in B.terms.items():
+    terms = ring_terms(A)
+    for k, c in ring_terms(B).items():
         c = _hs_neg(c) if negate else c
         old = terms.get(k)
         if old is not None:

@@ -12,7 +12,6 @@ from fractions import Fraction
 from dyntwist import (
     AdtElement,
     CdybElement,
-    HSeries,
     adte_residual,
     cdyb_dgla,
     classical_contraction,
@@ -43,6 +42,7 @@ from dyntwist.props import (
     check_kappa,
 )
 
+from ring import HSeries
 from conftest import ORDER
 from oracles import (
     check_morphism,

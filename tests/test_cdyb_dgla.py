@@ -4,7 +4,6 @@ import pytest
 
 from dyntwist import (
     CdybElement,
-    HSeries,
     TruncationTooSmall,
     cdyb_dgla,
     taylor_rescale,

@@ -6,7 +6,6 @@ import pytest
 from dyntwist import (
     AdtElement,
     CdybElement,
-    HSeries,
     NotInvertible,
     NotMaurerCartan,
     ValuationViolated,
@@ -25,6 +24,7 @@ from dyntwist.adt_dgla import invariant_adt_basis
 from dyntwist.errors import GradingMismatch, NotInvariant
 from dyntwist.gauge import adt_inverse, adt_mul
 
+from ring import HSeries
 import reference_kernels
 from conftest import ORDER, mixed_element
 from oracles import classical_gauge_infinitesimal

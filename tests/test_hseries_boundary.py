@@ -3,9 +3,12 @@
 Every other module reaches coefficients through `SparseSeries`: `layer`,
 `layer_terms`, `map_keys`, `from_layers`, `keys`, `series_repr` and the
 element arithmetic (one measured exception: `LAYER_READERS`).  No module
-names HSeries, and none reads the per-key HSeries view `terms`.  The
-references that work on whole HSeries coefficients live in
-`tests/reference_kernels.py`.
+names HSeries, and none reads the per-key HSeries view `terms`.
+
+`HSeries` itself is a read-only coefficient record with no arithmetic.
+The references that work on whole coefficients live in
+`tests/reference_kernels.py` and compute in the ring of `tests/ring.py`,
+a subclass of the record.
 
 No module compares two elements by building their difference: `a == b`
 reads the stored layers, where `(a - b).is_zero()` builds a - b first.
@@ -15,9 +18,11 @@ two ints is a float.
 """
 
 import ast
+import inspect
 import pathlib
 
 import dyntwist
+from dyntwist.hseries import HSeries
 
 SRC = pathlib.Path(dyntwist.__file__).resolve().parent
 NAMES = {"HSeries"}
@@ -64,6 +69,29 @@ def test_no_module_reads_the_per_key_view():
         if isinstance(node, ast.Attribute) and node.attr == "terms"
     ]
     assert not offenders
+
+
+RING_DUNDERS = {
+    f"__{op}__" for op in (
+        "add", "radd", "iadd", "sub", "rsub", "isub", "mul", "rmul", "imul",
+        "truediv", "rtruediv", "floordiv", "pow", "neg", "pos", "abs",
+        "eq", "ne", "lt", "le", "gt", "ge", "hash", "repr", "str", "bool",
+    )
+}
+
+
+def test_src_hseries_is_a_record():
+    """The package's HSeries carries coefficients and computes nothing.
+
+    `test_no_uncalled_code` skips every name that starts with `_`, so a
+    ring of dunders would pass its reachability scan; this pins the
+    record, and the tests' ring lives in `tests/ring.py`.
+    """
+    names = {n for n in vars(HSeries)
+             if not (n.startswith("__") and n.endswith("__"))}
+    assert names == {"coeffs", "order", "zero", "hbar", "valuation"}
+    assert not RING_DUNDERS & set(vars(HSeries))
+    assert list(inspect.signature(HSeries).parameters) == ["coeffs", "order"]
 
 
 # `adt_dgla.mc_residual` sums -b(K - 1) and {K - 1 | K - 1} in one pass

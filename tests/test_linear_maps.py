@@ -13,10 +13,11 @@ import random
 
 import pytest
 
-from dyntwist import AdtElement, HSeries, schema
+from dyntwist import AdtElement, schema
 from dyntwist.adt_dgla import coproduct_at
 from dyntwist.quantizer import FormalTwist, RMatrix, j_to_k, shift_argument
 
+from ring import HSeries
 import reference_kernels
 from conftest import CORPUS, mixed_element
 

@@ -7,7 +7,6 @@ import pytest
 from dyntwist import (
     AdtElement,
     CdybElement,
-    HSeries,
     LieData,
     RMatrix,
     UEnvelope,
@@ -24,6 +23,7 @@ from dyntwist.cdyb_dgla import delta_homotopy
 from dyntwist.gauge import reduce_classical
 from dyntwist.linfinity import MorphismTower, _bracket_defect
 
+from ring import HSeries
 import reference_kernels
 from oracles import (
     check_morphism,

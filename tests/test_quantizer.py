@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from dyntwist import (
     AdtElement,
     CdybElement,
-    HSeries,
     NoSolution,
     NotInvariant,
     NotMaurerCartan,
@@ -38,6 +37,7 @@ from dyntwist.adt_dgla import (
 from dyntwist.hseries import add_into
 from dyntwist.quantizer import FormalTwist, _star_mono, valuation_certificate
 
+from ring import HSeries, ring_terms
 import reference_kernels
 from conftest import (
     CORPUS, ORDER, formal_twist, geometric_body, hbar_terms, mixed_element,
@@ -79,8 +79,12 @@ def test_rmatrix_residual_is_attached_and_named(sl2):
         " + (HSeries(-2; N=3)) e^h^f | h*h")
 
 
-def test_rmatrix_residual_split(sl2_rho):
-    assert sl2_rho.residual_head.is_zero()
+def test_rmatrix_residual_split(sl2, sl2_rho):
+    # the head raised if nonzero, so the whole residual is the stored tail
+    res = cdyb_dgla.cdybe_residual(sl2, sl2_rho.body)
+    assert all(res.component(sh=d).is_zero()
+               for d in range(sl2_rho.truncation))
+    assert res == sl2_rho.residual_tail
     # the tail involves truncated-away leg degrees and is reported, not hidden
     assert not sl2_rho.residual_tail.is_zero()
 
@@ -479,7 +483,7 @@ def _reference_formal_product(uea, arity, order, terms_a, terms_b):
 
 def _off_triangle_terms(uea, rng, arity, order):
     """mixed_element's raw terms plus legs whose series leave the triangle."""
-    terms = dict(mixed_element(uea, rng, arity, order, terms=8).terms)
+    terms = ring_terms(mixed_element(uea, rng, arity, order, terms=8))
     h = uea.lie.h_indices
     for d in (1, 2):
         leg = tuple(sorted(rng.choice(h) for _ in range(d)))

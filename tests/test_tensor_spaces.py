@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dyntwist import CdybElement, GradingMismatch, HSeries
+from dyntwist import CdybElement, GradingMismatch
 from dyntwist.tensor_spaces import sym_sort, wedge_sort
+
+from ring import HSeries
 
 N = 3
 F1 = Fraction(1)
