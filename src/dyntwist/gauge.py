@@ -227,9 +227,6 @@ def classical_find_gauge(lie: LieData, alpha: CdybElement,
             for key, c in basis[j].items():
                 add_into(q_terms, key, a * c)
         qn = CdybElement(q_terms, order).shift(n)
-        if qn.is_zero():
-            return GaugeResult(False, compared=order, obstruction=diff,
-                               order=n)
         cur = classical_gauge_act(lie, qn, cur)
         chain.append(qn)
     if beta != cur:
@@ -265,8 +262,9 @@ def reduce_classical(lie: LieData, alpha: CdybElement) -> ReducedClassical:
     p1[x, y] = p1[p1 x, p1 y] and p1(d alpha) = d(p1 alpha) = 0, so
     p1[pi, pi] = p1[alpha, alpha] = -2 p1(d alpha) = 0
     (`reduce-classical` recomputes it).  The inclusion tower carries pi
-    back, and an order-by-order classical gauge solve certifies the
-    round trip.
+    back as the sum of its diagonal values Q^n(pi, ..., pi) / n!
+    (`linfinity.mc_transport`), and an order-by-order classical gauge
+    solve certifies the round trip.
     """
     order = alpha.order
     res = cdyb_dgla.cdybe_residual(lie, alpha)

@@ -522,7 +522,7 @@ class SparseSeries:
     def value_key(self):
         """Hashable exact value, built once per element.
 
-        linfinity's tower memo keys structure-map arguments by it.
+        linfinity's inclusion tower memoizes its values by it.
         """
         if self._vkey is not None:
             return self._vkey

@@ -8,25 +8,24 @@ Both sides are wrapped as honest dgla's with the standard axioms:
   convention under which twist elements are Maurer-Cartan and the
   standard Leibniz rule holds.
 
-Morphism towers are stored as explicit multilinear structure maps
-F^n : Lambda^n(source) -> target, evaluated on demand and memoized per
-tower by argument value.  The bracket defect that defines a higher map
-sums over classes of equal arguments, not over argument subsets, and
-reads the source bracket at arity 2 alone, so the transport of a
-Maurer-Cartan element alpha evaluates one map per arity: F^n(alpha, ...,
-alpha), from the n - 1 splittings of its n equal arguments into the
-lower maps already evaluated.  Koszul signs are computed
-in the double-shifted grading where Maurer-Cartan elements sit in degree
-0 (so transport of such elements needs no signs at all).
-
-A contraction gives the inclusion tower Q (`invert_contraction`); its
-reduction side is the projection itself.  The oracles that certify them
-are test code, in `tests/oracles.py`.
+A contraction (p, h) of a dgla gives the inclusion tower Q of the
+projected dgla into the ambient one (`invert_contraction`), the
+L-infinity quasi-isomorphism of homotopy transfer.  Maurer-Cartan
+transport reads Q on the diagonal alone, Q^n(pi, ..., pi), so
+`MorphismTower` computes only those values: y_1 = pi and, for n >= 2,
+y_n = -h(sum_a C(n - 1, a - 1) [y_a, y_(n-a)]), less p[pi, pi] at
+n = 2.  This is the homotopy-transfer formula for Maurer-Cartan
+elements (E. Getzler, "Lie theory for nilpotent L-infinity algebras",
+arXiv math/0404003; J.-L. Loday, B. Vallette, "Algebraic Operads",
+10.3).  A Maurer-Cartan element has degree 1, even in the shifted
+grading, so the recursion carries no Koszul signs.  The reduction side
+is the projection itself.  The tower on arbitrary arguments, and the
+oracles that certify it as an L-infinity morphism, are test code, in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import comb
 
@@ -43,23 +42,6 @@ from .tensor_spaces import CdybElement
 from .uea import UEnvelope, UmSplitter
 
 _HALF = Fraction(1, 2)
-
-
-# -- sign bookkeeping -------------------------------------------------------
-
-
-def koszul_sign(degs, perm):
-    """Koszul sign of reordering homogeneous slots into the order `perm`.
-
-    `degs[i]` is the (shifted) degree of the i-th original slot; `perm`
-    lists original positions in their new order.
-    """
-    s = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b] and degs[perm[a]] % 2 and degs[perm[b]] % 2:
-                s = -s
-    return s
 
 
 # -- dgla wrappers ----------------------------------------------------------
@@ -83,16 +65,8 @@ class LinfAlgebra:
     def degree(self, x) -> int:
         raise NotImplementedError
 
-    def s_degree(self, x) -> int:
-        return self.degree(x) - 1
-
     def zero(self):
         raise NotImplementedError
-
-    def q2(self, x, y, sx):
-        """Decalage bracket: the coderivation pairing on shifted slots."""
-        out = self.bracket(x, y)
-        return out.scale(-1) if sx % 2 else out
 
     def mc_residual(self, alpha):
         return self.q1(alpha) + self.bracket(alpha, alpha).scale(_HALF)
@@ -146,27 +120,6 @@ class AdtDgla(LinfAlgebra):
 
     def zero(self):
         return AdtElement.zero(self.uea, 1, self.order)
-
-
-class ProjectedDgla(LinfAlgebra):
-    """The image of a contraction's projection, as a dgla of its own."""
-
-    def __init__(self, contraction: "Contraction"):
-        self.contraction = contraction
-        self.ambient = contraction.dgla
-        self.order = self.ambient.order
-
-    def q1(self, x):
-        return self.ambient.q1(x)
-
-    def bracket(self, x, y):
-        return self.contraction.proj(self.ambient.bracket(x, y))
-
-    def degree(self, x):
-        return self.ambient.degree(x)
-
-    def zero(self):
-        return self.ambient.zero()
 
 
 # -- contractions -----------------------------------------------------------
@@ -326,146 +279,60 @@ def quantum_contraction(uea: UEnvelope, order: int) -> Contraction:
     return Contraction(g, lambda x: adt_dgla.p2_project(splitter, x), h)
 
 
-# -- morphism towers --------------------------------------------------------
+# -- the inclusion tower ----------------------------------------------------
 
 
 class MorphismTower:
-    """Structure maps F^1..F^A of a coalgebra morphism between dgla's.
+    """The inclusion tower Q of a contraction C, on the diagonal.
 
-    The arity bound A is the number of maps: `apply` answers zero above
-    it, and a strict morphism lists its higher maps as zero maps.
+    `apply(n, x)` is Q^n(x, ..., x): x at n = 1, and above it -h of the
+    bracket defect, the sum over a of C(n - 1, a - 1) [Q^a(x^a),
+    Q^(n-a)(x^(n-a))] (the splittings of n equal arguments that keep
+    the first on the left), less p[x, x] at n = 2.  The other source
+    terms of the defect are maps of Q, in the image of h, and h h = 0
+    and p h = 0 erase them.  The defect must lie in the kernel of p,
+    where q1 h + h q1 is the identity; ContractFailure is raised when
+    it does not.
 
-    Memo contract: every structure map is a pure function of the values
-    of its arguments, and elements are never mutated after construction.
-    So `apply` evaluates each map at most once per distinct argument
-    tuple, keyed by value rather than identity, and answers zero without
-    evaluating when an argument is zero (the maps are multilinear).
+    `apply` answers zero above the arity bound and on x = 0 (the maps
+    are multilinear), and memoizes each value on (n, `x.value_key()`),
+    as elements are never mutated after construction.
     """
 
-    def __init__(self, source, target, maps):
-        self.source = source
-        self.target = target
-        self.maps = list(maps)
+    def __init__(self, contraction: Contraction, arity_bound: int):
+        self.contraction = contraction
+        self.arity_bound = arity_bound
         self._memo: dict = {}
 
-    def apply(self, n, args):
-        if n < 1 or n > len(self.maps):
-            return self.target.zero()
-        if any(a.is_zero() for a in args):
-            return self.target.zero()
-        key = (n, tuple(a.value_key() for a in args))
+    def apply(self, n, x):
+        g = self.contraction.dgla
+        if n < 1 or n > self.arity_bound or x.is_zero():
+            return g.zero()
+        key = (n, x.value_key())
         out = self._memo.get(key)
         if out is None:
-            out = self._memo[key] = self.maps[n - 1](*args)
+            out = self._memo[key] = x if n == 1 else self._higher(n, x)
         return out
 
-
-def _argument_classes(args, degs):
-    """[value, shifted degree, count] per argument class.
-
-    Equal arguments of even shifted degree form one class; each argument
-    of odd degree is a class of its own, since the relative order of the
-    odd arguments sets the Koszul signs.  Classes come in the order of
-    their first argument, so the odd ones keep their relative order and
-    the first class holds the first argument.
-    """
-    classes = []
-    even = {}
-    for a, d in zip(args, degs):
-        if d % 2 == 0:
-            key = a.value_key()
-            cls = even.get(key)
-            if cls is not None:
-                cls[2] += 1
+    def _higher(self, n, x):
+        C = self.contraction
+        g = C.dgla
+        defect = g.zero()
+        for a in range(1, n):
+            u = self.apply(a, x)
+            if u.is_zero():
                 continue
-            even[key] = cls = [a, d, 1]
-        else:
-            cls = [a, d, 1]
-        classes.append(cls)
-    return classes
-
-
-def _expand(classes, counts):
-    """The arguments that take counts[c] members of each class c."""
-    return tuple(
-        cls[0] for cls, m in zip(classes, counts) for _ in range(m)
-    )
-
-
-def _bracket_defect(T: MorphismTower, args, degs):
-    """The bracket terms of the morphism relation of a perturbed tower.
-
-    This is the failure term the next structure map has to repair: the
-    target-bracket pairings of lower maps minus the lower maps applied
-    to source brackets.  Only the source term of arity 2 is summed: the
-    source bracket of the two arguments, as the first map is the
-    identity.  Every other one is a map of T of arity n - 1 >= 2, which
-    is -h(...) (`_perturbed_tower`), and as h h = 0 and p h = 0 it
-    drops out of both uses of the defect, -h(defect) and the check
-    p(defect).  For Q, h p = 0 erases the arity-2 term from -h(defect)
-    too, but the check reads it.  These side conditions are tested in
-    `test_contraction_side_conditions`; the full relation of any tower
-    is `bracket_defect` in `tests/reference_kernels.py`.
-
-    The maps are graded symmetric, so a target pairing depends only on
-    how many members of each argument class (`_argument_classes`) it
-    takes, and the sum runs over those counts, each term weighted by
-    the number of argument subsets that take them.  The pairings keep
-    the first argument on the left, so a left side with a members of
-    the first class (m members) is one of C(m - 1, a - 1) subsets, not
-    C(m, a).
-    """
-    n = len(args)
-    tgt = T.target
-    classes = _argument_classes(args, degs)
-    cdegs = [d for _, d, _ in classes]
-    sizes = [m for _, _, m in classes]
-    res = tgt.zero()
-    ranges = [range(1, sizes[0] + 1)] + [range(m + 1) for m in sizes[1:]]
-    for left in itertools.product(*ranges):
-        right = [m - a for m, a in zip(sizes, left)]
-        if not any(right):
-            continue
-        u = T.apply(sum(left), _expand(classes, left))
-        if u.is_zero():
-            continue
-        v = T.apply(n - sum(left), _expand(classes, right))
-        if v.is_zero():
-            continue
-        coeff = comb(sizes[0] - 1, left[0] - 1)
-        for m, a in zip(sizes[1:], left[1:]):
-            coeff *= comb(m, a)
-        perm = ([c for c, a in enumerate(left) if a]
-                + [c for c, b in enumerate(right) if b])
-        coeff *= koszul_sign(cdegs, perm)
-        su = sum(a * d for a, d in zip(left, cdegs))
-        res = res + tgt.q2(u, v, su).scale(coeff)
-    if n == 2:
-        res = res - T.source.q2(args[0], args[1], degs[0])
-    return res
-
-
-def _perturbed_tower(C: Contraction, source, target, arity_bound):
-    """The tower with first map the identity and n-th map -h(defect).
-
-    The defect is the bracket defect of the maps below arity n, less
-    the source terms that h erases (`_bracket_defect`).  It must lie in
-    the kernel of the projection, where q1 h + h q1 is the identity;
-    ContractFailure is raised when it does not.
-    """
-    T = MorphismTower(source, target, [lambda x: x])
-
-    def higher(*args):
-        degs = [source.s_degree(a) for a in args]
-        defect = _bracket_defect(T, args, degs)
+            v = self.apply(n - a, x)
+            if v.is_zero():
+                continue
+            defect = defect + g.bracket(u, v).scale(comb(n - 1, a - 1))
+        if n == 2:
+            defect = defect - C.proj(g.bracket(x, x))
         if not C.proj(defect).is_zero():
             raise ContractFailure(
                 "relation defect has a component outside the kernel"
             )
         return C.h(defect).scale(-1)
-
-    T.maps += [higher] * (arity_bound - 1)
-    return T
 
 
 def invert_contraction(C: Contraction, arity_bound: int) -> MorphismTower:
@@ -477,34 +344,37 @@ def invert_contraction(C: Contraction, arity_bound: int) -> MorphismTower:
     first map is the identity and the higher maps are -h of the bracket
     defect.  As h h = 0, p h = 0 and h p = 0, Q is the only tower with
     the inclusion as first map and higher maps in the image of h, so it
-    is the inverse of F composed with the inclusion, and they erase
-    every source term of the defect but one (`_bracket_defect`), so
-    transport evaluates one map per arity.  The reduction R =
+    is the inverse of F composed with the inclusion.  The reduction R =
     proj o F is strict: its first map is proj, and as p h = 0 every
     higher map R^n = p(F^n) = -p h(defect) is zero.  So transport along
-    R is proj itself, and no tower is built for it.  F, R and
-    `check_morphism` live in `tests/oracles.py`.
+    R is proj itself, and no tower is built for it.  Q on arbitrary
+    arguments, F, R and `check_morphism` live in `tests/oracles.py`.
     """
-    return _perturbed_tower(C, ProjectedDgla(C), C.dgla, arity_bound)
+    return MorphismTower(C, arity_bound)
 
 
 # -- Maurer-Cartan transport ------------------------------------------------
 
 
 def mc_transport(T: MorphismTower, alpha):
-    """Push a Maurer-Cartan element through a morphism tower.
+    """Push a Maurer-Cartan element through the inclusion tower.
 
-    alpha must have degree-0 shifted parity (bivector-type) so that no
-    Koszul signs appear in the symmetric powers.  MorphismUnsound is
-    raised unless the result's recomputed Maurer-Cartan residual is zero.
+    The sum of Q^n(alpha, ..., alpha) / n! up to the arity bound.  alpha
+    must have degree 1, the Maurer-Cartan degree (bivector type), or
+    GradingMismatch is raised: the tower's recursion carries no Koszul
+    signs.  MorphismUnsound is raised unless the result's recomputed
+    Maurer-Cartan residual is zero.
     """
-    out = T.target.zero()
+    g = T.contraction.dgla
+    if not alpha.is_zero() and g.degree(alpha) != 1:
+        raise GradingMismatch("Maurer-Cartan transport needs degree 1")
+    out = g.zero()
     fact = 1
-    for n in range(1, len(T.maps) + 1):
+    for n in range(1, T.arity_bound + 1):
         fact *= n
-        term = T.apply(n, (alpha,) * n)
+        term = T.apply(n, alpha)
         out = out + term.scale(quotient(1, fact))
-    if not T.target.mc_residual(out).is_zero():
+    if not g.mc_residual(out).is_zero():
         raise MorphismUnsound(
             "transported element fails the Maurer-Cartan equation"
         )

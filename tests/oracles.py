@@ -1,6 +1,13 @@
 """The oracles that certify the L-infinity towers, the classical flows
 and the command-line grammar.
 
+`Tower` is a morphism tower on arbitrary arguments, given by its
+structure maps, and `perturbed_tower` builds one by the homotopy
+recursion, its bracket defect summed over classes of equal arguments
+with Koszul signs (`class_defect`).  The package computes the
+inclusion tower on the diagonal alone (`linfinity.MorphismTower`);
+`inclusion_tower` is that tower on any arguments, and `transport`
+pushes a Maurer-Cartan element through any tower.
 `check_morphism` evaluates the morphism relations exactly on elements
 that `sample_elements` draws from each dgla's invariant slices.
 `straightening_tower` is the tower F onto the split target, which the
@@ -19,16 +26,17 @@ import argparse
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 from dyntwist import cdyb_dgla
 from dyntwist.adt_dgla import AdtElement, invariant_adt_basis
 from dyntwist.cli import _COMMANDS
-from dyntwist.errors import GradingMismatch
-from dyntwist.gauge import _as_generator
-from dyntwist.linfinity import (
-    AdtDgla, CdybDgla, MorphismTower, ProjectedDgla, _perturbed_tower,
-    koszul_sign,
+from dyntwist.errors import (
+    ContractFailure, GradingMismatch, MorphismUnsound,
 )
+from dyntwist.gauge import _as_generator
+from dyntwist.hseries import quotient
+from dyntwist.linfinity import AdtDgla, CdybDgla, LinfAlgebra
 from dyntwist.tensor_spaces import (
     CdybElement, invariant_cdyb_basis, sym_sort, wedge_sort,
 )
@@ -36,7 +44,57 @@ from dyntwist.tensor_spaces import (
 import reference_kernels
 
 
+# -- sign bookkeeping -------------------------------------------------------
+
+
+def koszul_sign(degs, perm):
+    """Koszul sign of reordering homogeneous slots into the order `perm`.
+
+    `degs[i]` is the (shifted) degree of the i-th original slot; `perm`
+    lists original positions in their new order.
+    """
+    s = 1
+    for a in range(len(perm)):
+        for b in range(a + 1, len(perm)):
+            if perm[a] > perm[b] and degs[perm[a]] % 2 and degs[perm[b]] % 2:
+                s = -s
+    return s
+
+
+def s_degree(g, x) -> int:
+    """Degree of x in the double-shifted grading of the dgla g, where
+    Maurer-Cartan elements sit in degree 0."""
+    return g.degree(x) - 1
+
+
+def q2(g, x, y, sx):
+    """Decalage bracket of g: the coderivation pairing on shifted slots."""
+    out = g.bracket(x, y)
+    return out.scale(-1) if sx % 2 else out
+
+
 # -- the dgla wrappers ------------------------------------------------------
+
+
+class ProjectedDgla(LinfAlgebra):
+    """The image of a contraction's projection, as a dgla of its own."""
+
+    def __init__(self, contraction):
+        self.contraction = contraction
+        self.ambient = contraction.dgla
+        self.order = self.ambient.order
+
+    def q1(self, x):
+        return self.ambient.q1(x)
+
+    def bracket(self, x, y):
+        return self.contraction.proj(self.ambient.bracket(x, y))
+
+    def degree(self, x):
+        return self.ambient.degree(x)
+
+    def zero(self):
+        return self.ambient.zero()
 
 
 class SplitTargetDgla(ProjectedDgla):
@@ -119,18 +177,190 @@ def sample_elements(g, rng, count):
     return _SAMPLERS[type(g)](g, rng, count)
 
 
+# -- the tower on arbitrary arguments ---------------------------------------
+
+
+class Tower:
+    """Structure maps F^1..F^A of a coalgebra morphism between dgla's.
+
+    The arity bound A is the number of maps: `apply` answers zero above
+    it, and a strict morphism lists its higher maps as zero maps.
+
+    Memo contract: every structure map is a pure function of the values
+    of its arguments, and elements are never mutated after construction.
+    So `apply` evaluates each map at most once per distinct argument
+    tuple, keyed by value rather than identity, and answers zero without
+    evaluating when an argument is zero (the maps are multilinear).
+    """
+
+    def __init__(self, source, target, maps):
+        self.source = source
+        self.target = target
+        self.maps = list(maps)
+        self._memo: dict = {}
+
+    def apply(self, n, args):
+        if n < 1 or n > len(self.maps):
+            return self.target.zero()
+        if any(a.is_zero() for a in args):
+            return self.target.zero()
+        key = (n, tuple(a.value_key() for a in args))
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = self.maps[n - 1](*args)
+        return out
+
+
+def argument_classes(args, degs):
+    """[value, shifted degree, count] per argument class.
+
+    Equal arguments of even shifted degree form one class; each argument
+    of odd degree is a class of its own, since the relative order of the
+    odd arguments sets the Koszul signs.  Classes come in the order of
+    their first argument, so the odd ones keep their relative order and
+    the first class holds the first argument.
+    """
+    classes = []
+    even = {}
+    for a, d in zip(args, degs):
+        if d % 2 == 0:
+            key = a.value_key()
+            cls = even.get(key)
+            if cls is not None:
+                cls[2] += 1
+                continue
+            even[key] = cls = [a, d, 1]
+        else:
+            cls = [a, d, 1]
+        classes.append(cls)
+    return classes
+
+
+def expand(classes, counts):
+    """The arguments that take counts[c] members of each class c."""
+    return tuple(
+        cls[0] for cls, m in zip(classes, counts) for _ in range(m)
+    )
+
+
+def class_defect(T: Tower, args, degs):
+    """The bracket terms of the morphism relation of a perturbed tower.
+
+    This is the failure term the next structure map has to repair: the
+    target-bracket pairings of lower maps minus the lower maps applied
+    to source brackets.  Only the source term of arity 2 is summed: the
+    source bracket of the two arguments, as the first map is the
+    identity.  Every other one is a map of T of arity n - 1 >= 2, which
+    is -h(...) (`perturbed_tower`), and as h h = 0 and p h = 0 it
+    drops out of both uses of the defect, -h(defect) and the check
+    p(defect).  For Q, h p = 0 erases the arity-2 term from -h(defect)
+    too, but the check reads it.  These side conditions are tested in
+    `test_contraction_side_conditions`; the full relation of any tower
+    is `bracket_defect` in `tests/reference_kernels.py`.
+
+    The maps are graded symmetric, so a target pairing depends only on
+    how many members of each argument class (`argument_classes`) it
+    takes, and the sum runs over those counts, each term weighted by
+    the number of argument subsets that take them.  The pairings keep
+    the first argument on the left, so a left side with a members of
+    the first class (m members) is one of C(m - 1, a - 1) subsets, not
+    C(m, a).  On n equal arguments of even degree this is the sum that
+    `linfinity.MorphismTower` computes.
+    """
+    n = len(args)
+    tgt = T.target
+    classes = argument_classes(args, degs)
+    cdegs = [d for _, d, _ in classes]
+    sizes = [m for _, _, m in classes]
+    res = tgt.zero()
+    ranges = [range(1, sizes[0] + 1)] + [range(m + 1) for m in sizes[1:]]
+    for left in itertools.product(*ranges):
+        right = [m - a for m, a in zip(sizes, left)]
+        if not any(right):
+            continue
+        u = T.apply(sum(left), expand(classes, left))
+        if u.is_zero():
+            continue
+        v = T.apply(n - sum(left), expand(classes, right))
+        if v.is_zero():
+            continue
+        coeff = comb(sizes[0] - 1, left[0] - 1)
+        for m, a in zip(sizes[1:], left[1:]):
+            coeff *= comb(m, a)
+        perm = ([c for c, a in enumerate(left) if a]
+                + [c for c, b in enumerate(right) if b])
+        coeff *= koszul_sign(cdegs, perm)
+        su = sum(a * d for a, d in zip(left, cdegs))
+        res = res + q2(tgt, u, v, su).scale(coeff)
+    if n == 2:
+        res = res - q2(T.source, args[0], args[1], degs[0])
+    return res
+
+
+def perturbed_tower(C, source, target, arity_bound):
+    """The tower with first map the identity and n-th map -h(defect).
+
+    The defect is the bracket defect of the maps below arity n, less
+    the source terms that h erases (`class_defect`).  It must lie in
+    the kernel of the projection, where q1 h + h q1 is the identity;
+    ContractFailure is raised when it does not.
+    """
+    T = Tower(source, target, [lambda x: x])
+
+    def higher(*args):
+        degs = [s_degree(source, a) for a in args]
+        defect = class_defect(T, args, degs)
+        if not C.proj(defect).is_zero():
+            raise ContractFailure(
+                "relation defect has a component outside the kernel"
+            )
+        return C.h(defect).scale(-1)
+
+    T.maps += [higher] * (arity_bound - 1)
+    return T
+
+
+def inclusion_tower(C, arity_bound):
+    """Q: the projected dgla of C included into the ambient one.
+
+    On n equal arguments of degree 1 its maps are the values of
+    `linfinity.invert_contraction`'s tower.
+    """
+    return perturbed_tower(C, ProjectedDgla(C), C.dgla, arity_bound)
+
+
+def transport(T: Tower, alpha):
+    """Push a Maurer-Cartan element through a morphism tower.
+
+    alpha must have degree-0 shifted parity (bivector-type) so that no
+    Koszul signs appear in the symmetric powers.  MorphismUnsound is
+    raised unless the result's recomputed Maurer-Cartan residual is zero.
+    """
+    out = T.target.zero()
+    fact = 1
+    for n in range(1, len(T.maps) + 1):
+        fact *= n
+        term = T.apply(n, (alpha,) * n)
+        out = out + term.scale(quotient(1, fact))
+    if not T.target.mc_residual(out).is_zero():
+        raise MorphismUnsound(
+            "transported element fails the Maurer-Cartan equation"
+        )
+    return out
+
+
 # -- morphism relations -----------------------------------------------------
 
 
 def strict_tower(source, target, first, arity_bound):
     """The tower with first map `first` and zero maps up to arity_bound."""
     zero = [lambda *args: target.zero()] * (arity_bound - 1)
-    return MorphismTower(source, target, [first] + zero)
+    return Tower(source, target, [first] + zero)
 
 
 def straightening_tower(C, arity_bound):
     """F: the ambient dgla of C straightened onto its split target."""
-    return _perturbed_tower(C, C.dgla, SplitTargetDgla(C), arity_bound)
+    return perturbed_tower(C, C.dgla, SplitTargetDgla(C), arity_bound)
 
 
 def reduction_tower(C, arity_bound):
@@ -142,18 +372,18 @@ def reduction_tower(C, arity_bound):
     return strict_tower(C.dgla, ProjectedDgla(C), C.proj, arity_bound)
 
 
-def morphism_residual(T: MorphismTower, args, degs=None):
+def morphism_residual(T: Tower, args, degs=None):
     """Exact residual of the L-infinity morphism relation at this arity.
 
     The bracket terms are the full relation, source brackets under
     every lower map included (`reference_kernels.bracket_defect`), so
     any tower can be checked, not only the perturbed ones that
-    `linfinity._bracket_defect` serves.
+    `class_defect` serves.
     """
     n = len(args)
     src, tgt = T.source, T.target
     if degs is None:
-        degs = [src.s_degree(a) for a in args]
+        degs = [s_degree(src, a) for a in args]
     res = tgt.q1(T.apply(n, args))
     for i in range(n):
         sign = (-1) ** (sum(degs[:i]) % 2)
@@ -167,7 +397,7 @@ def morphism_residual(T: MorphismTower, args, degs=None):
     return res + reference_kernels.bracket_defect(T, args, degs)
 
 
-def check_morphism(T: MorphismTower, arity: int, samples: int, seed=0):
+def check_morphism(T: Tower, arity: int, samples: int, seed=0):
     """Evaluate the morphism relations on sampled invariant elements.
 
     Returns a report dict; `ok` means every sampled residual was exactly
@@ -197,7 +427,7 @@ def _pairs_add(acc, coeff, u, su, v, sv):
     acc.append((coeff, u, su, v, sv))
 
 
-def twist_by_homotopy(F: MorphismTower, V) -> MorphismTower:
+def twist_by_homotopy(F: Tower, V) -> Tower:
     """Twist a morphism tower by a degree -1 map V: source -> target.
 
     The first structure map becomes F^1 + q1 V + V q1 and the higher
@@ -241,12 +471,12 @@ def twist_by_homotopy(F: MorphismTower, V) -> MorphismTower:
         """Target-component of the extension's W on a length-2 word."""
         out = tgt.zero()
         for coeff, u, su, v, sv in v2_pairs(args, degs):
-            out = out + tgt.q2(u, v, su).scale(coeff)
-        out = out + V(src.q2(args[0], args[1], degs[0]))
+            out = out + q2(tgt, u, v, su).scale(coeff)
+        out = out + V(q2(src, args[0], args[1], degs[0]))
         return out
 
     def psi2(x, y):
-        degs = (src.s_degree(x), src.s_degree(y))
+        degs = (s_degree(src, x), s_degree(src, y))
         return F.apply(2, (x, y)) + w2((x, y), degs)
 
     def v2_pairs3(args, degs):
@@ -304,13 +534,13 @@ def twist_by_homotopy(F: MorphismTower, V) -> MorphismTower:
 
     def psi3(x, y, z):
         args = (x, y, z)
-        degs = tuple(src.s_degree(a) for a in args)
+        degs = tuple(s_degree(src, a) for a in args)
         out = F.apply(3, args)
         for coeff, u, su, v, sv in v2_pairs3(args, degs):
-            out = out + tgt.q2(u, v, su).scale(coeff)
+            out = out + q2(tgt, u, v, su).scale(coeff)
         return out
 
-    return MorphismTower(src, tgt, [psi1, psi2, psi3][:arity_bound])
+    return Tower(src, tgt, [psi1, psi2, psi3][:arity_bound])
 
 
 # -- the classical flow and alt ---------------------------------------------

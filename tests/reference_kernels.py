@@ -76,8 +76,9 @@ vanish at the same leg degrees.
 
 `contraction_towers` builds the towers (Q, F, R) of a contraction as
 `linfinity.invert_contraction` built them before Q had a recursion of
-its own and before R was strict: F, onto the split target of
-`oracles.SplitTargetDgla`, by the homotopy recursion, its
+its own (now `oracles.inclusion_tower`, and on the diagonal
+`linfinity.MorphismTower`) and before R was strict: F, onto the split
+target of `oracles.SplitTargetDgla`, by the homotopy recursion, its
 inverse by a sum over the set partitions of the arguments
 (`invert_tower`), and Q and R by composing that inverse and F with the
 strict inclusion and projection (`compose_towers`, here over every
@@ -85,8 +86,8 @@ partition).  Its F sums the bracket defect over argument positions
 (`bracket_defect`, over every subset that holds the first argument),
 with every source-bracket term under every lower map: this is the full
 morphism relation of any tower, which `oracles.morphism_residual`
-checks.  `linfinity._bracket_defect` sums over argument classes and
-keeps only the arity-2 source term, since h erases the others from a
+checks.  `oracles.class_defect` sums over argument classes and keeps
+only the arity-2 source term, since h erases the others from a
 perturbed tower; above arity 2 the two agree under h and p.
 """
 
@@ -100,12 +101,7 @@ from dyntwist.errors import ContractFailure, GradingMismatch, NoSolution
 from dyntwist.gauge import adt_inverse
 from dyntwist.hseries import add_into
 from dyntwist.lie_core import invariant_basis
-from dyntwist.linfinity import (
-    AdtDgla,
-    MorphismTower,
-    ProjectedDgla,
-    koszul_sign,
-)
+from dyntwist.linfinity import AdtDgla
 from dyntwist.quantizer import FormalTwist, _star_mono
 from dyntwist.tensor_spaces import CdybElement, sym_sort
 from dyntwist.uea import coproduct_mono
@@ -1004,19 +1000,19 @@ def bracket_defect(T, args, degs):
     res = tgt.zero()
     for A, B in _subsets(n):
         perm = A + B
-        sign = koszul_sign(degs, perm)
+        sign = oracles.koszul_sign(degs, perm)
         u = T.apply(len(A), tuple(args[i] for i in A))
         v = T.apply(len(B), tuple(args[i] for i in B))
         su = sum(degs[i] for i in A)
-        term = tgt.q2(u, v, su)
+        term = oracles.q2(tgt, u, v, su)
         if sign < 0:
             term = term.scale(-1)
         res = res + term
     for i, j in itertools.combinations(range(n), 2):
         rest = [x for x in range(n) if x not in (i, j)]
         perm = [i, j] + rest
-        sign = koszul_sign(degs, perm)
-        w = src.q2(args[i], args[j], degs[i])
+        sign = oracles.koszul_sign(degs, perm)
+        w = oracles.q2(src, args[i], args[j], degs[i])
         term = T.apply(n - 1, (w,) + tuple(args[x] for x in rest))
         if sign > 0:
             term = term.scale(-1)
@@ -1039,12 +1035,12 @@ def _set_partitions(items):
 
 def _partition_sum(outer, inner, args, partitions, zero):
     """zero + sum over partitions of +-outer(inner(block), ...)."""
-    degs = [inner.source.s_degree(a) for a in args]
+    degs = [oracles.s_degree(inner.source, a) for a in args]
     out = zero
     for part in partitions:
         blocks = sorted(part, key=min)
         perm = [i for blk in blocks for i in sorted(blk)]
-        sign = koszul_sign(degs, perm)
+        sign = oracles.koszul_sign(degs, perm)
         term = outer.apply(len(blocks), tuple(
             inner.apply(len(blk), tuple(args[i] for i in sorted(blk)))
             for blk in blocks
@@ -1063,13 +1059,13 @@ def compose_towers(G, F, source, target):
         parts = _set_partitions(list(range(len(args))))
         return _partition_sum(G, F, args, parts, target.zero())
 
-    return MorphismTower(source, target, [composed] * bound)
+    return oracles.Tower(source, target, [composed] * bound)
 
 
 def invert_tower(F):
     """Inverse of a tower whose first map is the identity."""
     src, tgt = F.target, F.source
-    H = MorphismTower(src, tgt, [lambda x: x])
+    H = oracles.Tower(src, tgt, [lambda x: x])
 
     def inverted(*args):
         parts = (p for p in _set_partitions(list(range(len(args))))
@@ -1084,11 +1080,11 @@ def contraction_towers(C, arity_bound):
     """(Q, F, R): the inclusion, straightening and reduction towers."""
     ambient = C.dgla
     split = oracles.SplitTargetDgla(C)
-    sub = ProjectedDgla(C)
-    F = MorphismTower(ambient, split, [lambda x: x])
+    sub = oracles.ProjectedDgla(C)
+    F = oracles.Tower(ambient, split, [lambda x: x])
 
     def straightened(*args):
-        degs = [ambient.s_degree(a) for a in args]
+        degs = [oracles.s_degree(ambient, a) for a in args]
         defect = bracket_defect(F, args, degs)
         if not C.proj(defect).is_zero():
             raise ContractFailure("defect outside the kernel")

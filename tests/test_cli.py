@@ -15,12 +15,13 @@ from dyntwist.cli import (
 from dyntwist.quantizer import RMatrix, taylor_rescale
 from dyntwist.schema import MAX_ORDER
 
-from conftest import CORPUS
+from conftest import CORPUS, geometric_body
 from oracles import build_parser
 
 SL2 = str(CORPUS / "sl2.alg")
 SL2_R = str(CORPUS / "sl2.rmat")
 SL2_DEG8_R = str(CORPUS / "sl2_deg8.rmat")
+SL2_DEG12_R = str(CORPUS / "sl2_deg12.rmat")
 AB2 = str(CORPUS / "abelian2.alg")
 AB2_R = str(CORPUS / "abelian2.rmat")
 NONAB = str(CORPUS / "nonab.alg")
@@ -33,6 +34,18 @@ def test_check_rmatrix(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "residual head: ok" in out
+
+
+def test_sl2_deg12_is_the_geometric_series(capsys):
+    # sl2_deg8.rmat's series extended to leg degree 12, for order 13
+    lie = schema.parse_algebra(schema.load_file(SL2))
+    body = schema.parse_rmatrix(schema.load_file(SL2_DEG12_R), lie, 13)
+    assert body == geometric_body((0, 2), 1, 13, max_deg=12)
+    assert main(["check-rmatrix", "--algebra", SL2, "--rmatrix",
+                 SL2_DEG12_R, "--order", "13"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "invariance and grading: ok" in lines
+    assert "residual head: ok" in lines
 
 
 def test_check_rmatrix_failure(tmp_path, capsys):

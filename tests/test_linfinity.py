@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from dyntwist import (
     AdtElement,
     CdybElement,
+    GradingMismatch,
     LieData,
     RMatrix,
     UEnvelope,
@@ -21,18 +23,21 @@ from dyntwist import (
 )
 from dyntwist.cdyb_dgla import delta_homotopy
 from dyntwist.gauge import reduce_classical
-from dyntwist.linfinity import MorphismTower, _bracket_defect
 
 from ring import HSeries
 import reference_kernels
 from oracles import (
     check_morphism,
+    class_defect,
     filtration,
+    inclusion_tower,
     morphism_residual,
     reduction_tower,
+    s_degree,
     sample_elements,
     straightening_tower,
     strict_tower,
+    transport,
     twist_by_homotopy,
 )
 from conftest import CORPUS, ORDER, geometric_body
@@ -64,7 +69,7 @@ def test_quantum_contraction_identity(sl2_uea, aff_uea, sl2half_uea):
 
 def test_classical_towers_are_morphisms(sl2):
     C = classical_contraction(sl2, ORDER)
-    Q = invert_contraction(C, 3)
+    Q = inclusion_tower(C, 3)
     F, R = straightening_tower(C, 3), reduction_tower(C, 3)
     for tower in (Q, F, R):
         report = check_morphism(tower, 3, SAMPLES, seed=3)
@@ -74,7 +79,7 @@ def test_classical_towers_are_morphisms(sl2):
 
 def test_quantum_towers_are_morphisms(ab2_uea):
     C = quantum_contraction(ab2_uea, ORDER)
-    Q = invert_contraction(C, 3)
+    Q = inclusion_tower(C, 3)
     F, R = straightening_tower(C, 3), reduction_tower(C, 3)
     for tower in (Q, F, R):
         report = check_morphism(tower, 3, SAMPLES, seed=4)
@@ -106,18 +111,20 @@ def test_contraction_side_conditions(request, make, name):
 
 def test_towers_match_inversion_and_composition(sl2, aff, sl2_uea, ab2_uea):
     # the recursion for Q gives the inverse of F composed with the
-    # inclusion, and the strict R is p composed with F; the
+    # inclusion, the strict R is p composed with F, and
+    # `invert_contraction` is Q on n equal arguments of degree 1; the
     # higher maps vanish on most samples, so nonzero ones are counted
     # over all four contractions
     arity = 4
-    higher = {"Q": 0, "F": 0}
+    higher = {"Q": 0, "F": 0, "diagonal": 0}
     for C in (classical_contraction(sl2, ORDER),
               classical_contraction(aff, ORDER),
               quantum_contraction(sl2_uea, ORDER),
               quantum_contraction(ab2_uea, ORDER)):
-        towers = (invert_contraction(C, arity),
+        towers = (inclusion_tower(C, arity),
                   straightening_tower(C, arity), reduction_tower(C, arity))
         refs = reference_kernels.contraction_towers(C, arity)
+        diagonal = invert_contraction(C, arity)
         rng = random.Random(14)
         for n in range(1, arity + 1):
             for _ in range(SAMPLES):
@@ -129,6 +136,13 @@ def test_towers_match_inversion_and_composition(sl2, aff, sl2_uea, ab2_uea):
                     assert got == want and got.order == want.order
                     if n > 1 and name in higher:
                         higher[name] += not got.is_zero()
+                    x = args[0]
+                    if name == "Q" and C.dgla.degree(x) == 1:
+                        got = diagonal.apply(n, x)
+                        want = ref.apply(n, (x,) * n)
+                        assert got == want and got.order == want.order
+                        if n > 1:
+                            higher["diagonal"] += not got.is_zero()
     assert all(higher.values()), higher
 
 
@@ -161,8 +175,8 @@ def _assert_defects_agree(C, T, args):
     # the class sum keeps the source terms of arity 2 alone: the others
     # are higher maps of T, in the image of h, so the two defects agree
     # exactly at arity 2 and under h and p above it
-    degs = [T.source.s_degree(a) for a in args]
-    got = _bracket_defect(T, args, degs)
+    degs = [s_degree(T.source, a) for a in args]
+    got = class_defect(T, args, degs)
     want = reference_kernels.bracket_defect(T, args, degs)
     assert got.order == want.order
     if len(args) == 2:
@@ -177,7 +191,7 @@ def _assert_defects_agree(C, T, args):
 def test_defect_by_class_on_equal_mc_arguments(request, kind):
     # F's alpha^n and Q's p(alpha)^n are the transports' own arguments
     C, alpha, pi = _mc_case(request, kind)
-    Q = invert_contraction(C, 8)
+    Q = inclusion_tower(C, 8)
     F = straightening_tower(C, 8)
     nonzero = 0
     for T, x in ((F, alpha), (Q, pi)):
@@ -210,14 +224,14 @@ PATTERNS = ["xy", "yy", "yz", "xxy", "yxx", "xyx", "yzx", "yyx", "zxy",
 @pytest.mark.parametrize("kind", ["classical", "quantum"])
 def test_defect_by_class_on_mixed_repeats(kind):
     C = _heisenberg_contraction(kind)
-    Q = invert_contraction(C, 6)
+    Q = inclusion_tower(C, 6)
     F = straightening_tower(C, 6)
     nonzero = 0
     for T in (F, Q):
         pool = sample_elements(T.source, random.Random(16), 80)
-        even = [x for x in pool if T.source.s_degree(x) % 2 == 0]
+        even = [x for x in pool if s_degree(T.source, x) % 2 == 0]
         odd = list({x.value_key(): x
-                    for x in pool if T.source.s_degree(x) % 2}.values())
+                    for x in pool if s_degree(T.source, x) % 2}.values())
         letters = {"x": even[0], "y": odd[0], "z": odd[1]}
         for pattern in PATTERNS:
             args = tuple(letters[c] for c in pattern)
@@ -228,7 +242,7 @@ def test_defect_by_class_on_mixed_repeats(kind):
 @pytest.mark.parametrize("kind", ["classical", "quantum"])
 def test_defect_by_class_on_distinct_arguments(kind):
     C = _heisenberg_contraction(kind)
-    Q = invert_contraction(C, 4)
+    Q = inclusion_tower(C, 4)
     F = straightening_tower(C, 4)
     checked = nonzero = 0
     for T in (F, Q):
@@ -262,19 +276,42 @@ def test_reduction_tower_is_strict(request, kind):
             assert ref_R.apply(n, args).is_zero()
             moved += not ref_F.apply(n, args).is_zero()
     assert moved
-    assert mc_transport(R, alpha) == pi
+    assert transport(R, alpha) == pi
+
+
+def _corpus(name, order):
+    """(algebra, r-matrix body) of a corpus input at this order."""
+    lie = schema.parse_algebra((CORPUS / f"{name}.alg").read_text())
+    body = schema.parse_rmatrix((CORPUS / f"{name}.rmat").read_text(), lie,
+                                order)
+    return lie, body
 
 
 @pytest.mark.parametrize("name", ["sl2", "affxc2", "nonab", "abelian2"])
 def test_reduced_bivector_is_the_transport_along_r(name):
     order = 5
-    lie = schema.parse_algebra((CORPUS / f"{name}.alg").read_text())
-    body = schema.parse_rmatrix((CORPUS / f"{name}.rmat").read_text(), lie,
-                                order)
+    lie, body = _corpus(name, order)
     alpha = taylor_rescale(RMatrix(lie, body), order)
     C = classical_contraction(lie, order)
-    want = mc_transport(reduction_tower(C, order), alpha)
+    want = transport(reduction_tower(C, order), alpha)
     assert reduce_classical(lie, alpha).pi == want
+
+
+def _layers_digest(E):
+    return hashlib.sha256(
+        repr([list(layer.items()) for layer in E.layers]).encode()
+    ).hexdigest()
+
+
+# sha256 of E's layers, values and key order
+ROUND_TRIP_DIGESTS = {
+    ("sl2", 4):
+        "5bfe5d09152985bf3445ec8300d72a48beabb1d33e46b003bfb9989d0d804671",
+    ("affxc2", 4):
+        "05ed2cc5a1e2e5737a57164da1c87f116ca3f183746fd5180a023049ffb9ae37",
+    ("nonab", 3):
+        "b95bcb6add4a7bca58974ec5d353ab39a86e3afe70f7094d5f69a6a31389ed74",
+}
 
 
 @pytest.mark.parametrize("name,order", [
@@ -284,9 +321,7 @@ def test_twist_round_trip_applies_h_once_per_arity(name, order):
     # E = Q(p(K - 1)) + 1 is gauge-equivalent to K; transport evaluates
     # Q^n(pi, ..., pi) alone at each arity n, so h runs once per arity
     # from 2 to the order, on no source bracket
-    lie = schema.parse_algebra((CORPUS / f"{name}.alg").read_text())
-    body = schema.parse_rmatrix((CORPUS / f"{name}.rmat").read_text(), lie,
-                                order)
+    lie, body = _corpus(name, order)
     uea = UEnvelope(lie)
     K = solve_adte(RMatrix(lie, body), order, uea=uea).K
     C = quantum_contraction(uea, order)
@@ -301,6 +336,46 @@ def test_twist_round_trip_applies_h_once_per_arity(name, order):
     E = mc_transport(invert_contraction(C, order), C.proj(K - one)) + one
     assert len(calls) == order - 1
     assert find_gauge(K, E).equivalent
+    assert _layers_digest(E) == ROUND_TRIP_DIGESTS[name, order]
+
+
+@pytest.mark.parametrize("side,name,order", [
+    ("classical", "sl2", 5), ("classical", "affxc2", 8),
+    ("classical", "nonab", 4), ("classical", "abelian2", 4),
+    ("twist", "sl2", 3), ("twist", "sl2", 4), ("twist", "affxc2", 3),
+    ("twist", "affxc2", 4), ("twist", "affxc2", 5), ("twist", "nonab", 3),
+])
+def test_transport_matches_the_oracle_tower(side, name, order):
+    # the diagonal recursion sums the oracle's class defect on one even
+    # class: the same terms in the same order, so the same values and
+    # key order; each tower gets a contraction of its own
+    lie, body = _corpus(name, order)
+    if side == "classical":
+        space, make = lie, classical_contraction
+        alpha = taylor_rescale(RMatrix(lie, body), order)
+    else:
+        space, make = UEnvelope(lie), quantum_contraction
+        K = solve_adte(RMatrix(lie, body), order, uea=space).K
+        alpha = K - AdtElement.unit(space, 2, order)
+    pi = make(space, order).proj(alpha)
+    got = mc_transport(invert_contraction(make(space, order), order), pi)
+    want = transport(inclusion_tower(make(space, order), order), pi)
+    assert got == want
+    assert _layers_digest(got) == _layers_digest(want)
+    assert got.order == want.order
+
+
+def test_mc_transport_refuses_other_degrees(sl2):
+    # the diagonal recursion has no Koszul signs, so it transports
+    # degree 1 (bivectors) alone: a trivector, of degree 2, and an
+    # element of mixed degree are refused
+    order = 3
+    T = invert_contraction(classical_contraction(sl2, order), order)
+    trivector = CdybElement.monomial((0, 1, 2), (), 1, order).shift(1)
+    bivector = CdybElement.monomial((0, 2), (), 1, order).shift(1)
+    for x in (trivector, trivector + bivector):
+        with pytest.raises(GradingMismatch):
+            mc_transport(T, x)
 
 
 def test_twist_by_homotopy_identity_tower(sl2):
@@ -327,7 +402,7 @@ def test_twisted_tower_filtration_bound(sl2):
     # map raises filtration by at most one, the twisted maps land in
     # filtration <= n + k - 1 for inputs of filtration <= k
     C = classical_contraction(sl2, ORDER)
-    Q = invert_contraction(C, 3)
+    Q = inclusion_tower(C, 3)
     psi = twist_by_homotopy(Q, lambda x: delta_homotopy(sl2, x))
     report = check_morphism(psi, 3, SAMPLES, seed=11)
     assert report["ok"], report["failures"][:1]
@@ -348,7 +423,7 @@ def test_mc_transport_classical_reduction(sl2, sl2_rho):
     alpha = taylor_rescale(sl2_rho, ORDER)
     C = classical_contraction(sl2, ORDER)
     # reduction transports alpha onto the image of the projection
-    pi = mc_transport(reduction_tower(C, 3), alpha)
+    pi = transport(reduction_tower(C, 3), alpha)
     assert C.proj(pi) == pi
     # the inclusion tower transports it back to a Maurer-Cartan element
     back = mc_transport(invert_contraction(C, 3), pi)
@@ -417,41 +492,50 @@ def test_affxc2_family_reduces_to_constant_bivector(aff, order):
 # -- the tower memo ---------------------------------------------------------
 
 
-def _counting_tower(g, arity):
-    calls = []
+def _counting_tower(C, arity):
+    """The inclusion tower of C, with every call of h recorded."""
+    h, calls = C.h, []
 
-    def f(*args):
-        calls.append(args)
-        out = g.zero()
-        for x in args:
-            out = out + x
-        return out
+    def counted(x):
+        calls.append(x)
+        return h(x)
 
-    T = MorphismTower(g, g, [f] * arity)
-    return T, calls
+    C.h = counted
+    return invert_contraction(C, arity), calls
+
+
+def _bivectors(g, seed, count):
+    pool = sample_elements(g, random.Random(seed), 8 * count)
+    return [x for x in pool if g.degree(x) == 1][:count]
 
 
 def test_apply_evaluates_once_per_argument_value(sl2):
-    g = classical_contraction(sl2, ORDER).dgla
-    x, y = sample_elements(g, random.Random(9), 2)
-    T, calls = _counting_tower(g, 2)
-    first = T.apply(2, (x, y))
-    # equal values in distinct objects, terms inserted in reverse order
+    C = classical_contraction(sl2, ORDER)
+    x, y = _bivectors(C.dgla, 9, 2)
+    assert x != y
+    T, calls = _counting_tower(C, 3)
+    first = T.apply(2, x)
+    # an equal value in a distinct object, terms inserted in reverse order
     x2 = CdybElement(dict(reversed(list(x.terms.items()))), x.order)
-    y2 = CdybElement(dict(y.terms), y.order)
     assert x2 is not x and x2 == x
-    assert T.apply(2, (x2, y2)) == first
+    assert T.apply(2, x2) == first
+    assert T.apply(1, x2) is x
     assert len(calls) == 1
-    # a different value or arity is a new evaluation
-    T.apply(2, (y, x))
-    T.apply(1, (x,))
+    # a higher arity reads the lower maps from the memo, and a different
+    # value is a new evaluation
+    T.apply(3, x)
+    assert len(calls) == 2
+    T.apply(2, y)
     assert len(calls) == 3
 
 
 def test_apply_on_zero_argument_skips_the_map(sl2):
-    g = classical_contraction(sl2, ORDER).dgla
-    (x,) = sample_elements(g, random.Random(10), 1)
-    T, calls = _counting_tower(g, 2)
-    assert T.apply(2, (x, g.zero())).is_zero()
-    assert T.apply(1, (g.zero(),)).is_zero()
+    C = classical_contraction(sl2, ORDER)
+    (x,) = _bivectors(C.dgla, 10, 1)
+    T, calls = _counting_tower(C, 2)
+    zero = C.dgla.zero()
+    assert T.apply(2, zero).is_zero()
+    assert T.apply(1, zero).is_zero()
+    # above the arity bound every map is zero
+    assert T.apply(3, x).is_zero()
     assert calls == []
